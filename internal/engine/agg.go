@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"consolidation/internal/consolidate"
@@ -165,22 +163,52 @@ func newAggRunner(fold, emit *lang.Program, accs []string, outIDs []int) (*aggRu
 	return r, nil
 }
 
-// foldStep folds record i into accs in place. args is caller scratch of
-// length 1+len(accs).
-func (r *aggRunner) foldStep(rn *lang.Runner, lib RecordLibrary, i int, accs, args []int64) (int64, error) {
-	lib.SetRecord(i)
-	args[0] = int64(i)
-	copy(args[1:], accs)
-	c, err := rn.RunDense(args)
-	if err != nil {
-		return 0, fmt.Errorf("engine: fold on record %d: %w", i, err)
+// newGroupRunner compiles a merged group's fold/emit pair against its
+// accumulators and dense output columns, and returns the declared inits.
+func newGroupRunner(g *consolidate.AggGroup) (*aggRunner, []int64, error) {
+	accNames := make([]string, len(g.Accs))
+	inits := make([]int64, len(g.Accs))
+	for i, d := range g.Accs {
+		accNames[i], inits[i] = d.Name, d.Init
 	}
-	for a, s := range r.slots {
-		if v, ok := rn.SlotAt(s); ok {
+	denseIDs := make([]int, len(g.Outputs))
+	for i := range denseIDs {
+		denseIDs[i] = i
+	}
+	r, err := newAggRunner(g.Fold, g.Emit, accNames, denseIDs)
+	return r, inits, err
+}
+
+// folder is one goroutine's fold state over its own library view: the fold
+// runner, its argument scratch, and the abstract cost folded so far.
+type folder struct {
+	r    *aggRunner
+	rn   *lang.Runner
+	lib  RecordLibrary
+	args []int64 // [record, accs...]
+	cost int64
+}
+
+func (r *aggRunner) folder(lib RecordLibrary, opts Options) *folder {
+	return &folder{r: r, rn: opts.runner(r.foldC, lib), lib: lib, args: make([]int64, 1+len(r.slots))}
+}
+
+// step folds record i into accs in place.
+func (f *folder) step(i int, accs []int64) error {
+	f.lib.SetRecord(i)
+	f.args[0] = int64(i)
+	copy(f.args[1:], accs)
+	c, err := f.rn.RunDense(f.args)
+	if err != nil {
+		return fmt.Errorf("engine: fold on record %d: %w", i, err)
+	}
+	for a, s := range f.r.slots {
+		if v, ok := f.rn.SlotAt(s); ok {
 			accs[a] = v
 		}
 	}
-	return c, nil
+	f.cost += c
+	return nil
 }
 
 // emitWindow runs the emit over final accumulator values and appends one
@@ -279,11 +307,7 @@ func aggregateOne(data RecordLibrary, a *lang.AggProgram, opts Options, m *AggMe
 	for i, d := range a.Accs {
 		inits[i] = d.Init
 	}
-	frn := lang.NewRunner(r.foldC, data)
-	frn.MaxSteps = opts.MaxSteps
-	ern := lang.NewRunner(r.emitC, data)
-	ern.MaxSteps = opts.MaxSteps
-	args := make([]int64, 1+len(inits))
+	f, ern := r.folder(data, opts), opts.runner(r.emitC, data)
 
 	type winState struct {
 		accs []int64
@@ -332,11 +356,9 @@ func aggregateOne(data RecordLibrary, a *lang.AggProgram, opts Options, m *AggMe
 			}
 			w = cw
 		}
-		c, err := r.foldStep(frn, data, i, w.accs, args)
-		if err != nil {
+		if err := f.step(i, w.accs); err != nil {
 			return nil, err
 		}
-		m.FoldCost += c
 		w.cnt++
 		if w.cnt == a.Window.Size {
 			m.UDFTime += time.Since(t0)
@@ -353,6 +375,7 @@ func aggregateOne(data RecordLibrary, a *lang.AggProgram, opts Options, m *AggMe
 		}
 	}
 	m.UDFTime += time.Since(t0)
+	m.FoldCost += f.cost
 	for _, w := range open {
 		if w.cnt > 0 {
 			if err := closeWin(w); err != nil {
@@ -480,54 +503,87 @@ func buildAggPlan(n, size, bsize int, keys []int64) *aggPlan {
 func runAggGroup(data RecordLibrary, g *consolidate.AggGroup, opts Options, outs []*AggOutput, m *AggMetrics) error {
 	n := data.NumRecords()
 	nAccs := len(g.Accs)
-	accNames := make([]string, nAccs)
-	inits := make([]int64, nAccs)
-	for i, d := range g.Accs {
-		accNames[i] = d.Name
-		inits[i] = d.Init
-	}
-	denseIDs := make([]int, len(g.Outputs))
-	for i := range denseIDs {
-		denseIDs[i] = i
-	}
-	r, err := newAggRunner(g.Fold, g.Emit, accNames, denseIDs)
+	r, inits, err := newGroupRunner(g)
 	if err != nil {
 		return err
 	}
 
 	var keys []int64
 	if g.Window.KeyFunc != "" {
-		kc, kt, err := extractKeysParallel(data, g.Window.KeyFunc, n, opts, &keys)
-		if err != nil {
+		if keys, err = extractKeysParallel(data, g.Window.KeyFunc, n, opts, m); err != nil {
 			return err
 		}
-		m.KeyCost += kc
-		m.UDFTime += kt
 	}
 	plan := buildAggPlan(n, g.Window.Size, opts.batchSize(), keys)
 
 	// Final accumulator values per window, in plan order.
 	winAccs := make([]int64, len(plan.wins)*nAccs)
-	split := g.Homomorphic && !opts.NoHomAgg
-	if split {
-		if err := runHomSplit(data, g, r, opts, plan, nAccs, winAccs, inits, m); err != nil {
-			return err
+	if g.Homomorphic && !opts.NoHomAgg {
+		// The homomorphic partial/combine path: workers claim batches and
+		// fold each record into its (batch, window) segment's partial
+		// accumulators, which start from the combine identities; segments are
+		// disjoint per batch, so no two workers touch the same partial.
+		parts := make([]int64, plan.nSegs*nAccs)
+		for s := 0; s < plan.nSegs; s++ {
+			for a, op := range g.Hom {
+				parts[s*nAccs+a] = op.Identity()
+			}
+		}
+		err = r.foldClaims(data, opts, opts.batches(n), m, func(f *folder, b int) error {
+			lo, hi := opts.span(b, n)
+			for i := lo; i < hi; i++ {
+				base := int(plan.segOfRecord[i]) * nAccs
+				if err := f.step(i, parts[base:base+nAccs]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		// Serial combine: inits ⊕ the window's segment partials in stream
+		// order — exactly the serial fold's finals.
+		for wi, w := range plan.wins {
+			dst := winAccs[wi*nAccs : (wi+1)*nAccs]
+			copy(dst, inits)
+			for _, seg := range w.segs {
+				base := int(seg) * nAccs
+				for a, op := range g.Hom {
+					dst[a] = op.Combine(dst[a], parts[base+a])
+				}
+			}
 		}
 	} else {
-		if err := runWholeWindows(data, r, opts, plan, nAccs, winAccs, inits, m); err != nil {
-			return err
-		}
+		// The unsplit path: workers claim whole windows off the plan and fold
+		// each serially from the declared inits — a window is never split, so
+		// no homomorphism is needed. A keyed window lists its records, a
+		// count window spans a range; the other form is empty.
+		err = r.foldClaims(data, opts, len(plan.wins), m, func(f *folder, wi int) error {
+			win := plan.wins[wi]
+			dst := winAccs[wi*nAccs : (wi+1)*nAccs]
+			copy(dst, inits)
+			for _, ri := range win.recs {
+				if err := f.step(int(ri), dst); err != nil {
+					return err
+				}
+			}
+			for i := win.lo; i < win.hi; i++ {
+				if err := f.step(int(i), dst); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err != nil {
+		return err
 	}
 
 	// Serial emit in plan order; scatter the dense columns to the members.
-	ern := lang.NewRunner(r.emitC, data)
-	ern.MaxSteps = opts.MaxSteps
+	ern := opts.runner(r.emitC, data)
 	row := make([]int8, 0, len(g.Outputs))
 	t0 := time.Now()
 	for wi, w := range plan.wins {
-		row = row[:0]
 		var c int64
-		row, c, err = r.emitWindow(ern, winAccs[wi*nAccs:(wi+1)*nAccs], row)
+		row, c, err = r.emitWindow(ern, winAccs[wi*nAccs:(wi+1)*nAccs], row[:0])
 		if err != nil {
 			return err
 		}
@@ -547,259 +603,55 @@ func runAggGroup(data RecordLibrary, g *consolidate.AggGroup, opts Options, outs
 	return nil
 }
 
-// extractKeysParallel computes every record's key over the batched worker
-// pool (the key function is lite relative to the fold, but the decode is
-// still per record, so the stage parallelizes like any other pass).
-func extractKeysParallel(data RecordLibrary, keyFunc string, n int, opts Options, out *[]int64) (int64, time.Duration, error) {
+// foldClaims runs a fold body over the claim loop — batches on the split
+// path, whole windows on the unsplit one. Each worker owns a folder; fold
+// cost, wall time inside the bodies, and the dispatch count fold into m.
+func (r *aggRunner) foldClaims(data RecordLibrary, opts Options, claims int, m *AggMetrics,
+	body func(f *folder, claim int) error) error {
+
+	err := runClaims(data, opts.workers(), claims, func(lib RecordLibrary) (func(int) error, func(), error) {
+		f := r.folder(lib, opts)
+		var udfTime time.Duration
+		return func(claim int) error {
+				t0 := time.Now()
+				err := body(f, claim)
+				udfTime += time.Since(t0)
+				return err
+			}, func() {
+				m.FoldCost += f.cost
+				m.UDFTime += udfTime
+			}, nil
+	})
+	m.Batches += claims
+	return err
+}
+
+// extractKeysParallel computes every record's key over the claim loop (the
+// key function is lite relative to the fold, but the decode is still per
+// record, so the stage parallelizes like any other pass).
+func extractKeysParallel(data RecordLibrary, keyFunc string, n int, opts Options, m *AggMetrics) ([]int64, error) {
 	keys := make([]int64, n)
 	kc, _ := data.FuncCost(keyFunc)
-	bsize := opts.batchSize()
-	nBatches := (n + bsize - 1) / bsize
-	workers := opts.workers()
-	if workers > nBatches {
-		workers = nBatches
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     atomic.Bool
-		next     atomic.Int64
-		udfTime  time.Duration
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lib := data.Clone()
-			arg := make([]int64, 1)
-			var localTime time.Duration
-			for !done.Load() {
-				b := int(next.Add(1)) - 1
-				if b >= nBatches {
-					break
+	err := runClaims(data, opts.workers(), opts.batches(n), func(lib RecordLibrary) (run func(int) error, fold func(), err error) {
+		arg := make([]int64, 1)
+		var udfTime time.Duration
+		run = func(b int) error {
+			lo, hi := opts.span(b, n)
+			t0 := time.Now()
+			for i := lo; i < hi; i++ {
+				lib.SetRecord(i)
+				arg[0] = int64(i)
+				k, err := lib.Call(keyFunc, arg)
+				if err != nil {
+					return fmt.Errorf("engine: key function %s on record %d: %w", keyFunc, i, err)
 				}
-				lo, hi := b*bsize, (b+1)*bsize
-				if hi > n {
-					hi = n
-				}
-				t0 := time.Now()
-				for i := lo; i < hi; i++ {
-					lib.SetRecord(i)
-					arg[0] = int64(i)
-					k, err := lib.Call(keyFunc, arg)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("engine: key function %s on record %d: %w", keyFunc, i, err)
-						}
-						mu.Unlock()
-						done.Store(true)
-						return
-					}
-					keys[i] = k
-				}
-				localTime += time.Since(t0)
+				keys[i] = k
 			}
-			mu.Lock()
-			udfTime += localTime
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, 0, firstErr
-	}
-	*out = keys
-	return kc * int64(n), udfTime, nil
-}
-
-// runHomSplit is the homomorphic partial/combine path: workers claim
-// batches and fold each record into its (batch, window) segment's partial
-// accumulators, which start from the combine identities; segments are
-// disjoint per batch, so no two workers touch the same partial. A serial
-// pass then combines each window's segments in stream order on top of the
-// declared inits — producing exactly the serial fold's finals.
-func runHomSplit(data RecordLibrary, g *consolidate.AggGroup, r *aggRunner, opts Options,
-	plan *aggPlan, nAccs int, winAccs, inits []int64, m *AggMetrics) error {
-
-	n := data.NumRecords()
-	parts := make([]int64, plan.nSegs*nAccs)
-	for s := 0; s < plan.nSegs; s++ {
-		for a, op := range g.Hom {
-			parts[s*nAccs+a] = op.Identity()
+			udfTime += time.Since(t0)
+			return nil
 		}
-	}
-	bsize := opts.batchSize()
-	nBatches := (n + bsize - 1) / bsize
-	workers := opts.workers()
-	if workers > nBatches {
-		workers = nBatches
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     atomic.Bool
-		next     atomic.Int64
-		cost     int64
-		udfTime  time.Duration
-		batches  int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lib := data.Clone()
-			rn := lang.NewRunner(r.foldC, lib)
-			rn.MaxSteps = opts.MaxSteps
-			args := make([]int64, 1+nAccs)
-			var localCost int64
-			var localTime time.Duration
-			localBatches := 0
-			for !done.Load() {
-				b := int(next.Add(1)) - 1
-				if b >= nBatches {
-					break
-				}
-				lo, hi := b*bsize, (b+1)*bsize
-				if hi > n {
-					hi = n
-				}
-				t0 := time.Now()
-				for i := lo; i < hi; i++ {
-					base := int(plan.segOfRecord[i]) * nAccs
-					c, err := r.foldStep(rn, lib, i, parts[base:base+nAccs], args)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						done.Store(true)
-						return
-					}
-					localCost += c
-				}
-				localTime += time.Since(t0)
-				localBatches++
-			}
-			mu.Lock()
-			cost += localCost
-			udfTime += localTime
-			batches += localBatches
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	m.FoldCost += cost
-	m.UDFTime += udfTime
-	m.Batches += batches
-
-	// Serial combine: inits ⊕ the window's segment partials in stream order.
-	for wi, w := range plan.wins {
-		dst := winAccs[wi*nAccs : (wi+1)*nAccs]
-		copy(dst, inits)
-		for _, seg := range w.segs {
-			base := int(seg) * nAccs
-			for a, op := range g.Hom {
-				dst[a] = op.Combine(dst[a], parts[base+a])
-			}
-		}
-	}
-	return nil
-}
-
-// runWholeWindows is the unsplit path: workers claim whole windows off the
-// plan and fold each serially from the declared inits — a window is never
-// split, so no homomorphism is needed.
-func runWholeWindows(data RecordLibrary, r *aggRunner, opts Options,
-	plan *aggPlan, nAccs int, winAccs, inits []int64, m *AggMetrics) error {
-
-	nWins := len(plan.wins)
-	if nWins == 0 {
-		return nil
-	}
-	workers := opts.workers()
-	if workers > nWins {
-		workers = nWins
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     atomic.Bool
-		next     atomic.Int64
-		cost     int64
-		udfTime  time.Duration
-		claims   int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lib := data.Clone()
-			rn := lang.NewRunner(r.foldC, lib)
-			rn.MaxSteps = opts.MaxSteps
-			args := make([]int64, 1+nAccs)
-			var localCost int64
-			var localTime time.Duration
-			localClaims := 0
-			for !done.Load() {
-				wi := int(next.Add(1)) - 1
-				if wi >= nWins {
-					break
-				}
-				win := plan.wins[wi]
-				dst := winAccs[wi*nAccs : (wi+1)*nAccs]
-				copy(dst, inits)
-				t0 := time.Now()
-				fail := func(err error) {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					done.Store(true)
-				}
-				if plan.keyed {
-					for _, ri := range win.recs {
-						c, err := r.foldStep(rn, lib, int(ri), dst, args)
-						if err != nil {
-							fail(err)
-							return
-						}
-						localCost += c
-					}
-				} else {
-					for i := win.lo; i < win.hi; i++ {
-						c, err := r.foldStep(rn, lib, int(i), dst, args)
-						if err != nil {
-							fail(err)
-							return
-						}
-						localCost += c
-					}
-				}
-				localTime += time.Since(t0)
-				localClaims++
-			}
-			mu.Lock()
-			cost += localCost
-			udfTime += localTime
-			claims += localClaims
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	m.FoldCost += cost
-	m.UDFTime += udfTime
-	m.Batches += claims
-	return nil
+		return run, func() { m.UDFTime += udfTime }, nil
+	})
+	m.KeyCost += kc * int64(n)
+	return keys, err
 }

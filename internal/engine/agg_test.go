@@ -395,34 +395,22 @@ func TestAggPartialCombineZeroAlloc(t *testing.T) {
 	if !g.Homomorphic {
 		t.Fatal("weather group must be homomorphic")
 	}
-	nAccs := len(g.Accs)
-	accNames := make([]string, nAccs)
-	for i, a := range g.Accs {
-		accNames[i] = a.Name
-	}
-	denseIDs := make([]int, len(g.Outputs))
-	for i := range denseIDs {
-		denseIDs[i] = i
-	}
-	r, err := newAggRunner(g.Fold, g.Emit, accNames, denseIDs)
+	r, acc, err := newGroupRunner(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn := lang.NewRunner(r.foldC, d)
-	args := make([]int64, 1+nAccs)
-	part := make([]int64, nAccs)
-	acc := make([]int64, nAccs)
+	f := r.folder(d, Options{})
+	part := make([]int64, len(acc))
 	for i, op := range g.Hom {
 		part[i] = op.Identity()
-		acc[i] = g.Accs[i].Init
 	}
 	// Warm up the runner's lazy growth before pinning.
-	if _, err := r.foldStep(rn, d, 0, part, args); err != nil {
+	if err := f.step(0, part); err != nil {
 		t.Fatal(err)
 	}
 	rec := 1
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := r.foldStep(rn, d, rec%d.n, part, args); err != nil {
+		if err := f.step(rec%d.n, part); err != nil {
 			panic(err)
 		}
 		rec++

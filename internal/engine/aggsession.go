@@ -28,10 +28,10 @@ type AggSession struct {
 	// Current merged group state (nil when no aggregations are active).
 	group *consolidate.AggGroup
 	r     *aggRunner
-	frn   *lang.Runner
+	f     *folder
 	ern   *lang.Runner
+	inits []int64
 	accs  []int64
-	args  []int64
 
 	pos int // records folded into the current window
 
@@ -127,13 +127,14 @@ func (s *AggSession) Feed(i int) error {
 	}
 	if s.group != nil {
 		t0 := time.Now()
-		c, err := s.r.foldStep(s.frn, s.data, i, s.accs, s.args)
+		before := s.f.cost
+		err := s.f.step(i, s.accs)
 		s.metrics.UDFTime += time.Since(t0)
 		if err != nil {
 			s.err = err
 			return err
 		}
-		s.metrics.FoldCost += c
+		s.metrics.FoldCost += s.f.cost - before
 	}
 	s.metrics.Records++
 	s.pos++
@@ -201,9 +202,7 @@ func (s *AggSession) closeWindow() error {
 		s.outs[s.active[gi].Name].Windows++
 	}
 	s.metrics.Windows++
-	for i, d := range s.group.Accs {
-		s.accs[i] = d.Init
-	}
+	copy(s.accs, s.inits)
 	return nil
 }
 
@@ -236,43 +235,25 @@ func (s *AggSession) applyPending() error {
 // rebuild re-merges the active aggregations into the session's single
 // group and resets the fold state to the window start.
 func (s *AggSession) rebuild() error {
-	s.group, s.r, s.frn, s.ern, s.accs, s.args = nil, nil, nil, nil, nil, nil
+	s.group, s.r, s.f, s.ern, s.inits, s.accs = nil, nil, nil, nil, nil, nil
 	if len(s.active) == 0 {
 		return nil
 	}
 	groups, err := consolidate.MergeAggs(s.active, s.copts)
+	if err == nil && len(groups) != 1 {
+		err = fmt.Errorf("engine: session merge produced %d groups, want 1", len(groups))
+	}
 	if err != nil {
 		s.err = err
 		return err
 	}
-	if len(groups) != 1 {
-		err := fmt.Errorf("engine: session merge produced %d groups, want 1", len(groups))
-		s.err = err
-		return err
-	}
-	g := groups[0]
-	accNames := make([]string, len(g.Accs))
-	for i, d := range g.Accs {
-		accNames[i] = d.Name
-	}
-	denseIDs := make([]int, len(g.Outputs))
-	for i := range denseIDs {
-		denseIDs[i] = i
-	}
-	r, err := newAggRunner(g.Fold, g.Emit, accNames, denseIDs)
+	r, inits, err := newGroupRunner(groups[0])
 	if err != nil {
 		s.err = err
 		return err
 	}
-	s.group, s.r = g, r
-	s.frn = lang.NewRunner(r.foldC, s.data)
-	s.frn.MaxSteps = s.opts.MaxSteps
-	s.ern = lang.NewRunner(r.emitC, s.data)
-	s.ern.MaxSteps = s.opts.MaxSteps
-	s.accs = make([]int64, len(g.Accs))
-	for i, d := range g.Accs {
-		s.accs[i] = d.Init
-	}
-	s.args = make([]int64, 1+len(s.accs))
+	s.group, s.r, s.inits = groups[0], r, inits
+	s.f, s.ern = r.folder(s.data, s.opts), s.opts.runner(r.emitC, s.data)
+	s.accs = append([]int64(nil), inits...)
 	return nil
 }

@@ -193,50 +193,125 @@ func TestBatchDispatchParity(t *testing.T) {
 	}
 }
 
-// TestBatchedConsolidatedZeroAlloc pins the allocation contract of the
-// batched consolidated stage, guard+lite-decode included: once a worker is
-// constructed and warm, evaluating a batch performs zero allocations.
-func TestBatchedConsolidatedZeroAlloc(t *testing.T) {
-	const n, bsize = 512, 128
+// TestEvaluatorZeroAlloc pins the allocation contract of the one evaluator
+// in the three configurations the operators feed it: once a worker is
+// swapped to a generation and warm, the guard sweep over the lite-decode
+// span, the merged programs and the verbatim pending queries allocate
+// nothing per batch — across batch sizes and across independent per-worker
+// evaluators. Only publishing verdict maps allocates, outside evalBatch.
+func TestEvaluatorZeroAlloc(t *testing.T) {
+	const n = 512
 	d := newLiteToy(n)
-	udfs := gatedToyUDFs(2, 60)
-	merged, _, err := consolidate.All(udfs, consolidate.Options{FuncCoster: d}, true, true)
-	if err != nil {
-		t.Fatal(err)
+	pf := &prefilter.Options{Coster: d, MaxCallCost: d.LiteCostBound()}
+	pend := `func pend(r) { notify 3 (val(r) > 10); }`
+	configs := []struct {
+		name     string
+		clusters int
+		pending  bool
+		snaps    func(t *testing.T) []*registry.Snapshot
+	}{
+		// WhereConsolidated: one fixed cluster, nothing pending.
+		{"static", 1, false, func(t *testing.T) []*registry.Snapshot {
+			udfs := gatedToyUDFs(2, 60)
+			merged, _, err := consolidate.All(udfs, consolidate.Options{FuncCoster: d}, true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mergedC, err := lang.Compile(merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*registry.Snapshot{{Compiled: mergedC, Slots: make([]registry.QueryID, len(udfs)), Guard: prefilter.Synthesize(merged, *pf)}}
+		}},
+		// WhereRegistry: one registry snapshot, one post-rebuild addition
+		// exercising the verbatim pending stage.
+		{"registry", 1, true, func(t *testing.T) []*registry.Snapshot {
+			reg, err := registry.New(registry.Options{
+				Debounce:  time.Hour, // freeze background rebuilds: the pending query must stay pending
+				Prefilter: pf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { reg.Close() })
+			for _, p := range gatedToyUDFs(2, 60) {
+				if _, err := reg.Add(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := reg.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reg.Add(lang.MustParse(pend)); err != nil {
+				t.Fatal(err)
+			}
+			return []*registry.Snapshot{reg.Snapshot()}
+		}},
+		// WhereSharded: several guarded clusters plus a pending query.
+		{"sharded", 2, true, func(t *testing.T) []*registry.Snapshot {
+			sh, greg, _, _, _ := shardedFixture(t, d, 4)
+			t.Cleanup(func() { sh.Close() })
+			greg.Close() // fixture convenience; unused here
+			if _, err := sh.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.Add(lang.MustParse(pend)); err != nil {
+				t.Fatal(err)
+			}
+			var snaps []*registry.Snapshot
+			for _, cs := range sh.Snapshot().Clusters {
+				snaps = append(snaps, cs.Snap)
+			}
+			return snaps
+		}},
 	}
-	mergedC, err := lang.Compile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guard := prefilter.Synthesize(merged, prefilter.Options{Coster: d, MaxCallCost: d.LiteCostBound()})
-	if guard == nil || guard.Trivial {
-		t.Fatal("expected a non-trivial guard; the guard+lite-decode stage would be skipped")
-	}
-	opts := Options{BatchSize: bsize}
-	eval := consolidatedWorker(mergedC, len(udfs), guard, opts)(d.Clone())
-	backing := make([]bool, bsize*len(udfs))
-	rows := make([][]bool, bsize)
-	for i := range rows {
-		off := i * len(udfs)
-		rows[i] = backing[off : off+len(udfs) : off+len(udfs)]
-	}
-	lat := make([]int64, len(udfs))
-	for lo := 0; lo < n; lo += bsize {
-		if _, err := eval(lo, lo+bsize, rows, lat); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eval(bsize, 2*bsize, rows, lat); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("batched consolidated stage allocates %v per batch, want 0", allocs)
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			snaps := cfg.snaps(t)
+			if len(snaps) < cfg.clusters {
+				t.Fatalf("expected >=%d clusters, got %d", cfg.clusters, len(snaps))
+			}
+			pending := 0
+			for _, s := range snaps {
+				pending += len(s.Pending)
+			}
+			if s := snaps[0]; s.Guard == nil || s.Guard.Trivial {
+				t.Fatal("expected a non-trivial guard; the guard+lite-decode stage would be skipped")
+			}
+			if cfg.pending != (pending > 0) {
+				t.Fatalf("%d pending queries in the snapshot, want pending=%v", pending, cfg.pending)
+			}
+			for _, bsize := range []int{32, 128} {
+				// Two independent evaluators model two workers: each owns its
+				// library clone, runners, and scratch.
+				for wk := 0; wk < 2; wk++ {
+					e := newEvaluator(d.Clone(), Options{BatchSize: bsize})
+					if err := e.swap(snaps); err != nil {
+						t.Fatal(err)
+					}
+					for lo := 0; lo < n; lo += bsize {
+						if err := e.evalBatch(lo, lo+bsize); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if e.m.Rejected == 0 || e.m.Admitted == 0 {
+						t.Fatalf("degenerate admission split %d/%d", e.m.Admitted, e.m.Rejected)
+					}
+					allocs := testing.AllocsPerRun(100, func() {
+						if err := e.evalBatch(bsize, 2*bsize); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs != 0 {
+						t.Fatalf("worker %d batch=%d: evaluation stage allocates %v per batch, want 0", wk, bsize, allocs)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestBatchedWhereManyZeroAlloc extends the pin to the whereMany stage.
+// TestBatchedWhereManyZeroAlloc extends the pin to the whereMany batch body.
 func TestBatchedWhereManyZeroAlloc(t *testing.T) {
 	const n, bsize = 512, 128
 	d := toy(n)
@@ -251,84 +326,22 @@ func TestBatchedWhereManyZeroAlloc(t *testing.T) {
 		compiled[i] = c
 		ids[i] = 1
 	}
-	eval := whereManyWorker(udfs, compiled, ids, Options{BatchSize: bsize})(d.Clone())
-	backing := make([]bool, bsize*len(udfs))
-	rows := make([][]bool, bsize)
-	for i := range rows {
-		off := i * len(udfs)
-		rows[i] = backing[off : off+len(udfs) : off+len(udfs)]
+	w, err := newManyWorker(d.Clone(), udfs, compiled, ids, Options{BatchSize: bsize})
+	if err != nil {
+		t.Fatal(err)
 	}
-	lat := make([]int64, len(udfs))
+	rows := make([]bool, bsize*len(udfs))
 	for lo := 0; lo < n; lo += bsize {
-		if _, err := eval(lo, lo+bsize, rows, lat); err != nil {
+		if err := w.evalBatch(lo, lo+bsize, rows); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eval(bsize, 2*bsize, rows, lat); err != nil {
+		if err := w.evalBatch(bsize, 2*bsize, rows); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("batched whereMany stage allocates %v per batch, want 0", allocs)
-	}
-}
-
-// TestBatchedRegistryZeroAlloc pins the registry pass's compute/publish
-// split: the evaluate stage (guard sweep, merged program, verbatim pending
-// queries) is allocation-free per batch; only publish materialises verdict
-// maps.
-func TestBatchedRegistryZeroAlloc(t *testing.T) {
-	const n, bsize = 512, 64
-	d := newLiteToy(n)
-	reg, err := registry.New(registry.Options{
-		Debounce:  time.Hour, // freeze background rebuilds: the pending query must stay pending
-		Prefilter: &prefilter.Options{Coster: d, MaxCallCost: d.LiteCostBound()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	for _, p := range gatedToyUDFs(2, 60) {
-		if _, err := reg.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := reg.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	// One post-rebuild addition exercises the verbatim pending stage.
-	if _, err := reg.Add(lang.MustParse(`func pend(r) { notify 3 (val(r) > 10); }`)); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap.Guard == nil || snap.Guard.Trivial {
-		t.Fatal("expected a non-trivial registry guard")
-	}
-	if len(snap.Pending) == 0 {
-		t.Fatal("expected a pending query in the delta snapshot")
-	}
-
-	out := &RegistryResult{
-		Verdicts: make([]map[registry.QueryID]bool, n),
-		Gens:     make([]uint64, n),
-	}
-	p := newRegPass(d, out, Options{BatchSize: bsize})
-	if err := p.swapTo(snap); err != nil {
-		t.Fatal(err)
-	}
-	for lo := 0; lo < n; lo += bsize {
-		if err := p.evalBatch(lo, lo+bsize); err != nil {
-			t.Fatal(err)
-		}
-		p.publish(lo, lo+bsize)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := p.evalBatch(bsize, 2*bsize); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("registry evaluate stage allocates %v per batch, want 0", allocs)
 	}
 }

@@ -12,27 +12,30 @@
 // Comparing the two isolates exactly the benefit of UDF consolidation, as
 // in Figures 9 and 10.
 //
-// Dispatch is batched: the record stream is sharded into fixed-size
-// contiguous batches claimed dynamically by workers, and the per-record
-// stages — lite decode, admission guard, merged-program execution, metrics
-// and latency stamping — run as per-batch stages that amortize snapshot
-// checks, guard setup, and timer reads across the batch. Verdicts, costs,
-// and per-notification stamps are byte-identical at every Workers/BatchSize
-// combination: every accumulation the pass performs is a commutative sum,
-// and each verdict row is written by exactly one worker.
+// Every pass — these two, the live WhereRegistry and WhereSharded, and the
+// windowed aggregations — runs on one claim loop (runClaims): the record
+// stream is cut into fixed-size contiguous batches that workers claim
+// dynamically. Every merged program runs in one evaluator (pass.go): per
+// batch, the admission guards over the lite-decode span, then one full
+// decode per admitted record and the merged-program VMs, so snapshot checks,
+// guard setup, and timer reads are amortized across the batch. The static
+// pass, a registry snapshot and a sharded snapshot are three configurations
+// of it. Verdicts, costs, and per-notification stamps are byte-identical at
+// every Workers/BatchSize combination: every accumulation a pass performs
+// is a commutative sum, and each verdict row is written by exactly one
+// worker.
 package engine
 
 import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"consolidation/internal/consolidate"
 	"consolidation/internal/lang"
 	"consolidation/internal/prefilter"
+	"consolidation/internal/registry"
 	"consolidation/internal/smt"
 )
 
@@ -164,6 +167,13 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// runner builds a VM runner for c over lib, bounded by MaxSteps.
+func (o Options) runner(c *lang.Compiled, lib RecordLibrary) *lang.Runner {
+	rn := lang.NewRunner(c, lib)
+	rn.MaxSteps = o.MaxSteps
+	return rn
+}
+
 func (o Options) batchSize() int {
 	if o.BatchSize > 0 {
 		return o.BatchSize
@@ -171,105 +181,135 @@ func (o Options) batchSize() int {
 	return DefaultBatchSize
 }
 
-// notifyIDOf returns the single notification id a filter UDF broadcasts.
-func notifyIDOf(p *lang.Program) (int, error) {
+// notifyIDOf validates a filter UDF — it takes exactly the record parameter
+// and broadcasts exactly one notification id — and returns that id.
+func notifyIDOf(p *lang.Program) (id int, err error) {
+	if len(p.Params) != 1 {
+		return 0, fmt.Errorf("engine: UDF %s must take exactly the record parameter", p.Name)
+	}
 	ids := lang.NotifyIDs(p.Body)
 	if len(ids) != 1 {
 		return 0, fmt.Errorf("engine: UDF %s must notify exactly one id, has %d", p.Name, len(ids))
 	}
-	for id := range ids {
-		return id, nil
+	for id = range ids {
 	}
-	return 0, nil
+	return id, nil
 }
 
-func validateUDF(p *lang.Program) error {
-	if len(p.Params) != 1 {
-		return fmt.Errorf("engine: UDF %s must take exactly the record parameter", p.Name)
+// newResult allocates the verdict rows of a whole pass over one backing
+// array (not one []bool per record), pre-sliced with full slice expressions
+// so rows stay independent; record i's row is backing[i*nUDFs:(i+1)*nUDFs].
+func newResult(n, nUDFs int, opts Options) (*Result, []bool) {
+	backing := make([]bool, n*nUDFs)
+	rows := make([][]bool, n)
+	for i := range rows {
+		off := i * nUDFs
+		rows[i] = backing[off : off+nUDFs : off+nUDFs]
 	}
-	return nil
+	return &Result{Bools: rows, Metrics: Metrics{
+		Records: n, UDFs: nUDFs, Batches: opts.batches(n), LatencySum: make([]int64, nUDFs),
+	}}, backing
 }
 
 // WhereMany evaluates every UDF on every record in one pass, sequentially
-// per record — the whereMany operator of Section 6.1.
+// per record — the whereMany operator of Section 6.1, and the reference the
+// merged paths are diffed against: it shares the claim loop with them and
+// nothing else.
 func WhereMany(data RecordLibrary, udfs []*lang.Program, opts Options) (*Result, error) {
-	for _, p := range udfs {
-		if err := validateUDF(p); err != nil {
-			return nil, err
-		}
-	}
 	ids := make([]int, len(udfs))
-	for i, p := range udfs {
-		id, err := notifyIDOf(p)
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
-	}
 	compiled := make([]*lang.Compiled, len(udfs))
 	for i, p := range udfs {
-		c, err := lang.Compile(p)
-		if err != nil {
+		var err error
+		if ids[i], err = notifyIDOf(p); err != nil {
+			return nil, err
+		}
+		if compiled[i], err = lang.Compile(p); err != nil {
 			return nil, fmt.Errorf("engine: compiling %s: %w", p.Name, err)
 		}
-		compiled[i] = c
 	}
 	start := time.Now()
-	res, err := runPass(data, opts, whereManyWorker(udfs, compiled, ids, opts), len(udfs))
+	n := data.NumRecords()
+	res, backing := newResult(n, len(udfs), opts)
+	err := runClaims(data, opts.workers(), res.Batches, func(lib RecordLibrary) (run func(int) error, fold func(), err error) {
+		w, err := newManyWorker(lib, udfs, compiled, ids, opts)
+		run = func(b int) error {
+			lo, hi := opts.span(b, n)
+			return w.evalBatch(lo, hi, backing[lo*len(udfs):hi*len(udfs)])
+		}
+		fold = func() {
+			res.UDFCost += w.cost
+			res.UDFTime += w.udfTime
+			for q, v := range w.lat {
+				res.LatencySum[q] += v
+			}
+		}
+		return run, fold, err
+	})
 	if err != nil {
 		return nil, err
 	}
+	res.Admitted = n
 	res.TotalTime = time.Since(start)
-	finishMetrics(res, len(udfs))
+	finishMetrics(res)
 	return res, nil
 }
 
-// whereManyWorker builds the per-worker batch stage of WhereMany: one
-// runner per UDF, resolved and arity-checked once, then driven through the
-// single-argument batch entry point record by record.
-func whereManyWorker(udfs []*lang.Program, compiled []*lang.Compiled, ids []int, opts Options) func(lib RecordLibrary) batchFn {
-	return func(lib RecordLibrary) batchFn {
-		runners := make([]*lang.Runner, len(compiled))
-		noteIdx := make([]int, len(compiled))
-		for i, c := range compiled {
-			runners[i] = lang.NewRunner(c, lib)
-			runners[i].MaxSteps = opts.MaxSteps
-			if err := runners[i].BeginBatch1(); err != nil {
-				return failingBatch(err)
-			}
-			// The id is statically present (notifyIDOf found it), so the
-			// dense note slot resolves here, outside the batch loop.
-			noteIdx[i], _ = c.NoteIndex(ids[i])
+// manyWorker is one worker's WhereMany state: one runner per UDF, resolved
+// and arity-checked once, then driven through the single-argument batch
+// entry point record by record.
+type manyWorker struct {
+	lib     RecordLibrary
+	udfs    []*lang.Program
+	ids     []int
+	runners []*lang.Runner
+	noteIdx []int
+	lat     []int64
+	cost    int64
+	udfTime time.Duration
+}
+
+func newManyWorker(lib RecordLibrary, udfs []*lang.Program, compiled []*lang.Compiled, ids []int, opts Options) (*manyWorker, error) {
+	w := &manyWorker{lib: lib, udfs: udfs, ids: ids, lat: make([]int64, len(udfs))}
+	for i, c := range compiled {
+		rn := opts.runner(c, lib)
+		if err := rn.BeginBatch1(); err != nil {
+			return nil, err
 		}
-		return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
-			var out batchOut
-			for i := lo; i < hi; i++ {
-				lib.SetRecord(i)
-				row := rows[i-lo]
-				var recCost int64
-				t0 := time.Now()
-				for q, rn := range runners {
-					c, err := rn.RunDense1(int64(i))
-					if err != nil {
-						return batchOut{}, fmt.Errorf("engine: UDF %s on record %d: %w", udfs[q].Name, i, err)
-					}
-					v, ok := rn.NoteAt(noteIdx[q])
-					if !ok {
-						return batchOut{}, fmt.Errorf("engine: UDF %s did not notify id %d on record %d", udfs[q].Name, ids[q], i)
-					}
-					// Sequential execution: this UDF's notification waited for
-					// all earlier UDFs on this record.
-					lat[q] += recCost + rn.NoteCostAt(noteIdx[q])
-					recCost += c
-					row[q] = v
-				}
-				out.udfTime += time.Since(t0)
-				out.cost += recCost
-				out.admitted++
-			}
-			return out, nil
-		}
+		// The id is statically present (notifyIDOf found it), so the dense
+		// note slot resolves here, outside the batch loop.
+		k, _ := c.NoteIndex(ids[i])
+		w.runners, w.noteIdx = append(w.runners, rn), append(w.noteIdx, k)
 	}
+	return w, nil
+}
+
+// evalBatch evaluates records [lo, hi) into rows, their flat verdict rows.
+func (w *manyWorker) evalBatch(lo, hi int, rows []bool) error {
+	n := len(w.runners)
+	for i := lo; i < hi; i++ {
+		w.lib.SetRecord(i)
+		row := rows[(i-lo)*n : (i-lo+1)*n]
+		var recCost int64
+		t0 := time.Now()
+		for q, rn := range w.runners {
+			c, err := rn.RunDense1(int64(i))
+			if err != nil {
+				return fmt.Errorf("engine: UDF %s on record %d: %w", w.udfs[q].Name, i, err)
+			}
+			v, ok := rn.NoteAt(w.noteIdx[q])
+			if !ok {
+				return fmt.Errorf("engine: UDF %s did not notify id %d on record %d", w.udfs[q].Name, w.ids[q], i)
+			}
+			// Sequential execution: this UDF's notification waited for
+			// all earlier UDFs on this record.
+			w.lat[q] += recCost + rn.NoteCostAt(w.noteIdx[q])
+			recCost += c
+			row[q] = v
+		}
+		w.udfTime += time.Since(t0)
+		w.cost += recCost
+	}
+	return nil
 }
 
 // ConsolidatedResult extends Result with consolidation statistics.
@@ -292,9 +332,6 @@ type ConsolidatedResult struct {
 // whereConsolidated operator of Section 6.1.
 func WhereConsolidated(data RecordLibrary, udfs []*lang.Program, copts consolidate.Options, opts Options) (*ConsolidatedResult, error) {
 	for _, p := range udfs {
-		if err := validateUDF(p); err != nil {
-			return nil, err
-		}
 		if _, err := notifyIDOf(p); err != nil {
 			return nil, err
 		}
@@ -334,349 +371,47 @@ func WhereConsolidated(data RecordLibrary, udfs []*lang.Program, copts consolida
 		prefTime = time.Since(t1)
 	}
 
+	// The static pass is the live pass's degenerate case: one cluster, one
+	// generation that never changes, nothing pending. Its slot rows are the
+	// result rows of the batch and its latency buckets fold straight into
+	// LatencySum, so nothing is copied or published.
 	start := time.Now()
-	res, err := runPass(data, opts, consolidatedWorker(mergedC, len(udfs), guard, opts), len(udfs))
+	n, nUDFs := data.NumRecords(), len(udfs)
+	fixed := []*registry.Snapshot{{Merged: merged, Compiled: mergedC, Slots: make([]registry.QueryID, nUDFs), Guard: guard}}
+	res, backing := newResult(n, nUDFs, opts)
+	err = runClaims(data, opts.workers(), res.Batches, func(lib RecordLibrary) (run func(int) error, fold func(), err error) {
+		e := newEvaluator(lib, opts)
+		err = e.swap(fixed)
+		run = func(b int) error {
+			lo, hi := opts.span(b, n)
+			e.cls[0].slotVals = backing[lo*nUDFs : hi*nUDFs]
+			return e.evalBatch(lo, hi)
+		}
+		fold = func() {
+			res.UDFCost += e.m.UDFCost
+			res.GuardCost += e.m.GuardCost
+			res.UDFTime += e.m.UDFTime
+			res.Admitted += e.m.Admitted
+			res.Rejected += e.m.Rejected
+			for q, v := range e.cls[0].latSlot {
+				res.LatencySum[q] += v
+			}
+		}
+		return run, fold, err
+	})
 	if err != nil {
 		return nil, err
 	}
 	res.TotalTime = time.Since(start)
-	finishMetrics(res, len(udfs))
+	finishMetrics(res)
 	return &ConsolidatedResult{
 		Result: *res, ConsolidateTime: consTime, Multi: ms, Merged: merged,
 		Guard: guard, PrefilterTime: prefTime,
 	}, nil
 }
 
-// consolidatedWorker builds the per-worker batch stages of
-// WhereConsolidated: a guard stage (lite decode + admission pre-filter,
-// skipped entirely for trivial guards) and a merged-program stage over the
-// admitted records. Runners are constructed and arity-checked once per
-// worker; the guard stage shares one timer pair per batch.
-func consolidatedWorker(mergedC *lang.Compiled, nUDFs int, guard *prefilter.Guard, opts Options) func(lib RecordLibrary) batchFn {
-	filtered := guard != nil && !guard.Trivial
-	return func(lib RecordLibrary) batchFn {
-		rn := lang.NewRunner(mergedC, lib)
-		rn.MaxSteps = opts.MaxSteps
-		if err := rn.BeginBatch1(); err != nil {
-			return failingBatch(err)
-		}
-		// Notify ids were renumbered to query positions 0..n-1; resolve
-		// each to its dense note slot once. -1 marks an id the merged
-		// program can never broadcast (reported per record below).
-		noteIdx := make([]int, nUDFs)
-		for q := range noteIdx {
-			k, ok := mergedC.NoteIndex(q)
-			if !ok {
-				k = -1
-			}
-			noteIdx[q] = k
-		}
-		if !filtered {
-			return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
-				var out batchOut
-				for i := lo; i < hi; i++ {
-					lib.SetRecord(i)
-					t0 := time.Now()
-					cost, err := rn.RunDense1(int64(i))
-					out.udfTime += time.Since(t0)
-					if err != nil {
-						return batchOut{}, fmt.Errorf("engine: consolidated UDF on record %d: %w", i, err)
-					}
-					out.cost += cost
-					row := rows[i-lo]
-					for q, k := range noteIdx {
-						v, ok := rn.NoteAt(k)
-						if !ok {
-							return batchOut{}, fmt.Errorf("engine: consolidated UDF missing notification %d on record %d", q, i)
-						}
-						row[q] = v
-						lat[q] += rn.NoteCostAt(k)
-					}
-					out.admitted++
-				}
-				return out, nil
-			}
-		}
-		grn := lang.NewRunner(guard.Compiled, lib)
-		grn.MaxSteps = opts.MaxSteps
-		if err := grn.BeginBatch1(); err != nil {
-			return failingBatch(err)
-		}
-		glite, _ := lib.(LiteRecordLibrary)
-		if glite == nil {
-			// No lite decode available: the guard runs after the full decode,
-			// so the guard and merged stages fuse per record — the decode is
-			// shared, exactly as on a lite-capable dataset's admitted path.
-			return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
-				var out batchOut
-				for i := lo; i < hi; i++ {
-					lib.SetRecord(i)
-					row := rows[i-lo]
-					t0 := time.Now()
-					gcost, gerr := grn.RunDense1(int64(i))
-					out.udfTime += time.Since(t0)
-					// A guard runtime error fails open: the record is admitted
-					// and the merged program decides (and surfaces its own
-					// error, if any). Guard cost still counts — the work
-					// happened.
-					var grec int64
-					if gerr == nil {
-						grec = gcost
-						out.cost += gcost
-						out.guardCost += gcost
-						if !guard.Admits(grn) {
-							if err := rejectRow(row, noteIdx, lat, grn.NoteCostAt(guard.NoteIdx), i); err != nil {
-								return batchOut{}, err
-							}
-							continue
-						}
-					}
-					t1 := time.Now()
-					cost, err := rn.RunDense1(int64(i))
-					out.udfTime += time.Since(t1)
-					if err != nil {
-						return batchOut{}, fmt.Errorf("engine: consolidated UDF on record %d: %w", i, err)
-					}
-					out.cost += cost
-					for q, k := range noteIdx {
-						v, ok := rn.NoteAt(k)
-						if !ok {
-							return batchOut{}, fmt.Errorf("engine: consolidated UDF missing notification %d on record %d", q, i)
-						}
-						row[q] = v
-						lat[q] += grec + rn.NoteCostAt(k)
-					}
-					out.admitted++
-				}
-				return out, nil
-			}
-		}
-		gspan, _ := lib.(LiteSpanLibrary)
-		// Per-worker batch scratch: the guard stage records each record's
-		// admission verdict and guard cost so the merged stage can stamp
-		// admitted-record latencies with the right guard share.
-		bsize := opts.batchSize()
-		admit := make([]bool, bsize)
-		gcosts := make([]int64, bsize)
-		return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
-			var out batchOut
-			// Guard stage: lite-decode the span once, then run the guard over
-			// the batch. One timer pair covers the stage (the lite decode is
-			// near-zero by contract, so including it keeps the metric honest
-			// without a per-record timer read).
-			if gspan != nil {
-				gspan.SetRecordLiteSpan(lo, hi)
-			}
-			nrej := 0
-			t0 := time.Now()
-			for i := lo; i < hi; i++ {
-				k := i - lo
-				glite.SetRecordLite(i)
-				admit[k], gcosts[k] = true, 0
-				gcost, gerr := grn.RunDense1(int64(i))
-				if gerr != nil {
-					// Fail open; no cost counted for a run that errored out.
-					continue
-				}
-				out.cost += gcost
-				out.guardCost += gcost
-				gcosts[k] = gcost
-				if !guard.Admits(grn) {
-					// Rejected: the guard is a necessary condition for every
-					// notification, so all verdicts are false. The
-					// notification ids must still all be broadcastable — the
-					// same structural check the full run performs.
-					admit[k] = false
-					nrej++
-					if err := rejectRow(rows[k], noteIdx, lat, grn.NoteCostAt(guard.NoteIdx), i); err != nil {
-						return batchOut{}, err
-					}
-				}
-			}
-			out.udfTime += time.Since(t0)
-			if nrej == hi-lo {
-				return out, nil
-			}
-			// Merged stage: pay the full decode and run the merged program
-			// for the admitted records only.
-			for i := lo; i < hi; i++ {
-				k := i - lo
-				if !admit[k] {
-					continue
-				}
-				lib.SetRecord(i)
-				t1 := time.Now()
-				cost, err := rn.RunDense1(int64(i))
-				out.udfTime += time.Since(t1)
-				if err != nil {
-					return batchOut{}, fmt.Errorf("engine: consolidated UDF on record %d: %w", i, err)
-				}
-				out.cost += cost
-				row := rows[k]
-				for q, kn := range noteIdx {
-					v, ok := rn.NoteAt(kn)
-					if !ok {
-						return batchOut{}, fmt.Errorf("engine: consolidated UDF missing notification %d on record %d", q, i)
-					}
-					row[q] = v
-					lat[q] += gcosts[k] + rn.NoteCostAt(kn)
-				}
-				out.admitted++
-			}
-			return out, nil
-		}
-	}
-}
-
-// rejectRow records a guard rejection: every verdict false, every latency
-// stamped at the guard's notification cost. A notify id the merged program
-// cannot broadcast is the same structural error the admitted path reports.
-func rejectRow(row []bool, noteIdx []int, lat []int64, stamp int64, rec int) error {
-	for q, k := range noteIdx {
-		if k == -1 {
-			return fmt.Errorf("engine: consolidated UDF missing notification %d on record %d", q, rec)
-		}
-		row[q] = false
-		lat[q] += stamp
-	}
-	return nil
-}
-
-// batchOut reports one batch evaluation: total abstract cost (guard
-// included), the guard's share of it, wall time inside UDF/guard execution,
-// and how many of the batch's records the admission pre-filter admitted
-// (unfiltered passes admit everything).
-type batchOut struct {
-	cost      int64
-	guardCost int64
-	udfTime   time.Duration
-	admitted  int
-}
-
-// batchFn evaluates the record batch [lo, hi) into its verdict rows
-// (rows[i-lo] is record i's row) and latency accumulator. Record selection
-// (SetRecord, SetRecordLite, or a lite span) is the batchFn's
-// responsibility, so a pre-filter stage can defer full decodes until a
-// record is admitted.
-type batchFn func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error)
-
-// failingBatch is a batchFn that reports a worker-construction error on
-// first dispatch (runPass surfaces it as the pass error).
-func failingBatch(err error) batchFn {
-	return func(int, int, [][]bool, []int64) (batchOut, error) { return batchOut{}, err }
-}
-
-// runPass shards the record stream into fixed-size contiguous batches and
-// lets workers claim them dynamically off a shared counter. Each worker
-// owns a library clone, compiled runners, scratch arenas, and a latency
-// accumulator, and calls its batchFn once per claimed batch; per-pass
-// totals merge once per worker under the mutex. The verdict rows of the
-// whole pass share one backing allocation, pre-sliced with full slice
-// expressions so rows stay independent.
-func runPass(data RecordLibrary, opts Options,
-	makeWorker func(lib RecordLibrary) batchFn,
-	nUDFs int) (*Result, error) {
-
-	n := data.NumRecords()
-	if n == 0 {
-		return &Result{Bools: [][]bool{}, Metrics: Metrics{UDFs: nUDFs, LatencySum: make([]int64, nUDFs)}}, nil
-	}
-	bsize := opts.batchSize()
-	nBatches := (n + bsize - 1) / bsize
-	workers := opts.workers()
-	if workers > nBatches {
-		workers = nBatches
-	}
-	backing := make([]bool, n*nUDFs)
-	rows := make([][]bool, n)
-	for i := range rows {
-		off := i * nUDFs
-		rows[i] = backing[off : off+nUDFs : off+nUDFs]
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		// done lets the surviving workers bail out between batches once any
-		// worker has recorded firstErr; their partial metrics are discarded
-		// with the failed pass anyway.
-		done atomic.Bool
-		// next is the shared batch counter: workers claim the next
-		// unclaimed batch, so a worker stuck on a slow batch never strands
-		// the rest of its range (dynamic load balancing over a contiguous,
-		// record-index-keyed partition).
-		next      atomic.Int64
-		cost      int64
-		guardCost int64
-		admitted  int
-		batches   int
-		udfTime   time.Duration
-		latency   = make([]int64, nUDFs)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lib := data.Clone()
-			eval := makeWorker(lib)
-			var localCost, localGuard int64
-			var localTime time.Duration
-			localAdmitted, localBatches := 0, 0
-			localLat := make([]int64, nUDFs)
-			for !done.Load() {
-				b := int(next.Add(1)) - 1
-				if b >= nBatches {
-					break
-				}
-				lo := b * bsize
-				hi := lo + bsize
-				if hi > n {
-					hi = n
-				}
-				out, err := eval(lo, hi, rows[lo:hi], localLat)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					done.Store(true)
-					break
-				}
-				localCost += out.cost
-				localGuard += out.guardCost
-				localTime += out.udfTime
-				localAdmitted += out.admitted
-				localBatches++
-			}
-			mu.Lock()
-			cost += localCost
-			guardCost += localGuard
-			admitted += localAdmitted
-			batches += localBatches
-			udfTime += localTime
-			for q, v := range localLat {
-				latency[q] += v
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return &Result{
-		Bools: rows,
-		Metrics: Metrics{
-			Records: n, UDFs: nUDFs, Batches: batches,
-			UDFCost: cost, UDFTime: udfTime, LatencySum: latency,
-			Admitted: admitted, Rejected: n - admitted, GuardCost: guardCost,
-		},
-	}, nil
-}
-
-func finishMetrics(r *Result, nUDFs int) {
-	r.Selected = make([]int, nUDFs)
+func finishMetrics(r *Result) {
+	r.Selected = make([]int, r.UDFs)
 	for _, row := range r.Bools {
 		for q, v := range row {
 			if v {

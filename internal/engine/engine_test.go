@@ -275,23 +275,17 @@ func TestNotificationLatency(t *testing.T) {
 	}
 }
 
-// TestRunPassRowAllocation guards the per-worker verdict-row backing array:
-// runPass must not allocate one []bool per record. With the hoist, the whole
-// pass costs a handful of allocations regardless of record count; regressing
-// to per-record make([]bool, nUDFs) pushes the count past the record total.
-func TestRunPassRowAllocation(t *testing.T) {
-	const records, nUDFs = 512, 4
+// TestPassRowAllocation guards the pass-wide verdict-row backing array: a
+// pass must not allocate one []bool per record. With one backing array the
+// whole pass costs a fixed number of allocations (compilation, runners,
+// worker bookkeeping) regardless of record count; regressing to per-record
+// make([]bool, nUDFs) pushes the count past the record total.
+func TestPassRowAllocation(t *testing.T) {
+	const records = 4096
 	d := &toyData{vals: make([]int64, records)}
+	udfs := thresholdUDFs(10, 20, 30, 40)
 	allocs := testing.AllocsPerRun(5, func() {
-		res, err := runPass(d, Options{Workers: 1, BatchSize: 32}, func(lib RecordLibrary) batchFn {
-			return func(lo, hi int, rows [][]bool, lat []int64) (batchOut, error) {
-				for i := lo; i < hi; i++ {
-					lib.SetRecord(i)
-					rows[i-lo][i%nUDFs] = true
-				}
-				return batchOut{cost: int64(hi - lo), admitted: hi - lo}, nil
-			}
-		}, nUDFs)
+		res, err := WhereMany(d, udfs, Options{Workers: 1, BatchSize: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,9 +293,8 @@ func TestRunPassRowAllocation(t *testing.T) {
 			t.Fatalf("got %d rows, want %d", len(res.Bools), records)
 		}
 	})
-	// bools header slice, one backing array, worker bookkeeping and harness
-	// overhead — far below one allocation per record.
-	if allocs > 64 {
-		t.Fatalf("runPass allocated %.0f times for %d records; per-record row allocation has regressed", allocs, records)
+	t.Logf("%.0f allocations for %d records", allocs, records)
+	if allocs > records/8 {
+		t.Fatalf("pass allocated %.0f times for %d records; per-record row allocation has regressed", allocs, records)
 	}
 }

@@ -3,9 +3,13 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"consolidation/internal/consolidate"
+	"consolidation/internal/lang"
 )
 
 // errData is a toyData variant whose library call fails on records past a
@@ -29,8 +33,8 @@ func (d *errData) Call(name string, args []int64) (int64, error) {
 // TestCancellationNoGoroutineLeak aborts parallel evaluation passes
 // mid-run (a library call fails on some records while other workers are
 // still evaluating theirs) and asserts the engine's worker goroutines are
-// all gone afterwards: runPass must join every worker on the error path,
-// not abandon them.
+// all gone afterwards: the claim loop must join every worker on the error
+// path, not abandon them.
 func TestCancellationNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
@@ -99,11 +103,11 @@ func (d *pacedData) Call(name string, args []int64) (int64, error) {
 	return d.toyData.Call(name, args)
 }
 
-// TestRunPassEarlyExitOnError pins the batched early-exit: the done flag is
+// TestClaimLoopEarlyExitOnError pins the batched early-exit: the done flag is
 // checked once per batch, so once one worker records an error the others
 // must stop at the next batch boundary — they finish the batch in flight
 // and claim no further ones.
-func TestRunPassEarlyExitOnError(t *testing.T) {
+func TestClaimLoopEarlyExitOnError(t *testing.T) {
 	const n, bsize = 200, 10
 	baseline := runtime.NumGoroutine()
 	d := &pacedData{failBelow: 1000, firstErr: make(chan struct{}), slowCalls: new(atomic.Int64)}
@@ -134,6 +138,69 @@ func TestRunPassEarlyExitOnError(t *testing.T) {
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
 			t.Fatalf("worker goroutines leaked after cancelled batched pass: %d at baseline, %d now",
+				baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// panicToy is a liteToy whose full decode panics on one record — a fault in
+// caller-implemented library code, inside a worker.
+type panicToy struct {
+	*liteToy
+	at int
+}
+
+func (d *panicToy) SetRecord(i int) {
+	if i == d.at {
+		panic(fmt.Sprintf("injected panic on record %d", i))
+	}
+	d.liteToy.SetRecord(i)
+}
+func (d *panicToy) Clone() RecordLibrary {
+	return &panicToy{d.liteToy.Clone().(*liteToy), d.at}
+}
+
+// TestWorkerPanicContained: a panic inside a worker — here in the library's
+// SetRecord, mid-pass, while other workers are evaluating — must come back
+// as the pass error from every operator on the claim loop, with every worker
+// joined, instead of taking the process down.
+func TestWorkerPanicContained(t *testing.T) {
+	const n, at = 400, 102 // key(102) = 65 passes the sharded fixture's key >= 60 gate: the record is decoded
+	baseline := runtime.NumGoroutine()
+	d := &panicToy{newLiteToy(n), at}
+	opts := Options{Workers: 4, BatchSize: 16}
+	udfs := gatedToyUDFs(3, 0) // key >= 0 always holds: every record reaches the full decode
+	sh, greg, _, _, _ := shardedFixture(t, d.liteToy, 4)
+	defer sh.Close()
+	greg.Close()
+	if _, err := sh.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	agg := lang.MustParseAgg(`agg total(r) window 8 { acc s = 0; fold { s := s + val(r); } emit { notify 0 (s > 100); } }`)
+	passes := map[string]func() error{
+		"WhereMany": func() error { _, err := WhereMany(d, udfs, opts); return err },
+		"WhereConsolidated": func() error {
+			_, err := WhereConsolidated(d, udfs, consolidate.Options{}, opts)
+			return err
+		},
+		"WhereSharded": func() error { _, err := WhereSharded(d, sh, opts); return err },
+		"AggregateConsolidated": func() error {
+			_, err := AggregateConsolidated(d, []*lang.AggProgram{agg}, consolidate.Options{}, opts)
+			return err
+		},
+	}
+	for name, pass := range passes {
+		err := pass()
+		if err == nil || !strings.Contains(err.Error(), "engine: worker panic on claim") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("injected panic on record %d", at)) {
+			t.Fatalf("%s: panic was not reported as the pass error: %v", name, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker goroutines leaked after panicking passes: %d at baseline, %d now",
 				baseline, runtime.NumGoroutine())
 		}
 		time.Sleep(5 * time.Millisecond)

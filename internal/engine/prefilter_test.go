@@ -206,7 +206,8 @@ func testWhereRegistryPrefilterChurn(t *testing.T, bsize int) {
 			}
 		},
 	}}
-	res, err := engine.WhereRegistry(tw, src, engine.Options{BatchSize: bsize})
+	// One worker: the script is keyed on the serial order of batch loads.
+	res, err := engine.WhereRegistry(tw, src, engine.Options{Workers: 1, BatchSize: bsize})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
-	"consolidation/internal/lang"
 	"consolidation/internal/registry"
 )
 
@@ -19,10 +17,11 @@ type SnapshotSource interface {
 // RegistryMetrics summarises one WhereRegistry pass.
 type RegistryMetrics struct {
 	Records int
-	// Batches counts batch dispatches; Swaps counts generation changes
-	// picked up mid-stream. Each swap took effect atomically at a batch
-	// boundary, so Swaps <= Batches and every record of a batch was
-	// evaluated against the same generation.
+	// Batches counts batch dispatches; Swaps counts generation changes a
+	// worker picked up mid-stream (so with several workers it depends on
+	// scheduling). Each swap took effect atomically at a batch boundary, so
+	// Swaps <= Batches and every record of a batch was evaluated against
+	// the same generation.
 	Batches int
 	Swaps   int
 	// PendingRuns counts verbatim executions of not-yet-consolidated
@@ -64,310 +63,17 @@ type RegistryResult struct {
 // still pending consolidation run verbatim alongside the stale merged
 // program; queries removed since it was built are suppressed by id.
 //
-// The pass is single-threaded by design: a partitioned pass has no single
-// admission order, and the whole point of the operator is that "the query
-// set when this record was admitted" is well-defined. Batching still pays:
-// the snapshot load, runner resolution, and note-slot lookup happen once
-// per batch/swap instead of once per record, and the evaluation stage is
-// allocation-free — verdict maps are materialised in a separate publish
-// stage per batch.
+// The pass is the live pass (see whereLive) over one cluster whose ids are
+// already the caller's: multi-worker, with "the query set when this record
+// was admitted" well-defined per batch and recorded in Gens.
 func WhereRegistry(data RecordLibrary, src SnapshotSource, opts Options) (*RegistryResult, error) {
-	n := data.NumRecords()
-	out := &RegistryResult{
-		Verdicts: make([]map[registry.QueryID]bool, n),
-		Gens:     make([]uint64, n),
+	r, err := whereLive(data, opts,
+		func() (*registry.Snapshot, uint64) { s := src.Snapshot(); return s, s.Gen },
+		func(s *registry.Snapshot) []liveCluster[registry.QueryID] {
+			return []liveCluster[registry.QueryID]{{s, func(id registry.QueryID) registry.QueryID { return id }}}
+		})
+	if err != nil {
+		return nil, err
 	}
-	out.Records = n
-	start := time.Now()
-
-	p := newRegPass(data, out, opts)
-	bsize := opts.batchSize()
-	for lo := 0; lo < n; lo += bsize {
-		hi := lo + bsize
-		if hi > n {
-			hi = n
-		}
-		// Batch boundary: this load decides the query set for [lo, hi).
-		if s := src.Snapshot(); p.cur == nil || s.Gen != p.cur.Gen {
-			if err := p.swapTo(s); err != nil {
-				return nil, fmt.Errorf("engine: gen %d: %w", s.Gen, err)
-			}
-		}
-		if err := p.evalBatch(lo, hi); err != nil {
-			return nil, err
-		}
-		p.publish(lo, hi)
-		out.Batches++
-	}
-	out.TotalTime = time.Since(start)
-	return out, nil
-}
-
-// regPass is the batched evaluation state of one WhereRegistry pass. Its
-// lifecycle splits per-swap work (runner resolution, note-slot lookups,
-// scratch sizing) from the per-batch evaluate/publish stages: evalBatch is
-// allocation-free in steady state, and publish materialises the per-record
-// verdict maps from the flat scratch rows.
-type regPass struct {
-	data RecordLibrary
-	lite LiteRecordLibrary
-	span LiteSpanLibrary
-	out  *RegistryResult
-	opts Options
-
-	cur *registry.Snapshot
-	// runners are cached per compiled program and survive swaps that keep
-	// the program (delta snapshots share the stale Merged, and a pending
-	// query's compiled form is stable until it is consolidated).
-	runners map[*lang.Compiled]*lang.Runner
-
-	// Resolved once per swap: the generation's merged-program and guard
-	// runners (nil when absent/trivial), the dense note slot of each
-	// notification slot (-1 when the merged program cannot broadcast it),
-	// and the pending queries' runners and dense note slots.
-	mergedRn *lang.Runner
-	guardRn  *lang.Runner
-	filtered bool
-	noteIdx  []int
-	pendRns  []*lang.Runner
-	pendIdx  []int
-
-	// Per-batch scratch, sized to the batch size at construction: the
-	// admission verdict and guard cost per record, the merged program's
-	// slot verdicts (stride len(cur.Slots)), and the pending queries'
-	// verdicts (stride len(cur.Pending)).
-	admit    []bool
-	slotVals []bool
-	pendVals []bool
-}
-
-func newRegPass(data RecordLibrary, out *RegistryResult, opts Options) *regPass {
-	p := &regPass{
-		data:    data,
-		out:     out,
-		opts:    opts,
-		runners: map[*lang.Compiled]*lang.Runner{},
-		admit:   make([]bool, opts.batchSize()),
-	}
-	p.lite, _ = data.(LiteRecordLibrary)
-	p.span, _ = data.(LiteSpanLibrary)
-	return p
-}
-
-func (p *regPass) runner(c *lang.Compiled) (*lang.Runner, error) {
-	rn, ok := p.runners[c]
-	if !ok {
-		rn = lang.NewRunner(c, p.data)
-		rn.MaxSteps = p.opts.MaxSteps
-		if err := rn.BeginBatch1(); err != nil {
-			return nil, err
-		}
-		p.runners[c] = rn
-	}
-	return rn, nil
-}
-
-// swapTo installs a new generation: prune runners for programs it no
-// longer runs, resolve the merged/guard/pending runners and note slots
-// once, and size the scratch rows for its slot and pending counts.
-func (p *regPass) swapTo(s *registry.Snapshot) error {
-	if p.cur != nil {
-		p.out.Swaps++
-		// Drop runners for programs the new generation no longer runs.
-		keep := s.RunnerKeep()
-		for c := range p.runners {
-			drop := true
-			for _, k := range keep {
-				if c == k {
-					drop = false
-					break
-				}
-			}
-			if drop {
-				delete(p.runners, c)
-			}
-		}
-	}
-	p.cur = s
-	p.mergedRn, p.guardRn = nil, nil
-	// The guard swaps with the snapshot it was synthesized for: it gates
-	// only that generation's Merged, so a stale guard can never filter a
-	// record a pending (not yet consolidated) query would notify on —
-	// pending queries run verbatim regardless of the verdict.
-	p.filtered = s.Guard != nil && !s.Guard.Trivial && s.Compiled != nil
-	var err error
-	if s.Compiled != nil {
-		if p.mergedRn, err = p.runner(s.Compiled); err != nil {
-			return err
-		}
-		p.noteIdx = p.noteIdx[:0]
-		for slot := range s.Slots {
-			k, ok := s.Compiled.NoteIndex(slot)
-			if !ok {
-				k = -1
-			}
-			p.noteIdx = append(p.noteIdx, k)
-		}
-	}
-	if p.filtered {
-		if p.guardRn, err = p.runner(s.Guard.Compiled); err != nil {
-			return err
-		}
-	}
-	p.pendRns = p.pendRns[:0]
-	p.pendIdx = p.pendIdx[:0]
-	for _, pq := range s.Pending {
-		rn, err := p.runner(pq.Compiled)
-		if err != nil {
-			return err
-		}
-		p.pendRns = append(p.pendRns, rn)
-		k, ok := pq.Compiled.NoteIndex(pq.NotifyID)
-		if !ok {
-			k = -1
-		}
-		p.pendIdx = append(p.pendIdx, k)
-	}
-	bsize := p.opts.batchSize()
-	if need := bsize * len(s.Slots); cap(p.slotVals) < need {
-		p.slotVals = make([]bool, need)
-	}
-	if need := bsize * len(s.Pending); cap(p.pendVals) < need {
-		p.pendVals = make([]bool, need)
-	}
-	return nil
-}
-
-// evalBatch runs the guard, merged-program, and pending stages over the
-// records [lo, hi) against the current generation, into the flat scratch
-// rows. Steady state performs no allocations; only map/slice
-// materialisation (publish) and error paths allocate.
-func (p *regPass) evalBatch(lo, hi int) error {
-	cur := p.cur
-	ns := len(cur.Slots)
-	np := len(cur.Pending)
-	t0 := time.Now()
-
-	// Guard stage: admission verdicts on the lite decode where available.
-	// A guard runtime error fails open (the merged program decides); guard
-	// cost counts only for runs that completed.
-	for k := range p.admit[:hi-lo] {
-		p.admit[k] = true
-	}
-	liteGuard := p.filtered && p.lite != nil
-	if liteGuard {
-		if p.span != nil {
-			p.span.SetRecordLiteSpan(lo, hi)
-		}
-		for i := lo; i < hi; i++ {
-			p.lite.SetRecordLite(i)
-			p.runGuard(i, i-lo)
-		}
-	}
-
-	// Merged + pending stage: full decodes, shared between the merged
-	// program and the verbatim pending queries exactly as the
-	// record-at-a-time path shared them.
-	for i := lo; i < hi; i++ {
-		k := i - lo
-		decoded := false
-		if p.filtered && !liteGuard {
-			// No lite decode available: the guard runs after the full
-			// decode, fused into this stage.
-			p.data.SetRecord(i)
-			decoded = true
-			p.runGuard(i, k)
-		}
-		if !p.admit[k] {
-			p.out.Rejected++
-		} else {
-			p.out.Admitted++
-			if p.mergedRn != nil {
-				if !decoded {
-					p.data.SetRecord(i)
-					decoded = true
-				}
-				cost, err := p.mergedRn.RunDense1(int64(i))
-				if err != nil {
-					return fmt.Errorf("engine: consolidated program (gen %d) on record %d: %w", cur.Gen, i, err)
-				}
-				p.out.UDFCost += cost
-				row := p.slotVals[k*ns : (k+1)*ns]
-				for slot, nk := range p.noteIdx {
-					v, ok := p.mergedRn.NoteAt(nk)
-					if !ok {
-						return fmt.Errorf("engine: gen %d missing notification for slot %d on record %d", cur.Gen, slot, i)
-					}
-					row[slot] = v
-				}
-			}
-		}
-		if np > 0 && !decoded {
-			p.data.SetRecord(i)
-		}
-		for j := range cur.Pending {
-			rn := p.pendRns[j]
-			cost, err := rn.RunDense1(int64(i))
-			if err != nil {
-				return fmt.Errorf("engine: pending query %d on record %d: %w", cur.Pending[j].ID, i, err)
-			}
-			v, ok := rn.NoteAt(p.pendIdx[j])
-			if !ok {
-				return fmt.Errorf("engine: pending query %d did not notify id %d on record %d", cur.Pending[j].ID, cur.Pending[j].NotifyID, i)
-			}
-			p.pendVals[k*np+j] = v
-			p.out.UDFCost += cost
-			p.out.PendingRuns++
-		}
-	}
-	p.out.UDFTime += time.Since(t0)
-	return nil
-}
-
-// runGuard evaluates the admission guard on record i (scratch index k).
-func (p *regPass) runGuard(i, k int) {
-	gcost, gerr := p.guardRn.RunDense1(int64(i))
-	if gerr != nil {
-		return // fail open
-	}
-	p.out.UDFCost += gcost
-	p.out.GuardCost += gcost
-	p.admit[k] = p.cur.Guard.Admits(p.guardRn)
-}
-
-// publish materialises the batch's per-record verdict maps from the flat
-// scratch rows and stamps the generation that admitted each record.
-func (p *regPass) publish(lo, hi int) {
-	cur := p.cur
-	ns := len(cur.Slots)
-	np := len(cur.Pending)
-	for i := lo; i < hi; i++ {
-		k := i - lo
-		verdicts := make(map[registry.QueryID]bool, ns+np)
-		if !p.admit[k] {
-			// The guard is a necessary condition for any notification of
-			// the merged program: every slot verdict is false.
-			for _, id := range cur.Slots {
-				if cur.Removed[id] {
-					p.out.SuppressedNotifies++
-					continue
-				}
-				verdicts[id] = false
-			}
-		} else if p.mergedRn != nil {
-			row := p.slotVals[k*ns : (k+1)*ns]
-			for slot, id := range cur.Slots {
-				if cur.Removed[id] {
-					p.out.SuppressedNotifies++
-					continue
-				}
-				verdicts[id] = row[slot]
-			}
-		}
-		for j, pq := range cur.Pending {
-			verdicts[pq.ID] = p.pendVals[k*np+j]
-		}
-		p.out.Verdicts[i] = verdicts
-		p.out.Gens[i] = cur.Gen
-	}
+	return &RegistryResult{Verdicts: r.verdicts, Gens: r.gens, RegistryMetrics: r.m}, nil
 }

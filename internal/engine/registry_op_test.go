@@ -30,7 +30,8 @@ func (s *recordingSource) Snapshot() *registry.Snapshot {
 	return snap
 }
 
-// slowToy stretches the streaming pass so concurrent churn lands mid-stream.
+// slowToy stretches the streaming pass so concurrent churn lands mid-stream;
+// its clones keep the delay, so a multi-worker pass is stretched too.
 type slowToy struct {
 	*toyData
 	delay time.Duration
@@ -99,15 +100,19 @@ func TestWhereRegistryHotSwapChurn(t *testing.T) {
 	// Batch-size matrix: 1 is the record-at-a-time reference, 7 a ragged
 	// size that never divides the stream evenly, 32 a round one. Swaps may
 	// only land at batch boundaries — asserted below against Gens — so the
-	// sizes stay small enough that churn still lands mid-stream.
-	for _, bsize := range []int{1, 7, 32} {
-		t.Run(fmt.Sprintf("batch=%d", bsize), func(t *testing.T) {
-			testWhereRegistryHotSwapChurn(t, bsize)
-		})
+	// sizes stay small enough that churn still lands mid-stream. With four
+	// workers, concurrent batches may be admitted by different generations;
+	// both invariants are per batch and hold regardless.
+	for _, workers := range []int{1, 4} {
+		for _, bsize := range []int{1, 7, 32} {
+			t.Run(fmt.Sprintf("workers=%d/batch=%d", workers, bsize), func(t *testing.T) {
+				testWhereRegistryHotSwapChurn(t, workers, bsize)
+			})
+		}
 	}
 }
 
-func testWhereRegistryHotSwapChurn(t *testing.T, bsize int) {
+func testWhereRegistryHotSwapChurn(t *testing.T, workers, bsize int) {
 	data := &slowToy{toy(800), 40 * time.Microsecond}
 	// Workers > 1: background re-consolidation runs its divide-and-conquer
 	// merges in parallel while the storm lands, so swaps arrive from a
@@ -186,7 +191,7 @@ func testWhereRegistryHotSwapChurn(t *testing.T, bsize int) {
 	}()
 
 	src := &recordingSource{reg: reg, liveAt: map[uint64][]registry.QueryID{}}
-	res, err := WhereRegistry(data, src, Options{BatchSize: bsize})
+	res, err := WhereRegistry(data, src, Options{Workers: workers, BatchSize: bsize})
 	close(stopChurn)
 	churn.Wait()
 	if err != nil {

@@ -1,12 +1,8 @@
 package engine
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"consolidation/internal/lang"
 	"consolidation/internal/registry"
 	"consolidation/internal/shard"
 )
@@ -22,9 +18,8 @@ type ShardSnapshotSource interface {
 type ShardedMetrics struct {
 	Records int
 	// Batches counts batch dispatches across all workers; Swaps counts
-	// generation changes a worker picked up at a batch boundary (with a
-	// quiescent registry every worker swaps exactly once, so Swaps depends
-	// on scheduling — parity checks must not diff it).
+	// generation changes a worker picked up at a batch boundary, so it
+	// depends on scheduling — parity checks must not diff it.
 	Batches int
 	Swaps   int
 	// PendingRuns and SuppressedNotifies mirror RegistryMetrics, summed
@@ -64,443 +59,23 @@ type ShardedResult struct {
 // two-level routing: per batch, stage A runs every cluster's admission
 // guard over the lite-decode span, and stage B pays the full record decode
 // and runs only the admitted clusters' merged-program VMs (pending queries
-// run verbatim regardless, as in WhereRegistry). The snapshot is loaded
-// once per batch, so each batch sees one atomic cross-cluster query set.
-//
-// Unlike WhereRegistry, the pass is multi-worker: batches are claimed
-// dynamically off a shared counter exactly as runPass does, each record's
-// verdict row is written by exactly one worker, and every accumulated
-// metric is a commutative per-record sum — verdicts, costs, and latency
-// stamps are byte-identical at every Workers × BatchSize combination
-// against a quiescent registry.
+// run verbatim regardless). The snapshot is loaded once per batch, so each
+// batch sees one atomic cross-cluster query set. It is the live pass (see
+// whereLive) over the snapshot's clusters, with each cluster's local ids
+// mapped to shard-level ids.
 func WhereSharded(data RecordLibrary, src ShardSnapshotSource, opts Options) (*ShardedResult, error) {
-	n := data.NumRecords()
-	out := &ShardedResult{
-		Verdicts:   make([]map[shard.QueryID]bool, n),
-		Gens:       make([]uint64, n),
-		LatencySum: map[shard.QueryID]int64{},
-	}
-	out.Records = n
-	if n == 0 {
-		return out, nil
-	}
-	start := time.Now()
-	bsize := opts.batchSize()
-	nBatches := (n + bsize - 1) / bsize
-	workers := opts.workers()
-	if workers > nBatches {
-		workers = nBatches
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     atomic.Bool
-		next     atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		lib := data
-		if w > 0 {
-			lib = data.Clone()
-		}
-		wg.Add(1)
-		go func(lib RecordLibrary) {
-			defer wg.Done()
-			p := newShardPass(lib, out, opts)
-			for !done.Load() {
-				b := int(next.Add(1)) - 1
-				if b >= nBatches {
-					break
-				}
-				lo := b * bsize
-				hi := lo + bsize
-				if hi > n {
-					hi = n
-				}
-				// Batch boundary: this load decides the cross-cluster query
-				// set for [lo, hi).
-				if s := src.Snapshot(); p.cur == nil || s.Gen != p.cur.Gen {
-					if err := p.swapTo(s); err != nil {
-						p.fail(&mu, &firstErr, &done, fmt.Errorf("engine: shard gen %d: %w", s.Gen, err))
-						break
-					}
-				}
-				if err := p.evalBatch(lo, hi); err != nil {
-					p.fail(&mu, &firstErr, &done, err)
-					break
-				}
-				p.publish(lo, hi)
-				p.m.Batches++
+	r, err := whereLive(data, opts,
+		func() (*shard.Snapshot, uint64) { s := src.Snapshot(); return s, s.Gen },
+		func(s *shard.Snapshot) []liveCluster[shard.QueryID] {
+			cls := make([]liveCluster[shard.QueryID], len(s.Clusters))
+			for i := range s.Clusters {
+				ids := s.Clusters[i].IDs
+				cls[i] = liveCluster[shard.QueryID]{s.Clusters[i].Snap, func(id registry.QueryID) shard.QueryID { return ids[id] }}
 			}
-			mu.Lock()
-			p.merge(out)
-			mu.Unlock()
-		}(lib)
+			return cls
+		})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out.TotalTime = time.Since(start)
-	return out, nil
-}
-
-// shardCluster is one cluster's resolved state within a worker's current
-// generation: runners, note slots, the local→global id mapping flattened
-// to slot order, and flat per-batch scratch. Latency accumulates into
-// per-slot slices so the evaluation stages stay map-free and
-// allocation-free; the final merge folds them into the result map.
-type shardCluster struct {
-	snap     *registry.Snapshot
-	mergedRn *lang.Runner
-	guardRn  *lang.Runner
-	filtered bool
-	noteIdx  []int
-	gids     []shard.QueryID // slot -> shard-level id
-	removed  []bool          // slot -> removed since Merged was built
-	pendRns  []*lang.Runner
-	pendIdx  []int
-	pendGids []shard.QueryID
-
-	admit    []bool
-	gcost    []int64
-	slotVals []bool
-	pendVals []bool
-	latSlot  []int64
-	latPend  []int64
-}
-
-// shardPass is one worker's evaluation state: per-swap cluster resolution,
-// per-batch two-level evaluation into flat scratch, and a publish stage
-// that materialises verdict maps. All metrics accumulate worker-locally
-// and merge once under the pass mutex.
-type shardPass struct {
-	lib  RecordLibrary
-	lite LiteRecordLibrary
-	span LiteSpanLibrary
-	out  *ShardedResult
-	opts Options
-
-	cur     *shard.Snapshot
-	runners map[*lang.Compiled]*lang.Runner
-	cls     []shardCluster
-
-	// latBank holds latency banked from clusters of superseded generations
-	// (worker-local; folded into the result once, under the pass mutex).
-	latBank map[shard.QueryID]int64
-
-	m ShardedMetrics
-}
-
-func newShardPass(lib RecordLibrary, out *ShardedResult, opts Options) *shardPass {
-	p := &shardPass{
-		lib: lib, out: out, opts: opts,
-		runners: map[*lang.Compiled]*lang.Runner{},
-		latBank: map[shard.QueryID]int64{},
-	}
-	p.lite, _ = lib.(LiteRecordLibrary)
-	p.span, _ = lib.(LiteSpanLibrary)
-	return p
-}
-
-func (p *shardPass) fail(mu *sync.Mutex, firstErr *error, done *atomic.Bool, err error) {
-	mu.Lock()
-	if *firstErr == nil {
-		*firstErr = err
-	}
-	mu.Unlock()
-	done.Store(true)
-}
-
-// bankLatency folds the current generation's per-slot latency buckets into
-// the worker-local bank; slot indices are only meaningful within one
-// generation, so this runs before every swap and at worker exit.
-func (p *shardPass) bankLatency() {
-	for ci := range p.cls {
-		c := &p.cls[ci]
-		for slot, v := range c.latSlot {
-			if v != 0 {
-				p.latBank[c.gids[slot]] += v
-			}
-		}
-		for j, v := range c.latPend {
-			if v != 0 {
-				p.latBank[c.pendGids[j]] += v
-			}
-		}
-	}
-}
-
-// merge folds the worker-local metrics and banked latency into the pass
-// result; the caller holds the pass mutex.
-func (p *shardPass) merge(out *ShardedResult) {
-	out.Batches += p.m.Batches
-	out.Swaps += p.m.Swaps
-	out.PendingRuns += p.m.PendingRuns
-	out.SuppressedNotifies += p.m.SuppressedNotifies
-	out.UDFCost += p.m.UDFCost
-	out.UDFTime += p.m.UDFTime
-	out.Admitted += p.m.Admitted
-	out.Rejected += p.m.Rejected
-	out.GuardCost += p.m.GuardCost
-	p.bankLatency()
-	for id, v := range p.latBank {
-		out.LatencySum[id] += v
-	}
-}
-
-func (p *shardPass) runner(c *lang.Compiled) (*lang.Runner, error) {
-	rn, ok := p.runners[c]
-	if !ok {
-		rn = lang.NewRunner(c, p.lib)
-		rn.MaxSteps = p.opts.MaxSteps
-		if err := rn.BeginBatch1(); err != nil {
-			return nil, err
-		}
-		p.runners[c] = rn
-	}
-	return rn, nil
-}
-
-// swapTo installs a new cross-cluster generation: bank the old
-// generation's latency buckets, prune runners for programs no cluster
-// still runs, resolve every cluster's runners, note slots, and id mapping
-// once, and size the flat scratch for its slot and pending counts.
-func (p *shardPass) swapTo(s *shard.Snapshot) error {
-	if p.cur != nil {
-		p.m.Swaps++
-		p.bankLatency()
-	}
-	keep := map[*lang.Compiled]bool{}
-	for i := range s.Clusters {
-		for _, c := range s.Clusters[i].Snap.RunnerKeep() {
-			keep[c] = true
-		}
-	}
-	for c := range p.runners {
-		if !keep[c] {
-			delete(p.runners, c)
-		}
-	}
-	bsize := p.opts.batchSize()
-	p.cls = make([]shardCluster, len(s.Clusters))
-	for i := range s.Clusters {
-		cs := &s.Clusters[i]
-		snap := cs.Snap
-		c := &p.cls[i]
-		c.snap = snap
-		c.filtered = snap.Guard != nil && !snap.Guard.Trivial && snap.Compiled != nil
-		var err error
-		if snap.Compiled != nil {
-			if c.mergedRn, err = p.runner(snap.Compiled); err != nil {
-				return err
-			}
-			for slot, id := range snap.Slots {
-				k, ok := snap.Compiled.NoteIndex(slot)
-				if !ok {
-					k = -1
-				}
-				c.noteIdx = append(c.noteIdx, k)
-				c.gids = append(c.gids, cs.IDs[id])
-				c.removed = append(c.removed, snap.Removed[id])
-			}
-		}
-		if c.filtered {
-			if c.guardRn, err = p.runner(snap.Guard.Compiled); err != nil {
-				return err
-			}
-		}
-		for _, pq := range snap.Pending {
-			rn, err := p.runner(pq.Compiled)
-			if err != nil {
-				return err
-			}
-			k, ok := pq.Compiled.NoteIndex(pq.NotifyID)
-			if !ok {
-				k = -1
-			}
-			c.pendRns = append(c.pendRns, rn)
-			c.pendIdx = append(c.pendIdx, k)
-			c.pendGids = append(c.pendGids, cs.IDs[pq.ID])
-		}
-		c.admit = make([]bool, bsize)
-		c.gcost = make([]int64, bsize)
-		c.slotVals = make([]bool, bsize*len(c.noteIdx))
-		c.pendVals = make([]bool, bsize*len(c.pendRns))
-		c.latSlot = make([]int64, len(c.noteIdx))
-		c.latPend = make([]int64, len(c.pendRns))
-	}
-	p.cur = s
-	return nil
-}
-
-// evalBatch runs the two-level stages over records [lo, hi) against the
-// current generation. Stage A lite-decodes the span once and runs every
-// filtered cluster's guard per record; stage B pays the full decode only
-// for records some cluster admitted (or that a pending query must see) and
-// runs only the admitted clusters' merged programs. Steady state performs
-// no allocations.
-func (p *shardPass) evalBatch(lo, hi int) error {
-	nb := hi - lo
-	t0 := time.Now()
-
-	// Stage A: admission verdicts per cluster on the lite decode.
-	anyLiteGuard := false
-	for ci := range p.cls {
-		c := &p.cls[ci]
-		for k := 0; k < nb; k++ {
-			c.admit[k] = true
-			c.gcost[k] = 0
-		}
-		if c.filtered && p.lite != nil {
-			anyLiteGuard = true
-		}
-	}
-	if anyLiteGuard {
-		if p.span != nil {
-			p.span.SetRecordLiteSpan(lo, hi)
-		}
-		for i := lo; i < hi; i++ {
-			p.lite.SetRecordLite(i)
-			k := i - lo
-			for ci := range p.cls {
-				c := &p.cls[ci]
-				if c.filtered {
-					p.runGuard(c, i, k)
-				}
-			}
-		}
-	}
-
-	// Stage B: full decodes shared across clusters; only admitted clusters'
-	// merged VMs run, pending queries run verbatim regardless.
-	for i := lo; i < hi; i++ {
-		k := i - lo
-		decoded := false
-		for ci := range p.cls {
-			c := &p.cls[ci]
-			if c.filtered && p.lite == nil {
-				// No lite decode available: the guard runs after the full
-				// decode, fused into this stage.
-				if !decoded {
-					p.lib.SetRecord(i)
-					decoded = true
-				}
-				p.runGuard(c, i, k)
-			}
-			ns := len(c.noteIdx)
-			if !c.admit[k] {
-				p.m.Rejected++
-				// The guard is a necessary condition for every notification
-				// of this cluster's merged program: all slot verdicts false,
-				// latencies stamped at the guard's notification cost.
-				stamp := c.guardRn.NoteCostAt(c.snap.Guard.NoteIdx)
-				row := c.slotVals[k*ns : (k+1)*ns]
-				for slot, nk := range c.noteIdx {
-					if nk == -1 {
-						return fmt.Errorf("engine: cluster gen %d missing notification for slot %d on record %d", c.snap.Gen, slot, i)
-					}
-					row[slot] = false
-					c.latSlot[slot] += stamp
-				}
-				continue
-			}
-			p.m.Admitted++
-			if c.mergedRn == nil {
-				continue
-			}
-			if !decoded {
-				p.lib.SetRecord(i)
-				decoded = true
-			}
-			cost, err := c.mergedRn.RunDense1(int64(i))
-			if err != nil {
-				return fmt.Errorf("engine: cluster program (gen %d) on record %d: %w", c.snap.Gen, i, err)
-			}
-			p.m.UDFCost += cost
-			row := c.slotVals[k*ns : (k+1)*ns]
-			for slot, nk := range c.noteIdx {
-				v, ok := c.mergedRn.NoteAt(nk)
-				if !ok {
-					return fmt.Errorf("engine: cluster gen %d missing notification for slot %d on record %d", c.snap.Gen, slot, i)
-				}
-				row[slot] = v
-				c.latSlot[slot] += c.gcost[k] + c.mergedRn.NoteCostAt(nk)
-			}
-		}
-		for ci := range p.cls {
-			c := &p.cls[ci]
-			np := len(c.pendRns)
-			if np == 0 {
-				continue
-			}
-			if !decoded {
-				p.lib.SetRecord(i)
-				decoded = true
-			}
-			for j, rn := range c.pendRns {
-				cost, err := rn.RunDense1(int64(i))
-				if err != nil {
-					return fmt.Errorf("engine: pending query %d on record %d: %w", c.pendGids[j], i, err)
-				}
-				v, ok := rn.NoteAt(c.pendIdx[j])
-				if !ok {
-					return fmt.Errorf("engine: pending query %d did not notify on record %d", c.pendGids[j], i)
-				}
-				c.pendVals[k*np+j] = v
-				c.latPend[j] += rn.NoteCostAt(c.pendIdx[j])
-				p.m.UDFCost += cost
-				p.m.PendingRuns++
-			}
-		}
-	}
-	p.m.UDFTime += time.Since(t0)
-	return nil
-}
-
-// runGuard evaluates one cluster's admission guard on record i (scratch
-// index k). A guard runtime error fails open: the cluster's merged program
-// decides, and no guard cost is counted for the errored run.
-func (p *shardPass) runGuard(c *shardCluster, i, k int) {
-	gcost, gerr := c.guardRn.RunDense1(int64(i))
-	if gerr != nil {
-		return
-	}
-	p.m.UDFCost += gcost
-	p.m.GuardCost += gcost
-	c.gcost[k] = gcost
-	c.admit[k] = c.snap.Guard.Admits(c.guardRn)
-}
-
-// publish materialises the batch's per-record verdict maps from every
-// cluster's flat scratch rows and stamps the generation.
-func (p *shardPass) publish(lo, hi int) {
-	size := 0
-	for ci := range p.cls {
-		size += len(p.cls[ci].noteIdx) + len(p.cls[ci].pendRns)
-	}
-	for i := lo; i < hi; i++ {
-		k := i - lo
-		verdicts := make(map[shard.QueryID]bool, size)
-		for ci := range p.cls {
-			c := &p.cls[ci]
-			ns := len(c.noteIdx)
-			if c.mergedRn != nil {
-				row := c.slotVals[k*ns : (k+1)*ns]
-				for slot, gid := range c.gids {
-					if c.removed[slot] {
-						p.m.SuppressedNotifies++
-						continue
-					}
-					verdicts[gid] = row[slot]
-				}
-			}
-			np := len(c.pendRns)
-			for j, gid := range c.pendGids {
-				verdicts[gid] = c.pendVals[k*np+j]
-			}
-		}
-		p.out.Verdicts[i] = verdicts
-		p.out.Gens[i] = p.cur.Gen
-	}
+	return &ShardedResult{Verdicts: r.verdicts, Gens: r.gens, LatencySum: r.lat, ShardedMetrics: ShardedMetrics(r.m)}, nil
 }

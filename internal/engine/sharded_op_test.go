@@ -12,28 +12,27 @@ import (
 	"consolidation/internal/shard"
 )
 
-// sameSharded asserts every deterministic field of a sharded pass matches
-// the reference: verdict maps, generation stamps, costs, guard shares,
-// admission counts, pending/suppression counts, and per-query latency
-// stamps. Batches/Swaps/wall times depend on dispatch shape and are
-// excluded.
-func sameSharded(t *testing.T, label string, ref, got *ShardedResult) {
+// sameLive asserts every deterministic field of a live pass matches the
+// reference: verdict maps, generation stamps, costs, guard shares, admission
+// counts, and pending/suppression counts. Batches/Swaps/wall times depend
+// on dispatch shape and are excluded.
+func sameLive[ID comparable](t *testing.T, label string, refV, gotV []map[ID]bool, refG, gotG []uint64, ref, got RegistryMetrics) {
 	t.Helper()
-	if len(ref.Verdicts) != len(got.Verdicts) {
-		t.Fatalf("%s: %d verdict rows, reference %d", label, len(got.Verdicts), len(ref.Verdicts))
+	if len(refV) != len(gotV) {
+		t.Fatalf("%s: %d verdict rows, reference %d", label, len(gotV), len(refV))
 	}
-	for i := range ref.Verdicts {
-		if len(ref.Verdicts[i]) != len(got.Verdicts[i]) {
-			t.Fatalf("%s: record %d has %d verdicts, reference %d", label, i, len(got.Verdicts[i]), len(ref.Verdicts[i]))
+	for i := range refV {
+		if len(refV[i]) != len(gotV[i]) {
+			t.Fatalf("%s: record %d has %d verdicts, reference %d", label, i, len(gotV[i]), len(refV[i]))
 		}
-		for id, v := range ref.Verdicts[i] {
-			gv, ok := got.Verdicts[i][id]
+		for id, v := range refV[i] {
+			gv, ok := gotV[i][id]
 			if !ok || gv != v {
-				t.Fatalf("%s: record %d query %d = %v/%v, reference %v", label, i, id, gv, ok, v)
+				t.Fatalf("%s: record %d query %v = %v/%v, reference %v", label, i, id, gv, ok, v)
 			}
 		}
-		if ref.Gens[i] != got.Gens[i] {
-			t.Fatalf("%s: record %d gen %d, reference %d", label, i, got.Gens[i], ref.Gens[i])
+		if refG[i] != gotG[i] {
+			t.Fatalf("%s: record %d gen %d, reference %d", label, i, gotG[i], refG[i])
 		}
 	}
 	if ref.UDFCost != got.UDFCost || ref.GuardCost != got.GuardCost {
@@ -47,6 +46,13 @@ func sameSharded(t *testing.T, label string, ref, got *ShardedResult) {
 		t.Fatalf("%s: pending/suppressed %d/%d, reference %d/%d",
 			label, got.PendingRuns, got.SuppressedNotifies, ref.PendingRuns, ref.SuppressedNotifies)
 	}
+}
+
+// sameSharded is sameLive plus the per-query latency stamps.
+func sameSharded(t *testing.T, label string, ref, got *ShardedResult) {
+	t.Helper()
+	sameLive(t, label, ref.Verdicts, got.Verdicts, ref.Gens, got.Gens,
+		RegistryMetrics(ref.ShardedMetrics), RegistryMetrics(got.ShardedMetrics))
 	if len(ref.LatencySum) != len(got.LatencySum) {
 		t.Fatalf("%s: %d latency entries, reference %d", label, len(got.LatencySum), len(ref.LatencySum))
 	}
@@ -113,12 +119,13 @@ func diffVsGlobal(t *testing.T, label string, gref *RegistryResult, sref *Sharde
 	}
 }
 
-// TestWhereShardedParityMatrix is the operator's correctness criterion:
-// against a quiescent sharded registry with multiple guarded clusters,
-// every Workers × BatchSize combination reproduces the W=1/B=1 sharded
-// reference byte-identically, and per-query verdicts match a single global
-// registry over the same queries — clean, and again under pending/removed
-// delta state.
+// TestWhereShardedParityMatrix is the live operators' correctness
+// criterion: against a quiescent sharded registry with multiple guarded
+// clusters and a quiescent global registry over the same queries, every
+// Workers × BatchSize combination reproduces the operator's own W=1/B=1
+// reference byte-identically (WhereSharded and WhereRegistry both), and
+// per-query verdicts agree across the two — clean, and again under
+// pending/removed delta state.
 func TestWhereShardedParityMatrix(t *testing.T) {
 	const n = 271 // ragged against every batch size below
 	d := newLiteToy(n)
@@ -152,8 +159,9 @@ func TestWhereShardedParityMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		diffVsGlobal(t, label+"/vs-global", gref, ref, toShard)
-		if ref.Rejected == 0 || ref.Admitted == 0 {
-			t.Fatalf("%s: degenerate admission split %d/%d", label, ref.Admitted, ref.Rejected)
+		if ref.Rejected == 0 || ref.Admitted == 0 || gref.Rejected == 0 || gref.Admitted == 0 {
+			t.Fatalf("%s: degenerate admission split %d/%d sharded, %d/%d global",
+				label, ref.Admitted, ref.Rejected, gref.Admitted, gref.Rejected)
 		}
 		for _, bs := range []int{1, 7, 64, n, 512} {
 			for _, w := range []int{1, 2, 4} {
@@ -199,59 +207,6 @@ func TestWhereShardedParityMatrix(t *testing.T) {
 		t.Fatal("delta phase snapshot unexpectedly clean")
 	}
 	phase("delta")
-}
-
-// TestWhereShardedZeroAlloc pins the allocation contract of the two-level
-// routing hot path: once a pass is swapped to a generation and warm, the
-// cluster-guard + dispatch evaluation stage performs zero allocations per
-// batch — across batch sizes and across independent per-worker passes.
-func TestWhereShardedZeroAlloc(t *testing.T) {
-	const n = 512
-	d := newLiteToy(n)
-	sh, greg, _, _, _ := shardedFixture(t, d, 4)
-	defer sh.Close()
-	greg.Close() // fixture convenience; unused here
-	if _, err := sh.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// A pending query exercises the verbatim stage inside the alloc pin.
-	if _, err := sh.Add(lang.MustParse(`func pend(r) { notify 3 (val(r) > 10); }`)); err != nil {
-		t.Fatal(err)
-	}
-	snap := sh.Snapshot()
-	if len(snap.Clusters) < 2 {
-		t.Fatalf("expected >=2 clusters, got %d", len(snap.Clusters))
-	}
-
-	for _, bsize := range []int{32, 128} {
-		// Two independent passes model two workers: each owns its library
-		// clone, runners, and scratch; both must be allocation-free.
-		for wk := 0; wk < 2; wk++ {
-			out := &ShardedResult{
-				Verdicts:   make([]map[shard.QueryID]bool, n),
-				Gens:       make([]uint64, n),
-				LatencySum: map[shard.QueryID]int64{},
-			}
-			p := newShardPass(d.Clone(), out, Options{BatchSize: bsize})
-			if err := p.swapTo(snap); err != nil {
-				t.Fatal(err)
-			}
-			for lo := 0; lo < n; lo += bsize {
-				if err := p.evalBatch(lo, lo+bsize); err != nil {
-					t.Fatal(err)
-				}
-				p.publish(lo, lo+bsize)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				if err := p.evalBatch(bsize, 2*bsize); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("worker %d batch=%d: evaluation stage allocates %v per batch, want 0", wk, bsize, allocs)
-			}
-		}
-	}
 }
 
 // TestWhereShardedErrorJoinsWorkers pins the error path: a query whose

@@ -38,27 +38,26 @@ func diffShardVsGlobal(label string, gref *engine.RegistryResult, sref *engine.S
 	return ""
 }
 
-// diffSharded reports the first divergence between two sharded passes:
-// verdict maps, generation stamps, abstract costs (total and guard share),
-// admission counts, pending/suppression counts, or per-query latency stamp
-// sums. Batches, Swaps, and wall-clock fields are dispatch-shaped and
-// exempt.
-func diffSharded(label string, ref, got *engine.ShardedResult) string {
-	if len(ref.Verdicts) != len(got.Verdicts) {
-		return fmt.Sprintf("%s: %d verdict rows, reference has %d", label, len(got.Verdicts), len(ref.Verdicts))
+// diffLive reports the first divergence between two live passes of one
+// operator: verdict maps, generation stamps, abstract costs (total and guard
+// share), admission counts, or pending/suppression counts. Batches, Swaps,
+// and wall-clock fields are dispatch-shaped and exempt.
+func diffLive[ID comparable](label string, refV, gotV []map[ID]bool, refG, gotG []uint64, ref, got engine.RegistryMetrics) string {
+	if len(refV) != len(gotV) {
+		return fmt.Sprintf("%s: %d verdict rows, reference has %d", label, len(gotV), len(refV))
 	}
-	for i := range ref.Verdicts {
-		if len(ref.Verdicts[i]) != len(got.Verdicts[i]) {
-			return fmt.Sprintf("%s: record %d has %d verdicts, reference %d", label, i, len(got.Verdicts[i]), len(ref.Verdicts[i]))
+	for i := range refV {
+		if len(refV[i]) != len(gotV[i]) {
+			return fmt.Sprintf("%s: record %d has %d verdicts, reference %d", label, i, len(gotV[i]), len(refV[i]))
 		}
-		for id, v := range ref.Verdicts[i] {
-			gv, ok := got.Verdicts[i][id]
+		for id, v := range refV[i] {
+			gv, ok := gotV[i][id]
 			if !ok || gv != v {
-				return fmt.Sprintf("%s: verdict [record %d, query %d] is %v/%v, reference says %v", label, i, id, gv, ok, v)
+				return fmt.Sprintf("%s: verdict [record %d, query %v] is %v/%v, reference says %v", label, i, id, gv, ok, v)
 			}
 		}
-		if ref.Gens[i] != got.Gens[i] {
-			return fmt.Sprintf("%s: record %d admitted at gen %d, reference gen %d", label, i, got.Gens[i], ref.Gens[i])
+		if refG[i] != gotG[i] {
+			return fmt.Sprintf("%s: record %d admitted at gen %d, reference gen %d", label, i, gotG[i], refG[i])
 		}
 	}
 	if ref.UDFCost != got.UDFCost {
@@ -74,6 +73,15 @@ func diffSharded(label string, ref, got *engine.ShardedResult) string {
 	if ref.PendingRuns != got.PendingRuns || ref.SuppressedNotifies != got.SuppressedNotifies {
 		return fmt.Sprintf("%s: pending/suppressed %d/%d, reference %d/%d",
 			label, got.PendingRuns, got.SuppressedNotifies, ref.PendingRuns, ref.SuppressedNotifies)
+	}
+	return ""
+}
+
+// diffSharded is diffLive plus the per-query latency stamp sums.
+func diffSharded(label string, ref, got *engine.ShardedResult) string {
+	if msg := diffLive(label, ref.Verdicts, got.Verdicts, ref.Gens, got.Gens,
+		engine.RegistryMetrics(ref.ShardedMetrics), engine.RegistryMetrics(got.ShardedMetrics)); msg != "" {
+		return msg
 	}
 	if len(ref.LatencySum) != len(got.LatencySum) {
 		return fmt.Sprintf("%s: %d latency entries, reference %d", label, len(got.LatencySum), len(ref.LatencySum))
@@ -93,10 +101,11 @@ func diffSharded(label string, ref, got *engine.ShardedResult) string {
 // single global Registry; Add/Remove events interleave with record passes,
 // and at every step the sharded pass must notify exactly the queries the
 // global registry does (dirty delta snapshots included), while every
-// Workers/BatchSize combination of WhereSharded must reproduce the
-// record-at-a-time sharded reference byte-identically — verdicts,
-// generation stamps, abstract costs, admission counts, latency stamp sums.
-// nil means every step matched.
+// Workers/BatchSize combination of WhereSharded and of WhereRegistry must
+// reproduce the operator's own record-at-a-time reference byte-identically —
+// verdicts, generation stamps, abstract costs, admission counts, and (for
+// WhereSharded, which reports them) latency stamp sums. nil means every
+// step matched.
 func CheckSharded(b *Batch, events int) *Failure {
 	if len(b.Inputs) == 0 {
 		return nil
@@ -168,27 +177,27 @@ func CheckSharded(b *Batch, events int) *Failure {
 
 	// pass runs both topologies record-at-a-time on their current snapshots
 	// (flushed or dirty) and diffs the notification sets.
-	pass := func(event string) (*engine.ShardedResult, *Failure) {
+	pass := func(event string) (*engine.ShardedResult, *engine.RegistryResult, *Failure) {
 		sref, err := engine.WhereSharded(d, sh, engine.Options{Workers: 1, BatchSize: 1})
 		if err != nil {
-			return nil, failf(CheckErr, b, "WhereSharded after %s: %v", event, err)
+			return nil, nil, failf(CheckErr, b, "WhereSharded after %s: %v", event, err)
 		}
 		gref, err := engine.WhereRegistry(d, greg, engine.Options{Workers: 1, BatchSize: 1})
 		if err != nil {
-			return nil, failf(CheckErr, b, "WhereRegistry after %s: %v", event, err)
+			return nil, nil, failf(CheckErr, b, "WhereRegistry after %s: %v", event, err)
 		}
 		if msg := diffShardVsGlobal("after "+event, gref, sref, toShard); msg != "" {
 			f := failf(CheckShard, b, "%s", msg)
 			f.Events = events
-			return nil, f
+			return nil, nil, f
 		}
-		return sref, nil
+		return sref, gref, nil
 	}
-	// matrix re-runs the sharded pass at adversarial Workers/BatchSize
-	// combinations against the record-at-a-time reference.
+	// matrix re-runs both live operators at adversarial Workers/BatchSize
+	// combinations against their record-at-a-time references.
 	rng := rand.New(rand.NewSource(b.Seed ^ 0x51A2DB01))
 	workers := []int{2, 3, 4}
-	matrix := func(event string, sref *engine.ShardedResult) *Failure {
+	matrix := func(event string, sref *engine.ShardedResult, gref *engine.RegistryResult) *Failure {
 		for si, bs := range batchSizesFor(len(b.Inputs), rng) {
 			w := workers[si%len(workers)]
 			label := fmt.Sprintf("after %s, workers=%d batch=%d", event, w, bs)
@@ -196,7 +205,16 @@ func CheckSharded(b *Batch, events int) *Failure {
 			if err != nil {
 				return failf(CheckErr, b, "WhereSharded %s: %v", label, err)
 			}
-			if msg := diffSharded(label, sref, got); msg != "" {
+			ggot, err := engine.WhereRegistry(d, greg, engine.Options{Workers: w, BatchSize: bs})
+			if err != nil {
+				return failf(CheckErr, b, "WhereRegistry %s: %v", label, err)
+			}
+			msg := diffSharded(label, sref, got)
+			if msg == "" {
+				msg = diffLive("WhereRegistry "+label, gref.Verdicts, ggot.Verdicts, gref.Gens, ggot.Gens,
+					gref.RegistryMetrics, ggot.RegistryMetrics)
+			}
+			if msg != "" {
 				f := failf(CheckShard, b, "%s", msg)
 				f.Events = events
 				return f
@@ -222,11 +240,11 @@ func CheckSharded(b *Batch, events int) *Failure {
 	if f := flush("initial adds"); f != nil {
 		return f
 	}
-	sref, f := pass("initial adds")
+	sref, gref, f := pass("initial adds")
 	if f != nil {
 		return f
 	}
-	if f := matrix("initial adds", sref); f != nil {
+	if f := matrix("initial adds", sref, gref); f != nil {
 		return f
 	}
 
@@ -254,20 +272,20 @@ func CheckSharded(b *Batch, events int) *Failure {
 		}
 		// Dirty pass first: delta snapshots (pending verbatim queries,
 		// suppressed removals) must already agree across topologies.
-		if _, f := pass(event + ", dirty"); f != nil {
+		if _, _, f := pass(event + ", dirty"); f != nil {
 			return f
 		}
 		if f := flush(event); f != nil {
 			return f
 		}
-		sref, f := pass(event + ", flushed")
+		sref, gref, f := pass(event + ", flushed")
 		if f != nil {
 			return f
 		}
 		// The full matrix once more on the final state; mid-churn events
 		// settle for the record-at-a-time diffs above.
 		if e == events-1 {
-			if f := matrix(event, sref); f != nil {
+			if f := matrix(event, sref, gref); f != nil {
 				return f
 			}
 		}

@@ -149,24 +149,6 @@ type Snapshot struct {
 // Clean reports whether the snapshot reflects exactly the live set.
 func (s *Snapshot) Clean() bool { return len(s.Pending) == 0 && len(s.Removed) == 0 }
 
-// RunnerKeep returns the compiled programs this generation executes — the
-// merged program, its admission guard, and the verbatim pending queries.
-// An engine caching runners per compiled program keeps exactly these
-// across a swap and drops the rest.
-func (s *Snapshot) RunnerKeep() []*lang.Compiled {
-	keep := make([]*lang.Compiled, 0, 2+len(s.Pending))
-	if s.Compiled != nil {
-		keep = append(keep, s.Compiled)
-	}
-	if s.Guard != nil && s.Guard.Compiled != nil {
-		keep = append(keep, s.Guard.Compiled)
-	}
-	for _, p := range s.Pending {
-		keep = append(keep, p.Compiled)
-	}
-	return keep
-}
-
 // LiveIDs returns the query ids subscribed in this generation, i.e. the
 // built slots minus Removed plus Pending.
 func (s *Snapshot) LiveIDs() []QueryID {
