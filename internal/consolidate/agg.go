@@ -228,6 +228,7 @@ func (co *Consolidator) pairFolds(p1, p2 *lang.Program) *lang.Program {
 	co.stats.SMTQueries = co.solver.Stats.Queries - q0
 	if co.sctx != nil {
 		co.stats.Context = co.sctx.Stats().Diff(cs0)
+		co.sctx.EndRun()
 	}
 	params := append([]string(nil), p1.Params...)
 	params = append(params, p2.Params[1:]...) // shared record param first

@@ -216,6 +216,7 @@ func (co *Consolidator) Pair(p1, p2 *lang.Program) (*lang.Program, error) {
 	co.stats.SMTQueries = co.solver.Stats.Queries - q0
 	if co.sctx != nil {
 		co.stats.Context = co.sctx.Stats().Diff(cs0)
+		co.sctx.EndRun()
 	}
 	body := lang.SeqOf(out...)
 	merged := &lang.Program{

@@ -161,3 +161,35 @@ func TestConcurrentCancelledRunsSharedCache(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestContextReleasesSolverAfterPair: a solving context outlives the
+// solver of any one Pair — the registry keeps a context per merge-tree
+// span — so once Pair returns it must not pin that solver, whose arena and
+// theory workspace run to megabytes.
+func TestContextReleasesSolverAfterPair(t *testing.T) {
+	sctx := smt.NewSolvingContext()
+	collected := make(chan struct{})
+	func() {
+		opts := DefaultOptions()
+		opts.SolvingContext = sctx
+		opts.Solver = smt.New()
+		runtime.SetFinalizer(opts.Solver, func(*smt.Solver) { close(collected) })
+		progs := healthyProgs(2)
+		if _, err := New(opts).Pair(progs[0], progs[1]); err != nil {
+			t.Fatal(err)
+		}
+		if opts.Solver.Stats.Queries == 0 {
+			t.Fatal("the pair issued no queries; the context never saw the solver")
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(sctx)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the solving context still holds the Pair's solver after Pair returned")
+}

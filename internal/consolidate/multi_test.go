@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"consolidation/internal/lang"
+	"consolidation/internal/queries"
 	"consolidation/internal/smt"
 )
 
@@ -75,6 +76,49 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Errorf("second run on a warm cache had zero hits: %+v", wms.Solver)
 			}
 		})
+	}
+}
+
+// TestWarmRunPaysUnknownsOnce: stock Q3's loop invariants leave a score of
+// literal-conjunction queries undecided at the default budgets. A second
+// run over the same cache must take those Unknowns from the cache like any
+// other verdict — no literal-path theory check, no Unknown computed again —
+// and trusting them must not make the output depend on the schedule.
+func TestWarmRunPaysUnknownsOnce(t *testing.T) {
+	progs, err := queries.Gen("stock", "Q3", 4, 20140609)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Cache = smt.NewCache(0)
+	cold, cms, err := All(progs, opts, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cms.Solver.Unknowns == 0 {
+		t.Fatal("the cold run left nothing Unknown; this workload no longer tests the rule")
+	}
+	warm, wms, err := All(progs, opts, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wms.Context.TheoryChecks != 0 || wms.Solver.Unknowns != 0 {
+		t.Errorf("warm run re-solved cached verdicts: %d literal-path theory checks, %d Unknowns (cold run: %d Unknowns)",
+			wms.Context.TheoryChecks, wms.Solver.Unknowns, cms.Solver.Unknowns)
+	}
+	parWarm, _, err := All(progs, opts, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parCold, _, err := All(progs, DefaultOptions(), true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lang.Format(cold)
+	for name, got := range map[string]*lang.Program{"warm serial": warm, "warm parallel": parWarm, "cold parallel": parCold} {
+		if lang.Format(got) != want {
+			t.Errorf("%s output differs from the cold serial run", name)
+		}
 	}
 }
 

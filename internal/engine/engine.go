@@ -250,7 +250,7 @@ func WhereMany(data RecordLibrary, udfs []*lang.Program, opts Options) (*Result,
 	}
 	res.Admitted = n
 	res.TotalTime = time.Since(start)
-	finishMetrics(res)
+	finishMetrics(res, backing)
 	return res, nil
 }
 
@@ -403,22 +403,29 @@ func WhereConsolidated(data RecordLibrary, udfs []*lang.Program, copts consolida
 		return nil, err
 	}
 	res.TotalTime = time.Since(start)
-	finishMetrics(res)
+	finishMetrics(res, backing)
 	return &ConsolidatedResult{
 		Result: *res, ConsolidateTime: consTime, Multi: ms, Merged: merged,
 		Guard: guard, PrefilterTime: prefTime,
 	}, nil
 }
 
-func finishMetrics(r *Result) {
-	r.Selected = make([]int, r.UDFs)
-	for _, row := range r.Bools {
-		for q, v := range row {
+// finishMetrics counts Selected over the pass's flat verdict array
+// (record-major, r.UDFs cells per record). Verdicts are data-dependent, so
+// the cell is added as a number — the compiler turns the conditional
+// assignment into a zero-extension of the bool — not branched on.
+func finishMetrics(r *Result, backing []bool) {
+	sel := make([]int, r.UDFs)
+	for off := 0; off < len(backing); off += len(sel) {
+		for q, v := range backing[off : off+len(sel)] {
+			one := 0
 			if v {
-				r.Selected[q]++
+				one = 1
 			}
+			sel[q] += one
 		}
 	}
+	r.Selected = sel
 }
 
 // SameResults reports whether two operator results selected exactly the

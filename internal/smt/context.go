@@ -29,7 +29,8 @@ import (
 //     either side hit the other.
 //   - Literal-conjunction queries — the overwhelming majority — reuse the
 //     per-assertion theoryLit slices and run one stateless theory check,
-//     identical to the fresh solver's fast path.
+//     identical to the fresh solver's fast path; a budget-keyed Unknown in
+//     the shared Cache is therefore their answer too and is not re-solved.
 //   - Queries with boolean structure run on a persistent incremental CDCL
 //     instance: Tseitin encodings are memoized across checks (definitional
 //     clauses are valid regardless of which formulas are asserted), the
@@ -54,9 +55,11 @@ import (
 // concurrent use; create one per pair worker or per merge-tree node and
 // share only the Cache.
 type Context struct {
+	// solver is the bound solver, nil between runs (EndRun).
 	solver *Solver
-	// budgets the memo and encodings were built under; a Bind with
-	// different budgets resets the context (verdicts are budget-keyed).
+	// budgets the memo and encodings were built under, once bound; a Bind
+	// with different budgets resets the context (verdicts are budget-keyed).
+	bound     bool
 	conflicts int
 	lazyIters int
 
@@ -233,10 +236,10 @@ func (c *Context) reset() {
 // the memo was built under reset the context: cached verdicts are
 // budget-keyed artefacts.
 func (c *Context) Bind(s *Solver) {
-	if c.solver != nil && (c.conflicts != s.MaxConflicts || c.lazyIters != s.MaxLazyIters) {
+	if c.bound && (c.conflicts != s.MaxConflicts || c.lazyIters != s.MaxLazyIters) {
 		c.reset()
 	}
-	c.solver = s
+	c.solver, c.bound = s, true
 	c.conflicts = s.MaxConflicts
 	c.lazyIters = s.MaxLazyIters
 }
@@ -250,6 +253,13 @@ func (c *Context) BeginRun(s *Solver) {
 		c.reset()
 	}
 }
+
+// EndRun detaches the solver when a run is over. The context keeps its
+// memos and the budgets they were built under, but no longer keeps the
+// solver — its arena and its theory workspace — alive: a registry holds a
+// context per merge-tree span for as long as the span exists, and a solver
+// only for the length of one Pair.
+func (c *Context) EndRun() { c.solver = nil }
 
 // Stats snapshots the context's counters.
 func (c *Context) Stats() ContextStats {
@@ -403,12 +413,15 @@ func (c *Context) CheckAssuming(aids []int, goal logic.Formula, cone func() []in
 	c.idsBuf = ids[:0]
 	nPieces := len(ids)
 	h := c.in.Hash(qid)
-	// Shared-cache layering: decided entries are facts and always reusable;
-	// Unknown entries are recomputed so the context's verdict stays a
-	// function of the query (the stateless pipeline reproduces the
-	// same Unknown on the literal path, and the boolean path falls back to
-	// it), never of another worker's schedule.
-	if r, ok := s.cache.Get(h, c.in, qid, s.MaxConflicts, s.MaxLazyIters); ok && r != Unknown {
+	// Shared-cache layering: decided entries are facts and always reusable.
+	// A budget-keyed Unknown is reusable on the literal path, where the
+	// context's answer is the stateless theory check's answer — a function
+	// of the query and the budgets alone, the rule Solver.Check follows —
+	// so an expiry is paid once per cache, not once per run. On the boolean
+	// path it is recomputed: a warm CDCL instance can decide what the cache
+	// recorded as Unknown, and trusting the entry would make the verdict
+	// depend on which worker published first.
+	if r, ok := s.cache.Get(h, c.in, qid, s.MaxConflicts, s.MaxLazyIters); ok && (r != Unknown || allLit) {
 		c.stats.SharedHits++
 		s.Stats.CacheHits++
 		c.memo[mkey] = r
@@ -431,9 +444,8 @@ func (c *Context) CheckAssuming(aids []int, goal logic.Formula, cone func() []in
 		}
 		lits = append(lits, g.negLits...)
 		c.litBuf = lits[:0]
-		s.Stats.TheoryChecks++
 		c.stats.TheoryChecks++
-		switch checkTheory(c.in, lits, s.Theory) {
+		switch s.checkTheory(c.in, lits) {
 		case theoryUnsat:
 			r = Unsat
 		case theorySat:
@@ -724,8 +736,7 @@ func (c *Context) solveBool(sel []int, gid int) Result {
 			lits = append(lits, litOfAtomNode(c.in, enc.varAtom[v], model[v] == 1))
 			vars = append(vars, v)
 		}
-		s.Stats.TheoryChecks++
-		switch checkTheory(c.in, lits, s.Theory) {
+		switch s.checkTheory(c.in, lits) {
 		case theorySat:
 			return Sat
 		case theoryUnknown:

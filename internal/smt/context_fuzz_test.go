@@ -12,13 +12,7 @@ import (
 // generator biases the soundness fuzzer rotates through.
 func contextSeedInputs(seed uint64) ([]logic.Formula, logic.Formula) {
 	rng := rand.New(rand.NewSource(int64(seed)))
-	cfg := DefaultFormulaGenConfig()
-	switch seed % 3 {
-	case 1:
-		cfg.UFBias = true
-	case 2:
-		cfg.LIABias = true
-	}
+	cfg := seedGenConfig(seed)
 	hyps := make([]logic.Formula, 2+rng.Intn(3))
 	for i := range hyps {
 		hyps[i] = RandomFormula(rng, cfg)

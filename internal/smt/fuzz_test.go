@@ -45,11 +45,9 @@ func corpusSeeds(tb testing.TB) []uint64 {
 	return out
 }
 
-// checkSoundnessSeed is the body shared by the fuzz target and the
-// deterministic corpus test: generate a formula from the seed, then
-// assert every soundness property the rest of the system relies on.
-func checkSoundnessSeed(t *testing.T, seed uint64) {
-	rng := rand.New(rand.NewSource(int64(seed)))
+// seedGenConfig rotates the generator biases by seed, the same way for
+// every seeded property in this package.
+func seedGenConfig(seed uint64) FormulaGenConfig {
 	cfg := DefaultFormulaGenConfig()
 	switch seed % 3 {
 	case 1:
@@ -57,6 +55,15 @@ func checkSoundnessSeed(t *testing.T, seed uint64) {
 	case 2:
 		cfg.LIABias = true
 	}
+	return cfg
+}
+
+// checkSoundnessSeed is the body shared by the fuzz target and the
+// deterministic corpus test: generate a formula from the seed, then
+// assert every soundness property the rest of the system relies on.
+func checkSoundnessSeed(t *testing.T, seed uint64) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	cfg := seedGenConfig(seed)
 	f := RandomFormula(rng, cfg)
 
 	full := New()
@@ -94,8 +101,8 @@ func checkSoundnessSeed(t *testing.T, seed uint64) {
 
 // FuzzSMTSoundness drives the solver with random QF_UFLIA formulas and
 // cross-checks every verdict against the brute-force reference model
-// search, the cache-consistency invariants, and the incremental-context
-// agreement property.
+// search, the cache-consistency invariants, the incremental-context
+// agreement property, and the used-workspace-equals-new-solver property.
 func FuzzSMTSoundness(f *testing.F) {
 	for _, s := range corpusSeeds(f) {
 		f.Add(s)
@@ -103,6 +110,7 @@ func FuzzSMTSoundness(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		checkSoundnessSeed(t, seed)
 		checkContextSeed(t, seed)
+		checkWorkspaceSequence(t, New(), workspaceSeedQueries(seed))
 	})
 }
 

@@ -20,6 +20,8 @@
 package smt
 
 import (
+	"slices"
+
 	"consolidation/internal/logic"
 )
 
@@ -36,14 +38,26 @@ import (
 // memo lookup instead of a re-walk. ID assignment order is a function of
 // the literal sequence alone, which the Nelson–Oppen probe order (and
 // therefore verdict determinism) depends on.
+//
+// An interner is part of a theoryWorkspace: reset empties it for the next
+// conjunction and keeps the maps' buckets, the node slice and the arenas
+// that node children and linear-form terms are carved from.
 type interner struct {
-	byConst    map[int64]int
-	byVar      map[string]int
-	appBuckets map[uint64][]int
-	nodes      []inode
+	byConst map[int64]int
+	byVar   map[string]int
+	// byHash heads the chain (inode.next) of application nodes sharing a
+	// dedup hash.
+	byHash map[uint64]int
+	nodes  []inode
+	// kids backs every inode.children; args is the stack of child ids
+	// internNode collects before the application is deduplicated.
+	kids []int
+	args []int
+	// terms backs every lin.terms built during the check.
+	terms []lterm
 
-	// memoNode and memoLin cache per-source-node results; valid because an
-	// interner lives for exactly one checkTheory call and sees one source
+	// memoNode and memoLin cache per-source-node results; valid because
+	// the interner is reset for every conjunction check and sees one source
 	// arena (hash-consing makes equal NodeIDs equal subtrees).
 	memoNode map[logic.NodeID]int
 	memoLin  map[logic.NodeID]lin
@@ -59,18 +73,41 @@ type inode struct {
 	constVal int64
 	// varName is set for variable nodes.
 	varName string
-	// hash is the dedup hash of an application node over (fn, children).
-	hash uint64
+	// next is the previous application node with the same dedup hash over
+	// (fn, children), -1 at the end of the chain.
+	next int
 }
 
 func newInterner() *interner {
 	return &interner{
-		byConst:    map[int64]int{},
-		byVar:      map[string]int{},
-		appBuckets: map[uint64][]int{},
-		memoNode:   map[logic.NodeID]int{},
-		memoLin:    map[logic.NodeID]lin{},
+		byConst:  map[int64]int{},
+		byVar:    map[string]int{},
+		byHash:   map[uint64]int{},
+		memoNode: map[logic.NodeID]int{},
+		memoLin:  map[logic.NodeID]lin{},
 	}
+}
+
+// reset empties the interner, keeping its storage.
+func (in *interner) reset() {
+	clear(in.byConst)
+	clear(in.byVar)
+	clear(in.byHash)
+	clear(in.memoNode)
+	clear(in.memoLin)
+	in.nodes, in.kids, in.terms = in.nodes[:0], in.kids[:0], in.terms[:0]
+}
+
+// carve returns an empty slice with room for n elements at the end of
+// *arena. When the arena is full it moves to a larger block; slices carved
+// earlier keep the old one, and the next reset starts from the larger.
+func carve[T any](arena *[]T, n int) []T {
+	a := *arena
+	if len(a)+n > cap(a) {
+		a = make([]T, 0, 2*cap(a)+n)
+	}
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a) : len(a)+n]
 }
 
 // internConst interns an integer constant.
@@ -102,25 +139,18 @@ func (in *interner) internApp(fn string, children []int) int {
 	for _, c := range children {
 		h = ihashCombine(h, uint64(c))
 	}
-	for _, id := range in.appBuckets[h] {
-		nd := &in.nodes[id]
-		if nd.fn != fn || len(nd.children) != len(children) {
-			continue
-		}
-		same := true
-		for i := range children {
-			if nd.children[i] != children[i] {
-				same = false
-				break
-			}
-		}
-		if same {
+	head, ok := in.byHash[h]
+	if !ok {
+		head = -1
+	}
+	for id := head; id >= 0; id = in.nodes[id].next {
+		if nd := &in.nodes[id]; nd.fn == fn && slices.Equal(nd.children, children) {
 			return id
 		}
 	}
 	id := len(in.nodes)
-	in.nodes = append(in.nodes, inode{fn: fn, children: append([]int(nil), children...), hash: h})
-	in.appBuckets[h] = append(in.appBuckets[h], id)
+	in.nodes = append(in.nodes, inode{fn: fn, children: append(carve(&in.kids, len(children)), children...), next: head})
+	in.byHash[h] = id
 	return id
 }
 
@@ -160,12 +190,13 @@ func (in *interner) internNode(src *logic.Interner, t logic.NodeID) int {
 	case logic.KVar:
 		id = in.internVar(src.Name(t))
 	case logic.KApp:
-		kids := src.Kids(t)
-		children := make([]int, len(kids))
-		for i, k := range kids {
-			children[i] = in.internNode(src, k)
+		base := len(in.args)
+		for _, k := range src.Kids(t) {
+			c := in.internNode(src, k) // pushes and pops in.args itself
+			in.args = append(in.args, c)
 		}
-		id = in.internApp(src.Name(t), children)
+		id = in.internApp(src.Name(t), in.args[base:])
+		in.args = in.args[:base]
 	case logic.KBin:
 		kids := src.Kids(t)
 		l := in.internNode(src, kids[0])
@@ -192,7 +223,9 @@ func (in *interner) internNode(src *logic.Interner, t logic.NodeID) int {
 // nonlinear products. Terms are kept sorted by entity id with nonzero
 // coefficients, so linear forms have one canonical representation and never
 // need a map or a sort on the solver's hot path. Operations are functional:
-// they return fresh term slices and never mutate shared backing arrays.
+// they carve fresh term slices from the interner the form was made in (in)
+// and never mutate shared backing arrays, so a lin is valid until that
+// interner's next reset.
 type lterm struct {
 	id int
 	k  int64
@@ -201,9 +234,10 @@ type lterm struct {
 type lin struct {
 	terms []lterm
 	c     int64
+	in    *interner
 }
 
-func newLin() lin { return lin{} }
+func (in *interner) newLin() lin { return lin{in: in} }
 
 func (l lin) addTerm(id int, k int64) lin {
 	pos := len(l.terms)
@@ -215,38 +249,38 @@ func (l lin) addTerm(id int, k int64) lin {
 	}
 	if pos < len(l.terms) && l.terms[pos].id == id {
 		nk := l.terms[pos].k + k
-		out := make([]lterm, 0, len(l.terms))
+		out := carve(&l.in.terms, len(l.terms))
 		out = append(out, l.terms[:pos]...)
 		if nk != 0 {
 			out = append(out, lterm{id: id, k: nk})
 		}
 		out = append(out, l.terms[pos+1:]...)
-		return lin{terms: out, c: l.c}
+		return lin{terms: out, c: l.c, in: l.in}
 	}
 	if k == 0 {
 		return l
 	}
-	out := make([]lterm, 0, len(l.terms)+1)
+	out := carve(&l.in.terms, len(l.terms)+1)
 	out = append(out, l.terms[:pos]...)
 	out = append(out, lterm{id: id, k: k})
 	out = append(out, l.terms[pos:]...)
-	return lin{terms: out, c: l.c}
+	return lin{terms: out, c: l.c, in: l.in}
 }
 
 func (l lin) scale(k int64) lin {
-	out := lin{c: l.c * k}
+	out := lin{c: l.c * k, in: l.in}
 	if k == 0 {
 		return out
 	}
-	out.terms = make([]lterm, len(l.terms))
-	for i, t := range l.terms {
-		out.terms[i] = lterm{id: t.id, k: t.k * k}
+	out.terms = carve(&l.in.terms, len(l.terms))
+	for _, t := range l.terms {
+		out.terms = append(out.terms, lterm{id: t.id, k: t.k * k})
 	}
 	return out
 }
 
 func (l lin) add(m lin) lin {
-	out := lin{c: l.c + m.c, terms: make([]lterm, 0, len(l.terms)+len(m.terms))}
+	out := lin{c: l.c + m.c, terms: carve(&l.in.terms, len(l.terms)+len(m.terms)), in: l.in}
 	i, j := 0, 0
 	for i < len(l.terms) && j < len(m.terms) {
 		a, b := l.terms[i], m.terms[j]
@@ -283,12 +317,12 @@ func (in *interner) linOfNode(src *logic.Interner, t logic.NodeID) lin {
 	var out lin
 	switch src.Kind(t) {
 	case logic.KConst:
-		out = newLin()
+		out = in.newLin()
 		out.c = src.ConstVal(t)
 	case logic.KVar:
-		out = newLin().addTerm(in.internVar(src.Name(t)), 1)
+		out = in.newLin().addTerm(in.internVar(src.Name(t)), 1)
 	case logic.KApp:
-		out = newLin().addTerm(in.internNode(src, t), 1)
+		out = in.newLin().addTerm(in.internNode(src, t), 1)
 	case logic.KBin:
 		kids := src.Kids(t)
 		switch src.BinOp(t) {
@@ -312,7 +346,7 @@ func (in *interner) linOfNode(src *logic.Interner, t logic.NodeID) lin {
 				if b < a {
 					a, b = b, a
 				}
-				out = newLin().addTerm(in.internApp("$mul", []int{a, b}), 1)
+				out = in.newLin().addTerm(in.internApp("$mul", []int{a, b}), 1)
 			}
 		}
 	default:

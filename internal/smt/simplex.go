@@ -1,6 +1,9 @@
 package smt
 
-import "math/big"
+import (
+	"math/big"
+	"slices"
+)
 
 // simplex is a general simplex solver in the style of Dutertre and de Moura
 // ("A Fast Linear-Arithmetic Solver for DPLL(T)"): variables carry optional
@@ -14,13 +17,18 @@ import "math/big"
 // by row*stride+column, and bounds/values are flat arrays. The consolidation
 // workload produces small tableaux (tens of variables), where dense scans
 // beat hash maps by a wide margin and pointer-free rows cost the garbage
-// collector nothing. The single backing array makes clone one allocation
-// plus a memmove, and adding a slack variable's column is free while the
-// width stays under the stride — both matter because branch-and-bound and
-// the Nelson–Oppen probes clone the tableau at every node. The pivoting
-// rule, the pivot budget and the exact rational arithmetic are unchanged, so
-// the solver visits exactly the same bases as the row-per-slice
-// representation.
+// collector nothing.
+//
+// A simplex never allocates a peer. Every instance is a frame of a
+// theoryWorkspace (theory.go): reset rebuilds the empty tableau a round
+// starts from inside the frame's own arrays, and copyFrom makes a frame a
+// value copy of its parent — a handful of memmoves into arrays the frame
+// already owns — which is how branch-and-bound and the Nelson–Oppen probes
+// get a private tableau at every node. A copy is cell-for-cell the parent,
+// the pivoting rule, the pivot budget and the exact rational arithmetic do
+// not depend on where the cells live, and adding a slack variable's column
+// is free while the width stays under the stride, so the solver visits
+// exactly the same bases as one that allocated a fresh tableau per node.
 type simplex struct {
 	n          int // total variables (structural + slack)
 	structural int // ids < structural are integer-constrained structural vars
@@ -45,13 +53,14 @@ type simplex struct {
 	hasLower []bool
 	hasUpper []bool
 	beta     []qnum
-	// scratch is a per-instance row buffer for pivoting; never cloned.
+	// scratch is a per-frame row buffer for pivoting; never copied.
 	scratch []qcell
-	// pivots is shared across clones so that the whole branch-and-bound
-	// tree of one theory check draws from a single budget; per-clone
-	// budgets would multiply exponentially.
-	pivots    *int
-	maxPivots int
+	// pivots is the workspace's running count of check iterations, shared
+	// by every frame so that the whole branch-and-bound tree and the probes
+	// of one round draw from a single budget (per-node budgets would
+	// multiply exponentially); the round may run until it passes pivotLimit.
+	pivots     *int
+	pivotLimit int
 }
 
 // qcell is a pointer-free tableau cell. den > 0 holds the value num/den
@@ -93,33 +102,55 @@ type sterm struct {
 	c qnum
 }
 
-// newSimplex builds an empty tableau over the given structural variables.
-// slackHint is the expected number of addSlack calls: the stride and the
-// backing array are sized for it upfront, so a well-hinted instance never
-// repacks. The hint only affects capacity, never values.
-func newSimplex(structural, maxPivots, slackHint int) *simplex {
-	// +2 keeps one probe slack per clone within stride (Nelson–Oppen adds a
-	// difference slack to each probe clone).
-	stride := structural + slackHint + 2
-	s := &simplex{
-		n:          structural,
-		structural: structural,
-		stride:     stride,
-		rowOf:      make([]int32, structural, structural+slackHint+2),
-		tab:        make([]qcell, 0, (slackHint+2)*stride),
-		lower:      make([]qnum, structural, structural+slackHint+2),
-		upper:      make([]qnum, structural, structural+slackHint+2),
-		hasLower:   make([]bool, structural, structural+slackHint+2),
-		hasUpper:   make([]bool, structural, structural+slackHint+2),
-		beta:       make([]qnum, structural, structural+slackHint+2),
-		pivots:     new(int),
-		maxPivots:  maxPivots,
-	}
+// reset makes s the empty tableau over the given structural variables,
+// reusing its arrays. slackHint is the expected number of addSlack calls:
+// the stride and the backing array are sized for it upfront, so a
+// well-hinted instance never repacks. The hint only affects capacity, never
+// values. The round may spend maxPivots check iterations counted in pivots.
+func (s *simplex) reset(structural, maxPivots, slackHint int, pivots *int) {
+	// +2 keeps one probe slack per copy within stride (Nelson–Oppen adds a
+	// difference slack to each probe frame).
+	vars := structural + slackHint + 2
+	s.n, s.structural, s.stride = structural, structural, vars
+	s.rowOf = slices.Grow(s.rowOf[:0], vars)[:structural]
+	s.rowVar = s.rowVar[:0]
+	s.tab = slices.Grow(s.tab[:0], (slackHint+2)*vars)
+	// Cells are rewritten before they are read, but a boxed value must not
+	// outlive the tableau that indexed it.
+	clear(s.bigTab)
+	s.bigTab = s.bigTab[:0]
+	s.lower = slices.Grow(s.lower[:0], vars)[:structural]
+	s.upper = slices.Grow(s.upper[:0], vars)[:structural]
+	s.hasLower = slices.Grow(s.hasLower[:0], vars)[:structural]
+	s.hasUpper = slices.Grow(s.hasUpper[:0], vars)[:structural]
+	s.beta = slices.Grow(s.beta[:0], vars)[:structural]
+	s.pivots, s.pivotLimit = pivots, *pivots+maxPivots
 	for i := 0; i < structural; i++ {
 		s.rowOf[i] = -1
+		s.lower[i], s.upper[i] = qnum{}, qnum{}
+		s.hasLower[i], s.hasUpper[i] = false, false
 		s.beta[i] = qZero
 	}
-	return s
+}
+
+// copyFrom makes s a value copy of p inside s's own arrays; cells are plain
+// values and big.Rat entries are immutable, so every slice copies by
+// memmove. The copies are independent: a frame growing its tableau appends
+// to (or repacks) its own backing array and its own bigTab, never the
+// parent's, and the capacity it grew stays with the frame for the next copy.
+func (s *simplex) copyFrom(p *simplex) {
+	s.n, s.structural, s.stride = p.n, p.structural, p.stride
+	s.rowOf = append(s.rowOf[:0], p.rowOf...)
+	s.rowVar = append(s.rowVar[:0], p.rowVar...)
+	s.tab = append(s.tab[:0], p.tab...)
+	clear(s.bigTab)
+	s.bigTab = append(s.bigTab[:0], p.bigTab...)
+	s.lower = append(s.lower[:0], p.lower...)
+	s.upper = append(s.upper[:0], p.upper...)
+	s.hasLower = append(s.hasLower[:0], p.hasLower...)
+	s.hasUpper = append(s.hasUpper[:0], p.hasUpper...)
+	s.beta = append(s.beta[:0], p.beta...)
+	s.pivots, s.pivotLimit = p.pivots, p.pivotLimit
 }
 
 func (s *simplex) val(x int) qnum { return s.beta[x] }
@@ -154,7 +185,7 @@ func (s *simplex) addSlack(combo []sterm) int {
 	s.hasUpper = append(s.hasUpper, false)
 	if s.n > s.stride {
 		// Grow by a fixed step rather than doubling: repacks stay cheap on
-		// these small tableaux, and a tight stride keeps every clone's
+		// these small tableaux, and a tight stride keeps every frame copy's
 		// memmove close to the live cell count.
 		s.widen(s.n + 16)
 	}
@@ -321,7 +352,7 @@ func (s *simplex) pivotAndUpdate(x, y int, v qnum) {
 func (s *simplex) check() (feasible, budgetExceeded bool) {
 	for {
 		*s.pivots++
-		if *s.pivots > s.maxPivots {
+		if *s.pivots > s.pivotLimit {
 			return true, true
 		}
 		// Bland's rule: smallest violated basic variable.
@@ -384,51 +415,6 @@ func (s *simplex) check() (feasible, budgetExceeded bool) {
 			return false, false
 		}
 		s.pivotAndUpdate(x, y, target)
-	}
-}
-
-// clone copies the solver state; cells are plain values and big.Rat entries
-// are immutable, so every slice copies by memmove — the tableau in
-// particular is a single allocation. The copies are independent: a clone
-// growing its tableau appends to (or repacks) its own backing array and its
-// own bigTab, never the parent's.
-func (s *simplex) clone() *simplex {
-	// Pack the per-variable slices into three arena allocations (int32s,
-	// qnums, bools); full slice expressions cap each view so a clone growing
-	// one of them reallocates that slice alone instead of clobbering its
-	// arena neighbours.
-	// Each section gets one spare slot (and the tableau one spare row) so a
-	// probe clone's single addSlack call grows fully in place.
-	no, nv := len(s.rowOf), len(s.rowVar)
-	ints := make([]int32, no+nv+2)
-	copy(ints, s.rowOf)
-	copy(ints[no+1:], s.rowVar)
-	nl, nu, nb := len(s.lower), len(s.upper), len(s.beta)
-	qs := make([]qnum, nl+nu+nb+3)
-	copy(qs, s.lower)
-	copy(qs[nl+1:], s.upper)
-	copy(qs[nl+nu+2:], s.beta)
-	nh, nk := len(s.hasLower), len(s.hasUpper)
-	bs := make([]bool, nh+nk+2)
-	copy(bs, s.hasLower)
-	copy(bs[nh+1:], s.hasUpper)
-	nt := make([]qcell, len(s.tab), len(s.tab)+s.stride)
-	copy(nt, s.tab)
-	return &simplex{
-		n:          s.n,
-		structural: s.structural,
-		rowOf:      ints[0 : no : no+1],
-		rowVar:     ints[no+1 : no+1+nv : no+nv+2],
-		tab:        nt,
-		stride:     s.stride,
-		bigTab:     append([]*big.Rat(nil), s.bigTab...),
-		lower:      qs[0 : nl : nl+1],
-		upper:      qs[nl+1 : nl+1+nu : nl+nu+2],
-		hasLower:   bs[0 : nh : nh+1],
-		hasUpper:   bs[nh+1 : nh+1+nk : nh+nk+2],
-		beta:       qs[nl+nu+2 : nl+nu+2+nb : nl+nu+nb+3],
-		pivots:     s.pivots,
-		maxPivots:  s.maxPivots,
 	}
 }
 

@@ -261,7 +261,8 @@ func TestAgainstBruteForce(t *testing.T) {
 
 func TestSimplexDirect(t *testing.T) {
 	// x + y ≤ 2, x ≥ 2, y ≥ 1 infeasible.
-	s := newSimplex(2, 1000, 4)
+	s := new(simplex)
+	s.reset(2, 1000, 4, new(int))
 	sl := s.addSlack([]sterm{{x: 0, c: qOne}, {x: 1, c: qOne}})
 	if !s.assertUpper(sl, qInt(2)) || !s.assertLower(0, qInt(2)) || !s.assertLower(1, qInt(1)) {
 		// immediate conflicts are fine too

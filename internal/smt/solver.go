@@ -35,6 +35,9 @@ type Stats struct {
 	CacheHits    int
 	SatIters     int
 	TheoryChecks int
+	// Pivots counts simplex check iterations over all theory checks: the
+	// pivots performed plus one closing iteration per simplex check.
+	Pivots int
 	// Unknowns counts verdicts the budgets failed to decide.
 	Unknowns int
 }
@@ -46,6 +49,7 @@ func (s *Stats) Add(o Stats) {
 	s.CacheHits += o.CacheHits
 	s.SatIters += o.SatIters
 	s.TheoryChecks += o.TheoryChecks
+	s.Pivots += o.Pivots
 	s.Unknowns += o.Unknowns
 }
 
@@ -56,6 +60,7 @@ func (s Stats) Diff(o Stats) Stats {
 		CacheHits:    s.CacheHits - o.CacheHits,
 		SatIters:     s.SatIters - o.SatIters,
 		TheoryChecks: s.TheoryChecks - o.TheoryChecks,
+		Pivots:       s.Pivots - o.Pivots,
 		Unknowns:     s.Unknowns - o.Unknowns,
 	}
 }
@@ -83,6 +88,10 @@ type Solver struct {
 	// extraction, CNF atoms, theory terms) works on NodeIDs instead of
 	// re-walking or re-rendering trees.
 	in *logic.Interner
+
+	// ws is the theory workspace every conjunction check of this solver
+	// runs on (theory.go), created on first use.
+	ws *theoryWorkspace
 
 	// Trace, when set, observes every Check with its verdict and whether
 	// the cache answered it. Diagnostic hook for the oracle and for
@@ -172,8 +181,7 @@ func (s *Solver) check(f logic.Formula) Result {
 	// of literals (a context Ψ plus one negated goal literal). Those need no
 	// SAT search at all — a single theory check decides them.
 	if lits, ok := literalConjunction(in, logic.NNF(f)); ok {
-		s.Stats.TheoryChecks++
-		switch checkTheory(in, lits, s.Theory) {
+		switch s.checkTheory(in, lits) {
 		case theoryUnsat:
 			return Unsat
 		case theorySat:
@@ -214,8 +222,7 @@ func (s *Solver) check(f logic.Formula) Result {
 			kept = append(kept, v)
 		}
 		vars = kept
-		s.Stats.TheoryChecks++
-		switch checkTheory(in, lits, s.Theory) {
+		switch s.checkTheory(in, lits) {
 		case theorySat:
 			return Sat
 		case theoryUnknown:
@@ -236,6 +243,19 @@ func (s *Solver) check(f logic.Formula) Result {
 		clauses = append(clauses, clause)
 	}
 	return Unknown
+}
+
+// checkTheory decides one conjunction of literals on the solver's theory
+// workspace and counts the check and its pivots.
+func (s *Solver) checkTheory(src *logic.Interner, lits []theoryLit) theoryStatus {
+	if s.ws == nil {
+		s.ws = newTheoryWorkspace()
+	}
+	s.Stats.TheoryChecks++
+	before := s.ws.pivots
+	st := s.ws.check(src, lits, s.Theory)
+	s.Stats.Pivots += s.ws.pivots - before
+	return st
 }
 
 // literalConjunction recognises a formula in NNF that is a conjunction of
@@ -289,8 +309,7 @@ func (s *Solver) minimizeCore(src *logic.Interner, lits []theoryLit, vars []int)
 		trial := make([]theoryLit, 0, len(core)-1)
 		trial = append(trial, core[:i]...)
 		trial = append(trial, core[i+1:]...)
-		s.Stats.TheoryChecks++
-		if checkTheory(src, trial, s.Theory) == theoryUnsat {
+		if s.checkTheory(src, trial) == theoryUnsat {
 			core = trial
 			cvars = append(cvars[:i], cvars[i+1:]...)
 		} else {

@@ -64,7 +64,7 @@ func TestTheoryConjunctionsAgainstEnumeration(t *testing.T) {
 				f = logic.And(f, logic.Not(atom))
 			}
 		}
-		got := checkTheory(in, lits, defaultTheoryConfig())
+		got := New().checkTheory(in, lits)
 
 		// Enumerate models with the fixed f interpretation. A found model
 		// proves satisfiability under at least one interpretation; the
@@ -91,13 +91,13 @@ func TestTheoryDistinctConstants(t *testing.T) {
 	two := logic.Num(2)
 	in := logic.NewInterner()
 	lits := []theoryLit{tlit(in, logic.FAtom{Pred: logic.Eq, L: one, R: two}, true)}
-	if got := checkTheory(in, lits, defaultTheoryConfig()); got != theoryUnsat {
+	if got := New().checkTheory(in, lits); got != theoryUnsat {
 		t.Fatalf("1 = 2 should be unsat, got %v", got)
 	}
 	f1 := logic.TApp{Func: "f", Args: []logic.Term{one}}
 	f2 := logic.TApp{Func: "f", Args: []logic.Term{two}}
 	lits = []theoryLit{tlit(in, logic.FAtom{Pred: logic.Eq, L: f1, R: f2}, false)}
-	if got := checkTheory(in, lits, defaultTheoryConfig()); got != theorySat {
+	if got := New().checkTheory(in, lits); got != theorySat {
 		t.Fatalf("f(1) ≠ f(2) should be sat, got %v", got)
 	}
 }
@@ -116,7 +116,7 @@ func TestTheoryDeepCongruence(t *testing.T) {
 		tlit(in, logic.FAtom{Pred: logic.Eq, L: logic.V("x"), R: logic.V("y")}, true),
 		tlit(in, logic.FAtom{Pred: logic.Eq, L: wrap("x"), R: wrap("y")}, false),
 	}
-	if got := checkTheory(in, lits, defaultTheoryConfig()); got != theoryUnsat {
+	if got := New().checkTheory(in, lits); got != theoryUnsat {
 		t.Fatalf("deep congruence failed: %v", got)
 	}
 }
