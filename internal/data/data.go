@@ -19,8 +19,9 @@
 // measure computation sharing between UDFs, which depends on schemas and
 // parameter distributions rather than on the literal corpus (see
 // DESIGN.md). Every dataset implements engine.RecordLibrary: records are
-// stored in an encoded wire form and decoded by SetRecord, so each pass
-// over the data pays a realistic per-record ingest cost.
+// stored in an encoded wire form and decoded by SetRecord (decodeInts, one
+// forward pass over the record's bytes), so each pass over the data pays a
+// realistic per-record ingest cost.
 package data
 
 import (
@@ -43,6 +44,10 @@ func errArity(fn string, want, got int) error {
 	return fmt.Errorf("data: %s expects %d arguments, got %d", fn, want, got)
 }
 
+func errNoRecord(ds string) error {
+	return fmt.Errorf("data: %s: no record selected", ds)
+}
+
 func errNoFunc(ds, fn string) error {
 	return fmt.Errorf("data: %s dataset has no function %q", ds, fn)
 }
@@ -56,19 +61,36 @@ func encodeInts(vals []int64) string {
 	return strings.Join(parts, ",")
 }
 
-// decodeInts parses the wire form; the per-record decoding cost is the
-// simulated IO/deserialisation work of a pass over the data.
+// decodeInts parses the wire form — the simulated IO/deserialisation work
+// of a pass over the data — in one forward pass over the bytes: sign, digit
+// accumulate, comma. A token of the shape -?[0-9]{1,18} (every token the
+// generators write) never leaves the loop; any other token is parsed by
+// strconv with the error dropped, so a malformed token decodes to 0, an
+// overflowing one to the nearest int64, and a trailing comma adds no value
+// — the values the strconv-only parser (decodeIntsRef, decode_test.go)
+// returns, for every input.
 func decodeInts(s string, dst []int64) []int64 {
 	dst = dst[:0]
-	for len(s) > 0 {
-		i := strings.IndexByte(s, ',')
-		var tok string
-		if i < 0 {
-			tok, s = s, ""
-		} else {
-			tok, s = s[:i], s[i+1:]
+	for i := 0; i < len(s); i++ { // the increment steps over the comma
+		start := i
+		neg := s[i] == '-'
+		if neg {
+			i++
 		}
-		v, _ := strconv.ParseInt(tok, 10, 64)
+		var v int64
+		first := i
+		for ; i < len(s) && s[i]-'0' <= 9; i++ {
+			v = v*10 + int64(s[i]-'0')
+		}
+		if neg {
+			v = -v
+		}
+		if n := i - first; n == 0 || n > 18 || (i < len(s) && s[i] != ',') {
+			for i < len(s) && s[i] != ',' {
+				i++
+			}
+			v, _ = strconv.ParseInt(s[start:i], 10, 64)
+		}
 		dst = append(dst, v)
 	}
 	return dst

@@ -107,63 +107,104 @@ func (f *Flight) checkCity(c int64) error {
 	return nil
 }
 
-// Call implements lang.Library.
-func (f *Flight) Call(name string, args []int64) (int64, error) {
+func (f *Flight) directPrice(args []int64) (int64, error) {
 	if !f.ok {
-		return 0, fmt.Errorf("data: flight: no record selected")
+		return 0, errNoRecord("flight")
 	}
+	if len(args) != 3 {
+		return 0, errArity("directPrice", 3, len(args))
+	}
+	c1, c2 := args[1], args[2]
+	if err := f.checkCity(c1); err != nil {
+		return 0, err
+	}
+	if err := f.checkCity(c2); err != nil {
+		return 0, err
+	}
+	if !f.serves(c1, c2) {
+		return -1, nil
+	}
+	return f.price(c1, c2, 0), nil
+}
+
+func (f *Flight) connPrice(args []int64) (int64, error) {
+	if !f.ok {
+		return 0, errNoRecord("flight")
+	}
+	if len(args) != 4 {
+		return 0, errArity("connPrice", 4, len(args))
+	}
+	c1, m, c2 := args[1], args[2], args[3]
+	for _, c := range args[1:] {
+		if err := f.checkCity(c); err != nil {
+			return 0, err
+		}
+	}
+	if m == c1 || m == c2 || !f.serves(c1, m) || !f.serves(m, c2) {
+		return -1, nil
+	}
+	return f.price(c1, m, 0) + f.price(m, c2, 0) - 10, nil
+}
+
+func (f *Flight) dayPrice(args []int64) (int64, error) {
+	if !f.ok {
+		return 0, errNoRecord("flight")
+	}
+	if len(args) != 4 {
+		return 0, errArity("dayPrice", 4, len(args))
+	}
+	c1, c2, d := args[1], args[2], args[3]
+	if err := f.checkCity(c1); err != nil {
+		return 0, err
+	}
+	if err := f.checkCity(c2); err != nil {
+		return 0, err
+	}
+	if d < 0 || d >= int64(f.cfg.Days) {
+		return 0, fmt.Errorf("data: flight: day %d out of range", d)
+	}
+	if !f.serves(c1, c2) {
+		return -1, nil
+	}
+	return f.price(c1, c2, d), nil
+}
+
+func (f *Flight) cityCount(args []int64) (int64, error) {
+	if !f.ok {
+		return 0, errNoRecord("flight")
+	}
+	return int64(f.cfg.Cities), nil
+}
+
+func (f *Flight) dayCountF(args []int64) (int64, error) {
+	if !f.ok {
+		return 0, errNoRecord("flight")
+	}
+	return int64(f.cfg.Days), nil
+}
+
+// Resolve implements lang.DirectCaller.
+func (f *Flight) Resolve(name string) (func(args []int64) (int64, error), bool) {
 	switch name {
 	case "directPrice":
-		if len(args) != 3 {
-			return 0, errArity(name, 3, len(args))
-		}
-		c1, c2 := args[1], args[2]
-		if err := f.checkCity(c1); err != nil {
-			return 0, err
-		}
-		if err := f.checkCity(c2); err != nil {
-			return 0, err
-		}
-		if !f.serves(c1, c2) {
-			return -1, nil
-		}
-		return f.price(c1, c2, 0), nil
+		return f.directPrice, true
 	case "connPrice":
-		if len(args) != 4 {
-			return 0, errArity(name, 4, len(args))
-		}
-		c1, m, c2 := args[1], args[2], args[3]
-		for _, c := range []int64{c1, m, c2} {
-			if err := f.checkCity(c); err != nil {
-				return 0, err
-			}
-		}
-		if m == c1 || m == c2 || !f.serves(c1, m) || !f.serves(m, c2) {
-			return -1, nil
-		}
-		return f.price(c1, m, 0) + f.price(m, c2, 0) - 10, nil
+		return f.connPrice, true
 	case "dayPrice":
-		if len(args) != 4 {
-			return 0, errArity(name, 4, len(args))
-		}
-		c1, c2, d := args[1], args[2], args[3]
-		if err := f.checkCity(c1); err != nil {
-			return 0, err
-		}
-		if err := f.checkCity(c2); err != nil {
-			return 0, err
-		}
-		if d < 0 || d >= int64(f.cfg.Days) {
-			return 0, fmt.Errorf("data: flight: day %d out of range", d)
-		}
-		if !f.serves(c1, c2) {
-			return -1, nil
-		}
-		return f.price(c1, c2, d), nil
+		return f.dayPrice, true
 	case "cityCount":
-		return int64(f.cfg.Cities), nil
+		return f.cityCount, true
 	case "dayCountF":
-		return int64(f.cfg.Days), nil
+		return f.dayCountF, true
 	}
-	return 0, errNoFunc("flight", name)
+	return nil, false
+}
+
+// Call implements lang.Library.
+func (f *Flight) Call(name string, args []int64) (int64, error) {
+	fn, ok := f.Resolve(name)
+	if !ok {
+		return 0, errNoFunc("flight", name)
+	}
+	return fn(args)
 }

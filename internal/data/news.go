@@ -87,41 +87,75 @@ func (n *News) Clone() engine.RecordLibrary {
 // FuncCost implements lang.FuncCoster.
 func (n *News) FuncCost(name string) (int64, bool) { return n.costs.FuncCost(name) }
 
-// Call implements lang.Library.
-func (n *News) Call(name string, args []int64) (int64, error) {
+func (n *News) containsWord(args []int64) (int64, error) {
 	if !n.ok {
-		return 0, fmt.Errorf("data: news: no record selected")
+		return 0, errNoRecord("news")
 	}
+	if len(args) != 2 {
+		return 0, errArity("containsWord", 2, len(args))
+	}
+	for _, w := range n.cur {
+		if w == args[1] {
+			return 1, nil
+		}
+	}
+	return 0, nil
+}
+
+func (n *News) wordCount(args []int64) (int64, error) {
+	if !n.ok {
+		return 0, errNoRecord("news")
+	}
+	return int64(len(n.cur)), nil
+}
+
+func (n *News) wordLen(args []int64) (int64, error) {
+	if !n.ok {
+		return 0, errNoRecord("news")
+	}
+	if len(args) != 2 {
+		return 0, errArity("wordLen", 2, len(args))
+	}
+	i := args[1]
+	if i < 0 || i >= int64(len(n.cur)) {
+		return 0, fmt.Errorf("data: news: word index %d out of range", i)
+	}
+	return n.wordLens[n.cur[i]], nil
+}
+
+func (n *News) sumWordLen(args []int64) (int64, error) {
+	if !n.ok {
+		return 0, errNoRecord("news")
+	}
+	var s int64
+	for _, w := range n.cur {
+		s += n.wordLens[w]
+	}
+	return s, nil
+}
+
+// Resolve implements lang.DirectCaller.
+func (n *News) Resolve(name string) (func(args []int64) (int64, error), bool) {
 	switch name {
 	case "containsWord":
-		if len(args) != 2 {
-			return 0, errArity(name, 2, len(args))
-		}
-		for _, w := range n.cur {
-			if w == args[1] {
-				return 1, nil
-			}
-		}
-		return 0, nil
+		return n.containsWord, true
 	case "wordCount":
-		return int64(len(n.cur)), nil
+		return n.wordCount, true
 	case "wordLen":
-		if len(args) != 2 {
-			return 0, errArity(name, 2, len(args))
-		}
-		i := args[1]
-		if i < 0 || i >= int64(len(n.cur)) {
-			return 0, fmt.Errorf("data: news: word index %d out of range", i)
-		}
-		return n.wordLens[n.cur[i]], nil
+		return n.wordLen, true
 	case "sumWordLen":
-		var s int64
-		for _, w := range n.cur {
-			s += n.wordLens[w]
-		}
-		return s, nil
+		return n.sumWordLen, true
 	}
-	return 0, errNoFunc("news", name)
+	return nil, false
+}
+
+// Call implements lang.Library.
+func (n *News) Call(name string, args []int64) (int64, error) {
+	fn, ok := n.Resolve(name)
+	if !ok {
+		return 0, errNoFunc("news", name)
+	}
+	return fn(args)
 }
 
 // VocabLen exposes a vocabulary word's length; query generators use it to

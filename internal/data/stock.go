@@ -89,13 +89,17 @@ func (s *Stock) Clone() engine.RecordLibrary {
 // FuncCost implements lang.FuncCoster.
 func (s *Stock) FuncCost(name string) (int64, bool) { return s.costs.FuncCost(name) }
 
-// Call implements lang.Library.
-func (s *Stock) Call(name string, args []int64) (int64, error) {
+func (s *Stock) dayCount(args []int64) (int64, error) {
 	if !s.ok {
-		return 0, fmt.Errorf("data: stock: no record selected")
+		return 0, errNoRecord("stock")
 	}
-	if name == "dayCount" {
-		return int64(len(s.cur) / 3), nil
+	return int64(len(s.cur) / 3), nil
+}
+
+// at answers volumeAt, highAt and closeAt: column col of day args[1].
+func (s *Stock) at(name string, col int64, args []int64) (int64, error) {
+	if !s.ok {
+		return 0, errNoRecord("stock")
 	}
 	if len(args) != 2 {
 		return 0, errArity(name, 2, len(args))
@@ -104,13 +108,33 @@ func (s *Stock) Call(name string, args []int64) (int64, error) {
 	if i < 0 || i >= int64(len(s.cur)/3) {
 		return 0, fmt.Errorf("data: stock: day %d out of range", i)
 	}
+	return s.cur[i*3+col], nil
+}
+
+func (s *Stock) volumeAt(args []int64) (int64, error) { return s.at("volumeAt", 0, args) }
+func (s *Stock) highAt(args []int64) (int64, error)   { return s.at("highAt", 1, args) }
+func (s *Stock) closeAt(args []int64) (int64, error)  { return s.at("closeAt", 2, args) }
+
+// Resolve implements lang.DirectCaller.
+func (s *Stock) Resolve(name string) (func(args []int64) (int64, error), bool) {
 	switch name {
+	case "dayCount":
+		return s.dayCount, true
 	case "volumeAt":
-		return s.cur[i*3], nil
+		return s.volumeAt, true
 	case "highAt":
-		return s.cur[i*3+1], nil
+		return s.highAt, true
 	case "closeAt":
-		return s.cur[i*3+2], nil
+		return s.closeAt, true
 	}
-	return 0, errNoFunc("stock", name)
+	return nil, false
+}
+
+// Call implements lang.Library.
+func (s *Stock) Call(name string, args []int64) (int64, error) {
+	fn, ok := s.Resolve(name)
+	if !ok {
+		return 0, errNoFunc("stock", name)
+	}
+	return fn(args)
 }

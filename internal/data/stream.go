@@ -1,10 +1,6 @@
 package data
 
-import (
-	"fmt"
-
-	"consolidation/internal/engine"
-)
+import "consolidation/internal/engine"
 
 // Streaming datasets for the windowed-aggregation workload: unlike the
 // batch datasets (one record per city/airline/article), these are
@@ -100,23 +96,41 @@ func (w *WeatherStream) Clone() engine.RecordLibrary {
 // FuncCost implements lang.FuncCoster.
 func (w *WeatherStream) FuncCost(name string) (int64, bool) { return w.costs.FuncCost(name) }
 
-// Call implements lang.Library.
-func (w *WeatherStream) Call(name string, args []int64) (int64, error) {
+// field answers the accessors: column col of the decoded observation.
+func (w *WeatherStream) field(name string, col int, args []int64) (int64, error) {
 	if !w.decodedOK {
-		return 0, fmt.Errorf("data: weather stream: no record selected")
+		return 0, errNoRecord("weather stream")
 	}
 	if len(args) != 1 {
 		return 0, errArity(name, 1, len(args))
 	}
+	return w.cur[col], nil
+}
+
+func (w *WeatherStream) cityOf(args []int64) (int64, error)  { return w.field("cityOf", 0, args) }
+func (w *WeatherStream) tempObs(args []int64) (int64, error) { return w.field("tempObs", 1, args) }
+func (w *WeatherStream) rainObs(args []int64) (int64, error) { return w.field("rainObs", 2, args) }
+
+// Resolve implements lang.DirectCaller.
+func (w *WeatherStream) Resolve(name string) (func(args []int64) (int64, error), bool) {
 	switch name {
 	case "cityOf":
-		return w.cur[0], nil
+		return w.cityOf, true
 	case "tempObs":
-		return w.cur[1], nil
+		return w.tempObs, true
 	case "rainObs":
-		return w.cur[2], nil
+		return w.rainObs, true
 	}
-	return 0, errNoFunc("weather stream", name)
+	return nil, false
+}
+
+// Call implements lang.Library.
+func (w *WeatherStream) Call(name string, args []int64) (int64, error) {
+	fn, ok := w.Resolve(name)
+	if !ok {
+		return 0, errNoFunc("weather stream", name)
+	}
+	return fn(args)
 }
 
 // StockTicksConfig sizes the stock tick stream.
@@ -200,21 +214,39 @@ func (s *StockTicks) Clone() engine.RecordLibrary {
 // FuncCost implements lang.FuncCoster.
 func (s *StockTicks) FuncCost(name string) (int64, bool) { return s.costs.FuncCost(name) }
 
-// Call implements lang.Library.
-func (s *StockTicks) Call(name string, args []int64) (int64, error) {
+// field answers the accessors: column col of the decoded tick.
+func (s *StockTicks) field(name string, col int, args []int64) (int64, error) {
 	if !s.decodedOK {
-		return 0, fmt.Errorf("data: stock ticks: no record selected")
+		return 0, errNoRecord("stock ticks")
 	}
 	if len(args) != 1 {
 		return 0, errArity(name, 1, len(args))
 	}
+	return s.cur[col], nil
+}
+
+func (s *StockTicks) tickerOf(args []int64) (int64, error) { return s.field("tickerOf", 0, args) }
+func (s *StockTicks) priceOf(args []int64) (int64, error)  { return s.field("priceOf", 1, args) }
+func (s *StockTicks) volumeOf(args []int64) (int64, error) { return s.field("volumeOf", 2, args) }
+
+// Resolve implements lang.DirectCaller.
+func (s *StockTicks) Resolve(name string) (func(args []int64) (int64, error), bool) {
 	switch name {
 	case "tickerOf":
-		return s.cur[0], nil
+		return s.tickerOf, true
 	case "priceOf":
-		return s.cur[1], nil
+		return s.priceOf, true
 	case "volumeOf":
-		return s.cur[2], nil
+		return s.volumeOf, true
 	}
-	return 0, errNoFunc("stock ticks", name)
+	return nil, false
+}
+
+// Call implements lang.Library.
+func (s *StockTicks) Call(name string, args []int64) (int64, error) {
+	fn, ok := s.Resolve(name)
+	if !ok {
+		return 0, errNoFunc("stock ticks", name)
+	}
+	return fn(args)
 }

@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"consolidation/internal/engine"
 )
@@ -135,16 +136,18 @@ func GenTwitter(cfg TwitterConfig) *Twitter {
 // NumRecords implements engine.RecordLibrary.
 func (t *Twitter) NumRecords() int { return len(t.encoded) }
 
-// SetRecord implements engine.RecordLibrary.
+// SetRecord implements engine.RecordLibrary. A record without the '|'
+// separator selects nothing: every accessor then returns its "no record
+// selected" error.
 func (t *Twitter) SetRecord(i int) {
-	raw := t.encoded[i]
-	sep := 0
-	for raw[sep] != '|' {
-		sep++
+	_, toks, ok := strings.Cut(t.encoded[i], "|")
+	if ok {
+		t.cur = decodeInts(toks, t.cur)
+		t.curIdx = i
+	} else {
+		t.curIdx = -1
 	}
-	t.cur = decodeInts(raw[sep+1:], t.cur)
-	t.curIdx = i
-	t.ok = true
+	t.ok = ok
 	t.inLiteSpan = false
 }
 
@@ -217,7 +220,7 @@ func affinity(tok, class, space int64) int64 {
 
 func (t *Twitter) smileyCount(args []int64) (int64, error) {
 	if !t.ok {
-		return 0, fmt.Errorf("data: twitter: no record selected")
+		return 0, errNoRecord("twitter")
 	}
 	var c int64
 	for _, tok := range t.cur {
@@ -230,7 +233,7 @@ func (t *Twitter) smileyCount(args []int64) (int64, error) {
 
 func (t *Twitter) sentimentScore(args []int64) (int64, error) {
 	if !t.ok {
-		return 0, fmt.Errorf("data: twitter: no record selected")
+		return 0, errNoRecord("twitter")
 	}
 	if len(args) != 2 {
 		return 0, errArity("sentimentScore", 2, len(args))
@@ -249,7 +252,7 @@ func (t *Twitter) sentimentScore(args []int64) (int64, error) {
 
 func (t *Twitter) topicScore(args []int64) (int64, error) {
 	if !t.ok {
-		return 0, fmt.Errorf("data: twitter: no record selected")
+		return 0, errNoRecord("twitter")
 	}
 	if len(args) != 2 {
 		return 0, errArity("topicScore", 2, len(args))
@@ -268,14 +271,14 @@ func (t *Twitter) topicScore(args []int64) (int64, error) {
 
 func (t *Twitter) languageOf(args []int64) (int64, error) {
 	if t.curIdx < 0 {
-		return 0, fmt.Errorf("data: twitter: no record selected")
+		return 0, errNoRecord("twitter")
 	}
 	return t.langs[t.curIdx], nil
 }
 
 func (t *Twitter) followerCount(args []int64) (int64, error) {
 	if t.curIdx < 0 {
-		return 0, fmt.Errorf("data: twitter: no record selected")
+		return 0, errNoRecord("twitter")
 	}
 	return t.followers[t.curIdx], nil
 }

@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"strings"
 
 	"consolidation/internal/engine"
 )
@@ -86,20 +87,17 @@ func GenWeather(cfg WeatherConfig) *Weather {
 // NumRecords implements engine.RecordLibrary.
 func (w *Weather) NumRecords() int { return len(w.encoded) }
 
-// SetRecord implements engine.RecordLibrary: decodes city i's record.
+// SetRecord implements engine.RecordLibrary: decodes city i's record. A
+// record without the '|' separator selects nothing: every accessor then
+// returns its "no record selected" error.
 func (w *Weather) SetRecord(i int) {
 	w.cur = i
-	raw := w.encoded[i]
-	sep := -1
-	for j := 0; j < len(raw); j++ {
-		if raw[j] == '|' {
-			sep = j
-			break
-		}
+	temps, rains, ok := strings.Cut(w.encoded[i], "|")
+	if ok {
+		w.curTemps = decodeInts(temps, w.curTemps)
+		w.curRains = decodeInts(rains, w.curRains)
 	}
-	w.curTemps = decodeInts(raw[:sep], w.curTemps)
-	w.curRains = decodeInts(raw[sep+1:], w.curRains)
-	w.decodedOK = true
+	w.decodedOK = ok
 }
 
 // Clone implements engine.RecordLibrary.
@@ -110,57 +108,85 @@ func (w *Weather) Clone() engine.RecordLibrary {
 // FuncCost implements lang.FuncCoster.
 func (w *Weather) FuncCost(name string) (int64, bool) { return w.costs.FuncCost(name) }
 
-// Call implements lang.Library.
-func (w *Weather) Call(name string, args []int64) (int64, error) {
+// monthly answers tempOfMonth and rainOfMonth from the decoded series src.
+func (w *Weather) monthly(name string, src, args []int64) (int64, error) {
 	if !w.decodedOK {
-		return 0, fmt.Errorf("data: weather: no record selected")
+		return 0, errNoRecord("weather")
 	}
-	month := func(i int) (int, error) {
-		m := int(args[i])
-		if m < 1 || m > len(w.curTemps) {
-			return 0, fmt.Errorf("data: weather: month %d out of range", m)
-		}
-		return m - 1, nil
+	if len(args) != 2 {
+		return 0, errArity(name, 2, len(args))
 	}
+	m := args[1]
+	if m < 1 || m > int64(len(src)) {
+		return 0, fmt.Errorf("data: weather: month %d out of range", m)
+	}
+	return src[m-1], nil
+}
+
+// yearly answers yearlyAvgTemp and yearlyAvgRain from the decoded series src.
+func (w *Weather) yearly(name string, src, args []int64) (int64, error) {
+	if !w.decodedOK {
+		return 0, errNoRecord("weather")
+	}
+	if len(args) != 2 {
+		return 0, errArity(name, 2, len(args))
+	}
+	y := args[1]
+	if y < 1 || y > int64(len(src))/12 {
+		return 0, fmt.Errorf("data: weather: year %d out of range", y)
+	}
+	var sum int64
+	for _, v := range src[(y-1)*12 : y*12] {
+		sum += v
+	}
+	return sum / 12, nil
+}
+
+func (w *Weather) tempOfMonth(args []int64) (int64, error) {
+	return w.monthly("tempOfMonth", w.curTemps, args)
+}
+
+func (w *Weather) rainOfMonth(args []int64) (int64, error) {
+	return w.monthly("rainOfMonth", w.curRains, args)
+}
+
+func (w *Weather) yearlyAvgTemp(args []int64) (int64, error) {
+	return w.yearly("yearlyAvgTemp", w.curTemps, args)
+}
+
+func (w *Weather) yearlyAvgRain(args []int64) (int64, error) {
+	return w.yearly("yearlyAvgRain", w.curRains, args)
+}
+
+func (w *Weather) monthCount(args []int64) (int64, error) {
+	if !w.decodedOK {
+		return 0, errNoRecord("weather")
+	}
+	return int64(len(w.curTemps)), nil
+}
+
+// Resolve implements lang.DirectCaller.
+func (w *Weather) Resolve(name string) (func(args []int64) (int64, error), bool) {
 	switch name {
 	case "tempOfMonth":
-		if len(args) != 2 {
-			return 0, errArity(name, 2, len(args))
-		}
-		m, err := month(1)
-		if err != nil {
-			return 0, err
-		}
-		return w.curTemps[m], nil
+		return w.tempOfMonth, true
 	case "rainOfMonth":
-		if len(args) != 2 {
-			return 0, errArity(name, 2, len(args))
-		}
-		m, err := month(1)
-		if err != nil {
-			return 0, err
-		}
-		return w.curRains[m], nil
-	case "yearlyAvgTemp", "yearlyAvgRain":
-		if len(args) != 2 {
-			return 0, errArity(name, 2, len(args))
-		}
-		y := int(args[1])
-		lo, hi := (y-1)*12, y*12
-		if y < 1 || hi > len(w.curTemps) {
-			return 0, fmt.Errorf("data: weather: year %d out of range", y)
-		}
-		src := w.curTemps
-		if name == "yearlyAvgRain" {
-			src = w.curRains
-		}
-		var sum int64
-		for m := lo; m < hi; m++ {
-			sum += src[m]
-		}
-		return sum / 12, nil
+		return w.rainOfMonth, true
+	case "yearlyAvgTemp":
+		return w.yearlyAvgTemp, true
+	case "yearlyAvgRain":
+		return w.yearlyAvgRain, true
 	case "monthCount":
-		return int64(len(w.curTemps)), nil
+		return w.monthCount, true
 	}
-	return 0, errNoFunc("weather", name)
+	return nil, false
+}
+
+// Call implements lang.Library.
+func (w *Weather) Call(name string, args []int64) (int64, error) {
+	fn, ok := w.Resolve(name)
+	if !ok {
+		return 0, errNoFunc("weather", name)
+	}
+	return fn(args)
 }

@@ -70,7 +70,7 @@ func whereLive[S any, ID comparable](data RecordLibrary, opts Options,
 			m.SuppressedNotifies += w.suppressed
 			m.PendingRuns += em.PendingRuns
 			m.UDFCost += em.UDFCost
-			m.UDFTime += em.UDFTime
+			m.UDFTime += w.ev.udfTime()
 			m.Admitted += em.Admitted
 			m.Rejected += em.Rejected
 			m.GuardCost += em.GuardCost

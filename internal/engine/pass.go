@@ -87,14 +87,62 @@ func (o Options) span(b, n int) (lo, hi int) {
 	return lo, min(lo+o.batchSize(), n)
 }
 
+// udfClockStride is the sampling interval of udfClock: one record in this
+// many has its UDF runs timed.
+const udfClockStride = 8
+
+// udfClock estimates the wall time a worker spends in UDF evaluation after
+// the full decode without reading the clock around every run. A run is one
+// start/stop bracket — a merged program, a cluster's pending queries, a
+// post-decode guard, or one WhereMany record's UDFs; the runs of the records
+// whose index is a multiple of udfClockStride are timed, and total scales
+// their sum by runs ÷ timed runs. The sample is keyed by record index, not
+// batch position, so the same records are timed at every BatchSize. A timed
+// run includes about one clock read, as every run did when all were timed;
+// scaled, that read is no longer time the pass spent, so for UDFs much
+// cheaper than a clock read the estimate overstates.
+type udfClock struct {
+	now    func() time.Time
+	t0     time.Time
+	timing bool          // the open run is a timed one
+	sum    time.Duration // over the timed runs
+	runs   int64
+	timed  int64
+}
+
+func newUDFClock() udfClock { return udfClock{now: time.Now} }
+
+// start opens a run on record i; stop closes it.
+func (c *udfClock) start(i int) {
+	c.runs++
+	if c.timing = i%udfClockStride == 0; c.timing {
+		c.t0 = c.now()
+	}
+}
+
+func (c *udfClock) stop() {
+	if c.timing {
+		c.sum += c.now().Sub(c.t0)
+		c.timed++
+	}
+}
+
+// total is the estimated wall time of all runs; zero when none was timed.
+func (c *udfClock) total() time.Duration {
+	if c.timed == 0 {
+		return 0
+	}
+	return time.Duration(float64(c.sum) * float64(c.runs) / float64(c.timed))
+}
+
 // passMetrics are the evaluator's worker-local totals. Each is a per-record
 // sum, so folding the workers' copies in any order gives the same pass
 // totals at every Workers × BatchSize.
 type passMetrics struct {
-	UDFCost     int64 // guards + merged programs + pending queries
-	GuardCost   int64 // the guards' share of UDFCost
-	UDFTime     time.Duration
-	Admitted    int // per-(record, cluster) admission verdicts
+	UDFCost     int64         // guards + merged programs + pending queries
+	GuardCost   int64         // the guards' share of UDFCost
+	GuardTime   time.Duration // stage A, timed per batch
+	Admitted    int           // per-(record, cluster) admission verdicts
 	Rejected    int
 	PendingRuns int
 }
@@ -145,10 +193,11 @@ type evaluator struct {
 	// some query is pending, or a guard has to run after the full decode.
 	liteGuards, always bool
 	m                  passMetrics
+	clock              udfClock // stage B's UDF runs
 }
 
 func newEvaluator(lib RecordLibrary, opts Options) *evaluator {
-	e := &evaluator{lib: lib, opts: opts}
+	e := &evaluator{lib: lib, opts: opts, clock: newUDFClock()}
 	e.lite, _ = lib.(LiteRecordLibrary)
 	e.span, _ = lib.(LiteSpanLibrary)
 	return e
@@ -234,6 +283,10 @@ func (e *evaluator) swap(snaps []*registry.Snapshot) error {
 	return nil
 }
 
+// udfTime is the worker's UDF evaluation time: the guard stage's measured
+// time plus the sampled clock's estimate for the runs after the full decode.
+func (e *evaluator) udfTime() time.Duration { return e.m.GuardTime + e.clock.total() }
+
 // evalBatch runs records [lo, hi) against the current generation, into the
 // clusters' scratch rows. Steady state performs no allocations.
 func (e *evaluator) evalBatch(lo, hi int) error {
@@ -259,7 +312,7 @@ func (e *evaluator) evalBatch(lo, hi int) error {
 				}
 			}
 		}
-		e.m.UDFTime += time.Since(t0)
+		e.m.GuardTime += time.Since(t0)
 		if !e.always && e.m.Rejected-rej0 == verdicts {
 			return nil // nothing admitted, nothing pending: no full decode at all
 		}
@@ -267,8 +320,8 @@ func (e *evaluator) evalBatch(lo, hi int) error {
 
 	// Stage B: one full decode per record some cluster admitted, shared by
 	// the admitted clusters' merged programs and the pending queries, which
-	// run verbatim whatever the guards said. VM runs are timed per record,
-	// excluding the decode.
+	// run verbatim whatever the guards said. VM runs go through the sampled
+	// clock, which excludes the decode.
 	for i := lo; i < hi; i++ {
 		k := i - lo
 		run := e.always
@@ -285,9 +338,9 @@ func (e *evaluator) evalBatch(lo, hi int) error {
 				// No lite decode available: the guard runs after the full
 				// decode, fused into this stage — the decode is shared,
 				// exactly as on a lite-capable dataset's admitted path.
-				t0 := time.Now()
+				e.clock.start(i)
 				err := e.runGuard(c, i, k)
-				e.m.UDFTime += time.Since(t0)
+				e.clock.stop()
 				if err != nil {
 					return err
 				}
@@ -295,9 +348,9 @@ func (e *evaluator) evalBatch(lo, hi int) error {
 			if !c.admit[k] || c.mergedRn == nil {
 				continue
 			}
-			t0 := time.Now()
+			e.clock.start(i)
 			cost, err := c.mergedRn.RunDense1(int64(i))
-			e.m.UDFTime += time.Since(t0)
+			e.clock.stop()
 			if err != nil {
 				return fmt.Errorf("engine: consolidated program (gen %d) on record %d: %w", c.gen, i, err)
 			}
@@ -319,7 +372,7 @@ func (e *evaluator) evalBatch(lo, hi int) error {
 			if np == 0 {
 				continue
 			}
-			t0 := time.Now()
+			e.clock.start(i)
 			for j, rn := range c.pendRns {
 				cost, err := rn.RunDense1(int64(i))
 				if err != nil {
@@ -334,7 +387,7 @@ func (e *evaluator) evalBatch(lo, hi int) error {
 				e.m.UDFCost += cost
 				e.m.PendingRuns++
 			}
-			e.m.UDFTime += time.Since(t0)
+			e.clock.stop()
 		}
 	}
 	e.m.Admitted += verdicts - (e.m.Rejected - rej0)

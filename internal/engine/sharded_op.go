@@ -28,7 +28,10 @@ type ShardedMetrics struct {
 	SuppressedNotifies int
 	// UDFCost sums the abstract cost of every cluster's guard, merged
 	// program, and pending queries; GuardCost is the guards' share of it.
-	UDFCost   int64
+	UDFCost int64
+	// UDFTime is the Metrics.UDFTime estimate: stage A measured per batch,
+	// stage B's merged-program and pending runs sampled on every eighth
+	// record and scaled.
 	UDFTime   time.Duration
 	TotalTime time.Duration
 	// Admitted and Rejected count per-(record, cluster) admission verdicts:
