@@ -16,8 +16,8 @@
 //     internal/consolidate),
 //   - a miniature dataflow engine with whereMany / whereConsolidated
 //     operators, datasets and query workloads reproducing the paper's
-//     evaluation (internal/engine, internal/data, internal/queries,
-//     internal/bench).
+//     evaluation (internal/engine, internal/data, internal/queries;
+//     cmd/figures prints the paper's tables).
 //
 // Quick start:
 //

@@ -14,7 +14,6 @@ import (
 	"log"
 	"time"
 
-	"consolidation/internal/bench"
 	"consolidation/internal/consolidate"
 	"consolidation/internal/data"
 	"consolidation/internal/engine"
@@ -58,15 +57,6 @@ func main() {
 	fmt.Printf("loop fusions  Loop2=%d Loop3=%d  (merged program: %d AST nodes)\n",
 		cons.Multi.Rules.Loop2, cons.Multi.Rules.Loop3, cons.Multi.OutputSize)
 
-	// The same experiment through the Figure 9 harness.
-	o, err := bench.Run(bench.Config{Domain: "stock", Family: "Q2", NumUDFs: 50, Scale: 0.05, Seed: 3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nharness row:")
-	fmt.Println(bench.Header())
-	fmt.Println(o.Row())
-
 	// Act two — the windowed workload. Six rolling aggregations over a
 	// trade tick stream, each windowing the last 10 ticks per instrument
 	// (OHLC-style per-ticker windows). All six share one window spec, so
@@ -103,13 +93,4 @@ func main() {
 	fmt.Printf("UDF time      %s -> %s (+ %s consolidation)\n",
 		manyAgg.UDFTime.Round(time.Millisecond), consAgg.UDFTime.Round(time.Millisecond),
 		consAgg.ConsolidateTime.Round(time.Millisecond))
-
-	// And the aggregation harness row cmd/aggbench gates in CI.
-	ao, err := bench.RunAgg(bench.AggConfig{Domain: "stock", Window: 10, Keyed: true, NumAggs: 6, Scale: 0.05, Seed: 3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\naggregation harness row:")
-	fmt.Println(bench.AggHeader())
-	fmt.Println(ao.AggRow())
 }

@@ -56,7 +56,7 @@ type Options struct {
 	// change before re-consolidating, so bursts coalesce into one rebuild.
 	// Zero (or negative) disables the worker: the registry still publishes
 	// delta snapshots on every change, but rebuilds only when the caller
-	// invokes Rebuild or Flush — the mode cmd/live uses to time each one.
+	// invokes Rebuild or Flush — the mode the benchmark uses to time each one.
 	Debounce time.Duration
 	// MaxLag bounds how long a change may wait while further changes keep
 	// resetting the debounce window; 0 means 8×Debounce.

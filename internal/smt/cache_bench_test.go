@@ -14,15 +14,19 @@ func benchFormulas(n int) (*logic.Interner, []logic.NodeID, []uint64) {
 	ids := make([]logic.NodeID, n)
 	hs := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		f := logic.And(
-			le(n_(int64(i)), x()),
-			lt(x(), n_(int64(i)+7)),
-			eq(logic.TApp{Func: "f", Args: []logic.Term{x()}}, y()),
-		)
-		ids[i] = in.InternFormula(f)
+		ids[i] = in.InternFormula(benchFormula(int64(i)))
 		hs[i] = in.Hash(ids[i])
 	}
 	return in, ids, hs
+}
+
+// benchFormula is the i-th of a family of distinct small conjunctions.
+func benchFormula(i int64) logic.Formula {
+	return logic.And(
+		le(n_(i), x()),
+		lt(x(), n_(i+7)),
+		eq(logic.TApp{Func: "f", Args: []logic.Term{x()}}, y()),
+	)
 }
 
 func n_(v int64) logic.Term { return logic.Num(v) }
@@ -64,6 +68,22 @@ func BenchmarkCachePut(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckCached times what TestCheckCachedAllocation bounds: a
+// cache-served Solver.Check, interner walk and lookup included.
+func BenchmarkCheckCached(b *testing.B) {
+	s := New()
+	fs := make([]logic.Formula, 8)
+	for k := range fs {
+		fs[k] = benchFormula(int64(k))
+		s.Check(fs[k])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Check(fs[i&7])
+	}
+}
+
 // TestCacheGetHitAllocation pins the lookup hot path allocation-free: with
 // the hash precomputed at interning time, a Get is a mask, a mutex, and a
 // bucket scan — no rendering, no hashing, no garbage.
@@ -91,11 +111,7 @@ func TestCacheGetHitAllocation(t *testing.T) {
 // an allocation count proportional to formula size.
 func TestCheckCachedAllocation(t *testing.T) {
 	s := New()
-	f := logic.And(
-		le(n_(0), x()),
-		lt(x(), n_(7)),
-		eq(logic.TApp{Func: "f", Args: []logic.Term{x()}}, y()),
-	)
+	f := benchFormula(0)
 	if got := s.Check(f); got != Sat {
 		t.Fatalf("Check = %v, want Sat", got)
 	}
