@@ -26,24 +26,33 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"consolidation/internal/lang"
 	"consolidation/internal/oracle"
 )
 
+// finding is one failure with the table row that reported it.
+type finding struct {
+	check *oracle.Check
+	f     *oracle.Failure
+}
+
 func main() {
+	var names []string
+	for _, c := range oracle.Checks {
+		names = append(names, c.Name)
+	}
 	var (
-		n             = flag.Int("n", 500, "number of seeds to run")
-		seed          = flag.Int64("seed", 1, "base seed; iteration i uses seed+i")
-		events        = flag.Int("events", 5, "churn events per registry check")
-		registryEvery = flag.Int("registry-every", 4, "run the registry churn check on seeds divisible by k (0 disables)")
-		shardEvery    = flag.Int("shard-every", 4, "run the sharded-registry check on seeds where (seed+2) is divisible by k (0 disables)")
-		checks        = flag.String("checks", "consolidate,exec,prefilter,batch,aggregate,registry,shard,smt,context,intern", "comma-separated checks to run")
-		shrinkBudget  = flag.Int("shrink-budget", oracle.DefaultShrinkBudget, "re-check budget per shrink")
-		out           = flag.String("out", "oracle-failures", "directory for minimized reproducers")
-		jobs          = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent iterations")
-		verbose       = flag.Bool("v", false, "log every iteration")
+		n            = flag.Int("n", 500, "number of seeds to run")
+		seed         = flag.Int64("seed", 1, "base seed; iteration i uses seed+i")
+		events       = flag.Int("events", 5, "churn events per registry / shard check")
+		checks       = flag.String("checks", strings.Join(names, ","), "comma-separated checks to run")
+		shrinkBudget = flag.Int("shrink-budget", oracle.DefaultShrinkBudget, "re-check budget per shrink")
+		out          = flag.String("out", "oracle-failures", "directory for minimized reproducers")
+		jobs         = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent iterations")
+		verbose      = flag.Bool("v", false, "log every iteration")
 	)
 	flag.Parse()
 
@@ -55,11 +64,8 @@ func main() {
 	start := time.Now()
 	var (
 		mu       sync.Mutex
-		failures []*oracle.Failure
-		ran      struct {
-			consolidate, exec, prefilter, batch, aggregate int
-			registry, shard, smt, context, intern          int
-		}
+		failures []finding
+		ran      = make([]atomic.Int64, len(oracle.Checks))
 	)
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -69,87 +75,18 @@ func main() {
 			defer wg.Done()
 			for i := range work {
 				s := *seed + int64(i)
-				var found []*oracle.Failure
-				var c, e, pf, bp, ag, r, sh, m, x, it int
-				if enabled["consolidate"] {
-					b := oracle.Generate(s, shapeFor(s))
-					c++
-					if f := oracle.CheckConsolidation(b); f != nil {
-						found = append(found, f)
+				var found []finding
+				for ci := range oracle.Checks {
+					c := &oracle.Checks[ci]
+					if !enabled[c.Name] || !c.Selects(s) {
+						continue
 					}
-				}
-				if enabled["exec"] {
-					b := oracle.Generate(s, shapeFor(s))
-					e++
-					if f := oracle.CheckExecutor(b); f != nil {
-						found = append(found, f)
-					}
-				}
-				if enabled["prefilter"] {
-					b := oracle.Generate(s, shapeFor(s))
-					pf++
-					if f := oracle.CheckPrefilter(b); f != nil {
-						found = append(found, f)
-					}
-				}
-				if enabled["batch"] {
-					b := oracle.Generate(s, shapeFor(s))
-					bp++
-					if f := oracle.CheckBatchParity(b); f != nil {
-						found = append(found, f)
-					}
-				}
-				if enabled["aggregate"] {
-					ag++
-					if f := oracle.CheckAggregate(oracle.GenAggCase(s)); f != nil {
-						found = append(found, f)
-					}
-				}
-				if enabled["registry"] && *registryEvery > 0 && s%int64(*registryEvery) == 0 {
-					o := shapeFor(s)
-					o.Programs = 2
-					r++
-					if f := oracle.CheckRegistry(oracle.Generate(s, o), *events); f != nil {
-						found = append(found, f)
-					}
-				}
-				if enabled["shard"] && *shardEvery > 0 && (s+2)%int64(*shardEvery) == 0 {
-					o := shapeFor(s)
-					o.Programs = 2
-					sh++
-					if f := oracle.CheckSharded(oracle.Generate(s, o), *events); f != nil {
-						found = append(found, f)
-					}
-				}
-				if enabled["smt"] {
-					m++
-					if f := oracle.CheckSMT(s); f != nil {
-						found = append(found, f)
-					}
-				}
-				if enabled["context"] {
-					x++
-					if f := oracle.CheckSMTContext(s); f != nil {
-						found = append(found, f)
-					}
-				}
-				if enabled["intern"] {
-					it++
-					if f := oracle.CheckInterner(s); f != nil {
-						found = append(found, f)
+					ran[ci].Add(1)
+					if f := c.Run(s, *events); f != nil {
+						found = append(found, finding{c, f})
 					}
 				}
 				mu.Lock()
-				ran.consolidate += c
-				ran.exec += e
-				ran.prefilter += pf
-				ran.batch += bp
-				ran.aggregate += ag
-				ran.registry += r
-				ran.shard += sh
-				ran.smt += m
-				ran.context += x
-				ran.intern += it
 				failures = append(failures, found...)
 				if *verbose {
 					fmt.Printf("seed %d: %d failure(s)\n", s, len(found))
@@ -164,48 +101,37 @@ func main() {
 	close(work)
 	wg.Wait()
 
-	sort.Slice(failures, func(i, j int) bool { return failures[i].Seed < failures[j].Seed })
-	for _, f := range failures {
-		fmt.Fprintf(os.Stderr, "FAIL %v\n", f)
-		g := oracle.Shrink(f, *shrinkBudget)
-		if dir, err := writeReproducer(*out, g); err != nil {
+	sort.SliceStable(failures, func(i, j int) bool { return failures[i].f.Seed < failures[j].f.Seed })
+	for _, fd := range failures {
+		fmt.Fprintf(os.Stderr, "FAIL %v\n", fd.f)
+		g := oracle.Shrink(fd.f, *shrinkBudget)
+		if dir, err := writeReproducer(*out, fd.check, g, *events); err != nil {
 			fmt.Fprintf(os.Stderr, "  (could not write reproducer: %v)\n", err)
 		} else {
 			fmt.Fprintf(os.Stderr, "  minimized reproducer: %s\n", dir)
 		}
 	}
-	fmt.Printf("oracle: %d seeds from %d in %s — %d consolidation, %d executor, %d prefilter, %d batch-parity, %d aggregate, %d registry, %d shard, %d smt, %d context, %d interner checks, %d failure(s)\n",
-		*n, *seed, time.Since(start).Round(time.Millisecond), ran.consolidate, ran.exec, ran.prefilter, ran.batch, ran.aggregate, ran.registry, ran.shard, ran.smt, ran.context, ran.intern, len(failures))
+	var counts []string
+	for ci, c := range oracle.Checks {
+		counts = append(counts, fmt.Sprintf("%d %s", ran[ci].Load(), c.Name))
+	}
+	fmt.Printf("oracle: %d seeds from %d in %s — %s checks, %d failure(s)\n",
+		*n, *seed, time.Since(start).Round(time.Millisecond), strings.Join(counts, ", "), len(failures))
 	if len(failures) > 0 {
 		os.Exit(1)
 	}
 }
 
-// shapeFor rotates batch shapes across seeds so a campaign covers small
-// and large batches, shallow and deep nesting — not 500 samples of one
-// silhouette. The shape is a function of the seed alone so that the
-// README's "-n 1 -seed S" replay line reruns exactly the batch that
-// failed in a campaign.
-func shapeFor(seed int64) oracle.GenOptions {
-	o := oracle.DefaultGenOptions()
-	o.Mix = oracle.Mix(seed % 3)
-	o.Programs = 2 + int((seed/3)%3)
-	o.TopStmts = 2 + int((seed/9)%2)
-	if (seed/18)%5 == 4 {
-		o.Depth = 3
-	}
-	return o
-}
-
 // writeReproducer persists one shrunk failure under dir, returning the
-// created path.
-func writeReproducer(root string, f *oracle.Failure) (string, error) {
+// created path. The replay line names the check and the trace length: the
+// churn rows run only on their own seeds and replay a trace of that length.
+func writeReproducer(root string, c *oracle.Check, f *oracle.Failure, events int) (string, error) {
 	dir := filepath.Join(root, fmt.Sprintf("seed%d-%s", f.Seed, f.Check))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	readme := fmt.Sprintf("check: %s\nseed: %d\n\n%s\n\nReplay: go run ./cmd/oracle -n 1 -seed %d\n",
-		f.Check, f.Seed, f.Msg, f.Seed)
+	readme := fmt.Sprintf("check: %s\nseed: %d\n\n%s\n\nReplay: go run ./cmd/oracle -n 1 -seed %d -checks %s -events %d\n",
+		f.Check, f.Seed, f.Msg, f.Seed, c.Name, events)
 	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte(readme), 0o644); err != nil {
 		return "", err
 	}

@@ -157,7 +157,3 @@ func (n *News) Call(name string, args []int64) (int64, error) {
 	}
 	return fn(args)
 }
-
-// VocabLen exposes a vocabulary word's length; query generators use it to
-// pick realistic thresholds.
-func (n *News) VocabLen(w int) int64 { return n.wordLens[w] }

@@ -20,12 +20,6 @@ type WeatherStreamConfig struct {
 	Seed  int64
 }
 
-// DefaultWeatherStreamConfig is the benchmark configuration: a day of
-// observations for 40 stations.
-func DefaultWeatherStreamConfig() WeatherStreamConfig {
-	return WeatherStreamConfig{Cities: 40, Hours: 24, Seed: 1}
-}
-
 // WeatherStream is an hourly observation stream.
 //
 // Library functions (r is the record handle):
@@ -140,11 +134,6 @@ type StockTicksConfig struct {
 	// Ticks is the number of ticks per instrument.
 	Ticks int
 	Seed  int64
-}
-
-// DefaultStockTicksConfig is the benchmark configuration.
-func DefaultStockTicksConfig() StockTicksConfig {
-	return StockTicksConfig{Tickers: 25, Ticks: 40, Seed: 1}
 }
 
 // StockTicks is a trade tick stream for OHLC-style windows.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"consolidation/internal/consolidate"
 	"consolidation/internal/lang"
@@ -223,17 +222,14 @@ func TestEvaluatorZeroAlloc(t *testing.T) {
 			}
 			return []*registry.Snapshot{{Compiled: mergedC, Slots: make([]registry.QueryID, len(udfs)), Guard: prefilter.Synthesize(merged, *pf)}}
 		}},
-		// WhereRegistry: one registry snapshot, one post-rebuild addition
-		// exercising the verbatim pending stage.
+		// One cluster's registry snapshot with a post-rebuild addition (no
+		// rebuild follows, so it stays pending) exercising the verbatim
+		// pending stage.
 		{"registry", 1, true, func(t *testing.T) []*registry.Snapshot {
-			reg, err := registry.New(registry.Options{
-				Debounce:  time.Hour, // freeze background rebuilds: the pending query must stay pending
-				Prefilter: pf,
-			})
+			reg, err := registry.New(registry.Options{Prefilter: pf})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { reg.Close() })
 			for _, p := range gatedToyUDFs(2, 60) {
 				if _, err := reg.Add(p); err != nil {
 					t.Fatal(err)
@@ -249,9 +245,7 @@ func TestEvaluatorZeroAlloc(t *testing.T) {
 		}},
 		// WhereSharded: several guarded clusters plus a pending query.
 		{"sharded", 2, true, func(t *testing.T) []*registry.Snapshot {
-			sh, greg, _, _, _ := shardedFixture(t, d, 4)
-			t.Cleanup(func() { sh.Close() })
-			greg.Close() // fixture convenience; unused here
+			sh, _ := shardedFixture(t, d, 4, 2)
 			if _, err := sh.Flush(); err != nil {
 				t.Fatal(err)
 			}

@@ -12,25 +12,23 @@
 // Comparing the two isolates exactly the benefit of UDF consolidation, as
 // in Figures 9 and 10.
 //
-// Every pass — these two, the live WhereRegistry and WhereSharded, and the
-// windowed aggregations — runs on one claim loop (runClaims): the record
+// Every pass — these two, the live WhereSharded, and the windowed
+// aggregations — runs on one claim loop (runClaims): the record
 // stream is cut into fixed-size contiguous batches that workers claim
 // dynamically. Every merged program runs in one evaluator (pass.go): per
 // batch, the admission guards over the lite-decode span, then one full
 // decode per admitted record and the merged-program VMs, so snapshot checks
 // and guard setup are amortized across the batch, and the UDF clock is read
-// on a one-in-eight sample of records (udfClock). The static
-// pass, a registry snapshot and a sharded snapshot are three configurations
-// of it. Verdicts, costs, and per-notification stamps are byte-identical at
-// every Workers/BatchSize combination: every accumulation a pass performs
-// is a commutative sum, and each verdict row is written by exactly one
-// worker.
+// on a one-in-eight sample of records (udfClock). The static pass and a
+// sharded snapshot are two configurations of it. Verdicts, costs, and
+// per-notification stamps are byte-identical at every Workers/BatchSize
+// combination: every accumulation a pass performs is a commutative sum, and
+// each verdict row is written by exactly one worker.
 package engine
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"consolidation/internal/consolidate"
@@ -452,15 +450,4 @@ func SameResults(a, b *Result) bool {
 		}
 	}
 	return true
-}
-
-// TopSelective returns the udf indices sorted by selectivity (fewest
-// matches first); a convenience for reports.
-func TopSelective(r *Result) []int {
-	idx := make([]int, len(r.Selected))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return r.Selected[idx[i]] < r.Selected[idx[j]] })
-	return idx
 }

@@ -185,18 +185,6 @@ func TestRuntimeErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestTopSelective(t *testing.T) {
-	d := toy(100)
-	res, err := WhereMany(d, thresholdUDFs(40, 10, 25), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := TopSelective(res)
-	if order[0] != 1 || order[2] != 0 {
-		t.Fatalf("TopSelective = %v with selected %v", order, res.Selected)
-	}
-}
-
 // multiSiteUDFs build programs that each broadcast the SAME id from two
 // notify sites in exclusive branches. Before consolidation renumbers ids to
 // slot positions, every program collides with every other on that id.

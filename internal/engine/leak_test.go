@@ -171,9 +171,7 @@ func TestWorkerPanicContained(t *testing.T) {
 	d := &panicToy{newLiteToy(n), at}
 	opts := Options{Workers: 4, BatchSize: 16}
 	udfs := gatedToyUDFs(3, 0) // key >= 0 always holds: every record reaches the full decode
-	sh, greg, _, _, _ := shardedFixture(t, d.liteToy, 4)
-	defer sh.Close()
-	greg.Close()
+	sh, _ := shardedFixture(t, d.liteToy, 4, 2)
 	if _, err := sh.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -175,9 +175,8 @@ type evalCluster struct {
 // evaluator is the one place a guard or a merged program runs: a worker's
 // guard → decode → VM sequence over one batch of records against the
 // clusters of one generation. WhereSharded swaps it to each cross-cluster
-// snapshot, WhereRegistry to each registry snapshot as a single cluster,
-// and WhereConsolidated to one fixed cluster that never swaps; publishing
-// the verdict rows is the only per-operator step.
+// snapshot and WhereConsolidated to one fixed cluster that never swaps;
+// publishing the verdict rows is the only per-operator step.
 type evaluator struct {
 	lib  RecordLibrary
 	lite LiteRecordLibrary // nil: guards run after the full decode

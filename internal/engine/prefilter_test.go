@@ -5,6 +5,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"consolidation/internal/lang"
 	"consolidation/internal/prefilter"
 	"consolidation/internal/registry"
+	"consolidation/internal/shard"
 )
 
 // gatedTwitterUDFs builds n UDFs that gate an expensive scan behind the
@@ -135,12 +137,12 @@ func TestWhereConsolidatedTrivialGuardLegacy(t *testing.T) {
 	}
 }
 
-// TestWhereRegistryPrefilterChurn streams records through a registry whose
-// query set changes mid-stream while guards are enabled, and checks against
-// a per-generation reference: a stale guard must never filter a record the
-// serving snapshot's query set would notify on — in particular a freshly
-// added (pending) query must bypass the guard entirely.
-func TestWhereRegistryPrefilterChurn(t *testing.T) {
+// TestWhereShardedPrefilterChurn streams records through a one-cluster
+// registry whose query set changes mid-stream while guards are enabled, and
+// checks against a per-generation reference: a stale guard must never
+// filter a record the serving snapshot's query set would notify on — in
+// particular a freshly added (pending) query must bypass the guard entirely.
+func TestWhereShardedPrefilterChurn(t *testing.T) {
 	// The churn events land on multiples of 50: batch=1 is the
 	// record-at-a-time reference, 25 and 50 hit every event exactly at a
 	// batch boundary, and 100 defers the first event past its record index
@@ -148,12 +150,12 @@ func TestWhereRegistryPrefilterChurn(t *testing.T) {
 	// the following record".
 	for _, bsize := range []int{1, 25, 50, 100} {
 		t.Run(fmt.Sprintf("batch=%d", bsize), func(t *testing.T) {
-			testWhereRegistryPrefilterChurn(t, bsize)
+			testWhereShardedPrefilterChurn(t, bsize)
 		})
 	}
 }
 
-func testWhereRegistryPrefilterChurn(t *testing.T, bsize int) {
+func testWhereShardedPrefilterChurn(t *testing.T, bsize int) {
 	tw := data.GenTwitter(data.TwitterConfig{Tweets: 400, Seed: 19})
 	thr := tw.FollowerQuantile(0.9)
 	udfs := gatedTwitterUDFs(4, thr)
@@ -161,12 +163,15 @@ func testWhereRegistryPrefilterChurn(t *testing.T, bsize int) {
 	// stale guard knows nothing about it and must not suppress it.
 	loose := lang.MustParse(`func loose(r) { notify 9 (languageOf(r) == 1); }`)
 
-	reg, err := registry.New(registry.Options{Prefilter: &prefilter.Options{Coster: tw, MaxCallCost: tw.LiteCostBound()}})
+	reg, err := shard.New(shard.Options{
+		Registry:       registry.Options{Prefilter: &prefilter.Options{Coster: tw, MaxCallCost: tw.LiteCostBound()}},
+		MaxClusterSize: math.MaxInt,
+		MinSimilarity:  -1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
-	var ids []registry.QueryID
+	var ids []shard.QueryID
 	for _, p := range udfs[:3] {
 		id, err := reg.Add(p)
 		if err != nil {
@@ -177,7 +182,7 @@ func testWhereRegistryPrefilterChurn(t *testing.T, bsize int) {
 	if _, err := reg.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if g := reg.Snapshot().Guard; g == nil || g.Trivial {
+	if g := reg.Snapshot().Clusters[0].Snap.Guard; g == nil || g.Trivial {
 		t.Fatalf("expected non-trivial guard after rebuild")
 	}
 
@@ -186,7 +191,7 @@ func testWhereRegistryPrefilterChurn(t *testing.T, bsize int) {
 	// tail streams against a fresh guard. Events whose record index falls
 	// inside a batch take effect at the next batch boundary — the batched
 	// equivalent of "at the next record boundary".
-	var looseID registry.QueryID
+	var looseID shard.QueryID
 	src := &scriptedSource{reg: reg, bsize: bsize, at: map[int]func(){
 		50: func() {
 			id, err := reg.Add(loose)
@@ -207,7 +212,7 @@ func testWhereRegistryPrefilterChurn(t *testing.T, bsize int) {
 		},
 	}}
 	// One worker: the script is keyed on the serial order of batch loads.
-	res, err := engine.WhereRegistry(tw, src, engine.Options{Workers: 1, BatchSize: bsize})
+	res, err := engine.WhereSharded(tw, src, engine.Options{Workers: 1, BatchSize: bsize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +231,7 @@ func testWhereRegistryPrefilterChurn(t *testing.T, bsize int) {
 	// Reference: evaluate every query verbatim on every record and compare
 	// against the verdict set each record's generation served.
 	verdictOf := verbatimVerdicts(t, tw, append(append([]*lang.Program{}, udfs[:3]...), loose))
-	progOf := map[registry.QueryID]int{ids[0]: 0, ids[1]: 1, ids[2]: 2, looseID: 3}
+	progOf := map[shard.QueryID]int{ids[0]: 0, ids[1]: 1, ids[2]: 2, looseID: 3}
 	for i, vd := range res.Verdicts {
 		for id, got := range vd {
 			want := verdictOf[progOf[id]][i]
@@ -257,16 +262,16 @@ func assertBatchConstantGens(t *testing.T, gens []uint64, bsize int) {
 }
 
 // scriptedSource triggers registry mutations at fixed record indices; the
-// Snapshot call at each batch boundary is the hook WhereRegistry gives us,
+// Snapshot call at each batch boundary is the hook WhereSharded gives us,
 // and the upcoming batch's first record is the index it serves.
 type scriptedSource struct {
-	reg   *registry.Registry
+	reg   *shard.ShardedRegistry
 	i     int
 	bsize int
 	at    map[int]func()
 }
 
-func (s *scriptedSource) Snapshot() *registry.Snapshot {
+func (s *scriptedSource) Snapshot() *shard.Snapshot {
 	lo := s.i * s.bsize
 	// Fire every event scheduled at or before the upcoming batch's first
 	// record, in record order (batch sizes that skip over an event's exact

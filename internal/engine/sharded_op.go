@@ -1,16 +1,16 @@
 package engine
 
 import (
+	"fmt"
 	"time"
 
-	"consolidation/internal/registry"
 	"consolidation/internal/shard"
 )
 
-// ShardSnapshotSource serves atomically published cross-cluster snapshots;
+// LiveSource serves atomically published cross-cluster snapshots;
 // *shard.ShardedRegistry implements it, and tests wrap it to observe which
 // generation admitted each batch.
-type ShardSnapshotSource interface {
+type LiveSource interface {
 	Snapshot() *shard.Snapshot
 }
 
@@ -18,12 +18,17 @@ type ShardSnapshotSource interface {
 type ShardedMetrics struct {
 	Records int
 	// Batches counts batch dispatches across all workers; Swaps counts
-	// generation changes a worker picked up at a batch boundary, so it
-	// depends on scheduling — parity checks must not diff it.
+	// generation changes a worker picked up at a batch boundary, so with
+	// several workers it depends on scheduling — parity checks must not
+	// diff it. Each swap took effect atomically at a batch boundary, so
+	// Swaps <= Batches and every record of a batch was evaluated against
+	// the same generation.
 	Batches int
 	Swaps   int
-	// PendingRuns and SuppressedNotifies mirror RegistryMetrics, summed
-	// across clusters.
+	// PendingRuns counts verbatim executions of not-yet-consolidated
+	// queries; SuppressedNotifies counts notifications dropped because the
+	// query unsubscribed after the running program was built. Both are
+	// summed across clusters and zero while the served snapshots are clean.
 	PendingRuns        int
 	SuppressedNotifies int
 	// UDFCost sums the abstract cost of every cluster's guard, merged
@@ -43,9 +48,11 @@ type ShardedMetrics struct {
 	GuardCost int64
 }
 
-// ShardedResult is the outcome of streaming a dataset through a sharded
-// registry. Verdicts are keyed by the stable shard-level QueryID; Gens
-// records the cross-cluster generation that admitted each record; and
+// ShardedResult is the outcome of streaming a dataset through a live
+// registry. Verdicts are keyed by the stable shard-level QueryID — slot
+// positions are unstable across generations; Gens records the
+// cross-cluster generation that admitted each record, so callers can audit
+// exactly which query set each record was evaluated against; and
 // LatencySum accumulates, per query, the abstract cost at which its
 // notification was decided (its cluster's guard share plus the merged
 // program's notification cost — or, for a guard-rejected record, the
@@ -58,27 +65,72 @@ type ShardedResult struct {
 	ShardedMetrics
 }
 
-// WhereSharded streams every record through a sharded registry with
-// two-level routing: per batch, stage A runs every cluster's admission
-// guard over the lite-decode span, and stage B pays the full record decode
-// and runs only the admitted clusters' merged-program VMs (pending queries
-// run verbatim regardless). The snapshot is loaded once per batch, so each
-// batch sees one atomic cross-cluster query set. It is the live pass (see
-// whereLive) over the snapshot's clusters, with each cluster's local ids
-// mapped to shard-level ids.
-func WhereSharded(data RecordLibrary, src ShardSnapshotSource, opts Options) (*ShardedResult, error) {
-	r, err := whereLive(data, opts,
-		func() (*shard.Snapshot, uint64) { s := src.Snapshot(); return s, s.Gen },
-		func(s *shard.Snapshot) []liveCluster[shard.QueryID] {
-			cls := make([]liveCluster[shard.QueryID], len(s.Clusters))
-			for i := range s.Clusters {
-				ids := s.Clusters[i].IDs
-				cls[i] = liveCluster[shard.QueryID]{s.Clusters[i].Snap, func(id registry.QueryID) shard.QueryID { return ids[id] }}
+// WhereSharded is the live pass: it streams every record through a sharded
+// registry with two-level routing. Per batch, stage A runs every cluster's
+// admission guard over the lite-decode span, and stage B pays the full
+// record decode and runs only the admitted clusters' merged-program VMs;
+// queries still pending consolidation run verbatim alongside the stale
+// merged program, and queries removed since it was built are suppressed by
+// id.
+//
+// Workers claim batches off the shared loop; per claimed batch a worker
+// loads the current snapshot, swaps its evaluator if the generation
+// changed, evaluates the batch, and publishes the verdict maps. Because the
+// load happens once per batch, a generation swap never splits a batch and
+// Gens is constant on every batch span — no drops, no double
+// notifications, even while Add/Remove churn and background
+// re-consolidation are in flight. With several workers, concurrent batches
+// may be admitted by different generations, each recorded in Gens.
+//
+// Each record's verdict map is written by exactly one worker and every
+// accumulated metric is a commutative per-record sum, so verdicts, costs,
+// and latency stamps are byte-identical at every Workers × BatchSize
+// against a quiescent source.
+func WhereSharded(data RecordLibrary, src LiveSource, opts Options) (*ShardedResult, error) {
+	n := data.NumRecords()
+	out := &ShardedResult{
+		Verdicts:   make([]map[shard.QueryID]bool, n),
+		Gens:       make([]uint64, n),
+		LatencySum: map[shard.QueryID]int64{},
+	}
+	out.Records, out.Batches = n, opts.batches(n)
+	start := time.Now()
+	err := runClaims(data, opts.workers(), out.Batches, func(lib RecordLibrary) (run func(int) error, fold func(), err error) {
+		w := &liveWorker{ev: newEvaluator(lib, opts), lat: map[shard.QueryID]int64{}}
+		run = func(b int) error {
+			lo, hi := opts.span(b, n)
+			// Batch boundary: this load decides the query set for [lo, hi).
+			if s := src.Snapshot(); w.cls == nil || s.Gen != w.gen {
+				if err := w.swap(s); err != nil {
+					return fmt.Errorf("engine: gen %d: %w", s.Gen, err)
+				}
 			}
-			return cls
-		})
+			if err := w.ev.evalBatch(lo, hi); err != nil {
+				return err
+			}
+			w.publish(lo, hi, out)
+			return nil
+		}
+		fold = func() {
+			w.bankLatency()
+			for id, v := range w.lat {
+				out.LatencySum[id] += v
+			}
+			m, em := &out.ShardedMetrics, &w.ev.m
+			m.Swaps += w.swaps
+			m.SuppressedNotifies += w.suppressed
+			m.PendingRuns += em.PendingRuns
+			m.UDFCost += em.UDFCost
+			m.UDFTime += w.ev.udfTime()
+			m.Admitted += em.Admitted
+			m.Rejected += em.Rejected
+			m.GuardCost += em.GuardCost
+		}
+		return run, fold, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedResult{Verdicts: r.verdicts, Gens: r.gens, LatencySum: r.lat, ShardedMetrics: ShardedMetrics(r.m)}, nil
+	out.TotalTime = time.Since(start)
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -25,43 +26,40 @@ func TestUDFTimeWithinTotal(t *testing.T) {
 	udfs := gatedTwitterUDFs(4, tw.FollowerQuantile(0.5))
 	pf := &prefilter.Options{Coster: tw, MaxCallCost: tw.LiteCostBound()}
 
-	guarded, err := registry.New(registry.Options{Prefilter: pf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer guarded.Close()
-	plain, err := registry.New(registry.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	sh, err := shard.New(shard.Options{Registry: registry.Options{Prefilter: pf}, MaxClusterSize: 2, MinSimilarity: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	for _, p := range udfs {
-		if _, err := guarded.Add(p); err != nil {
+	// Three registries: one guarded cluster, one unguarded cluster, and
+	// guarded clusters of two.
+	var regs [3]*shard.ShardedRegistry
+	for i, o := range [3]shard.Options{
+		{Registry: registry.Options{Prefilter: pf}, MaxClusterSize: math.MaxInt},
+		{MaxClusterSize: math.MaxInt},
+		{Registry: registry.Options{Prefilter: pf}, MaxClusterSize: 2},
+	} {
+		o.MinSimilarity = -1
+		sh, err := shard.New(o)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plain.Add(p); err != nil {
+		for _, p := range udfs {
+			if _, err := sh.Add(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sh.Rebuild(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sh.Add(p); err != nil {
-			t.Fatal(err)
+		regs[i] = sh
+	}
+	opts := engine.Options{Workers: 1}
+	sharded := func(sh *shard.ShardedRegistry) func() (time.Duration, time.Duration, error) {
+		return func() (time.Duration, time.Duration, error) {
+			r, err := engine.WhereSharded(tw, sh, opts)
+			if err != nil {
+				return 0, 0, err
+			}
+			return r.UDFTime, r.TotalTime, nil
 		}
-	}
-	if _, err := guarded.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.Rebuild(); err != nil {
-		t.Fatal(err)
 	}
 
-	opts := engine.Options{Workers: 1}
 	copts := consolidate.Options{FuncCoster: tw}
 	passes := []struct {
 		name string
@@ -91,27 +89,9 @@ func TestUDFTimeWithinTotal(t *testing.T) {
 			}
 			return r.UDFTime, r.TotalTime, nil
 		}},
-		{"WhereRegistry", func() (time.Duration, time.Duration, error) {
-			r, err := engine.WhereRegistry(tw, guarded, opts)
-			if err != nil {
-				return 0, 0, err
-			}
-			return r.UDFTime, r.TotalTime, nil
-		}},
-		{"WhereRegistry/unguarded", func() (time.Duration, time.Duration, error) {
-			r, err := engine.WhereRegistry(tw, plain, opts)
-			if err != nil {
-				return 0, 0, err
-			}
-			return r.UDFTime, r.TotalTime, nil
-		}},
-		{"WhereSharded", func() (time.Duration, time.Duration, error) {
-			r, err := engine.WhereSharded(tw, sh, opts)
-			if err != nil {
-				return 0, 0, err
-			}
-			return r.UDFTime, r.TotalTime, nil
-		}},
+		{"WhereSharded/one-cluster", sharded(regs[0])},
+		{"WhereSharded/one-cluster/unguarded", sharded(regs[1])},
+		{"WhereSharded", sharded(regs[2])},
 	}
 	for _, p := range passes {
 		var udf, total time.Duration

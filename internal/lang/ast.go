@@ -461,13 +461,6 @@ func CalledFuncs(s Stmt) map[string]bool {
 	return out
 }
 
-// CallsInBool returns the library functions invoked in a boolean expression.
-func CallsInBool(e BoolExpr) map[string]bool {
-	out := map[string]bool{}
-	collectCallsBool(e, out)
-	return out
-}
-
 func collectCallsInt(e IntExpr, out map[string]bool) {
 	switch t := e.(type) {
 	case Call:

@@ -176,9 +176,6 @@ func (in *Interner) Len() int { return len(in.nodes) }
 // NumVars is the number of distinct variable names seen.
 func (in *Interner) NumVars() int { return len(in.varName) }
 
-// NumCallKeys is the number of distinct call-instance keys seen.
-func (in *Interner) NumCallKeys() int { return len(in.keys) }
-
 // ---- hashing ----
 
 // mix64 is the splitmix64 finalizer: a fixed, process-independent mixer.
@@ -232,12 +229,6 @@ func (in *Interner) internFuncName(name string) int32 {
 
 // VarName returns the name of an interned variable.
 func (in *Interner) VarName(v VarID) string { return in.varName[v] }
-
-// VarIDOf returns the id of a variable name, if it was interned.
-func (in *Interner) VarIDOf(name string) (VarID, bool) {
-	v, ok := in.varID[name]
-	return v, ok
-}
 
 func (in *Interner) internCallKey(fn string, star bool, args []ckArg) CallKey {
 	h := hashCombine(hashString(fn), uint64(len(args)))
@@ -333,9 +324,9 @@ func (in *Interner) CallKeyString(k CallKey) string {
 
 // ---- pool views and sorted-set folds ----
 
-func (in *Interner) varView(s span32) []VarID     { return in.varsArr[s.off : s.off+s.n] }
-func (in *Interner) callView(s span32) []CallKey  { return in.callsArr[s.off : s.off+s.n] }
-func (in *Interner) kidsView(s span32) []NodeID   { return in.kidsArr[s.off : s.off+s.n] }
+func (in *Interner) varView(s span32) []VarID    { return in.varsArr[s.off : s.off+s.n] }
+func (in *Interner) callView(s span32) []CallKey { return in.callsArr[s.off : s.off+s.n] }
+func (in *Interner) kidsView(s span32) []NodeID  { return in.kidsArr[s.off : s.off+s.n] }
 
 func unionVarsInto(dst, a, b []VarID) []VarID {
 	i, j := 0, 0

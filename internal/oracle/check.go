@@ -58,11 +58,12 @@ const (
 	// the consolidated program notifies on, or a notify-path condition
 	// failed to imply the guard — the pre-filter lost a notification.
 	CheckPrefilterSound = "prefilter"
-	// CheckShard: the similarity-sharded registry diverged from a single
-	// global registry under churn — different per-query notification sets
-	// at some point of the Add/Remove trace — or WhereSharded diverged
-	// from its own record-at-a-time reference (verdicts, costs, latency
-	// stamps) at some Workers/BatchSize combination.
+	// CheckShard: the similarity-sharded registry diverged from its global
+	// one-cluster configuration under churn — different per-query
+	// notification sets at some point of the Add/Remove trace — or
+	// WhereSharded diverged from its own record-at-a-time reference
+	// (verdicts, costs, latency stamps) at some Workers/BatchSize
+	// combination.
 	CheckShard = "shard"
 	// CheckErr marks infrastructure failures (consolidation or
 	// interpretation errored, registry rejected a program) — not a
@@ -297,17 +298,16 @@ func CheckConsolidation(b *Batch) *Failure {
 }
 
 // CheckRegistry replays a random churn trace (adds and removes derived
-// from the batch seed) against a live registry in manual-rebuild mode,
-// and after every event checks the flushed snapshot is byte-identical to
-// consolidate.All run from scratch over the registry's own slot order.
-// nil means every flush matched.
+// from the batch seed) against a cluster's registry, and after every
+// event checks the flushed snapshot is byte-identical to consolidate.All
+// run from scratch over the registry's own slot order. nil means every
+// flush matched.
 func CheckRegistry(b *Batch, events int) *Failure {
 	rng := rand.New(rand.NewSource(b.Seed ^ 0x5DEECE66D))
 	reg, err := registry.New(registry.Options{Workers: 2})
 	if err != nil {
 		return failf(CheckErr, b, "registry.New: %v", err)
 	}
-	defer reg.Close()
 
 	var live []registry.QueryID
 	clones := 0

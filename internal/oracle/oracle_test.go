@@ -158,6 +158,38 @@ func TestOracleCorpus(t *testing.T) {
 	}
 }
 
+// TestChecksTable holds the campaign table to what cmd/oracle and Shrink
+// assume of it: unique names, a positive stride, and a row to re-run for
+// every failure kind a batch check reports.
+func TestChecksTable(t *testing.T) {
+	names := map[string]bool{}
+	for _, c := range Checks {
+		if names[c.Name] {
+			t.Errorf("duplicate check name %q", c.Name)
+		}
+		names[c.Name] = true
+		if c.Stride < 1 || c.Run == nil || len(c.Kinds) == 0 {
+			t.Errorf("check %q: stride %d, run %v, kinds %v", c.Name, c.Stride, c.Run != nil, c.Kinds)
+		}
+	}
+	for _, k := range []string{CheckDef1, CheckCost, CheckDeterminism, CheckErr, CheckExec,
+		CheckPrefilterSound, CheckBatch, CheckIncremental, CheckShard} {
+		if rerunFor(k) == nil {
+			t.Errorf("no row re-runs failure kind %q: Shrink would return it unshrunk", k)
+		}
+	}
+	// The churn rows split the seeds between them, as the campaign counts
+	// (a quarter of the seeds each) rely on.
+	for seed := int64(0); seed < 8; seed++ {
+		for _, c := range Checks {
+			want := c.Stride == 1 || (c.Name == "registry" && seed%4 == 0) || (c.Name == "shard" && seed%4 == 2)
+			if c.Selects(seed) != want {
+				t.Errorf("check %q on seed %d: selected %v", c.Name, seed, !want)
+			}
+		}
+	}
+}
+
 // registryGenOptions shrinks a batch shape for churn replay: every churn
 // event costs a from-scratch reconsolidation of the whole live set, so
 // the check starts from two queries, not three.

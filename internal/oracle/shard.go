@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"consolidation/internal/engine"
@@ -11,53 +12,40 @@ import (
 	"consolidation/internal/shard"
 )
 
-// diffShardVsGlobal reports the first per-record notification-set
-// divergence between a sharded pass and the single global registry over
-// the same queries, under the id correspondence. Only verdict sets are
-// comparable across the two topologies — per-cluster merged programs
+// diffVerdicts reports the first per-record notification-set divergence
+// between two live passes. It is all that is comparable across two registry
+// topologies over the same queries — per-cluster merged programs
 // legitimately cost differently than one global merged program.
-func diffShardVsGlobal(label string, gref *engine.RegistryResult, sref *engine.ShardedResult, toShard map[registry.QueryID]shard.QueryID) string {
-	if len(gref.Verdicts) != len(sref.Verdicts) {
-		return fmt.Sprintf("%s: %d sharded verdict rows, global has %d", label, len(sref.Verdicts), len(gref.Verdicts))
+func diffVerdicts(label string, ref, got *engine.ShardedResult) string {
+	if len(ref.Verdicts) != len(got.Verdicts) {
+		return fmt.Sprintf("%s: %d verdict rows, reference has %d", label, len(got.Verdicts), len(ref.Verdicts))
 	}
-	for i := range gref.Verdicts {
-		if len(gref.Verdicts[i]) != len(sref.Verdicts[i]) {
-			return fmt.Sprintf("%s: record %d notifies %d sharded queries, global %d",
-				label, i, len(sref.Verdicts[i]), len(gref.Verdicts[i]))
+	for i := range ref.Verdicts {
+		if len(ref.Verdicts[i]) != len(got.Verdicts[i]) {
+			return fmt.Sprintf("%s: record %d has %d verdicts, reference %d", label, i, len(got.Verdicts[i]), len(ref.Verdicts[i]))
 		}
-		for gid, v := range gref.Verdicts[i] {
-			sv, ok := sref.Verdicts[i][toShard[gid]]
-			if !ok {
-				return fmt.Sprintf("%s: record %d: query %d (shard id %d) missing from sharded verdicts", label, i, gid, toShard[gid])
-			}
-			if sv != v {
-				return fmt.Sprintf("%s: record %d query %d (shard id %d) is %v sharded, %v global", label, i, gid, toShard[gid], sv, v)
+		for id, v := range ref.Verdicts[i] {
+			gv, ok := got.Verdicts[i][id]
+			if !ok || gv != v {
+				return fmt.Sprintf("%s: verdict [record %d, query %d] is %v/%v, reference says %v", label, i, id, gv, ok, v)
 			}
 		}
 	}
 	return ""
 }
 
-// diffLive reports the first divergence between two live passes of one
-// operator: verdict maps, generation stamps, abstract costs (total and guard
-// share), admission counts, or pending/suppression counts. Batches, Swaps,
-// and wall-clock fields are dispatch-shaped and exempt.
-func diffLive[ID comparable](label string, refV, gotV []map[ID]bool, refG, gotG []uint64, ref, got engine.RegistryMetrics) string {
-	if len(refV) != len(gotV) {
-		return fmt.Sprintf("%s: %d verdict rows, reference has %d", label, len(gotV), len(refV))
+// diffSharded reports the first divergence between two passes over one
+// registry: verdict maps, generation stamps, abstract costs (total and guard
+// share), admission counts, pending/suppression counts, or per-query latency
+// stamp sums. Batches, Swaps, and wall-clock fields are dispatch-shaped and
+// exempt.
+func diffSharded(label string, ref, got *engine.ShardedResult) string {
+	if msg := diffVerdicts(label, ref, got); msg != "" {
+		return msg
 	}
-	for i := range refV {
-		if len(refV[i]) != len(gotV[i]) {
-			return fmt.Sprintf("%s: record %d has %d verdicts, reference %d", label, i, len(gotV[i]), len(refV[i]))
-		}
-		for id, v := range refV[i] {
-			gv, ok := gotV[i][id]
-			if !ok || gv != v {
-				return fmt.Sprintf("%s: verdict [record %d, query %v] is %v/%v, reference says %v", label, i, id, gv, ok, v)
-			}
-		}
-		if refG[i] != gotG[i] {
-			return fmt.Sprintf("%s: record %d admitted at gen %d, reference gen %d", label, i, gotG[i], refG[i])
+	for i := range ref.Gens {
+		if ref.Gens[i] != got.Gens[i] {
+			return fmt.Sprintf("%s: record %d admitted at gen %d, reference gen %d", label, i, got.Gens[i], ref.Gens[i])
 		}
 	}
 	if ref.UDFCost != got.UDFCost {
@@ -74,15 +62,6 @@ func diffLive[ID comparable](label string, refV, gotV []map[ID]bool, refG, gotG 
 		return fmt.Sprintf("%s: pending/suppressed %d/%d, reference %d/%d",
 			label, got.PendingRuns, got.SuppressedNotifies, ref.PendingRuns, ref.SuppressedNotifies)
 	}
-	return ""
-}
-
-// diffSharded is diffLive plus the per-query latency stamp sums.
-func diffSharded(label string, ref, got *engine.ShardedResult) string {
-	if msg := diffLive(label, ref.Verdicts, got.Verdicts, ref.Gens, got.Gens,
-		engine.RegistryMetrics(ref.ShardedMetrics), engine.RegistryMetrics(got.ShardedMetrics)); msg != "" {
-		return msg
-	}
 	if len(ref.LatencySum) != len(got.LatencySum) {
 		return fmt.Sprintf("%s: %d latency entries, reference %d", label, len(got.LatencySum), len(ref.LatencySum))
 	}
@@ -96,16 +75,16 @@ func diffSharded(label string, ref, got *engine.ShardedResult) string {
 
 // CheckSharded holds the similarity-sharded registry to its equivalence
 // contract on a generated batch under churn: the batch's (total-notify)
-// queries are subscribed to both a ShardedRegistry — MaxClusterSize 2, so
-// routing and rebalance splits spread them across several clusters — and a
-// single global Registry; Add/Remove events interleave with record passes,
-// and at every step the sharded pass must notify exactly the queries the
-// global registry does (dirty delta snapshots included), while every
-// Workers/BatchSize combination of WhereSharded and of WhereRegistry must
-// reproduce the operator's own record-at-a-time reference byte-identically —
-// verdicts, generation stamps, abstract costs, admission counts, and (for
-// WhereSharded, which reports them) latency stamp sums. nil means every
-// step matched.
+// queries are subscribed, in the same order, to two ShardedRegistry
+// configurations — MaxClusterSize 2, so routing and rebalance splits spread
+// them across several clusters, and the global one (a single cluster that
+// never splits). Add/Remove events interleave with record passes, and at
+// every step the sharded pass must notify exactly the queries the global
+// one does (dirty delta snapshots included), while every Workers/BatchSize
+// combination of WhereSharded on either configuration must reproduce its
+// own record-at-a-time reference byte-identically — verdicts, generation
+// stamps, abstract costs, admission counts, and latency stamp sums. nil
+// means every step matched.
 func CheckSharded(b *Batch, events int) *Failure {
 	if len(b.Inputs) == 0 {
 		return nil
@@ -138,96 +117,89 @@ func CheckSharded(b *Batch, events int) *Failure {
 
 	d := newInputLibrary(b.Inputs)
 	pf := &prefilter.Options{Coster: d, MaxCallCost: d.LiteCostBound()}
-	sh, err := shard.New(shard.Options{
-		Registry:       registry.Options{Prefilter: pf},
-		MaxClusterSize: 2,
-		MinSimilarity:  -1,
-	})
-	if err != nil {
-		return failf(CheckErr, b, "shard.New: %v", err)
+	// regs[0] is the sharded configuration, regs[1] the global one.
+	names := [2]string{"sharded", "global"}
+	var regs [2]*shard.ShardedRegistry
+	for i, size := range [2]int{2, math.MaxInt} {
+		r, err := shard.New(shard.Options{
+			Registry:       registry.Options{Prefilter: pf},
+			MaxClusterSize: size,
+			MinSimilarity:  -1,
+		})
+		if err != nil {
+			return failf(CheckErr, b, "shard.New (%s): %v", names[i], err)
+		}
+		regs[i] = r
 	}
-	defer sh.Close()
-	greg, err := registry.New(registry.Options{Prefilter: pf})
-	if err != nil {
-		return failf(CheckErr, b, "registry.New: %v", err)
+	shardFail := func(msg string) *Failure {
+		f := failf(CheckShard, b, "%s", msg)
+		f.Events = events
+		return f
 	}
-	defer greg.Close()
 
-	toShard := map[registry.QueryID]shard.QueryID{}
-	var liveS []shard.QueryID
-	var liveG []registry.QueryID
+	// Both registries see the same Add sequence, so they hand out the same
+	// ids and their verdict maps are directly comparable.
+	var live []shard.QueryID
 	clones := 0
 	add := func(src *lang.Program) *Failure {
 		q := *src
 		q.Name = fmt.Sprintf("%s_s%d", src.Name, clones)
 		clones++
-		sid, err := sh.Add(&q)
-		if err != nil {
-			return failf(CheckErr, b, "shard.Add(%s): %v", q.Name, err)
+		var ids [2]shard.QueryID
+		for i, r := range regs {
+			id, err := r.Add(&q)
+			if err != nil {
+				return failf(CheckErr, b, "%s Add(%s): %v", names[i], q.Name, err)
+			}
+			ids[i] = id
 		}
-		gid, err := greg.Add(&q)
-		if err != nil {
-			return failf(CheckErr, b, "registry.Add(%s): %v", q.Name, err)
+		if ids[0] != ids[1] {
+			return failf(CheckErr, b, "Add(%s): sharded id %d, global id %d", q.Name, ids[0], ids[1])
 		}
-		toShard[gid] = sid
-		liveS = append(liveS, sid)
-		liveG = append(liveG, gid)
+		live = append(live, ids[0])
 		return nil
 	}
 
-	// pass runs both topologies record-at-a-time on their current snapshots
-	// (flushed or dirty) and diffs the notification sets.
-	pass := func(event string) (*engine.ShardedResult, *engine.RegistryResult, *Failure) {
-		sref, err := engine.WhereSharded(d, sh, engine.Options{Workers: 1, BatchSize: 1})
-		if err != nil {
-			return nil, nil, failf(CheckErr, b, "WhereSharded after %s: %v", event, err)
+	// pass runs both configurations record-at-a-time on their current
+	// snapshots (flushed or dirty) and diffs the notification sets.
+	pass := func(event string) (refs [2]*engine.ShardedResult, f *Failure) {
+		for i, r := range regs {
+			ref, err := engine.WhereSharded(d, r, engine.Options{Workers: 1, BatchSize: 1})
+			if err != nil {
+				return refs, failf(CheckErr, b, "%s WhereSharded after %s: %v", names[i], event, err)
+			}
+			refs[i] = ref
 		}
-		gref, err := engine.WhereRegistry(d, greg, engine.Options{Workers: 1, BatchSize: 1})
-		if err != nil {
-			return nil, nil, failf(CheckErr, b, "WhereRegistry after %s: %v", event, err)
+		if msg := diffVerdicts("sharded vs global after "+event, refs[1], refs[0]); msg != "" {
+			return refs, shardFail(msg)
 		}
-		if msg := diffShardVsGlobal("after "+event, gref, sref, toShard); msg != "" {
-			f := failf(CheckShard, b, "%s", msg)
-			f.Events = events
-			return nil, nil, f
-		}
-		return sref, gref, nil
+		return refs, nil
 	}
-	// matrix re-runs both live operators at adversarial Workers/BatchSize
+	// matrix re-runs both configurations at adversarial Workers/BatchSize
 	// combinations against their record-at-a-time references.
 	rng := rand.New(rand.NewSource(b.Seed ^ 0x51A2DB01))
 	workers := []int{2, 3, 4}
-	matrix := func(event string, sref *engine.ShardedResult, gref *engine.RegistryResult) *Failure {
+	matrix := func(event string, refs [2]*engine.ShardedResult) *Failure {
 		for si, bs := range batchSizesFor(len(b.Inputs), rng) {
 			w := workers[si%len(workers)]
-			label := fmt.Sprintf("after %s, workers=%d batch=%d", event, w, bs)
-			got, err := engine.WhereSharded(d, sh, engine.Options{Workers: w, BatchSize: bs})
-			if err != nil {
-				return failf(CheckErr, b, "WhereSharded %s: %v", label, err)
-			}
-			ggot, err := engine.WhereRegistry(d, greg, engine.Options{Workers: w, BatchSize: bs})
-			if err != nil {
-				return failf(CheckErr, b, "WhereRegistry %s: %v", label, err)
-			}
-			msg := diffSharded(label, sref, got)
-			if msg == "" {
-				msg = diffLive("WhereRegistry "+label, gref.Verdicts, ggot.Verdicts, gref.Gens, ggot.Gens,
-					gref.RegistryMetrics, ggot.RegistryMetrics)
-			}
-			if msg != "" {
-				f := failf(CheckShard, b, "%s", msg)
-				f.Events = events
-				return f
+			for i, r := range regs {
+				label := fmt.Sprintf("%s after %s, workers=%d batch=%d", names[i], event, w, bs)
+				got, err := engine.WhereSharded(d, r, engine.Options{Workers: w, BatchSize: bs})
+				if err != nil {
+					return failf(CheckErr, b, "WhereSharded %s: %v", label, err)
+				}
+				if msg := diffSharded(label, refs[i], got); msg != "" {
+					return shardFail(msg)
+				}
 			}
 		}
 		return nil
 	}
 	flush := func(event string) *Failure {
-		if _, err := sh.Flush(); err != nil {
-			return failf(CheckErr, b, "shard.Flush after %s: %v", event, err)
-		}
-		if _, err := greg.Flush(); err != nil {
-			return failf(CheckErr, b, "registry.Flush after %s: %v", event, err)
+		for i, r := range regs {
+			if _, err := r.Flush(); err != nil {
+				return failf(CheckErr, b, "%s Flush after %s: %v", names[i], event, err)
+			}
 		}
 		return nil
 	}
@@ -240,52 +212,49 @@ func CheckSharded(b *Batch, events int) *Failure {
 	if f := flush("initial adds"); f != nil {
 		return f
 	}
-	sref, gref, f := pass("initial adds")
+	refs, f := pass("initial adds")
 	if f != nil {
 		return f
 	}
-	if f := matrix("initial adds", sref, gref); f != nil {
+	if f := matrix("initial adds", refs); f != nil {
 		return f
 	}
 
 	for e := 0; e < events; e++ {
 		var event string
-		if len(liveS) == 0 || rng.Intn(2) == 0 {
+		if len(live) == 0 || rng.Intn(2) == 0 {
 			if f := add(udfs[rng.Intn(len(udfs))]); f != nil {
 				return f
 			}
 			event = fmt.Sprintf("event %d (add)", e)
 		} else {
-			i := rng.Intn(len(liveS))
-			sid, gid := liveS[i], liveG[i]
-			liveS[i] = liveS[len(liveS)-1]
-			liveS = liveS[:len(liveS)-1]
-			liveG[i] = liveG[len(liveG)-1]
-			liveG = liveG[:len(liveG)-1]
-			if err := sh.Remove(sid); err != nil {
-				return failf(CheckErr, b, "shard.Remove(%d): %v", sid, err)
-			}
-			if err := greg.Remove(gid); err != nil {
-				return failf(CheckErr, b, "registry.Remove(%d): %v", gid, err)
+			i := rng.Intn(len(live))
+			id := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			for k, r := range regs {
+				if err := r.Remove(id); err != nil {
+					return failf(CheckErr, b, "%s Remove(%d): %v", names[k], id, err)
+				}
 			}
 			event = fmt.Sprintf("event %d (remove)", e)
 		}
 		// Dirty pass first: delta snapshots (pending verbatim queries,
 		// suppressed removals) must already agree across topologies.
-		if _, _, f := pass(event + ", dirty"); f != nil {
+		if _, f := pass(event + ", dirty"); f != nil {
 			return f
 		}
 		if f := flush(event); f != nil {
 			return f
 		}
-		sref, gref, f := pass(event + ", flushed")
+		refs, f := pass(event + ", flushed")
 		if f != nil {
 			return f
 		}
 		// The full matrix once more on the final state; mid-churn events
 		// settle for the record-at-a-time diffs above.
 		if e == events-1 {
-			if f := matrix(event, sref, gref); f != nil {
+			if f := matrix(event, refs); f != nil {
 				return f
 			}
 		}

@@ -24,23 +24,8 @@ func Shrink(f *Failure, budget int) *Failure {
 	if budget <= 0 {
 		budget = DefaultShrinkBudget
 	}
-	var rerun func(*Batch) *Failure
-	switch f.Check {
-	case CheckIncremental:
-		events := f.Events
-		rerun = func(b *Batch) *Failure { return CheckRegistry(b, events) }
-	case CheckDef1, CheckCost, CheckDeterminism, CheckErr:
-		rerun = CheckConsolidation
-	case CheckExec:
-		rerun = CheckExecutor
-	case CheckPrefilterSound:
-		rerun = CheckPrefilter
-	case CheckBatch:
-		rerun = CheckBatchParity
-	case CheckShard:
-		events := f.Events
-		rerun = func(b *Batch) *Failure { return CheckSharded(b, events) }
-	default:
+	rerun := rerunFor(f.Check)
+	if rerun == nil {
 		return f
 	}
 
@@ -53,7 +38,7 @@ func Shrink(f *Failure, budget int) *Failure {
 			return false
 		}
 		runs++
-		if g := rerun(cand); g != nil && g.Check == f.Check {
+		if g := rerun(cand, f.Events); g != nil && g.Check == f.Check {
 			best = g
 			return true
 		}

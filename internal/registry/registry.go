@@ -1,26 +1,26 @@
-// Package registry is the query-lifecycle subsystem of the streaming
-// engine: it owns the divide-and-conquer merge tree that consolidate.All
-// produces and keeps a consolidated program live while UDFs are added and
-// removed by subscribers.
+// Package registry is the incremental builder behind one cluster of the
+// live tier: it owns the divide-and-conquer merge tree that consolidate.All
+// produces and keeps a consolidated program current while UDFs are added
+// and removed by subscribers.
 //
 // The paper consolidates a fixed batch of programs offline; a service
 // re-running All over all N programs on every subscription change would
-// waste exactly the work the divide-and-conquer tree already did. The
-// registry instead re-consolidates only the O(log N) merge nodes whose
-// leaf span changed — every sibling subtree is reused from a content-keyed
-// node cache, and the shared smt.Cache answers the re-proved entailments —
-// while a background worker batches bursts of changes (debounce window
-// bounded by a max lag), so a storm of subscriptions triggers one
-// re-consolidation, not fifty.
+// waste exactly the work the divide-and-conquer tree already did. Rebuild
+// instead re-consolidates only the O(log N) merge nodes whose leaf span
+// changed — every sibling subtree is reused from a content-keyed node
+// cache, and the shared smt.Cache answers the re-proved entailments.
 //
-// Between a change and the next completed rebuild the registry stays
+// A Registry is passive: it starts no goroutine and rebuilds only when its
+// owner calls Rebuild or Flush. The owner is internal/shard, which decides
+// when (one debounce worker per cluster) and publishes every cluster's
+// snapshot under one cross-cluster generation.
+//
+// Between a change and the next completed rebuild the query set stays
 // *live* through generation-numbered snapshots: the stale consolidated
 // program keeps running, queries added since the last build run verbatim
 // alongside it (sound: verbatim is exactly sequential execution, the work
 // bound of DESIGN.md's work-bounds extension), and queries removed since
-// are suppressed by id. The engine's WhereRegistry operator picks up a new
-// generation atomically at a record boundary, so no record is dropped or
-// double-notified during a swap.
+// are suppressed by id.
 //
 // Slots use swap-remove: removing a query moves the last leaf into its
 // slot, so a removal dirties two root paths instead of shifting every
@@ -52,15 +52,6 @@ type Options struct {
 	// across all rebuilds (nil creates one); Solver must be nil — the
 	// registry runs pair workers in parallel against the shared cache.
 	Consolidate consolidate.Options
-	// Debounce is the quiet window the background worker waits after a
-	// change before re-consolidating, so bursts coalesce into one rebuild.
-	// Zero (or negative) disables the worker: the registry still publishes
-	// delta snapshots on every change, but rebuilds only when the caller
-	// invokes Rebuild or Flush — the mode the benchmark uses to time each one.
-	Debounce time.Duration
-	// MaxLag bounds how long a change may wait while further changes keep
-	// resetting the debounce window; 0 means 8×Debounce.
-	MaxLag time.Duration
 	// Workers bounds concurrent pair re-merges during a rebuild; 0 means
 	// GOMAXPROCS.
 	Workers int
@@ -199,8 +190,9 @@ type preparedLeaf struct {
 	prog *lang.Program
 }
 
-// Registry is the live consolidation subsystem. All methods are safe for
-// concurrent use. Programs handed to Add must not be mutated afterwards.
+// Registry is one incrementally consolidated query set. All methods are
+// safe for concurrent use. Programs handed to Add must not be mutated
+// afterwards.
 type Registry struct {
 	opts  Options
 	cache *smt.Cache
@@ -233,15 +225,9 @@ type Registry struct {
 	// ever touched by its own pair worker within a build, and buildMu
 	// serialises builds — so each context sees strictly sequential use.
 	sctxs map[span]*smt.Context
-
-	kick      chan struct{}
-	done      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
 }
 
-// New creates a registry. Close must be called to stop the background
-// worker when Debounce is positive.
+// New creates an empty registry.
 func New(opts Options) (*Registry, error) {
 	if opts.Consolidate.Solver != nil {
 		return nil, fmt.Errorf("registry: Options.Consolidate.Solver is not supported; share a Cache instead")
@@ -250,9 +236,6 @@ func New(opts Options) (*Registry, error) {
 	// identically to what All applies per pair.
 	if opts.Consolidate.Cache == nil {
 		opts.Consolidate.Cache = smt.NewCache(0)
-	}
-	if opts.MaxLag <= 0 {
-		opts.MaxLag = 8 * opts.Debounce
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -266,26 +249,14 @@ func New(opts Options) (*Registry, error) {
 		seqs:   newSeqTable(),
 		prep:   map[QueryID]preparedLeaf{},
 		sctxs:  map[span]*smt.Context{},
-		kick:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
 	}
 	r.snap.Store(&Snapshot{})
-	if opts.Debounce > 0 {
-		r.wg.Add(1)
-		go r.worker()
-	}
 	return r, nil
 }
 
-// Close stops the background worker. The last published snapshot remains
-// readable.
-func (r *Registry) Close() {
-	r.closeOnce.Do(func() { close(r.done) })
-	r.wg.Wait()
-}
-
-// Snapshot returns the current generation. The engine loads it once per
-// admitted record; the returned value is immutable.
+// Snapshot returns the current generation; the returned value is
+// immutable. The engine sees it through the owning shard snapshot, loaded
+// once per batch.
 func (r *Registry) Snapshot() *Snapshot { return r.snap.Load() }
 
 // Size reports the number of live queries.
@@ -329,8 +300,8 @@ func (r *Registry) Stats() Stats {
 }
 
 // Add subscribes a query: the program joins the live set immediately (a
-// delta snapshot runs it verbatim from the next admitted record on) and a
-// re-consolidation folding it into the merged program is scheduled.
+// delta snapshot runs it verbatim from the next admitted batch on); the
+// next Rebuild folds it into the merged program.
 func (r *Registry) Add(p *lang.Program) (QueryID, error) {
 	if p == nil {
 		return 0, fmt.Errorf("registry: nil program")
@@ -384,15 +355,13 @@ func (r *Registry) Add(p *lang.Program) (QueryID, error) {
 	next.Gen = r.gen
 	r.snap.Store(&next)
 	r.mu.Unlock()
-
-	r.schedule()
 	return id, nil
 }
 
 // Remove unsubscribes a query: its notifications stop with the next
-// admitted record (delta snapshot) and a re-consolidation dropping it from
-// the merged program is scheduled. The last leaf is swapped into the freed
-// slot, so only two leaf-to-root paths need re-merging.
+// admitted batch (delta snapshot); the next Rebuild drops it from the
+// merged program. The last leaf is swapped into the freed slot, so only two
+// leaf-to-root paths need re-merging.
 func (r *Registry) Remove(id QueryID) error {
 	r.mu.Lock()
 	slot, ok := r.slotOf[id]
@@ -437,66 +406,13 @@ func (r *Registry) Remove(id QueryID) error {
 	next.Gen = r.gen
 	r.snap.Store(&next)
 	r.mu.Unlock()
-
-	r.schedule()
 	return nil
-}
-
-// schedule kicks the background worker; a kick already pending coalesces.
-func (r *Registry) schedule() {
-	if r.opts.Debounce <= 0 {
-		return
-	}
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
-
-// worker batches change bursts: after a kick it waits for a Debounce-long
-// quiet window — restarting it on further kicks, but never past MaxLag
-// from the first — then rebuilds once.
-func (r *Registry) worker() {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-r.kick:
-		}
-		first := time.Now()
-		quiet := time.NewTimer(r.opts.Debounce)
-	debounce:
-		for {
-			select {
-			case <-r.done:
-				quiet.Stop()
-				return
-			case <-r.kick:
-				if time.Since(first) >= r.opts.MaxLag {
-					break debounce
-				}
-				if !quiet.Stop() {
-					select {
-					case <-quiet.C:
-					default:
-					}
-				}
-				quiet.Reset(r.opts.Debounce)
-			case <-quiet.C:
-				break debounce
-			}
-		}
-		quiet.Stop()
-		r.Rebuild() //nolint:errcheck // recorded in lastErr; next change retries
-	}
 }
 
 // Rebuild re-consolidates the live set now and publishes the result. Only
 // merge nodes whose leaf span changed since the cached tree are
 // recomputed. If queries changed concurrently during the build, the
-// published snapshot carries the residual delta and another rebuild is
-// scheduled.
+// published snapshot carries the residual delta for the next rebuild.
 func (r *Registry) Rebuild() (*Snapshot, error) {
 	r.buildMu.Lock()
 	defer r.buildMu.Unlock()
@@ -599,10 +515,6 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 	r.stats.NodesReused += uint64(bs.NodesReused)
 	r.stats.TotalBuildTime += bs.Duration
 	r.stats.LastBuild = bs
-	if v != r.version {
-		// More churn arrived while building; catch up in the background.
-		defer r.schedule()
-	}
 	return snap, nil
 }
 

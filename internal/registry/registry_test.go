@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,6 @@ func TestIncrementalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 
 	var live []QueryID
 	next := 0
@@ -115,7 +115,6 @@ func TestIncrementalReusesSubtrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 
 	const n = 32
 	for i := 0; i < n; i++ {
@@ -173,7 +172,6 @@ func TestDeltaSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 
 	a, _ := r.Add(pool[0])
 	b, _ := r.Add(pool[1])
@@ -229,7 +227,6 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	if _, err := r.Add(lang.MustParse("func two(r) { notify 1 true; notify 2 false; }")); err == nil {
 		t.Error("query notifying two ids must be rejected")
 	}
@@ -244,48 +241,43 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestDebounceBatchesBursts asserts the worker coalesces a storm of
-// subscriptions: many adds inside the debounce window end in a clean
-// snapshot after far fewer rebuilds than changes.
-func TestDebounceBatchesBursts(t *testing.T) {
-	pool := queries.MustGen("flight", "Q1", 40, 9)
-	r, err := New(Options{Debounce: 30 * time.Millisecond, MaxLag: 2 * time.Second})
+// TestRegistryStartsNoGoroutine pins the registry as a passive builder: it
+// has no lifecycle of its own, so New, Add and Rebuild leave no goroutine
+// behind (a rebuild's parallel pair merges are joined before it returns).
+func TestRegistryStartsNoGoroutine(t *testing.T) {
+	pool := queries.MustGen("flight", "Q1", 8, 9)
+	before := runtime.NumGoroutine()
+	r, err := New(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-
-	const burst = 20
-	for i := 0; i < burst; i++ {
-		if _, err := r.Add(pool[i]); err != nil {
+	for _, p := range pool {
+		if _, err := r.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if s := r.Snapshot(); s.Clean() && len(s.Slots) == burst {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never produced a clean snapshot: %+v", r.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if _, err := r.Rebuild(); err != nil {
+		t.Fatal(err)
 	}
-	if st := r.Stats(); st.Builds >= burst/2 {
-		t.Fatalf("burst of %d adds triggered %d rebuilds; debouncing failed", burst, st.Builds)
+	// A joined merge goroutine may still be on its way out: give it a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before New/Add/Rebuild, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestConcurrentChurnRace drives Add/Remove/Snapshot/Flush from many
+// TestConcurrentChurnRace drives Add/Remove/Snapshot/Rebuild from many
 // goroutines; meaningful mainly under -race, and finishes with the
 // equivalence check.
 func TestConcurrentChurnRace(t *testing.T) {
 	pool := queries.MustGen("flight", "Q1", 64, 13)
-	r, err := New(Options{Debounce: 5 * time.Millisecond})
+	r, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 
 	var mu sync.Mutex
 	var live []QueryID
@@ -318,10 +310,25 @@ func TestConcurrentChurnRace(t *testing.T) {
 			}
 		}(w)
 	}
-	// A reader hammers snapshots while churn is in flight.
+	// A rebuilder re-consolidates and a reader hammers snapshots while
+	// churn is in flight.
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
-	reader.Add(1)
+	reader.Add(2)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := r.Rebuild(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	go func() {
 		defer reader.Done()
 		var lastGen uint64

@@ -1,29 +1,33 @@
-// Package shard scales the live query registry past what one global merge
-// tree can sustain: a ShardedRegistry buckets incoming UDFs by the
-// similarity signature consolidate.FeatureSignature derives from their
-// feature sets, and each cluster owns a full registry.Registry of its own —
-// merge tree, content-keyed node cache, persistent smt.Context family, and
-// synthesized admission guard. Add/Remove touch exactly one cluster, so the
-// incremental rebuild a change triggers re-merges O(log cluster-size) small
-// programs instead of O(log N) programs whose roots span every live query,
-// and unrelated queries never bloat each other's merged program or guard.
+// Package shard is the live query registry — the one surface a live pass
+// (engine.WhereSharded) is served from. A ShardedRegistry buckets incoming
+// UDFs by the similarity signature consolidate.FeatureSignature derives
+// from their feature sets, and each cluster owns a registry.Registry of its
+// own — merge tree, content-keyed node cache, persistent smt.Context
+// family, and synthesized admission guard. Add/Remove touch exactly one
+// cluster, so the incremental rebuild a change triggers re-merges
+// O(log cluster-size) small programs instead of O(log N) programs whose
+// roots span every live query, and unrelated queries never bloat each
+// other's merged program or guard.
 //
 // Consolidation quality survives the split because the signature is built
 // from the same features the related() heuristic consolidates on: queries
 // that would cross-simplify land in the same cluster, and queries that
 // share nothing were never going to help each other anyway.
 //
-// A cluster that drifts past its size (or affinity) threshold is rebalanced
-// by splitting around its two least-similar members; moved queries keep
-// their shard-level QueryID while re-entering the target cluster's registry
+// A cluster that grows past its size threshold is rebalanced by splitting
+// around its two least-similar members; moved queries keep their
+// shard-level QueryID while re-entering the target cluster's registry
 // through the ordinary delta-snapshot path, so the engine's exactness
-// guarantees hold mid-rebalance.
+// guarantees hold mid-rebalance. One global merge tree over every query is
+// the configuration Options{MaxClusterSize: math.MaxInt, MinSimilarity: -1}:
+// every query joins the first cluster and it never splits.
 //
 // Snapshots are atomic across clusters: every mutation (and every completed
 // background rebuild) publishes one Snapshot holding each cluster's current
 // registry snapshot plus the local-to-global id mapping, under a single
 // monotone generation. The engine's WhereSharded operator loads it once per
-// batch, exactly as WhereRegistry loads a registry snapshot.
+// batch and swaps generations only at batch boundaries, so no record is
+// dropped or double-notified during a swap.
 package shard
 
 import (
@@ -55,28 +59,29 @@ const DefaultMinSimilarity = 0.25
 // Options configures a ShardedRegistry.
 type Options struct {
 	// Registry is the per-cluster registry configuration. The SMT cache is
-	// shared across all clusters (nil creates one); Debounce/MaxLag are
-	// interpreted by the shard layer, which runs one rebuild worker per
-	// cluster — the per-cluster registries themselves stay in manual
-	// rebuild mode so every publish flows through the shard snapshot.
+	// shared across all clusters (nil creates one).
 	Registry registry.Options
 	// MaxClusterSize is the size past which a cluster is split;
 	// 0 means DefaultMaxClusterSize.
 	MaxClusterSize int
 	// MinSimilarity is the centroid affinity required to join an existing
-	// cluster; below it a new cluster opens (subject to MaxClusters).
-	// 0 means DefaultMinSimilarity; negative means always join the most
-	// similar cluster (size splits still apply).
+	// cluster; below it a new cluster opens. 0 means DefaultMinSimilarity;
+	// negative means always join the most similar cluster (size splits
+	// still apply).
 	MinSimilarity float64
-	// MinAffinity, when positive, is the rebalance trigger for affinity
-	// drift: after an Add, a cluster of at least 4 members whose mean
-	// member-to-centroid similarity fell below it is split even if its
-	// size is within bounds.
-	MinAffinity float64
-	// MaxClusters, when positive, caps the cluster count: once reached,
-	// low-affinity queries join the most similar cluster anyway.
-	MaxClusters int
+	// Debounce is the quiet window a cluster's rebuild worker waits after a
+	// change before re-consolidating, so a burst coalesces into one
+	// rebuild; a change waits at most maxLagFactor×Debounce while further
+	// changes keep resetting the window. Zero (or negative) starts no
+	// workers: every change still publishes a delta snapshot, but rebuilds
+	// happen only on Rebuild or Flush — the mode the benchmark uses to time
+	// each one.
+	Debounce time.Duration
 }
+
+// maxLagFactor bounds how long a change may wait for its rebuild, in
+// debounce windows.
+const maxLagFactor = 8
 
 func (o Options) maxClusterSize() int {
 	if o.MaxClusterSize > 0 {
@@ -180,10 +185,7 @@ type cluster struct {
 // All methods are safe for concurrent use. Programs handed to Add must not
 // be mutated afterwards.
 type ShardedRegistry struct {
-	opts     Options
-	debounce time.Duration
-	maxLag   time.Duration
-	cache    *smt.Cache
+	opts Options
 
 	mu       sync.Mutex // guards the fields below
 	clusters []*cluster
@@ -202,7 +204,7 @@ type ShardedRegistry struct {
 }
 
 // New creates a sharded registry. Close must be called to stop the
-// per-cluster rebuild workers when Registry.Debounce is positive.
+// per-cluster rebuild workers when Debounce is positive.
 func New(opts Options) (*ShardedRegistry, error) {
 	if opts.Registry.Consolidate.Solver != nil {
 		return nil, fmt.Errorf("shard: Options.Registry.Consolidate.Solver is not supported; share a Cache instead")
@@ -211,22 +213,11 @@ func New(opts Options) (*ShardedRegistry, error) {
 		opts.Registry.Consolidate.Cache = smt.NewCache(0)
 	}
 	s := &ShardedRegistry{
-		opts:     opts,
-		debounce: opts.Registry.Debounce,
-		maxLag:   opts.Registry.MaxLag,
-		cache:    opts.Registry.Consolidate.Cache,
-		members:  map[QueryID]*member{},
-		nextID:   1,
-		done:     make(chan struct{}),
+		opts:    opts,
+		members: map[QueryID]*member{},
+		nextID:  1,
+		done:    make(chan struct{}),
 	}
-	if s.maxLag <= 0 {
-		s.maxLag = 8 * s.debounce
-	}
-	// Per-cluster registries rebuild only when the shard layer says so;
-	// their own debounce worker must stay off or rebuild publishes would
-	// bypass the shard snapshot.
-	s.opts.Registry.Debounce = 0
-	s.opts.Registry.MaxLag = 0
 	s.snap.Store(&Snapshot{})
 	return s, nil
 }
@@ -236,11 +227,6 @@ func New(opts Options) (*ShardedRegistry, error) {
 func (s *ShardedRegistry) Close() {
 	s.closeOnce.Do(func() { close(s.done) })
 	s.wg.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.clusters {
-		c.reg.Close()
-	}
 }
 
 // Snapshot returns the current cross-cluster generation; the returned
@@ -447,8 +433,7 @@ func (s *ShardedRegistry) Flush() (*Snapshot, error) {
 }
 
 // routeLocked picks the cluster a signature joins: the most affine
-// centroid when it clears the similarity bar (or when the cluster cap is
-// reached), a fresh cluster otherwise.
+// centroid when it clears the similarity bar, a fresh cluster otherwise.
 func (s *ShardedRegistry) routeLocked(sig consolidate.Signature) (*cluster, bool) {
 	var best *cluster
 	bestSim := -1.0
@@ -457,20 +442,14 @@ func (s *ShardedRegistry) routeLocked(sig consolidate.Signature) (*cluster, bool
 			best, bestSim = c, sim
 		}
 	}
-	if best != nil {
-		if bestSim >= s.opts.minSimilarity() {
-			return best, false
-		}
-		if s.opts.MaxClusters > 0 && len(s.clusters) >= s.opts.MaxClusters {
-			return best, false
-		}
+	if best != nil && bestSim >= s.opts.minSimilarity() {
+		return best, false
 	}
 	return s.newClusterLocked(), true
 }
 
 func (s *ShardedRegistry) newClusterLocked() *cluster {
-	ropts := s.opts.Registry
-	reg, err := registry.New(ropts)
+	reg, err := registry.New(s.opts.Registry)
 	if err != nil {
 		// Options were validated in New; per-cluster construction cannot
 		// fail after that.
@@ -485,7 +464,7 @@ func (s *ShardedRegistry) newClusterLocked() *cluster {
 	}
 	s.nextCID++
 	s.clusters = append(s.clusters, c)
-	if s.debounce > 0 {
+	if s.opts.Debounce > 0 {
 		s.wg.Add(1)
 		go s.worker(c)
 	}
@@ -500,7 +479,6 @@ func (s *ShardedRegistry) dropClusterLocked(c *cluster) {
 		}
 	}
 	close(c.stop)
-	c.reg.Close()
 }
 
 // remapLocked rebuilds the published local→global id mapping of a cluster
@@ -523,19 +501,10 @@ func (s *ShardedRegistry) recentroidLocked(c *cluster) {
 }
 
 // maybeSplitLocked applies the rebalance policy to a cluster that just
-// grew: split when it drifted past the size threshold, or — when
-// MinAffinity is set — past the affinity threshold. Returns the new
-// cluster, if any.
+// grew: split when it is past the size threshold. Returns the new cluster,
+// if any.
 func (s *ShardedRegistry) maybeSplitLocked(c *cluster) (*cluster, error) {
-	over := len(c.order) > s.opts.maxClusterSize()
-	if !over && s.opts.MinAffinity > 0 && len(c.order) >= 4 {
-		sum := 0.0
-		for _, m := range c.order {
-			sum += m.sig.Similarity(c.centroid)
-		}
-		over = sum/float64(len(c.order)) < s.opts.MinAffinity
-	}
-	if !over || len(c.order) < 2 {
+	if len(c.order) <= s.opts.maxClusterSize() || len(c.order) < 2 {
 		return nil, nil
 	}
 	return s.splitLocked(c)
@@ -613,7 +582,7 @@ func (s *ShardedRegistry) publishLocked() {
 // kickCluster schedules a cluster's background rebuild; with no debounce
 // configured, rebuilds happen only on explicit Rebuild/Flush.
 func (s *ShardedRegistry) kickCluster(c *cluster) {
-	if s.debounce <= 0 {
+	if s.opts.Debounce <= 0 {
 		return
 	}
 	select {
@@ -622,10 +591,12 @@ func (s *ShardedRegistry) kickCluster(c *cluster) {
 	}
 }
 
-// worker is one cluster's rebuild goroutine: it debounces change bursts
-// exactly as the registry's own worker would, but publishes the completed
-// rebuild through the shard snapshot so the engine sees one atomic
-// cross-cluster generation.
+// worker is one cluster's rebuild goroutine, the one debounce loop of the
+// live tier: after a kick it waits for a Debounce-long quiet window —
+// restarting it on further kicks, but never past maxLagFactor×Debounce from
+// the first — then rebuilds once and publishes the result through the shard
+// snapshot, so the engine sees one atomic cross-cluster generation. Changes
+// that raced the build kicked the cluster again and get the next round.
 func (s *ShardedRegistry) worker(c *cluster) {
 	defer s.wg.Done()
 	for {
@@ -637,7 +608,7 @@ func (s *ShardedRegistry) worker(c *cluster) {
 		case <-c.kick:
 		}
 		first := time.Now()
-		quiet := time.NewTimer(s.debounce)
+		quiet := time.NewTimer(s.opts.Debounce)
 	debounce:
 		for {
 			select {
@@ -648,7 +619,7 @@ func (s *ShardedRegistry) worker(c *cluster) {
 				quiet.Stop()
 				return
 			case <-c.kick:
-				if time.Since(first) >= s.maxLag {
+				if time.Since(first) >= maxLagFactor*s.opts.Debounce {
 					break debounce
 				}
 				if !quiet.Stop() {
@@ -657,7 +628,7 @@ func (s *ShardedRegistry) worker(c *cluster) {
 					default:
 					}
 				}
-				quiet.Reset(s.debounce)
+				quiet.Reset(s.opts.Debounce)
 			case <-quiet.C:
 				break debounce
 			}

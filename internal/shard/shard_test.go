@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"consolidation/internal/lang"
-	"consolidation/internal/registry"
+	"consolidation/internal/queries"
 )
 
 // tempQuery and volQuery are two query families with disjoint call sets:
@@ -303,7 +303,7 @@ func TestShardedDeterministic(t *testing.T) {
 // a debounce configured, churn settles into a clean published snapshot
 // without any explicit Rebuild/Flush call.
 func TestShardedBackgroundRebuild(t *testing.T) {
-	s, err := New(Options{Registry: registry.Options{Debounce: time.Millisecond}})
+	s, err := New(Options{Debounce: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,6 +331,42 @@ func TestShardedBackgroundRebuild(t *testing.T) {
 	}
 }
 
+// TestShardedDebounceCoalescesBursts asserts a cluster's worker coalesces a
+// storm of subscriptions: many adds inside the debounce window end in a
+// clean snapshot after far fewer rebuilds than changes.
+func TestShardedDebounceCoalescesBursts(t *testing.T) {
+	pool := queries.MustGen("flight", "Q1", 40, 9)
+	s, err := New(Options{Debounce: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	const burst = 20
+	for i := 0; i < burst; i++ {
+		mustAdd(t, s, pool[i])
+	}
+	builds := func() (n uint64) {
+		for _, cs := range s.ClusterStats() {
+			n += cs.Registry.Builds
+		}
+		return n
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if snap := s.Snapshot(); snap.Clean() && len(snap.LiveIDs()) == burst {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers never produced a clean snapshot: %+v after %d builds", s.Stats(), builds())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := builds(); n >= burst/2 {
+		t.Fatalf("burst of %d adds triggered %d rebuilds; debouncing failed", burst, n)
+	}
+}
+
 // TestShardedCloseNoWorkerLeak pins worker lifecycle: every per-cluster
 // rebuild goroutine must be joined by Close, including workers of clusters
 // created by splits and workers mid-debounce, across repeated instances.
@@ -338,7 +374,7 @@ func TestShardedCloseNoWorkerLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 4; round++ {
 		s, err := New(Options{
-			Registry:       registry.Options{Debounce: time.Millisecond},
+			Debounce:       time.Millisecond,
 			MaxClusterSize: 2,
 		})
 		if err != nil {

@@ -197,14 +197,6 @@ func (s ContextStats) Diff(o ContextStats) ContextStats {
 	}
 }
 
-// MemoHitRate is the fraction of checks answered by the private memo.
-func (s ContextStats) MemoHitRate() float64 {
-	if s.Checks == 0 {
-		return 0
-	}
-	return float64(s.MemoHits) / float64(s.Checks)
-}
-
 // Size caps: past these the context resets at the next safe point
 // (BeginRun), bounding memory when one context lives across many rebuilds.
 const (

@@ -521,15 +521,6 @@ func (c *Context) Conjuncts() []logic.Formula {
 	return fs
 }
 
-// Versions returns a copy of the current version map.
-func (c *Context) Versions() map[string]int {
-	out := make(map[string]int, len(c.version))
-	for k, v := range c.version {
-		out[k] = v
-	}
-	return out
-}
-
 func (c *Context) trim() {
 	if c.MaxConjuncts > 0 && len(c.conj) > c.MaxConjuncts {
 		drop := len(c.conj) - c.MaxConjuncts
