@@ -23,10 +23,12 @@ type Options struct {
 	// MaxEmbedSize disables the duplicating If 3/If 4 rules when the code
 	// to embed exceeds this many AST nodes, falling back to If 5. This is
 	// the paper's cross-simplification vs code-size trade-off knob.
+	// Besides DefaultOptions and cmd/consolidate's -embed flag, only the
+	// ablation tests set it.
 	MaxEmbedSize int
 	// NoDCE disables the dead-store elimination post-pass (an extension
-	// over the paper's calculus; see EliminateDeadCode). Used by the
-	// ablation benchmarks.
+	// over the paper's calculus; see EliminateDeadCode). Only the ablation
+	// tests set it.
 	NoDCE bool
 	// MaxFuel overrides the Ω work bound of one Pair call; 0 keeps the
 	// size-proportional default. When the fuel runs out the remaining
@@ -36,21 +38,15 @@ type Options struct {
 	MaxFuel int
 	// Solver supplies an existing solver (one consolidation at a time);
 	// nil creates a fresh one. Because a Solver is not concurrency-safe,
-	// setting it forces All into serial execution — prefer Cache to share
+	// setting it makes the builder run in line — prefer Cache to share
 	// solver work across parallel pair workers.
 	Solver *smt.Solver
 	// Cache supplies a shared SMT query cache. It is concurrency-safe, so
-	// All's parallel pair workers each get a fresh solver backed by this
-	// cache and reuse verdicts across pairs and levels. nil makes All
-	// create one cache per run (and New one per solver). Ignored when
+	// the builder's parallel pair workers each get a fresh solver backed by
+	// this cache and reuse verdicts across pairs and levels. nil makes the
+	// builder create one cache per run (and New one per solver). Ignored when
 	// Solver is set (the solver brings its own cache).
 	Cache *smt.Cache
-	// SolvingContext supplies a persistent incremental solving context
-	// (smt.Context) reused across Pair calls — the registry wires one per
-	// merge-tree node so incremental rebuilds start warm. Like Solver it is
-	// single-threaded, so setting it forces All into serial execution; nil
-	// makes New create a private one per Consolidator.
-	SolvingContext *smt.Context
 	// NoSolvingContext disables incremental solving contexts entirely,
 	// restoring stateless per-query solving. The differential oracle uses
 	// it to compare the two pipelines.
@@ -111,7 +107,11 @@ type Consolidator struct {
 }
 
 // New returns a consolidator with the given options.
-func New(opts Options) *Consolidator {
+func New(opts Options) *Consolidator { return newConsolidator(opts, nil) }
+
+// newConsolidator is New with sctx as its incremental solving context —
+// a Memo's persistent per-node context; nil creates a private one.
+func newConsolidator(opts Options, sctx *smt.Context) *Consolidator {
 	if opts.CostModel == nil {
 		opts.CostModel = lang.DefaultCostModel()
 	}
@@ -129,12 +129,10 @@ func New(opts Options) *Consolidator {
 			solver = smt.New()
 		}
 	}
-	var sctx *smt.Context
-	if !opts.NoSolvingContext {
-		sctx = opts.SolvingContext
-		if sctx == nil {
-			sctx = smt.NewSolvingContext()
-		}
+	if opts.NoSolvingContext {
+		sctx = nil
+	} else if sctx == nil {
+		sctx = smt.NewSolvingContext()
 	}
 	return &Consolidator{
 		opts:   opts,

@@ -238,6 +238,38 @@ func TestAllDivideAndConquer(t *testing.T) {
 	}
 }
 
+// TestLevelsAreCeilLog2 pins the tree shape: N leaves take N−1 pairs over
+// ⌈log₂N⌉ levels, and leaves keyed by arbitrary ids build the same shape
+// to the same size as All's 0…N−1.
+func TestLevelsAreCeilLog2(t *testing.T) {
+	for _, c := range []struct{ n, levels int }{{1, 0}, {2, 1}, {3, 2}, {5, 3}, {10, 4}, {50, 6}} {
+		var progs []*lang.Program
+		var leaves []Leaf
+		for i := 0; i < c.n; i++ {
+			p := lang.MustParse("func q(r) { v := price(r); notify 1 (v < " + itoa(100+i*20) + "); }")
+			progs = append(progs, p)
+			leaves = append(leaves, Leaf{ID: 1000 + 7*i, Prog: p})
+		}
+		opts := DefaultOptions()
+		opts.FuncCoster = paperLib()
+		_, ms, err := All(progs, opts, true, false)
+		if err != nil {
+			t.Fatalf("N=%d: %v", c.n, err)
+		}
+		if ms.Pairs != c.n-1 || ms.Levels != c.levels {
+			t.Errorf("N=%d: %d pairs over %d levels, want %d over %d", c.n, ms.Pairs, ms.Levels, c.n-1, c.levels)
+		}
+		_, bms, err := Build(leaves, opts, 2, NewMemo())
+		if err != nil {
+			t.Fatalf("N=%d: Build: %v", c.n, err)
+		}
+		if bms.Pairs != ms.Pairs || bms.Levels != ms.Levels || bms.OutputSize != ms.OutputSize {
+			t.Errorf("N=%d: id-keyed build %d pairs, %d levels, size %d; All %d, %d, %d",
+				c.n, bms.Pairs, bms.Levels, bms.OutputSize, ms.Pairs, ms.Levels, ms.OutputSize)
+		}
+	}
+}
+
 func TestAllParallelMatchesSerial(t *testing.T) {
 	var progs []*lang.Program
 	for i := 0; i < 8; i++ {

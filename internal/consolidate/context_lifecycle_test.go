@@ -72,7 +72,7 @@ func TestCancelledPairsLeaveSharedCacheIntact(t *testing.T) {
 			t.Fatal("expected parameter-mismatch error from the bad pair")
 		}
 	}
-	waitGoroutines(t, baseline, "5 cancelled runs")
+	waitGoroutines(t, baseline, "5 aborted runs")
 
 	healthy := healthyProgs(6)
 	scarred, _, err := All(healthy, opts, false, true)
@@ -84,37 +84,42 @@ func TestCancelledPairsLeaveSharedCacheIntact(t *testing.T) {
 		t.Fatalf("consolidation over a fresh cache: %v", err)
 	}
 	if got, want := lang.Format(scarred), lang.Format(fresh); got != want {
-		t.Fatalf("cancelled runs poisoned the shared cache:\n--- scarred ---\n%s\n--- fresh ---\n%s", got, want)
+		t.Fatalf("aborted runs poisoned the shared cache:\n--- scarred ---\n%s\n--- fresh ---\n%s", got, want)
 	}
 }
 
-// TestCallerContextSurvivesCancelledRun drives All with a caller-supplied
-// persistent context (which forces serial execution — the context is
-// single-threaded) through an aborted run, then reuses the same context
-// for a healthy batch: the warm, partially-populated context must
-// produce output byte-identical to a cold one.
+// TestCallerContextSurvivesCancelledRun drives the builder with a Memo —
+// whose per-position solving contexts persist across builds — through an
+// aborted run, then reuses the same memo for a healthy batch under fresh
+// ids: the warm, partially-populated contexts must produce output
+// byte-identical to a cold build without a memo.
 func TestCallerContextSurvivesCancelledRun(t *testing.T) {
-	sctx := smt.NewSolvingContext()
+	memo := NewMemo()
 	opts := DefaultOptions()
-	opts.SolvingContext = sctx
 
 	baseline := runtime.NumGoroutine()
-	if _, _, err := All(badPairProgs(), opts, false, true); err == nil {
+	if _, _, err := Build(indexLeaves(badPairProgs()), opts, 2, memo); err == nil {
 		t.Fatal("expected parameter-mismatch error from the bad pair")
 	}
-	waitGoroutines(t, baseline, "a cancelled caller-context run")
-
-	healthy := healthyProgs(6)
-	warm, _, err := All(healthy, opts, false, true)
-	if err != nil {
-		t.Fatalf("consolidation with the surviving context: %v", err)
+	waitGoroutines(t, baseline, "an aborted memo run")
+	if len(memo.sctxs) == 0 {
+		t.Fatal("the aborted run left no solving context behind; the test premise is broken")
 	}
-	cold, _, err := All(healthy, DefaultOptions(), false, false)
+
+	var healthy []Leaf
+	for i, p := range healthyProgs(6) {
+		healthy = append(healthy, Leaf{ID: 100 + i, Prog: p})
+	}
+	warm, _, err := Build(healthy, opts, 2, memo)
+	if err != nil {
+		t.Fatalf("consolidation with the surviving contexts: %v", err)
+	}
+	cold, _, err := Build(healthy, DefaultOptions(), 1, nil)
 	if err != nil {
 		t.Fatalf("cold consolidation: %v", err)
 	}
 	if got, want := lang.Format(warm), lang.Format(cold); got != want {
-		t.Fatalf("context reuse after a cancelled run diverged:\n--- warm ---\n%s\n--- cold ---\n%s", got, want)
+		t.Fatalf("context reuse after an aborted run diverged:\n--- warm ---\n%s\n--- cold ---\n%s", got, want)
 	}
 }
 
@@ -163,19 +168,18 @@ func TestConcurrentCancelledRunsSharedCache(t *testing.T) {
 }
 
 // TestContextReleasesSolverAfterPair: a solving context outlives the
-// solver of any one Pair — the registry keeps a context per merge-tree
-// span — so once Pair returns it must not pin that solver, whose arena and
-// theory workspace run to megabytes.
+// solver of any one Pair — a Memo keeps a context per merge-tree
+// position — so once Pair returns it must not pin that solver, whose arena
+// and theory workspace run to megabytes.
 func TestContextReleasesSolverAfterPair(t *testing.T) {
 	sctx := smt.NewSolvingContext()
 	collected := make(chan struct{})
 	func() {
 		opts := DefaultOptions()
-		opts.SolvingContext = sctx
 		opts.Solver = smt.New()
 		runtime.SetFinalizer(opts.Solver, func(*smt.Solver) { close(collected) })
 		progs := healthyProgs(2)
-		if _, err := New(opts).Pair(progs[0], progs[1]); err != nil {
+		if _, err := newConsolidator(opts, sctx).Pair(progs[0], progs[1]); err != nil {
 			t.Fatal(err)
 		}
 		if opts.Solver.Stats.Queries == 0 {

@@ -33,7 +33,7 @@ func TestFuelExhaustionFallbackSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ms.Degraded() || ms.VerbatimFallbacks() == 0 {
+	if ms.VerbatimFallbacks() == 0 {
 		t.Fatalf("tiny fuel budget did not surface the verbatim fallback: %+v", ms.Rules)
 	}
 	// Soundness survives the fallback: verbatim emission is sequential
@@ -50,7 +50,7 @@ func TestFuelExhaustionFallbackSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fms.Degraded() {
+	if fms.VerbatimFallbacks() > 0 {
 		t.Fatalf("default budget reported fallbacks: %+v", fms.Rules)
 	}
 	if lang.Size(optimised.Body) >= lang.Size(merged.Body) {

@@ -40,7 +40,7 @@ func TestParallelCancelNoGoroutineLeak(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d at baseline, %d after 5 cancelled runs", baseline, now)
+			t.Fatalf("goroutines leaked: %d at baseline, %d after 5 aborted runs", baseline, now)
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)

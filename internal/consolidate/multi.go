@@ -14,13 +14,20 @@ import (
 
 // MultiStats aggregates a divide-and-conquer consolidation of n programs.
 type MultiStats struct {
-	Programs   int
-	Pairs      int
-	Levels     int
-	Duration   time.Duration
-	SMTQueries int
-	Rules      Stats
-	OutputSize int
+	Programs int
+	// Pairs counts the pairwise merges computed; NodesReused counts merge
+	// nodes served from a Memo instead (always 0 without one).
+	Pairs       int
+	NodesReused int
+	// LeavesPrepared counts leaves renamed apart for this build; a Memo
+	// serves the rest — every leaf that kept its position — from earlier
+	// builds.
+	LeavesPrepared int
+	Levels         int
+	Duration       time.Duration
+	SMTQueries     int
+	Rules          Stats
+	OutputSize     int
 	// Solver merges the per-pair solver statistics (each pair worker owns
 	// its own solver; only the query cache is shared).
 	Solver smt.Stats
@@ -49,23 +56,15 @@ func (ms *MultiStats) CacheHitRate() float64 {
 // this to tell an optimised plan from a budget-capped one.
 func (ms *MultiStats) VerbatimFallbacks() int { return ms.Rules.FuelExhausted }
 
-// Degraded reports whether any pair fell back to verbatim emission.
-func (ms *MultiStats) Degraded() bool { return ms.Rules.FuelExhausted > 0 }
-
 // Span identifies a merge-tree node by the half-open interval of leaf
-// indices it covers; leaf i is Span{i, i + 1}.
+// positions it covers; leaf i is Span{i, i + 1}.
 type Span struct{ Lo, Hi int }
 
-// MergeTree persists the divide-and-conquer tree of one All run: the
+// MergeTree persists the divide-and-conquer tree of one AllTree run: the
 // prepared leaves and every pairwise merge, keyed by the leaf span each
 // node covers, all in pre-cleanup form (the clean-up passes run once on
-// the root only — see All). Odd leftovers carried to the next level are
-// not duplicated; their program is found under the child span.
-//
-// The tree is what makes consolidation incremental: replacing leaf i
-// invalidates exactly the nodes whose span contains i (the O(log N) path
-// to the root), and every sibling subtree can be reused as-is. The live
-// registry (internal/registry) keeps such a tree across Add/Remove churn.
+// the root only — see All). Odd leftovers carried up a level are not
+// duplicated; their program is found under the child span.
 type MergeTree struct {
 	N     int
 	Nodes map[Span]*lang.Program
@@ -73,12 +72,24 @@ type MergeTree struct {
 	Root *lang.Program
 }
 
-// PrepareLeaf returns the working copy All uses for leaf idx: locals
-// renamed apart under the q<idx>_ prefix and, when renumber is set, every
-// notification id rewritten to idx (ids are per-program, so multiple
-// notify sites collapse to the same id correctly). Incremental drivers
-// must prepare leaves exactly like this to stay byte-compatible with All.
-func PrepareLeaf(p *lang.Program, idx int, renumber bool) *lang.Program {
+// Leaf is one input of the merge tree. ID is the leaf's identity, which a
+// Memo keys the prepared leaf and every merge node above it by; All passes
+// ids 0…N−1, the live registry its query ids. A leaf's content is
+// positional: the leaf at position i has its locals renamed apart under
+// the q<i>_ prefix and, with renumbering, notifies i. Positional names are
+// what let the shared SMT cache answer alpha-identical entailments of
+// different leaves at the same tree position.
+type Leaf struct {
+	ID   int
+	Prog *lang.Program
+}
+
+// prepareLeaf returns the working copy the builder merges for p at
+// position pos: locals renamed apart so that pairwise clash renaming stays
+// rare and, when renumber is set, every notification id rewritten to pos
+// (ids are per-program, so multiple notify sites collapse to the same id
+// correctly).
+func prepareLeaf(p *lang.Program, pos int, renumber bool) *lang.Program {
 	q := &lang.Program{Name: p.Name, Params: p.Params, Body: p.Body}
 	params := map[string]bool{}
 	for _, prm := range p.Params {
@@ -88,148 +99,260 @@ func PrepareLeaf(p *lang.Program, idx int, renumber bool) *lang.Program {
 		if params[v] {
 			return v
 		}
-		return fmt.Sprintf("q%d_%s", idx, v)
+		return fmt.Sprintf("q%d_%s", pos, v)
 	})
 	if renumber {
-		q.Body = lang.RenameNotifyIDs(q.Body, func(int) int { return idx })
+		q.Body = lang.RenameNotifyIDs(q.Body, func(int) int { return pos })
 	}
 	return q
 }
 
-// FinalCleanup applies the clean-up passes All runs once on the root
-// program (copy propagation, then dead-store elimination). Exposed so
-// incremental drivers finish a re-merged root identically to All.
+// FinalCleanup applies the clean-up passes the builder runs once on the
+// root program (copy propagation, then dead-store elimination).
 func FinalCleanup(p *lang.Program) *lang.Program {
 	return EliminateDeadCode(PropagateCopies(p))
 }
 
-// All consolidates n ≥ 1 programs into one, pairing them level by level as
-// in the parallel divide-and-conquer scheme of Section 6.1. Notification
-// identifiers are renumbered to the program's index when renumber is true
-// (the whereConsolidated operator does this so query i owns id i); local
+// All consolidates n ≥ 1 programs into one by the parallel
+// divide-and-conquer scheme of Section 6.1. Notification identifiers are
+// renumbered to the program's index when renumber is true (the
+// whereConsolidated operator does this so query i owns id i); local
 // variables are renamed apart automatically.
 func All(progs []*lang.Program, opts Options, renumber bool, parallel bool) (*lang.Program, *MultiStats, error) {
-	out, _, ms, err := allTree(progs, opts, renumber, parallel, false)
-	return out, ms, err
+	return build(indexLeaves(progs), opts, renumber, allWorkers(parallel), nil, nil)
 }
 
-// AllTree is All, additionally persisting the divide-and-conquer merge
-// tree so callers can re-consolidate incrementally after leaf changes.
+// AllTree is All, additionally persisting the merge tree by leaf span.
 func AllTree(progs []*lang.Program, opts Options, renumber bool, parallel bool) (*lang.Program, *MergeTree, *MultiStats, error) {
-	return allTree(progs, opts, renumber, parallel, true)
+	tree := &MergeTree{N: len(progs), Nodes: map[Span]*lang.Program{}}
+	out, ms, err := build(indexLeaves(progs), opts, renumber, allWorkers(parallel), nil, tree)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tree.Root = out
+	return out, tree, ms, nil
 }
 
-func allTree(progs []*lang.Program, opts Options, renumber, parallel, record bool) (*lang.Program, *MergeTree, *MultiStats, error) {
-	if len(progs) == 0 {
-		return nil, nil, nil, fmt.Errorf("consolidate: no programs")
+// Build consolidates leaves, renumbering each leaf's notifications to its
+// position. With a Memo, only the merge nodes whose position or leaf-id
+// sequence is new since the memo's last build are re-merged — after one
+// leaf changes that is its O(log N) root path — and the memo is pruned to
+// the new tree. workers bounds concurrent pair merges; 1 builds in line.
+func Build(leaves []Leaf, opts Options, workers int, memo *Memo) (*lang.Program, *MultiStats, error) {
+	return build(leaves, opts, true, workers, memo, nil)
+}
+
+func indexLeaves(progs []*lang.Program) []Leaf {
+	leaves := make([]Leaf, len(progs))
+	for i, p := range progs {
+		leaves[i] = Leaf{ID: i, Prog: p}
+	}
+	return leaves
+}
+
+func allWorkers(parallel bool) int {
+	if parallel {
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
+}
+
+// Memo persists a merge tree across builds: merge nodes keyed by their
+// position and the sequence of leaf ids they cover, prepared leaves keyed
+// by id, and one incremental solving context per tree position, so that a
+// node re-merged after a nearby change starts from warm Tseitin encodings
+// and learned clauses. Any change under a node changes its key, so every
+// unchanged subtree hits by construction. A Memo requires that an id
+// always names the same program and that every build uses the same
+// Options; it must not be used by concurrent builds.
+type Memo struct {
+	nodes map[nodeKey]memoNode
+	seqs  *seqTable
+	prep  map[int]preparedLeaf
+	sctxs map[Span]*smt.Context
+}
+
+// nodeKey identifies a merge node by its first leaf position and the
+// interned sequence of leaf ids under it — injective while the seqTable
+// lives, without rendering a string per node per build. A leaf has no key.
+type nodeKey struct{ lo, seq int32 }
+
+var noKey = nodeKey{-1, -1}
+
+// memoNode is one cached merge: the pre-cleanup program, its span (where
+// its solving context lives) and its children's keys, which is what lets
+// prune find every node under a reused one.
+type memoNode struct {
+	prog        *lang.Program
+	span        Span
+	left, right nodeKey
+}
+
+type preparedLeaf struct {
+	pos  int
+	prog *lang.Program
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo {
+	return &Memo{
+		nodes: map[nodeKey]memoNode{},
+		seqs:  newSeqTable(),
+		prep:  map[int]preparedLeaf{},
+		sctxs: map[Span]*smt.Context{},
+	}
+}
+
+// Nodes reports the number of cached merge nodes (N−1 after a build of N
+// leaves).
+func (m *Memo) Nodes() int { return len(m.nodes) }
+
+// prune drops merge nodes unreachable from root, solving contexts at
+// positions the tree no longer has, and prepared leaves of departed ids,
+// keeping the memo O(N).
+func (m *Memo) prune(root nodeKey, leaves []Leaf) {
+	keep := make(map[nodeKey]bool, len(leaves))
+	keepSpan := make(map[Span]bool, len(leaves))
+	var mark func(nodeKey)
+	mark = func(k nodeKey) {
+		n, ok := m.nodes[k]
+		if !ok {
+			return
+		}
+		keep[k] = true
+		keepSpan[n.span] = true
+		mark(n.left)
+		mark(n.right)
+	}
+	mark(root)
+	for k := range m.nodes {
+		if !keep[k] {
+			delete(m.nodes, k)
+		}
+	}
+	for sp := range m.sctxs {
+		if !keepSpan[sp] {
+			delete(m.sctxs, sp)
+		}
+	}
+	live := make(map[int]bool, len(leaves))
+	for _, l := range leaves {
+		live[l.ID] = true
+	}
+	for id := range m.prep {
+		if !live[id] {
+			delete(m.prep, id)
+		}
+	}
+}
+
+// seqTable hash-conses sequences of leaf ids as cons lists: a sequence is
+// the id of the pair (head, rest). Shared suffixes share cells, and an
+// unchanged span re-interns to the same seq in O(length) map hits.
+type seqTable struct {
+	pairs map[seqPair]int32
+	n     int32
+}
+
+type seqPair struct {
+	head int
+	tail int32
+}
+
+// seqTableCap bounds table growth across builds; past it the table and the
+// merge nodes keyed by its ids are dropped together (the next build
+// repopulates both from scratch, which is always sound).
+const seqTableCap = 1 << 20
+
+func newSeqTable() *seqTable {
+	return &seqTable{pairs: map[seqPair]int32{}}
+}
+
+// seqOf interns the id sequence of leaves, consing right to left so that
+// spans sharing a tail share cells. The empty sequence is -1.
+func (t *seqTable) seqOf(leaves []Leaf) int32 {
+	seq := int32(-1)
+	for i := len(leaves) - 1; i >= 0; i-- {
+		p := seqPair{head: leaves[i].ID, tail: seq}
+		id, ok := t.pairs[p]
+		if !ok {
+			t.n++
+			id = t.n
+			t.pairs[p] = id
+		}
+		seq = id
+	}
+	return seq
+}
+
+// builder runs one build: the only implementation of the divide-and-
+// conquer tree. A node covering n > 1 leaves sits in a power-of-two
+// aligned block and splits at the block's midpoint; a node whose block
+// midpoint falls past its last leaf is its left child carried up
+// unchanged. The left subtree is merged before the right one, so with one
+// worker the recursion is depth first and in line (a shared solver sees a
+// deterministic query order); otherwise the right subtree forks and one
+// semaphore bounds concurrent Pair calls.
+type builder struct {
+	leaves   []Leaf
+	opts     Options
+	renumber bool
+	memo     *Memo
+	tree     *MergeTree
+	sem      chan struct{} // nil: in line
+
+	mu     sync.Mutex // guards ms, memo, tree and firstE
+	ms     *MultiStats
+	failed atomic.Bool
+	firstE error
+}
+
+func build(leaves []Leaf, opts Options, renumber bool, workers int, memo *Memo, tree *MergeTree) (*lang.Program, *MultiStats, error) {
+	if len(leaves) == 0 {
+		return nil, nil, fmt.Errorf("consolidate: no programs")
 	}
 	start := time.Now()
-	ms := &MultiStats{Programs: len(progs)}
-	var tree *MergeTree
-	if record {
-		tree = &MergeTree{N: len(progs), Nodes: map[Span]*lang.Program{}}
-	}
-
-	// Clean-up passes run once on the final program, not between levels: a
+	// Clean-up passes run once on the final program, not per merge: a
 	// store that is dead within one merged program is exactly what a later
 	// partner memoizes against (its call result), so intermediate DCE
 	// destroys sharing opportunities.
 	finalDCE := !opts.NoDCE
 	opts.NoDCE = true
-
-	work := make([]*lang.Program, len(progs))
-	spans := make([]Span, len(progs))
-	for i, p := range progs {
-		// Rename locals apart once, so pairwise clash renaming stays rare.
-		work[i] = PrepareLeaf(p, i, renumber)
-		spans[i] = Span{Lo: i, Hi: i + 1}
-		if record {
-			tree.Nodes[spans[i]] = work[i]
-		}
-	}
-
-	workers := 1
-	if parallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// A caller-supplied solver or solving context still forces serial
-	// execution — neither is safe for concurrent use, and every pair
-	// worker would share the one instance. A caller-supplied (or freshly
-	// created) Cache does not: each pair worker gets its own solver (and
-	// its own private context) backed by the shared, lock-striped cache,
-	// so later pairs and later levels reuse verdicts from earlier ones
-	// without serialising.
-	if opts.Solver != nil || opts.SolvingContext != nil {
+	// A caller-supplied solver is not safe for concurrent use, so it forces
+	// an in-line build. A Cache does not: each pair gets its own solver
+	// backed by the shared, lock-striped cache, so later pairs reuse
+	// verdicts from earlier ones without serialising.
+	if opts.Solver != nil {
 		workers = 1
 	}
 	if opts.Solver == nil && opts.Cache == nil {
 		opts.Cache = smt.NewCache(0)
 	}
-
-	var mu sync.Mutex
-	var firstErr error
-	// cancelled stops sibling and not-yet-launched pairs once any pair
-	// fails: their output would be discarded, so letting them keep
-	// burning solver budget only delays the error.
-	var cancelled atomic.Bool
-	for len(work) > 1 {
-		ms.Levels++
-		next := make([]*lang.Program, (len(work)+1)/2)
-		nextSpans := make([]Span, (len(work)+1)/2)
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < len(work); i += 2 {
-			if i+1 == len(work) {
-				next[i/2] = work[i]
-				nextSpans[i/2] = spans[i]
-				continue
-			}
-			if cancelled.Load() {
-				break
-			}
-			nextSpans[i/2] = Span{Lo: spans[i].Lo, Hi: spans[i+1].Hi}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(slot int, a, b *lang.Program, span Span) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if cancelled.Load() {
-					return
-				}
-				co := New(opts)
-				pre := co.solver.Stats
-				merged, err := co.Pair(a, b)
-				delta := co.solver.Stats.Diff(pre)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					cancelled.Store(true)
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				ms.Pairs++
-				ms.SMTQueries += co.stats.SMTQueries
-				ms.Solver.Add(delta)
-				ms.Context.Add(co.stats.Context)
-				addStats(&ms.Rules, co.stats)
-				next[slot] = merged
-				if record {
-					tree.Nodes[span] = merged
-				}
-			}(i/2, work[i], work[i+1], nextSpans[i/2])
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, nil, nil, firstErr
-		}
-		work, spans = next, nextSpans
+	b := &builder{leaves: leaves, opts: opts, renumber: renumber, memo: memo, tree: tree,
+		ms: &MultiStats{Programs: len(leaves)}}
+	if workers > 1 {
+		b.sem = make(chan struct{}, workers)
 	}
-	out := work[0]
+	if memo != nil && len(memo.seqs.pairs) > seqTableCap {
+		memo.seqs = newSeqTable()
+		memo.nodes = map[nodeKey]memoNode{}
+	}
+	size := 1
+	for size < len(leaves) {
+		size *= 2
+		b.ms.Levels++
+	}
+	out, key := b.node(0, len(leaves), size)
+	if b.firstE != nil {
+		return nil, nil, b.firstE
+	}
+	if memo != nil {
+		memo.prune(key, leaves)
+	}
 	if finalDCE {
 		out = FinalCleanup(out)
 	}
+	ms := b.ms
 	ms.Duration = time.Since(start)
 	ms.OutputSize = lang.Size(out.Body)
 	if opts.Solver != nil {
@@ -237,10 +360,137 @@ func allTree(progs []*lang.Program, opts Options, renumber, parallel, record boo
 	} else {
 		ms.Cache = opts.Cache.Stats()
 	}
-	if record {
-		tree.Root = out
+	return out, ms, nil
+}
+
+// node builds the subtree over leaves [lo, hi) in a block of the given
+// size and returns its pre-cleanup program and memo key (noKey for a leaf
+// or without a memo); nil once any pair has failed.
+func (b *builder) node(lo, hi, size int) (*lang.Program, nodeKey) {
+	if b.failed.Load() {
+		return nil, noKey
 	}
-	return out, tree, ms, nil
+	if hi-lo == 1 {
+		return b.leaf(lo), noKey
+	}
+	half := size / 2
+	mid := lo + half
+	if mid >= hi {
+		return b.node(lo, hi, half)
+	}
+	key := noKey
+	if b.memo != nil {
+		b.mu.Lock()
+		key = nodeKey{int32(lo), b.memo.seqs.seqOf(b.leaves[lo:hi])}
+		n, ok := b.memo.nodes[key]
+		if ok {
+			// A hit subsumes the whole subtree; prune still reaches its
+			// descendants through the stored child keys.
+			b.ms.NodesReused++
+		}
+		b.mu.Unlock()
+		if ok {
+			return n.prog, key
+		}
+	}
+
+	var left, right *lang.Program
+	var lk, rk nodeKey
+	if b.sem == nil {
+		left, lk = b.node(lo, mid, half)
+		right, rk = b.node(mid, hi, half)
+	} else {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			right, rk = b.node(mid, hi, half)
+		}()
+		left, lk = b.node(lo, mid, half)
+		<-done
+	}
+	if left == nil || right == nil {
+		return nil, noKey
+	}
+	sp := Span{lo, hi}
+	merged := b.pair(sp, left, right)
+	if merged == nil {
+		return nil, noKey
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.memo != nil {
+		b.memo.nodes[key] = memoNode{prog: merged, span: sp, left: lk, right: rk}
+	}
+	if b.tree != nil {
+		b.tree.Nodes[sp] = merged
+	}
+	return merged, key
+}
+
+// leaf returns the prepared leaf at position pos, from the memo when it
+// holds the leaf's id at the same position.
+func (b *builder) leaf(pos int) *lang.Program {
+	l := b.leaves[pos]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.memo != nil {
+		if p, ok := b.memo.prep[l.ID]; ok && p.pos == pos {
+			return p.prog
+		}
+	}
+	p := prepareLeaf(l.Prog, pos, b.renumber)
+	b.ms.LeavesPrepared++
+	if b.memo != nil {
+		b.memo.prep[l.ID] = preparedLeaf{pos, p}
+	}
+	if b.tree != nil {
+		b.tree.Nodes[Span{pos, pos + 1}] = p
+	}
+	return p
+}
+
+// pair merges left ⊗ right for the node at sp and folds its statistics
+// into the build's. The first error cancels every pair not yet started:
+// its output would be discarded, so it would only delay the error.
+func (b *builder) pair(sp Span, left, right *lang.Program) *lang.Program {
+	if b.sem != nil {
+		b.sem <- struct{}{}
+		defer func() { <-b.sem }()
+	}
+	if b.failed.Load() {
+		return nil
+	}
+	var sctx *smt.Context
+	if b.memo != nil && !b.opts.NoSolvingContext {
+		// Only this node's pair touches its context during a build, and
+		// builds over one memo are sequential.
+		b.mu.Lock()
+		if sctx = b.memo.sctxs[sp]; sctx == nil {
+			sctx = smt.NewSolvingContext()
+			b.memo.sctxs[sp] = sctx
+		}
+		b.mu.Unlock()
+	}
+	co := newConsolidator(b.opts, sctx)
+	pre := co.solver.Stats
+	merged, err := co.Pair(left, right)
+	delta := co.solver.Stats.Diff(pre)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err != nil {
+		if b.firstE == nil {
+			b.firstE = err
+		}
+		b.failed.Store(true)
+		return nil
+	}
+	ms := b.ms
+	ms.Pairs++
+	ms.SMTQueries += co.stats.SMTQueries
+	ms.Solver.Add(delta)
+	ms.Context.Add(co.stats.Context)
+	addStats(&ms.Rules, co.stats)
+	return merged
 }
 
 func addStats(dst *Stats, s Stats) {

@@ -3,10 +3,12 @@ package consolidate
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"consolidation/internal/lang"
+	"consolidation/internal/logic"
 	"consolidation/internal/queries"
 	"consolidation/internal/smt"
 )
@@ -209,5 +211,41 @@ func TestAllCancelsSiblingsOnError(t *testing.T) {
 	// Parallel mode must surface the same error (cancellation included).
 	if _, _, err := All(progs, DefaultOptions(), false, true); err == nil {
 		t.Error("parallel run: expected error")
+	}
+}
+
+// TestInlineBuildTraceIsDeterministic: a caller-supplied solver forces the
+// in-line build — depth first, on the caller's goroutine — so the solver
+// sees the same query sequence on every run and no pair goroutine is alive
+// while it answers.
+func TestInlineBuildTraceIsDeterministic(t *testing.T) {
+	progs := healthyProgs(6)
+	trace := func() []string {
+		var log []string
+		baseline := runtime.NumGoroutine()
+		extra := 0
+		solver := smt.New()
+		solver.Trace = func(f logic.Formula, r smt.Result, _ bool) {
+			log = append(log, f.String()+" => "+r.String())
+			if n := runtime.NumGoroutine() - baseline; n > extra {
+				extra = n
+			}
+		}
+		opts := DefaultOptions()
+		opts.Solver = solver
+		if _, _, err := All(progs, opts, false, true); err != nil {
+			t.Fatal(err)
+		}
+		if extra > 0 {
+			t.Errorf("%d goroutines beside the caller's while the solver answered", extra)
+		}
+		return log
+	}
+	first, second := trace(), trace()
+	if len(first) == 0 {
+		t.Fatal("the build issued no solver queries; the test premise is broken")
+	}
+	if strings.Join(first, "\n") != strings.Join(second, "\n") {
+		t.Fatalf("query sequences differ between runs: %d vs %d queries", len(first), len(second))
 	}
 }

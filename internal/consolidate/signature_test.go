@@ -55,7 +55,7 @@ func TestFeatureSignatureDeterministic(t *testing.T) {
 	q := mustParseSig(t, sigSrcC)
 	_ = FeatureSignature(q)
 	co := New(Options{})
-	if _, err := co.Pair(PrepareLeaf(mustParseSig(t, sigSrcA), 0, true), PrepareLeaf(mustParseSig(t, sigSrcB), 1, true)); err != nil {
+	if _, err := co.Pair(prepareLeaf(mustParseSig(t, sigSrcA), 0, true), prepareLeaf(mustParseSig(t, sigSrcB), 1, true)); err != nil {
 		t.Fatalf("pair: %v", err)
 	}
 	if s3 := FeatureSignature(p1); !reflect.DeepEqual(s1, s3) {

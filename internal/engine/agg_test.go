@@ -231,156 +231,6 @@ func TestAggSharedTraversalCost(t *testing.T) {
 	}
 }
 
-// TestAggSessionMatchesBatch checks the streaming session against the
-// closed-stream operator for a fixed registry.
-func TestAggSessionMatchesBatch(t *testing.T) {
-	d := &aggToy{n: 37}
-	aggs := weatherAggs(t, "window 4")
-	ref, err := AggregateMany(d, aggs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewAggSession(d, lang.WindowSpec{Size: 4}, consolidate.Options{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range aggs {
-		if err := s.Add(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < d.n; i++ {
-		if err := s.Feed(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := s.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range aggs {
-		r, g := ref.Outputs[qi], got.Outputs[qi]
-		if r.Windows != g.Windows || len(r.Vals) != len(g.Vals) {
-			t.Fatalf("agg %s: session emitted %d windows, reference %d", r.Name, g.Windows, r.Windows)
-		}
-		for j := range r.Vals {
-			if r.Vals[j] != g.Vals[j] {
-				t.Fatalf("agg %s: verdict %d differs", r.Name, j)
-			}
-		}
-	}
-}
-
-// TestAggSessionSwapDefersToWindowClose pins the registry swap rule: an
-// Add or Remove mid-window takes effect only at the next boundary, so no
-// emitted window was folded by two different merged programs.
-func TestAggSessionSwapDefersToWindowClose(t *testing.T) {
-	d := &aggToy{n: 16}
-	aggs := weatherAggs(t, "window 4")
-	s, err := NewAggSession(d, lang.WindowSpec{Size: 4}, consolidate.Options{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(aggs[0]); err != nil { // hot active from record 0
-		t.Fatal(err)
-	}
-	// Feed 2 of 4 records, then add swing mid-window and remove hot
-	// mid-window: both must wait for the boundary.
-	for i := 0; i < 2; i++ {
-		if err := s.Feed(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Add(aggs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Remove("hot"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Active(); len(got) != 1 || got[0] != "hot" {
-		t.Fatalf("mid-window Active() = %v, want [hot]", got)
-	}
-	for i := 2; i < 8; i++ {
-		if err := s.Feed(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Active(); len(got) != 1 || got[0] != "swing" {
-		t.Fatalf("post-boundary Active() = %v, want [swing]", got)
-	}
-	res, err := s.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// hot saw exactly window [0,4); swing exactly window [4,8).
-	byName := map[string]*AggOutput{}
-	for _, o := range res.Outputs {
-		byName[o.Name] = o
-	}
-	if byName["hot"].Windows != 1 {
-		t.Fatalf("hot emitted %d windows, want 1 (only the window it was active for)", byName["hot"].Windows)
-	}
-	if byName["swing"].Windows != 1 {
-		t.Fatalf("swing emitted %d windows, want 1 (added mid-window must wait)", byName["swing"].Windows)
-	}
-	// Cross-check against references over the respective windows.
-	refHot, err := AggregateMany(&aggToy{n: 4}, aggs[:1], Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refHot.Outputs[0].Vals[0] != byName["hot"].Vals[0] {
-		t.Fatal("hot's window verdict differs from a replay of records [0,4)")
-	}
-	// swing's window covers records [4,8): replay via a session fed exactly those.
-	s2, err := NewAggSession(d, lang.WindowSpec{Size: 4}, consolidate.Options{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Add(aggs[1]); err != nil {
-		t.Fatal(err)
-	}
-	for i := 4; i < 8; i++ {
-		if err := s2.Feed(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res2, err := s2.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range res2.Outputs[0].Vals {
-		if res2.Outputs[0].Vals[j] != byName["swing"].Vals[j] {
-			t.Fatal("swing's window verdict differs from a replay of records [4,8)")
-		}
-	}
-}
-
-// TestAggSessionRejects pins the session's validation errors.
-func TestAggSessionRejects(t *testing.T) {
-	d := &aggToy{n: 8}
-	if _, err := NewAggSession(d, lang.WindowSpec{Size: 4, KeyFunc: "city"}, consolidate.Options{}, Options{}); err == nil {
-		t.Fatal("keyed session must be rejected")
-	}
-	if _, err := NewAggSession(d, lang.WindowSpec{Size: 0}, consolidate.Options{}, Options{}); err == nil {
-		t.Fatal("zero window must be rejected")
-	}
-	s, err := NewAggSession(d, lang.WindowSpec{Size: 4}, consolidate.Options{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggs := weatherAggs(t, "window 4")
-	if err := s.Add(aggs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(aggs[0]); err == nil {
-		t.Fatal("duplicate Add must be rejected")
-	}
-	other := weatherAggs(t, "window 8")
-	if err := s.Add(other[1]); err == nil {
-		t.Fatal("mismatched window spec must be rejected")
-	}
-}
-
 // TestAggPartialCombineZeroAlloc pins the split path's steady state at
 // zero allocations per record: fold step into a partial segment plus the
 // combine of a closed window allocate nothing.

@@ -156,8 +156,8 @@ type Options struct {
 	NoPrefilter bool
 	// NoHomAgg disables the homomorphic partial/combine path of windowed
 	// aggregation passes: groups then run window-at-a-time, never splitting a
-	// window across workers. Outputs are byte-identical either way — the knob
-	// exists for differential testing and for measuring the split's benefit.
+	// window across workers. Outputs are byte-identical either way; only the
+	// differential tests and the oracle set it.
 	NoHomAgg bool
 	// PrefilterCache, when set, backs the SMT queries of guard synthesis so
 	// repeated consolidations share validity verdicts.

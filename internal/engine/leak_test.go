@@ -137,7 +137,7 @@ func TestClaimLoopEarlyExitOnError(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
-			t.Fatalf("worker goroutines leaked after cancelled batched pass: %d at baseline, %d now",
+			t.Fatalf("worker goroutines leaked after an aborted batched pass: %d at baseline, %d now",
 				baseline, runtime.NumGoroutine())
 		}
 		time.Sleep(5 * time.Millisecond)

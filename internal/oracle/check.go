@@ -299,9 +299,9 @@ func CheckConsolidation(b *Batch) *Failure {
 
 // CheckRegistry replays a random churn trace (adds and removes derived
 // from the batch seed) against a cluster's registry, and after every
-// event checks the flushed snapshot is byte-identical to consolidate.All
-// run from scratch over the registry's own slot order. nil means every
-// flush matched.
+// event checks the flushed snapshot is byte-identical to the same builder,
+// consolidate.Build, run from scratch without a memo over the registry's
+// own (QueryID, program) leaves. nil means every flush matched.
 func CheckRegistry(b *Batch, events int) *Failure {
 	rng := rand.New(rand.NewSource(b.Seed ^ 0x5DEECE66D))
 	reg, err := registry.New(registry.Options{Workers: 2})
@@ -328,8 +328,8 @@ func CheckRegistry(b *Batch, events int) *Failure {
 		if err != nil {
 			return failf(CheckErr, b, "registry.Flush after %s: %v", event, err)
 		}
-		progs := reg.Programs()
-		if len(progs) == 0 {
+		leaves := reg.Leaves()
+		if len(leaves) == 0 {
 			if snap.Merged != nil {
 				f := failf(CheckIncremental, b, "after %s: empty registry published a non-nil program", event)
 				f.Events = events
@@ -337,18 +337,18 @@ func CheckRegistry(b *Batch, events int) *Failure {
 			}
 			return nil
 		}
-		want, _, err := consolidate.All(progs, consolidate.Options{}, true, false)
+		want, _, err := consolidate.Build(leaves, consolidate.Options{}, 1, nil)
 		if err != nil {
 			return failf(CheckErr, b, "from-scratch consolidation after %s: %v", event, err)
 		}
 		if snap.Merged == nil {
-			f := failf(CheckIncremental, b, "after %s: registry holds %d queries but published no program", event, len(progs))
+			f := failf(CheckIncremental, b, "after %s: registry holds %d queries but published no program", event, len(leaves))
 			f.Events = events
 			return f
 		}
 		got, wantText := lang.Format(snap.Merged), lang.Format(want)
 		if got != wantText {
-			f := failf(CheckIncremental, b, "after %s with %d live queries, incremental output diverges from scratch:\n--- incremental ---\n%s\n--- from scratch ---\n%s", event, len(progs), got, wantText)
+			f := failf(CheckIncremental, b, "after %s with %d live queries, incremental output diverges from scratch:\n--- incremental ---\n%s\n--- from scratch ---\n%s", event, len(leaves), got, wantText)
 			f.Events = events
 			return f
 		}

@@ -49,7 +49,7 @@ func Shrink(f *Failure, budget int) *Failure {
 		changed := false
 
 		// Drop whole programs (a minimal reproducer usually needs two, and
-		// sometimes just one: PrepareLeaf and cleanup run even for N=1).
+		// sometimes just one: leaf preparation and cleanup run even for N=1).
 		for i := 0; len(best.Batch.Progs) > 1 && i < len(best.Batch.Progs); i++ {
 			cand := best.Batch.Clone()
 			cand.Progs = append(cand.Progs[:i:i], cand.Progs[i+1:]...)

@@ -71,8 +71,6 @@ type Options struct {
 	MaxCalls int
 	// MaxSize bounds the guard expression size; 0 means default.
 	MaxSize int
-	// MaxContexts bounds the symbolic walk; 0 means default.
-	MaxContexts int
 }
 
 // Guard is the synthesized admission pre-filter of one merged program. A
@@ -129,9 +127,6 @@ func Synthesize(merged *lang.Program, opts Options) *Guard {
 	if opts.MaxSize == 0 {
 		opts.MaxSize = DefaultMaxSize
 	}
-	if opts.MaxContexts == 0 {
-		opts.MaxContexts = DefaultMaxContexts
-	}
 	if opts.Solver == nil {
 		if opts.Cache == nil {
 			opts.Cache = smt.NewCache(0)
@@ -139,7 +134,7 @@ func Synthesize(merged *lang.Program, opts Options) *Guard {
 		opts.Solver = smt.NewWithCache(opts.Cache)
 	}
 
-	conds, complete := sym.CollectNotifyTrue(merged, opts.MaxContexts)
+	conds, complete := sym.CollectNotifyTrue(merged, DefaultMaxContexts)
 	if !complete {
 		// Unreached notify sites may be missing: no sound guard derivable.
 		return trivial(nil)

@@ -1,14 +1,16 @@
-// Package registry is the incremental builder behind one cluster of the
-// live tier: it owns the divide-and-conquer merge tree that consolidate.All
-// produces and keeps a consolidated program current while UDFs are added
-// and removed by subscribers.
+// Package registry keeps one cluster of the live tier consolidated while
+// subscribers add and remove UDFs: it owns the query set, its delta
+// snapshots and their publication, and hands every rebuild to
+// consolidate.Build — the one merge-tree builder — with a persistent
+// consolidate.Memo.
 //
 // The paper consolidates a fixed batch of programs offline; a service
 // re-running All over all N programs on every subscription change would
-// waste exactly the work the divide-and-conquer tree already did. Rebuild
-// instead re-consolidates only the O(log N) merge nodes whose leaf span
-// changed — every sibling subtree is reused from a content-keyed node
-// cache, and the shared smt.Cache answers the re-proved entailments.
+// waste exactly the work the divide-and-conquer tree already did. A
+// rebuild instead re-merges only the O(log N) nodes whose leaves changed —
+// every other subtree is reused from the memo, keyed by its position and
+// the query ids it covers, and the shared smt.Cache answers the re-proved
+// entailments.
 //
 // A Registry is passive: it starts no goroutine and rebuilds only when its
 // owner calls Rebuild or Flush. The owner is internal/shard, which decides
@@ -22,11 +24,13 @@
 // bound of DESIGN.md's work-bounds extension), and queries removed since
 // are suppressed by id.
 //
-// Slots use swap-remove: removing a query moves the last leaf into its
-// slot, so a removal dirties two root paths instead of shifting every
-// later leaf. The surviving set's order is therefore registry-defined;
-// Programs() exposes it, and after Flush the consolidated program is
-// byte-identical to consolidate.All run from scratch over Programs().
+// Leaves are the (QueryID, program) pairs in slot order; as in
+// consolidate.All, the leaf in slot i has locals q<i>_ and notifies i, and
+// Snapshot.Slots maps slots back to query ids. Slots use swap-remove:
+// removing a query moves the last leaf into its slot, so a removal dirties
+// two root paths instead of shifting every later leaf, and only the moved
+// query is prepared again. After Flush the consolidated program is
+// byte-identical to consolidate.Build run from scratch over Leaves().
 package registry
 
 import (
@@ -43,7 +47,8 @@ import (
 )
 
 // QueryID is the stable handle of one subscribed query. Ids are never
-// reused, which is what lets the merge-node cache key nodes by content.
+// reused, which is what lets the memo key merge nodes by the ids they
+// cover.
 type QueryID uint64
 
 // Options configures a Registry.
@@ -83,11 +88,14 @@ type BuildStats struct {
 	// Leaves is the number of live queries consolidated.
 	Leaves int
 	// PairsMerged counts pairwise merges actually recomputed;
-	// NodesReused counts merge nodes served from the tree cache. A clean
+	// NodesReused counts merge nodes served from the memo. A clean
 	// incremental rebuild after one change recomputes O(log N) pairs.
 	PairsMerged int
 	NodesReused int
-	SMTQueries  int
+	// LeavesPrepared counts queries renamed apart for this build: new ones
+	// and the one a swap-remove moved. Every other leaf comes from the memo.
+	LeavesPrepared int
+	SMTQueries     int
 	// CacheHitRate is the shared SMT cache's hit rate during this build.
 	CacheHitRate float64
 	// VerbatimFallbacks counts Ω fuel exhaustions (degraded plan; see
@@ -96,7 +104,7 @@ type BuildStats struct {
 	Rules             consolidate.Stats
 	// Context aggregates the per-merge-node incremental solving contexts
 	// over the pairs this build recomputed. Contexts persist across
-	// rebuilds keyed by tree span, so a node re-merged after a nearby
+	// rebuilds keyed by tree position, so a node re-merged after a nearby
 	// change reuses its Tseitin encodings and learned clauses.
 	Context smt.ContextStats
 	// PrefilterTime is the time guard synthesis took (zero when disabled);
@@ -167,7 +175,7 @@ type Stats struct {
 	NodesReused    uint64
 	TotalBuildTime time.Duration
 	LastBuild      BuildStats
-	// CachedNodes is the current merge-node cache size (≈ N after a clean
+	// CachedNodes is the memo's merge-node count (N−1 after a clean
 	// rebuild; sibling programs kept for the next incremental pass).
 	CachedNodes int
 }
@@ -177,17 +185,6 @@ type entry struct {
 	src      *lang.Program
 	compiled *lang.Compiled
 	notifyID int
-}
-
-// span identifies a merge-tree node by the leaf range it covers. Spans are
-// positional, not content-keyed: after a change the node at the same
-// position re-merges mostly-unchanged programs, which is exactly when a
-// persistent solving context's memos pay off.
-type span struct{ lo, hi int }
-
-type preparedLeaf struct {
-	slot int
-	prog *lang.Program
 }
 
 // Registry is one incrementally consolidated query set. All methods are
@@ -209,22 +206,9 @@ type Registry struct {
 
 	snap atomic.Pointer[Snapshot]
 
-	// buildMu serialises rebuilds; the merge-node, prepared-leaf and
-	// solving-context caches below are touched only under it (the builder
-	// additionally guards them with its own mutex during a build's
-	// parallel fan-out).
+	// buildMu serialises rebuilds, as a shared Memo requires.
 	buildMu sync.Mutex
-	nodes   map[nodeKey]*lang.Program
-	// seqs interns the query-id sequences that key merge nodes; it persists
-	// across builds so an unchanged span keeps its key (and its cache hit)
-	// from one build to the next.
-	seqs *seqTable
-	prep map[QueryID]preparedLeaf
-	// sctxs holds one persistent solving context per merge-tree span.
-	// Distinct spans re-merge in distinct goroutines, but a span is only
-	// ever touched by its own pair worker within a build, and buildMu
-	// serialises builds — so each context sees strictly sequential use.
-	sctxs map[span]*smt.Context
+	memo    *consolidate.Memo
 }
 
 // New creates an empty registry.
@@ -233,7 +217,7 @@ func New(opts Options) (*Registry, error) {
 		return nil, fmt.Errorf("registry: Options.Consolidate.Solver is not supported; share a Cache instead")
 	}
 	// Remaining consolidation options default inside consolidate.New,
-	// identically to what All applies per pair.
+	// identically for every pair the builder merges.
 	if opts.Consolidate.Cache == nil {
 		opts.Consolidate.Cache = smt.NewCache(0)
 	}
@@ -245,10 +229,7 @@ func New(opts Options) (*Registry, error) {
 		cache:  opts.Consolidate.Cache,
 		slotOf: map[QueryID]int{},
 		nextID: 1,
-		nodes:  map[nodeKey]*lang.Program{},
-		seqs:   newSeqTable(),
-		prep:   map[QueryID]preparedLeaf{},
-		sctxs:  map[span]*smt.Context{},
+		memo:   consolidate.NewMemo(),
 	}
 	r.snap.Store(&Snapshot{})
 	return r, nil
@@ -266,15 +247,19 @@ func (r *Registry) Size() int {
 	return len(r.entries)
 }
 
-// Programs returns the surviving query programs in registry slot order —
-// the set and order a from-scratch consolidate.All must be given to
+// Leaves returns the surviving queries as (QueryID, program) leaves in
+// slot order — what a from-scratch consolidate.Build must be given to
 // reproduce the registry's consolidated program byte for byte.
-func (r *Registry) Programs() []*lang.Program {
+func (r *Registry) Leaves() []consolidate.Leaf {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*lang.Program, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = e.src
+	return leavesOf(r.entries)
+}
+
+func leavesOf(ents []entry) []consolidate.Leaf {
+	out := make([]consolidate.Leaf, len(ents))
+	for i, e := range ents {
+		out[i] = consolidate.Leaf{ID: int(e.id), Prog: e.src}
 	}
 	return out
 }
@@ -294,7 +279,7 @@ func (r *Registry) Stats() Stats {
 	s.Size = len(r.entries)
 	r.mu.Unlock()
 	r.buildMu.Lock()
-	s.CachedNodes = len(r.nodes)
+	s.CachedNodes = r.memo.Nodes()
 	r.buildMu.Unlock()
 	return s
 }
@@ -410,8 +395,7 @@ func (r *Registry) Remove(id QueryID) error {
 }
 
 // Rebuild re-consolidates the live set now and publishes the result. Only
-// merge nodes whose leaf span changed since the cached tree are
-// recomputed. If queries changed concurrently during the build, the
+// merge nodes whose leaves changed since the memo's tree are recomputed. If queries changed concurrently during the build, the
 // published snapshot carries the residual delta for the next rebuild.
 func (r *Registry) Rebuild() (*Snapshot, error) {
 	r.buildMu.Lock()
@@ -428,18 +412,13 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 	var compiled *lang.Compiled
 	bs := BuildStats{Leaves: len(ents)}
 	if len(ents) == 0 {
-		// Registry drained: the caches hold nothing reusable.
-		r.nodes = map[nodeKey]*lang.Program{}
-		r.prep = map[QueryID]preparedLeaf{}
-		r.sctxs = map[span]*smt.Context{}
+		// Registry drained: the memo holds nothing reusable.
+		r.memo = consolidate.NewMemo()
 	} else {
-		b := r.newBuilder(ents)
-		raw, err := b.run()
-		if err == nil && !r.opts.Consolidate.NoDCE {
-			raw = consolidate.FinalCleanup(raw)
-		}
+		var ms *consolidate.MultiStats
+		var err error
+		root, ms, err = consolidate.Build(leavesOf(ents), r.opts.Consolidate, r.opts.Workers, r.memo)
 		if err == nil {
-			root = raw
 			compiled, err = lang.Compile(root)
 		}
 		if err != nil {
@@ -448,8 +427,13 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 			r.mu.Unlock()
 			return nil, err
 		}
-		bs = b.stats
-		b.prune()
+		bs.PairsMerged = ms.Pairs
+		bs.NodesReused = ms.NodesReused
+		bs.LeavesPrepared = ms.LeavesPrepared
+		bs.SMTQueries = ms.SMTQueries
+		bs.VerbatimFallbacks = ms.VerbatimFallbacks()
+		bs.Rules = ms.Rules
+		bs.Context = ms.Context
 	}
 	post := r.cache.Stats()
 	if lk := post.Lookups - pre.Lookups; lk > 0 {
@@ -535,298 +519,4 @@ func (r *Registry) Flush() (*Snapshot, error) {
 			return nil, err
 		}
 	}
-}
-
-// ---- incremental tree build ----
-
-// builder recomputes the merge tree for one frozen leaf sequence. The
-// tree has the exact shape of consolidate.All's level-by-level pairing: a
-// node covers leaves [lo, hi) with hi truncated by N, its children split
-// at lo+size/2, and an empty right child carries the left child up
-// unchanged. Nodes are cached by content — the slot offset plus the query
-// ids under the node — so any node whose leaves did not move is reused
-// and only changed root paths are re-merged.
-type builder struct {
-	ents  []entry
-	reg   *Registry
-	opts  consolidate.Options
-	stats BuildStats
-	// spanKeys maps every interior node span of this build's tree to its
-	// content key. It is filled single-threaded in newBuilder and read-only
-	// during the parallel fan-out, so the shared seqTable needs no lock on
-	// the hot path.
-	spanKeys map[span]nodeKey
-	mu       sync.Mutex
-	sem      chan struct{}
-	failed   atomic.Bool
-	firstE   error
-}
-
-// nodeKey identifies a merge node by its slot offset and the interned
-// sequence of query ids under it — the same content the old text key
-// rendered as "lo|id,id,...", without allocating a string per node per
-// build. Injective while the seqTable generation lives: hash-consing gives
-// each distinct id sequence exactly one seq.
-type nodeKey struct {
-	lo  int32
-	seq int32
-}
-
-// seqTable hash-conses sequences of query ids as cons lists: a sequence is
-// the id of the pair (head, rest). Shared suffixes share cells, and an
-// unchanged span re-interns to the same seq in O(length) map hits.
-type seqTable struct {
-	pairs map[seqPair]int32
-	n     int32
-}
-
-type seqPair struct {
-	head QueryID
-	tail int32
-}
-
-// seqTableCap bounds table growth across builds; past it the table and the
-// merge-node cache keyed by its ids are dropped together (the next build
-// repopulates both from scratch, which is always sound).
-const seqTableCap = 1 << 20
-
-func newSeqTable() *seqTable {
-	return &seqTable{pairs: map[seqPair]int32{}}
-}
-
-func (t *seqTable) cons(head QueryID, tail int32) int32 {
-	p := seqPair{head: head, tail: tail}
-	if id, ok := t.pairs[p]; ok {
-		return id
-	}
-	t.n++
-	t.pairs[p] = t.n
-	return t.n
-}
-
-// seqOf interns the id sequence of ents, consing right to left so that
-// spans sharing a tail share cells. The empty sequence is -1.
-func (t *seqTable) seqOf(ents []entry) int32 {
-	seq := int32(-1)
-	for i := len(ents) - 1; i >= 0; i-- {
-		seq = t.cons(ents[i].id, seq)
-	}
-	return seq
-}
-
-func (r *Registry) newBuilder(ents []entry) *builder {
-	opts := r.opts.Consolidate
-	// As in All: clean-up passes run once on the root, not between levels,
-	// or intermediate DCE would destroy the sharing later partners memoize
-	// against.
-	opts.NoDCE = true
-	if len(r.seqs.pairs) > seqTableCap {
-		r.seqs = newSeqTable()
-		r.nodes = map[nodeKey]*lang.Program{}
-	}
-	b := &builder{
-		ents:     ents,
-		reg:      r,
-		opts:     opts,
-		spanKeys: map[span]nodeKey{},
-		sem:      make(chan struct{}, r.opts.Workers),
-	}
-	b.stats.Leaves = len(ents)
-	size := 1
-	for size < len(ents) {
-		size *= 2
-	}
-	b.collectSpanKeys(0, len(ents), size)
-	return b
-}
-
-// collectSpanKeys walks the tree shape and interns the key of every
-// interior node, mirroring the recursion of build and collectKeys.
-func (b *builder) collectSpanKeys(lo, hi, size int) {
-	if hi-lo <= 1 {
-		return
-	}
-	half := size / 2
-	mid := lo + half
-	if mid >= hi {
-		b.collectSpanKeys(lo, hi, half)
-		return
-	}
-	b.spanKeys[span{lo, hi}] = nodeKey{lo: int32(lo), seq: b.reg.seqs.seqOf(b.ents[lo:hi])}
-	b.collectSpanKeys(lo, mid, half)
-	b.collectSpanKeys(mid, hi, half)
-}
-
-func (b *builder) run() (*lang.Program, error) {
-	size := 1
-	for size < len(b.ents) {
-		size *= 2
-	}
-	root := b.build(0, len(b.ents), size)
-	if b.firstE != nil {
-		return nil, b.firstE
-	}
-	return root, nil
-}
-
-func (b *builder) build(lo, hi, size int) *lang.Program {
-	if b.failed.Load() {
-		return nil
-	}
-	if hi-lo == 1 {
-		return b.leaf(lo)
-	}
-	half := size / 2
-	mid := lo + half
-	if mid >= hi {
-		// Odd leftover: the node is its left child, carried up unchanged.
-		return b.build(lo, hi, half)
-	}
-	k := b.spanKeys[span{lo, hi}]
-	b.mu.Lock()
-	if p, ok := b.reg.nodes[k]; ok {
-		// A hit subsumes the whole subtree: its descendants stay cached
-		// (prune walks the tree, so they remain reachable) but need no
-		// recursion here.
-		b.stats.NodesReused++
-		b.mu.Unlock()
-		return p
-	}
-	b.mu.Unlock()
-
-	var right *lang.Program
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		right = b.build(mid, hi, half)
-	}()
-	left := b.build(lo, mid, half)
-	<-done
-	if b.failed.Load() || left == nil || right == nil {
-		return nil
-	}
-
-	b.sem <- struct{}{}
-	opts := b.opts
-	if !opts.NoSolvingContext {
-		// Check out this span's persistent solving context. Only this pair
-		// worker touches it during the build, and buildMu serialises builds.
-		b.mu.Lock()
-		sc, ok := b.reg.sctxs[span{lo, hi}]
-		if !ok {
-			sc = smt.NewSolvingContext()
-			b.reg.sctxs[span{lo, hi}] = sc
-		}
-		b.mu.Unlock()
-		opts.SolvingContext = sc
-	}
-	co := consolidate.New(opts)
-	merged, err := co.Pair(left, right)
-	<-b.sem
-	if err != nil {
-		b.fail(err)
-		return nil
-	}
-	st := co.Stats()
-	b.mu.Lock()
-	b.reg.nodes[k] = merged
-	b.stats.PairsMerged++
-	b.stats.SMTQueries += st.SMTQueries
-	b.stats.VerbatimFallbacks += st.FuelExhausted
-	b.stats.Context.Add(st.Context)
-	addRules(&b.stats.Rules, st)
-	b.mu.Unlock()
-	return merged
-}
-
-// leaf prepares the query at the given slot exactly as All prepares its
-// leaves; re-preparations are cached until the query changes slot.
-func (b *builder) leaf(slot int) *lang.Program {
-	e := b.ents[slot]
-	b.mu.Lock()
-	if p, ok := b.reg.prep[e.id]; ok && p.slot == slot {
-		b.mu.Unlock()
-		return p.prog
-	}
-	b.mu.Unlock()
-	prog := consolidate.PrepareLeaf(e.src, slot, true)
-	b.mu.Lock()
-	b.reg.prep[e.id] = preparedLeaf{slot: slot, prog: prog}
-	b.mu.Unlock()
-	return prog
-}
-
-func (b *builder) fail(err error) {
-	b.mu.Lock()
-	if b.firstE == nil {
-		b.firstE = err
-	}
-	b.mu.Unlock()
-	b.failed.Store(true)
-}
-
-// prune drops merge nodes unreachable from the just-built tree and
-// prepared leaves of departed queries, keeping both caches O(N). Interior
-// nodes under a reused subtree must survive — the next change can land
-// inside that subtree — so reachability is computed by walking the tree
-// shape, not by recording which nodes the build visited.
-func (b *builder) prune() {
-	keep := make(map[nodeKey]bool, len(b.ents))
-	keepSpan := make(map[span]bool, len(b.ents))
-	size := 1
-	for size < len(b.ents) {
-		size *= 2
-	}
-	b.collectKeys(0, len(b.ents), size, keep, keepSpan)
-	for k := range b.reg.nodes {
-		if !keep[k] {
-			delete(b.reg.nodes, k)
-		}
-	}
-	for sp := range b.reg.sctxs {
-		if !keepSpan[sp] {
-			delete(b.reg.sctxs, sp)
-		}
-	}
-	liveID := make(map[QueryID]bool, len(b.ents))
-	for _, e := range b.ents {
-		liveID[e.id] = true
-	}
-	for id := range b.reg.prep {
-		if !liveID[id] {
-			delete(b.reg.prep, id)
-		}
-	}
-}
-
-// collectKeys records the key and span of every merge node of the current
-// tree.
-func (b *builder) collectKeys(lo, hi, size int, keep map[nodeKey]bool, keepSpan map[span]bool) {
-	if hi-lo <= 1 {
-		return
-	}
-	half := size / 2
-	mid := lo + half
-	if mid >= hi {
-		b.collectKeys(lo, hi, half, keep, keepSpan)
-		return
-	}
-	keep[b.spanKeys[span{lo, hi}]] = true
-	keepSpan[span{lo, hi}] = true
-	b.collectKeys(lo, mid, half, keep, keepSpan)
-	b.collectKeys(mid, hi, half, keep, keepSpan)
-}
-
-func addRules(dst *consolidate.Stats, s consolidate.Stats) {
-	dst.If1 += s.If1
-	dst.If2 += s.If2
-	dst.If3 += s.If3
-	dst.If4 += s.If4
-	dst.If5 += s.If5
-	dst.Loop2 += s.Loop2
-	dst.Loop3 += s.Loop3
-	dst.LoopsSequential += s.LoopsSequential
-	dst.AssignsSimplified += s.AssignsSimplified
-	dst.FuelExhausted += s.FuelExhausted
-	dst.SMTQueries += s.SMTQueries
 }

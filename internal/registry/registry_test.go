@@ -13,21 +13,21 @@ import (
 	"consolidation/internal/queries"
 )
 
-// scratch consolidates the registry's surviving set from scratch, exactly
-// as a batch caller would: fresh options, fresh cache, renumbered ids.
-func scratch(t *testing.T, progs []*lang.Program) *lang.Program {
+// scratch runs the same builder over the registry's surviving leaves from
+// scratch: fresh options, fresh cache, no memo.
+func scratch(t *testing.T, leaves []consolidate.Leaf) *lang.Program {
 	t.Helper()
-	merged, _, err := consolidate.All(progs, consolidate.DefaultOptions(), true, true)
+	merged, _, err := consolidate.Build(leaves, consolidate.DefaultOptions(), runtime.GOMAXPROCS(0), nil)
 	if err != nil {
-		t.Fatalf("from-scratch All: %v", err)
+		t.Fatalf("from-scratch build: %v", err)
 	}
 	return merged
 }
 
 // TestIncrementalEquivalence is the tentpole property: after any seeded
 // sequence of Add/Remove operations, the registry's consolidated program
-// is byte-identical to consolidate.All run from scratch on the surviving
-// set. Runs in CI under -race.
+// is byte-identical to the builder run from scratch, without a memo, over
+// the registry's (QueryID, program) leaves. Runs in CI under -race.
 func TestIncrementalEquivalence(t *testing.T) {
 	pool := queries.MustGen("flight", "Q1", 40, 7)
 	rng := rand.New(rand.NewSource(11))
@@ -66,7 +66,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		if !snap.Clean() {
 			t.Fatalf("%s: flushed snapshot not clean", step)
 		}
-		progs := r.Programs()
+		progs := r.Leaves()
 		if len(progs) == 0 {
 			if snap.Merged != nil {
 				t.Fatalf("%s: empty registry kept a merged program", step)
@@ -75,7 +75,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		}
 		want := lang.Format(scratch(t, progs))
 		if got := lang.Format(snap.Merged); got != want {
-			t.Fatalf("%s: registry output differs from from-scratch All\n--- registry ---\n%s\n--- scratch ---\n%s",
+			t.Fatalf("%s: registry output differs from the from-scratch build\n--- registry ---\n%s\n--- scratch ---\n%s",
 				step, got, want)
 		}
 		if len(snap.Slots) != len(progs) {
@@ -162,6 +162,52 @@ func TestIncrementalReusesSubtrees(t *testing.T) {
 	}
 }
 
+// TestSwapRemoveReusesLeaves pins the memo's leaf reuse: when Remove
+// swap-moves the last query into the freed slot, the rebuild prepares only
+// that moved query again — every leaf that kept its slot comes from the
+// memo — and re-merges at most the two changed root paths.
+func TestSwapRemoveReusesLeaves(t *testing.T) {
+	pool := queries.MustGen("flight", "Q1", 10, 3)
+	r, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pool {
+		if _, err := r.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := r.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Build.LeavesPrepared != len(pool) {
+		t.Fatalf("cold build prepared %d leaves, want %d", snap.Build.LeavesPrepared, len(pool))
+	}
+	moved := snap.Slots[len(pool)-1]
+	if err := r.Remove(snap.Slots[3]); err != nil {
+		t.Fatal(err)
+	}
+	snap, err = r.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Slots[3] != moved {
+		t.Fatalf("slot 3 holds query %d, want the swap-moved query %d", snap.Slots[3], moved)
+	}
+	if snap.Build.LeavesPrepared != 1 {
+		t.Fatalf("rebuild prepared %d leaves; only the moved query needs it", snap.Build.LeavesPrepared)
+	}
+	n := len(pool) - 1
+	logN := 0
+	for 1<<logN < n {
+		logN++
+	}
+	if snap.Build.PairsMerged > 2*logN {
+		t.Fatalf("swap-remove recomputed %d pairs, want at most 2·⌈log₂%d⌉ = %d", snap.Build.PairsMerged, n, 2*logN)
+	}
+}
+
 // TestDeltaSnapshots checks the liveness bridge between a change and the
 // next rebuild: adds run verbatim as Pending, removes of built queries are
 // suppressed via Removed, and removes of still-pending queries simply drop
@@ -241,7 +287,7 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestRegistryStartsNoGoroutine pins the registry as a passive builder: it
+// TestRegistryStartsNoGoroutine pins the registry as passive: it
 // has no lifecycle of its own, so New, Add and Rebuild leave no goroutine
 // behind (a rebuild's parallel pair merges are joined before it returns).
 func TestRegistryStartsNoGoroutine(t *testing.T) {
@@ -355,10 +401,10 @@ func TestConcurrentChurnRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs := r.Programs()
+	progs := r.Leaves()
 	if len(progs) > 0 {
 		if lang.Format(snap.Merged) != lang.Format(scratch(t, progs)) {
-			t.Fatal("post-churn registry output differs from from-scratch All")
+			t.Fatal("post-churn registry output differs from the from-scratch build")
 		}
 	}
 }
