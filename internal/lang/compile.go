@@ -55,24 +55,24 @@ type instr struct {
 type vmOp uint8
 
 const (
-	vIntConst vmOp = iota // regs[a] = imm
-	vBoolConst            // regs[a] = imm (0/1); separate cost class
-	vLoad                 // regs[a] = frame slot b (unbound check)
-	vStore                // frame slot a = regs[b]
-	vAdd                  // regs[a] = regs[b] + regs[c]
-	vSub                  // regs[a] = regs[b] - regs[c]
-	vMul                  // regs[a] = regs[b] * regs[c]
-	vLt                   // regs[a] = regs[b] < regs[c]
-	vEq                   // regs[a] = regs[b] == regs[c]
-	vLe                   // regs[a] = regs[b] <= regs[c]
-	vNot                  // regs[a] = !regs[b]
-	vAnd                  // regs[a] = regs[b] & regs[c] (Figure 2: no short circuit)
-	vOr                   // regs[a] = regs[b] | regs[c]
-	vCall                 // regs[a] = funcs[b](regs[c:c+imm])
-	vJmp                  // pc += b
-	vJmpIfFalse           // if regs[a] == 0 { pc += b }; carries the Branch cost
-	vNotify               // note slot a = (b != 0), stamping the current cost
-	vStep                 // while-loop head: count an iteration against MaxSteps
+	vIntConst   vmOp = iota // regs[a] = imm
+	vBoolConst              // regs[a] = imm (0/1); separate cost class
+	vLoad                   // regs[a] = frame slot b (unbound check)
+	vStore                  // frame slot a = regs[b]
+	vAdd                    // regs[a] = regs[b] + regs[c]
+	vSub                    // regs[a] = regs[b] - regs[c]
+	vMul                    // regs[a] = regs[b] * regs[c]
+	vLt                     // regs[a] = regs[b] < regs[c]
+	vEq                     // regs[a] = regs[b] == regs[c]
+	vLe                     // regs[a] = regs[b] <= regs[c]
+	vNot                    // regs[a] = !regs[b]
+	vAnd                    // regs[a] = regs[b] & regs[c] (Figure 2: no short circuit)
+	vOr                     // regs[a] = regs[b] | regs[c]
+	vCall                   // regs[a] = funcs[b](regs[c:c+imm])
+	vJmp                    // pc += b
+	vJmpIfFalse             // if regs[a] == 0 { pc += b }; carries the Branch cost
+	vNotify                 // note slot a = (b != 0), stamping the current cost
+	vStep                   // while-loop head: count an iteration against MaxSteps
 
 	// Superinstructions: fused forms of the patterns that dominate merged
 	// programs (assignments of call results, and cond/while tests that

@@ -183,7 +183,7 @@ func TestIntervalMergeCoversLine(t *testing.T) {
 	fc := logic.TApp{Func: "followerCount", Args: []logic.Term{logic.TVar{Name: "r"}}}
 	f := logic.Or(
 		logic.FAtom{Pred: logic.Le, L: logic.TConst{Value: 10}, R: fc}, // t ≥ 10
-		logic.FAtom{Pred: logic.Le, L: fc, R: logic.TConst{Value: 9}}, // t ≤ 9
+		logic.FAtom{Pred: logic.Le, L: fc, R: logic.TConst{Value: 9}},  // t ≤ 9
 	)
 	if _, ok := intervalMerge(f).(logic.FTrue); !ok {
 		t.Errorf("adjacent bounds cover every integer; want FTrue")

@@ -2,9 +2,10 @@ package smt
 
 // cdcl is a conflict-driven clause-learning SAT solver: two-watched-literal
 // propagation, first-UIP conflict analysis with clause learning, VSIDS-style
-// decaying activities, phase saving, and Luby restarts. It replaces the
-// simple recursive DPLL for formulas with real boolean structure; the lazy
-// SMT loop feeds it the boolean abstraction and blocking clauses.
+// decaying activities, phase saving, and Luby restarts. It is incremental:
+// solveAssume is its one entry point, the lazy SMT loop adds the boolean
+// abstraction and theory blocking clauses between calls, and the clause
+// database, learned clauses included, carries from one call to the next.
 //
 // Literal encoding: variable v ∈ [1, nvars]; literal +v / -v as in DIMACS.
 // Internally literals are indexed 2v (positive) and 2v+1 (negative).
@@ -24,23 +25,29 @@ type cdcl struct {
 
 	phase []int8 // saved phase per variable
 
-	conflicts    int
-	maxConflicts int
+	conflicts int
 }
+
+type satStatus int
+
+const (
+	satUnsat satStatus = iota
+	satSat
+	satUnknown
+)
 
 const noReason = -1
 
-func newCDCL(nvars int, clauses [][]int, maxConflicts int) *cdcl {
+func newCDCL(nvars int, clauses [][]int) *cdcl {
 	s := &cdcl{
-		nvars:        nvars,
-		watches:      make([][]int, 2*(nvars+1)),
-		assign:       make([]int8, nvars+1),
-		level:        make([]int, nvars+1),
-		reason:       make([]int, nvars+1),
-		activity:     make([]float64, nvars+1),
-		phase:        make([]int8, nvars+1),
-		varInc:       1,
-		maxConflicts: maxConflicts,
+		nvars:    nvars,
+		watches:  make([][]int, 2*(nvars+1)),
+		assign:   make([]int8, nvars+1),
+		level:    make([]int, nvars+1),
+		reason:   make([]int, nvars+1),
+		activity: make([]float64, nvars+1),
+		phase:    make([]int8, nvars+1),
+		varInc:   1,
 	}
 	for _, cl := range clauses {
 		s.addClause(cl)
@@ -292,71 +299,9 @@ func luby(i int) int {
 	}
 }
 
-// solve runs the CDCL main loop.
-func (s *cdcl) solve() (satStatus, []int8) {
-	qhead := 0
-	// Top-level propagation of unit clauses.
-	for id, cl := range s.clauses {
-		if len(cl) == 1 {
-			if !s.enqueue(cl[0], id) {
-				return satUnsat, nil
-			}
-		}
-	}
-	if s.propagate(&qhead) >= 0 {
-		return satUnsat, nil
-	}
-
-	restartIdx := 1
-	conflictsAtRestart := 0
-	restartBudget := 32 * luby(restartIdx)
-
-	for {
-		conflict := s.propagate(&qhead)
-		if conflict >= 0 {
-			s.conflicts++
-			conflictsAtRestart++
-			if s.conflicts > s.maxConflicts {
-				return satUnknown, nil
-			}
-			if s.decisionLevel() == 0 {
-				return satUnsat, nil
-			}
-			learned, bj := s.analyze(conflict)
-			s.cancelUntil(bj)
-			qhead = len(s.trail)
-			id := s.addClause(learned)
-			if !s.enqueue(learned[0], id) {
-				return satUnsat, nil
-			}
-			s.varInc /= 0.95
-			continue
-		}
-		// Restart?
-		if conflictsAtRestart >= restartBudget {
-			restartIdx++
-			restartBudget = 32 * luby(restartIdx)
-			conflictsAtRestart = 0
-			s.cancelUntil(0)
-			qhead = len(s.trail)
-			continue
-		}
-		v := s.pickBranch()
-		if v == 0 {
-			return satSat, append([]int8(nil), s.assign...)
-		}
-		s.limits = append(s.limits, len(s.trail))
-		lit := v
-		if s.phase[v] == -1 {
-			lit = -v
-		}
-		s.enqueue(lit, noReason)
-	}
-}
-
 // ensureVars grows the solver's variable arrays to accommodate variables up
-// to n; the incremental Context interns new atoms and Tseitin auxiliaries
-// between checks, so the instance must widen without losing learned state.
+// to n; the encoder adds atoms and Tseitin auxiliaries between calls, so
+// the instance must widen without losing learned state.
 func (s *cdcl) ensureVars(n int) {
 	if n <= s.nvars {
 		return
@@ -466,15 +411,4 @@ func (s *cdcl) solveAssume(assumps []int, budget int) (satStatus, []int8) {
 		}
 		s.enqueue(lit, noReason)
 	}
-}
-
-// solveCDCL is the package entry point matching solveSAT's contract.
-func solveCDCL(nvars int, clauses [][]int, maxConflicts int) (satStatus, []int8) {
-	// Copy clauses: the solver reorders literals in place for watching.
-	db := make([][]int, len(clauses))
-	for i, cl := range clauses {
-		db[i] = append([]int(nil), cl...)
-	}
-	s := newCDCL(nvars, db, maxConflicts)
-	return s.solve()
 }

@@ -57,6 +57,13 @@ func modelSatisfies(clauses [][]int, model []int8) bool {
 	return true
 }
 
+// solveFresh decides clauses on a new instance with no assumptions, the
+// way a stateless check starts. The instance reorders literals within the
+// clauses it is given.
+func solveFresh(nvars int, clauses [][]int, budget int) (satStatus, []int8) {
+	return newCDCL(nvars, clauses).solveAssume(nil, budget)
+}
+
 func TestCDCLBasics(t *testing.T) {
 	cases := []struct {
 		nvars   int
@@ -71,7 +78,7 @@ func TestCDCLBasics(t *testing.T) {
 		{0, nil, satSat},
 	}
 	for i, c := range cases {
-		st, model := solveCDCL(c.nvars, c.clauses, 100000)
+		st, model := solveFresh(c.nvars, c.clauses, 100000)
 		if st != c.want {
 			t.Errorf("case %d: status %v, want %v", i, st, c.want)
 			continue
@@ -103,7 +110,7 @@ func TestCDCLPigeonhole(t *testing.T) {
 			}
 		}
 	}
-	st, _ := solveCDCL(pigeons*holes, clauses, 1000000)
+	st, _ := solveFresh(pigeons*holes, clauses, 1000000)
 	if st != satUnsat {
 		t.Fatalf("PHP(%d,%d) = %v, want unsat", pigeons, holes, st)
 	}
@@ -137,7 +144,7 @@ func TestCDCLRandom3SAT(t *testing.T) {
 			}
 			clauses = append(clauses, cl)
 		}
-		st, model := solveCDCL(nvars, clauses, 100000)
+		st, model := solveFresh(nvars, clauses, 100000)
 		want := bruteForceSAT(nvars, clauses)
 		if st == satUnknown {
 			t.Fatalf("trial %d: budget exceeded on tiny instance", trial)
@@ -170,10 +177,59 @@ func TestCDCLAgainstDPLL(t *testing.T) {
 			}
 			clauses = append(clauses, cl)
 		}
-		st1, _ := solveCDCL(nvars, clauses, 100000)
+		st1, _ := solveFresh(nvars, clauses, 100000)
 		st2, _ := solveSAT(nvars, clauses, 1000000)
 		if st1 != st2 {
 			t.Fatalf("trial %d: CDCL=%v DPLL=%v on %v", trial, st1, st2, clauses)
 		}
+	}
+}
+
+// TestCDCLIncrementalAssumptions asks one instance a seeded sequence of
+// assumption sets, each diffed against DPLL on the clauses plus the
+// assumptions as units. Learned clauses carry from call to call, as they
+// do between the lazy loop's iterations.
+func TestCDCLIncrementalAssumptions(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	randLit := func(nvars int) int {
+		v := 1 + rng.Intn(nvars)
+		if rng.Intn(2) == 0 {
+			return -v
+		}
+		return v
+	}
+	learned := 0
+	for inst := 0; inst < 40; inst++ {
+		nvars := 6 + rng.Intn(7)
+		var clauses [][]int
+		for i := 0; i < 4*nvars; i++ {
+			clauses = append(clauses, []int{randLit(nvars), randLit(nvars), randLit(nvars)})
+		}
+		s := newCDCL(nvars, nil)
+		for _, cl := range clauses {
+			s.addClause(append([]int(nil), cl...))
+		}
+		for q := 0; q < 25; q++ {
+			assumps := make([]int, rng.Intn(5))
+			for i := range assumps {
+				assumps[i] = randLit(nvars)
+			}
+			st, model := s.solveAssume(assumps, 100000)
+			withUnits := append([][]int(nil), clauses...)
+			for _, a := range assumps {
+				withUnits = append(withUnits, []int{a})
+			}
+			want, _ := solveSAT(nvars, withUnits, 1000000)
+			if st != want {
+				t.Fatalf("instance %d query %d: CDCL=%v DPLL=%v under %v", inst, q, st, want, assumps)
+			}
+			if st == satSat && !modelSatisfies(withUnits, model) {
+				t.Fatalf("instance %d query %d: model violates the clauses or %v", inst, q, assumps)
+			}
+		}
+		learned += len(s.clauses) - len(clauses)
+	}
+	if learned == 0 {
+		t.Fatal("no instance learned a clause; nothing carried between calls")
 	}
 }

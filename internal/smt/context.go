@@ -2,7 +2,7 @@ package smt
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"consolidation/internal/logic"
 )
@@ -31,14 +31,15 @@ import (
 //     per-assertion theoryLit slices and run one stateless theory check,
 //     identical to the fresh solver's fast path; a budget-keyed Unknown in
 //     the shared Cache is therefore their answer too and is not re-solved.
-//   - Queries with boolean structure run on a persistent incremental CDCL
-//     instance: Tseitin encodings are memoized across checks (definitional
-//     clauses are valid regardless of which formulas are asserted), the
-//     selected assertions enter as assumption literals, and learned clauses
-//     and theory-conflict blocking clauses survive to later checks. Clauses
-//     that depended on retracted assumptions are never unsoundly reused:
-//     assumptions are decisions, so learned clauses are implied by the
-//     clause database alone, and blocking clauses are theory facts.
+//   - Queries with boolean structure run the stateless pipeline's lazy loop
+//     on a persistent CDCL instance: Tseitin encodings are memoized across
+//     checks (definitional clauses are valid regardless of which formulas
+//     are asserted), the selected assertions enter as assumption literals,
+//     and learned clauses and theory-conflict blocking clauses survive to
+//     later checks. Clauses that depended on retracted assumptions are
+//     never unsoundly reused: assumptions are decisions, so learned clauses
+//     are implied by the clause database alone, and blocking clauses are
+//     theory facts.
 //
 // Soundness vs the stateless pipeline: decided verdicts (Sat/Unsat) can
 // never disagree between the two — both are sound in both directions — so
@@ -131,69 +132,32 @@ type cform struct {
 // ContextStats counts the amortization a Context achieved. All counters
 // accumulate over the context's lifetime; Diff snapshots one run.
 type ContextStats struct {
-	// Contexts counts contexts merged into an aggregate (1 for a live one).
-	Contexts int
-	// Asserts counts Assert calls; AssertHits the ones answered by the
-	// interning table without recompiling anything.
-	Asserts    int
-	AssertHits int
 	// Checks counts entailment checks; MemoHits the ones answered by the
-	// private verdict memo, SharedHits the ones answered by the shared
-	// Cache after composing the query text.
-	Checks     int
-	MemoHits   int
-	SharedHits int
+	// private verdict memo.
+	Checks   int
+	MemoHits int
 	// TheoryChecks counts literal-path theory checks issued by the context.
 	TheoryChecks int
-	// SATChecks counts boolean-path queries run on the incremental CDCL
-	// instance; CNFMemoHits counts formula encodings reused from the
-	// Tseitin memo; BlockingKept counts theory blocking clauses added to
-	// the persistent clause database; ClauseReuses counts boolean checks
-	// that started with clauses learned by earlier checks.
-	SATChecks    int
-	CNFMemoHits  int
-	BlockingKept int
-	ClauseReuses int
 	// Fallbacks counts queries delegated to the stateless pipeline
 	// (degenerate shapes, or incremental budget exhaustion).
 	Fallbacks int
-	// Resets counts full context resets (budget change or size cap).
-	Resets int
 }
 
 // Add accumulates o into s.
 func (s *ContextStats) Add(o ContextStats) {
-	s.Contexts += o.Contexts
-	s.Asserts += o.Asserts
-	s.AssertHits += o.AssertHits
 	s.Checks += o.Checks
 	s.MemoHits += o.MemoHits
-	s.SharedHits += o.SharedHits
 	s.TheoryChecks += o.TheoryChecks
-	s.SATChecks += o.SATChecks
-	s.CNFMemoHits += o.CNFMemoHits
-	s.BlockingKept += o.BlockingKept
-	s.ClauseReuses += o.ClauseReuses
 	s.Fallbacks += o.Fallbacks
-	s.Resets += o.Resets
 }
 
-// Diff returns s - o field-wise (Contexts is carried over, not diffed).
+// Diff returns s - o field-wise.
 func (s ContextStats) Diff(o ContextStats) ContextStats {
 	return ContextStats{
-		Contexts:     s.Contexts,
-		Asserts:      s.Asserts - o.Asserts,
-		AssertHits:   s.AssertHits - o.AssertHits,
 		Checks:       s.Checks - o.Checks,
 		MemoHits:     s.MemoHits - o.MemoHits,
-		SharedHits:   s.SharedHits - o.SharedHits,
 		TheoryChecks: s.TheoryChecks - o.TheoryChecks,
-		SATChecks:    s.SATChecks - o.SATChecks,
-		CNFMemoHits:  s.CNFMemoHits - o.CNFMemoHits,
-		BlockingKept: s.BlockingKept - o.BlockingKept,
-		ClauseReuses: s.ClauseReuses - o.ClauseReuses,
 		Fallbacks:    s.Fallbacks - o.Fallbacks,
-		Resets:       s.Resets - o.Resets,
 	}
 }
 
@@ -210,7 +174,6 @@ const (
 func NewSolvingContext() *Context {
 	c := &Context{}
 	c.reset()
-	c.stats.Resets = 0
 	return c
 }
 
@@ -221,7 +184,6 @@ func (c *Context) reset() {
 	c.memo = map[string]Result{}
 	c.coneMemo = map[string]Result{}
 	c.enc = nil
-	c.stats.Resets++
 }
 
 // Bind attaches the context to a solver. Budgets differing from the ones
@@ -254,21 +216,15 @@ func (c *Context) BeginRun(s *Solver) {
 func (c *Context) EndRun() { c.solver = nil }
 
 // Stats snapshots the context's counters.
-func (c *Context) Stats() ContextStats {
-	s := c.stats
-	s.Contexts = 1
-	return s
-}
+func (c *Context) Stats() ContextStats { return c.stats }
 
 // Assert interns a context conjunct and returns its assertion id. Equal
 // formulas (by interned node) share an id, so re-asserting across record
 // pairs and cloned symbolic contexts costs one intern walk (all dedup
 // hits) plus one map lookup.
 func (c *Context) Assert(f logic.Formula) int {
-	c.stats.Asserts++
 	nid := c.in.InternFormula(f)
 	if id, ok := c.byNode[nid]; ok {
-		c.stats.AssertHits++
 		return id
 	}
 	return c.intern(f, nid)
@@ -414,7 +370,6 @@ func (c *Context) CheckAssuming(aids []int, goal logic.Formula, cone func() []in
 	// recorded as Unknown, and trusting the entry would make the verdict
 	// depend on which worker published first.
 	if r, ok := s.cache.Get(h, c.in, qid, s.MaxConflicts, s.MaxLazyIters); ok && (r != Unknown || allLit) {
-		c.stats.SharedHits++
 		s.Stats.CacheHits++
 		c.memo[mkey] = r
 		c.coneMemo[mkey2] = r
@@ -520,12 +475,13 @@ func (c *Context) composeFormula(sel []int, gid int) logic.Formula {
 	return logic.And(logic.And(fs...), logic.Not(c.forms[gid].f))
 }
 
-// ---- incremental boolean path ----
+// ---- boolean path ----
 
-// incCNF is a persistent Tseitin encoder feeding one incremental CDCL
-// instance. Definitional clauses state only v ↔ subformula equivalences —
-// they are valid regardless of which formulas are asserted — so encodings
-// are memoized by interned NodeID and shared across checks; asserting a
+// incCNF is a Tseitin encoder over interned NodeIDs feeding one incremental
+// CDCL instance; a stateless check encodes into a fresh one, a Context keeps
+// one across checks. Definitional clauses state only v ↔ subformula
+// equivalences — they are valid regardless of which formulas are asserted —
+// so encodings are memoized by NodeID and shared across checks; asserting a
 // formula is assuming its root literal.
 type incCNF struct {
 	nvars   int
@@ -533,10 +489,6 @@ type incCNF struct {
 	varAtom map[int]logic.NodeID
 	compVar map[logic.NodeID]int
 	sat     *cdcl
-	// defClauses counts definitional clauses; anything beyond them in the
-	// instance's database is a learned or blocking clause surviving from an
-	// earlier check.
-	defClauses int
 }
 
 func newIncCNF() *incCNF {
@@ -544,7 +496,7 @@ func newIncCNF() *incCNF {
 		atomVar: map[logic.NodeID]int{},
 		varAtom: map[int]logic.NodeID{},
 		compVar: map[logic.NodeID]int{},
-		sat:     newCDCL(0, nil, 0),
+		sat:     newCDCL(0, nil),
 	}
 }
 
@@ -554,12 +506,7 @@ func (b *incCNF) fresh() int {
 	return b.nvars
 }
 
-func (b *incCNF) clause(lits ...int) {
-	b.sat.addClause(lits)
-	b.defClauses++
-}
-
-func (b *incCNF) carried() int { return len(b.sat.clauses) - b.defClauses }
+func (b *incCNF) clause(lits ...int) { b.sat.addClause(lits) }
 
 // encode returns a literal equivalent to the interned formula node id,
 // memoized on NodeID (hash-consing makes equal subformulas the same key).
@@ -650,35 +597,37 @@ func collectAtomIDs(in *logic.Interner, id logic.NodeID, seen map[logic.NodeID]b
 	return out
 }
 
+// atomVars returns the sorted variables of the atoms of an encoded node,
+// the literals the lazy loop hands the theory.
+func (b *incCNF) atomVars(in *logic.Interner, id logic.NodeID) []int {
+	atoms := collectAtomIDs(in, id, map[logic.NodeID]bool{}, nil)
+	vars := make([]int, 0, len(atoms))
+	for _, a := range atoms {
+		vars = append(vars, b.atomVar[a])
+	}
+	slices.Sort(vars)
+	return vars
+}
+
 // encodeForm encodes an interned formula once, recording its root literal
 // and the sorted atom variables of its cone for model extraction.
 func (c *Context) encodeForm(cf *cform) {
 	if cf.encoded {
-		c.stats.CNFMemoHits++
 		return
 	}
 	cf.root = c.enc.encode(c.in, cf.id)
-	atoms := collectAtomIDs(c.in, cf.id, map[logic.NodeID]bool{}, nil)
-	vars := make([]int, 0, len(atoms))
-	for _, a := range atoms {
-		vars = append(vars, c.enc.atomVar[a])
-	}
-	sort.Ints(vars)
-	cf.atomVars = vars
+	cf.atomVars = c.enc.atomVars(c.in, cf.id)
 	cf.encoded = true
 }
 
-// solveBool runs the lazy CEGAR loop on the persistent instance: selected
-// assertions and the negated goal enter as assumptions; counterexample
+// solveBool runs the lazy loop on the persistent instance: selected
+// assertions and the negated goal enter as assumptions, and counterexample
 // models are restricted to the atoms of the selected formulas (matching the
-// stateless pipeline's view) before the theory check; blocking clauses from
-// theory conflicts are added permanently — they are theory facts.
+// stateless pipeline's view) before the theory check.
 func (c *Context) solveBool(sel []int, gid int) Result {
-	s := c.solver
 	if c.enc == nil {
 		c.enc = newIncCNF()
 	}
-	enc := c.enc
 	assumps := make([]int, 0, len(sel)+1)
 	for _, id := range sel {
 		cf := &c.forms[id]
@@ -696,55 +645,6 @@ func (c *Context) solveBool(sel []int, gid int) Result {
 		union = append(union, c.forms[id].atomVars...)
 	}
 	union = append(union, g.atomVars...)
-	sort.Ints(union)
-	n := 0
-	for i, v := range union {
-		if i == 0 || union[i-1] != v {
-			union[n] = v
-			n++
-		}
-	}
-	union = union[:n]
-
-	c.stats.SATChecks++
-	if enc.carried() > 0 {
-		c.stats.ClauseReuses++
-	}
-	for iter := 0; iter < s.MaxLazyIters; iter++ {
-		s.Stats.SatIters++
-		st, model := enc.sat.solveAssume(assumps, s.MaxConflicts)
-		if st == satUnsat {
-			return Unsat
-		}
-		if st == satUnknown {
-			return Unknown
-		}
-		var lits []theoryLit
-		var vars []int
-		for _, v := range union {
-			if model[v] == 0 {
-				continue
-			}
-			lits = append(lits, litOfAtomNode(c.in, enc.varAtom[v], model[v] == 1))
-			vars = append(vars, v)
-		}
-		switch s.checkTheory(c.in, lits) {
-		case theorySat:
-			return Sat
-		case theoryUnknown:
-			return Unknown
-		}
-		core, coreVars := s.minimizeCore(c.in, lits, vars)
-		clause := make([]int, len(core))
-		for i := range core {
-			if core[i].pos {
-				clause[i] = -coreVars[i]
-			} else {
-				clause[i] = coreVars[i]
-			}
-		}
-		enc.sat.addClause(clause)
-		c.stats.BlockingKept++
-	}
-	return Unknown
+	slices.Sort(union)
+	return c.solver.lazy(c.in, c.enc, assumps, slices.Compact(union))
 }

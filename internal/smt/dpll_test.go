@@ -3,7 +3,7 @@ package smt
 // solveSAT is the legacy DPLL SAT solver — unit propagation, chronological
 // backtracking, a decision budget that turns pathological instances into
 // satUnknown. CDCL replaced it in the solver; it stays here as the reference
-// TestCDCLAgainstDPLL diffs CDCL against.
+// TestCDCLAgainstDPLL and TestCDCLIncrementalAssumptions diff CDCL against.
 func solveSAT(nvars int, clauses [][]int, maxDecisions int) (satStatus, []int8) {
 	assign := make([]int8, nvars+1)
 	decisions := 0

@@ -6,8 +6,8 @@
 // satisfiability checking and entailment.
 //
 // Architecture: formulas are reduced to CNF over a boolean abstraction of
-// their atoms (Tseitin encoding), a DPLL search with unit propagation and
-// theory-conflict blocking clauses enumerates boolean models, and each
+// their atoms (Tseitin encoding), one lazy loop over an incremental CDCL
+// core enumerates boolean models, blocking each theory conflict, and each
 // candidate model is checked by a combined theory solver — congruence
 // closure for uninterpreted functions and a rational simplex with
 // branch-and-bound for integer arithmetic, exchanging equalities in the
@@ -61,6 +61,10 @@ type interner struct {
 	// arena (hash-consing makes equal NodeIDs equal subtrees).
 	memoNode map[logic.NodeID]int
 	memoLin  map[logic.NodeID]lin
+
+	// overflow records that a linear-form coefficient or constant left
+	// int64; the conjunction check then answers theoryUnknown.
+	overflow bool
 }
 
 type inode struct {
@@ -96,6 +100,21 @@ func (in *interner) reset() {
 	clear(in.memoNode)
 	clear(in.memoLin)
 	in.nodes, in.kids, in.terms = in.nodes[:0], in.kids[:0], in.terms[:0]
+	in.overflow = false
+}
+
+// add and mul are int64 arithmetic for linear forms; on overflow they
+// record it and return 0.
+func (in *interner) add(a, b int64) int64 {
+	r, ok := add64(a, b)
+	in.overflow = in.overflow || !ok
+	return r
+}
+
+func (in *interner) mul(a, b int64) int64 {
+	r, ok := mul64(a, b)
+	in.overflow = in.overflow || !ok
+	return r
 }
 
 // carve returns an empty slice with room for n elements at the end of
@@ -248,7 +267,7 @@ func (l lin) addTerm(id int, k int64) lin {
 		}
 	}
 	if pos < len(l.terms) && l.terms[pos].id == id {
-		nk := l.terms[pos].k + k
+		nk := l.in.add(l.terms[pos].k, k)
 		out := carve(&l.in.terms, len(l.terms))
 		out = append(out, l.terms[:pos]...)
 		if nk != 0 {
@@ -268,19 +287,19 @@ func (l lin) addTerm(id int, k int64) lin {
 }
 
 func (l lin) scale(k int64) lin {
-	out := lin{c: l.c * k, in: l.in}
+	out := lin{c: l.in.mul(l.c, k), in: l.in}
 	if k == 0 {
 		return out
 	}
 	out.terms = carve(&l.in.terms, len(l.terms))
 	for _, t := range l.terms {
-		out.terms = append(out.terms, lterm{id: t.id, k: t.k * k})
+		out.terms = append(out.terms, lterm{id: t.id, k: l.in.mul(t.k, k)})
 	}
 	return out
 }
 
 func (l lin) add(m lin) lin {
-	out := lin{c: l.c + m.c, terms: carve(&l.in.terms, len(l.terms)+len(m.terms)), in: l.in}
+	out := lin{c: l.in.add(l.c, m.c), terms: carve(&l.in.terms, len(l.terms)+len(m.terms)), in: l.in}
 	i, j := 0, 0
 	for i < len(l.terms) && j < len(m.terms) {
 		a, b := l.terms[i], m.terms[j]
@@ -292,7 +311,7 @@ func (l lin) add(m lin) lin {
 			out.terms = append(out.terms, b)
 			j++
 		default:
-			if k := a.k + b.k; k != 0 {
+			if k := l.in.add(a.k, b.k); k != 0 {
 				out.terms = append(out.terms, lterm{id: a.id, k: k})
 			}
 			i++

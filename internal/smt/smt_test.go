@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"math"
 	"testing"
 
 	"consolidation/internal/logic"
@@ -154,6 +155,51 @@ func TestBooleanStructure(t *testing.T) {
 	for i, c := range cases {
 		if got := s.Check(c.f); got != c.want {
 			t.Errorf("case %d: Check(%v) = %v, want %v", i, c.f, got, c.want)
+		}
+	}
+
+	// Every boolean model of these the SAT core proposes first is refuted
+	// by the theory, so the lazy loop must block it and iterate; a fresh
+	// Context runs the same loop on its own instance and must agree.
+	lazy := []struct {
+		f    logic.Formula
+		want Result
+	}{
+		{logic.And(logic.Or(le(x(), n(0)), le(n(10), x())), logic.Or(eq(x(), n(5)), eq(x(), n(6)))), Unsat},
+		{logic.And(logic.Or(le(x(), n(0)), le(n(10), x())), logic.Or(eq(x(), n(20)), eq(x(), n(5)))), Sat},
+		{logic.And(logic.Or(lt(x(), y()), lt(y(), x())), logic.Or(eq(x(), y()), eq(y(), add(x(), n(1)))), le(x(), y()), logic.Not(eq(y(), add(x(), n(1))))), Unsat},
+	}
+	for i, c := range lazy {
+		before := s.Stats.SatIters
+		if got := s.Check(c.f); got != c.want {
+			t.Errorf("lazy case %d: Check(%v) = %v, want %v", i, c.f, got, c.want)
+		}
+		if iters := s.Stats.SatIters - before; iters < 2 {
+			t.Errorf("lazy case %d: %d SAT iterations, want at least 2", i, iters)
+		}
+		ctx := NewSolvingContext()
+		ctx.BeginRun(New())
+		a := []int{ctx.Assert(c.f)}
+		if got := ctx.CheckAssuming(a, logic.FFalse{}, func() []int { return a }); got != c.want {
+			t.Errorf("lazy case %d: Context verdict %v, want %v", i, got, c.want)
+		}
+	}
+}
+
+// TestLinearFormOverflow: constants and coefficients past int64 must not
+// wrap into a wrong Unsat. Every query is satisfiable over ℤ (the first at
+// x = 2⁶³, the second at x = 2 - 2⁶⁴); the check may answer Sat or Unknown.
+func TestLinearFormOverflow(t *testing.T) {
+	const maxI = math.MaxInt64
+	for i, f := range []logic.Formula{
+		eq(x(), add(n(maxI), n(1))),
+		eq(add(add(x(), n(maxI)), n(maxI)), n(0)),
+		eq(mul(n(maxI), n(2)), x()),
+		lt(add(y(), n(maxI)), x()),
+		logic.And(le(n(0), x()), le(sub(sub(x(), n(maxI)), n(1)), n(0))),
+	} {
+		if got := New().Check(f); got == Unsat {
+			t.Errorf("case %d: Check(%v) = unsat, want sat or unknown", i, f)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package smt
 
-import (
-	"sort"
-
-	"consolidation/internal/logic"
-)
+import "consolidation/internal/logic"
 
 // Result is the verdict of a satisfiability check.
 type Result int
@@ -190,38 +186,41 @@ func (s *Solver) check(f logic.Formula) Result {
 			return Unknown
 		}
 	}
-	b := newCNFBuilder(in)
-	root := b.encode(f)
-	b.addClause(root)
+	// A stateless check is a fresh incremental instance with no
+	// assumptions: the query's root literal is a unit clause.
+	id := in.InternFormula(f)
+	enc := newIncCNF()
+	enc.clause(enc.encode(in, id))
+	return s.lazy(in, enc, nil, enc.atomVars(in, id))
+}
 
-	clauses := b.clauses
+// lazy is the DPLL(T) loop every boolean-structured query runs: enc's CDCL
+// instance proposes a boolean model under assumps, the theory checks the
+// literals of atomVars (sorted) the model assigns, and a theory conflict
+// comes back as a minimised blocking clause. Blocking clauses are theory
+// facts, so they stay in enc for later calls, as do learned clauses.
+func (s *Solver) lazy(in *logic.Interner, enc *incCNF, assumps, atomVars []int) Result {
 	for iter := 0; iter < s.MaxLazyIters; iter++ {
 		s.Stats.SatIters++
-		st, model := solveCDCL(b.nvars, clauses, s.MaxConflicts)
+		st, model := enc.sat.solveAssume(assumps, s.MaxConflicts)
 		if st == satUnsat {
 			return Unsat
 		}
 		if st == satUnknown {
 			return Unknown
 		}
-		// Extract the theory literals from the boolean model, in variable
-		// order so that theory-solver behaviour (interning, probe order) is
-		// deterministic across runs.
+		// Extract the theory literals in variable order so that
+		// theory-solver behaviour (interning, probe order) is deterministic
+		// across runs.
 		var lits []theoryLit
 		var vars []int
-		for v := range b.varAtom {
-			vars = append(vars, v)
-		}
-		sort.Ints(vars)
-		kept := vars[:0]
-		for _, v := range vars {
+		for _, v := range atomVars {
 			if model[v] == 0 {
 				continue
 			}
-			lits = append(lits, litOfAtomNode(in, b.varAtom[v], model[v] == 1))
-			kept = append(kept, v)
+			lits = append(lits, litOfAtomNode(in, enc.varAtom[v], model[v] == 1))
+			vars = append(vars, v)
 		}
-		vars = kept
 		switch s.checkTheory(in, lits) {
 		case theorySat:
 			return Sat
@@ -240,7 +239,7 @@ func (s *Solver) check(f logic.Formula) Result {
 				clause[i] = coreVars[i]
 			}
 		}
-		clauses = append(clauses, clause)
+		enc.sat.addClause(clause)
 	}
 	return Unknown
 }

@@ -139,13 +139,13 @@ func (ws *theoryWorkspace) slack(l lin) int {
 
 // assertLe asserts l ≤ 0 on frames[0]; false on an immediate bound conflict.
 func (ws *theoryWorkspace) assertLe(l lin) bool {
-	return ws.frames[0].assertUpper(ws.slack(l), qInt(-l.c))
+	return ws.frames[0].assertUpper(ws.slack(l), qNeg(qInt(l.c)))
 }
 
 // assertEq0 asserts l = 0 on frames[0]; false on an immediate bound conflict.
 func (ws *theoryWorkspace) assertEq0(l lin) bool {
-	s, sx := ws.slack(l), ws.frames[0]
-	return sx.assertUpper(s, qInt(-l.c)) && sx.assertLower(s, qInt(-l.c))
+	s, sx, b := ws.slack(l), ws.frames[0], qNeg(qInt(l.c))
+	return sx.assertUpper(s, b) && sx.assertLower(s, b)
 }
 
 // check decides satisfiability of a conjunction of literals in QF_UFLIA;
@@ -176,11 +176,11 @@ func (ws *theoryWorkspace) check(src *logic.Interner, lits []theoryLit, cfg theo
 		case lt.pred == logic.Le && !lt.pos:
 			// ¬(l ≤ r)  ⇔  r ≤ l - 1  ⇔  r - l + 1 ≤ 0
 			neg := diff.scale(-1)
-			neg.c++
+			neg.c = in.add(neg.c, 1)
 			ws.constraints = append(ws.constraints, liaConstraint{l: neg})
 		case lt.pred == logic.Lt && lt.pos:
 			d := diff
-			d.c++
+			d.c = in.add(d.c, 1)
 			ws.constraints = append(ws.constraints, liaConstraint{l: d})
 		case lt.pred == logic.Lt && !lt.pos:
 			// ¬(l < r) ⇔ r ≤ l ⇔ r - l ≤ 0
@@ -206,13 +206,13 @@ func (ws *theoryWorkspace) check(src *logic.Interner, lits []theoryLit, cfg theo
 			switch {
 			case na.isConst && nb.isConst:
 				l := in.newLin().addTerm(id, 1)
-				l.c = -na.constVal * nb.constVal
+				l.c = in.mul(in.mul(na.constVal, nb.constVal), -1)
 				defs = append(defs, l)
 			case na.isConst:
-				l := in.newLin().addTerm(id, 1).addTerm(b, -na.constVal)
+				l := in.newLin().addTerm(id, 1).addTerm(b, in.mul(na.constVal, -1))
 				defs = append(defs, l)
 			case nb.isConst:
-				l := in.newLin().addTerm(id, 1).addTerm(a, -nb.constVal)
+				l := in.newLin().addTerm(id, 1).addTerm(a, in.mul(nb.constVal, -1))
 				defs = append(defs, l)
 			default:
 				x, y := a, b
@@ -225,12 +225,16 @@ func (ws *theoryWorkspace) check(src *logic.Interner, lits []theoryLit, cfg theo
 		default:
 			if nd.isConst {
 				l := in.newLin().addTerm(id, 1)
-				l.c = -nd.constVal
+				l.c = in.mul(nd.constVal, -1)
 				defs = append(defs, l)
 			}
 		}
 	}
 	ws.defs = defs
+	if in.overflow {
+		// A linear form left int64: no verdict is sound to claim.
+		return theoryUnknown
+	}
 
 	// Congruence closure.
 	cc := newCongruence(in)
@@ -414,7 +418,7 @@ func (ws *theoryWorkspace) solveInt(level, depth int) theoryStatus {
 	}
 	// Integral: check disequalities.
 	for i, sl := range ws.diseqSlacks {
-		avoid := qInt(-ws.diseqConsts[i])
+		avoid := qNeg(qInt(ws.diseqConsts[i]))
 		if qCmp(s.val(sl), avoid) == 0 {
 			return ws.split(level, depth, sl, qSub(avoid, qOne), qAdd(avoid, qOne))
 		}

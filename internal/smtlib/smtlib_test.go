@@ -89,6 +89,15 @@ func TestUnaryMinus(t *testing.T) {
 	}
 }
 
+// TestInt64Overflow: x = 2⁶³ is a model over the integers, so a constant
+// sum past int64 must not come back unsat.
+func TestInt64Overflow(t *testing.T) {
+	out := run(t, `(declare-const x Int)(assert (= x (+ 9223372036854775807 1)))(check-sat)`)
+	if out == "unsat" {
+		t.Fatalf("output = %q, want sat or unknown", out)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	bad := []string{
 		`(assert (> x 0))`, // undeclared
