@@ -23,8 +23,8 @@ type Options struct {
 	// MaxEmbedSize disables the duplicating If 3/If 4 rules when the code
 	// to embed exceeds this many AST nodes, falling back to If 5. This is
 	// the paper's cross-simplification vs code-size trade-off knob.
-	// Besides DefaultOptions and cmd/consolidate's -embed flag, only the
-	// ablation tests set it.
+	// 0 means DefaultMaxEmbedSize. Besides cmd/consolidate's -max-embed
+	// flag, only the ablation tests set it.
 	MaxEmbedSize int
 	// NoDCE disables the dead-store elimination post-pass (an extension
 	// over the paper's calculus; see EliminateDeadCode). Only the ablation
@@ -53,12 +53,16 @@ type Options struct {
 	NoSolvingContext bool
 }
 
+// DefaultMaxEmbedSize is the If 3/If 4 embedding bound, in AST nodes, that
+// a zero Options.MaxEmbedSize means.
+const DefaultMaxEmbedSize = 6000
+
 // DefaultOptions mirror the paper's implementation choices.
 func DefaultOptions() Options {
 	return Options{
 		CostModel:    lang.DefaultCostModel(),
 		Invariant:    invariant.DefaultOptions(),
-		MaxEmbedSize: 6000,
+		MaxEmbedSize: DefaultMaxEmbedSize,
 	}
 }
 
@@ -119,7 +123,7 @@ func newConsolidator(opts Options, sctx *smt.Context) *Consolidator {
 		opts.Invariant = invariant.DefaultOptions()
 	}
 	if opts.MaxEmbedSize == 0 {
-		opts.MaxEmbedSize = 6000
+		opts.MaxEmbedSize = DefaultMaxEmbedSize
 	}
 	solver := opts.Solver
 	if solver == nil {

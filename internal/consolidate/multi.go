@@ -142,6 +142,42 @@ func Build(leaves []Leaf, opts Options, workers int, memo *Memo) (*lang.Program,
 	return build(leaves, opts, true, workers, memo, nil)
 }
 
+// Plan is a prepared query set: what a pass runs (the merged program, its
+// compiled form and its admission guard) and what producing it cost. The
+// zero Plan means nothing has been built.
+type Plan struct {
+	Merged   *lang.Program
+	Compiled *lang.Compiled
+	// Guard is the admission pre-filter synthesized for Merged; nil when
+	// Prepare was given no guard options.
+	Guard           *prefilter.Guard
+	Multi           *MultiStats
+	ConsolidateTime time.Duration
+	PrefilterTime   time.Duration
+}
+
+// Prepare is the one consolidate → compile → synthesize sequence: Build over
+// leaves, lang.Compile of the merged program, then, when guard is non-nil,
+// prefilter.Synthesize of its admission guard. The static operator and
+// every live rebuild run what it returns.
+func Prepare(leaves []Leaf, opts Options, workers int, memo *Memo, guard *prefilter.Options) (*Plan, error) {
+	t0 := time.Now()
+	merged, ms, err := Build(leaves, opts, workers, memo)
+	if err != nil {
+		return nil, err
+	}
+	p := &Plan{Merged: merged, Multi: ms, ConsolidateTime: time.Since(t0)}
+	if p.Compiled, err = lang.Compile(merged); err != nil {
+		return nil, fmt.Errorf("consolidate: compiling merged program: %w", err)
+	}
+	if guard != nil {
+		t1 := time.Now()
+		p.Guard = prefilter.Synthesize(merged, *guard)
+		p.PrefilterTime = time.Since(t1)
+	}
+	return p, nil
+}
+
 func indexLeaves(progs []*lang.Program) []Leaf {
 	leaves := make([]Leaf, len(progs))
 	for i, p := range progs {
@@ -518,11 +554,12 @@ func addStats(dst *Stats, s Stats) {
 // with the fragment opened wide (the strongest guard the projection can
 // produce) and holds it to its soundness contract on every input — a
 // rejected input must produce no true notification from the merged
-// program.
+// program. That wide-fragment replay is the one intended compile →
+// synthesize site besides Prepare.
 //
-// When the originals were consolidated with renumbering, pass ids mapping
-// each original's position to its notification id (nil means identity of
-// the program's own ids).
+// renumbered says the originals were consolidated with renumbering, so
+// original i's verdict is expected under notification id i; otherwise each
+// original keeps its own ids.
 func Verify(origs []*lang.Program, merged *lang.Program, lib lang.Library, cm *lang.CostModel, inputs [][]int64, renumbered bool) error {
 	mergedC, cerr := lang.Compile(merged)
 	if cerr != nil {

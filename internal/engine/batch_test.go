@@ -192,6 +192,53 @@ func TestBatchDispatchParity(t *testing.T) {
 	}
 }
 
+// TestWherePlanResubmit pins the prepared plan as the unit of reuse: WherePlan
+// run twice on one Prepared plan reproduces WhereConsolidated over the same
+// UDFs byte for byte — verdicts, costs, admission counts, latency stamps —
+// and does no consolidation: the shared SMT cache sees no lookup during
+// either pass.
+func TestWherePlanResubmit(t *testing.T) {
+	const n = 271
+	d := newLiteToy(n)
+	udfs := gatedToyUDFs(3, 60)
+	cache := smt.NewCache(0)
+	copts := consolidate.Options{Cache: cache, FuncCoster: d}
+	opts := Options{Workers: 2, BatchSize: 16, PrefilterCache: cache}
+	ref, err := WhereConsolidated(d, udfs, copts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := make([]consolidate.Leaf, len(udfs))
+	for i, p := range udfs {
+		leaves[i] = consolidate.Leaf{ID: i, Prog: p}
+	}
+	guard := &prefilter.Options{Coster: d, Cache: cache, MaxCallCost: d.LiteCostBound()}
+	plan, err := consolidate.Prepare(leaves, copts, 2, nil, guard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Guard == nil || plan.Guard.Trivial {
+		t.Fatal("expected a non-trivial guard; the pass would skip the guard stage")
+	}
+	if lang.Format(plan.Merged) != lang.Format(ref.Merged) {
+		t.Fatal("Prepare merged differently from WhereConsolidated")
+	}
+	lookups := cache.Stats().Lookups
+	for run := 0; run < 2; run++ {
+		got, err := WherePlan(d, plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMetrics(t, fmt.Sprintf("WherePlan run %d", run), &ref.Result, &got.Result)
+		if got.Merged != plan.Merged || got.Guard != plan.Guard {
+			t.Fatalf("run %d: result does not carry the plan it ran", run)
+		}
+	}
+	if after := cache.Stats().Lookups; after != lookups {
+		t.Fatalf("WherePlan consulted the SMT cache %d times; a prepared plan needs no solving", after-lookups)
+	}
+}
+
 // TestEvaluatorZeroAlloc pins the allocation contract of the one evaluator
 // in the three configurations the operators feed it: once a worker is
 // swapped to a generation and warm, the guard sweep over the lite-decode
@@ -212,15 +259,12 @@ func TestEvaluatorZeroAlloc(t *testing.T) {
 		// WhereConsolidated: one fixed cluster, nothing pending.
 		{"static", 1, false, func(t *testing.T) []*registry.Snapshot {
 			udfs := gatedToyUDFs(2, 60)
-			merged, _, err := consolidate.All(udfs, consolidate.Options{FuncCoster: d}, true, true)
+			leaves := []consolidate.Leaf{{ID: 0, Prog: udfs[0]}, {ID: 1, Prog: udfs[1]}}
+			plan, err := consolidate.Prepare(leaves, consolidate.Options{FuncCoster: d}, 2, nil, pf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mergedC, err := lang.Compile(merged)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return []*registry.Snapshot{{Compiled: mergedC, Slots: make([]registry.QueryID, len(udfs)), Guard: prefilter.Synthesize(merged, *pf)}}
+			return []*registry.Snapshot{{Plan: *plan, Slots: make([]registry.QueryID, len(udfs))}}
 		}},
 		// One cluster's registry snapshot with a post-rebuild addition (no
 		// rebuild follows, so it stays pending) exercising the verbatim
@@ -230,15 +274,15 @@ func TestEvaluatorZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range gatedToyUDFs(2, 60) {
-				if _, err := reg.Add(p); err != nil {
+			for i, p := range gatedToyUDFs(2, 60) {
+				if err := reg.Add(registry.QueryID(i+1), p); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if _, err := reg.Rebuild(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := reg.Add(lang.MustParse(pend)); err != nil {
+			if err := reg.Add(3, lang.MustParse(pend)); err != nil {
 				t.Fatal(err)
 			}
 			return []*registry.Snapshot{reg.Snapshot()}
@@ -280,7 +324,7 @@ func TestEvaluatorZeroAlloc(t *testing.T) {
 				// library clone, runners, and scratch.
 				for wk := 0; wk < 2; wk++ {
 					e := newEvaluator(d.Clone(), Options{BatchSize: bsize})
-					if err := e.swap(snaps); err != nil {
+					if err := e.swap(0, snaps); err != nil {
 						t.Fatal(err)
 					}
 					for lo := 0; lo < n; lo += bsize {

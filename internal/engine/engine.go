@@ -152,7 +152,9 @@ type Options struct {
 	// MaxSteps guards against diverging UDFs; 0 disables the guard.
 	MaxSteps int64
 	// NoPrefilter disables admission pre-filter synthesis for consolidated
-	// passes; records then always run the full merged program.
+	// passes; records then always run the full merged program. Only tests
+	// set it: it is the unguarded reference of the prefilter and UDF-time
+	// tests.
 	NoPrefilter bool
 	// NoHomAgg disables the homomorphic partial/combine path of windowed
 	// aggregation passes: groups then run window-at-a-time, never splitting a
@@ -316,76 +318,66 @@ func (w *manyWorker) evalBatch(lo, hi int, rows []bool) error {
 	return nil
 }
 
-// ConsolidatedResult extends Result with consolidation statistics.
+// ConsolidatedResult extends Result with the plan the pass ran: the
+// merged program, its guard (nil with NoPrefilter; trivial guards are
+// synthesized but not executed) and what preparing them cost.
 type ConsolidatedResult struct {
 	Result
-	// ConsolidateTime is the time spent merging the UDFs (compile time).
-	ConsolidateTime time.Duration
-	Multi           *consolidate.MultiStats
-	// Merged is the consolidated program actually executed.
-	Merged *lang.Program
-	// Guard is the synthesized admission pre-filter (nil with NoPrefilter;
-	// trivial guards are synthesized but not executed).
-	Guard *prefilter.Guard
-	// PrefilterTime is the time spent synthesizing the guard.
-	PrefilterTime time.Duration
+	consolidate.Plan
 }
 
 // WhereConsolidated consolidates the UDFs into a single program (notify ids
 // renumbered to UDF positions) and evaluates it once per record — the
-// whereConsolidated operator of Section 6.1.
+// whereConsolidated operator of Section 6.1. It is Prepare then WherePlan.
 func WhereConsolidated(data RecordLibrary, udfs []*lang.Program, copts consolidate.Options, opts Options) (*ConsolidatedResult, error) {
-	for _, p := range udfs {
+	leaves := make([]consolidate.Leaf, len(udfs))
+	for i, p := range udfs {
 		if _, err := notifyIDOf(p); err != nil {
 			return nil, err
 		}
+		leaves[i] = consolidate.Leaf{ID: i, Prog: p}
 	}
 	if copts.FuncCoster == nil {
 		copts.FuncCoster = data
 	}
-	t0 := time.Now()
-	merged, ms, err := consolidate.All(udfs, copts, true, true)
-	if err != nil {
-		return nil, err
-	}
-	consTime := time.Since(t0)
-
-	mergedC, err := lang.Compile(merged)
-	if err != nil {
-		return nil, fmt.Errorf("engine: compiling consolidated program: %w", err)
-	}
-
-	// Synthesize the admission pre-filter: a sound necessary condition for
-	// any notification, restricted to calls the dataset can answer without a
+	// The admission pre-filter is a sound necessary condition for any
+	// notification, restricted to calls the dataset can answer without a
 	// full record decode. Synthesis cannot fail — workloads whose notify
 	// conditions need only expensive calls get the trivial guard, and the
 	// filter stage is skipped entirely (byte-identical to the unfiltered
 	// pass). A non-trivial guard's calls are within LiteCostBound by
 	// construction (it was the synthesis fragment bound), so the guard can
 	// run after SetRecordLite.
-	var guard *prefilter.Guard
-	var prefTime time.Duration
+	var guard *prefilter.Options
 	if !opts.NoPrefilter {
-		t1 := time.Now()
-		popts := prefilter.Options{Coster: data, Cache: opts.PrefilterCache, CostModel: copts.CostModel}
+		guard = &prefilter.Options{Coster: data, Cache: opts.PrefilterCache, CostModel: copts.CostModel}
 		if lite, ok := data.(LiteRecordLibrary); ok {
-			popts.MaxCallCost = lite.LiteCostBound()
+			guard.MaxCallCost = lite.LiteCostBound()
 		}
-		guard = prefilter.Synthesize(merged, popts)
-		prefTime = time.Since(t1)
 	}
+	plan, err := consolidate.Prepare(leaves, copts, runtime.GOMAXPROCS(0), nil, guard)
+	if err != nil {
+		return nil, err
+	}
+	return WherePlan(data, plan, opts)
+}
 
-	// The static pass is the live pass's degenerate case: one cluster, one
-	// generation that never changes, nothing pending. Its slot rows are the
-	// result rows of the batch and its latency buckets fold straight into
-	// LatencySum, so nothing is copied or published.
+// WherePlan evaluates a prepared plan once per record: the pass of
+// WhereConsolidated without the consolidation, so a resubmitted query set
+// pays for its plan once. Verdict row q is the plan's leaf q.
+//
+// The static pass is the live pass's degenerate case: one cluster, one
+// generation that never changes (0), nothing pending. Its slot rows are the
+// result rows of the batch and its latency buckets fold straight into
+// LatencySum, so nothing is copied or published.
+func WherePlan(data RecordLibrary, plan *consolidate.Plan, opts Options) (*ConsolidatedResult, error) {
 	start := time.Now()
-	n, nUDFs := data.NumRecords(), len(udfs)
-	fixed := []*registry.Snapshot{{Merged: merged, Compiled: mergedC, Slots: make([]registry.QueryID, nUDFs), Guard: guard}}
+	n, nUDFs := data.NumRecords(), plan.Multi.Programs
+	fixed := []*registry.Snapshot{{Plan: *plan, Slots: make([]registry.QueryID, nUDFs)}}
 	res, backing := newResult(n, nUDFs, opts)
-	err = runClaims(data, opts.workers(), res.Batches, func(lib RecordLibrary) (run func(int) error, fold func(), err error) {
+	err := runClaims(data, opts.workers(), res.Batches, func(lib RecordLibrary) (run func(int) error, fold func(), err error) {
 		e := newEvaluator(lib, opts)
-		err = e.swap(fixed)
+		err = e.swap(0, fixed)
 		run = func(b int) error {
 			lo, hi := opts.span(b, n)
 			e.cls[0].slotVals = backing[lo*nUDFs : hi*nUDFs]
@@ -408,10 +400,7 @@ func WhereConsolidated(data RecordLibrary, udfs []*lang.Program, copts consolida
 	}
 	res.TotalTime = time.Since(start)
 	finishMetrics(res, backing)
-	return &ConsolidatedResult{
-		Result: *res, ConsolidateTime: consTime, Multi: ms, Merged: merged,
-		Guard: guard, PrefilterTime: prefTime,
-	}, nil
+	return &ConsolidatedResult{Result: *res, Plan: *plan}, nil
 }
 
 // finishMetrics counts Selected over the pass's flat verdict array

@@ -5,7 +5,7 @@ import (
 	"consolidation/internal/shard"
 )
 
-// liveIDs maps one evaluator cluster's scratch rows to shard-level ids,
+// liveIDs maps one evaluator cluster's scratch rows to query ids,
 // flattened to slot order at swap time so publish does no lookups.
 type liveIDs struct {
 	slots   []shard.QueryID
@@ -17,7 +17,6 @@ type liveIDs struct {
 // the id tables of its current generation, and worker-local totals.
 type liveWorker struct {
 	ev  *evaluator
-	gen uint64
 	cls []liveIDs // non-nil once a generation is installed
 	// lat holds latency banked from superseded generations: slot indices
 	// mean something only within one generation.
@@ -26,29 +25,29 @@ type liveWorker struct {
 }
 
 // swap installs a cross-cluster generation: the evaluator resolves each
-// cluster's registry snapshot, and each cluster's local ids are mapped to
-// shard-level ids here, once.
+// cluster's registry snapshot, and each cluster's slot and pending ids are
+// flattened here, once.
 func (w *liveWorker) swap(s *shard.Snapshot) error {
 	if w.cls != nil {
 		w.swaps++
 		w.bankLatency()
 	}
 	snaps := make([]*registry.Snapshot, len(s.Clusters))
-	w.gen, w.cls = s.Gen, make([]liveIDs, len(s.Clusters))
+	w.cls = make([]liveIDs, len(s.Clusters))
 	for i, c := range s.Clusters {
 		snaps[i] = c.Snap
 		ids := &w.cls[i]
 		if c.Snap.Compiled != nil {
 			for _, id := range c.Snap.Slots {
-				ids.slots = append(ids.slots, c.IDs[id])
+				ids.slots = append(ids.slots, shard.QueryID(id))
 				ids.removed = append(ids.removed, c.Snap.Removed[id])
 			}
 		}
 		for _, pq := range c.Snap.Pending {
-			ids.pend = append(ids.pend, c.IDs[pq.ID])
+			ids.pend = append(ids.pend, shard.QueryID(pq.ID))
 		}
 	}
-	return w.ev.swap(snaps)
+	return w.ev.swap(s.Gen, snaps)
 }
 
 // bankLatency folds the current generation's per-slot latency buckets into
@@ -95,6 +94,6 @@ func (w *liveWorker) publish(lo, hi int, out *ShardedResult) {
 			}
 		}
 		out.Verdicts[i] = verdicts
-		out.Gens[i] = w.gen
+		out.Gens[i] = w.ev.gen
 	}
 }

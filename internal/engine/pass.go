@@ -153,7 +153,6 @@ type passMetrics struct {
 // map-free and allocation-free; callers fold the buckets where they want
 // them when the generation ends.
 type evalCluster struct {
-	gen      uint64
 	mergedRn *lang.Runner // nil: nothing consolidated yet, only pendings run
 	noteIdx  []int        // slot -> dense note slot of the merged program, -1 when it cannot broadcast it
 	guard    *prefilter.Guard
@@ -187,6 +186,7 @@ type evaluator struct {
 	// the program (delta snapshots share the stale Merged, and a pending
 	// query's compiled form is stable until it is consolidated).
 	runners map[*lang.Compiled]*lang.Runner
+	gen     uint64 // the generation the current batch was admitted at
 	cls     []evalCluster
 	// liteGuards: stage A has work. always: stage B decodes every record —
 	// some query is pending, or a guard has to run after the full decode.
@@ -202,10 +202,11 @@ func newEvaluator(lib RecordLibrary, opts Options) *evaluator {
 	return e
 }
 
-// swap installs a generation: one cluster per snapshot. Runners, note slots
-// and scratch are resolved here, once, so the batch stages do no lookups;
-// runners of programs the new generation no longer runs are dropped.
-func (e *evaluator) swap(snaps []*registry.Snapshot) error {
+// swap installs generation gen: one cluster per snapshot. Runners, note
+// slots and scratch are resolved here, once, so the batch stages do no
+// lookups; runners of programs the new generation no longer runs are
+// dropped.
+func (e *evaluator) swap(gen uint64, snaps []*registry.Snapshot) error {
 	old := e.runners
 	e.runners = make(map[*lang.Compiled]*lang.Runner, len(old))
 	runner := func(c *lang.Compiled) (*lang.Runner, error) {
@@ -222,11 +223,11 @@ func (e *evaluator) swap(snaps []*registry.Snapshot) error {
 		return rn, nil
 	}
 	bsize := e.opts.batchSize()
+	e.gen = gen
 	e.cls = make([]evalCluster, len(snaps))
 	e.liteGuards, e.always = false, false
 	for i, s := range snaps {
 		c := &e.cls[i]
-		c.gen = s.Gen
 		var err error
 		if s.Compiled != nil {
 			if c.mergedRn, err = runner(s.Compiled); err != nil {
@@ -351,7 +352,7 @@ func (e *evaluator) evalBatch(lo, hi int) error {
 			cost, err := c.mergedRn.RunDense1(int64(i))
 			e.clock.stop()
 			if err != nil {
-				return fmt.Errorf("engine: consolidated program (gen %d) on record %d: %w", c.gen, i, err)
+				return fmt.Errorf("engine: consolidated program (gen %d) on record %d: %w", e.gen, i, err)
 			}
 			e.m.UDFCost += cost
 			ns := len(c.noteIdx)
@@ -359,7 +360,7 @@ func (e *evaluator) evalBatch(lo, hi int) error {
 			for slot, nk := range c.noteIdx {
 				v, ok := c.mergedRn.NoteAt(nk)
 				if !ok {
-					return fmt.Errorf("engine: gen %d missing notification for slot %d on record %d", c.gen, slot, i)
+					return fmt.Errorf("engine: gen %d missing notification for slot %d on record %d", e.gen, slot, i)
 				}
 				row[slot] = v
 				lat[slot] += c.gcost[k] + c.mergedRn.NoteCostAt(nk)
@@ -418,7 +419,7 @@ func (e *evaluator) runGuard(c *evalCluster, i, k int) error {
 	row, lat := c.slotVals[k*ns:(k+1)*ns], c.latSlot
 	for slot, nk := range c.noteIdx {
 		if nk == -1 {
-			return fmt.Errorf("engine: gen %d missing notification for slot %d on record %d", c.gen, slot, i)
+			return fmt.Errorf("engine: gen %d missing notification for slot %d on record %d", e.gen, slot, i)
 		}
 		row[slot] = false
 		lat[slot] += stamp

@@ -100,7 +100,7 @@ func WhereSharded(data RecordLibrary, src LiveSource, opts Options) (*ShardedRes
 		run = func(b int) error {
 			lo, hi := opts.span(b, n)
 			// Batch boundary: this load decides the query set for [lo, hi).
-			if s := src.Snapshot(); w.cls == nil || s.Gen != w.gen {
+			if s := src.Snapshot(); w.cls == nil || s.Gen != w.ev.gen {
 				if err := w.swap(s); err != nil {
 					return fmt.Errorf("engine: gen %d: %w", s.Gen, err)
 				}

@@ -518,7 +518,7 @@ func RenameVars(s Stmt, f func(string) string) Stmt {
 	case Notify:
 		return t
 	case Assign:
-		return Assign{Var: f(t.Var), E: RenameIntVars(t.E, f)}
+		return Assign{Var: f(t.Var), E: renameIntVars(t.E, f)}
 	case Seq:
 		return Seq{L: RenameVars(t.L, f), R: RenameVars(t.R, f)}
 	case Cond:
@@ -529,8 +529,8 @@ func RenameVars(s Stmt, f func(string) string) Stmt {
 	return s
 }
 
-// RenameIntVars renames variable occurrences in an integer expression.
-func RenameIntVars(e IntExpr, f func(string) string) IntExpr {
+// renameIntVars renames variable occurrences in an integer expression.
+func renameIntVars(e IntExpr, f func(string) string) IntExpr {
 	switch t := e.(type) {
 	case IntConst:
 		return t
@@ -539,11 +539,11 @@ func RenameIntVars(e IntExpr, f func(string) string) IntExpr {
 	case Call:
 		args := make([]IntExpr, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = RenameIntVars(a, f)
+			args[i] = renameIntVars(a, f)
 		}
 		return Call{Func: t.Func, Args: args}
 	case BinInt:
-		return BinInt{Op: t.Op, L: RenameIntVars(t.L, f), R: RenameIntVars(t.R, f)}
+		return BinInt{Op: t.Op, L: renameIntVars(t.L, f), R: renameIntVars(t.R, f)}
 	}
 	return e
 }
@@ -554,7 +554,7 @@ func RenameBoolVars(e BoolExpr, f func(string) string) BoolExpr {
 	case BoolConst:
 		return t
 	case Cmp:
-		return Cmp{Op: t.Op, L: RenameIntVars(t.L, f), R: RenameIntVars(t.R, f)}
+		return Cmp{Op: t.Op, L: renameIntVars(t.L, f), R: renameIntVars(t.R, f)}
 	case Not:
 		return Not{E: RenameBoolVars(t.E, f)}
 	case BinBool:

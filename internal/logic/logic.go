@@ -239,18 +239,18 @@ func Num(n int64) Term { return TConst{Value: n} }
 // V is the variable term named s.
 func V(s string) Term { return TVar{Name: s} }
 
-// TermVars collects the free variables of a term into vs.
-func TermVars(t Term, vs map[string]bool) {
+// termVars collects the free variables of a term into vs.
+func termVars(t Term, vs map[string]bool) {
 	switch x := t.(type) {
 	case TVar:
 		vs[x.Name] = true
 	case TApp:
 		for _, a := range x.Args {
-			TermVars(a, vs)
+			termVars(a, vs)
 		}
 	case TBin:
-		TermVars(x.L, vs)
-		TermVars(x.R, vs)
+		termVars(x.L, vs)
+		termVars(x.R, vs)
 	}
 }
 
@@ -270,8 +270,8 @@ func Vars(f Formula) []string {
 func CollectVars(f Formula, vs map[string]bool) {
 	switch x := f.(type) {
 	case FAtom:
-		TermVars(x.L, vs)
-		TermVars(x.R, vs)
+		termVars(x.L, vs)
+		termVars(x.R, vs)
 	case FNot:
 		CollectVars(x.F, vs)
 	case FAnd:
@@ -285,8 +285,8 @@ func CollectVars(f Formula, vs map[string]bool) {
 	}
 }
 
-// SubstTerm replaces variables in t according to sub.
-func SubstTerm(t Term, sub map[string]Term) Term {
+// substTerm replaces variables in t according to sub.
+func substTerm(t Term, sub map[string]Term) Term {
 	switch x := t.(type) {
 	case TConst:
 		return x
@@ -298,11 +298,11 @@ func SubstTerm(t Term, sub map[string]Term) Term {
 	case TApp:
 		args := make([]Term, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = SubstTerm(a, sub)
+			args[i] = substTerm(a, sub)
 		}
 		return TApp{Func: x.Func, Args: args}
 	case TBin:
-		return TBin{Op: x.Op, L: SubstTerm(x.L, sub), R: SubstTerm(x.R, sub)}
+		return TBin{Op: x.Op, L: substTerm(x.L, sub), R: substTerm(x.R, sub)}
 	}
 	return t
 }
@@ -313,7 +313,7 @@ func Subst(f Formula, sub map[string]Term) Formula {
 	case FTrue, FFalse:
 		return f
 	case FAtom:
-		return FAtom{Pred: x.Pred, L: SubstTerm(x.L, sub), R: SubstTerm(x.R, sub)}
+		return FAtom{Pred: x.Pred, L: substTerm(x.L, sub), R: substTerm(x.R, sub)}
 	case FNot:
 		return Not(Subst(x.F, sub))
 	case FAnd:

@@ -174,6 +174,34 @@ func batchSizesFor(n int, rng *rand.Rand) []int {
 	return []int{7, div, n + 1 + rng.Intn(16)}
 }
 
+// engineUDFs wraps each of the batch's queries for the engine and keeps
+// those that notify on every probe input: engine filter UDFs must, and the
+// generator's partial-notify shapes (legal for consolidation) are screened
+// out by replaying each wrapped query over the inputs.
+func engineUDFs(b *Batch) ([]*lang.Program, *Failure) {
+	udfs := make([]*lang.Program, 0, len(b.Progs))
+	probe := newInputLibrary(b.Inputs)
+	for _, p := range b.Progs {
+		w := wrapForEngine(p)
+		total := true
+		for i := range b.Inputs {
+			probe.SetRecord(i)
+			res, err := run(probe, w, []int64{int64(i)})
+			if err != nil {
+				return nil, failf(CheckErr, b, "wrapped %s on record %d: %v", w.Name, i, err)
+			}
+			if _, ok := res.Notes[1]; !ok {
+				total = false
+				break
+			}
+		}
+		if total {
+			udfs = append(udfs, w)
+		}
+	}
+	return udfs, nil
+}
+
 // CheckBatchParity holds the batched engine dispatch to its determinism
 // contract on a generated batch: the probe inputs become an engine
 // dataset, the batch's queries become engine UDFs, and every
@@ -186,31 +214,9 @@ func CheckBatchParity(b *Batch) *Failure {
 	if len(b.Inputs) == 0 {
 		return nil
 	}
-	// Engine filter UDFs must notify on every record; the generator's
-	// partial-notify shapes (legal for consolidation) are screened out by
-	// replaying each wrapped query over the probe inputs.
-	udfs := make([]*lang.Program, 0, len(b.Progs))
-	probe := newInputLibrary(b.Inputs)
-	for _, p := range b.Progs {
-		w := wrapForEngine(p)
-		total := true
-		for i := range b.Inputs {
-			probe.SetRecord(i)
-			res, err := run(probe, w, []int64{int64(i)})
-			if err != nil {
-				return failf(CheckErr, b, "wrapped %s on record %d: %v", w.Name, i, err)
-			}
-			if _, ok := res.Notes[1]; !ok {
-				total = false
-				break
-			}
-		}
-		if total {
-			udfs = append(udfs, w)
-		}
-	}
-	if len(udfs) == 0 {
-		return nil
+	udfs, f := engineUDFs(b)
+	if f != nil || len(udfs) == 0 {
+		return f
 	}
 	d := newInputLibrary(b.Inputs)
 	copts := consolidate.Options{Cache: smt.NewCache(0)}

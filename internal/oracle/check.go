@@ -316,8 +316,8 @@ func CheckRegistry(b *Batch, events int) *Failure {
 		q := *src
 		q.Name = fmt.Sprintf("%s_c%d", src.Name, clones)
 		clones++
-		id, err := reg.Add(&q)
-		if err != nil {
+		id := registry.QueryID(clones)
+		if err := reg.Add(id, &q); err != nil {
 			return failf(CheckErr, b, "registry.Add(%s): %v", q.Name, err)
 		}
 		live = append(live, id)

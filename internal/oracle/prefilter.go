@@ -42,11 +42,16 @@ func prefilterGuardOptions() prefilter.Options {
 // nil means the guard is sound on this batch.
 func CheckPrefilter(b *Batch) *Failure {
 	lib := Lib()
-	merged, _, err := consolidate.All(b.Progs, consolidate.Options{}, true, false)
+	leaves := make([]consolidate.Leaf, len(b.Progs))
+	for i, p := range b.Progs {
+		leaves[i] = consolidate.Leaf{ID: i, Prog: p}
+	}
+	gopts := prefilterGuardOptions()
+	plan, err := consolidate.Prepare(leaves, consolidate.Options{}, 1, nil, &gopts)
 	if err != nil {
 		return failf(CheckErr, b, "consolidation: %v", err)
 	}
-	guard := prefilter.Synthesize(merged, prefilterGuardOptions())
+	guard := plan.Guard
 	if guard.Trivial {
 		// The admit-all guard filters nothing: vacuously sound.
 		return nil
@@ -66,11 +71,7 @@ func CheckPrefilter(b *Batch) *Failure {
 	}
 
 	// Differential replay over the probe grid.
-	mergedC, err := lang.Compile(merged)
-	if err != nil {
-		return failf(CheckErr, b, "compiling consolidated program: %v", err)
-	}
-	mrn := lang.NewRunner(mergedC, lib)
+	mrn := lang.NewRunner(plan.Compiled, lib)
 	mrn.MaxSteps = maxInterpSteps
 	grn := lang.NewRunner(guard.Compiled, lib)
 	grn.MaxSteps = maxInterpSteps
@@ -86,7 +87,7 @@ func CheckPrefilter(b *Batch) *Failure {
 		if _, err := mrn.RunDense(in); err != nil {
 			continue
 		}
-		for _, id := range mergedC.NoteIDs() {
+		for _, id := range plan.Compiled.NoteIDs() {
 			if v, ok := mrn.Note(id); ok && v {
 				f := failf(CheckPrefilterSound, b,
 					"guard %s rejects input %v but the consolidated program notifies %d true", guard.Test, in, id)

@@ -89,30 +89,9 @@ func CheckSharded(b *Batch, events int) *Failure {
 	if len(b.Inputs) == 0 {
 		return nil
 	}
-	// Screen out partial-notify shapes, exactly as the batch-parity check
-	// does: engine filter UDFs must notify on every record.
-	udfs := make([]*lang.Program, 0, len(b.Progs))
-	probe := newInputLibrary(b.Inputs)
-	for _, p := range b.Progs {
-		w := wrapForEngine(p)
-		total := true
-		for i := range b.Inputs {
-			probe.SetRecord(i)
-			res, err := run(probe, w, []int64{int64(i)})
-			if err != nil {
-				return failf(CheckErr, b, "wrapped %s on record %d: %v", w.Name, i, err)
-			}
-			if _, ok := res.Notes[1]; !ok {
-				total = false
-				break
-			}
-		}
-		if total {
-			udfs = append(udfs, w)
-		}
-	}
-	if len(udfs) < 2 {
-		return nil
+	udfs, f := engineUDFs(b)
+	if f != nil || len(udfs) < 2 {
+		return f
 	}
 
 	d := newInputLibrary(b.Inputs)

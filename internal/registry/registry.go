@@ -1,8 +1,8 @@
 // Package registry keeps one cluster of the live tier consolidated while
 // subscribers add and remove UDFs: it owns the query set, its delta
 // snapshots and their publication, and hands every rebuild to
-// consolidate.Build — the one merge-tree builder — with a persistent
-// consolidate.Memo.
+// consolidate.Prepare — the one merge-tree builder, compile and guard
+// synthesis — with a persistent consolidate.Memo.
 //
 // The paper consolidates a fixed batch of programs offline; a service
 // re-running All over all N programs on every subscription change would
@@ -13,12 +13,12 @@
 // entailments.
 //
 // A Registry is passive: it starts no goroutine and rebuilds only when its
-// owner calls Rebuild or Flush. The owner is internal/shard, which decides
-// when (one debounce worker per cluster) and publishes every cluster's
-// snapshot under one cross-cluster generation.
+// owner calls Rebuild or Flush. The owner is internal/shard, which assigns
+// the query ids, decides when to rebuild (one debounce worker per cluster)
+// and publishes every cluster's snapshot under the one generation number.
 //
 // Between a change and the next completed rebuild the query set stays
-// *live* through generation-numbered snapshots: the stale consolidated
+// *live* through delta snapshots: the stale consolidated
 // program keeps running, queries added since the last build run verbatim
 // alongside it (sound: verbatim is exactly sequential execution, the work
 // bound of DESIGN.md's work-bounds extension), and queries removed since
@@ -36,6 +36,7 @@ package registry
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,9 +47,9 @@ import (
 	"consolidation/internal/smt"
 )
 
-// QueryID is the stable handle of one subscribed query. Ids are never
-// reused, which is what lets the memo key merge nodes by the ids they
-// cover.
+// QueryID is the stable handle of one subscribed query, assigned by the
+// registry's owner (the shard's QueryID). Ids are never reused, which is
+// what lets the memo key merge nodes by the ids they cover.
 type QueryID uint64
 
 // Options configures a Registry.
@@ -70,9 +71,10 @@ type Options struct {
 	Prefilter *prefilter.Options
 }
 
-// PendingQuery is a query added after the current consolidated program was
-// built; the engine runs it verbatim alongside the stale program until the
-// next generation lands.
+// PendingQuery is one subscribed query, compiled at Add. In a snapshot's
+// Pending it was added after the current consolidated program was built,
+// and the engine runs it verbatim alongside the stale program until the
+// next rebuild lands.
 type PendingQuery struct {
 	ID       QueryID
 	Program  *lang.Program
@@ -115,27 +117,21 @@ type BuildStats struct {
 	GuardCost     int64
 }
 
-// Snapshot is one published generation: an immutable view the engine can
-// evaluate records against. A snapshot is *clean* when it reflects exactly
-// the live query set; after a change and before the next rebuild it is a
-// stale consolidated program plus a pending/removed delta that keeps the
+// Snapshot is one published state of the cluster: an immutable view the
+// engine can evaluate records against. A snapshot is *clean* when it
+// reflects exactly the live query set; after a change and before the next
+// rebuild it is a stale plan plus a pending/removed delta that keeps the
 // notification set exact.
 type Snapshot struct {
-	// Gen increases with every published snapshot (delta or rebuild).
-	Gen uint64
-	// Merged is the consolidated program over the built query set, with
-	// notification ids renumbered to slot positions; nil when the built
-	// set was empty. Compiled is its slot-compiled form.
-	Merged   *lang.Program
-	Compiled *lang.Compiled
+	// Plan is the prepared built query set, with notification ids
+	// renumbered to slot positions; the zero Plan (nil Merged) when the
+	// built set was empty. Its Guard (nil when Options.Prefilter is unset)
+	// remains valid on delta snapshots: it gates only Merged, which deltas
+	// share, while Pending queries bypass it by running verbatim.
+	consolidate.Plan
 	// Slots maps the merged program's notification ids (slot positions at
 	// build time) to query ids.
 	Slots []QueryID
-	// Guard is the admission pre-filter synthesized for Merged (nil when
-	// Options.Prefilter is unset or the built set was empty). It remains
-	// valid on delta snapshots: it gates only Merged, which deltas share,
-	// while Pending queries bypass it by running verbatim.
-	Guard *prefilter.Guard
 	// Pending queries joined after Merged was built and run verbatim.
 	Pending []PendingQuery
 	// Removed marks built queries that have since unsubscribed; their
@@ -165,7 +161,6 @@ func (s *Snapshot) LiveIDs() []QueryID {
 
 // Stats summarises registry activity.
 type Stats struct {
-	Gen     uint64
 	Size    int
 	Adds    uint64
 	Removes uint64
@@ -180,13 +175,6 @@ type Stats struct {
 	CachedNodes int
 }
 
-type entry struct {
-	id       QueryID
-	src      *lang.Program
-	compiled *lang.Compiled
-	notifyID int
-}
-
 // Registry is one incrementally consolidated query set. All methods are
 // safe for concurrent use. Programs handed to Add must not be mutated
 // afterwards.
@@ -194,13 +182,11 @@ type Registry struct {
 	opts  Options
 	cache *smt.Cache
 
-	mu           sync.Mutex // guards the fields below
-	entries      []entry    // slot order; the surviving set
+	mu           sync.Mutex     // guards the fields below
+	entries      []PendingQuery // slot order; the surviving set
 	slotOf       map[QueryID]int
-	nextID       QueryID
 	version      uint64 // bumped on every Add/Remove
 	builtVersion uint64 // version the published Merged reflects
-	gen          uint64
 	lastErr      error
 	stats        Stats
 
@@ -224,11 +210,15 @@ func New(opts Options) (*Registry, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
+	if pf := opts.Prefilter; pf != nil && pf.Solver == nil && pf.Cache == nil {
+		guard := *pf
+		guard.Cache = opts.Consolidate.Cache
+		opts.Prefilter = &guard
+	}
 	r := &Registry{
 		opts:   opts,
 		cache:  opts.Consolidate.Cache,
 		slotOf: map[QueryID]int{},
-		nextID: 1,
 		memo:   consolidate.NewMemo(),
 	}
 	r.snap.Store(&Snapshot{})
@@ -256,10 +246,10 @@ func (r *Registry) Leaves() []consolidate.Leaf {
 	return leavesOf(r.entries)
 }
 
-func leavesOf(ents []entry) []consolidate.Leaf {
+func leavesOf(ents []PendingQuery) []consolidate.Leaf {
 	out := make([]consolidate.Leaf, len(ents))
 	for i, e := range ents {
-		out[i] = consolidate.Leaf{ID: int(e.id), Prog: e.src}
+		out[i] = consolidate.Leaf{ID: int(e.ID), Prog: e.Program}
 	}
 	return out
 }
@@ -275,7 +265,6 @@ func (r *Registry) LastErr() error {
 func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	s := r.stats
-	s.Gen = r.gen
 	s.Size = len(r.entries)
 	r.mu.Unlock()
 	r.buildMu.Lock()
@@ -284,16 +273,19 @@ func (r *Registry) Stats() Stats {
 	return s
 }
 
-// Add subscribes a query: the program joins the live set immediately (a
-// delta snapshot runs it verbatim from the next admitted batch on); the
-// next Rebuild folds it into the merged program.
-func (r *Registry) Add(p *lang.Program) (QueryID, error) {
+// Add subscribes a query under id, which the owner assigns: the program
+// joins the live set immediately (a delta snapshot runs it verbatim from the
+// next admitted batch on); the next Rebuild folds it into the merged
+// program. An id that is already live is rejected. The memo keys leaves and
+// merge nodes by id, so an id must always name the same program — a
+// monotone counter that never reuses an id satisfies that.
+func (r *Registry) Add(id QueryID, p *lang.Program) error {
 	if p == nil {
-		return 0, fmt.Errorf("registry: nil program")
+		return fmt.Errorf("registry: nil program")
 	}
 	ids := lang.NotifyIDs(p.Body)
 	if len(ids) != 1 {
-		return 0, fmt.Errorf("registry: query %s must notify exactly one id, has %d", p.Name, len(ids))
+		return fmt.Errorf("registry: query %s must notify exactly one id, has %d", p.Name, len(ids))
 	}
 	notifyID := 0
 	for id := range ids {
@@ -301,31 +293,23 @@ func (r *Registry) Add(p *lang.Program) (QueryID, error) {
 	}
 	for _, prm := range p.Params {
 		if lang.AssignedVars(p.Body)[prm] {
-			return 0, fmt.Errorf("registry: query %s assigns parameter %q", p.Name, prm)
+			return fmt.Errorf("registry: query %s assigns parameter %q", p.Name, prm)
 		}
 	}
 	compiled, err := lang.Compile(p)
 	if err != nil {
-		return 0, fmt.Errorf("registry: compiling %s: %w", p.Name, err)
+		return fmt.Errorf("registry: compiling %s: %w", p.Name, err)
 	}
 
 	r.mu.Lock()
-	if len(r.entries) > 0 {
-		have := r.entries[0].src.Params
-		if len(have) != len(p.Params) {
-			r.mu.Unlock()
-			return 0, fmt.Errorf("registry: query %s takes %d parameters, registry uses %d", p.Name, len(p.Params), len(have))
-		}
-		for i := range have {
-			if have[i] != p.Params[i] {
-				r.mu.Unlock()
-				return 0, fmt.Errorf("registry: parameter mismatch %q vs %q", p.Params[i], have[i])
-			}
-		}
+	defer r.mu.Unlock()
+	if _, ok := r.slotOf[id]; ok {
+		return fmt.Errorf("registry: query id %d is already live", id)
 	}
-	id := r.nextID
-	r.nextID++
-	e := entry{id: id, src: p, compiled: compiled, notifyID: notifyID}
+	if len(r.entries) > 0 && !slices.Equal(r.entries[0].Program.Params, p.Params) {
+		return fmt.Errorf("registry: query %s takes parameters %v, registry uses %v", p.Name, p.Params, r.entries[0].Program.Params)
+	}
+	e := PendingQuery{ID: id, Program: p, Compiled: compiled, NotifyID: notifyID}
 	r.slotOf[id] = len(r.entries)
 	r.entries = append(r.entries, e)
 	r.version++
@@ -333,14 +317,9 @@ func (r *Registry) Add(p *lang.Program) (QueryID, error) {
 
 	cur := r.snap.Load()
 	next := *cur
-	next.Pending = append(append([]PendingQuery(nil), cur.Pending...), PendingQuery{
-		ID: id, Program: p, Compiled: compiled, NotifyID: notifyID,
-	})
-	r.gen++
-	next.Gen = r.gen
+	next.Pending = append(append([]PendingQuery(nil), cur.Pending...), e)
 	r.snap.Store(&next)
-	r.mu.Unlock()
-	return id, nil
+	return nil
 }
 
 // Remove unsubscribes a query: its notifications stop with the next
@@ -357,7 +336,7 @@ func (r *Registry) Remove(id QueryID) error {
 	last := len(r.entries) - 1
 	if slot != last {
 		r.entries[slot] = r.entries[last]
-		r.slotOf[r.entries[slot].id] = slot
+		r.slotOf[r.entries[slot].ID] = slot
 	}
 	r.entries = r.entries[:last]
 	delete(r.slotOf, id)
@@ -387,46 +366,43 @@ func (r *Registry) Remove(id QueryID) error {
 		}
 		next.Removed[id] = true
 	}
-	r.gen++
-	next.Gen = r.gen
 	r.snap.Store(&next)
 	r.mu.Unlock()
 	return nil
 }
 
 // Rebuild re-consolidates the live set now and publishes the result. Only
-// merge nodes whose leaves changed since the memo's tree are recomputed. If queries changed concurrently during the build, the
-// published snapshot carries the residual delta for the next rebuild.
+// merge nodes whose leaves changed since the memo's tree are recomputed. If
+// queries changed concurrently during the build, the published snapshot
+// carries the residual delta for the next rebuild.
 func (r *Registry) Rebuild() (*Snapshot, error) {
 	r.buildMu.Lock()
 	defer r.buildMu.Unlock()
 
 	r.mu.Lock()
-	ents := append([]entry(nil), r.entries...)
+	ents := append([]PendingQuery(nil), r.entries...)
 	v := r.version
 	r.mu.Unlock()
 
 	start := time.Now()
-	pre := r.cache.Stats()
-	var root *lang.Program
-	var compiled *lang.Compiled
+	snap := &Snapshot{Slots: make([]QueryID, len(ents))}
 	bs := BuildStats{Leaves: len(ents)}
 	if len(ents) == 0 {
 		// Registry drained: the memo holds nothing reusable.
 		r.memo = consolidate.NewMemo()
 	} else {
-		var ms *consolidate.MultiStats
-		var err error
-		root, ms, err = consolidate.Build(leavesOf(ents), r.opts.Consolidate, r.opts.Workers, r.memo)
-		if err == nil {
-			compiled, err = lang.Compile(root)
-		}
+		// The guard is re-synthesized on every rebuild: it is only
+		// meaningful for the exact Merged it was derived from.
+		pre := r.cache.Stats()
+		plan, err := consolidate.Prepare(leavesOf(ents), r.opts.Consolidate, r.opts.Workers, r.memo, r.opts.Prefilter)
 		if err != nil {
 			r.mu.Lock()
 			r.lastErr = err
 			r.mu.Unlock()
 			return nil, err
 		}
+		snap.Plan = *plan
+		ms := plan.Multi
 		bs.PairsMerged = ms.Pairs
 		bs.NodesReused = ms.NodesReused
 		bs.LeavesPrepared = ms.LeavesPrepared
@@ -434,63 +410,43 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 		bs.VerbatimFallbacks = ms.VerbatimFallbacks()
 		bs.Rules = ms.Rules
 		bs.Context = ms.Context
-	}
-	post := r.cache.Stats()
-	if lk := post.Lookups - pre.Lookups; lk > 0 {
-		bs.CacheHitRate = float64(post.Hits-pre.Hits) / float64(lk)
-	}
-
-	// Re-synthesize the admission guard for the new consolidated program.
-	// This runs on every generation swap: a guard is only meaningful for
-	// the exact Merged it was derived from.
-	var guard *prefilter.Guard
-	if r.opts.Prefilter != nil && root != nil {
-		t0 := time.Now()
-		popts := *r.opts.Prefilter
-		if popts.Solver == nil && popts.Cache == nil {
-			popts.Cache = r.cache
+		// ms.Cache is the shared cache as the merge left it, before guard
+		// synthesis queried it.
+		if lk := ms.Cache.Lookups - pre.Lookups; lk > 0 {
+			bs.CacheHitRate = float64(ms.Cache.Hits-pre.Hits) / float64(lk)
 		}
-		guard = prefilter.Synthesize(root, popts)
-		bs.PrefilterTime = time.Since(t0)
-		bs.GuardTrivial = guard.Trivial
-		bs.GuardCost = guard.Cost
+		if plan.Guard != nil {
+			bs.PrefilterTime = plan.PrefilterTime
+			bs.GuardTrivial = plan.Guard.Trivial
+			bs.GuardCost = plan.Guard.Cost
+		}
 	}
 	bs.Duration = time.Since(start)
+	snap.Build = bs
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	snap := &Snapshot{
-		Merged:   root,
-		Compiled: compiled,
-		Slots:    make([]QueryID, len(ents)),
-		Guard:    guard,
-		Build:    bs,
-	}
 	built := make(map[QueryID]bool, len(ents))
 	for i, e := range ents {
-		snap.Slots[i] = e.id
-		built[e.id] = true
+		snap.Slots[i] = e.ID
+		built[e.ID] = true
 	}
 	// Changes that raced the build become the new snapshot's delta.
 	live := make(map[QueryID]bool, len(r.entries))
 	for _, e := range r.entries {
-		live[e.id] = true
-		if !built[e.id] {
-			snap.Pending = append(snap.Pending, PendingQuery{
-				ID: e.id, Program: e.src, Compiled: e.compiled, NotifyID: e.notifyID,
-			})
+		live[e.ID] = true
+		if !built[e.ID] {
+			snap.Pending = append(snap.Pending, e)
 		}
 	}
 	for _, e := range ents {
-		if !live[e.id] {
+		if !live[e.ID] {
 			if snap.Removed == nil {
 				snap.Removed = map[QueryID]bool{}
 			}
-			snap.Removed[e.id] = true
+			snap.Removed[e.ID] = true
 		}
 	}
-	r.gen++
-	snap.Gen = r.gen
 	r.snap.Store(snap)
 	r.builtVersion = v
 	r.lastErr = nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,8 +41,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 	var live []QueryID
 	next := 0
 	add := func() {
-		id, err := r.Add(pool[next%len(pool)])
-		if err != nil {
+		id := QueryID(next + 1)
+		if err := r.Add(id, pool[next%len(pool)]); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -118,7 +119,7 @@ func TestIncrementalReusesSubtrees(t *testing.T) {
 
 	const n = 32
 	for i := 0; i < n; i++ {
-		if _, err := r.Add(pool[i]); err != nil {
+		if err := r.Add(QueryID(i+1), pool[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +131,7 @@ func TestIncrementalReusesSubtrees(t *testing.T) {
 		t.Fatalf("cold build merged %d pairs, want %d", snap.Build.PairsMerged, n-1)
 	}
 
-	if _, err := r.Add(pool[n]); err != nil {
+	if err := r.Add(n+1, pool[n]); err != nil {
 		t.Fatal(err)
 	}
 	snap, err = r.Flush()
@@ -172,8 +173,8 @@ func TestSwapRemoveReusesLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pool {
-		if _, err := r.Add(p); err != nil {
+	for i, p := range pool {
+		if err := r.Add(QueryID(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,13 +220,19 @@ func TestDeltaSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, _ := r.Add(pool[0])
-	b, _ := r.Add(pool[1])
+	const a, b, c QueryID = 1, 2, 3
+	for i, id := range []QueryID{a, b} {
+		if err := r.Add(id, pool[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	c, _ := r.Add(pool[2])
+	if err := r.Add(c, pool[2]); err != nil {
+		t.Fatal(err)
+	}
 	snap := r.Snapshot()
 	if len(snap.Pending) != 1 || snap.Pending[0].ID != c {
 		t.Fatalf("pending delta wrong: %+v", snap.Pending)
@@ -273,14 +280,21 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Add(lang.MustParse("func two(r) { notify 1 true; notify 2 false; }")); err == nil {
+	if err := r.Add(1, lang.MustParse("func two(r) { notify 1 true; notify 2 false; }")); err == nil {
 		t.Error("query notifying two ids must be rejected")
 	}
-	if _, err := r.Add(lang.MustParse("func ok(r) { notify 1 (price(r) < 10); }")); err != nil {
+	ok := lang.MustParse("func ok(r) { notify 1 (price(r) < 10); }")
+	if err := r.Add(1, ok); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Add(lang.MustParse("func mismatch(x) { notify 1 (x < 10); }")); err == nil {
+	if err := r.Add(1, lang.MustParse("func again(r) { notify 1 (price(r) > 10); }")); err == nil {
+		t.Error("an already-live id must be rejected")
+	}
+	if err := r.Add(2, lang.MustParse("func mismatch(x) { notify 1 (x < 10); }")); err == nil {
 		t.Error("parameter mismatch must be rejected")
+	}
+	if got := r.Snapshot().LiveIDs(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("rejected adds changed the live set: %v", got)
 	}
 	if err := r.Remove(QueryID(999)); err == nil {
 		t.Error("unknown id must be rejected")
@@ -297,8 +311,8 @@ func TestRegistryStartsNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pool {
-		if _, err := r.Add(p); err != nil {
+	for i, p := range pool {
+		if err := r.Add(QueryID(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,6 +341,7 @@ func TestConcurrentChurnRace(t *testing.T) {
 
 	var mu sync.Mutex
 	var live []QueryID
+	var issued atomic.Uint64
 	var churn sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		churn.Add(1)
@@ -345,8 +360,8 @@ func TestConcurrentChurnRace(t *testing.T) {
 					}
 					mu.Unlock()
 				}
-				id, err := r.Add(pool[(w*12+i)%len(pool)])
-				if err != nil {
+				id := QueryID(issued.Add(1))
+				if err := r.Add(id, pool[(w*12+i)%len(pool)]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -377,20 +392,13 @@ func TestConcurrentChurnRace(t *testing.T) {
 	}()
 	go func() {
 		defer reader.Done()
-		var lastGen uint64
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			s := r.Snapshot()
-			if s.Gen < lastGen {
-				t.Error("generation went backwards")
-				return
-			}
-			lastGen = s.Gen
-			s.LiveIDs()
+			r.Snapshot().LiveIDs()
 		}
 	}()
 	churn.Wait()

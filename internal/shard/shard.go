@@ -15,19 +15,20 @@
 // share nothing were never going to help each other anyway.
 //
 // A cluster that grows past its size threshold is rebalanced by splitting
-// around its two least-similar members; moved queries keep their
-// shard-level QueryID while re-entering the target cluster's registry
-// through the ordinary delta-snapshot path, so the engine's exactness
-// guarantees hold mid-rebalance. One global merge tree over every query is
-// the configuration Options{MaxClusterSize: math.MaxInt, MinSimilarity: -1}:
+// around its two least-similar members; moved queries keep their QueryID
+// while re-entering the target cluster's registry through the ordinary
+// delta-snapshot path, so the engine's exactness guarantees hold
+// mid-rebalance. One global merge tree over every query is the
+// configuration Options{MaxClusterSize: math.MaxInt, MinSimilarity: -1}:
 // every query joins the first cluster and it never splits.
 //
 // Snapshots are atomic across clusters: every mutation (and every completed
 // background rebuild) publishes one Snapshot holding each cluster's current
-// registry snapshot plus the local-to-global id mapping, under a single
-// monotone generation. The engine's WhereSharded operator loads it once per
-// batch and swaps generations only at batch boundaries, so no record is
-// dropped or double-notified during a swap.
+// registry snapshot under a single monotone generation. A query has one id
+// everywhere: the cluster registries are handed the shard's QueryID. The
+// engine's WhereSharded operator loads the snapshot once per batch and
+// swaps generations only at batch boundaries, so no record is dropped or
+// double-notified during a swap.
 package shard
 
 import (
@@ -42,9 +43,8 @@ import (
 	"consolidation/internal/smt"
 )
 
-// QueryID is the stable shard-level handle of one subscribed query. It
-// survives rebalancing: the cluster-local registry id may change when a
-// query moves, the shard-level id never does.
+// QueryID is the stable handle of one subscribed query. It survives
+// rebalancing, and it is the registry.QueryID its cluster knows it by.
 type QueryID uint64
 
 // DefaultMaxClusterSize is the split threshold when Options leaves it zero:
@@ -97,15 +97,11 @@ func (o Options) minSimilarity() float64 {
 	return DefaultMinSimilarity
 }
 
-// ClusterSnapshot is one cluster's contribution to a shard snapshot: the
-// cluster's own registry generation plus the mapping from its local
-// registry ids (slot and pending ids) to shard-level QueryIDs. IDs is
-// immutable — membership changes build a fresh map — so background rebuild
-// publishes reuse it without copying.
+// ClusterSnapshot is one cluster's contribution to a shard snapshot: its
+// registry's current snapshot.
 type ClusterSnapshot struct {
 	ID   int
 	Snap *registry.Snapshot
-	IDs  map[registry.QueryID]QueryID
 }
 
 // Snapshot is one atomically published view across all clusters. The
@@ -126,13 +122,13 @@ func (s *Snapshot) Clean() bool {
 	return true
 }
 
-// LiveIDs returns the shard-level ids live in this snapshot, in cluster
-// order then cluster-internal order.
+// LiveIDs returns the ids live in this snapshot, in cluster order then
+// cluster-internal order.
 func (s *Snapshot) LiveIDs() []QueryID {
 	var out []QueryID
 	for i := range s.Clusters {
-		for _, local := range s.Clusters[i].Snap.LiveIDs() {
-			out = append(out, s.Clusters[i].IDs[local])
+		for _, id := range s.Clusters[i].Snap.LiveIDs() {
+			out = append(out, QueryID(id))
 		}
 	}
 	return out
@@ -164,11 +160,10 @@ type ClusterStat struct {
 }
 
 type member struct {
-	id    QueryID
-	prog  *lang.Program
-	sig   consolidate.Signature
-	c     *cluster
-	local registry.QueryID
+	id   QueryID
+	prog *lang.Program
+	sig  consolidate.Signature
+	c    *cluster
 }
 
 type cluster struct {
@@ -176,7 +171,6 @@ type cluster struct {
 	reg      *registry.Registry
 	order    []*member // insertion order; deterministic iteration
 	centroid consolidate.Signature
-	idmap    map[registry.QueryID]QueryID // published copy-on-write mapping
 	kick     chan struct{}
 	stop     chan struct{}
 }
@@ -190,7 +184,7 @@ type ShardedRegistry struct {
 	mu       sync.Mutex // guards the fields below
 	clusters []*cluster
 	members  map[QueryID]*member
-	params   []string
+	param    string // the record parameter every query names
 	nextID   QueryID
 	nextCID  int
 	gen      uint64
@@ -298,44 +292,39 @@ func (s *ShardedRegistry) LastErr() error {
 // affine cluster (or opens a new one), the cluster's delta snapshot makes
 // it live immediately, and a cluster-local re-consolidation is scheduled.
 // Only the target cluster is touched — every other cluster's merge tree,
-// solving contexts, and guard are untouched by construction.
+// solving contexts, and guard are untouched by construction. The program
+// must take exactly the record parameter a live pass runs it with.
 func (s *ShardedRegistry) Add(p *lang.Program) (QueryID, error) {
 	if p == nil {
 		return 0, fmt.Errorf("shard: nil program")
+	}
+	if len(p.Params) != 1 {
+		return 0, fmt.Errorf("shard: query %s must take exactly the record parameter, takes %d", p.Name, len(p.Params))
 	}
 	sig := consolidate.FeatureSignature(p)
 
 	s.mu.Lock()
 	if len(s.members) == 0 {
-		s.params = append([]string(nil), p.Params...)
-	} else if len(p.Params) != len(s.params) {
+		s.param = p.Params[0]
+	} else if p.Params[0] != s.param {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("shard: query %s takes %d parameters, registry uses %d", p.Name, len(p.Params), len(s.params))
-	} else {
-		for i := range s.params {
-			if s.params[i] != p.Params[i] {
-				s.mu.Unlock()
-				return 0, fmt.Errorf("shard: parameter mismatch %q vs %q", p.Params[i], s.params[i])
-			}
-		}
+		return 0, fmt.Errorf("shard: query %s names its record parameter %q, registry uses %q", p.Name, p.Params[0], s.param)
 	}
 
 	c, created := s.routeLocked(sig)
-	local, err := c.reg.Add(p)
-	if err != nil {
+	id := s.nextID
+	if err := c.reg.Add(registry.QueryID(id), p); err != nil {
 		if created {
 			s.dropClusterLocked(c)
 		}
 		s.mu.Unlock()
 		return 0, err
 	}
-	id := s.nextID
 	s.nextID++
-	m := &member{id: id, prog: p, sig: sig, c: c, local: local}
+	m := &member{id: id, prog: p, sig: sig, c: c}
 	s.members[id] = m
 	c.order = append(c.order, m)
 	c.centroid = c.centroid.Merge(sig)
-	s.remapLocked(c)
 	s.stats.Adds++
 
 	kicks := []*cluster{c}
@@ -365,7 +354,7 @@ func (s *ShardedRegistry) Remove(id QueryID) error {
 		return fmt.Errorf("shard: unknown query id %d", id)
 	}
 	c := m.c
-	if err := c.reg.Remove(m.local); err != nil {
+	if err := c.reg.Remove(registry.QueryID(id)); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("shard: cluster %d: %w", c.id, err)
 	}
@@ -382,7 +371,6 @@ func (s *ShardedRegistry) Remove(id QueryID) error {
 		s.dropClusterLocked(c)
 	} else {
 		s.recentroidLocked(c)
-		s.remapLocked(c)
 		kick = c
 	}
 	s.publishLocked()
@@ -456,11 +444,10 @@ func (s *ShardedRegistry) newClusterLocked() *cluster {
 		panic(fmt.Sprintf("shard: cluster registry: %v", err))
 	}
 	c := &cluster{
-		id:    s.nextCID,
-		reg:   reg,
-		idmap: map[registry.QueryID]QueryID{},
-		kick:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
+		id:   s.nextCID,
+		reg:  reg,
+		kick: make(chan struct{}, 1),
+		stop: make(chan struct{}),
 	}
 	s.nextCID++
 	s.clusters = append(s.clusters, c)
@@ -479,17 +466,6 @@ func (s *ShardedRegistry) dropClusterLocked(c *cluster) {
 		}
 	}
 	close(c.stop)
-}
-
-// remapLocked rebuilds the published local→global id mapping of a cluster
-// after a membership change. The map is copy-on-write: in-flight snapshots
-// keep the old one.
-func (s *ShardedRegistry) remapLocked(c *cluster) {
-	m := make(map[registry.QueryID]QueryID, len(c.order))
-	for _, mm := range c.order {
-		m[mm.local] = mm.id
-	}
-	c.idmap = m
 }
 
 func (s *ShardedRegistry) recentroidLocked(c *cluster) {
@@ -513,8 +489,8 @@ func (s *ShardedRegistry) maybeSplitLocked(c *cluster) (*cluster, error) {
 // splitLocked rebalances one cluster: the two least-similar members seed
 // two sides, every member joins the side it is more similar to (ties
 // alternate, so identical-signature clusters still split evenly), and the
-// second side moves into a fresh cluster through ordinary Remove/Add —
-// delta snapshots keep every moved query live throughout.
+// second side moves into a fresh cluster through ordinary Remove/Add under
+// its own id — delta snapshots keep every moved query live throughout.
 func (s *ShardedRegistry) splitLocked(c *cluster) (*cluster, error) {
 	n := len(c.order)
 	ai, bi := 0, n-1
@@ -548,21 +524,18 @@ func (s *ShardedRegistry) splitLocked(c *cluster) (*cluster, error) {
 	}
 	nc := s.newClusterLocked()
 	for _, m := range move {
-		if err := c.reg.Remove(m.local); err != nil {
+		if err := c.reg.Remove(registry.QueryID(m.id)); err != nil {
 			return nil, fmt.Errorf("shard: split remove: %w", err)
 		}
-		local, err := nc.reg.Add(m.prog)
-		if err != nil {
+		if err := nc.reg.Add(registry.QueryID(m.id), m.prog); err != nil {
 			return nil, fmt.Errorf("shard: split re-add: %w", err)
 		}
-		m.c, m.local = nc, local
+		m.c = nc
 	}
 	c.order = stay
 	nc.order = move
 	s.recentroidLocked(c)
 	s.recentroidLocked(nc)
-	s.remapLocked(c)
-	s.remapLocked(nc)
 	s.stats.Splits++
 	s.stats.Moves += uint64(len(move))
 	return nc, nil
@@ -574,7 +547,7 @@ func (s *ShardedRegistry) publishLocked() {
 	s.gen++
 	cs := make([]ClusterSnapshot, 0, len(s.clusters))
 	for _, c := range s.clusters {
-		cs = append(cs, ClusterSnapshot{ID: c.id, Snap: c.reg.Snapshot(), IDs: c.idmap})
+		cs = append(cs, ClusterSnapshot{ID: c.id, Snap: c.reg.Snapshot()})
 	}
 	s.snap.Store(&Snapshot{Gen: s.gen, Clusters: cs})
 }

@@ -34,7 +34,7 @@ func mustAdd(t *testing.T, s *ShardedRegistry, p *lang.Program) QueryID {
 
 // TestShardedClustering pins the routing invariant: queries from one
 // family share a cluster, disjoint families never do, and the published
-// snapshot's id mapping covers exactly the live set.
+// cluster snapshots cover exactly the live set.
 func TestShardedClustering(t *testing.T) {
 	s, err := New(Options{})
 	if err != nil {
@@ -62,12 +62,8 @@ func TestShardedClustering(t *testing.T) {
 	byCluster := map[int]map[QueryID]bool{}
 	for _, cs := range snap.Clusters {
 		ids := map[QueryID]bool{}
-		for _, local := range cs.Snap.LiveIDs() {
-			gid, ok := cs.IDs[local]
-			if !ok {
-				t.Fatalf("cluster %d: live local id %d has no global mapping", cs.ID, local)
-			}
-			ids[gid] = true
+		for _, id := range cs.Snap.LiveIDs() {
+			ids[QueryID(id)] = true
 		}
 		byCluster[cs.ID] = ids
 	}
@@ -110,7 +106,7 @@ func TestShardedClustering(t *testing.T) {
 // TestShardedSplit pins the rebalance path: a negative MinSimilarity herds
 // both families into one cluster, and crossing MaxClusterSize splits it
 // back apart along the similarity seam — every query staying live
-// throughout.
+// throughout, and every moved query keeping its id in its new cluster.
 func TestShardedSplit(t *testing.T) {
 	s, err := New(Options{MinSimilarity: -1, MaxClusterSize: 4})
 	if err != nil {
@@ -144,17 +140,18 @@ func TestShardedSplit(t *testing.T) {
 		t.Fatalf("live ids after split = %d, want 5", got)
 	}
 	// The split seam must separate the families: no cluster holds both an
-	// avgTemp and a volume query.
+	// avgTemp and a volume query. Ids were assigned in add order — temp0=1,
+	// vol0=2, temp1=3, vol1=4, temp2=5 — and the moved queries, now built
+	// into the fresh cluster, still carry theirs.
+	seen := map[QueryID]bool{}
 	for _, cs := range snap.Clusters {
 		hasTemp, hasVol := false, false
-		for _, local := range cs.Snap.LiveIDs() {
-			gid := cs.IDs[local]
-			if gid == 0 {
-				t.Fatalf("cluster %d: unmapped live id %d", cs.ID, local)
+		for _, id := range cs.Snap.Slots {
+			if id < 1 || id > 5 || seen[QueryID(id)] {
+				t.Fatalf("cluster %d: slot id %d is not one of the five added ids", cs.ID, id)
 			}
-			// Global ids were assigned in add order: temp0=1, vol0=2,
-			// temp1=3, vol1=4, temp2=5.
-			if gid%2 == 1 {
+			seen[QueryID(id)] = true
+			if id%2 == 1 {
 				hasTemp = true
 			} else {
 				hasVol = true
@@ -163,6 +160,12 @@ func TestShardedSplit(t *testing.T) {
 		if hasTemp && hasVol {
 			t.Fatalf("cluster %d still mixes both families after split", cs.ID)
 		}
+		if cs.ID != 0 && len(cs.Snap.Slots) != int(st.Moves) {
+			t.Fatalf("fresh cluster %d holds %d queries, split moved %d", cs.ID, len(cs.Snap.Slots), st.Moves)
+		}
+	}
+	if len(seen) != 5 {
+		t.Fatalf("clusters' slots cover %d of the 5 ids", len(seen))
 	}
 }
 
@@ -216,8 +219,9 @@ func TestShardedRemove(t *testing.T) {
 }
 
 // TestShardedAddValidation pins admission errors: a malformed query is
-// rejected without leaking a cluster, and parameter lists must agree
-// across the whole shard, not just within a cluster.
+// rejected without leaking a cluster, every query takes exactly the record
+// parameter, and parameter lists must agree across the whole shard, not
+// just within a cluster.
 func TestShardedAddValidation(t *testing.T) {
 	s, err := New(Options{})
 	if err != nil {
@@ -238,13 +242,44 @@ func TestShardedAddValidation(t *testing.T) {
 		t.Fatalf("failed Add leaked a cluster: %d -> %d", before, got)
 	}
 	if _, err := s.Add(lang.MustParse(`func wrong(a, b) { notify 1 (a > b); }`)); err == nil {
-		t.Fatal("expected Add to reject a parameter-list mismatch")
+		t.Fatal("expected Add to reject a two-parameter query")
+	}
+	if _, err := s.Add(lang.MustParse(`func other(x) { notify 1 (avgTemp(x, 3) > 1); }`)); err == nil {
+		t.Fatal("expected Add to reject a parameter-name mismatch")
 	}
 	if _, err := s.Add(nil); err == nil {
 		t.Fatal("expected Add to reject nil")
 	}
 	if got := s.Size(); got != 1 {
 		t.Fatalf("Size() = %d, want 1", got)
+	}
+
+	// A malformed first subscription must not fix the shard's parameter
+	// list: it is rejected, and a valid query after it is accepted and
+	// runs with the one record argument a live pass gives it.
+	fresh, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if _, err := fresh.Add(lang.MustParse(`func two(a, b) { notify 1 (a < b); }`)); err == nil {
+		t.Fatal("expected Add to reject a two-parameter first query")
+	}
+	mustAdd(t, fresh, tempQuery(0))
+	snap, err := fresh.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := &lang.MapLibrary{}
+	lib.Define("avgTemp", 1, func(args []int64) (int64, error) { return 30, nil })
+	for _, cs := range snap.Clusters {
+		rn := lang.NewRunner(cs.Snap.Compiled, lib)
+		if err := rn.BeginBatch1(); err != nil {
+			t.Fatalf("cluster %d: %v", cs.ID, err)
+		}
+		if _, err := rn.RunDense1(0); err != nil {
+			t.Fatalf("cluster %d: %v", cs.ID, err)
+		}
 	}
 }
 
