@@ -41,6 +41,9 @@ type Compiled struct {
 	// a notify instruction holds its dense index.
 	noteIDs []int
 	noteOf  map[int]int
+	// chain is the flat destination-slot table of the guarded-move chain
+	// instructions; each one holds an offset (b) and a length (c) into it.
+	chain []int32
 }
 
 // instr is one bytecode instruction. Operand meaning depends on op:
@@ -82,6 +85,16 @@ const (
 	vCallS   // frame slot a = funcs[b](regs[c:c+imm]); carries the Assign cost
 	vCallSV  // frame slot a = funcs[b](slot c); one-variable argument list
 	vCallSVI // frame slot a = funcs[b](slot c, imm); the dominant call shape
+	vCallSVV // frame slot a = funcs[b](slot c, slot imm)
+	vAddSI   // frame slot a = slot c + imm; `x := y + k` and `x := y - k` (imm = -k)
+	// Guarded-move chain: a maximal run of `if (d OP s) { d := s; }` (max
+	// form) or `if (s OP d) { d := s; }` (min form) sharing the source slot
+	// a, with the destinations at chain[b : b+c]. The tests are folded into
+	// the segment weight; each taken arm charges Var + Assign as it runs.
+	vMaxLt // d := s when d < s, for each destination d
+	vMaxLe // d := s when d <= s
+	vMinLt // d := s when s < d
+	vMinLe // d := s when s <= d
 	// Fused cond-notify: `if (test) { notify q v } else { notify q !v }`
 	// is branchless — note slot a = (slot c OP imm), with polarity folded
 	// into the comparison (both arms cost the same, so the merged
@@ -166,6 +179,10 @@ func (c *Compiled) NoteIndex(id int) (int, bool) {
 // by dense note slot.
 func (c *Compiled) NoteIDs() []int { return c.noteIDs }
 
+// Len returns the number of bytecode instructions, the count that shows
+// how far lowering fused a program.
+func (c *Compiled) Len() int { return len(c.code) }
+
 // SlotIndex returns the frame slot holding the named parameter or local,
 // if the compiled program mentions it. Parameters occupy slots 0..k-1 in
 // declaration order; the aggregation engine uses the lookup to read
@@ -232,14 +249,18 @@ func (c *Compiled) useRegs(n int) {
 }
 
 func (c *Compiled) lowerStmt(s Stmt) error {
-	for _, st := range Flatten(s) {
-		switch t := st.(type) {
+	stmts := Flatten(s)
+	for i := 0; i < len(stmts); i++ {
+		switch t := stmts[i].(type) {
 		case Assign:
+			if c.tryFuseAddImm(t) {
+				continue
+			}
 			if call, ok := t.E.(Call); ok {
 				// Fuse the dominant assignment form: bind the call result
 				// straight to the frame slot, skipping the register round
-				// trip. f(v) and f(v, const) argument lists — the shapes
-				// query UDFs overwhelmingly use — fuse the argument
+				// trip. f(v), f(v, const) and f(u, v) argument lists — the
+				// shapes query UDFs overwhelmingly use — fuse the argument
 				// evaluation in as well.
 				fi := int32(c.funcIndex(call.Func))
 				dst := int32(c.slot(t.Var))
@@ -254,6 +275,12 @@ func (c *Compiled) lowerStmt(s Stmt) error {
 					ac, okC := call.Args[1].(IntConst)
 					if okV && okC {
 						c.emit(instr{op: vCallSVI, a: dst, b: fi, c: int32(c.slot(av.Name)), imm: ac.Value})
+						continue
+					}
+					bv, okW := call.Args[1].(Var)
+					if okV && okW {
+						u := int32(c.slot(av.Name))
+						c.emit(instr{op: vCallSVV, a: dst, b: fi, c: u, imm: int64(c.slot(bv.Name))})
 						continue
 					}
 				}
@@ -277,6 +304,10 @@ func (c *Compiled) lowerStmt(s Stmt) error {
 			}
 			c.emit(instr{op: vNotify, a: int32(c.noteSlot(t.ID)), b: val})
 		case Cond:
+			if n := c.tryFuseMoveChain(stmts[i:]); n > 0 {
+				i += n - 1
+				continue
+			}
 			if c.tryFuseNotifyPair(t) {
 				continue
 			}
@@ -307,7 +338,7 @@ func (c *Compiled) lowerStmt(s Stmt) error {
 			c.code[back].b = int32(head - back)
 			c.patch(jf)
 		default:
-			return fmt.Errorf("lang: cannot compile %T", st)
+			return fmt.Errorf("lang: cannot compile %T", t)
 		}
 	}
 	return nil
@@ -402,6 +433,107 @@ func (c *Compiled) tryFuseNotifyPair(t Cond) bool {
 	}
 	c.emit(instr{op: op, a: int32(c.noteSlot(tn.ID)), c: slot, imm: imm})
 	return true
+}
+
+// tryFuseAddImm lowers `x := y + k` and `x := y - k` — loop counters and
+// offsets — to one slot-to-slot add; subtraction adds -k, which wraps
+// exactly as y - k does.
+func (c *Compiled) tryFuseAddImm(t Assign) bool {
+	b, ok := t.E.(BinInt)
+	if !ok || b.Op == Mul {
+		return false
+	}
+	y, okV := b.L.(Var)
+	k, okC := b.R.(IntConst)
+	if !okV || !okC {
+		return false
+	}
+	imm := k.Value
+	if b.Op == Sub {
+		imm = -imm
+	}
+	src := int32(c.slot(y.Name))
+	c.emit(instr{op: vAddSI, a: int32(c.slot(t.Var)), c: src, imm: imm})
+	return true
+}
+
+// guardedMove is one element of a guarded-move chain: `if (dst OP src)
+// { dst := src; }`, or `if (src OP dst) { dst := src; }` when min is set,
+// with OP ∈ {<, ≤} and an empty else-arm. These are the max/min
+// accumulator updates Ω's loop rule stacks into one fused loop body.
+type guardedMove struct {
+	dst, src string
+	op       CmpOp
+	min      bool
+}
+
+func asGuardedMove(st Stmt) (guardedMove, bool) {
+	t, ok := st.(Cond)
+	if !ok {
+		return guardedMove{}, false
+	}
+	cmp, ok := t.Test.(Cmp)
+	if !ok || cmp.Op == Eq {
+		return guardedMove{}, false
+	}
+	l, okL := cmp.L.(Var)
+	r, okR := cmp.R.(Var)
+	if !okL || !okR || len(Flatten(t.Else)) != 0 {
+		return guardedMove{}, false
+	}
+	then := Flatten(t.Then)
+	if len(then) != 1 {
+		return guardedMove{}, false
+	}
+	a, ok := then[0].(Assign)
+	if !ok {
+		return guardedMove{}, false
+	}
+	s, ok := a.E.(Var)
+	if !ok || s.Name == a.Var {
+		return guardedMove{}, false
+	}
+	g := guardedMove{dst: a.Var, src: s.Name, op: cmp.Op}
+	switch {
+	case l.Name == a.Var && r.Name == s.Name:
+	case l.Name == s.Name && r.Name == a.Var:
+		g.min = true
+	default:
+		return guardedMove{}, false
+	}
+	return g, true
+}
+
+// tryFuseMoveChain lowers the maximal run of guarded moves at the head of
+// stmts that share one source, one operator and one orientation to a
+// single chain instruction, and reports how many statements it consumed
+// (0 when stmts does not start with a guarded move). The source is never a
+// destination, so it stays bound and unchanged across the run.
+func (c *Compiled) tryFuseMoveChain(stmts []Stmt) int {
+	first, ok := asGuardedMove(stmts[0])
+	if !ok {
+		return 0
+	}
+	off := len(c.chain)
+	n := 0
+	for ; n < len(stmts); n++ {
+		g, ok := asGuardedMove(stmts[n])
+		if !ok || g.src != first.src || g.op != first.op || g.min != first.min {
+			break
+		}
+		c.chain = append(c.chain, int32(c.slot(g.dst)))
+	}
+	op := vMaxLt
+	switch {
+	case first.min && first.op == Le:
+		op = vMinLe
+	case first.min:
+		op = vMinLt
+	case first.op == Le:
+		op = vMaxLe
+	}
+	c.emit(instr{op: op, a: int32(c.slot(first.src)), b: int32(off), c: int32(n)})
+	return n
 }
 
 // tryFuseCmpJmp emits a fused test-and-branch for Var/IntConst comparison

@@ -67,21 +67,31 @@ func TestCompiledMaxSteps(t *testing.T) {
 
 func TestCompiledReuseAcrossRuns(t *testing.T) {
 	// Frames are reset between runs: a variable defined in run 1 must not
-	// leak into run 2.
+	// leak into run 2. x and y are bound by the fused slot-writing ops
+	// (x := r + 4, y := g(r, x)) and read after the branch by a
+	// guarded-move chain, so run 2 must fail on x exactly as the
+	// interpreter does.
 	p := MustParse(`
 func l(r) {
-  if (r > 0) { x := 5; notify 1 (x == 5); } else { notify 1 false; }
-  notify 2 true;
+  m := 0;
+  if (r > 0) { x := r + 4; y := g(r, x); notify 1 (y == 6); } else { notify 1 false; }
+  if (m < x) { m := x; }
+  notify 2 (m == 5);
 }`)
 	runner := NewRunner(MustCompile(p), testLib())
-	if notes, _, _, err := runner.Run([]int64{1}); err != nil || notes[1] != true {
-		t.Fatalf("first run: %v %v", notes, err)
-	}
-	// r <= 0: x is never assigned; if the frame leaked, reading x would
-	// succeed — but this program doesn't read it in that branch, so just
-	// check verdicts stay correct.
-	if notes, _, _, err := runner.Run([]int64{-1}); err != nil || notes[1] != false {
-		t.Fatalf("second run: %v %v", notes, err)
+	for _, arg := range []int64{1, -1, 1} {
+		notes, _, _, err := runner.Run([]int64{arg})
+		if arg > 0 {
+			if err != nil || notes[1] != true || notes[2] != true {
+				t.Fatalf("run with r=%d: %v %v", arg, notes, err)
+			}
+			continue
+		}
+		_, ierr := NewInterp(testLib()).Run(p, []int64{arg})
+		const want = `lang: unbound variable "x"`
+		if err == nil || err.Error() != want || ierr == nil || ierr.Error() != want {
+			t.Fatalf("run with r=%d: VM %v, interpreter %v, want %q", arg, err, ierr, want)
+		}
 	}
 }
 

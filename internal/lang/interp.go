@@ -127,8 +127,9 @@ type Result struct {
 type Interp struct {
 	Lib Library
 	CM  *CostModel
-	// MaxSteps bounds loop iterations across a run to catch accidental
-	// divergence; 0 means no bound.
+	// MaxSteps bounds the loop-test evaluations of a run — every iteration
+	// plus one per loop exit — to catch accidental divergence; 0 means no
+	// bound.
 	MaxSteps int64
 
 	steps     int64

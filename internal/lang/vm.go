@@ -15,12 +15,14 @@ import (
 // segment and charged at the segment head, so straight-line code pays one
 // precomputed delta instead of per-op increments. Segments additionally
 // break after every notify, which keeps per-notification cost stamps
-// byte-identical to the interpreter's.
+// byte-identical to the interpreter's. The one data-dependent charge is a
+// guarded-move chain's taken arms (moveCost each), added as the chain runs.
 type Runner struct {
 	c   *Compiled
 	lib Library
 	cm  *CostModel
-	// MaxSteps bounds loop iterations per run; 0 disables.
+	// MaxSteps bounds the loop-test evaluations of a run — every iteration
+	// plus one per loop exit, as Interp counts them; 0 disables.
 	MaxSteps int64
 
 	// code is the runner's private copy of the program with each
@@ -34,6 +36,9 @@ type Runner struct {
 	callCost []int64
 	callFn   []func(args []int64) (int64, error)
 	argBuf   []int64
+	// moveCost is the Var + Assign a guarded-move chain charges per taken
+	// arm.
+	moveCost int64
 
 	regs  []int64
 	slots []int64
@@ -117,6 +122,7 @@ func NewRunner(c *Compiled, lib Library, opts ...RunnerOption) *Runner {
 		name := fn
 		r.callFn[i] = func(args []int64) (int64, error) { return lib.Call(name, args) }
 	}
+	r.moveCost = r.cm.Var + r.cm.Assign
 	r.foldCosts()
 	return r
 }
@@ -150,6 +156,13 @@ func (r *Runner) instrCost(in *instr) int64 {
 		return r.cm.Var + r.callCost[in.b] + r.cm.Assign
 	case vCallSVI:
 		return r.cm.Var + r.cm.IntConst + r.callCost[in.b] + r.cm.Assign
+	case vCallSVV:
+		return 2*r.cm.Var + r.callCost[in.b] + r.cm.Assign
+	case vAddSI:
+		return r.cm.Var + r.cm.IntConst + r.cm.Arith + r.cm.Assign
+	case vMaxLt, vMaxLe, vMinLt, vMinLe:
+		// Every element's test and branch; taken arms charge as they run.
+		return int64(in.c) * (2*r.cm.Var + r.cm.Cmp + r.cm.Branch)
 	case vNotify:
 		return r.cm.Notify
 	case vJmpIfFalse:
@@ -312,10 +325,15 @@ func (r *Runner) Note(id int) (value, notified bool) {
 	return r.NoteAt(k)
 }
 
+// exec runs the code once, accumulating the run's cost in r.cost. The
+// frame, cost and step count stay in Runner fields rather than locals: Go's
+// calling convention saves no registers across the library calls, and
+// locals that live across them measured slower than the field accesses.
 func (r *Runner) exec() error {
 	c := r.c
 	code := r.code
 	regs := r.regs
+	chain := c.chain
 	gen := r.gen
 	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
@@ -387,6 +405,69 @@ func (r *Runner) exec() error {
 			}
 			r.slots[in.a] = v
 			r.slotGen[in.a] = gen
+		case vCallSVV:
+			u, w := in.c, int32(in.imm)
+			if r.slotGen[u] != gen {
+				return r.unboundErr(u)
+			}
+			if r.slotGen[w] != gen {
+				return r.unboundErr(w)
+			}
+			r.argBuf[0] = r.slots[u]
+			r.argBuf[1] = r.slots[w]
+			v, err := r.callFn[in.b](r.argBuf[:2])
+			if err != nil {
+				return err
+			}
+			r.slots[in.a] = v
+			r.slotGen[in.a] = gen
+		case vAddSI:
+			if r.slotGen[in.c] != gen {
+				return r.unboundErr(in.c)
+			}
+			r.slots[in.a] = r.slots[in.c] + in.imm
+			r.slotGen[in.a] = gen
+		case vMaxLt, vMaxLe:
+			// The first test reads its destination, then the source; later
+			// tests read only their destination (the source is bound and
+			// never a destination). A repeated destination reads the value
+			// an earlier element moved into it.
+			dsts := chain[in.b : in.b+in.c]
+			if r.slotGen[dsts[0]] != gen {
+				return r.unboundErr(dsts[0])
+			}
+			if r.slotGen[in.a] != gen {
+				return r.unboundErr(in.a)
+			}
+			s := r.slots[in.a]
+			var moved int64
+			for _, d := range dsts {
+				if r.slotGen[d] != gen {
+					return r.unboundErr(d)
+				}
+				if v := r.slots[d]; v < s || (v == s && in.op == vMaxLe) {
+					r.slots[d] = s
+					moved++
+				}
+			}
+			r.cost += moved * r.moveCost
+		case vMinLt, vMinLe:
+			// As above, except the first test reads the source first.
+			if r.slotGen[in.a] != gen {
+				return r.unboundErr(in.a)
+			}
+			s := r.slots[in.a]
+			var moved int64
+			for _, d := range chain[in.b : in.b+in.c] {
+				if r.slotGen[d] != gen {
+					return r.unboundErr(d)
+				}
+				if v := r.slots[d]; s < v || (s == v && in.op == vMinLe) {
+					r.slots[d] = s
+					moved++
+				}
+			}
+			r.cost += moved * r.moveCost
 		case vJmp:
 			pc += int(in.b) - 1
 		case vJmpIfFalse:

@@ -1,0 +1,225 @@
+package lang
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// fusedVars is the variable pool of the generated programs: r is the only
+// parameter, so every other name may be read before it is bound.
+var fusedVars = []string{"r", "a", "b", "c", "d", "l", "i"}
+
+// byteSource hands out fuzz bytes as small choices; an exhausted source
+// answers 0, so every byte string decodes to some program.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) pick(n int) int {
+	if len(s.b) == 0 {
+		return 0
+	}
+	v := int(s.b[0]) % n
+	s.b = s.b[1:]
+	return v
+}
+
+func (s *byteSource) variable() string { return fusedVars[s.pick(len(fusedVars))] }
+
+func (s *byteSource) local() string { return fusedVars[1+s.pick(len(fusedVars)-1)] }
+
+// guardedMoves builds n `if (d OP src) { d := src; }` statements (the min
+// form swaps the test's operands). A destination equal to the source is
+// allowed: it is not a chain, and the generic lowering must agree too.
+func guardedMoves(src string, dsts []string, op CmpOp, min bool) []Stmt {
+	out := make([]Stmt, len(dsts))
+	for k, d := range dsts {
+		test := Cmp{Op: op, L: Var{d}, R: Var{src}}
+		if min {
+			test.L, test.R = test.R, test.L
+		}
+		out[k] = Cond{Test: test, Then: Assign{Var: d, E: Var{src}}, Else: Skip{}}
+	}
+	return out
+}
+
+// stmt decodes one statement from the fused shapes: guarded-move runs of
+// either form and operator, x := y ± k, one- and two-variable calls,
+// constants, counted loops (nested up to depth), notifications and plain
+// conditionals.
+func (s *byteSource) stmt(depth int) Stmt {
+	switch s.pick(8) {
+	case 0, 1:
+		src := s.variable()
+		dsts := make([]string, 1+s.pick(5))
+		for k := range dsts {
+			dsts[k] = s.local()
+		}
+		op := Lt
+		if s.pick(2) == 1 {
+			op = Le
+		}
+		return SeqOf(guardedMoves(src, dsts, op, s.pick(2) == 1)...)
+	case 2:
+		op := Add
+		if s.pick(2) == 1 {
+			op = Sub
+		}
+		return Assign{Var: s.local(), E: BinInt{Op: op, L: Var{s.variable()}, R: IntConst{int64(s.pick(9)) - 4}}}
+	case 3:
+		if s.pick(2) == 1 {
+			return Assign{Var: s.local(), E: Call{Func: "f", Args: []IntExpr{Var{s.variable()}}}}
+		}
+		return Assign{Var: s.local(), E: Call{Func: "g", Args: []IntExpr{Var{s.variable()}, Var{s.variable()}}}}
+	case 4:
+		if depth > 0 {
+			ctr := s.local()
+			body := []Stmt{}
+			for k := 1 + s.pick(3); k > 0; k-- {
+				body = append(body, s.stmt(depth-1))
+			}
+			body = append(body, Assign{Var: ctr, E: BinInt{Op: Add, L: Var{ctr}, R: IntConst{1}}})
+			var bound IntExpr = IntConst{int64(s.pick(6))}
+			if s.pick(2) == 1 {
+				bound = Var{s.variable()}
+			}
+			return SeqOf(
+				Assign{Var: ctr, E: IntConst{0}},
+				While{Test: Cmp{Op: Lt, L: Var{ctr}, R: bound}, Body: SeqOf(body...)},
+			)
+		}
+		fallthrough
+	case 5:
+		return Assign{Var: s.local(), E: IntConst{int64(s.pick(13)) - 4}}
+	case 6:
+		id := s.pick(3)
+		test := Cmp{Op: CmpOp(s.pick(3)), L: Var{s.variable()}, R: IntConst{int64(s.pick(9)) - 2}}
+		return Cond{Test: test, Then: Notify{ID: id, Value: true}, Else: Notify{ID: id, Value: false}}
+	default:
+		test := Cmp{Op: CmpOp(s.pick(3)), L: Var{s.variable()}, R: Var{s.variable()}}
+		if depth == 0 {
+			return Cond{Test: test, Then: s.stmt(0), Else: Skip{}}
+		}
+		return Cond{Test: test, Then: s.stmt(depth - 1), Else: s.stmt(depth - 1)}
+	}
+}
+
+// decodeFused decodes fuzz bytes into a one-parameter program of at most 16
+// top-level statements.
+func decodeFused(data []byte) *Program {
+	s := &byteSource{b: data}
+	var stmts []Stmt
+	for len(s.b) > 0 && len(stmts) < 16 {
+		stmts = append(stmts, s.stmt(2))
+	}
+	return &Program{Name: "fz", Params: []string{"r"}, Body: SeqOf(stmts...)}
+}
+
+// FuzzVMMatchesInterp decodes fuzz bytes into programs built from the
+// fused shapes and diffs the VM against the interpreter — notes, total
+// cost, per-notification stamps and error strings — under the default and
+// the prime cost model. Loops run under diffProgram's MaxSteps.
+func FuzzVMMatchesInterp(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x05\x04\x01\x02\x03\x04\x05\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			return
+		}
+		p := decodeFused(data)
+		diffProgram(t, p, nil)
+		diffProgram(t, p, primeCostModel())
+	})
+}
+
+// randomChainProgram generates a guarded-move-heavy program: accumulators
+// initialised from r (one in eight left unbound), one or two sources, and
+// a run of moves whose source, form and operator change now and then and
+// which an unrelated statement sometimes breaks, then one notification per
+// accumulator.
+func randomChainProgram(rng *rand.Rand, name string) string {
+	accs := []string{"a", "b", "c", "d", "e"}
+	var b strings.Builder
+	fmt.Fprintf(&b, "func %s(r) {\n", name)
+	for _, a := range accs {
+		if rng.Intn(8) != 0 {
+			fmt.Fprintf(&b, "  %s := r + %d;\n", a, rng.Intn(9)-4)
+		}
+	}
+	fmt.Fprintf(&b, "  l := f(r);\n  k := g(r, %d);\n", rng.Intn(5)-2)
+	src, op, min := "l", "<", false
+	for n := 1 + rng.Intn(8); n > 0; n-- {
+		if rng.Intn(4) == 0 {
+			src = []string{"l", "k"}[rng.Intn(2)]
+			op = []string{"<", "<="}[rng.Intn(2)]
+			min = rng.Intn(2) == 1
+		}
+		if rng.Intn(6) == 0 {
+			fmt.Fprintf(&b, "  k := k - %d;\n", rng.Intn(3))
+		}
+		d := accs[rng.Intn(len(accs))]
+		if min {
+			fmt.Fprintf(&b, "  if (%s %s %s) { %s := %s; }\n", src, op, d, d, src)
+		} else {
+			fmt.Fprintf(&b, "  if (%s %s %s) { %s := %s; }\n", d, op, src, d, src)
+		}
+	}
+	for j, a := range accs {
+		fmt.Fprintf(&b, "  notify %d (%s < %d);\n", j, a, rng.Intn(9)-2)
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// TestVMRandomMoveChains diffs 200 seeded random chain programs under both
+// cost models.
+func TestVMRandomMoveChains(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for n := 0; n < 200; n++ {
+		src := randomChainProgram(rng, fmt.Sprintf("rc%d", n))
+		diffOne(t, src, nil)
+		diffOne(t, src, primeCostModel())
+	}
+}
+
+// accumulatorLoop is Ω's fused max-accumulator loop over k queries: one
+// shared call per iteration, the first query's update, the increment, then
+// the other k-1 updates.
+func accumulatorLoop(k int) string {
+	var b strings.Builder
+	b.WriteString("func acc(r) {\n  n := f(r); i := 0;\n")
+	for j := 0; j < k; j++ {
+		fmt.Fprintf(&b, "  m%d := %d;\n", j, j)
+	}
+	b.WriteString("  while (i < n) {\n    l := g(r, i);\n    if (m0 < l) { m0 := l; }\n    i := i + 1;\n")
+	for j := 1; j < k; j++ {
+		fmt.Fprintf(&b, "    if (m%d < l) { m%d := l; }\n", j, j)
+	}
+	b.WriteString("  }\n")
+	for j := 0; j < k; j++ {
+		fmt.Fprintf(&b, "  notify %d (m%d > %d);\n", j, j, 40+j)
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// BenchmarkRunnerAccumulatorLoop times one run of the fused accumulator
+// loop (64 iterations) for k = 1, 8 and 32 accumulators; steady state
+// allocates nothing.
+func BenchmarkRunnerAccumulatorLoop(b *testing.B) {
+	for _, k := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			rn := NewRunner(MustCompile(MustParse(accumulatorLoop(k))), testLib())
+			if err := rn.BeginBatch1(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := rn.RunDense1(32); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

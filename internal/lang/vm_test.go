@@ -6,9 +6,10 @@ import (
 )
 
 // vmPrograms exercise every lowering path: plain expressions, the fused
-// call shapes f(v) / f(v, const), fused var-vs-const tests in cond and
-// while, fused cond-notify pairs (both polarities), var-vs-var tests, and
-// notify runs inside branches.
+// call shapes f(v) / f(v, const) / f(u, v), `x := y ± k`, fused
+// var-vs-const tests in cond and while, fused cond-notify pairs (both
+// polarities), var-vs-var tests, notify runs inside branches, and
+// guarded-move chains of both forms and operators.
 var vmPrograms = []string{
 	`func p0(r) { x := f(r); notify 1 (x > 2); }`,
 	`func p1(r) { vs := g(r, 3); if (11 < vs) { notify 1 true; } else { notify 1 false; } }`,
@@ -33,6 +34,70 @@ var vmPrograms = []string{
 	   else { notify 1 false; notify 2 false; }
 	 }`,
 	`func p7(r) { x := r * 2 + 1; notify 1 (!(x < 0) && (x <= 9 || x == 11)); }`,
+	`func p8(r) {
+	   if (r > 3) { x := r * 2; notify 1 (x == 8); } else { notify 1 false; }
+	 }`,
+	// x := y - 3, x := y + k and f(u, v).
+	`func s0(r) { y := r - 3; z := g(r, y); u := z + 2; notify 1 (u < 5); notify 2 (y == 2); }`,
+	// Max and min chains of length 1, both operators.
+	`func c0(r) { m := 3; l := f(r); if (m < l) { m := l; } notify 1 (m == 6); }`,
+	`func c1(r) { m := 6; l := f(r); if (m <= l) { m := l; } notify 1 (m == 6); }`,
+	`func c2(r) { m := 3; l := f(r); if (l < m) { m := l; } notify 1 (m < 0); }`,
+	`func c3(r) { m := 4; l := f(r); if (l <= m) { m := l; } notify 1 (m == 4); }`,
+	// Length 5 with ties (accumulators 4, 6 and 8 tie l = 2r at r = 2, 3, 4;
+	// ≤ takes the tie and charges the move).
+	`func c4(r) {
+	   a := 4; b := r; c := 6; d := 0 - r; e := 8; l := f(r);
+	   if (a < l) { a := l; } if (b < l) { b := l; } if (c < l) { c := l; }
+	   if (d < l) { d := l; } if (e < l) { e := l; }
+	   notify 1 (a + b + c + d + e > 30);
+	 }`,
+	`func c5(r) {
+	   a := 4; b := r; c := 6; d := 0 - r; e := 8; l := f(r);
+	   if (a <= l) { a := l; } if (b <= l) { b := l; } if (c <= l) { c := l; }
+	   if (d <= l) { d := l; } if (e <= l) { e := l; }
+	   notify 1 (a + b + c + d + e > 30);
+	 }`,
+	`func c6(r) {
+	   a := 4; b := r; c := 6; d := 0 - r; e := 8; l := f(r);
+	   if (l < a) { a := l; } if (l < b) { b := l; } if (l < c) { c := l; }
+	   if (l < d) { d := l; } if (l < e) { e := l; }
+	   notify 1 (a + b + c + d + e < 10);
+	 }`,
+	`func c7(r) {
+	   a := 4; b := r; c := 6; d := 0 - r; e := 8; l := f(r);
+	   if (l <= a) { a := l; } if (l <= b) { b := l; } if (l <= c) { c := l; }
+	   if (l <= d) { d := l; } if (l <= e) { e := l; }
+	   notify 1 (a + b + c + d + e < 10);
+	 }`,
+	// A repeated destination reads the value an earlier element moved in:
+	// under ≤ the second move of m is a tie and is taken again.
+	`func c8(r) {
+	   m := 4; a := 0; l := f(r);
+	   if (m <= l) { m := l; } if (a <= l) { a := l; } if (m <= l) { m := l; }
+	   notify 1 (m == a);
+	 }`,
+	// Chains broken by an unrelated statement, a second source, a second
+	// operator and the other orientation.
+	`func c9(r) {
+	   a := 0; b := 0; c := 9; d := 9; l := f(r); k := g(r, 1);
+	   if (a < l) { a := l; } k := k + 1; if (b < l) { b := l; }
+	   if (a < k) { a := k; } if (b <= k) { b := k; } if (k < c) { c := k; }
+	   if (d < l) { d := l; }
+	   notify 1 (a < b); notify 2 (c < d);
+	 }`,
+	// The fused news loop: one shared call, a chain, the increment, the
+	// rest of the chain.
+	`func c10(r) {
+	   n := r + 4; i := 0; a := 0; b := 5; c := 0;
+	   while (i < n) {
+	     l := g(r, i);
+	     if (a < l) { a := l; }
+	     i := i + 1;
+	     if (b < l) { b := l; } if (c < l) { c := l; }
+	   }
+	   notify 1 (a == b); notify 2 (c > 6);
+	 }`,
 }
 
 // diffOne runs p under both executors across a range of inputs and fails on
@@ -40,8 +105,13 @@ var vmPrograms = []string{
 // strings.
 func diffOne(t *testing.T, src string, cm *CostModel) {
 	t.Helper()
+	diffProgram(t, MustParse(src), cm)
+}
+
+// diffProgram is diffOne on a parsed (or generated) program.
+func diffProgram(t *testing.T, p *Program, cm *CostModel) {
+	t.Helper()
 	lib := testLib()
-	p := MustParse(src)
 	var opts []RunnerOption
 	if cm != nil {
 		opts = append(opts, WithCostModel(cm))
@@ -92,24 +162,76 @@ func TestVMMatchesInterpDefaultModel(t *testing.T) {
 // a non-default model every weight differs from the default, so any opcode
 // charging the wrong component diverges from the interpreter immediately.
 func TestVMMatchesInterpCustomModel(t *testing.T) {
-	cm := &CostModel{
+	for _, src := range vmPrograms {
+		diffOne(t, src, primeCostModel())
+	}
+}
+
+// primeCostModel weighs every component differently from the default and
+// from each other.
+func primeCostModel() *CostModel {
+	return &CostModel{
 		IntConst: 2, BoolConst: 3, Var: 5, Arith: 7, Cmp: 11,
 		Neg: 13, BoolOp: 17, Assign: 19, Notify: 23, Branch: 29, CallBase: 31,
 	}
-	for _, src := range vmPrograms {
-		diffOne(t, src, cm)
+}
+
+// TestFusedShapesLower pins how far the fused shapes lower, as instruction
+// counts: a regression to the unfused forms shows up here before it shows
+// up as time.
+func TestFusedShapesLower(t *testing.T) {
+	cases := []struct {
+		src  string
+		want int
+	}{
+		// A run of five guarded moves is one instruction.
+		{`func k0(r) { if (a < l) { a := l; } if (b < l) { b := l; } if (a < l) { a := l; } if (c < l) { c := l; } if (d < l) { d := l; } }`, 1},
+		{`func k1(r) { if (l <= a) { a := l; } if (l <= b) { b := l; } }`, 1},
+		// Each change of source, operator or orientation starts a new run;
+		// so does any other statement.
+		{`func k2(r) { if (a < l) { a := l; } if (a < k) { a := k; } if (a <= k) { a := k; } if (k < a) { a := k; } }`, 4},
+		{`func k3(r) { if (a < l) { a := l; } i := i + 1; if (b < l) { b := l; } }`, 3},
+		// Not chains: a non-empty else-arm, a source that is also a
+		// destination, an equality test, a constant source.
+		{`func k4(r) { if (a < l) { a := l; } else { a := 0; } }`, 6},
+		{`func k5(r) { if (a < a) { a := a; } }`, 4},
+		{`func k6(r) { if (a == l) { a := l; } }`, 4},
+		{`func k7(r) { if (a < 3) { a := 3; } }`, 4},
+		// x := y ± k and f(u, v) are one instruction each; k + y and y * k
+		// are not fused.
+		{`func k8(r) { x := r + 1; y := x - 2; z := g(x, y); }`, 3},
+		{`func k9(r) { x := 1 + r; y := r * 2; }`, 8},
+	}
+	for _, tc := range cases {
+		c := MustCompile(MustParse(tc.src))
+		if c.Len() != tc.want {
+			t.Errorf("%s: %d instructions, want %d", c.prog.Name, c.Len(), tc.want)
+		}
 	}
 }
 
 func TestVMUnboundVariableNamesVariable(t *testing.T) {
 	lib := testLib()
-	// Three shapes that read an unbound variable: a plain load, a fused
-	// test, and a fused cond-notify. All must name the variable exactly as
-	// the interpreter does.
+	// Shapes that read an unbound variable: a plain load, a fused test, a
+	// fused cond-notify, y in x := y ± k, either argument of f(u, v), and
+	// every read of a guarded-move chain. All must name the variable
+	// exactly as the interpreter does, and the first unbound read in the
+	// interpreter's order is the one named (ghost is unbound too).
 	srcs := []string{
 		`func u0(r) { x := mystery + 1; notify 1 (x > 0); }`,
 		`func u1(r) { if (mystery < 5) { notify 1 true; } else { notify 1 false; notify 2 true; } }`,
 		`func u2(r) { if (mystery < 5) { notify 1 true; } else { notify 1 false; } }`,
+		`func u3(r) { x := mystery - 3; notify 1 (x > 0); }`,
+		`func u4(r) { x := g(r, mystery); notify 1 (x > 0); }`,
+		`func u5(r) { x := g(mystery, ghost); notify 1 (x > 0); }`,
+		// A chain destination in the middle, max and min form.
+		`func u6(r) { a := 0; b := 0; l := f(r); if (a < l) { a := l; } if (mystery < l) { mystery := l; } if (b < l) { b := l; } }`,
+		`func u7(r) { a := 0; b := 0; l := f(r); if (l <= a) { a := l; } if (l <= mystery) { mystery := l; } if (l <= b) { b := l; } }`,
+		// The chain source: read after the first destination in the max
+		// form, before it in the min form.
+		`func u8(r) { a := 0; b := 0; if (a < mystery) { a := mystery; } if (b < mystery) { b := mystery; } }`,
+		`func u9(r) { if (mystery < ghost) { ghost := mystery; } }`,
+		`func u10(r) { if (mystery <= ghost) { mystery := ghost; } }`,
 	}
 	for _, src := range srcs {
 		p := MustParse(src)
@@ -307,10 +429,10 @@ func TestRunDense1ZeroAlloc(t *testing.T) {
 }
 
 // TestVMZeroAllocSteadyState pins the tentpole's allocation contract:
-// RunDense performs no per-run allocations.
+// RunDense performs no per-run allocations, guarded-move chains included.
 func TestVMZeroAllocSteadyState(t *testing.T) {
 	lib := testLib()
-	for _, src := range vmPrograms {
+	for _, src := range append(vmPrograms[:len(vmPrograms):len(vmPrograms)], accumulatorLoop(8)) {
 		p := MustParse(src)
 		rn := NewRunner(MustCompile(p), lib)
 		rn.MaxSteps = 1000
