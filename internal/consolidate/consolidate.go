@@ -18,8 +18,6 @@ type Options struct {
 	CostModel *lang.CostModel
 	// FuncCoster prices library calls for the ⊢ cost comparisons.
 	FuncCoster lang.FuncCoster
-	// Invariant configures LoopInv.
-	Invariant invariant.Options
 	// MaxEmbedSize disables the duplicating If 3/If 4 rules when the code
 	// to embed exceeds this many AST nodes, falling back to If 5. This is
 	// the paper's cross-simplification vs code-size trade-off knob.
@@ -61,7 +59,6 @@ const DefaultMaxEmbedSize = 6000
 func DefaultOptions() Options {
 	return Options{
 		CostModel:    lang.DefaultCostModel(),
-		Invariant:    invariant.DefaultOptions(),
 		MaxEmbedSize: DefaultMaxEmbedSize,
 	}
 }
@@ -118,9 +115,6 @@ func New(opts Options) *Consolidator { return newConsolidator(opts, nil) }
 func newConsolidator(opts Options, sctx *smt.Context) *Consolidator {
 	if opts.CostModel == nil {
 		opts.CostModel = lang.DefaultCostModel()
-	}
-	if opts.Invariant.MaxHoudiniRounds == 0 {
-		opts.Invariant = invariant.DefaultOptions()
 	}
 	if opts.MaxEmbedSize == 0 {
 		opts.MaxEmbedSize = DefaultMaxEmbedSize
@@ -428,7 +422,7 @@ func (co *Consolidator) loops(ctx *sym.Context, s1, s2 *[]lang.Stmt) []lang.Stmt
 	w2 := (*s2)[0].(lang.While)
 	fusedGuard := lang.BinBool{Op: lang.And, L: w1.Test, R: w2.Test}
 	fusedBody := lang.SeqOf(w1.Body, w2.Body)
-	inv := invariant.Infer(ctx, fusedGuard, fusedBody, co.opts.Invariant)
+	inv := invariant.Infer(ctx, fusedGuard, fusedBody)
 
 	// Ψ1: the loop-head context — modified variables havocked, invariant
 	// assumed; facts about untouched variables survive from Ψ.
@@ -498,7 +492,7 @@ func (co *Consolidator) loops(ctx *sym.Context, s1, s2 *[]lang.Stmt) []lang.Stmt
 // and body are cross-simplified under the loop invariant, and the context
 // is advanced to the post-loop state.
 func (co *Consolidator) finalizeLoop(ctx *sym.Context, w lang.While) lang.Stmt {
-	inv := invariant.Infer(ctx, w.Test, w.Body, co.opts.Invariant)
+	inv := invariant.Infer(ctx, w.Test, w.Body)
 	invCtx := ctx.Clone()
 	invCtx.HavocSet(lang.AssignedVars(w.Body))
 	for _, f := range inv {

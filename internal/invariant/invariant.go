@@ -7,8 +7,12 @@
 // The candidate family — variable differences x - y = c for small c,
 // orderings x ≤ y and x < y, and variable/constant bounds — covers the
 // synchronisation facts loop fusion needs in practice (e.g. j = i - 1 in
-// the paper's Example 6), and is cheap enough that inference stays a small
-// fraction of consolidation time.
+// the paper's Example 6). It is not cheap: on loop families inference is
+// most of consolidation time, nearly all of it in Houdini's post-body
+// checks, and a check that refutes a candidate costs several times one
+// that entails it. So each round reuses its refutations: the assignment a
+// refuting check ended on drops every later candidate of the round that it
+// falsifies, without a query and without changing the result.
 package invariant
 
 import (
@@ -20,33 +24,63 @@ import (
 	"consolidation/internal/sym"
 )
 
-// Options tunes candidate generation.
-type Options struct {
-	// MaxVars bounds the number of variables considered for pairwise
+// Candidate generation bounds, tuned for the paper's workloads (loops over
+// months, days, word indices).
+const (
+	// maxVars bounds the number of variables considered for pairwise
 	// candidates; the guard variables are preferred.
-	MaxVars int
-	// DiffRange generates x - y = c candidates for |c| ≤ DiffRange.
-	DiffRange int64
-	// MaxHoudiniRounds bounds the filtering fixpoint.
-	MaxHoudiniRounds int
-}
-
-// DefaultOptions are tuned for the paper's workloads (loops over months,
-// days, word indices).
-func DefaultOptions() Options {
-	return Options{MaxVars: 8, DiffRange: 3, MaxHoudiniRounds: 12}
-}
+	maxVars = 8
+	// diffRange generates x - y = c candidates for |c| ≤ diffRange.
+	diffRange = 3
+)
 
 // Infer returns boolean expressions over program variables that hold on
 // entry to `while (guard) { body }` under ctx and are preserved by the
 // body. The conjunction of the result is an inductive invariant. ctx is
 // not modified.
-func Infer(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, opts Options) []lang.BoolExpr {
-	vars := relevantVars(ctx, guard, body, opts.MaxVars)
+func Infer(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt) []lang.BoolExpr {
+	stable, unstable := entryCandidates(ctx, guard, body)
+
+	// Houdini: drop candidates not preserved by the body until fixpoint.
+	// Every round but the last drops one at least, so there are at most
+	// len(unstable)+1 rounds. One shared post-body context per round
+	// suffices — the hypothesis (all live candidates plus the guard) is the
+	// same for every candidate. For the same reason a refuting check's
+	// assignment is a post-state of that hypothesis: a later candidate it
+	// falsifies (post.Refutes checks it against that candidate's cone) is
+	// not entailed either, and is dropped without a query.
+	for len(unstable) > 0 {
+		post := postContext(ctx, guard, body, stable, unstable)
+		var keep []lang.BoolExpr
+		var cexs []*logic.Model
+		for _, cand := range unstable {
+			if post.Refutes(cand, cexs) {
+				continue
+			}
+			ok, m := post.EntailsModel(cand)
+			if ok {
+				keep = append(keep, cand)
+			} else if m != nil {
+				cexs = append(cexs, m)
+			}
+		}
+		if len(keep) == len(unstable) {
+			break
+		}
+		unstable = keep
+	}
+	return append(stable, unstable...)
+}
+
+// entryCandidates returns the candidates that hold at loop entry, split
+// into those the body preserves by construction (stable) and those Houdini
+// must check (unstable).
+func entryCandidates(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt) (stable, unstable []lang.BoolExpr) {
+	vars := relevantVars(ctx, guard, body, maxVars)
 	guardVars := map[string]bool{}
 	collectBoolVars(guard, guardVars)
 	consts := mineConsts(guard)
-	cands := candidates(ctx, vars, guardVars, consts, opts)
+	cands := candidates(ctx, vars, guardVars, consts)
 
 	// Keep candidates valid at entry. Most candidates are decided without
 	// the solver: when the operands' definitions reduce to comparable
@@ -70,7 +104,6 @@ func Infer(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, opts Options) 
 	// synchronisation facts, the ones loop fusion depends on, land almost
 	// entirely in the first class.
 	deltas := bodyDeltas(body)
-	var stable, unstable []lang.BoolExpr
 	for _, cand := range live {
 		if preservedByDeltas(cand, deltas) {
 			stable = append(stable, cand)
@@ -78,38 +111,25 @@ func Infer(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, opts Options) 
 			unstable = append(unstable, cand)
 		}
 	}
+	return stable, unstable
+}
 
-	// Houdini: drop candidates not preserved by the body until fixpoint.
-	// One shared post-body context per round suffices — the hypothesis (all
-	// live candidates plus the guard) is the same for every candidate.
-	for round := 0; round < opts.MaxHoudiniRounds && len(unstable) > 0; round++ {
-		post := sym.NewContext(ctx.Solver())
-		if sc := ctx.SolvingContext(); sc != nil {
-			post.UseSolvingContext(sc)
-		}
-		for _, f := range stable {
-			post.AssumeBool(f)
-		}
-		for _, f := range unstable {
-			post.AssumeBool(f)
-		}
-		post.AssumeBool(guard)
-		post.ApplyStmt(body)
-		var keep []lang.BoolExpr
-		changed := false
-		for _, cand := range unstable {
-			if post.EntailsBool(cand) {
-				keep = append(keep, cand)
-			} else {
-				changed = true
-			}
-		}
-		unstable = keep
-		if !changed {
-			break
-		}
+// postContext is Houdini's hypothesis for one round: the candidates and the
+// guard assumed at the loop head, then the body applied.
+func postContext(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, stable, unstable []lang.BoolExpr) *sym.Context {
+	post := sym.NewContext(ctx.Solver())
+	if sc := ctx.SolvingContext(); sc != nil {
+		post.UseSolvingContext(sc)
 	}
-	return append(stable, unstable...)
+	for _, f := range stable {
+		post.AssumeBool(f)
+	}
+	for _, f := range unstable {
+		post.AssumeBool(f)
+	}
+	post.AssumeBool(guard)
+	post.ApplyStmt(body)
+	return post
 }
 
 // delta describes a variable's net change across one body execution.
@@ -329,7 +349,7 @@ func mineConsts(guard lang.BoolExpr) []int64 {
 	return out
 }
 
-func candidates(ctx *sym.Context, vars []string, guardVars map[string]bool, consts []int64, opts Options) []lang.BoolExpr {
+func candidates(ctx *sym.Context, vars []string, guardVars map[string]bool, consts []int64) []lang.BoolExpr {
 	var out []lang.BoolExpr
 	v := func(s string) lang.IntExpr { return lang.Var{Name: s} }
 	n := func(c int64) lang.IntExpr { return lang.IntConst{Value: c} }
@@ -341,12 +361,12 @@ func candidates(ctx *sym.Context, vars []string, guardVars map[string]bool, cons
 			// and only that single candidate is generated; otherwise a
 			// small range is probed.
 			if c, ok := entryDiff(ctx, x, y); ok {
-				if c >= -opts.DiffRange*4 && c <= opts.DiffRange*4 {
+				if c >= -diffRange*4 && c <= diffRange*4 {
 					out = append(out, lang.Cmp{Op: lang.Eq,
 						L: lang.BinInt{Op: lang.Sub, L: v(x), R: v(y)}, R: n(c)})
 				}
 			} else {
-				for c := -opts.DiffRange; c <= opts.DiffRange; c++ {
+				for c := int64(-diffRange); c <= diffRange; c++ {
 					out = append(out, lang.Cmp{Op: lang.Eq,
 						L: lang.BinInt{Op: lang.Sub, L: v(x), R: v(y)}, R: n(c)})
 				}

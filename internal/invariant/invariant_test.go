@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"fmt"
 	"testing"
 
 	"consolidation/internal/lang"
@@ -38,7 +39,7 @@ func TestExample6(t *testing.T) {
   i := i - 1; t1 := f(i); x := x + t1;
   t2 := f(j); y := y + t2; j := j - 1;`)
 
-	inv := Infer(ctx, guard, body, DefaultOptions())
+	inv := Infer(ctx, guard, body)
 	if !hasInvariant(inv, "j - i == -1") && !hasInvariant(inv, "i - j == 1") {
 		t.Fatalf("missing j = i - 1 in inferred invariant: %s", String(inv))
 	}
@@ -66,7 +67,7 @@ func TestWeatherLoops(t *testing.T) {
 	ctx.AssumeAssign("j", lang.IntConst{Value: 1})
 	guard := lang.MustParse("func t(i, j) { notify 1 (i <= 12 && j < 12); }").Body.(lang.Cond).Test
 	body := lang.MustParseStmt(`t := getTemp(i); i := i + 1; j := j + 1; cur := getTemp(j);`)
-	inv := Infer(ctx, guard, body, DefaultOptions())
+	inv := Infer(ctx, guard, body)
 	if !hasInvariant(inv, "i - j == 1") && !hasInvariant(inv, "j - i == -1") {
 		t.Fatalf("missing i - j = 1: %s", String(inv))
 	}
@@ -77,7 +78,7 @@ func TestBoundsInvariant(t *testing.T) {
 	ctx.AssumeAssign("i", lang.IntConst{Value: 0})
 	guard := lang.MustParse("func t(i) { notify 1 (i < 10); }").Body.(lang.Cond).Test
 	body := lang.MustParseStmt(`i := i + 1;`)
-	inv := Infer(ctx, guard, body, DefaultOptions())
+	inv := Infer(ctx, guard, body)
 	// 0 ≤ i must survive; i ≤ 0 must not.
 	if !hasInvariant(inv, "0 <= i") {
 		t.Fatalf("missing 0 ≤ i: %s", String(inv))
@@ -94,7 +95,7 @@ func TestNonInductiveFiltered(t *testing.T) {
 	ctx.AssumeAssign("y", lang.IntConst{Value: 0})
 	guard := lang.MustParse("func t(x) { notify 1 (x < 5); }").Body.(lang.Cond).Test
 	body := lang.MustParseStmt(`x := x + 1; y := y + 2;`)
-	inv := Infer(ctx, guard, body, DefaultOptions())
+	inv := Infer(ctx, guard, body)
 	if hasInvariant(inv, "x - y == 0") {
 		t.Fatalf("x = y wrongly kept: %s", String(inv))
 	}
@@ -109,8 +110,74 @@ func TestInferDoesNotMutateContext(t *testing.T) {
 	ctx.AssumeAssign("i", lang.IntConst{Value: 2})
 	before := len(ctx.Conjuncts())
 	guard := lang.MustParse("func t(i) { notify 1 (i <= 12); }").Body.(lang.Cond).Test
-	Infer(ctx, guard, lang.MustParseStmt(`i := i + 1;`), DefaultOptions())
+	Infer(ctx, guard, lang.MustParseStmt(`i := i + 1;`))
 	if len(ctx.Conjuncts()) != before {
 		t.Fatal("Infer mutated the caller's context")
+	}
+}
+
+// inductive reports why inv is not an inductive invariant of
+// while (guard) { body } entered under ctx, or "" when it is: every member
+// must hold at entry, and be entailed after one execution of the body from
+// any state satisfying all members and the guard. The check runs on a
+// fresh solver, so nothing Infer cached answers it.
+func inductive(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, inv []lang.BoolExpr) string {
+	entry := ctx.Clone()
+	for _, f := range inv {
+		if !entry.EntailsBool(f) {
+			return fmt.Sprintf("%v does not hold at entry", f)
+		}
+	}
+	post := sym.NewContext(smt.New())
+	for _, f := range inv {
+		post.AssumeBool(f)
+	}
+	post.AssumeBool(guard)
+	post.ApplyStmt(body)
+	for _, f := range inv {
+		if !post.EntailsBool(f) {
+			return fmt.Sprintf("%v is not preserved by the body", f)
+		}
+	}
+	return ""
+}
+
+// TestInferResultIsInductive re-checks every set Infer returns on the
+// package's loops, including a shift register a := b; b := c; c := d;
+// d := d + 1 whose equalities fall one per Houdini round: c = d in the
+// first, b = c in the second, a = b only in the third, each preserved
+// under a hypothesis that still assumed the one dropped before it.
+func TestInferResultIsInductive(t *testing.T) {
+	type loop struct {
+		name        string
+		init        string
+		guard, body string
+		absent      []string
+	}
+	loops := []loop{
+		{"example 6", "i := al; x := 0; j := al - 1; y := al;", "i > 0 && j >= 0",
+			"i := i - 1; t1 := f(i); x := x + t1; t2 := f(j); y := y + t2; j := j - 1;", nil},
+		{"weather", "i := 2; j := 1;", "i <= 12 && j < 12",
+			"t := getTemp(i); i := i + 1; j := j + 1; cur := getTemp(j);", nil},
+		{"bounds", "i := 0;", "i < 10", "i := i + 1;", []string{"i <= 0"}},
+		{"non-inductive", "x := 0; y := 0;", "x < 5", "x := x + 1; y := y + 2;", []string{"x - y == 0"}},
+		{"shift register", "i := 0; a := 0; b := 0; c := 0; d := 0;", "i < 10",
+			"a := b; b := c; c := d; d := d + 1; i := i + 1;",
+			[]string{"c - d == 0", "b - c == 0", "a - b == 0"}},
+	}
+	for _, l := range loops {
+		ctx := sym.NewContext(smt.New())
+		ctx.ApplyStmt(lang.MustParseStmt(l.init))
+		guard := lang.MustParse("func t(i) { notify 1 (" + l.guard + "); }").Body.(lang.Cond).Test
+		body := lang.MustParseStmt(l.body)
+		inv := Infer(ctx, guard, body)
+		if why := inductive(ctx, guard, body, inv); why != "" {
+			t.Errorf("%s: %s in %s", l.name, why, String(inv))
+		}
+		for _, f := range l.absent {
+			if hasInvariant(inv, f) {
+				t.Errorf("%s: %s kept: %s", l.name, f, String(inv))
+			}
+		}
 	}
 }

@@ -34,6 +34,12 @@ import (
 // therefore carry the budget that produced them and hit only for queries
 // whose budget does not exceed it (a smaller budget cannot do better).
 //
+// A check that asks for its assignment (Solver.CheckModel,
+// Context.CheckAssumingModel) stores it with the verdict, and every hit
+// of such a check returns it, so a warm run prunes exactly what the cold
+// run pruned. Verdicts stored by checks that did not ask carry none and
+// do not answer one that does.
+//
 // The zero Cache is not usable; construct with NewCache.
 type Cache struct {
 	shards [cacheShards]cacheShard
@@ -69,10 +75,11 @@ type hashEntry struct {
 	e   cacheEntry
 }
 
-// cacheEntry records a verdict; for Unknown it also records the budget
-// that failed to decide the query.
+// cacheEntry records a verdict, with the assignment that came with it when
+// the check that computed it asked for one; for Unknown it also records the
+// budget that failed to decide the query.
 type cacheEntry struct {
-	result    Result
+	v         verdict
 	conflicts int
 	lazyIters int
 }
@@ -145,11 +152,13 @@ func bucketFind(bucket []hashEntry, in *logic.Interner, id logic.NodeID) int {
 	return -1
 }
 
-// Get looks up a verdict for the interned formula id (whose precomputed
+// get looks up a verdict for the interned formula id (whose precomputed
 // structural hash is h) under the given solver budget. Decided entries
 // always hit; an Unknown entry hits only when the query's budget is no
-// larger than the budget that produced it. Get allocates nothing.
-func (c *Cache) Get(h uint64, in *logic.Interner, id logic.NodeID, conflicts, lazyIters int) (Result, bool) {
+// larger than the budget that produced it. A lookup that wants the
+// assignment hits only an entry computed for a check that asked for one,
+// or an Unsat, which never has one. get allocates nothing.
+func (c *Cache) get(h uint64, in *logic.Interner, id logic.NodeID, conflicts, lazyIters int, want bool) (verdict, bool) {
 	c.lookups.Add(1)
 	sh := &c.shards[shardOf(h)]
 	c.lock(sh)
@@ -162,31 +171,39 @@ func (c *Cache) Get(h uint64, in *logic.Interner, id logic.NodeID, conflicts, la
 	}
 	sh.mu.Unlock()
 	if !ok {
-		return Unknown, false
+		return verdict{}, false
 	}
-	if e.result == Unknown && (conflicts > e.conflicts || lazyIters > e.lazyIters) {
+	if e.v.r == Unknown && (conflicts > e.conflicts || lazyIters > e.lazyIters) {
 		// The caller has more budget than the run that gave up; the query
 		// may well be decidable now. Miss, so it is re-solved.
-		return Unknown, false
+		return verdict{}, false
+	}
+	if !e.v.answers(want) {
+		// Stored by a check that did not ask; solving again yields the
+		// assignment, and the verdict is the same.
+		return verdict{}, false
 	}
 	c.hits.Add(1)
-	return e.result, true
+	return e.v, true
 }
 
-// Put stores a verdict computed under the given budget and reports whether
+// put stores a verdict computed under the given budget and reports whether
 // it was stored. Decided verdicts replace anything, including a stale
-// Unknown. An Unknown is stored together with its budget — it can answer
-// only queries with no more budget than that — and never overwrites a
-// decided entry.
-func (c *Cache) Put(h uint64, in *logic.Interner, id logic.NodeID, r Result, conflicts, lazyIters int) bool {
+// Unknown, but keep the assignment an equal verdict already carries. An
+// Unknown is stored together with its budget — it can answer only queries
+// with no more budget than that — and never overwrites a decided entry.
+func (c *Cache) put(h uint64, in *logic.Interner, id logic.NodeID, v verdict, conflicts, lazyIters int) bool {
 	sh := &c.shards[shardOf(h)]
 	c.lock(sh)
 	defer sh.mu.Unlock()
 	bucket := sh.m[h]
 	idx := bucketFind(bucket, in, id)
-	e := cacheEntry{result: r}
-	if r == Unknown {
-		if idx >= 0 && bucket[idx].e.result != Unknown {
+	e := cacheEntry{v: v}
+	if idx >= 0 && !v.asked && bucket[idx].e.v.r == v.r {
+		e.v = bucket[idx].e.v
+	}
+	if v.r == Unknown {
+		if idx >= 0 && bucket[idx].e.v.r != Unknown {
 			// A budget-capped Unknown must never shadow a decided verdict.
 			return false
 		}

@@ -39,7 +39,7 @@ func BenchmarkCacheContention(b *testing.B) {
 	in, ids, hs := benchFormulas(256)
 	c := NewCache(0)
 	for i := range ids {
-		c.Put(hs[i], in, ids[i], Unsat, 0, 0)
+		c.put(hs[i], in, ids[i], verdict{r: Unsat}, 0, 0)
 	}
 	var i64 atomic.Int64
 	b.ResetTimer()
@@ -48,7 +48,7 @@ func BenchmarkCacheContention(b *testing.B) {
 		for pb.Next() {
 			j++
 			k := j & 255
-			if r, ok := c.Get(hs[k], in, ids[k], 0, 0); !ok || r != Unsat {
+			if v, ok := c.get(hs[k], in, ids[k], 0, 0, false); !ok || v.r != Unsat {
 				b.Fatal("miss on warmed cache")
 			}
 		}
@@ -64,7 +64,7 @@ func BenchmarkCachePut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i & 255
-		c.Put(hs[k], in, ids[k], Unsat, 0, 0)
+		c.put(hs[k], in, ids[k], verdict{r: Unsat}, 0, 0)
 	}
 }
 
@@ -91,11 +91,11 @@ func TestCacheGetHitAllocation(t *testing.T) {
 	in, ids, hs := benchFormulas(8)
 	c := NewCache(0)
 	for i := range ids {
-		c.Put(hs[i], in, ids[i], Unsat, 0, 0)
+		c.put(hs[i], in, ids[i], verdict{r: Unsat}, 0, 0)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := range ids {
-			if r, ok := c.Get(hs[i], in, ids[i], 0, 0); !ok || r != Unsat {
+			if v, ok := c.get(hs[i], in, ids[i], 0, 0, false); !ok || v.r != Unsat {
 				t.Fatal("miss on warmed cache")
 			}
 		}

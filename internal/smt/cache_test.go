@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -21,18 +22,18 @@ func fh(f logic.Formula) (*logic.Interner, logic.NodeID, uint64) {
 func TestCacheBasics(t *testing.T) {
 	c := NewCache(0)
 	in, k, h := fh(eq(x(), n(1)))
-	if _, ok := c.Get(h, in, k, 100, 100); ok {
+	if _, ok := c.get(h, in, k, 100, 100, false); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if !c.Put(h, in, k, Unsat, 100, 100) {
+	if !c.put(h, in, k, verdict{r: Unsat}, 100, 100) {
 		t.Fatal("decided verdict refused")
 	}
-	if r, ok := c.Get(h, in, k, 100, 100); !ok || r != Unsat {
-		t.Fatalf("Get = %v,%v want Unsat,true", r, ok)
+	if v, ok := c.get(h, in, k, 100, 100, false); !ok || v.r != Unsat {
+		t.Fatalf("Get = %v,%v want Unsat,true", v.r, ok)
 	}
 	// Decided entries hit regardless of the querying budget.
-	if r, ok := c.Get(h, in, k, 1000000, 1000000); !ok || r != Unsat {
-		t.Fatalf("decided entry missed under larger budget: %v,%v", r, ok)
+	if v, ok := c.get(h, in, k, 1000000, 1000000, false); !ok || v.r != Unsat {
+		t.Fatalf("decided entry missed under larger budget: %v,%v", v.r, ok)
 	}
 	st := c.Stats()
 	if st.Lookups != 3 || st.Hits != 2 || st.Stores != 1 || st.Entries != 1 {
@@ -46,36 +47,36 @@ func TestCacheBasics(t *testing.T) {
 func TestCacheUnknownIsBudgetKeyed(t *testing.T) {
 	c := NewCache(0)
 	in, k, h := fh(lt(x(), y()))
-	if !c.Put(h, in, k, Unknown, 10, 10) {
+	if !c.put(h, in, k, verdict{r: Unknown}, 10, 10) {
 		t.Fatal("budget-tagged Unknown refused")
 	}
 	// Same or smaller budget cannot do better: hit.
-	if r, ok := c.Get(h, in, k, 10, 10); !ok || r != Unknown {
-		t.Fatalf("equal-budget Unknown missed: %v,%v", r, ok)
+	if v, ok := c.get(h, in, k, 10, 10, false); !ok || v.r != Unknown {
+		t.Fatalf("equal-budget Unknown missed: %v,%v", v.r, ok)
 	}
-	if r, ok := c.Get(h, in, k, 5, 10); !ok || r != Unknown {
-		t.Fatalf("smaller-budget Unknown missed: %v,%v", r, ok)
+	if v, ok := c.get(h, in, k, 5, 10, false); !ok || v.r != Unknown {
+		t.Fatalf("smaller-budget Unknown missed: %v,%v", v.r, ok)
 	}
 	// A larger budget must re-solve.
-	if _, ok := c.Get(h, in, k, 11, 10); ok {
+	if _, ok := c.get(h, in, k, 11, 10, false); ok {
 		t.Fatal("stale Unknown served to a larger conflict budget")
 	}
-	if _, ok := c.Get(h, in, k, 10, 11); ok {
+	if _, ok := c.get(h, in, k, 10, 11, false); ok {
 		t.Fatal("stale Unknown served to a larger lazy-iter budget")
 	}
 	// The re-solve decides; the verdict replaces the Unknown.
-	if !c.Put(h, in, k, Sat, 11, 10) {
+	if !c.put(h, in, k, verdict{r: Sat}, 11, 10) {
 		t.Fatal("decided verdict refused over Unknown")
 	}
-	if r, ok := c.Get(h, in, k, 1, 1); !ok || r != Sat {
-		t.Fatalf("decided verdict not served: %v,%v", r, ok)
+	if v, ok := c.get(h, in, k, 1, 1, false); !ok || v.r != Sat {
+		t.Fatalf("decided verdict not served: %v,%v", v.r, ok)
 	}
 	// And a later, lower-budget Unknown must never shadow it back.
-	if c.Put(h, in, k, Unknown, 1, 1) {
+	if c.put(h, in, k, verdict{r: Unknown}, 1, 1) {
 		t.Fatal("Unknown overwrote a decided verdict")
 	}
-	if r, ok := c.Get(h, in, k, 1, 1); !ok || r != Sat {
-		t.Fatalf("decided verdict lost: %v,%v", r, ok)
+	if v, ok := c.get(h, in, k, 1, 1, false); !ok || v.r != Sat {
+		t.Fatalf("decided verdict lost: %v,%v", v.r, ok)
 	}
 }
 
@@ -85,13 +86,13 @@ func TestCacheHashCollision(t *testing.T) {
 	c := NewCache(0)
 	in1, f1, h := fh(eq(x(), n(1))) // deliberately reuse f1's hash for f2
 	in2, f2, _ := fh(eq(y(), n(2)))
-	c.Put(h, in1, f1, Unsat, 0, 0)
-	c.Put(h, in2, f2, Sat, 0, 0)
-	if r, ok := c.Get(h, in1, f1, 0, 0); !ok || r != Unsat {
-		t.Fatalf("f1 under colliding hash: %v,%v want Unsat,true", r, ok)
+	c.put(h, in1, f1, verdict{r: Unsat}, 0, 0)
+	c.put(h, in2, f2, verdict{r: Sat}, 0, 0)
+	if v, ok := c.get(h, in1, f1, 0, 0, false); !ok || v.r != Unsat {
+		t.Fatalf("f1 under colliding hash: %v,%v want Unsat,true", v.r, ok)
 	}
-	if r, ok := c.Get(h, in2, f2, 0, 0); !ok || r != Sat {
-		t.Fatalf("f2 under colliding hash: %v,%v want Sat,true", r, ok)
+	if v, ok := c.get(h, in2, f2, 0, 0, false); !ok || v.r != Sat {
+		t.Fatalf("f2 under colliding hash: %v,%v want Sat,true", v.r, ok)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("bucket holds %d entries, want 2", c.Len())
@@ -110,7 +111,7 @@ func TestCacheEviction(t *testing.T) {
 		k := in.InternFormula(eq(x(), n(int64(i))))
 		keys = append(keys, k)
 		hashes = append(hashes, in.Hash(k))
-		c.Put(hashes[i], in, k, Sat, 0, 0)
+		c.put(hashes[i], in, k, verdict{r: Sat}, 0, 0)
 	}
 	st := c.Stats()
 	if st.Entries > cacheShards {
@@ -125,10 +126,10 @@ func TestCacheEviction(t *testing.T) {
 	// Evicted or not, a present entry must still be correct.
 	hits := 0
 	for i, k := range keys {
-		if r, ok := c.Get(hashes[i], in, k, 0, 0); ok {
+		if v, ok := c.get(hashes[i], in, k, 0, 0, false); ok {
 			hits++
-			if r != Sat {
-				t.Fatalf("entry %v corrupted: %v", k, r)
+			if v.r != Sat {
+				t.Fatalf("entry %v corrupted: %v", k, v.r)
 			}
 		}
 	}
@@ -240,5 +241,109 @@ func TestUnknownDoesNotPoisonCache(t *testing.T) {
 	}
 	if s.Stats.CacheHits != pre+1 {
 		t.Fatalf("decided verdict not served from cache: %+v", s.Stats)
+	}
+}
+
+// TestCacheAssignmentsConcurrent has goroutines store and look up verdicts
+// with assignments on one cache, interleaved with stores of the same
+// verdicts by checks that did not ask for one. Run under -race it checks
+// the entries' new field under the stripe locks. A lookup that wants the
+// assignment either misses or returns the key's own; an Unsat never comes
+// with one; and a store that did not ask never erases a stored assignment.
+func TestCacheAssignmentsConcurrent(t *testing.T) {
+	const keys = 32
+	c := NewCache(0)
+	in := logic.NewInterner()
+	ids := make([]logic.NodeID, keys)
+	hs := make([]uint64, keys)
+	for i := range ids {
+		ids[i] = in.InternFormula(benchFormula(int64(i)))
+		hs[i] = in.Hash(ids[i])
+	}
+	result := func(k int) Result {
+		if k%4 == 0 {
+			return Unsat
+		}
+		return Sat
+	}
+	asked := func(k int) verdict {
+		v := verdict{r: result(k), asked: true}
+		if v.r != Unsat {
+			v.m = &logic.Model{Vars: map[string]int64{"x": int64(k)}}
+		}
+		return v
+	}
+	// The interner is read-only from here on, so the goroutines share it.
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 50; rep++ {
+				for i := 0; i < keys; i++ {
+					k := (i + w*5) % keys
+					if (rep+w)%3 == 0 {
+						c.put(hs[k], in, ids[k], verdict{r: result(k)}, 0, 0)
+					} else {
+						c.put(hs[k], in, ids[k], asked(k), 0, 0)
+					}
+					v, ok := c.get(hs[k], in, ids[k], 0, 0, true)
+					if !ok {
+						continue
+					}
+					switch {
+					case v.r != result(k):
+						t.Errorf("key %d: verdict %v, want %v", k, v.r, result(k))
+					case v.r == Unsat && v.m != nil:
+						t.Errorf("key %d: an Unsat came with an assignment", k)
+					case v.r != Unsat && (v.m == nil || v.m.Vars["x"] != int64(k)):
+						t.Errorf("key %d: assignment %v, want x = %d", k, v.m, k)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k := 0; k < keys; k++ {
+		v, ok := c.get(hs[k], in, ids[k], 0, 0, true)
+		if !ok || (v.r != Unsat && v.m == nil) {
+			t.Errorf("key %d: after the stores, (%+v, %v); a store that did not ask erased the assignment", k, v, ok)
+		}
+	}
+}
+
+// TestCheckModelIsCachedAndStable: a satisfiable conjunction of literals
+// comes with an assignment that satisfies it, the same one from a new
+// solver, from the cache, and from a solver sharing the cache; an Unsat
+// comes with none; a verdict cached by a check that did not ask is solved
+// again for one that does.
+func TestCheckModelIsCachedAndStable(t *testing.T) {
+	fa := logic.TApp{Func: "f", Args: []logic.Term{x()}}
+	sat := logic.And(le(n(2), x()), lt(x(), n(9)), eq(fa, y()), lt(y(), x()))
+	unsat := logic.And(lt(x(), n(3)), lt(n(5), x()))
+
+	r, want := New().CheckModel(sat)
+	if r != Sat || want == nil {
+		t.Fatalf("CheckModel(sat) = (%v, %v), want Sat with an assignment", r, want)
+	}
+	if v, ok := want.Decide(sat); !ok || !v {
+		t.Fatalf("assignment %v %v does not satisfy %s", want.Vars, want.Table, sat)
+	}
+	cache := NewCache(0)
+	a, b := NewWithCache(cache), NewWithCache(cache)
+	a.Check(sat) // cached without an assignment
+	for _, s := range []*Solver{a, a, b} {
+		r, m := s.CheckModel(sat)
+		if r != Sat || !reflect.DeepEqual(m, want) {
+			t.Fatalf("CheckModel = (%v, %+v), want (sat, %+v)", r, m, want)
+		}
+	}
+	if a.Stats.CacheHits != 1 || b.Stats.CacheHits != 1 {
+		t.Errorf("cache hits a=%d b=%d; want the asking re-solve, then hits", a.Stats.CacheHits, b.Stats.CacheHits)
+	}
+	for _, s := range []*Solver{New(), a} {
+		if r, m := s.CheckModel(unsat); r != Unsat || m != nil {
+			t.Errorf("CheckModel(unsat) = (%v, %v)", r, m)
+		}
 	}
 }

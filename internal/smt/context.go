@@ -79,9 +79,10 @@ type Context struct {
 	// hit is exactly a shared-cache hit without the composition. The
 	// two maps are kept separate: a full-list key resolves through the cone
 	// computation, a cone key does not, so equal byte strings would not
-	// mean equal queries.
-	memo     map[string]Result
-	coneMemo map[string]Result
+	// mean equal queries. Both keep the assignment with the verdict, as
+	// the shared Cache does.
+	memo     map[string]verdict
+	coneMemo map[string]verdict
 
 	enc *incCNF
 
@@ -181,8 +182,8 @@ func (c *Context) reset() {
 	c.in = logic.NewInterner()
 	c.byNode = map[logic.NodeID]int{}
 	c.forms = c.forms[:0]
-	c.memo = map[string]Result{}
-	c.coneMemo = map[string]Result{}
+	c.memo = map[string]verdict{}
+	c.coneMemo = map[string]verdict{}
 	c.enc = nil
 }
 
@@ -302,31 +303,44 @@ func (c *Context) EntailsAssuming(aids []int, goal logic.Formula, cone func() []
 // CheckAssuming decides satisfiability of ⋀ cone() ∧ ¬goal, memoized on
 // (aids, goal).
 func (c *Context) CheckAssuming(aids []int, goal logic.Formula, cone func() []int) Result {
+	return c.check(aids, goal, cone, false).r
+}
+
+// CheckAssumingModel is CheckAssuming that also returns, when the query is
+// a conjunction of literals and the verdict is not Unsat, the assignment
+// the theory check ended on (Solver.CheckModel's rule). The memos and the
+// shared Cache keep it with the verdict, so every hit returns it too.
+func (c *Context) CheckAssumingModel(aids []int, goal logic.Formula, cone func() []int) (Result, *logic.Model) {
+	v := c.check(aids, goal, cone, true)
+	return v.r, v.m
+}
+
+func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want bool) verdict {
 	c.stats.Checks++
 	s := c.solver
 	gid := c.internGoal(goal)
 	key := c.memoKey(aids, gid)
-	if r, ok := c.memo[string(key)]; ok {
+	if v, ok := c.memo[string(key)]; ok && v.answers(want) {
 		c.stats.MemoHits++
 		s.Stats.Queries++
 		s.Stats.CacheHits++
 		if s.Trace != nil {
-			s.Trace(c.composeFormula(cone(), gid), r, true)
+			s.Trace(c.composeFormula(cone(), gid), v.r, true)
 		}
-		return r
+		return v
 	}
 	mkey := string(key)
 	sel := cone()
 	key2 := c.coneKey(sel, gid)
-	if r, ok := c.coneMemo[string(key2)]; ok {
+	if v, ok := c.coneMemo[string(key2)]; ok && v.answers(want) {
 		c.stats.MemoHits++
 		s.Stats.Queries++
 		s.Stats.CacheHits++
-		c.memo[mkey] = r
+		c.memo[mkey] = v
 		if s.Trace != nil {
-			s.Trace(c.composeFormula(sel, gid), r, true)
+			s.Trace(c.composeFormula(sel, gid), v.r, true)
 		}
-		return r
+		return v
 	}
 	mkey2 := string(key2)
 	c.ensureNeg(gid)
@@ -336,14 +350,14 @@ func (c *Context) CheckAssuming(aids []int, goal logic.Formula, cone func() []in
 	// literal fast path applies. Degenerate shapes defer to the stateless
 	// pipeline wholesale.
 	if g.negFallback {
-		return c.fallback(mkey, mkey2, sel, gid)
+		return c.fallback(mkey, mkey2, sel, gid, want)
 	}
 	ids := c.idsBuf[:0]
 	allLit := true
 	for _, id := range sel {
 		cf := &c.forms[id]
 		if cf.degenerate || cf.isFalse {
-			return c.fallback(mkey, mkey2, sel, gid)
+			return c.fallback(mkey, mkey2, sel, gid, want)
 		}
 		// And() splices FAnd children into the enclosing conjunction, so a
 		// form always contributes its flattened pieces (none for ⊤).
@@ -368,22 +382,23 @@ func (c *Context) CheckAssuming(aids []int, goal logic.Formula, cone func() []in
 	// so an expiry is paid once per cache, not once per run. On the boolean
 	// path it is recomputed: a warm CDCL instance can decide what the cache
 	// recorded as Unknown, and trusting the entry would make the verdict
-	// depend on which worker published first.
-	if r, ok := s.cache.Get(h, c.in, qid, s.MaxConflicts, s.MaxLazyIters); ok && (r != Unknown || allLit) {
+	// depend on which worker published first. The assignment follows the
+	// same rule: only the literal path takes one.
+	if v, ok := s.cache.get(h, c.in, qid, s.MaxConflicts, s.MaxLazyIters, want); ok && (v.r != Unknown || allLit) {
 		s.Stats.CacheHits++
-		c.memo[mkey] = r
-		c.coneMemo[mkey2] = r
+		c.memo[mkey] = v
+		c.coneMemo[mkey2] = v
 		if s.Trace != nil {
-			s.Trace(c.composeFormula(sel, gid), r, true)
+			s.Trace(c.composeFormula(sel, gid), v.r, true)
 		}
-		return r
+		return v
 	}
 
-	var r Result
+	v := verdict{asked: want}
 	fromStateless := true
 	if nPieces == 0 {
 		// The composed query is ⊤.
-		r = Sat
+		v.r = Sat
 	} else if allLit {
 		lits := c.litBuf[:0]
 		for _, id := range sel {
@@ -392,47 +407,40 @@ func (c *Context) CheckAssuming(aids []int, goal logic.Formula, cone func() []in
 		lits = append(lits, g.negLits...)
 		c.litBuf = lits[:0]
 		c.stats.TheoryChecks++
-		switch s.checkTheory(c.in, lits) {
-		case theoryUnsat:
-			r = Unsat
-		case theorySat:
-			r = Sat
-		default:
-			r = Unknown
-		}
+		v = s.theoryVerdict(c.in, lits, want)
 	} else {
-		r = c.solveBool(sel, gid)
+		v.r = c.solveBool(sel, gid)
 		fromStateless = false
-		if r == Unknown {
+		if v.r == Unknown {
 			// Budget exhausted on the warm instance: defer to the stateless
 			// pipeline so the published verdict matches a fresh solver's.
 			c.stats.Fallbacks++
-			r = s.check(c.composeFormula(sel, gid))
+			v.r = s.check(c.composeFormula(sel, gid), false).r
 			fromStateless = true
 		}
 	}
-	if r == Unknown {
+	if v.r == Unknown {
 		s.Stats.Unknowns++
 	}
 	if fromStateless {
-		s.cache.Put(h, c.in, qid, r, s.MaxConflicts, s.MaxLazyIters)
+		s.cache.put(h, c.in, qid, v, s.MaxConflicts, s.MaxLazyIters)
 	}
-	c.memo[mkey] = r
-	c.coneMemo[mkey2] = r
+	c.memo[mkey] = v
+	c.coneMemo[mkey2] = v
 	if s.Trace != nil {
-		s.Trace(c.composeFormula(sel, gid), r, false)
+		s.Trace(c.composeFormula(sel, gid), v.r, false)
 	}
-	return r
+	return v
 }
 
 // fallback delegates one query to the stateless pipeline (Solver.Check
 // counts, caches, and traces it exactly as before contexts existed).
-func (c *Context) fallback(mkey, mkey2 string, sel []int, gid int) Result {
+func (c *Context) fallback(mkey, mkey2 string, sel []int, gid int, want bool) verdict {
 	c.stats.Fallbacks++
-	r := c.solver.Check(c.composeFormula(sel, gid))
-	c.memo[mkey] = r
-	c.coneMemo[mkey2] = r
-	return r
+	v := c.solver.checkCached(c.composeFormula(sel, gid), want)
+	c.memo[mkey] = v
+	c.coneMemo[mkey2] = v
+	return v
 }
 
 func (c *Context) internGoal(goal logic.Formula) int {

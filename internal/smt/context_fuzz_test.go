@@ -79,6 +79,11 @@ func checkContextSeed(t *testing.T, seed uint64) {
 	if again := ctx.CheckAssuming(aids, goal, cone); again != got {
 		t.Fatalf("memoized re-check changed verdict: %v then %v\nquery: %s", got, again, composed)
 	}
+	// The memo answered without an assignment; asking re-solves, changes no
+	// verdict, and brings none with an Unsat.
+	if again, m := ctx.CheckAssumingModel(aids, goal, cone); again != got || (again == Unsat && m != nil) {
+		t.Fatalf("CheckAssumingModel = (%v, %v) after %v\nquery: %s", again, m, got, composed)
+	}
 
 	// Retraction: the caller drops the last assumption id. Learned clauses
 	// from the full-set check must not leak into the narrower query.

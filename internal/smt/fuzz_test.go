@@ -83,6 +83,18 @@ func checkSoundnessSeed(t *testing.T, seed uint64) {
 	if again := full.Check(f); again != got {
 		t.Fatalf("verdict changed on re-check: %v then %v\nformula: %s", got, again, f)
 	}
+	// Asking for the assignment changes no verdict, and no assignment
+	// accompanies an Unsat: on a new solver, and on this one, where the
+	// cached verdict did not ask and the check is solved again.
+	for _, s := range []*Solver{New(), full} {
+		r, m := s.CheckModel(f)
+		if r != got {
+			t.Fatalf("CheckModel verdict %v, Check %v\nformula: %s", r, got, f)
+		}
+		if r == Unsat && m != nil {
+			t.Fatalf("an assignment %v accompanies an Unsat verdict\nformula: %s", m.Vars, f)
+		}
+	}
 	// Cross-budget cache sharing (the PR 1 poisoning bug): a budget-capped
 	// solver writing Unknown into a shared cache must not shadow a
 	// full-budget solver's later decidable verdict.

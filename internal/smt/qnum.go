@@ -235,6 +235,17 @@ func (q qnum) qIsInt() bool {
 	return q.big.IsInt()
 }
 
+// qInt64 returns q as an int64 when it is an integer that fits one.
+func (q qnum) qInt64() (int64, bool) {
+	if q.big == nil {
+		return q.num, q.den == 1
+	}
+	if !q.big.IsInt() || !q.big.Num().IsInt64() {
+		return 0, false
+	}
+	return q.big.Num().Int64(), true
+}
+
 // qFloorCeil returns ⌊q⌋ and ⌈q⌉ for a non-integer q.
 func qFloorCeil(q qnum) (qnum, qnum) {
 	if q.big == nil {

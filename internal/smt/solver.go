@@ -25,6 +25,22 @@ func (r Result) String() string {
 	return "invalid"
 }
 
+// verdict is a check's result and, when the check asked for one, the
+// assignment its theory check ended on. m is nil for Unsat (theoryVerdict
+// never takes one) and whenever there was none; asked tells "there was
+// none" apart from "none was asked for", so a cached verdict answers a
+// check that asks only if it was computed for one that asked.
+type verdict struct {
+	r     Result
+	m     *logic.Model
+	asked bool
+}
+
+// answers reports whether a stored verdict answers a check: one that wants
+// the assignment needs a verdict computed for a check that asked, or an
+// Unsat, which has none either way.
+func (v verdict) answers(want bool) bool { return !want || v.asked || v.r == Unsat }
+
 // Stats counts solver activity, for the consolidation reports.
 type Stats struct {
 	Queries      int
@@ -127,7 +143,19 @@ func NewWithCache(cache *Cache) *Solver {
 func (s *Solver) Cache() *Cache { return s.cache }
 
 // Check decides satisfiability of f.
-func (s *Solver) Check(f logic.Formula) Result {
+func (s *Solver) Check(f logic.Formula) Result { return s.checkCached(f, false).r }
+
+// CheckModel is Check that also returns, when f is a conjunction of
+// literals and the verdict is not Unsat, the assignment the theory check
+// ended on (nil when it ended on none). The assignment is a function of f
+// and the budgets alone, and is cached with the verdict. It is unproven:
+// validate it (logic.Model.Decide) before relying on it.
+func (s *Solver) CheckModel(f logic.Formula) (Result, *logic.Model) {
+	v := s.checkCached(f, true)
+	return v.r, v.m
+}
+
+func (s *Solver) checkCached(f logic.Formula, want bool) verdict {
 	s.Stats.Queries++
 	if s.in != nil && s.in.Len() > solverInternCap {
 		s.in = logic.NewInterner()
@@ -135,22 +163,22 @@ func (s *Solver) Check(f logic.Formula) Result {
 	in := s.interner()
 	id := in.InternFormula(f)
 	h := in.Hash(id)
-	if r, ok := s.cache.Get(h, in, id, s.MaxConflicts, s.MaxLazyIters); ok {
+	if v, ok := s.cache.get(h, in, id, s.MaxConflicts, s.MaxLazyIters, want); ok {
 		s.Stats.CacheHits++
 		if s.Trace != nil {
-			s.Trace(f, r, true)
+			s.Trace(f, v.r, true)
 		}
-		return r
+		return v
 	}
-	r := s.check(f)
-	if r == Unknown {
+	v := s.check(f, want)
+	if v.r == Unknown {
 		s.Stats.Unknowns++
 	}
-	s.cache.Put(h, in, id, r, s.MaxConflicts, s.MaxLazyIters)
+	s.cache.put(h, in, id, v, s.MaxConflicts, s.MaxLazyIters)
 	if s.Trace != nil {
-		s.Trace(f, r, false)
+		s.Trace(f, v.r, false)
 	}
-	return r
+	return v
 }
 
 // Entails reports whether hyp ⊨ goal, i.e. hyp ∧ ¬goal is unsatisfiable.
@@ -165,33 +193,47 @@ func (s *Solver) EntailsAll(hyps []logic.Formula, goal logic.Formula) bool {
 	return s.Entails(logic.And(hyps...), goal)
 }
 
-func (s *Solver) check(f logic.Formula) Result {
+// check solves f. With want set, the literal path also takes the theory
+// check's assignment; the boolean path never does, because what its theory
+// checks see depends on the CDCL search, not on f alone.
+func (s *Solver) check(f logic.Formula, want bool) verdict {
 	switch f.(type) {
 	case logic.FTrue:
-		return Sat
+		return verdict{r: Sat, asked: want}
 	case logic.FFalse:
-		return Unsat
+		return verdict{r: Unsat, asked: want}
 	}
 	in := s.interner()
 	// Fast path: consolidation queries are overwhelmingly pure conjunctions
 	// of literals (a context Ψ plus one negated goal literal). Those need no
 	// SAT search at all — a single theory check decides them.
 	if lits, ok := literalConjunction(in, logic.NNF(f)); ok {
-		switch s.checkTheory(in, lits) {
-		case theoryUnsat:
-			return Unsat
-		case theorySat:
-			return Sat
-		default:
-			return Unknown
-		}
+		return s.theoryVerdict(in, lits, want)
 	}
 	// A stateless check is a fresh incremental instance with no
 	// assumptions: the query's root literal is a unit clause.
 	id := in.InternFormula(f)
 	enc := newIncCNF()
 	enc.clause(enc.encode(in, id))
-	return s.lazy(in, enc, nil, enc.atomVars(in, id))
+	return verdict{r: s.lazy(in, enc, nil, enc.atomVars(in, id)), asked: want}
+}
+
+// theoryVerdict decides a conjunction of literals with one theory check
+// and, with want set, takes the assignment it ended on.
+func (s *Solver) theoryVerdict(src *logic.Interner, lits []theoryLit, want bool) verdict {
+	v := verdict{asked: want}
+	switch s.checkTheory(src, lits) {
+	case theoryUnsat:
+		return v
+	case theorySat:
+		v.r = Sat
+	default:
+		v.r = Unknown
+	}
+	if want {
+		v.m = s.ws.assignment()
+	}
+	return v
 }
 
 // lazy is the DPLL(T) loop every boolean-structured query runs: enc's CDCL

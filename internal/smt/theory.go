@@ -88,6 +88,12 @@ type theoryWorkspace struct {
 	// slack diseqSlacks[i] must avoid the value -diseqConsts[i].
 	diseqSlacks []int
 	diseqConsts []int64
+
+	// ended marks that the last check ended on an integral assignment in
+	// frames[0]: on theorySat, and on a theoryUnknown that ran out of
+	// Nelson–Oppen probes or rounds. Each check clears it first, so it is
+	// never set after theoryUnsat.
+	ended bool
 }
 
 func newTheoryWorkspace() *theoryWorkspace {
@@ -155,6 +161,7 @@ func (ws *theoryWorkspace) assertEq0(l lin) bool {
 func (ws *theoryWorkspace) check(src *logic.Interner, lits []theoryLit, cfg theoryConfig) theoryStatus {
 	in := ws.in
 	in.reset()
+	ws.ended = false
 	ws.constraints, ws.diseqLins = ws.constraints[:0], ws.diseqLins[:0]
 	ws.ccEqs, ws.ccNeqs = ws.ccEqs[:0], ws.ccNeqs[:0]
 
@@ -388,15 +395,54 @@ func (ws *theoryWorkspace) check(src *logic.Interner, lits []theoryLit, cfg theo
 			}
 		}
 		if !progress {
+			ws.ended = true
 			if exhausted {
 				return theoryUnknown
 			}
 			return theorySat
 		}
 		if round >= cfg.noEqRounds {
+			ws.ended = true
 			return theoryUnknown
 		}
 	}
+}
+
+// assignment returns the integral assignment the last check ended on, or
+// nil when it ended on none: variables by name, and one table point per
+// uninterpreted application. Interpreted nodes ($add, $sub, $mulraw) are
+// left out, and so are nonlinear products ($mul), whose value the model
+// need not tie to the product of their factors. Nothing more was proven
+// of the assignment than the check's verdict, so a caller must validate
+// it (logic.Model.Decide) before relying on it.
+func (ws *theoryWorkspace) assignment() *logic.Model {
+	if !ws.ended {
+		return nil
+	}
+	sx := ws.frames[0]
+	vals := make([]int64, len(ws.in.nodes))
+	for id := range vals {
+		v, ok := sx.val(id).qInt64()
+		if !ok {
+			return nil
+		}
+		vals[id] = v
+	}
+	m := &logic.Model{Vars: map[string]int64{}}
+	for id, nd := range ws.in.nodes {
+		switch {
+		case nd.isConst:
+		case nd.fn == "":
+			m.Vars[nd.varName] = vals[id]
+		case nd.fn[0] != '$':
+			args := make([]int64, len(nd.children))
+			for i, c := range nd.children {
+				args[i] = vals[c]
+			}
+			m.Table = append(m.Table, logic.Point{Func: nd.fn, Args: args, Value: vals[id]})
+		}
+	}
+	return m
 }
 
 // solveInt runs branch & bound for integrality on frames[level], a

@@ -55,7 +55,7 @@ type theoryWork struct {
 
 func workOf(s *Solver, f logic.Formula) theoryWork {
 	pre := s.Stats
-	r := s.check(f) // below the cache: every call solves
+	r := s.check(f, false).r // below the cache: every call solves
 	d := s.Stats.Diff(pre)
 	return theoryWork{r, d.Pivots, d.TheoryChecks, d.SatIters}
 }
@@ -92,8 +92,8 @@ func checkWorkspaceSequence(t *testing.T, used *Solver, qs []logic.Formula) {
 // not (a stale den == 0 cell would index past the truncated bigTab).
 func TestTheoryWorkspaceMatchesFresh(t *testing.T) {
 	big, small := New(), New()
-	big.check(overflowConj(overflowCoeff))
-	small.check(overflowConj(3))
+	big.check(overflowConj(overflowCoeff), false)
+	small.check(overflowConj(3), false)
 	if boxedCells(big) == 0 || boxedCells(small) != 0 {
 		t.Fatalf("overflow pair boxes %d and %d cells; want some and none", boxedCells(big), boxedCells(small))
 	}
@@ -152,7 +152,7 @@ func TestCheckTheoryAllocs(t *testing.T) {
 		if w.verdict != Sat {
 			t.Fatalf("verdict %v, want sat: %s", w.verdict, f)
 		}
-		return testing.AllocsPerRun(20, func() { s.check(f) }), w.pivots, len(s.ws.frames)
+		return testing.AllocsPerRun(20, func() { s.check(f, false) }), w.pivots, len(s.ws.frames)
 	}
 	deepAllocs, deepPivots, deepFrames := measure(splitConj(0))
 	flatAllocs, flatPivots, _ := measure(splitConj(1000))

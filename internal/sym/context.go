@@ -404,8 +404,20 @@ func (c *Context) Formula() logic.Formula {
 // sound, and keeps query size proportional to the goal rather than to the
 // whole consolidation context.
 func (c *Context) Entails(goal logic.Formula) bool {
+	ok, _ := c.entails(goal, false)
+	return ok
+}
+
+// entails is Entails; with want set, a goal that is not entailed comes with
+// the assignment the solver ended on, when its literal path took one.
+func (c *Context) entails(goal logic.Formula, want bool) (bool, *logic.Model) {
 	if c.sctx == nil {
-		return c.solver.Entails(c.relevantFormula(goal), goal)
+		q := logic.And(c.relevantFormula(goal), logic.Not(goal))
+		if !want {
+			return c.solver.Check(q) == smt.Unsat, nil
+		}
+		r, m := c.solver.CheckModel(q)
+		return r == smt.Unsat, m
 	}
 	// Incremental path: the check is memoized on the full assertion-id
 	// list (interning makes equal lists imply an equal Ψ), and the cone
@@ -415,14 +427,63 @@ func (c *Context) Entails(goal logic.Formula) bool {
 		aids = append(aids, c.conj[i].aid)
 	}
 	c.aidBuf = aids
-	return c.sctx.EntailsAssuming(aids, goal, func() []int {
+	cone := func() []int {
 		idx := c.relevantIndices(goal)
 		sel := make([]int, len(idx))
 		for i, j := range idx {
 			sel[i] = c.conj[j].aid
 		}
 		return sel
-	})
+	}
+	if !want {
+		return c.sctx.EntailsAssuming(aids, goal, cone), nil
+	}
+	r, m := c.sctx.CheckAssumingModel(aids, goal, cone)
+	return r == smt.Unsat, m
+}
+
+// EntailsModel is EntailsBool that also returns, when e is not entailed,
+// the assignment the solver's literal path ended on (nil when there is
+// none). The assignment is unproven; Refutes validates it against a goal.
+func (c *Context) EntailsModel(e lang.BoolExpr) (bool, *logic.Model) {
+	return c.entails(c.TranslateBool(e), true)
+}
+
+// Refutes reports whether one of ms is a counterexample to Ψ ⊨ e: it
+// assigns every variable and application of e's cone of influence,
+// satisfies every cone conjunct (with one value per function-table point
+// it reads) and falsifies e. The query Entails would send, ⋀ cone ∧ ¬e,
+// is then satisfiable, so no sound solver proves the entailment and
+// EntailsBool would answer false.
+func (c *Context) Refutes(e lang.BoolExpr, ms []*logic.Model) bool {
+	if len(ms) == 0 {
+		return false
+	}
+	goal := c.TranslateBool(e)
+	var cone []int
+	coned := false
+	for _, m := range ms {
+		if v, ok := m.Decide(goal); !ok || v {
+			continue
+		}
+		if !coned {
+			cone, coned = c.relevantIndices(goal), true
+		}
+		if c.satisfiesAll(m, cone) {
+			return true
+		}
+	}
+	return false
+}
+
+// satisfiesAll reports whether m decides every indexed conjunct true.
+func (c *Context) satisfiesAll(m *logic.Model, idx []int) bool {
+	for _, j := range idx {
+		if v, ok := m.Decide(c.conj[j].f); !ok || !v {
+			return false
+		}
+	}
+	return true
 }
 
 func (c *Context) relevantFormula(goal logic.Formula) logic.Formula {

@@ -203,3 +203,74 @@ func TestRelevanceFilterStaysSound(t *testing.T) {
 		t.Fatal("relevance filter broke a needed chain")
 	}
 }
+
+// TestRefutesValidatesAssignments: Refutes prunes only with a genuine
+// counterexample of the goal's cone. An assignment that leaves a cone
+// variable or application unassigned, violates a cone conjunct, reads a
+// function-table point with two values, or satisfies the goal refutes
+// nothing, and no check calls the solver.
+func TestRefutesValidatesAssignments(t *testing.T) {
+	solver := smt.New()
+	c := NewContext(solver)
+	c.AssumeAssign("x", lang.MustParseStmt("x := a + 1;").(lang.Assign).E)
+	c.AssumeAssign("y", lang.MustParseStmt("y := f(a);").(lang.Assign).E)
+	goal := lang.MustParse(`func t(x, y) { notify 1 (x + y <= 0); }`).Body.(lang.Cond).Test
+	x, y := c.CurName("x"), c.CurName("y")
+	model := func(vars map[string]int64, table ...logic.Point) *logic.Model {
+		return &logic.Model{Vars: vars, Table: table}
+	}
+	f0 := func(v int64) logic.Point { return logic.Point{Func: "f", Args: []int64{0}, Value: v} }
+	cases := []struct {
+		name string
+		m    *logic.Model
+		want bool
+	}{
+		{"counterexample", model(map[string]int64{"a": 0, x: 1, y: 3}, f0(3)), true},
+		{"unassigned variable", model(map[string]int64{x: 1, y: 3}, f0(3)), false},
+		{"unassigned application", model(map[string]int64{"a": 0, x: 1, y: 3}), false},
+		{"violated conjunct", model(map[string]int64{"a": 0, x: 2, y: 3}, f0(3)), false},
+		{"two values at one point", model(map[string]int64{"a": 0, x: 1, y: 3}, f0(3), f0(5)), false},
+		{"goal holds", model(map[string]int64{"a": -9, x: -8, y: 3}, logic.Point{Func: "f", Args: []int64{-9}, Value: 3}), false},
+	}
+	q0 := solver.Stats.Queries
+	for _, tc := range cases {
+		if got := c.Refutes(goal, []*logic.Model{tc.m}); got != tc.want {
+			t.Errorf("%s: Refutes = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if c.Refutes(goal, nil) {
+		t.Error("no assignment refutes nothing")
+	}
+	if q := solver.Stats.Queries - q0; q != 0 {
+		t.Errorf("Refutes issued %d solver queries", q)
+	}
+	if ok, _ := c.EntailsModel(goal); ok {
+		t.Fatal("the goal is refuted above, so it cannot be entailed")
+	}
+}
+
+// TestEntailsModelNeverWithEntailment: an entailed goal comes without an
+// assignment, on the stateless and the incremental path alike.
+func TestEntailsModelNeverWithEntailment(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		c := NewContext(smt.New())
+		if incremental {
+			sc := smt.NewSolvingContext()
+			sc.BeginRun(c.Solver())
+			c.UseSolvingContext(sc)
+		}
+		c.AssumeBool(lang.MustParse(`func t(x) { notify 1 (x > 5); }`).Body.(lang.Cond).Test)
+		ok, m := c.EntailsModel(lang.MustParse(`func t(x) { notify 1 (x > 3); }`).Body.(lang.Cond).Test)
+		if !ok || m != nil {
+			t.Errorf("incremental=%v: entailed goal answered (%v, %v)", incremental, ok, m)
+		}
+		notGoal := lang.MustParse(`func t(x) { notify 1 (x > 7); }`).Body.(lang.Cond).Test
+		ok, m = c.EntailsModel(notGoal)
+		if ok || m == nil {
+			t.Fatalf("incremental=%v: x > 5 ⊭ x > 7 answered (%v, %v), want a counterexample", incremental, ok, m)
+		}
+		if !c.Refutes(notGoal, []*logic.Model{m}) {
+			t.Errorf("incremental=%v: the solver's own counterexample %v does not refute the goal", incremental, m.Vars)
+		}
+	}
+}
