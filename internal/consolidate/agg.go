@@ -6,7 +6,6 @@ import (
 
 	"consolidation/internal/lang"
 	"consolidation/internal/smt"
-	"consolidation/internal/sym"
 )
 
 // Aggregation consolidation: windowed aggregation UDFs whose windows align
@@ -62,22 +61,15 @@ type AggGroup struct {
 	// Stats accumulates the Ω and solver work of the group's merges,
 	// including the homomorphism queries.
 	Stats Stats
-	// SumFoldSize is the total AST size of the unmerged fold bodies; with
-	// Stats.OutputSize it measures sharing.
-	SumFoldSize int
 }
 
 // MergeAggs consolidates a batch of windowed aggregations. Aggregations
 // with identical window specifications merge into one AggGroup each, in
 // first-member input order; every input appears in exactly one group.
+// Each group's folds merge by the divide-and-conquer builder that All and
+// Build run (Section 6.1), with parallel pair workers; every group's
+// merges and homomorphism checks share one SMT query cache.
 func MergeAggs(aggs []*lang.AggProgram, opts Options) ([]*AggGroup, error) {
-	co := New(opts)
-	return co.MergeAggs(aggs)
-}
-
-// MergeAggs is the method form of the package-level MergeAggs, reusing the
-// consolidator's solver and solving context across groups.
-func (co *Consolidator) MergeAggs(aggs []*lang.AggProgram) ([]*AggGroup, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("consolidate: no aggregations to merge")
 	}
@@ -99,9 +91,12 @@ func (co *Consolidator) MergeAggs(aggs []*lang.AggProgram) ([]*AggGroup, error) 
 		}
 		byWindow[a.Window] = append(byWindow[a.Window], i)
 	}
+	if opts.Solver == nil && opts.Cache == nil {
+		opts.Cache = smt.NewCache(0)
+	}
 	groups := make([]*AggGroup, 0, len(order))
 	for _, w := range order {
-		g, err := co.mergeGroup(aggs, byWindow[w], w)
+		g, err := mergeGroup(aggs, byWindow[w], w, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -110,35 +105,42 @@ func (co *Consolidator) MergeAggs(aggs []*lang.AggProgram) ([]*AggGroup, error) 
 	return groups, nil
 }
 
-// mergeGroup builds one window-aligned group: members renamed apart,
-// folds Ω-merged pairwise, emits concatenated with dense renumbering, and
-// the merged fold classified and SMT-verified for the homomorphic split.
-func (co *Consolidator) mergeGroup(aggs []*lang.AggProgram, members []int, w lang.WindowSpec) (*AggGroup, error) {
+// mergeGroup builds one window-aligned group: members renamed apart, folds
+// Ω-merged as the leaves of one build, emits concatenated with dense
+// renumbering, the merged fold classified and SMT-verified for the
+// homomorphic split. Member k of the group
+// owns the q<k>_ prefix: the builder gives a leaf's locals its position's
+// prefix, and the accumulators and the emit take the same one here.
+func mergeGroup(aggs []*lang.AggProgram, members []int, w lang.WindowSpec, opts Options) (*AggGroup, error) {
 	g := &AggGroup{Window: w, Members: append([]int(nil), members...)}
 	var (
-		folds     []*lang.Program
+		leaves    []Leaf
 		emitBody  []lang.Stmt
 		nameParts []string
 	)
-	for _, gi := range members {
+	for pos, gi := range members {
 		a := aggs[gi]
-		prefix := fmt.Sprintf("q%d_", gi)
+		prefix := fmt.Sprintf("q%d_", pos)
+		isAcc := make(map[string]bool, len(a.Accs))
+		foldParams := []string{AggRecordParam}
+		for _, d := range a.Accs {
+			isAcc[d.Name] = true
+			g.Accs = append(g.Accs, lang.AccDecl{Name: prefix + d.Name, Init: d.Init})
+			foldParams = append(foldParams, prefix+d.Name)
+		}
 		rename := func(v string) string {
 			if v == a.Param {
 				return AggRecordParam
 			}
 			return prefix + v
 		}
-		for _, d := range a.Accs {
-			g.Accs = append(g.Accs, lang.AccDecl{Name: prefix + d.Name, Init: d.Init})
-		}
-		fold := lang.RenameVars(a.Fold, rename)
-		foldParams := []string{AggRecordParam}
-		for _, d := range a.Accs {
-			foldParams = append(foldParams, prefix+d.Name)
-		}
-		folds = append(folds, &lang.Program{Name: a.Name + ".fold", Params: foldParams, Body: fold})
-		g.SumFoldSize += lang.Size(a.Fold)
+		fold := lang.RenameVars(a.Fold, func(v string) string {
+			if v == a.Param || isAcc[v] {
+				return rename(v)
+			}
+			return v // a local: the builder renames it apart
+		})
+		leaves = append(leaves, Leaf{ID: gi, Prog: &lang.Program{Name: a.Name + ".fold", Params: foldParams, Body: fold}})
 
 		// Emit: rename variables, then renumber this member's sorted notify
 		// ids onto the group's dense output positions.
@@ -155,102 +157,36 @@ func (co *Consolidator) mergeGroup(aggs []*lang.AggProgram, members []int, w lan
 		nameParts = append(nameParts, a.Name)
 	}
 
-	merged := folds[0]
-	for _, next := range folds[1:] {
-		merged = co.pairFolds(merged, next)
-		g.Stats.add(co.stats)
-	}
-	accNames := make([]string, len(g.Accs))
-	accLive := make(map[string]bool, len(g.Accs))
-	for i, d := range g.Accs {
-		accNames[i] = d.Name
-		accLive[d.Name] = true
-	}
-	if !co.opts.NoDCE {
-		merged = EliminateDeadCodeLive(PropagateCopies(merged), accLive)
+	merged, ms, err := build(leaves, opts, foldLeaves, allWorkers(true), nil, nil)
+	if err != nil {
+		return nil, err
 	}
 	merged.Name = "agg[" + strings.Join(nameParts, "⊗") + "].fold"
 	g.Fold = merged
-	g.Stats.OutputSize = lang.Size(merged.Body)
+	g.Stats = ms.Rules
+	g.Stats.SMTQueries = ms.SMTQueries
+	g.Stats.Context = ms.Context
+	g.Stats.Duration = ms.Duration
+	g.Stats.OutputSize = ms.OutputSize
 
-	emitParams := append([]string(nil), accNames...)
+	accNames := merged.Params[1:]
 	g.Emit = &lang.Program{
 		Name:   "agg[" + strings.Join(nameParts, "⊗") + "].emit",
-		Params: emitParams,
+		Params: append([]string(nil), accNames...),
 		Body:   lang.SeqOf(emitBody...),
 	}
 
 	// The homomorphic split is decided on the fold that actually runs: the
 	// merged one. Structural classification finds the per-accumulator
 	// combine operators; the SMT pass then discharges the per-path laws.
-	co.stats = Stats{}
-	if ops, ok := classifyFold(g.Fold.Body, accNames); ok && co.verifyHom(g.Fold.Body, accNames, ops) {
-		g.Hom = ops
-		g.Homomorphic = true
+	if ops, ok := classifyFold(g.Fold.Body, accNames); ok {
+		solver := newSolver(opts)
+		q0 := solver.Stats.Queries
+		g.Homomorphic = verifyHom(solver, g.Fold.Body, accNames, ops)
+		if g.Homomorphic {
+			g.Hom = ops
+		}
+		g.Stats.SMTQueries += solver.Stats.Queries - q0
 	}
-	g.Stats.SMTQueries += co.stats.SMTQueries
 	return g, nil
-}
-
-// pairFolds is the Ω merge of two fold programs. Unlike Pair it does not
-// require equal parameter lists or unassigned parameters: fold programs
-// share only the record parameter, and their accumulator parameters — by
-// construction renamed apart per member — are assigned by design. The
-// record parameter itself is never assigned (CheckAgg), and fold bodies
-// carry no notifications, so Ω's premises still hold. No clean-up passes
-// run here; the caller finishes the group's root with the accumulator-live
-// variant of DCE.
-func (co *Consolidator) pairFolds(p1, p2 *lang.Program) *lang.Program {
-	co.stats = Stats{}
-	ctx := sym.NewContext(co.solver)
-	var cs0 smt.ContextStats
-	if co.sctx != nil {
-		co.sctx.BeginRun(co.solver)
-		cs0 = co.sctx.Stats()
-		ctx.UseSolvingContext(co.sctx)
-	}
-	q0 := co.solver.Stats.Queries
-	co.fuel = 200 * (lang.Size(p1.Body) + lang.Size(p2.Body))
-	if co.fuel < 20000 {
-		co.fuel = 20000
-	}
-	if co.opts.MaxFuel > 0 {
-		co.fuel = co.opts.MaxFuel
-	}
-	co.embedBudget = 2 * (lang.Size(p1.Body) + lang.Size(p2.Body))
-	if co.embedBudget < 400 {
-		co.embedBudget = 400
-	}
-	if co.embedBudget > co.opts.MaxEmbedSize {
-		co.embedBudget = co.opts.MaxEmbedSize
-	}
-	out := co.omega(ctx, lang.Flatten(p1.Body), lang.Flatten(p2.Body))
-	co.stats.SMTQueries = co.solver.Stats.Queries - q0
-	if co.sctx != nil {
-		co.stats.Context = co.sctx.Stats().Diff(cs0)
-		co.sctx.EndRun()
-	}
-	params := append([]string(nil), p1.Params...)
-	params = append(params, p2.Params[1:]...) // shared record param first
-	return &lang.Program{
-		Name:   p1.Name + "⊗" + p2.Name,
-		Params: params,
-		Body:   lang.SeqOf(out...),
-	}
-}
-
-// add accumulates pair-merge statistics into a group total.
-func (s *Stats) add(o Stats) {
-	s.If1 += o.If1
-	s.If2 += o.If2
-	s.If3 += o.If3
-	s.If4 += o.If4
-	s.If5 += o.If5
-	s.Loop2 += o.Loop2
-	s.Loop3 += o.Loop3
-	s.LoopsSequential += o.LoopsSequential
-	s.AssignsSimplified += o.AssignsSimplified
-	s.SMTQueries += o.SMTQueries
-	s.FuelExhausted += o.FuelExhausted
-	s.Duration += o.Duration
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"consolidation/internal/lang"
+	"consolidation/internal/smt"
 )
 
 // aggLib is the record-access library for the aggregation tests: cheap
@@ -418,11 +419,63 @@ func TestClassifyFoldShapes(t *testing.T) {
 // not satisfy the max law a ≤ final on paths where t is negative.
 func TestVerifyHomRejectsMisclassified(t *testing.T) {
 	p := lang.MustParse("func f(r, a) { a := a + temp(r); }")
-	co := New(Options{})
-	if co.verifyHom(p.Body, []string{"a"}, []HomOp{HomMax}) {
+	solver := smt.New()
+	if verifyHom(solver, p.Body, []string{"a"}, []HomOp{HomMax}) {
 		t.Fatal("sum update must fail the max law")
 	}
-	if !co.verifyHom(p.Body, []string{"a"}, []HomOp{HomSum}) {
+	if !verifyHom(solver, p.Body, []string{"a"}, []HomOp{HomSum}) {
 		t.Fatal("sum update must pass the sum law")
 	}
+}
+
+// TestPairFoldsContract: the fold pair contract is a shared record
+// parameter first, then each side's accumulators; the result takes the
+// record parameter, then the left accumulators, then the right ones.
+func TestPairFoldsContract(t *testing.T) {
+	co := New(Options{})
+	p, err := co.pairFolds(
+		lang.MustParse("func f(r, q0_a) { q0_x := temp(r); q0_a := q0_a + q0_x; }"),
+		lang.MustParse("func g(r, q1_b, q1_c) { q1_x := temp(r); q1_b := q1_b + q1_x; q1_c := q1_c + 1; }"))
+	if err != nil {
+		t.Fatalf("pairFolds: %v", err)
+	}
+	if got := strings.Join(p.Params, ","); got != "r,q0_a,q1_b,q1_c" {
+		t.Fatalf("params = %s", got)
+	}
+	if got := countCalls(p.Body, "temp"); got != 1 {
+		t.Fatalf("merged fold calls temp %d times, want 1:\n%s", got, lang.Format(p))
+	}
+	_, err = co.pairFolds(lang.MustParse("func f(r, a) { a := a + 1; }"), lang.MustParse("func g(s, b) { b := b + 1; }"))
+	if err == nil || !strings.Contains(err.Error(), "share a record parameter") {
+		t.Errorf("record mismatch: err = %v", err)
+	}
+}
+
+// TestMergeAggsKeepsUpdateGuardsFlat: Ω embeds no member under another
+// member's max/min update guard. Such a guard reads only its own member's
+// accumulator, so embedding would duplicate the rest of the group into both
+// branches and buy no simplification; at every merge-tree level above the
+// leaves it would duplicate a whole subtree.
+func TestMergeAggsKeepsUpdateGuardsFlat(t *testing.T) {
+	_, groups := mustMerge(t, weatherAggsSrc)
+	g := groups[0]
+	isAcc := map[string]bool{}
+	for _, d := range g.Accs {
+		isAcc[d.Name] = true
+	}
+	var walk func(s lang.Stmt)
+	walk = func(s lang.Stmt) {
+		switch x := s.(type) {
+		case lang.Seq:
+			walk(x.L)
+			walk(x.R)
+		case lang.Cond:
+			if boolReadsAcc(x.Test, isAcc) && len(lang.Flatten(x.Then))+len(lang.Flatten(x.Else)) > 1 {
+				t.Fatalf("update guard carries other members' statements:\n%s", lang.FormatStmt(x))
+			}
+			walk(x.Then)
+			walk(x.Else)
+		}
+	}
+	walk(g.Fold.Body)
 }

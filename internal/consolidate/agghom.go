@@ -5,6 +5,7 @@ import (
 
 	"consolidation/internal/lang"
 	"consolidation/internal/logic"
+	"consolidation/internal/smt"
 	"consolidation/internal/sym"
 )
 
@@ -313,21 +314,19 @@ func projectFold(s lang.Stmt, a string, isAcc map[string]bool) lang.Stmt {
 	return s
 }
 
-// verifyHom discharges the homomorphism laws of a classified fold with the
-// consolidator's SMT solver. Each accumulator is checked path by path over
-// its projection of the fold (projectFold) — sound because the classifier
+// verifyHom discharges the homomorphism laws of a classified fold with
+// solver. Each accumulator is checked path by path over its projection of
+// the fold (projectFold) — sound because the classifier
 // only accepts folds where each accumulator's updates are independent of
 // the others' state, and necessary because the whole merged body's path
 // count grows exponentially with the number of merged members. Returns
 // false — caller falls back to the unsplit fold — when a path count still
 // explodes or the solver cannot prove a law.
-func (co *Consolidator) verifyHom(body lang.Stmt, accs []string, ops []HomOp) bool {
+func verifyHom(solver *smt.Solver, body lang.Stmt, accs []string, ops []HomOp) bool {
 	isAcc := map[string]bool{}
 	for _, a := range accs {
 		isAcc[a] = true
 	}
-	q0 := co.solver.Stats.Queries
-	defer func() { co.stats.SMTQueries += co.solver.Stats.Queries - q0 }()
 	for i, a := range accs {
 		paths, ok := sym.Summarize(projectFold(body, a, isAcc), maxHomPaths)
 		if !ok {
@@ -353,7 +352,7 @@ func (co *Consolidator) verifyHom(body lang.Stmt, accs []string, ops []HomOp) bo
 			case HomMin:
 				goal = logic.Atom(logic.Le, final, logic.V(a))
 			}
-			if !co.solver.EntailsAll(hyps, goal) {
+			if !solver.EntailsAll(hyps, goal) {
 				return false
 			}
 		}

@@ -105,6 +105,9 @@ type Consolidator struct {
 	// constant factor of the inputs, which is where the paper's "few
 	// thousand lines" programs live.
 	embedBudget int
+	// accs are the accumulator parameters of the fold pair being merged
+	// (pairFolds); nil under Pair.
+	accs map[string]bool
 }
 
 // New returns a consolidator with the given options.
@@ -119,14 +122,6 @@ func newConsolidator(opts Options, sctx *smt.Context) *Consolidator {
 	if opts.MaxEmbedSize == 0 {
 		opts.MaxEmbedSize = DefaultMaxEmbedSize
 	}
-	solver := opts.Solver
-	if solver == nil {
-		if opts.Cache != nil {
-			solver = smt.NewWithCache(opts.Cache)
-		} else {
-			solver = smt.New()
-		}
-	}
 	if opts.NoSolvingContext {
 		sctx = nil
 	} else if sctx == nil {
@@ -134,11 +129,23 @@ func newConsolidator(opts Options, sctx *smt.Context) *Consolidator {
 	}
 	return &Consolidator{
 		opts:   opts,
-		solver: solver,
+		solver: newSolver(opts),
 		sctx:   sctx,
 		simp:   NewSimplifier(opts.CostModel, opts.FuncCoster),
 		feats:  newFeatTab(),
 	}
+}
+
+// newSolver returns opts.Solver, else a fresh solver over opts.Cache, else
+// one with a private cache.
+func newSolver(opts Options) *smt.Solver {
+	switch {
+	case opts.Solver != nil:
+		return opts.Solver
+	case opts.Cache != nil:
+		return smt.NewWithCache(opts.Cache)
+	}
+	return smt.New()
 }
 
 // Stats returns the statistics of the last Pair call.
@@ -154,28 +161,64 @@ func (co *Consolidator) Stats() Stats { return co.stats }
 func (co *Consolidator) Pair(p1, p2 *lang.Program) (*lang.Program, error) {
 	start := time.Now()
 	co.stats = Stats{}
+	co.accs = nil
 	if len(p1.Params) != len(p2.Params) {
 		return nil, fmt.Errorf("consolidate: %s and %s take different parameters", p1.Name, p2.Name)
 	}
-	for i := range p1.Params {
-		if p1.Params[i] != p2.Params[i] {
-			return nil, fmt.Errorf("consolidate: parameter mismatch %q vs %q", p1.Params[i], p2.Params[i])
-		}
-	}
 	params := map[string]bool{}
-	for _, p := range p1.Params {
-		params[p] = true
-	}
-	for _, p := range p1.Params {
-		if lang.AssignedVars(p1.Body)[p] || lang.AssignedVars(p2.Body)[p] {
+	a1, a2 := lang.AssignedVars(p1.Body), lang.AssignedVars(p2.Body)
+	for i, p := range p1.Params {
+		if p != p2.Params[i] {
+			return nil, fmt.Errorf("consolidate: parameter mismatch %q vs %q", p, p2.Params[i])
+		}
+		if a1[p] || a2[p] {
 			return nil, fmt.Errorf("consolidate: programs must not assign parameter %q", p)
 		}
+		params[p] = true
 	}
+	ids2 := lang.NotifyIDs(p2.Body)
 	for id := range lang.NotifyIDs(p1.Body) {
-		if lang.NotifyIDs(p2.Body)[id] {
+		if ids2[id] {
 			return nil, fmt.Errorf("consolidate: notification id %d used by both programs", id)
 		}
 	}
+	merged := co.merge(p1, p2, params, append([]string(nil), p1.Params...))
+	if !co.opts.NoDCE {
+		merged = EliminateDeadCode(PropagateCopies(merged))
+	}
+	co.stats.Duration = time.Since(start)
+	co.stats.OutputSize = lang.Size(merged.Body)
+	return merged, nil
+}
+
+// pairFolds is Pair under the aggregation tier's fold contract: both
+// programs take a shared record parameter first, then their own
+// accumulators, which they assign. The record parameter is never assigned
+// and fold bodies carry no notifications (lang.CheckAgg), so Ω's premises
+// hold as for Pair. Accumulators are renamed apart by construction: member
+// k of a group owns the q<k>_ prefix (mergeGroup), and the builder gives
+// leaf k's locals the same one. The result takes the record parameter, p1's
+// accumulators, then p2's. No clean-up runs here: plain dead-store
+// elimination would delete the accumulator updates, so the builder
+// finishes the root with the accumulator-live variant.
+func (co *Consolidator) pairFolds(p1, p2 *lang.Program) (*lang.Program, error) {
+	co.stats = Stats{}
+	if len(p1.Params) == 0 || len(p2.Params) == 0 || p1.Params[0] != p2.Params[0] {
+		return nil, fmt.Errorf("consolidate: folds %s and %s do not share a record parameter", p1.Name, p2.Name)
+	}
+	out := append(append([]string(nil), p1.Params...), p2.Params[1:]...)
+	co.accs = make(map[string]bool, len(out)-1)
+	for _, a := range out[1:] {
+		co.accs[a] = true
+	}
+	return co.merge(p1, p2, map[string]bool{out[0]: true}, out), nil
+}
+
+// merge is the core both Pair contracts share: it renames p2's locals that
+// clash with p1's apart, runs Ω over the two bodies in one solving-context
+// run under size-scaled fuel and embedding budgets, and returns the merged
+// body under outParams. params are the names exempt from clash renaming.
+func (co *Consolidator) merge(p1, p2 *lang.Program, params map[string]bool, outParams []string) *lang.Program {
 	body2 := p2.Body
 	if clash := clashingLocals(p1.Body, body2, params); len(clash) > 0 {
 		body2 = lang.RenameVars(body2, func(v string) string {
@@ -214,39 +257,32 @@ func (co *Consolidator) Pair(p1, p2 *lang.Program) (*lang.Program, error) {
 		co.stats.Context = co.sctx.Stats().Diff(cs0)
 		co.sctx.EndRun()
 	}
-	body := lang.SeqOf(out...)
-	merged := &lang.Program{
+	return &lang.Program{
 		Name:   p1.Name + "⊗" + p2.Name,
-		Params: append([]string(nil), p1.Params...),
-		Body:   body,
+		Params: outParams,
+		Body:   lang.SeqOf(out...),
 	}
-	if !co.opts.NoDCE {
-		merged = EliminateDeadCode(PropagateCopies(merged))
-	}
-	co.stats.Duration = time.Since(start)
-	co.stats.OutputSize = lang.Size(merged.Body)
-	return merged, nil
 }
 
 // clashingLocals returns non-parameter variables used by both bodies.
 func clashingLocals(b1, b2 lang.Stmt, params map[string]bool) map[string]bool {
-	v1 := lang.UsedVars(b1)
-	for v := range lang.AssignedVars(b1) {
-		v1[v] = true
-	}
+	v1 := mentionedVars(b1)
 	out := map[string]bool{}
-	check := func(v string) {
+	for v := range mentionedVars(b2) {
 		if v1[v] && !params[v] {
 			out[v] = true
 		}
 	}
-	for v := range lang.UsedVars(b2) {
-		check(v)
-	}
-	for v := range lang.AssignedVars(b2) {
-		check(v)
-	}
 	return out
+}
+
+// mentionedVars returns the variables s reads or assigns.
+func mentionedVars(s lang.Stmt) map[string]bool {
+	vs := lang.UsedVars(s)
+	for v := range lang.AssignedVars(s) {
+		vs[v] = true
+	}
+	return vs
 }
 
 // omega is the consolidation algorithm Ω′ of Figure 8 over flattened
@@ -354,7 +390,12 @@ func (co *Consolidator) conditional(ctx *sym.Context, h lang.Cond, s1, s2 *[]lan
 		return dupCost(extra) <= co.embedBudget
 	}
 
-	if len(rest) > 0 && related(co.feats.featuresOfBoolCtx(ctx, h.Test), co.feats.featuresOfStmts(rest)) {
+	// A test over fold accumulator state (a max/min update guard) relates
+	// to nothing: the accumulators are renamed apart and enter as free
+	// parameters, so the test tells the rest nothing about what it reads,
+	// and embedding the rest under it would only duplicate code.
+	if len(rest) > 0 && (co.accs == nil || !boolReadsAcc(h.Test, co.accs)) &&
+		related(co.feats.featuresOfBoolCtx(ctx, h.Test), co.feats.featuresOfStmts(rest)) {
 		if related(co.feats.featuresOfStmts(cont), co.feats.featuresOfStmts(rest)) && withinBudget(cont) {
 			// If 3: embed both the remainder C and the second program P in
 			// the branches; everything is consumed.

@@ -16,15 +16,7 @@ import (
 // structured AST. Removing an assignment can make earlier assignments
 // dead, so the pass iterates to a fixpoint.
 func EliminateDeadCode(p *lang.Program) *lang.Program {
-	body := p.Body
-	for {
-		next, changed := dcePass(body)
-		body = next
-		if !changed {
-			break
-		}
-	}
-	return &lang.Program{Name: p.Name, Params: p.Params, Body: body}
+	return EliminateDeadCodeLive(p, nil)
 }
 
 // EliminateDeadCodeLive is EliminateDeadCode with an explicit live-out
@@ -42,14 +34,6 @@ func EliminateDeadCodeLive(p *lang.Program, liveOut map[string]bool) *lang.Progr
 		}
 	}
 	return &lang.Program{Name: p.Name, Params: p.Params, Body: body}
-}
-
-// dcePass removes assignments dead with respect to the empty live-out set
-// of the whole program. It returns the rewritten statement and whether
-// anything was removed.
-func dcePass(s lang.Stmt) (lang.Stmt, bool) {
-	out, _, changed := dce(s, map[string]bool{})
-	return out, changed
 }
 
 // dce rewrites s given the variables live after it, returning the new

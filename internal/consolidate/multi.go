@@ -119,13 +119,13 @@ func FinalCleanup(p *lang.Program) *lang.Program {
 // whereConsolidated operator does this so query i owns id i); local
 // variables are renamed apart automatically.
 func All(progs []*lang.Program, opts Options, renumber bool, parallel bool) (*lang.Program, *MultiStats, error) {
-	return build(indexLeaves(progs), opts, renumber, allWorkers(parallel), nil, nil)
+	return build(indexLeaves(progs), opts, idMode(renumber), allWorkers(parallel), nil, nil)
 }
 
 // AllTree is All, additionally persisting the merge tree by leaf span.
 func AllTree(progs []*lang.Program, opts Options, renumber bool, parallel bool) (*lang.Program, *MergeTree, *MultiStats, error) {
 	tree := &MergeTree{N: len(progs), Nodes: map[Span]*lang.Program{}}
-	out, ms, err := build(indexLeaves(progs), opts, renumber, allWorkers(parallel), nil, tree)
+	out, ms, err := build(indexLeaves(progs), opts, idMode(renumber), allWorkers(parallel), nil, tree)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -139,7 +139,25 @@ func AllTree(progs []*lang.Program, opts Options, renumber bool, parallel bool) 
 // leaf changes that is its O(log N) root path — and the memo is pruned to
 // the new tree. workers bounds concurrent pair merges; 1 builds in line.
 func Build(leaves []Leaf, opts Options, workers int, memo *Memo) (*lang.Program, *MultiStats, error) {
-	return build(leaves, opts, true, workers, memo, nil)
+	return build(leaves, opts, renumberIDs, workers, memo, nil)
+}
+
+// leafMode is the contract a build merges its leaves under: Pair with the
+// notification ids kept or renumbered to leaf positions, or pairFolds for
+// fold programs, whose root clean-up keeps the accumulators live.
+type leafMode int
+
+const (
+	keepIDs leafMode = iota
+	renumberIDs
+	foldLeaves
+)
+
+func idMode(renumber bool) leafMode {
+	if renumber {
+		return renumberIDs
+	}
+	return keepIDs
 }
 
 // Plan is a prepared query set: what a pass runs (the merged program, its
@@ -330,12 +348,12 @@ func (t *seqTable) seqOf(leaves []Leaf) int32 {
 // deterministic query order); otherwise the right subtree forks and one
 // semaphore bounds concurrent Pair calls.
 type builder struct {
-	leaves   []Leaf
-	opts     Options
-	renumber bool
-	memo     *Memo
-	tree     *MergeTree
-	sem      chan struct{} // nil: in line
+	leaves []Leaf
+	opts   Options
+	mode   leafMode
+	memo   *Memo
+	tree   *MergeTree
+	sem    chan struct{} // nil: in line
 
 	mu     sync.Mutex // guards ms, memo, tree and firstE
 	ms     *MultiStats
@@ -343,7 +361,7 @@ type builder struct {
 	firstE error
 }
 
-func build(leaves []Leaf, opts Options, renumber bool, workers int, memo *Memo, tree *MergeTree) (*lang.Program, *MultiStats, error) {
+func build(leaves []Leaf, opts Options, mode leafMode, workers int, memo *Memo, tree *MergeTree) (*lang.Program, *MultiStats, error) {
 	if len(leaves) == 0 {
 		return nil, nil, fmt.Errorf("consolidate: no programs")
 	}
@@ -364,7 +382,7 @@ func build(leaves []Leaf, opts Options, renumber bool, workers int, memo *Memo, 
 	if opts.Solver == nil && opts.Cache == nil {
 		opts.Cache = smt.NewCache(0)
 	}
-	b := &builder{leaves: leaves, opts: opts, renumber: renumber, memo: memo, tree: tree,
+	b := &builder{leaves: leaves, opts: opts, mode: mode, memo: memo, tree: tree,
 		ms: &MultiStats{Programs: len(leaves)}}
 	if workers > 1 {
 		b.sem = make(chan struct{}, workers)
@@ -385,7 +403,13 @@ func build(leaves []Leaf, opts Options, renumber bool, workers int, memo *Memo, 
 	if memo != nil {
 		memo.prune(key, leaves)
 	}
-	if finalDCE {
+	if finalDCE && mode == foldLeaves {
+		live := make(map[string]bool, len(out.Params))
+		for _, acc := range out.Params[1:] {
+			live[acc] = true
+		}
+		out = EliminateDeadCodeLive(PropagateCopies(out), live)
+	} else if finalDCE {
 		out = FinalCleanup(out)
 	}
 	ms := b.ms
@@ -474,7 +498,7 @@ func (b *builder) leaf(pos int) *lang.Program {
 			return p.prog
 		}
 	}
-	p := prepareLeaf(l.Prog, pos, b.renumber)
+	p := prepareLeaf(l.Prog, pos, b.mode == renumberIDs)
 	b.ms.LeavesPrepared++
 	if b.memo != nil {
 		b.memo.prep[l.ID] = preparedLeaf{pos, p}
@@ -509,7 +533,11 @@ func (b *builder) pair(sp Span, left, right *lang.Program) *lang.Program {
 	}
 	co := newConsolidator(b.opts, sctx)
 	pre := co.solver.Stats
-	merged, err := co.Pair(left, right)
+	pair := co.Pair
+	if b.mode == foldLeaves {
+		pair = co.pairFolds
+	}
+	merged, err := pair(left, right)
 	delta := co.solver.Stats.Diff(pre)
 	b.mu.Lock()
 	defer b.mu.Unlock()

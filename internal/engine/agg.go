@@ -389,7 +389,8 @@ func aggregateOne(data RecordLibrary, a *lang.AggProgram, opts Options, m *AggMe
 // AggregateConsolidated merges window-aligned aggregations into shared
 // traversals and evaluates each group over the batched worker pool. The
 // emitted windows are byte-identical to AggregateMany's at every
-// Workers × BatchSize × NoHomAgg configuration.
+// Workers × BatchSize × NoHomAgg configuration. It is MergeAggs then
+// AggregatePlan.
 func AggregateConsolidated(data RecordLibrary, aggs []*lang.AggProgram, copts consolidate.Options, opts Options) (*ConsolidatedAggResult, error) {
 	if copts.FuncCoster == nil {
 		copts.FuncCoster = data
@@ -400,7 +401,19 @@ func AggregateConsolidated(data RecordLibrary, aggs []*lang.AggProgram, copts co
 		return nil, err
 	}
 	consTime := time.Since(t0)
+	res, err := AggregatePlan(data, aggs, groups, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.ConsolidateTime = consTime
+	return res, nil
+}
 
+// AggregatePlan evaluates the groups MergeAggs returned for aggs: the pass
+// of AggregateConsolidated without the consolidation. A caller holding the
+// groups of an earlier batch reruns them without merging again; each call
+// still compiles every group's fold and emit.
+func AggregatePlan(data RecordLibrary, aggs []*lang.AggProgram, groups []*consolidate.AggGroup, opts Options) (*ConsolidatedAggResult, error) {
 	start := time.Now()
 	res := &ConsolidatedAggResult{Groups: groups}
 	res.Outputs = make([]*AggOutput, len(aggs))
@@ -420,7 +433,6 @@ func AggregateConsolidated(data RecordLibrary, aggs []*lang.AggProgram, copts co
 	}
 	res.UDFCost = res.FoldCost + res.EmitCost + res.KeyCost
 	res.TotalTime = time.Since(start)
-	res.ConsolidateTime = consTime
 	return res, nil
 }
 

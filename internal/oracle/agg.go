@@ -153,7 +153,9 @@ func aggFailf(check string, c *AggCase, format string, args ...any) *Failure {
 // partial/combine split and unsplit window-parallel alike — must
 // reproduce the per-aggregation serial replay byte-identically (emitted
 // verdicts, window counts, partition keys) at every Workers/BatchSize
-// combination. nil means every combination matched.
+// combination. Every combination merges again over the shared query
+// cache, and every re-merge must build the first one's folds. nil means
+// every combination matched.
 func CheckAggregate(c *AggCase) *Failure {
 	if len(c.Inputs) == 0 || len(c.Aggs) == 0 {
 		return nil
@@ -164,6 +166,7 @@ func CheckAggregate(c *AggCase) *Failure {
 		return aggFailf(CheckErr, c, "serial reference: %v", err)
 	}
 	copts := consolidate.Options{Cache: smt.NewCache(0)}
+	var folds string
 	rng := rand.New(rand.NewSource(c.Seed ^ 0x51D37A91))
 	workers := []int{1, 2, 3, 4}
 	for si, bs := range batchSizesFor(len(c.Inputs), rng) {
@@ -185,6 +188,15 @@ func CheckAggregate(c *AggCase) *Failure {
 				if !engine.SameAggResults(ref, &got.AggResult) {
 					return aggFailf(CheckAggParity, c,
 						"%s: merged windowed outputs diverge from the per-aggregation replay", label)
+				}
+				var b strings.Builder
+				for _, g := range got.Groups {
+					fmt.Fprintf(&b, "%v %s\n", g.Homomorphic, lang.Format(g.Fold))
+				}
+				if folds == "" {
+					folds = b.String()
+				} else if b.String() != folds {
+					return aggFailf(CheckAggParity, c, "%s: re-merge over the warm cache built different folds", label)
 				}
 			}
 		}
