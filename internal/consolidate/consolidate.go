@@ -215,19 +215,12 @@ func (co *Consolidator) pairFolds(p1, p2 *lang.Program) (*lang.Program, error) {
 }
 
 // merge is the core both Pair contracts share: it renames p2's locals that
-// clash with p1's apart, runs Ω over the two bodies in one solving-context
-// run under size-scaled fuel and embedding budgets, and returns the merged
-// body under outParams. params are the names exempt from clash renaming.
+// clash with p1's apart (renameApart), runs Ω over the two bodies in one
+// solving-context run under size-scaled fuel and embedding budgets, and
+// returns the merged body under outParams. params are the names exempt
+// from clash renaming.
 func (co *Consolidator) merge(p1, p2 *lang.Program, params map[string]bool, outParams []string) *lang.Program {
-	body2 := p2.Body
-	if clash := clashingLocals(p1.Body, body2, params); len(clash) > 0 {
-		body2 = lang.RenameVars(body2, func(v string) string {
-			if clash[v] {
-				return v + "$2"
-			}
-			return v
-		})
-	}
+	body2 := renameApart(p1.Body, p2.Body, params)
 
 	ctx := sym.NewContext(co.solver)
 	var cs0 smt.ContextStats
@@ -264,16 +257,37 @@ func (co *Consolidator) merge(p1, p2 *lang.Program, params map[string]bool, outP
 	}
 }
 
-// clashingLocals returns non-parameter variables used by both bodies.
-func clashingLocals(b1, b2 lang.Stmt, params map[string]bool) map[string]bool {
-	v1 := mentionedVars(b1)
-	out := map[string]bool{}
-	for v := range mentionedVars(b2) {
+// renameApart renames b2's non-parameter variables that b1 also mentions
+// to v$k, with the least k ≥ 2 for which no new name is a parameter or is
+// mentioned by either body. A chained merge's first program already
+// carries $2 names, so a fixed suffix could make two programs' locals one.
+func renameApart(b1, b2 lang.Stmt, params map[string]bool) lang.Stmt {
+	v1, v2 := mentionedVars(b1), mentionedVars(b2)
+	clash := map[string]bool{}
+	for v := range v2 {
 		if v1[v] && !params[v] {
-			out[v] = true
+			clash[v] = true
 		}
 	}
-	return out
+	if len(clash) == 0 {
+		return b2
+	}
+	suffix := ""
+	for k := 2; suffix == ""; k++ {
+		suffix = "$" + strconv.Itoa(k)
+		for v := range clash {
+			if n := v + suffix; v1[n] || v2[n] || params[n] {
+				suffix = ""
+				break
+			}
+		}
+	}
+	return lang.RenameVars(b2, func(v string) string {
+		if clash[v] {
+			return v + suffix
+		}
+		return v
+	})
 }
 
 // mentionedVars returns the variables s reads or assigns.

@@ -124,19 +124,22 @@ func TestWarmRunPaysUnknownsOnce(t *testing.T) {
 	}
 }
 
-// TestPrunedChecksAreCachedAndDeterministic covers Houdini's
-// counterexample pruning on the merge-loops program set (weather Q3 × 6,
-// stock Q3 × 4). The assignment that prunes is cached with its verdict, so
-// a second run over the first run's cache issues the same queries and
-// takes every literal-path one from the cache. Which candidates are pruned is a function of
-// the queries alone, so the cold query count is the same serially, on two
+// TestPrunedChecksAreCachedAndDeterministic covers Infer's
+// counterexample pruning — in the loop-entry filter and in Houdini's
+// rounds — on the merge-loops program set (weather Q3 × 6, stock Q3 × 4)
+// and on the call-heavy merge-calls family (news Mix × 10). The assignment
+// that prunes is cached with its verdict, so a second run over the first
+// run's cache issues the same queries and takes every literal-path one
+// from the cache. Which candidates are pruned is a function of the
+// queries alone, so the cold query count is the same serially, on two
 // workers, and on every repetition.
 func TestPrunedChecksAreCachedAndDeterministic(t *testing.T) {
 	for _, part := range []struct {
-		domain string
-		n      int
-	}{{"weather", 6}, {"stock", 4}} {
-		progs, err := queries.Gen(part.domain, "Q3", part.n, 20140609)
+		domain, family string
+		n              int
+	}{{"weather", "Q3", 6}, {"stock", "Q3", 4}, {"news", "Mix", 10}} {
+		name := part.domain + " " + part.family
+		progs, err := queries.Gen(part.domain, part.family, part.n, 20140609)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,14 +155,14 @@ func TestPrunedChecksAreCachedAndDeterministic(t *testing.T) {
 		}
 		if wms.Context.TheoryChecks != 0 || wms.Solver.Unknowns != 0 {
 			t.Errorf("%s: warm run re-solved %d literal-path theory checks (%d Unknowns) that the cold run's cache holds",
-				part.domain, wms.Context.TheoryChecks, wms.Solver.Unknowns)
+				name, wms.Context.TheoryChecks, wms.Solver.Unknowns)
 		}
 		if wms.SMTQueries != cms.SMTQueries {
 			t.Errorf("%s: warm run issued %d queries, the cold run %d: the cached verdicts lost the assignments that pruned",
-				part.domain, wms.SMTQueries, cms.SMTQueries)
+				name, wms.SMTQueries, cms.SMTQueries)
 		}
 		if lang.Format(warm) != lang.Format(cold) {
-			t.Errorf("%s: warm output differs from cold", part.domain)
+			t.Errorf("%s: warm output differs from cold", name)
 		}
 		for _, workers := range []int{1, 2, 2} {
 			out, ms, err := Build(indexLeaves(progs), DefaultOptions(), workers, nil)
@@ -168,10 +171,10 @@ func TestPrunedChecksAreCachedAndDeterministic(t *testing.T) {
 			}
 			if ms.SMTQueries != cms.SMTQueries {
 				t.Errorf("%s: cold run on %d workers issued %d queries, the serial cold run %d",
-					part.domain, workers, ms.SMTQueries, cms.SMTQueries)
+					name, workers, ms.SMTQueries, cms.SMTQueries)
 			}
 			if lang.Format(out) != lang.Format(cold) {
-				t.Errorf("%s: cold output on %d workers differs", part.domain, workers)
+				t.Errorf("%s: cold output on %d workers differs", name, workers)
 			}
 		}
 	}

@@ -23,23 +23,28 @@ type fusedLoop struct {
 	body      lang.Stmt
 }
 
-// fuse renames each program's locals apart (q<k>_, as the merge tree does
-// its leaves) and fuses the programs' first top-level loops; false when a
-// program has none.
+// renameLocals renames p's locals apart with prefix, as the merge tree
+// does its leaves.
+func renameLocals(p *lang.Program, prefix string) lang.Stmt {
+	params := map[string]bool{}
+	for _, prm := range p.Params {
+		params[prm] = true
+	}
+	return lang.RenameVars(p.Body, func(v string) string {
+		if params[v] {
+			return v
+		}
+		return prefix + v
+	})
+}
+
+// fuse renames each program's locals apart (q<k>_) and fuses the programs'
+// first top-level loops; false when a program has none.
 func fuse(name string, progs []*lang.Program) (fusedLoop, bool) {
 	l := fusedLoop{name: name}
 	var bodies []lang.Stmt
 	for k, p := range progs {
-		params := map[string]bool{}
-		for _, prm := range p.Params {
-			params[prm] = true
-		}
-		body := lang.RenameVars(p.Body, func(v string) string {
-			if params[v] {
-				return v
-			}
-			return fmt.Sprintf("q%d_%s", k, v)
-		})
+		body := renameLocals(p, fmt.Sprintf("q%d_", k))
 		found := false
 		for _, s := range lang.Flatten(body) {
 			if w, ok := s.(lang.While); ok {
@@ -62,6 +67,38 @@ func fuse(name string, progs []*lang.Program) (fusedLoop, bool) {
 	return l, true
 }
 
+// fuseMix fuses the first top-level loops of the programs that have one,
+// with the loop-free programs' statements (their notifies aside, each
+// renamed apart with p<k>_) run first, so the loop heads carry their call
+// facts as a mixed batch's merged prefix does; false without two loops.
+func fuseMix(name string, progs []*lang.Program) (fusedLoop, bool) {
+	var pre []lang.Stmt
+	var loopy []*lang.Program
+	for k, p := range progs {
+		body := lang.Flatten(renameLocals(p, fmt.Sprintf("p%d_", k)))
+		hasLoop := false
+		for _, s := range body {
+			_, w := s.(lang.While)
+			hasLoop = hasLoop || w
+		}
+		if hasLoop {
+			loopy = append(loopy, p)
+			continue
+		}
+		for _, s := range body {
+			if _, n := s.(lang.Notify); !n {
+				pre = append(pre, s)
+			}
+		}
+	}
+	if len(loopy) < 2 {
+		return fusedLoop{}, false
+	}
+	l, ok := fuse(name, loopy)
+	l.pre = append(pre, l.pre...)
+	return l, ok
+}
+
 // headContext is the context at the loop heads on a new solver with a
 // solving context attached, as a consolidation pair has.
 func (l fusedLoop) headContext() *sym.Context {
@@ -76,8 +113,9 @@ func (l fusedLoop) headContext() *sym.Context {
 }
 
 // exactnessLoops fuses pairs, fours and eights of weather, stock and news
-// Q3 UDFs — the loop families of the merge-loops and merge-calls
-// workloads — and pairs of oracle-generated programs with top-level loops.
+// Q3 UDFs and the loops of news Mix spans — the loop families of the
+// merge-loops and merge-calls workloads — and pairs of oracle-generated
+// programs with top-level loops.
 func exactnessLoops(t *testing.T) []fusedLoop {
 	var out []fusedLoop
 	for _, domain := range []string{"weather", "stock", "news"} {
@@ -90,6 +128,21 @@ func exactnessLoops(t *testing.T) []fusedLoop {
 				out = append(out, l)
 			}
 		}
+	}
+	// news Mix, the merge-calls family: Q3 loops after Q1/Q2 call facts.
+	mix, err := queries.Gen("news", "Mix", 16, 20140609)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixLoops := 0
+	for _, span := range [][2]int{{0, 4}, {4, 12}, {0, 8}, {8, 16}} {
+		if l, ok := fuseMix(fmt.Sprintf("news Mix %v", span), mix[span[0]:span[1]]); ok {
+			out = append(out, l)
+			mixLoops++
+		}
+	}
+	if mixLoops < 3 {
+		t.Fatalf("only %d news Mix spans have two loops to fuse", mixLoops)
 	}
 	seeds := 120
 	if testing.Short() {
@@ -109,8 +162,8 @@ func exactnessLoops(t *testing.T) []fusedLoop {
 	return out
 }
 
-// TestCounterexamplePruningIsExact holds Infer to inferRef, the round loop
-// without pruning, element for element, and requires pruning to have
+// TestCounterexamplePruningIsExact holds Infer to inferRef, the entry
+// filter and round loop without pruning, element for element, and requires pruning to have
 // saved queries somewhere, so that the comparison is not vacuous.
 func TestCounterexamplePruningIsExact(t *testing.T) {
 	loops := exactnessLoops(t)

@@ -8,11 +8,16 @@
 // orderings x ≤ y and x < y, and variable/constant bounds — covers the
 // synchronisation facts loop fusion needs in practice (e.g. j = i - 1 in
 // the paper's Example 6). It is not cheap: on loop families inference is
-// most of consolidation time, nearly all of it in Houdini's post-body
-// checks, and a check that refutes a candidate costs several times one
-// that entails it. So each round reuses its refutations: the assignment a
-// refuting check ended on drops every later candidate of the round that it
-// falsifies, without a query and without changing the result.
+// most of consolidation time — in Houdini's post-body checks on fused Q3
+// loops, and in the loop-entry filter on call-heavy mixes, whose loop
+// heads carry many facts the symbolic entry evaluation cannot decide —
+// and a check that refutes a candidate costs several times one that
+// entails it. So both check phases reuse their refutations: the entry
+// filter checks every candidate against Ψ at the loop head and each
+// Houdini round against its post-body hypothesis, and within the filter
+// or a round the assignment a refuting check ended on drops every later
+// candidate that it falsifies, without a query and without changing the
+// result.
 package invariant
 
 import (
@@ -39,29 +44,19 @@ const (
 // body. The conjunction of the result is an inductive invariant. ctx is
 // not modified.
 func Infer(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt) []lang.BoolExpr {
-	stable, unstable := entryCandidates(ctx, guard, body)
+	stable, unstable := entryCandidates(ctx, guard, body, (&refuter{ctx: ctx}).entails)
 
 	// Houdini: drop candidates not preserved by the body until fixpoint.
 	// Every round but the last drops one at least, so there are at most
 	// len(unstable)+1 rounds. One shared post-body context per round
 	// suffices — the hypothesis (all live candidates plus the guard) is the
-	// same for every candidate. For the same reason a refuting check's
-	// assignment is a post-state of that hypothesis: a later candidate it
-	// falsifies (post.Refutes checks it against that candidate's cone) is
-	// not entailed either, and is dropped without a query.
+	// same for every candidate, so one refuter checks the whole round.
 	for len(unstable) > 0 {
-		post := postContext(ctx, guard, body, stable, unstable)
+		r := &refuter{ctx: postContext(ctx, guard, body, stable, unstable)}
 		var keep []lang.BoolExpr
-		var cexs []*logic.Model
 		for _, cand := range unstable {
-			if post.Refutes(cand, cexs) {
-				continue
-			}
-			ok, m := post.EntailsModel(cand)
-			if ok {
+			if r.entails(cand) {
 				keep = append(keep, cand)
-			} else if m != nil {
-				cexs = append(cexs, m)
 			}
 		}
 		if len(keep) == len(unstable) {
@@ -72,10 +67,37 @@ func Infer(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt) []lang.BoolExp
 	return append(stable, unstable...)
 }
 
+// refuter checks candidates against one hypothesis, reusing refutations.
+// Every check has the same hypothesis, so the assignment a refuting check
+// ended on is a state that satisfies it: a later candidate the assignment
+// falsifies (Refutes checks it against that candidate's cone) is not
+// entailed either, and is dropped without a query. The verdicts are those
+// of one solver check per candidate; only the queries issued shrink. The
+// pool holds only literal-path assignments, which the SMT cache stores
+// with their verdicts, so what is pruned depends on the queries alone:
+// it is the same on any number of workers and on a warm cache.
+type refuter struct {
+	ctx  *sym.Context
+	cexs []*logic.Model
+}
+
+// entails reports whether the hypothesis entails cand.
+func (r *refuter) entails(cand lang.BoolExpr) bool {
+	if r.ctx.Refutes(cand, r.cexs) {
+		return false
+	}
+	ok, m := r.ctx.EntailsModel(cand)
+	if !ok && m != nil {
+		r.cexs = append(r.cexs, m)
+	}
+	return ok
+}
+
 // entryCandidates returns the candidates that hold at loop entry, split
 // into those the body preserves by construction (stable) and those Houdini
-// must check (unstable).
-func entryCandidates(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt) (stable, unstable []lang.BoolExpr) {
+// must check (unstable). check decides entry validity under ctx for the
+// candidates entryEval leaves open.
+func entryCandidates(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, check func(lang.BoolExpr) bool) (stable, unstable []lang.BoolExpr) {
 	vars := relevantVars(ctx, guard, body, maxVars)
 	guardVars := map[string]bool{}
 	collectBoolVars(guard, guardVars)
@@ -92,7 +114,7 @@ func entryCandidates(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt) (sta
 			live = append(live, cand)
 		case evalFalse:
 		default:
-			if ctx.EntailsBool(cand) {
+			if check(cand) {
 				live = append(live, cand)
 			}
 		}
