@@ -470,7 +470,7 @@ func TestMergeAggsKeepsUpdateGuardsFlat(t *testing.T) {
 			walk(x.L)
 			walk(x.R)
 		case lang.Cond:
-			if boolReadsAcc(x.Test, isAcc) && len(lang.Flatten(x.Then))+len(lang.Flatten(x.Else)) > 1 {
+			if readsAcc(x.Test, isAcc) && len(lang.Flatten(x.Then))+len(lang.Flatten(x.Else)) > 1 {
 				t.Fatalf("update guard carries other members' statements:\n%s", lang.FormatStmt(x))
 			}
 			walk(x.Then)

@@ -111,14 +111,6 @@ func classifyFold(body lang.Stmt, accs []string) ([]HomOp, bool) {
 		isAcc[a] = true
 	}
 	ops := map[string]HomOp{}
-	readsAcc := func(e lang.IntExpr) bool {
-		for v := range lang.UsedVars(lang.Assign{Var: "$", E: e}) {
-			if isAcc[v] {
-				return true
-			}
-		}
-		return false
-	}
 	record := func(a string, op HomOp) bool {
 		if prev, ok := ops[a]; ok && prev != op {
 			return false
@@ -137,7 +129,7 @@ func classifyFold(body lang.Stmt, accs []string) ([]HomOp, bool) {
 			if !isAcc[t.Var] {
 				// Locals must not smuggle accumulator state into later
 				// updates.
-				return !readsAcc(t.E)
+				return !readsAcc(t.E, isAcc)
 			}
 			b, ok := t.E.(lang.BinInt)
 			if !ok || b.Op != lang.Add {
@@ -151,7 +143,7 @@ func classifyFold(body lang.Stmt, accs []string) ([]HomOp, bool) {
 			} else {
 				return false
 			}
-			return !readsAcc(e) && record(t.Var, HomSum)
+			return !readsAcc(e, isAcc) && record(t.Var, HomSum)
 		case lang.Cond:
 			cmp, ok := t.Test.(lang.Cmp)
 			accTest := ok && func() bool {
@@ -163,7 +155,7 @@ func classifyFold(body lang.Stmt, accs []string) ([]HomOp, bool) {
 			}()
 			if !accTest {
 				// Ordinary guard: must be accumulator-free, branches recurse.
-				if boolReadsAcc(t.Test, isAcc) {
+				if readsAcc(t.Test, isAcc) {
 					return false
 				}
 				return walk(t.Then) && walk(t.Else)
@@ -190,23 +182,21 @@ func classifyFold(body lang.Stmt, accs []string) ([]HomOp, bool) {
 			default:
 				a, op, e = cmp.R.(lang.Var).Name, HomMin, cmp.L // if (e < a) { a := e }
 			}
-			if readsAcc(e) {
+			if readsAcc(e, isAcc) {
 				return false
 			}
-			if countAssignsTo(t.Else, a) != 0 {
+			if lang.AssignedVars(t.Else)[a] {
 				return false
 			}
 			// Exactly one update of a in Then, at top level, writing the
 			// comparand (or none at all: a redundant guard Ω may leave).
-			nA := countAssignsTo(t.Then, a)
-			if nA > 1 {
-				return false
-			}
+			// The rest of Then must equal Else, which does not assign a,
+			// so no update can hide under another guard.
 			rest := make([]lang.Stmt, 0, 4)
 			found := false
 			for _, s2 := range lang.Flatten(t.Then) {
 				if asg, ok := s2.(lang.Assign); ok && asg.Var == a {
-					if !lang.EqualInt(asg.E, e) {
+					if found || !lang.EqualInt(asg.E, e) {
 						return false
 					}
 					found = true
@@ -214,16 +204,14 @@ func classifyFold(body lang.Stmt, accs []string) ([]HomOp, bool) {
 				}
 				rest = append(rest, s2)
 			}
-			if nA == 1 && !found {
-				return false // the one update is nested under another guard
-			}
-			if !lang.EqualStmt(lang.SeqOf(rest...), lang.SeqOf(lang.Flatten(t.Else)...)) {
+			remainder := lang.SeqOf(rest...)
+			if !lang.EqualStmt(remainder, lang.SeqOf(lang.Flatten(t.Else)...)) {
 				return false
 			}
 			if found && !record(a, op) {
 				return false
 			}
-			return walk(lang.SeqOf(rest...))
+			return walk(remainder)
 		default: // While
 			return false
 		}
@@ -242,32 +230,14 @@ func classifyFold(body lang.Stmt, accs []string) ([]HomOp, bool) {
 	return out, true
 }
 
-// countAssignsTo counts assignments to v anywhere in s, however nested.
-func countAssignsTo(s lang.Stmt, v string) int {
-	switch t := s.(type) {
-	case lang.Assign:
-		if t.Var == v {
-			return 1
-		}
-	case lang.Seq:
-		return countAssignsTo(t.L, v) + countAssignsTo(t.R, v)
-	case lang.Cond:
-		return countAssignsTo(t.Then, v) + countAssignsTo(t.Else, v)
-	case lang.While:
-		return countAssignsTo(t.Body, v)
-	}
-	return 0
-}
-
 func isAccVar(e lang.IntExpr, isAcc map[string]bool) bool {
 	v, ok := e.(lang.Var)
 	return ok && isAcc[v.Name]
 }
 
-func boolReadsAcc(e lang.BoolExpr, isAcc map[string]bool) bool {
-	vars := map[string]bool{}
-	collectBoolVars(e, vars)
-	for v := range vars {
+// readsAcc reports whether n reads an accumulator.
+func readsAcc(n lang.Node, isAcc map[string]bool) bool {
+	for v := range lang.UsedVars(n) {
 		if isAcc[v] {
 			return true
 		}

@@ -388,46 +388,46 @@ func (co *Consolidator) conditional(ctx *sym.Context, h lang.Cond, s1, s2 *[]lan
 	cont := (*s1)[1:]
 	rest := *s2
 
-	// dupCost is the number of nodes an embedding would duplicate (the
-	// second copy of rest plus, for If 3, the second copy of cont).
-	dupCost := func(extra []lang.Stmt) int {
+	size := func(ss []lang.Stmt) int {
 		n := 0
-		for _, s := range rest {
-			n += lang.Size(s)
-		}
-		for _, s := range extra {
+		for _, s := range ss {
 			n += lang.Size(s)
 		}
 		return n
-	}
-	withinBudget := func(extra []lang.Stmt) bool {
-		return dupCost(extra) <= co.embedBudget
 	}
 
 	// A test over fold accumulator state (a max/min update guard) relates
 	// to nothing: the accumulators are renamed apart and enter as free
 	// parameters, so the test tells the rest nothing about what it reads,
 	// and embedding the rest under it would only duplicate code.
-	if len(rest) > 0 && (co.accs == nil || !boolReadsAcc(h.Test, co.accs)) &&
-		related(co.feats.featuresOfBoolCtx(ctx, h.Test), co.feats.featuresOfStmts(rest)) {
-		if related(co.feats.featuresOfStmts(cont), co.feats.featuresOfStmts(rest)) && withinBudget(cont) {
-			// If 3: embed both the remainder C and the second program P in
-			// the branches; everything is consumed.
-			co.stats.If3++
-			co.embedBudget -= dupCost(cont)
-			thenCtx := ctx.Clone()
-			thenCtx.AssumeBool(h.Test)
-			thenB := co.omega(thenCtx, append(lang.Flatten(h.Then), cont...), rest)
-			elseCtx := ctx.Clone()
-			elseCtx.AssumeBool(lang.Not{E: h.Test})
-			elseB := co.omega(elseCtx, append(lang.Flatten(h.Else), cont...), rest)
-			*s1, *s2 = nil, nil
-			return []lang.Stmt{condOrCollapse(eb, thenB, elseB)}
+	var restFeats featureSet
+	if len(rest) > 0 && (co.accs == nil || !readsAcc(h.Test, co.accs)) {
+		restFeats = co.feats.featuresOfStmts(rest)
+	}
+	if restFeats != nil && related(co.feats.featuresOfBoolCtx(ctx, h.Test), restFeats) {
+		// An embedding duplicates the second copy of rest and, for If 3,
+		// the second copy of cont; the sum must fit the budget.
+		restSize := size(rest)
+		if related(co.feats.featuresOfStmts(cont), restFeats) {
+			if dup := restSize + size(cont); dup <= co.embedBudget {
+				// If 3: embed both the remainder C and the second program P
+				// in the branches; everything is consumed.
+				co.stats.If3++
+				co.embedBudget -= dup
+				thenCtx := ctx.Clone()
+				thenCtx.AssumeBool(h.Test)
+				thenB := co.omega(thenCtx, append(lang.Flatten(h.Then), cont...), rest)
+				elseCtx := ctx.Clone()
+				elseCtx.AssumeBool(lang.Not{E: h.Test})
+				elseB := co.omega(elseCtx, append(lang.Flatten(h.Else), cont...), rest)
+				*s1, *s2 = nil, nil
+				return []lang.Stmt{condOrCollapse(eb, thenB, elseB)}
+			}
 		}
-		if withinBudget(nil) {
+		if restSize <= co.embedBudget {
 			// If 4: embed only P; C follows the conditional.
 			co.stats.If4++
-			co.embedBudget -= dupCost(nil)
+			co.embedBudget -= restSize
 			thenCtx := ctx.Clone()
 			thenCtx.AssumeBool(h.Test)
 			thenB := co.omega(thenCtx, lang.Flatten(h.Then), rest)
@@ -657,55 +657,25 @@ func (t *featTab) callFeature(c lang.Call) feature {
 	return t.keyFeat()
 }
 
-func (t *featTab) addIntFeatures(e lang.IntExpr, fs featureSet) {
-	switch x := e.(type) {
-	case lang.Var:
-		fs[t.varFeat(x.Name)] = true
-	case lang.Call:
-		fs[t.callFeature(x)] = true
-		for _, a := range x.Args {
-			t.addIntFeatures(a, fs)
+// addFeatures adds n's features to fs: a var feature per variable read, a
+// def feature per variable assigned, and a call feature per call.
+func (t *featTab) addFeatures(n lang.Node, fs featureSet) {
+	lang.Inspect(n, func(x lang.Node) bool {
+		switch x := x.(type) {
+		case lang.Var:
+			fs[t.varFeat(x.Name)] = true
+		case lang.Call:
+			fs[t.callFeature(x)] = true
+		case lang.Assign:
+			fs[t.defFeat(x.Var)] = true
 		}
-	case lang.BinInt:
-		t.addIntFeatures(x.L, fs)
-		t.addIntFeatures(x.R, fs)
-	}
-}
-
-func (t *featTab) addBoolFeatures(e lang.BoolExpr, fs featureSet) {
-	switch x := e.(type) {
-	case lang.Cmp:
-		t.addIntFeatures(x.L, fs)
-		t.addIntFeatures(x.R, fs)
-	case lang.Not:
-		t.addBoolFeatures(x.E, fs)
-	case lang.BinBool:
-		t.addBoolFeatures(x.L, fs)
-		t.addBoolFeatures(x.R, fs)
-	}
-}
-
-func (t *featTab) addStmtFeatures(s lang.Stmt, fs featureSet) {
-	switch x := s.(type) {
-	case lang.Assign:
-		t.addIntFeatures(x.E, fs)
-		fs[t.defFeat(x.Var)] = true
-	case lang.Seq:
-		t.addStmtFeatures(x.L, fs)
-		t.addStmtFeatures(x.R, fs)
-	case lang.Cond:
-		t.addBoolFeatures(x.Test, fs)
-		t.addStmtFeatures(x.Then, fs)
-		t.addStmtFeatures(x.Else, fs)
-	case lang.While:
-		t.addBoolFeatures(x.Test, fs)
-		t.addStmtFeatures(x.Body, fs)
-	}
+		return true
+	})
 }
 
 func (t *featTab) featuresOfBool(e lang.BoolExpr) featureSet {
 	fs := featureSet{}
-	t.addBoolFeatures(e, fs)
+	t.addFeatures(e, fs)
 	return fs
 }
 
@@ -782,7 +752,7 @@ func stripVersion(name string) string {
 func (t *featTab) featuresOfStmts(ss []lang.Stmt) featureSet {
 	fs := featureSet{}
 	for _, s := range ss {
-		t.addStmtFeatures(s, fs)
+		t.addFeatures(s, fs)
 	}
 	return fs
 }
@@ -804,31 +774,4 @@ func related(a, b featureSet) bool {
 		}
 	}
 	return false
-}
-
-func collectBoolVars(e lang.BoolExpr, out map[string]bool) {
-	switch t := e.(type) {
-	case lang.Cmp:
-		collectIntVars(t.L, out)
-		collectIntVars(t.R, out)
-	case lang.Not:
-		collectBoolVars(t.E, out)
-	case lang.BinBool:
-		collectBoolVars(t.L, out)
-		collectBoolVars(t.R, out)
-	}
-}
-
-func collectIntVars(e lang.IntExpr, out map[string]bool) {
-	switch t := e.(type) {
-	case lang.Var:
-		out[t.Name] = true
-	case lang.Call:
-		for _, a := range t.Args {
-			collectIntVars(a, out)
-		}
-	case lang.BinInt:
-		collectIntVars(t.L, out)
-		collectIntVars(t.R, out)
-	}
 }

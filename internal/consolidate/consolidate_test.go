@@ -296,8 +296,8 @@ func TestAllParallelMatchesSerial(t *testing.T) {
 
 func TestFoldInt(t *testing.T) {
 	e := lang.MustParseStmt("z := (x - 1) - 1;").(lang.Assign).E
-	if got := FoldInt(e).String(); got != "(x - 2)" {
-		t.Errorf("FoldInt((x-1)-1) = %s", got)
+	if got := foldInt(e).String(); got != "(x - 2)" {
+		t.Errorf("foldInt((x-1)-1) = %s", got)
 	}
 	cases := map[string]string{
 		"z := x + 0;":       "x",
@@ -311,8 +311,8 @@ func TestFoldInt(t *testing.T) {
 	}
 	for src, want := range cases {
 		e := lang.MustParseStmt(src).(lang.Assign).E
-		if got := FoldInt(e).String(); got != want {
-			t.Errorf("FoldInt(%s) = %s, want %s", src, got, want)
+		if got := foldInt(e).String(); got != want {
+			t.Errorf("foldInt(%s) = %s, want %s", src, got, want)
 		}
 	}
 }
@@ -321,19 +321,19 @@ func TestFoldBool(t *testing.T) {
 	tr := lang.BoolConst{Value: true}
 	fa := lang.BoolConst{Value: false}
 	x := lang.Cmp{Op: lang.Lt, L: lang.Var{Name: "x"}, R: lang.IntConst{Value: 1}}
-	if FoldBool(lang.BinBool{Op: lang.And, L: tr, R: x}).String() != x.String() {
+	if foldBool(lang.BinBool{Op: lang.And, L: tr, R: x}).String() != x.String() {
 		t.Error("true ∧ x should fold to x")
 	}
-	if FoldBool(lang.BinBool{Op: lang.And, L: x, R: fa}).String() != fa.String() {
+	if foldBool(lang.BinBool{Op: lang.And, L: x, R: fa}).String() != fa.String() {
 		t.Error("x ∧ false should fold to false")
 	}
-	if FoldBool(lang.BinBool{Op: lang.Or, L: x, R: tr}).String() != tr.String() {
+	if foldBool(lang.BinBool{Op: lang.Or, L: x, R: tr}).String() != tr.String() {
 		t.Error("x ∨ true should fold to true")
 	}
-	if FoldBool(lang.Not{E: fa}).String() != tr.String() {
+	if foldBool(lang.Not{E: fa}).String() != tr.String() {
 		t.Error("¬false should fold to true")
 	}
-	if FoldBool(lang.Not{E: lang.Not{E: x}}).String() != x.String() {
+	if foldBool(lang.Not{E: lang.Not{E: x}}).String() != x.String() {
 		t.Error("¬¬x should fold to x")
 	}
 }

@@ -51,7 +51,7 @@ func dce(s lang.Stmt, liveOut map[string]bool) (lang.Stmt, map[string]bool, bool
 		}
 		liveIn := cloneSet(liveOut)
 		delete(liveIn, t.Var)
-		addIntReads(t.E, liveIn)
+		lang.AddUsedVars(t.E, liveIn)
 		return s, liveIn, false
 
 	case lang.Seq:
@@ -63,7 +63,7 @@ func dce(s lang.Stmt, liveOut map[string]bool) (lang.Stmt, map[string]bool, bool
 		th, inT, c1 := dce(t.Then, liveOut)
 		el, inE, c2 := dce(t.Else, liveOut)
 		in := unionSets(inT, inE)
-		addBoolReads(t.Test, in)
+		lang.AddUsedVars(t.Test, in)
 		return lang.Cond{Test: t.Test, Then: th, Else: el}, in, c1 || c2
 
 	case lang.While:
@@ -71,11 +71,11 @@ func dce(s lang.Stmt, liveOut map[string]bool) (lang.Stmt, map[string]bool, bool
 		// live after it, read by the guard, or read by the body under the
 		// loop's own live set.
 		live := cloneSet(liveOut)
-		addBoolReads(t.Test, live)
+		lang.AddUsedVars(t.Test, live)
 		for {
 			_, bodyIn, _ := dce(t.Body, live)
 			merged := unionSets(live, bodyIn)
-			addBoolReads(t.Test, merged)
+			lang.AddUsedVars(t.Test, merged)
 			if equalSets(merged, live) {
 				break
 			}
@@ -113,33 +113,6 @@ func equalSets(a, b map[string]bool) bool {
 		}
 	}
 	return true
-}
-
-func addIntReads(e lang.IntExpr, live map[string]bool) {
-	switch t := e.(type) {
-	case lang.Var:
-		live[t.Name] = true
-	case lang.Call:
-		for _, a := range t.Args {
-			addIntReads(a, live)
-		}
-	case lang.BinInt:
-		addIntReads(t.L, live)
-		addIntReads(t.R, live)
-	}
-}
-
-func addBoolReads(e lang.BoolExpr, live map[string]bool) {
-	switch t := e.(type) {
-	case lang.Cmp:
-		addIntReads(t.L, live)
-		addIntReads(t.R, live)
-	case lang.Not:
-		addBoolReads(t.E, live)
-	case lang.BinBool:
-		addBoolReads(t.L, live)
-		addBoolReads(t.R, live)
-	}
 }
 
 // PropagateCopies rewrites reads of x to y wherever x := y is the reaching
@@ -180,7 +153,7 @@ func copyProp(s lang.Stmt, env map[string]string) (lang.Stmt, map[string]string)
 		th, _ := copyProp(t.Then, thenEnv)
 		elseEnv := cloneCopies(env)
 		el, _ := copyProp(t.Else, elseEnv)
-		for v := range lang.AssignedVars(lang.Cond{Test: t.Test, Then: t.Then, Else: t.Else}) {
+		for v := range lang.AssignedVars(t) {
 			invalidateCopies(env, v)
 		}
 		return lang.Cond{Test: test, Then: th, Else: el}, env

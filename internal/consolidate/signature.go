@@ -46,7 +46,7 @@ type Signature struct {
 func FeatureSignature(p *lang.Program) Signature {
 	c := &sigCollector{seen: map[uint64]bool{}}
 	if p != nil {
-		c.stmt(p.Body)
+		lang.Inspect(p.Body, c.visit)
 		if !c.hasCall {
 			// No calls anywhere: the variable features are the only
 			// signal, as in featureSet's call-free fallback.
@@ -132,6 +132,20 @@ type sigCollector struct {
 
 func (c *sigCollector) add(h uint64) { c.seen[h] = true }
 
+// visit is the Inspect callback: calls are hashed at once, variable reads
+// and definitions are held back for the call-free fallback.
+func (c *sigCollector) visit(n lang.Node) bool {
+	switch x := n.(type) {
+	case lang.Var:
+		c.varFeats = append(c.varFeats, c.varFeature("var:", x.Name))
+	case lang.Call:
+		c.call(x)
+	case lang.Assign:
+		c.varFeats = append(c.varFeats, c.varFeature("def:", x.Var))
+	}
+	return true
+}
+
 func (c *sigCollector) hashBuf() uint64 {
 	h := fnv.New64a()
 	h.Write(c.buf) //nolint:errcheck // fnv never fails
@@ -192,50 +206,4 @@ func appendInt(buf []byte, v int64) []byte {
 		}
 	}
 	return append(buf, tmp[i:]...)
-}
-
-func (c *sigCollector) intExpr(e lang.IntExpr) {
-	switch x := e.(type) {
-	case lang.Var:
-		c.varFeats = append(c.varFeats, c.varFeature("var:", x.Name))
-	case lang.Call:
-		c.call(x)
-		for _, a := range x.Args {
-			c.intExpr(a)
-		}
-	case lang.BinInt:
-		c.intExpr(x.L)
-		c.intExpr(x.R)
-	}
-}
-
-func (c *sigCollector) boolExpr(e lang.BoolExpr) {
-	switch x := e.(type) {
-	case lang.Cmp:
-		c.intExpr(x.L)
-		c.intExpr(x.R)
-	case lang.Not:
-		c.boolExpr(x.E)
-	case lang.BinBool:
-		c.boolExpr(x.L)
-		c.boolExpr(x.R)
-	}
-}
-
-func (c *sigCollector) stmt(s lang.Stmt) {
-	switch x := s.(type) {
-	case lang.Assign:
-		c.intExpr(x.E)
-		c.varFeats = append(c.varFeats, c.varFeature("def:", x.Var))
-	case lang.Seq:
-		c.stmt(x.L)
-		c.stmt(x.R)
-	case lang.Cond:
-		c.boolExpr(x.Test)
-		c.stmt(x.Then)
-		c.stmt(x.Else)
-	case lang.While:
-		c.boolExpr(x.Test)
-		c.stmt(x.Body)
-	}
 }

@@ -48,9 +48,9 @@ func (s *Simplifier) SimplifyBool(ctx *sym.Context, e lang.BoolExpr) lang.BoolEx
 	case lang.Cmp:
 		return lang.Cmp{Op: t.Op, L: s.SimplifyInt(ctx, t.L), R: s.SimplifyInt(ctx, t.R)}
 	case lang.Not:
-		return FoldBool(lang.Not{E: s.SimplifyBool(ctx, t.E)})
+		return foldBool(lang.Not{E: s.SimplifyBool(ctx, t.E)})
 	case lang.BinBool:
-		return FoldBool(lang.BinBool{Op: t.Op, L: s.SimplifyBool(ctx, t.L), R: s.SimplifyBool(ctx, t.R)})
+		return foldBool(lang.BinBool{Op: t.Op, L: s.SimplifyBool(ctx, t.L), R: s.SimplifyBool(ctx, t.R)})
 	}
 	return e
 }
@@ -63,7 +63,7 @@ func (s *Simplifier) SimplifyBool(ctx *sym.Context, e lang.BoolExpr) lang.BoolEx
 func (s *Simplifier) SimplifyInt(ctx *sym.Context, e lang.IntExpr) lang.IntExpr {
 	orig := s.CM.StaticIntCost(e, s.FC)
 	best := s.simplifyInt(ctx, e)
-	best = FoldInt(best)
+	best = foldInt(best)
 	if s.CM.StaticIntCost(best, s.FC) <= orig {
 		return best
 	}
@@ -161,22 +161,22 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// FoldInt performs constant folding and additive-chain normalisation on an
+// foldInt performs constant folding and additive-chain normalisation on an
 // integer expression: (v - 1) - 1 becomes v - 2, e + 0 becomes e, and so
 // on. Folding never increases static cost.
-func FoldInt(e lang.IntExpr) lang.IntExpr {
+func foldInt(e lang.IntExpr) lang.IntExpr {
 	switch t := e.(type) {
 	case lang.IntConst, lang.Var:
 		return e
 	case lang.Call:
 		args := make([]lang.IntExpr, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = FoldInt(a)
+			args[i] = foldInt(a)
 		}
 		return lang.Call{Func: t.Func, Args: args}
 	case lang.BinInt:
-		l := FoldInt(t.L)
-		r := FoldInt(t.R)
+		l := foldInt(t.L)
+		r := foldInt(t.R)
 		lc, lok := l.(lang.IntConst)
 		rc, rok := r.(lang.IntConst)
 		if lok && rok {
@@ -255,9 +255,9 @@ func rebuildAdd(base lang.IntExpr, c int64) lang.IntExpr {
 	}
 }
 
-// FoldBool is the paper's fold operation on boolean expressions:
+// foldBool is the paper's fold operation on boolean expressions:
 // fold(e ∧ ⊤) = e, fold(⊥ ∧ e) = ⊥, fold(¬⊤) = ⊥, and duals.
-func FoldBool(e lang.BoolExpr) lang.BoolExpr {
+func foldBool(e lang.BoolExpr) lang.BoolExpr {
 	switch t := e.(type) {
 	case lang.Not:
 		if c, ok := t.E.(lang.BoolConst); ok {

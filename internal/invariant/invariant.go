@@ -22,6 +22,7 @@ package invariant
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"consolidation/internal/lang"
@@ -98,18 +99,20 @@ func (r *refuter) entails(cand lang.BoolExpr) bool {
 // must check (unstable). check decides entry validity under ctx for the
 // candidates entryEval leaves open.
 func entryCandidates(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, check func(lang.BoolExpr) bool) (stable, unstable []lang.BoolExpr) {
-	vars := relevantVars(ctx, guard, body, maxVars)
-	guardVars := map[string]bool{}
-	collectBoolVars(guard, guardVars)
-	consts := mineConsts(guard)
-	cands := candidates(ctx, vars, guardVars, consts)
+	guardVars := lang.UsedVars(guard)
+	vars := relevantVars(ctx, guardVars, body, maxVars)
+	cands := candidates(ctx, vars, guardVars, mineConsts(guard))
+	entry := make(map[string]logic.Term, len(vars))
+	for _, v := range vars {
+		entry[v], _ = entryVar(ctx, v)
+	}
 
 	// Keep candidates valid at entry. Most candidates are decided without
 	// the solver: when the operands' definitions reduce to comparable
 	// linear forms, entry validity is evaluated symbolically.
 	var live []lang.BoolExpr
 	for _, cand := range cands {
-		switch entryEval(ctx, cand) {
+		switch entryEval(entry, cand) {
 		case evalTrue:
 			live = append(live, cand)
 		case evalFalse:
@@ -272,9 +275,7 @@ func preservedByDeltas(cand lang.BoolExpr, deltas map[string]delta) bool {
 // definition at loop entry. Variables first assigned inside the loop
 // (temporaries) are excluded — no fact about them can hold at entry, so
 // every candidate involving them is a wasted solver query.
-func relevantVars(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, maxVars int) []string {
-	inGuard := map[string]bool{}
-	collectBoolVars(guard, inGuard)
+func relevantVars(ctx *sym.Context, inGuard map[string]bool, body lang.Stmt, maxVars int) []string {
 	assigned := lang.AssignedVars(body)
 	var vs []string
 	var rest []string
@@ -300,66 +301,17 @@ func relevantVars(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, maxVars
 	return vs
 }
 
-func collectBoolVars(e lang.BoolExpr, out map[string]bool) {
-	switch t := e.(type) {
-	case lang.Cmp:
-		collectIntVars(t.L, out)
-		collectIntVars(t.R, out)
-	case lang.Not:
-		collectBoolVars(t.E, out)
-	case lang.BinBool:
-		collectBoolVars(t.L, out)
-		collectBoolVars(t.R, out)
-	}
-}
-
-func collectIntVars(e lang.IntExpr, out map[string]bool) {
-	switch t := e.(type) {
-	case lang.Var:
-		out[t.Name] = true
-	case lang.Call:
-		for _, a := range t.Args {
-			collectIntVars(a, out)
-		}
-	case lang.BinInt:
-		collectIntVars(t.L, out)
-		collectIntVars(t.R, out)
-	}
-}
-
 // mineConsts collects integer literals from the guard — the loop bounds —
 // plus 0 and 1. Body constants are deliberately excluded: bound candidates
 // against them almost never matter for fusion but flood the solver.
 func mineConsts(guard lang.BoolExpr) []int64 {
 	set := map[int64]bool{0: true, 1: true}
-	var walkI func(lang.IntExpr)
-	walkI = func(e lang.IntExpr) {
-		switch t := e.(type) {
-		case lang.IntConst:
-			set[t.Value] = true
-		case lang.Call:
-			for _, a := range t.Args {
-				walkI(a)
-			}
-		case lang.BinInt:
-			walkI(t.L)
-			walkI(t.R)
+	lang.Inspect(guard, func(n lang.Node) bool {
+		if c, ok := n.(lang.IntConst); ok {
+			set[c.Value] = true
 		}
-	}
-	var walkB func(lang.BoolExpr)
-	walkB = func(e lang.BoolExpr) {
-		switch t := e.(type) {
-		case lang.Cmp:
-			walkI(t.L)
-			walkI(t.R)
-		case lang.Not:
-			walkB(t.E)
-		case lang.BinBool:
-			walkB(t.L)
-			walkB(t.R)
-		}
-	}
-	walkB(guard)
+		return true
+	})
 	out := make([]int64, 0, len(set))
 	for c := range set {
 		out = append(out, c)
@@ -421,7 +373,8 @@ func candidates(ctx *sym.Context, vars []string, guardVars map[string]bool, cons
 }
 
 // entryEval decides a candidate at loop entry symbolically when possible:
-// both comparison operands must reduce (through the definition index) to
+// both comparison operands, with each variable replaced by its entry term
+// (entry maps every variable cand reads to its entryVar), must reduce to
 // linear forms whose difference is constant. Definitions are equalities in
 // Ψ, so a symbolic verdict coincides with entailment.
 type entryVerdict int
@@ -432,27 +385,17 @@ const (
 	evalFalse
 )
 
-func entryEval(ctx *sym.Context, cand lang.BoolExpr) entryVerdict {
+func entryEval(entry map[string]logic.Term, cand lang.BoolExpr) entryVerdict {
 	cmp, ok := cand.(lang.Cmp)
 	if !ok {
 		return evalUnknown
 	}
-	lf, okl := exprEntryForm(ctx, cmp.L)
-	rf, okr := exprEntryForm(ctx, cmp.R)
-	if !okl || !okr {
+	// d = L - R must be constant to decide. Calls stay applications, on
+	// which linearForm fails.
+	d, ok := constDiff(logic.FromIntExpr(cmp.L, entry), logic.FromIntExpr(cmp.R, entry))
+	if !ok {
 		return evalUnknown
 	}
-	// diff = L - R must be constant to decide.
-	for base, co := range rf.coef {
-		lf.coef[base] -= co
-		if lf.coef[base] == 0 {
-			delete(lf.coef, base)
-		}
-	}
-	if len(lf.coef) != 0 {
-		return evalUnknown
-	}
-	d := lf.c - rf.c
 	var holds bool
 	switch cmp.Op {
 	case lang.Lt:
@@ -468,88 +411,35 @@ func entryEval(ctx *sym.Context, cand lang.BoolExpr) entryVerdict {
 	return evalFalse
 }
 
-// exprEntryForm reduces a source expression at loop entry to a linear form,
-// resolving variables through their current definitions one level deep.
-func exprEntryForm(ctx *sym.Context, e lang.IntExpr) (linForm, bool) {
-	switch t := e.(type) {
-	case lang.IntConst:
-		return linForm{coef: map[string]int64{}, c: t.Value}, true
-	case lang.Var:
-		if def, ok := ctx.CurDef(t.Name); ok {
-			return linearForm(def)
-		}
-		return linForm{coef: map[string]int64{ctx.CurName(t.Name): 1}}, true
-	case lang.BinInt:
-		l, okl := exprEntryForm(ctx, t.L)
-		r, okr := exprEntryForm(ctx, t.R)
-		if !okl || !okr {
-			return linForm{}, false
-		}
-		switch t.Op {
-		case lang.Add, lang.Sub:
-			sign := int64(1)
-			if t.Op == lang.Sub {
-				sign = -1
-			}
-			out := linForm{coef: map[string]int64{}, c: l.c + sign*r.c}
-			for k, v := range l.coef {
-				out.coef[k] += v
-			}
-			for k, v := range r.coef {
-				out.coef[k] += sign * v
-				if out.coef[k] == 0 {
-					delete(out.coef, k)
-				}
-			}
-			return out, true
-		case lang.Mul:
-			if len(l.coef) == 0 {
-				out := linForm{coef: map[string]int64{}, c: l.c * r.c}
-				for k, v := range r.coef {
-					if l.c*v != 0 {
-						out.coef[k] = l.c * v
-					}
-				}
-				return out, true
-			}
-			if len(r.coef) == 0 {
-				return exprEntryForm(ctx, lang.BinInt{Op: lang.Mul, L: t.R, R: t.L})
-			}
-		}
-		return linForm{}, false
+// entryVar is x at loop entry: its current definition when it has one
+// (reported by the second result), its current SSA name otherwise.
+func entryVar(ctx *sym.Context, x string) (logic.Term, bool) {
+	if def, ok := ctx.CurDef(x); ok {
+		return def, true
 	}
-	return linForm{}, false
+	return ctx.CurTerm(x), false
 }
 
 // entryDiff computes x - y at loop entry symbolically from the recorded
 // definitions, when both reduce to linear terms over the same variables.
 func entryDiff(ctx *sym.Context, x, y string) (int64, bool) {
-	tx, okx := ctx.CurDef(x)
-	if !okx {
-		tx = ctx.CurTerm(x)
-	}
-	ty, oky := ctx.CurDef(y)
-	if !oky {
-		ty = ctx.CurTerm(y)
-	}
+	tx, okx := entryVar(ctx, x)
+	ty, oky := entryVar(ctx, y)
 	if !okx && !oky {
 		return 0, false
 	}
-	cx, kx := linearForm(tx)
-	cy, ky := linearForm(ty)
-	if !kx || !ky {
+	return constDiff(tx, ty)
+}
+
+// constDiff returns a - b when the linear forms of a and b differ by a
+// constant.
+func constDiff(a, b logic.Term) (int64, bool) {
+	fa, oka := linearForm(a)
+	fb, okb := linearForm(b)
+	if !oka || !okb || !maps.Equal(fa.coef, fb.coef) {
 		return 0, false
 	}
-	for base, co := range cy.coef {
-		cx.coef[base] -= co
-		if cx.coef[base] == 0 {
-			delete(cx.coef, base)
-		}
-	}
-	if len(cx.coef) != 0 {
-		return 0, false
-	}
-	return cx.c - cy.c, true
+	return fa.c - fb.c, true
 }
 
 type linForm struct {

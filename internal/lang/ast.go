@@ -80,16 +80,23 @@ func (op BoolOp) String() string {
 	return fmt.Sprintf("BoolOp(%d)", int(op))
 }
 
+// Node is any node of the syntax tree: every IntExpr, BoolExpr and Stmt is
+// one. Inspect walks it.
+type Node interface {
+	node()
+	String() string
+}
+
 // IntExpr is an integer expression (IE in Figure 1).
 type IntExpr interface {
+	Node
 	isIntExpr()
-	String() string
 }
 
 // BoolExpr is a boolean expression (BE in Figure 1).
 type BoolExpr interface {
+	Node
 	isBoolExpr()
-	String() string
 }
 
 // IntConst is an integer literal.
@@ -116,6 +123,11 @@ func (IntConst) isIntExpr() {}
 func (Var) isIntExpr()      {}
 func (Call) isIntExpr()     {}
 func (BinInt) isIntExpr()   {}
+
+func (IntConst) node() {}
+func (Var) node()      {}
+func (Call) node()     {}
+func (BinInt) node()   {}
 
 func (e IntConst) String() string { return fmt.Sprintf("%d", e.Value) }
 func (e Var) String() string      { return e.Name }
@@ -155,6 +167,11 @@ func (Cmp) isBoolExpr()       {}
 func (Not) isBoolExpr()       {}
 func (BinBool) isBoolExpr()   {}
 
+func (BoolConst) node() {}
+func (Cmp) node()       {}
+func (Not) node()       {}
+func (BinBool) node()   {}
+
 func (e BoolConst) String() string {
 	if e.Value {
 		return "true"
@@ -174,8 +191,8 @@ func (e BinBool) String() string {
 
 // Stmt is a statement (S in Figure 1).
 type Stmt interface {
+	Node
 	isStmt()
-	String() string
 }
 
 // Skip is the no-op statement.
@@ -216,6 +233,13 @@ func (Seq) isStmt()    {}
 func (Cond) isStmt()   {}
 func (While) isStmt()  {}
 func (Notify) isStmt() {}
+
+func (Skip) node()   {}
+func (Assign) node() {}
+func (Seq) node()    {}
+func (Cond) node()   {}
+func (While) node()  {}
+func (Notify) node() {}
 
 func (Skip) String() string { return "skip;" }
 
@@ -290,222 +314,133 @@ func Flatten(s Stmt) []Stmt {
 	return out
 }
 
-// Size reports the number of AST nodes in a statement, a rough measure of
-// consolidated-program growth.
-func Size(s Stmt) int {
-	switch t := s.(type) {
-	case Skip, Notify:
-		return 1
-	case Assign:
-		return 1 + sizeInt(t.E)
-	case Seq:
-		return Size(t.L) + Size(t.R)
-	case Cond:
-		return 1 + sizeBool(t.Test) + Size(t.Then) + Size(t.Else)
-	case While:
-		return 1 + sizeBool(t.Test) + Size(t.Body)
-	}
-	return 1
-}
-
-func sizeInt(e IntExpr) int {
-	switch t := e.(type) {
-	case IntConst, Var:
-		return 1
-	case Call:
-		n := 1
-		for _, a := range t.Args {
-			n += sizeInt(a)
+// Inspect walks the tree rooted at n in preorder: it calls f(n) and, while
+// f returns true, descends into n's children left to right, in field order.
+// It is the one place that knows which children each node kind has; every
+// read-only collector below is built on it. Nil children are skipped.
+func Inspect(n Node, f func(Node) bool) {
+	// The loop walks each node's last child in place of a recursive call,
+	// so a right-nested Seq chain costs one frame, not one per statement.
+	for n != nil && f(n) {
+		switch t := n.(type) {
+		case Assign:
+			n = t.E
+		case Seq:
+			Inspect(t.L, f)
+			n = t.R
+		case Cond:
+			Inspect(t.Test, f)
+			Inspect(t.Then, f)
+			n = t.Else
+		case While:
+			Inspect(t.Test, f)
+			n = t.Body
+		case Call:
+			for _, a := range t.Args {
+				Inspect(a, f)
+			}
+			return
+		case BinInt:
+			Inspect(t.L, f)
+			n = t.R
+		case Cmp:
+			Inspect(t.L, f)
+			n = t.R
+		case Not:
+			n = t.E
+		case BinBool:
+			Inspect(t.L, f)
+			n = t.R
+		default:
+			return
 		}
-		return n
-	case BinInt:
-		return 1 + sizeInt(t.L) + sizeInt(t.R)
 	}
-	return 1
 }
 
-func sizeBool(e BoolExpr) int {
-	switch t := e.(type) {
-	case BoolConst:
-		return 1
-	case Cmp:
-		return 1 + sizeInt(t.L) + sizeInt(t.R)
-	case Not:
-		return 1 + sizeBool(t.E)
-	case BinBool:
-		return 1 + sizeBool(t.L) + sizeBool(t.R)
-	}
-	return 1
+// isStmtNode reports whether n is a statement; collectors that only look
+// at statements return it from their Inspect callback to skip expressions.
+func isStmtNode(n Node) bool {
+	_, ok := n.(Stmt)
+	return ok
+}
+
+// Size reports the number of AST nodes in n, a rough measure of
+// consolidated-program growth. Seq nodes are glue and do not count.
+func Size(n Node) int {
+	k := 0
+	Inspect(n, func(x Node) bool {
+		if _, seq := x.(Seq); !seq {
+			k++
+		}
+		return true
+	})
+	return k
+}
+
+// CountNodes reports the number of nodes of type T in n: CountNodes[Call]
+// counts call sites, CountNodes[IntExpr] integer-expression nodes.
+func CountNodes[T Node](n Node) int {
+	k := 0
+	Inspect(n, func(x Node) bool {
+		if _, ok := x.(T); ok {
+			k++
+		}
+		return true
+	})
+	return k
 }
 
 // AssignedVars returns the set of variables assigned anywhere in s.
 func AssignedVars(s Stmt) map[string]bool {
 	out := map[string]bool{}
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		switch t := s.(type) {
-		case Assign:
-			out[t.Var] = true
-		case Seq:
-			walk(t.L)
-			walk(t.R)
-		case Cond:
-			walk(t.Then)
-			walk(t.Else)
-		case While:
-			walk(t.Body)
+	Inspect(s, func(n Node) bool {
+		if a, ok := n.(Assign); ok {
+			out[a.Var] = true
+			return false // its children are expressions
 		}
-	}
-	walk(s)
+		return isStmtNode(n)
+	})
 	return out
 }
 
-// UsedVars returns the set of variables read anywhere in s (in expressions).
-func UsedVars(s Stmt) map[string]bool {
+// UsedVars returns the set of variables read anywhere in n (in expressions).
+func UsedVars(n Node) map[string]bool {
 	out := map[string]bool{}
-	var walkI func(IntExpr)
-	var walkB func(BoolExpr)
-	walkI = func(e IntExpr) {
-		switch t := e.(type) {
-		case Var:
-			out[t.Name] = true
-		case Call:
-			for _, a := range t.Args {
-				walkI(a)
-			}
-		case BinInt:
-			walkI(t.L)
-			walkI(t.R)
-		}
-	}
-	walkB = func(e BoolExpr) {
-		switch t := e.(type) {
-		case Cmp:
-			walkI(t.L)
-			walkI(t.R)
-		case Not:
-			walkB(t.E)
-		case BinBool:
-			walkB(t.L)
-			walkB(t.R)
-		}
-	}
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		switch t := s.(type) {
-		case Assign:
-			walkI(t.E)
-		case Seq:
-			walk(t.L)
-			walk(t.R)
-		case Cond:
-			walkB(t.Test)
-			walk(t.Then)
-			walk(t.Else)
-		case While:
-			walkB(t.Test)
-			walk(t.Body)
-		}
-	}
-	walk(s)
+	AddUsedVars(n, out)
 	return out
+}
+
+// AddUsedVars adds the variables read anywhere in n to set.
+func AddUsedVars(n Node, set map[string]bool) {
+	Inspect(n, func(x Node) bool {
+		if v, ok := x.(Var); ok {
+			set[v.Name] = true
+		}
+		return true
+	})
 }
 
 // CalledFuncs returns the set of library functions invoked anywhere in s.
 func CalledFuncs(s Stmt) map[string]bool {
 	out := map[string]bool{}
-	var walkI func(IntExpr)
-	walkI = func(e IntExpr) {
-		switch t := e.(type) {
-		case Call:
-			out[t.Func] = true
-			for _, a := range t.Args {
-				walkI(a)
-			}
-		case BinInt:
-			walkI(t.L)
-			walkI(t.R)
+	Inspect(s, func(n Node) bool {
+		if c, ok := n.(Call); ok {
+			out[c.Func] = true
 		}
-	}
-	var walkB func(BoolExpr)
-	walkB = func(e BoolExpr) {
-		switch t := e.(type) {
-		case Cmp:
-			walkI(t.L)
-			walkI(t.R)
-		case Not:
-			walkB(t.E)
-		case BinBool:
-			walkB(t.L)
-			walkB(t.R)
-		}
-	}
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		switch t := s.(type) {
-		case Assign:
-			walkI(t.E)
-		case Seq:
-			walk(t.L)
-			walk(t.R)
-		case Cond:
-			walkB(t.Test)
-			walk(t.Then)
-			walk(t.Else)
-		case While:
-			walkB(t.Test)
-			walk(t.Body)
-		}
-	}
-	walk(s)
+		return true
+	})
 	return out
-}
-
-func collectCallsInt(e IntExpr, out map[string]bool) {
-	switch t := e.(type) {
-	case Call:
-		out[t.Func] = true
-		for _, a := range t.Args {
-			collectCallsInt(a, out)
-		}
-	case BinInt:
-		collectCallsInt(t.L, out)
-		collectCallsInt(t.R, out)
-	}
-}
-
-func collectCallsBool(e BoolExpr, out map[string]bool) {
-	switch t := e.(type) {
-	case Cmp:
-		collectCallsInt(t.L, out)
-		collectCallsInt(t.R, out)
-	case Not:
-		collectCallsBool(t.E, out)
-	case BinBool:
-		collectCallsBool(t.L, out)
-		collectCallsBool(t.R, out)
-	}
 }
 
 // NotifyIDs returns the set of notification identifiers appearing in s.
 func NotifyIDs(s Stmt) map[int]bool {
 	out := map[int]bool{}
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		switch t := s.(type) {
-		case Notify:
+	Inspect(s, func(n Node) bool {
+		if t, ok := n.(Notify); ok {
 			out[t.ID] = true
-		case Seq:
-			walk(t.L)
-			walk(t.R)
-		case Cond:
-			walk(t.Then)
-			walk(t.Else)
-		case While:
-			walk(t.Body)
 		}
-	}
-	walk(s)
+		return isStmtNode(n)
+	})
 	return out
 }
 
@@ -522,9 +457,9 @@ func RenameVars(s Stmt, f func(string) string) Stmt {
 	case Seq:
 		return Seq{L: RenameVars(t.L, f), R: RenameVars(t.R, f)}
 	case Cond:
-		return Cond{Test: RenameBoolVars(t.Test, f), Then: RenameVars(t.Then, f), Else: RenameVars(t.Else, f)}
+		return Cond{Test: renameBoolVars(t.Test, f), Then: RenameVars(t.Then, f), Else: RenameVars(t.Else, f)}
 	case While:
-		return While{Test: RenameBoolVars(t.Test, f), Body: RenameVars(t.Body, f)}
+		return While{Test: renameBoolVars(t.Test, f), Body: RenameVars(t.Body, f)}
 	}
 	return s
 }
@@ -548,17 +483,17 @@ func renameIntVars(e IntExpr, f func(string) string) IntExpr {
 	return e
 }
 
-// RenameBoolVars renames variable occurrences in a boolean expression.
-func RenameBoolVars(e BoolExpr, f func(string) string) BoolExpr {
+// renameBoolVars renames variable occurrences in a boolean expression.
+func renameBoolVars(e BoolExpr, f func(string) string) BoolExpr {
 	switch t := e.(type) {
 	case BoolConst:
 		return t
 	case Cmp:
 		return Cmp{Op: t.Op, L: renameIntVars(t.L, f), R: renameIntVars(t.R, f)}
 	case Not:
-		return Not{E: RenameBoolVars(t.E, f)}
+		return Not{E: renameBoolVars(t.E, f)}
 	case BinBool:
-		return BinBool{Op: t.Op, L: RenameBoolVars(t.L, f), R: RenameBoolVars(t.R, f)}
+		return BinBool{Op: t.Op, L: renameBoolVars(t.L, f), R: renameBoolVars(t.R, f)}
 	}
 	return e
 }

@@ -13,24 +13,16 @@ package lang
 // index accepted by ReplaceStmtNode.
 func CountStmtNodes(s Stmt) int {
 	n := 0
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		switch t := s.(type) {
+	Inspect(s, func(x Node) bool {
+		switch x.(type) {
 		case Seq:
-			walk(t.L)
-			walk(t.R)
-		case Cond:
+		case Stmt:
 			n++
-			walk(t.Then)
-			walk(t.Else)
-		case While:
-			n++
-			walk(t.Body)
 		default:
-			n++
+			return false // expressions hold no statements
 		}
-	}
-	walk(s)
+		return true
+	})
 	return n
 }
 
@@ -75,23 +67,7 @@ func ReplaceStmtNode(s Stmt, idx int, repl Stmt) Stmt {
 // every expression position in preorder — including the operands of
 // comparisons inside boolean expressions.
 func CountIntExprs(s Stmt) int {
-	n := 0
-	var wi func(IntExpr)
-	wi = func(e IntExpr) {
-		n++
-		switch t := e.(type) {
-		case Call:
-			for _, a := range t.Args {
-				wi(a)
-			}
-		case BinInt:
-			wi(t.L)
-			wi(t.R)
-		}
-	}
-	wb := boolWalker(wi)
-	walkStmtExprs(s, wi, wb)
-	return n
+	return CountNodes[IntExpr](s)
 }
 
 // ReplaceIntExpr returns a copy of s with the idx-th integer-expression
@@ -136,20 +112,7 @@ func ReplaceIntExpr(s Stmt, idx int, repl IntExpr) Stmt {
 // CountBoolExprs reports the number of boolean-expression nodes in s,
 // counting every subtree node in preorder.
 func CountBoolExprs(s Stmt) int {
-	n := 0
-	var wb func(BoolExpr)
-	wb = func(e BoolExpr) {
-		n++
-		switch t := e.(type) {
-		case Not:
-			wb(t.E)
-		case BinBool:
-			wb(t.L)
-			wb(t.R)
-		}
-	}
-	walkStmtExprs(s, func(IntExpr) {}, wb)
-	return n
+	return CountNodes[BoolExpr](s)
 }
 
 // ReplaceBoolExpr returns a copy of s with the idx-th boolean-expression
@@ -175,46 +138,9 @@ func ReplaceBoolExpr(s Stmt, idx int, repl BoolExpr) Stmt {
 	return mapStmtExprs(s, func(e IntExpr) IntExpr { return e }, rb)
 }
 
-// boolWalker lifts an integer-expression visitor to boolean expressions:
-// the boolean structure itself is skipped, only Cmp operands are visited.
-func boolWalker(wi func(IntExpr)) func(BoolExpr) {
-	var wb func(BoolExpr)
-	wb = func(e BoolExpr) {
-		switch t := e.(type) {
-		case Cmp:
-			wi(t.L)
-			wi(t.R)
-		case Not:
-			wb(t.E)
-		case BinBool:
-			wb(t.L)
-			wb(t.R)
-		}
-	}
-	return wb
-}
-
-// walkStmtExprs visits every expression position of s in preorder: Assign
-// right-hand sides, Cond tests (then branches), While tests (then body).
-func walkStmtExprs(s Stmt, wi func(IntExpr), wb func(BoolExpr)) {
-	switch t := s.(type) {
-	case Assign:
-		wi(t.E)
-	case Seq:
-		walkStmtExprs(t.L, wi, wb)
-		walkStmtExprs(t.R, wi, wb)
-	case Cond:
-		wb(t.Test)
-		walkStmtExprs(t.Then, wi, wb)
-		walkStmtExprs(t.Else, wi, wb)
-	case While:
-		wb(t.Test)
-		walkStmtExprs(t.Body, wi, wb)
-	}
-}
-
 // mapStmtExprs rewrites every expression position of s through the given
-// rewriters, in walkStmtExprs' order.
+// rewriters, in Inspect's order: Assign right-hand sides, Cond tests
+// (then branches), While tests (then body).
 func mapStmtExprs(s Stmt, ri func(IntExpr) IntExpr, rb func(BoolExpr) BoolExpr) Stmt {
 	switch t := s.(type) {
 	case Assign:

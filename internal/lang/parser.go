@@ -55,22 +55,14 @@ func MustParse(src string) *Program {
 	return p
 }
 
-// ParseStmt parses a bare statement sequence (without a func wrapper).
-func ParseStmt(src string) (Stmt, error) {
+// MustParseStmt parses a bare statement sequence (without a func wrapper)
+// and panics on error.
+func MustParseStmt(src string) Stmt {
 	p := &parser{toks: lex(src)}
 	s, err := p.parseStmts("")
-	if err != nil {
-		return nil, err
+	if err == nil && !p.atEOF() {
+		err = p.errorf("unexpected trailing input %q", p.peek().text)
 	}
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().text)
-	}
-	return s, nil
-}
-
-// MustParseStmt parses a statement sequence and panics on error.
-func MustParseStmt(src string) Stmt {
-	s, err := ParseStmt(src)
 	if err != nil {
 		panic(err)
 	}

@@ -3,6 +3,7 @@ package prefilter
 import (
 	"math"
 
+	"consolidation/internal/lang"
 	"consolidation/internal/logic"
 )
 
@@ -292,5 +293,5 @@ func literalSize(l logic.Formula) int {
 	if !ok {
 		return math.MaxInt32
 	}
-	return exprSize(e)
+	return lang.Size(e)
 }

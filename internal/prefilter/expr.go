@@ -109,57 +109,3 @@ func toIntExpr(t logic.Term) (lang.IntExpr, bool) {
 	}
 	return nil, false
 }
-
-// exprCalls counts library-call occurrences in a boolean expression.
-func exprCalls(e lang.BoolExpr) int {
-	switch x := e.(type) {
-	case lang.Cmp:
-		return intCalls(x.L) + intCalls(x.R)
-	case lang.Not:
-		return exprCalls(x.E)
-	case lang.BinBool:
-		return exprCalls(x.L) + exprCalls(x.R)
-	}
-	return 0
-}
-
-func intCalls(e lang.IntExpr) int {
-	switch x := e.(type) {
-	case lang.Call:
-		n := 1
-		for _, a := range x.Args {
-			n += intCalls(a)
-		}
-		return n
-	case lang.BinInt:
-		return intCalls(x.L) + intCalls(x.R)
-	}
-	return 0
-}
-
-// exprSize counts AST nodes of a boolean expression.
-func exprSize(e lang.BoolExpr) int {
-	switch x := e.(type) {
-	case lang.Cmp:
-		return 1 + intSize(x.L) + intSize(x.R)
-	case lang.Not:
-		return 1 + exprSize(x.E)
-	case lang.BinBool:
-		return 1 + exprSize(x.L) + exprSize(x.R)
-	}
-	return 1
-}
-
-func intSize(e lang.IntExpr) int {
-	switch x := e.(type) {
-	case lang.Call:
-		n := 1
-		for _, a := range x.Args {
-			n += intSize(a)
-		}
-		return n
-	case lang.BinInt:
-		return 1 + intSize(x.L) + intSize(x.R)
-	}
-	return 1
-}

@@ -168,7 +168,7 @@ func Synthesize(merged *lang.Program, opts Options) *Guard {
 		return trivial(conds)
 	}
 	test, ok := toBoolExpr(best)
-	if !ok || exprCalls(test) > opts.MaxCalls || exprSize(test) > opts.MaxSize {
+	if !ok || lang.CountNodes[lang.Call](test) > opts.MaxCalls || lang.Size(test) > opts.MaxSize {
 		return trivial(conds)
 	}
 	g := &Guard{

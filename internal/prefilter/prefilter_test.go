@@ -39,7 +39,7 @@ func m(r) {
 	if g.Trivial {
 		t.Fatalf("expected non-trivial guard, got trivial (conds=%d)", len(g.Conds))
 	}
-	if n := exprCalls(g.Test); n != 1 {
+	if n := lang.CountNodes[lang.Call](g.Test); n != 1 {
 		t.Errorf("guard should make exactly one cheap call, got %d: %s", n, g.Test)
 	}
 	want := lang.Cmp{Op: lang.Le, L: lang.IntConst{Value: 100}, R: lang.Call{Func: "followerCount", Args: []lang.IntExpr{lang.Var{Name: "r"}}}}
