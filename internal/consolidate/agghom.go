@@ -315,7 +315,7 @@ func verifyHom(solver *smt.Solver, body lang.Stmt, accs []string, ops []HomOp) b
 			var goal logic.Formula
 			switch ops[i] {
 			case HomSum:
-				zeroed := sym.SubstIntExpr(v, map[string]lang.IntExpr{a: lang.IntConst{Value: 0}})
+				zeroed := sym.Subst(v, map[string]lang.IntExpr{a: lang.IntConst{Value: 0}})
 				goal = logic.EqT(final, logic.TBin{Op: logic.Add, L: logic.V(a), R: logic.FromIntExpr(zeroed, nil)})
 			case HomMax:
 				goal = logic.Atom(logic.Le, logic.V(a), final)

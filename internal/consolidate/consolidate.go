@@ -705,8 +705,11 @@ func (t *featTab) featuresOfBoolCtx(ctx *sym.Context, e lang.BoolExpr) featureSe
 // definition right-hand side); SSA version suffixes are stripped so the
 // features align with source-level ones.
 func (t *featTab) addTermFeatures(tm logic.Term, fs featureSet) {
-	switch x := tm.(type) {
-	case logic.TApp:
+	logic.Inspect(tm, func(n logic.Node) bool {
+		x, isApp := n.(logic.TApp)
+		if !isApp {
+			return true
+		}
 		t.buf = append(t.buf[:0], "call:"...)
 		t.buf = append(t.buf, x.Func...)
 		t.buf = append(t.buf, '(')
@@ -719,7 +722,7 @@ func (t *featTab) addTermFeatures(tm logic.Term, fs featureSet) {
 			case logic.TConst:
 				t.buf = strconv.AppendInt(t.buf, y.Value, 10)
 			case logic.TVar:
-				t.buf = append(t.buf, stripVersion(y.Name)...)
+				t.buf = append(t.buf, sym.Unversioned(y.Name)...)
 			default:
 				ok = false
 			}
@@ -731,22 +734,8 @@ func (t *featTab) addTermFeatures(tm logic.Term, fs featureSet) {
 			t.buf = append(t.buf, x.Func...)
 		}
 		fs[t.keyFeat()] = true
-		for _, a := range x.Args {
-			t.addTermFeatures(a, fs)
-		}
-	case logic.TBin:
-		t.addTermFeatures(x.L, fs)
-		t.addTermFeatures(x.R, fs)
-	}
-}
-
-func stripVersion(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '%' {
-			return name[:i]
-		}
-	}
-	return name
+		return true
+	})
 }
 
 func (t *featTab) featuresOfStmts(ss []lang.Stmt) featureSet {

@@ -1,6 +1,7 @@
 package consolidate
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -218,7 +219,7 @@ func TestAllDivideAndConquer(t *testing.T) {
 	// all but the first call.
 	for i := 0; i < 10; i++ {
 		progs = append(progs, lang.MustParse(
-			"func q(r) { v := price(r); notify 1 (v < "+itoa(100+i*20)+"); }"))
+			"func q(r) { v := price(r); notify 1 (v < "+strconv.Itoa(100+i*20)+"); }"))
 	}
 	opts := DefaultOptions()
 	opts.FuncCoster = paperLib()
@@ -246,7 +247,7 @@ func TestLevelsAreCeilLog2(t *testing.T) {
 		var progs []*lang.Program
 		var leaves []Leaf
 		for i := 0; i < c.n; i++ {
-			p := lang.MustParse("func q(r) { v := price(r); notify 1 (v < " + itoa(100+i*20) + "); }")
+			p := lang.MustParse("func q(r) { v := price(r); notify 1 (v < " + strconv.Itoa(100+i*20) + "); }")
 			progs = append(progs, p)
 			leaves = append(leaves, Leaf{ID: 1000 + 7*i, Prog: p})
 		}
@@ -274,7 +275,7 @@ func TestAllParallelMatchesSerial(t *testing.T) {
 	var progs []*lang.Program
 	for i := 0; i < 8; i++ {
 		progs = append(progs, lang.MustParse(
-			"func q(r) { notify 1 (getTempOfMonth(r, "+itoa(1+i%3)+") > "+itoa(i)+"); }"))
+			"func q(r) { notify 1 (getTempOfMonth(r, "+strconv.Itoa(1+i%3)+") > "+strconv.Itoa(i)+"); }"))
 	}
 	opts := DefaultOptions()
 	opts.FuncCoster = paperLib()

@@ -148,7 +148,7 @@ func copyProp(s lang.Stmt, env map[string]string) (lang.Stmt, map[string]string)
 		return lang.SeqOf(l, r), env
 
 	case lang.Cond:
-		test := substituteBoolCopies(t.Test, env)
+		test := substituteCopies(t.Test, env)
 		thenEnv := cloneCopies(env)
 		th, _ := copyProp(t.Then, thenEnv)
 		elseEnv := cloneCopies(env)
@@ -167,7 +167,7 @@ func copyProp(s lang.Stmt, env map[string]string) (lang.Stmt, map[string]string)
 		}
 		stable := cloneCopies(env)
 		body, _ := copyProp(t.Body, stable)
-		return lang.While{Test: substituteBoolCopies(t.Test, env), Body: body}, env
+		return lang.While{Test: substituteCopies(t.Test, env), Body: body}, env
 	}
 	return s, env
 }
@@ -190,33 +190,15 @@ func invalidateCopies(env map[string]string, v string) {
 	}
 }
 
-func substituteCopies(e lang.IntExpr, env map[string]string) lang.IntExpr {
-	switch t := e.(type) {
-	case lang.Var:
-		if y, ok := env[t.Name]; ok {
-			return lang.Var{Name: y}
+// substituteCopies rewrites each read of a variable bound in env to a read
+// of the variable it copies.
+func substituteCopies[T lang.Node](e T, env map[string]string) T {
+	return lang.Rewrite(e, func(n lang.Node) (lang.Node, bool) {
+		if v, ok := n.(lang.Var); ok {
+			if y, ok := env[v.Name]; ok {
+				return lang.Var{Name: y}, false
+			}
 		}
-		return t
-	case lang.Call:
-		args := make([]lang.IntExpr, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = substituteCopies(a, env)
-		}
-		return lang.Call{Func: t.Func, Args: args}
-	case lang.BinInt:
-		return lang.BinInt{Op: t.Op, L: substituteCopies(t.L, env), R: substituteCopies(t.R, env)}
-	}
-	return e
-}
-
-func substituteBoolCopies(e lang.BoolExpr, env map[string]string) lang.BoolExpr {
-	switch t := e.(type) {
-	case lang.Cmp:
-		return lang.Cmp{Op: t.Op, L: substituteCopies(t.L, env), R: substituteCopies(t.R, env)}
-	case lang.Not:
-		return lang.Not{E: substituteBoolCopies(t.E, env)}
-	case lang.BinBool:
-		return lang.BinBool{Op: t.Op, L: substituteBoolCopies(t.L, env), R: substituteBoolCopies(t.R, env)}
-	}
-	return e
+		return n, true
+	})
 }

@@ -121,7 +121,7 @@ func (s *Simplifier) replaceCall(ctx *sym.Context, call lang.Call) (lang.IntExpr
 		if !unifies {
 			continue
 		}
-		vTerm := logic.TVar{Name: versionedName(d.Var, d.Version)}
+		vTerm := ctx.CurTerm(d.Var) // DefsByFunc returns current definitions only
 		probes++
 		if ctx.Entails(logic.EqT(vTerm, g)) {
 			return lang.Var{Name: d.Var}, true
@@ -137,28 +137,6 @@ func (s *Simplifier) replaceCall(ctx *sym.Context, call lang.Call) (lang.IntExpr
 		}
 	}
 	return nil, false
-}
-
-// versionedName mirrors sym's internal naming of SSA versions.
-func versionedName(v string, n int) string {
-	if n == 0 {
-		return v
-	}
-	return v + "%" + itoa(n)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // foldInt performs constant folding and additive-chain normalisation on an

@@ -1,6 +1,7 @@
 package consolidate
 
 import (
+	"strconv"
 	"testing"
 
 	"consolidation/internal/lang"
@@ -110,7 +111,7 @@ func TestSimplifyKeyFiltering(t *testing.T) {
 	// the result must stay a call, and quickly.
 	s, ctx := simpCtx()
 	for m := 1; m <= 20; m++ {
-		ctx.AssumeAssign("v"+itoa(m), lang.Call{Func: "getTempOfMonth",
+		ctx.AssumeAssign("v"+strconv.Itoa(m), lang.Call{Func: "getTempOfMonth",
 			Args: []lang.IntExpr{lang.Var{Name: "r"}, lang.IntConst{Value: int64(m)}}})
 	}
 	q0 := ctx.Solver().Stats.Queries

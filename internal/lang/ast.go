@@ -299,18 +299,16 @@ func SeqOf(stmts ...Stmt) Stmt {
 // hd/tl decomposition used by the consolidation algorithm (Figure 8).
 func Flatten(s Stmt) []Stmt {
 	var out []Stmt
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		switch t := s.(type) {
-		case Skip:
+	Inspect(s, func(n Node) bool {
+		switch n.(type) {
 		case Seq:
-			walk(t.L)
-			walk(t.R)
+			return true
+		case Skip:
 		default:
-			out = append(out, s)
+			out = append(out, n.(Stmt))
 		}
-	}
-	walk(s)
+		return false
+	})
 	return out
 }
 
@@ -444,74 +442,104 @@ func NotifyIDs(s Stmt) map[int]bool {
 	return out
 }
 
-// RenameVars returns a copy of s with every variable occurrence renamed
-// through f. Parameters the caller wants to keep must map to themselves.
-func RenameVars(s Stmt, f func(string) string) Stmt {
-	switch t := s.(type) {
-	case Skip:
-		return t
-	case Notify:
-		return t
-	case Assign:
-		return Assign{Var: f(t.Var), E: renameIntVars(t.E, f)}
-	case Seq:
-		return Seq{L: RenameVars(t.L, f), R: RenameVars(t.R, f)}
-	case Cond:
-		return Cond{Test: renameBoolVars(t.Test, f), Then: RenameVars(t.Then, f), Else: RenameVars(t.Else, f)}
-	case While:
-		return While{Test: renameBoolVars(t.Test, f), Body: RenameVars(t.Body, f)}
-	}
-	return s
+// Rewrite rebuilds the tree rooted at n in Inspect's preorder. It calls
+// f(x) on each node x; f returns x's replacement and whether to rebuild the
+// replacement's children, which then happens in Inspect's field order. A
+// replacement returned with false is used as is: its children are not
+// visited. It is the one place that knows how to rebuild each node kind
+// from its children; every rewriter below is built on it. Nil children
+// stay nil, and a replacement of the wrong kind for its field panics.
+func Rewrite[T Node](n T, f func(Node) (Node, bool)) T {
+	return as[T](rewrite(n, f))
 }
 
-// renameIntVars renames variable occurrences in an integer expression.
-func renameIntVars(e IntExpr, f func(string) string) IntExpr {
-	switch t := e.(type) {
-	case IntConst:
-		return t
-	case Var:
-		return Var{Name: f(t.Name)}
+// as converts a rewritten node back to its field's kind; nil stays nil.
+func as[T Node](n Node) T {
+	if n == nil {
+		var zero T
+		return zero
+	}
+	return n.(T)
+}
+
+func rewrite(n Node, f func(Node) (Node, bool)) Node {
+	// A right-nested Seq chain is rebuilt in a loop, not one frame per
+	// statement: the spine's rebuilt left children are kept until its last
+	// right child is done, then the chain is reassembled from the end.
+	var spine []Stmt
+	for n != nil {
+		x, descend := f(n)
+		if !descend {
+			n = x
+			break
+		}
+		if s, ok := x.(Seq); ok {
+			spine = append(spine, Rewrite(s.L, f))
+			n = s.R
+			continue
+		}
+		n = rebuild(x, f)
+		break
+	}
+	for i := len(spine) - 1; i >= 0; i-- {
+		n = Seq{L: spine[i], R: as[Stmt](n)}
+	}
+	return n
+}
+
+// rebuild returns a copy of the non-Seq node n with each child rewritten.
+func rebuild(n Node, f func(Node) (Node, bool)) Node {
+	switch t := n.(type) {
+	case Assign:
+		return Assign{Var: t.Var, E: Rewrite(t.E, f)}
+	case Cond:
+		return Cond{Test: Rewrite(t.Test, f), Then: Rewrite(t.Then, f), Else: Rewrite(t.Else, f)}
+	case While:
+		return While{Test: Rewrite(t.Test, f), Body: Rewrite(t.Body, f)}
 	case Call:
 		args := make([]IntExpr, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = renameIntVars(a, f)
+			args[i] = Rewrite(a, f)
 		}
 		return Call{Func: t.Func, Args: args}
 	case BinInt:
-		return BinInt{Op: t.Op, L: renameIntVars(t.L, f), R: renameIntVars(t.R, f)}
+		return BinInt{Op: t.Op, L: Rewrite(t.L, f), R: Rewrite(t.R, f)}
+	case Cmp:
+		return Cmp{Op: t.Op, L: Rewrite(t.L, f), R: Rewrite(t.R, f)}
+	case Not:
+		return Not{E: Rewrite(t.E, f)}
+	case BinBool:
+		return BinBool{Op: t.Op, L: Rewrite(t.L, f), R: Rewrite(t.R, f)}
 	}
-	return e
+	return n
 }
 
-// renameBoolVars renames variable occurrences in a boolean expression.
-func renameBoolVars(e BoolExpr, f func(string) string) BoolExpr {
-	switch t := e.(type) {
-	case BoolConst:
-		return t
-	case Cmp:
-		return Cmp{Op: t.Op, L: renameIntVars(t.L, f), R: renameIntVars(t.R, f)}
-	case Not:
-		return Not{E: renameBoolVars(t.E, f)}
-	case BinBool:
-		return BinBool{Op: t.Op, L: renameBoolVars(t.L, f), R: renameBoolVars(t.R, f)}
-	}
-	return e
+// RenameVars returns a copy of s with every variable occurrence renamed
+// through f. Parameters the caller wants to keep must map to themselves.
+func RenameVars(s Stmt, f func(string) string) Stmt {
+	return Rewrite(s, func(n Node) (Node, bool) {
+		switch t := n.(type) {
+		case Assign:
+			return Assign{Var: f(t.Var), E: t.E}, true
+		case Var:
+			return Var{Name: f(t.Name)}, false
+		}
+		return n, true
+	})
 }
 
 // RenameNotifyIDs returns a copy of s with every notification identifier
 // renumbered through f. Used when merging programs whose identifiers clash.
 func RenameNotifyIDs(s Stmt, f func(int) int) Stmt {
-	switch t := s.(type) {
-	case Notify:
-		return Notify{ID: f(t.ID), Value: t.Value}
-	case Seq:
-		return Seq{L: RenameNotifyIDs(t.L, f), R: RenameNotifyIDs(t.R, f)}
-	case Cond:
-		return Cond{Test: t.Test, Then: RenameNotifyIDs(t.Then, f), Else: RenameNotifyIDs(t.Else, f)}
-	case While:
-		return While{Test: t.Test, Body: RenameNotifyIDs(t.Body, f)}
-	}
-	return s
+	return Rewrite(s, func(n Node) (Node, bool) {
+		switch t := n.(type) {
+		case Notify:
+			return Notify{ID: f(t.ID), Value: t.Value}, false
+		case Seq, Cond, While:
+			return n, true
+		}
+		return n, false // expressions and other statements hold no notify
+	})
 }
 
 // EqualInt reports structural equality of integer expressions.

@@ -31,35 +31,19 @@ func CountStmtNodes(s Stmt) int {
 // is dropped. An out-of-range idx returns s unchanged.
 func ReplaceStmtNode(s Stmt, idx int, repl Stmt) Stmt {
 	n := 0
-	var walk func(Stmt) Stmt
-	walk = func(s Stmt) Stmt {
-		switch t := s.(type) {
+	return Rewrite(s, func(x Node) (Node, bool) {
+		switch x.(type) {
 		case Seq:
-			return Seq{L: walk(t.L), R: walk(t.R)}
-		case Cond:
-			if n == idx {
-				n++
-				return repl
-			}
+			return x, n <= idx
+		case Stmt:
 			n++
-			return Cond{Test: t.Test, Then: walk(t.Then), Else: walk(t.Else)}
-		case While:
-			if n == idx {
-				n++
-				return repl
+			if n-1 == idx {
+				return repl, false
 			}
-			n++
-			return While{Test: t.Test, Body: walk(t.Body)}
-		default:
-			if n == idx {
-				n++
-				return repl
-			}
-			n++
-			return s
+			return x, n <= idx
 		}
-	}
-	return walk(s)
+		return x, false // expressions hold no statements
+	})
 }
 
 // CountIntExprs reports the number of integer-expression nodes in s,
@@ -74,39 +58,7 @@ func CountIntExprs(s Stmt) int {
 // node (in CountIntExprs' preorder) replaced by repl; the replaced
 // subtree is dropped. An out-of-range idx returns s unchanged.
 func ReplaceIntExpr(s Stmt, idx int, repl IntExpr) Stmt {
-	n := 0
-	var ri func(IntExpr) IntExpr
-	ri = func(e IntExpr) IntExpr {
-		if n == idx {
-			n++
-			return repl
-		}
-		n++
-		switch t := e.(type) {
-		case Call:
-			args := make([]IntExpr, len(t.Args))
-			for i, a := range t.Args {
-				args[i] = ri(a)
-			}
-			return Call{Func: t.Func, Args: args}
-		case BinInt:
-			return BinInt{Op: t.Op, L: ri(t.L), R: ri(t.R)}
-		}
-		return e
-	}
-	var rb func(BoolExpr) BoolExpr
-	rb = func(e BoolExpr) BoolExpr {
-		switch t := e.(type) {
-		case Cmp:
-			return Cmp{Op: t.Op, L: ri(t.L), R: ri(t.R)}
-		case Not:
-			return Not{E: rb(t.E)}
-		case BinBool:
-			return BinBool{Op: t.Op, L: rb(t.L), R: rb(t.R)}
-		}
-		return e
-	}
-	return mapStmtExprs(s, ri, rb)
+	return replaceNth(s, idx, repl)
 }
 
 // CountBoolExprs reports the number of boolean-expression nodes in s,
@@ -119,38 +71,20 @@ func CountBoolExprs(s Stmt) int {
 // node (in CountBoolExprs' preorder) replaced by repl; the replaced
 // subtree is dropped. An out-of-range idx returns s unchanged.
 func ReplaceBoolExpr(s Stmt, idx int, repl BoolExpr) Stmt {
-	n := 0
-	var rb func(BoolExpr) BoolExpr
-	rb = func(e BoolExpr) BoolExpr {
-		if n == idx {
-			n++
-			return repl
-		}
-		n++
-		switch t := e.(type) {
-		case Not:
-			return Not{E: rb(t.E)}
-		case BinBool:
-			return BinBool{Op: t.Op, L: rb(t.L), R: rb(t.R)}
-		}
-		return e
-	}
-	return mapStmtExprs(s, func(e IntExpr) IntExpr { return e }, rb)
+	return replaceNth(s, idx, repl)
 }
 
-// mapStmtExprs rewrites every expression position of s through the given
-// rewriters, in Inspect's order: Assign right-hand sides, Cond tests
-// (then branches), While tests (then body).
-func mapStmtExprs(s Stmt, ri func(IntExpr) IntExpr, rb func(BoolExpr) BoolExpr) Stmt {
-	switch t := s.(type) {
-	case Assign:
-		return Assign{Var: t.Var, E: ri(t.E)}
-	case Seq:
-		return Seq{L: mapStmtExprs(t.L, ri, rb), R: mapStmtExprs(t.R, ri, rb)}
-	case Cond:
-		return Cond{Test: rb(t.Test), Then: mapStmtExprs(t.Then, ri, rb), Else: mapStmtExprs(t.Else, ri, rb)}
-	case While:
-		return While{Test: rb(t.Test), Body: mapStmtExprs(t.Body, ri, rb)}
-	}
-	return s
+// replaceNth replaces the idx-th node of kind T in Inspect's preorder by
+// repl, dropping its subtree; past idx nothing is descended into.
+func replaceNth[T Node](s Stmt, idx int, repl T) Stmt {
+	n := 0
+	return Rewrite(s, func(x Node) (Node, bool) {
+		if _, ok := x.(T); ok {
+			n++
+			if n-1 == idx {
+				return repl, false
+			}
+		}
+		return x, n <= idx
+	})
 }

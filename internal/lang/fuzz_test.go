@@ -3,6 +3,7 @@ package lang
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -52,6 +53,14 @@ func roundTrip(t *testing.T, src string) {
 	}
 	if again := Format(q); again != text {
 		t.Fatalf("Format is not idempotent:\nfirst:\n%s\nsecond:\n%s", text, again)
+	}
+	if r := Rewrite(p.Body, func(n Node) (Node, bool) { return n, true }); !EqualStmt(r, p.Body) {
+		t.Fatalf("identity Rewrite changed the AST:\nsource:\n%s\nrewritten:\n%s", text, FormatStmt(r))
+	}
+	// A prefix is an injective renaming; stripping it is its inverse.
+	renamed := RenameVars(p.Body, func(v string) string { return "r_" + v })
+	if back := RenameVars(renamed, func(v string) string { return strings.TrimPrefix(v, "r_") }); !EqualStmt(back, p.Body) {
+		t.Fatalf("RenameVars and its inverse changed the AST:\nsource:\n%s\nrenamed:\n%s\nback:\n%s", text, FormatStmt(renamed), FormatStmt(back))
 	}
 }
 

@@ -207,7 +207,8 @@ func TestInternHashCollisionsResolved(t *testing.T) {
 }
 
 // TestInternVarsAndCalls: the precomputed free-variable and call-key sets
-// match the recursive definitions (CollectVars; TermCallKeys/string keys).
+// match the definitions computed over the tree (Vars; an Inspect collector
+// feeding CallInstanceKey).
 func TestInternVarsAndCalls(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	in := NewInterner()
@@ -215,13 +216,7 @@ func TestInternVarsAndCalls(t *testing.T) {
 		f := randFormula(r, 3)
 		id := in.InternFormula(f)
 
-		want := map[string]bool{}
-		CollectVars(f, want)
-		var wantVars []string
-		for v := range want {
-			wantVars = append(wantVars, v)
-		}
-		sort.Strings(wantVars)
+		wantVars := Vars(f)
 		var gotVars []string
 		for _, v := range in.VarsOf(id) {
 			gotVars = append(gotVars, in.VarName(v))
@@ -237,9 +232,12 @@ func TestInternVarsAndCalls(t *testing.T) {
 		}
 
 		wantKeys := map[string]bool{}
-		for _, a := range Apps(f) {
-			wantKeys[CallInstanceKey(a)] = true
-		}
+		Inspect(f, func(n Node) bool {
+			if a, ok := n.(TApp); ok {
+				wantKeys[CallInstanceKey(a)] = true
+			}
+			return true
+		})
 		gotKeys := map[string]bool{}
 		for _, k := range in.CallKeysOf(id) {
 			gotKeys[in.CallKeyString(k)] = true

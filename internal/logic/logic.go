@@ -11,10 +11,16 @@ import (
 	"strings"
 )
 
+// Node is any term or formula. Inspect walks it.
+type Node interface {
+	node()
+	String() string
+}
+
 // Term is an integer-sorted term.
 type Term interface {
+	Node
 	isTerm()
-	String() string
 }
 
 // TConst is an integer constant.
@@ -63,6 +69,11 @@ func (TVar) isTerm()   {}
 func (TApp) isTerm()   {}
 func (TBin) isTerm()   {}
 
+func (TConst) node() {}
+func (TVar) node()   {}
+func (TApp) node()   {}
+func (TBin) node()   {}
+
 func (t TConst) String() string { return fmt.Sprintf("%d", t.Value) }
 func (t TVar) String() string   { return t.Name }
 
@@ -100,8 +111,8 @@ func (p Pred) String() string {
 
 // Formula is a quantifier-free formula.
 type Formula interface {
+	Node
 	isFormula()
-	String() string
 }
 
 // FTrue is ⊤.
@@ -131,6 +142,13 @@ func (FAtom) isFormula()  {}
 func (FNot) isFormula()   {}
 func (FAnd) isFormula()   {}
 func (FOr) isFormula()    {}
+
+func (FTrue) node()  {}
+func (FFalse) node() {}
+func (FAtom) node()  {}
+func (FNot) node()   {}
+func (FAnd) node()   {}
+func (FOr) node()    {}
 
 func (FTrue) String() string  { return "true" }
 func (FFalse) String() string { return "false" }
@@ -239,50 +257,57 @@ func Num(n int64) Term { return TConst{Value: n} }
 // V is the variable term named s.
 func V(s string) Term { return TVar{Name: s} }
 
-// termVars collects the free variables of a term into vs.
-func termVars(t Term, vs map[string]bool) {
-	switch x := t.(type) {
-	case TVar:
-		vs[x.Name] = true
-	case TApp:
-		for _, a := range x.Args {
-			termVars(a, vs)
+// Inspect walks the term or formula rooted at n in preorder: it calls f(n)
+// and, while f returns true, descends into n's operands left to right, in
+// field order. It is the one place that knows which operands each term and
+// formula kind has; every read-only collector is built on it. Nil operands
+// are skipped.
+func Inspect(n Node, f func(Node) bool) {
+	// The loop walks each node's last operand in place of a recursive call.
+	for n != nil && f(n) {
+		switch x := n.(type) {
+		case TApp:
+			for _, a := range x.Args {
+				Inspect(a, f)
+			}
+			return
+		case TBin:
+			Inspect(x.L, f)
+			n = x.R
+		case FAtom:
+			Inspect(x.L, f)
+			n = x.R
+		case FNot:
+			n = x.F
+		case FAnd:
+			for _, g := range x.Fs {
+				Inspect(g, f)
+			}
+			return
+		case FOr:
+			for _, g := range x.Fs {
+				Inspect(g, f)
+			}
+			return
+		default:
+			return
 		}
-	case TBin:
-		termVars(x.L, vs)
-		termVars(x.R, vs)
 	}
 }
 
 // Vars returns the free variables of a formula, sorted.
 func Vars(f Formula) []string {
-	vs := map[string]bool{}
-	CollectVars(f, vs)
-	out := make([]string, 0, len(vs))
-	for v := range vs {
-		out = append(out, v)
-	}
+	var out []string
+	seen := map[string]bool{}
+	Inspect(f, func(n Node) bool {
+		if v, ok := n.(TVar); ok && !seen[v.Name] {
+			seen[v.Name] = true
+			out = append(out, v.Name)
+		}
+		return true
+	})
 	sort.Strings(out)
 	return out
-}
-
-// CollectVars accumulates the free variables of f into vs.
-func CollectVars(f Formula, vs map[string]bool) {
-	switch x := f.(type) {
-	case FAtom:
-		termVars(x.L, vs)
-		termVars(x.R, vs)
-	case FNot:
-		CollectVars(x.F, vs)
-	case FAnd:
-		for _, g := range x.Fs {
-			CollectVars(g, vs)
-		}
-	case FOr:
-		for _, g := range x.Fs {
-			CollectVars(g, vs)
-		}
-	}
 }
 
 // substTerm replaces variables in t according to sub.
@@ -404,80 +429,6 @@ func NNF(f Formula) Formula {
 	return f
 }
 
-// Atoms collects the distinct atomic constraints of f in first-occurrence
-// order (by string key).
-func Atoms(f Formula) []FAtom {
-	seen := map[string]bool{}
-	var out []FAtom
-	var walk func(Formula)
-	walk = func(f Formula) {
-		switch x := f.(type) {
-		case FAtom:
-			k := x.String()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, x)
-			}
-		case FNot:
-			walk(x.F)
-		case FAnd:
-			for _, g := range x.Fs {
-				walk(g)
-			}
-		case FOr:
-			for _, g := range x.Fs {
-				walk(g)
-			}
-		}
-	}
-	walk(f)
-	return out
-}
-
-// Apps collects the distinct uninterpreted applications occurring anywhere
-// in f, innermost first.
-func Apps(f Formula) []TApp {
-	seen := map[string]bool{}
-	var out []TApp
-	var walkT func(Term)
-	walkT = func(t Term) {
-		switch x := t.(type) {
-		case TApp:
-			for _, a := range x.Args {
-				walkT(a)
-			}
-			k := x.String()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, x)
-			}
-		case TBin:
-			walkT(x.L)
-			walkT(x.R)
-		}
-	}
-	var walk func(Formula)
-	walk = func(f Formula) {
-		switch x := f.(type) {
-		case FAtom:
-			walkT(x.L)
-			walkT(x.R)
-		case FNot:
-			walk(x.F)
-		case FAnd:
-			for _, g := range x.Fs {
-				walk(g)
-			}
-		case FOr:
-			for _, g := range x.Fs {
-				walk(g)
-			}
-		}
-	}
-	walk(f)
-	return out
-}
-
 // CallInstanceKey canonicalises an application for cheap may-equal
 // filtering. Only constant arguments discriminate: distinct constants can
 // never be equal, whereas two different variables (or compound terms) may
@@ -501,26 +452,6 @@ func CallInstanceKey(app TApp) string {
 		}
 	}
 	return key + ")"
-}
-
-// TermCallKeys collects the CallInstanceKeys of every application in t.
-func TermCallKeys(t Term) map[string]bool {
-	out := map[string]bool{}
-	var walk func(Term)
-	walk = func(t Term) {
-		switch x := t.(type) {
-		case TApp:
-			out[CallInstanceKey(x)] = true
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case TBin:
-			walk(x.L)
-			walk(x.R)
-		}
-	}
-	walk(t)
-	return out
 }
 
 // KeysUnify reports whether call keys a and b may denote equal

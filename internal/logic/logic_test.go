@@ -92,19 +92,6 @@ func TestVarsAndApps(t *testing.T) {
 	if len(vs) != 3 || vs[0] != "a" || vs[1] != "b" || vs[2] != "c" {
 		t.Fatalf("Vars = %v", vs)
 	}
-	apps := Apps(f)
-	if len(apps) != 2 || apps[0].Func != "h" || apps[1].Func != "g" {
-		t.Fatalf("Apps = %v (want innermost first)", apps)
-	}
-}
-
-func TestAtoms(t *testing.T) {
-	a := Atom(Lt, V("x"), Num(1))
-	f := Or(a, Not(a), And(a, Atom(Eq, V("y"), Num(2))))
-	atoms := Atoms(f)
-	if len(atoms) != 2 {
-		t.Fatalf("Atoms = %v", atoms)
-	}
 }
 
 func TestEqualTerm(t *testing.T) {
@@ -189,9 +176,5 @@ func TestCallInstanceKeys(t *testing.T) {
 		if KeysUnify(ka, kb) != KeysUnify(kb, ka) {
 			t.Errorf("case %d: KeysUnify not symmetric", i)
 		}
-	}
-	keys := TermCallKeys(TBin{Op: Add, L: app("f", Num(1)), R: app("g", V("x"))})
-	if !keys["f(1)"] || !keys["g(?)"] || len(keys) != 2 {
-		t.Fatalf("TermCallKeys = %v", keys)
 	}
 }

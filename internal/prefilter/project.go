@@ -54,19 +54,14 @@ func (p *projector) defEquality(f logic.Formula) (string, logic.Term, bool) {
 }
 
 func occurs(t logic.Term, name string) bool {
-	switch x := t.(type) {
-	case logic.TVar:
-		return x.Name == name
-	case logic.TApp:
-		for _, a := range x.Args {
-			if occurs(a, name) {
-				return true
-			}
+	found := false
+	logic.Inspect(t, func(n logic.Node) bool {
+		if v, ok := n.(logic.TVar); ok && v.Name == name {
+			found = true
 		}
-	case logic.TBin:
-		return occurs(x.L, name) || occurs(x.R, name)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // weaken replaces every literal outside the cheap fragment with ⊤. The
@@ -106,25 +101,17 @@ func (p *projector) weaken(f logic.Formula) logic.Formula {
 // constants, the program parameters, arithmetic over them, and calls
 // priced within MaxCallCost whose arguments are themselves clean.
 func (p *projector) cleanTerm(t logic.Term) bool {
-	switch x := t.(type) {
-	case logic.TConst:
-		return true
-	case logic.TVar:
-		return p.params[x.Name]
-	case logic.TApp:
-		if p.callCost(x.Func) > p.opts.MaxCallCost {
-			return false
+	clean := true
+	logic.Inspect(t, func(n logic.Node) bool {
+		switch x := n.(type) {
+		case logic.TVar:
+			clean = clean && p.params[x.Name]
+		case logic.TApp:
+			clean = clean && p.callCost(x.Func) <= p.opts.MaxCallCost
 		}
-		for _, a := range x.Args {
-			if !p.cleanTerm(a) {
-				return false
-			}
-		}
-		return true
-	case logic.TBin:
-		return p.cleanTerm(x.L) && p.cleanTerm(x.R)
-	}
-	return false
+		return clean
+	})
+	return clean
 }
 
 func (p *projector) callCost(fn string) int64 {

@@ -68,19 +68,15 @@ func freshVar(p *lang.Program) string {
 // the guard, so the site still notifies its id exactly once but only
 // fires true when the guard holds. `notify id false` sites are untouched.
 func gateNotifies(s lang.Stmt, guard lang.BoolExpr) lang.Stmt {
-	switch t := s.(type) {
-	case lang.Seq:
-		return lang.Seq{L: gateNotifies(t.L, guard), R: gateNotifies(t.R, guard)}
-	case lang.Cond:
-		return lang.Cond{Test: t.Test, Then: gateNotifies(t.Then, guard), Else: gateNotifies(t.Else, guard)}
-	case lang.While:
-		return lang.While{Test: t.Test, Body: gateNotifies(t.Body, guard)}
-	case lang.Notify:
-		if !t.Value {
-			return t
+	return lang.Rewrite(s, func(n lang.Node) (lang.Node, bool) {
+		switch t := n.(type) {
+		case lang.Seq, lang.Cond, lang.While:
+			return n, true
+		case lang.Notify:
+			if t.Value {
+				return lang.Cond{Test: guard, Then: t, Else: lang.Notify{ID: t.ID, Value: false}}, false
+			}
 		}
-		return lang.Cond{Test: guard, Then: t, Else: lang.Notify{ID: t.ID, Value: false}}
-	default:
-		return s
-	}
+		return n, false
+	})
 }

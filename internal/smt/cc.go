@@ -1,5 +1,7 @@
 package smt
 
+import "strconv"
+
 // congruence implements congruence closure over the interned term DAG:
 // union-find with congruence propagation for application nodes, conflict
 // detection against disequalities and distinct constants.
@@ -65,31 +67,9 @@ func (c *congruence) sigOf(n int) string {
 	nd := c.in.nodes[n]
 	sig := nd.fn
 	for _, ch := range nd.children {
-		sig += ":" + itoa(c.find(ch))
+		sig += ":" + strconv.Itoa(c.find(ch))
 	}
 	return sig
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // insertSig registers node n under its current signature; if another node

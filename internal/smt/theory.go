@@ -267,7 +267,7 @@ func (ws *theoryWorkspace) check(src *logic.Interner, lits []theoryLit, cfg theo
 			continue
 		}
 		for pos, ch := range nd.children {
-			key := nd.fn + "#" + itoa(pos)
+			key := nd.fn + "#" + strconv.Itoa(pos)
 			argBuckets[key] = append(argBuckets[key], ch)
 		}
 	}

@@ -9,7 +9,8 @@
 package sym
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"consolidation/internal/lang"
 	"consolidation/internal/logic"
@@ -175,7 +176,16 @@ func versioned(x string, n int) string {
 	if n == 0 {
 		return x
 	}
-	return fmt.Sprintf("%s%%%d", x, n)
+	return x + "%" + strconv.Itoa(n)
+}
+
+// Unversioned returns the source variable of a logical name, the inverse of
+// the SSA version naming: x%3 and x both name x.
+func Unversioned(name string) string {
+	if i := strings.IndexByte(name, '%'); i >= 0 {
+		return name[:i]
+	}
+	return name
 }
 
 // CurName returns the current logical name of x.
@@ -334,20 +344,12 @@ func (c *Context) DefsByFunc(fn string) []DefEntry {
 
 func termFuncs(t logic.Term) map[string]bool {
 	out := map[string]bool{}
-	var walk func(logic.Term)
-	walk = func(t logic.Term) {
-		switch x := t.(type) {
-		case logic.TApp:
+	logic.Inspect(t, func(n logic.Node) bool {
+		if x, ok := n.(logic.TApp); ok {
 			out[x.Func] = true
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case logic.TBin:
-			walk(x.L)
-			walk(x.R)
 		}
-	}
-	walk(t)
+		return true
+	})
 	return out
 }
 

@@ -45,7 +45,7 @@ func Summarize(s lang.Stmt, max int) ([]PathSummary, bool) {
 			return walk(t.L) && walk(t.R)
 		case lang.Assign:
 			for i := range paths {
-				paths[i].Final[t.Var] = SubstIntExpr(t.E, paths[i].Final)
+				paths[i].Final[t.Var] = Subst(t.E, paths[i].Final)
 			}
 			return true
 		case lang.Cond:
@@ -58,7 +58,7 @@ func Summarize(s lang.Stmt, max int) ([]PathSummary, bool) {
 			thenPaths := clonePaths(saved)
 			paths = thenPaths
 			for i := range paths {
-				paths[i].Conds = append(paths[i].Conds, SubstBoolExpr(t.Test, paths[i].Final))
+				paths[i].Conds = append(paths[i].Conds, Subst(t.Test, paths[i].Final))
 			}
 			if !walk(t.Then) {
 				return false
@@ -67,7 +67,7 @@ func Summarize(s lang.Stmt, max int) ([]PathSummary, bool) {
 			elsePaths := clonePaths(saved)
 			paths = elsePaths
 			for i := range paths {
-				paths[i].Conds = append(paths[i].Conds, lang.Not{E: SubstBoolExpr(t.Test, paths[i].Final)})
+				paths[i].Conds = append(paths[i].Conds, lang.Not{E: Subst(t.Test, paths[i].Final)})
 			}
 			if !walk(t.Else) {
 				return false
@@ -100,39 +100,15 @@ func clonePaths(in []PathSummary) []PathSummary {
 	return out
 }
 
-// SubstIntExpr substitutes sub's bindings for variable reads in e.
-func SubstIntExpr(e lang.IntExpr, sub map[string]lang.IntExpr) lang.IntExpr {
-	switch t := e.(type) {
-	case lang.IntConst:
-		return t
-	case lang.Var:
-		if v, ok := sub[t.Name]; ok {
-			return v
+// Subst substitutes sub's bindings for variable reads in e. A substituted
+// expression is not rescanned.
+func Subst[T lang.Node](e T, sub map[string]lang.IntExpr) T {
+	return lang.Rewrite(e, func(n lang.Node) (lang.Node, bool) {
+		if v, ok := n.(lang.Var); ok {
+			if r, ok := sub[v.Name]; ok {
+				return r, false
+			}
 		}
-		return t
-	case lang.Call:
-		args := make([]lang.IntExpr, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = SubstIntExpr(a, sub)
-		}
-		return lang.Call{Func: t.Func, Args: args}
-	case lang.BinInt:
-		return lang.BinInt{Op: t.Op, L: SubstIntExpr(t.L, sub), R: SubstIntExpr(t.R, sub)}
-	}
-	return e
-}
-
-// SubstBoolExpr substitutes sub's bindings for variable reads in e.
-func SubstBoolExpr(e lang.BoolExpr, sub map[string]lang.IntExpr) lang.BoolExpr {
-	switch t := e.(type) {
-	case lang.BoolConst:
-		return t
-	case lang.Cmp:
-		return lang.Cmp{Op: t.Op, L: SubstIntExpr(t.L, sub), R: SubstIntExpr(t.R, sub)}
-	case lang.Not:
-		return lang.Not{E: SubstBoolExpr(t.E, sub)}
-	case lang.BinBool:
-		return lang.BinBool{Op: t.Op, L: SubstBoolExpr(t.L, sub), R: SubstBoolExpr(t.R, sub)}
-	}
-	return e
+		return n, true
+	})
 }
