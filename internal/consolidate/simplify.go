@@ -18,16 +18,19 @@ type Simplifier struct {
 	CM *lang.CostModel
 	// FC prices library calls; nil falls back to CM.CallBase.
 	FC lang.FuncCoster
-	// MaxProbes bounds SMT equality probes per call subterm.
-	MaxProbes int
-	// OffsetRange enables rewriting a call subterm g to v ∓ c when
-	// Ψ ⊨ v = g ± c for |c| ≤ OffsetRange (the paper's Example 4).
-	OffsetRange int64
 }
 
-// NewSimplifier returns a simplifier with the paper-tuned defaults.
+const (
+	// maxProbes bounds the SMT equality probes per call subterm.
+	maxProbes = 6
+	// offsetRange bounds |c| when a call subterm g is rewritten to v ∓ c
+	// by a live definition v := g ± c (the paper's Example 4).
+	offsetRange = 2
+)
+
+// NewSimplifier returns a simplifier over the given cost model.
 func NewSimplifier(cm *lang.CostModel, fc lang.FuncCoster) *Simplifier {
-	return &Simplifier{CM: cm, FC: fc, MaxProbes: 6, OffsetRange: 2}
+	return &Simplifier{CM: cm, FC: fc}
 }
 
 // SimplifyBool computes Ψ ⊢_b e : e'. Rules Bool 1/2 try to resolve e to a
@@ -56,9 +59,9 @@ func (s *Simplifier) SimplifyBool(ctx *sym.Context, e lang.BoolExpr) lang.BoolEx
 }
 
 // SimplifyInt computes Ψ ⊢ᵢ e : e'. It tries, in order: an exact
-// memoization hit (a live variable holding e's value), SMT-backed
-// replacement of expensive call subterms by live variables (possibly with a
-// small constant offset), and structural recursion with constant folding.
+// memoization hit (a live variable holding e's value, possibly with a small
+// constant offset), SMT-backed replacement of expensive call subterms by
+// live variables, and structural recursion with constant folding.
 // The result is returned only when its static cost does not exceed e's.
 func (s *Simplifier) SimplifyInt(ctx *sym.Context, e lang.IntExpr) lang.IntExpr {
 	orig := s.CM.StaticIntCost(e, s.FC)
@@ -89,17 +92,21 @@ func (s *Simplifier) simplifyInt(ctx *sym.Context, e lang.IntExpr) lang.IntExpr 
 	return e
 }
 
-// replaceCall tries to rewrite a library call to a live variable (exact
-// match through the definition index, then SMT-verified equality or ±c
-// offset against variables whose definitions mention the same function).
+// replaceCall tries to rewrite a library call g to a live variable: exact
+// match or a ±c offset through the definition index, then an SMT-verified
+// equality against variables whose definitions mention the same function.
 func (s *Simplifier) replaceCall(ctx *sym.Context, call lang.Call) (lang.IntExpr, bool) {
 	g := ctx.TranslateInt(call)
 	in := ctx.Interner()
 	gid := in.InternTerm(g)
 	// Fast path: static memoization via the definition index, keyed by the
-	// interned node rather than rendered term text.
+	// interned node rather than rendered term text. A definition v := g + c
+	// makes g ≡ v − c syntactically, so offsets need no solver either.
 	if v, ok := ctx.LookupDefID(gid); ok {
 		return lang.Var{Name: v}, true
+	}
+	if v, c, ok := ctx.LookupOffsetID(gid); ok && -offsetRange <= c && c <= offsetRange {
+		return rebuildAdd(lang.Var{Name: v}, -c), true
 	}
 	// Slow path: SMT probes against definitions that called the same
 	// function, most recent first. Definitions whose call instances cannot
@@ -109,7 +116,7 @@ func (s *Simplifier) replaceCall(ctx *sym.Context, call lang.Call) (lang.IntExpr
 	gKey, _ := in.AppCallKey(gid)
 	defs := ctx.DefsByFunc(call.Func)
 	probes := 0
-	for i := len(defs) - 1; i >= 0 && probes < s.MaxProbes; i-- {
+	for i := len(defs) - 1; i >= 0 && probes < maxProbes; i-- {
 		d := defs[i]
 		unifies := false
 		for _, k := range d.Keys {
@@ -121,19 +128,10 @@ func (s *Simplifier) replaceCall(ctx *sym.Context, call lang.Call) (lang.IntExpr
 		if !unifies {
 			continue
 		}
-		vTerm := ctx.CurTerm(d.Var) // DefsByFunc returns current definitions only
 		probes++
-		if ctx.Entails(logic.EqT(vTerm, g)) {
+		// DefsByFunc returns current definitions only.
+		if ctx.Entails(logic.EqT(ctx.CurTerm(d.Var), g)) {
 			return lang.Var{Name: d.Var}, true
-		}
-		for c := int64(1); c <= s.OffsetRange; c++ {
-			// v = g + c  ⇒  g ≡ v - c;   v = g - c  ⇒  g ≡ v + c
-			if ctx.Entails(logic.EqT(vTerm, logic.TBin{Op: logic.Add, L: g, R: logic.Num(c)})) {
-				return lang.BinInt{Op: lang.Sub, L: lang.Var{Name: d.Var}, R: lang.IntConst{Value: c}}, true
-			}
-			if ctx.Entails(logic.EqT(vTerm, logic.TBin{Op: logic.Sub, L: g, R: logic.Num(c)})) {
-				return lang.BinInt{Op: lang.Add, L: lang.Var{Name: d.Var}, R: lang.IntConst{Value: c}}, true
-			}
 		}
 	}
 	return nil, false

@@ -80,6 +80,28 @@ func TestSimplifyIntOffset(t *testing.T) {
 	}
 }
 
+// TestSimplifyIntOffsetChain pins what the offset index answers for a
+// chain y := f(a) + 1; z := y + 1. The index holds each definition's own
+// linear form, and those do not compose: f(a) becomes y − 1 from y's
+// definition, but once y is overwritten f(a) − 2 stays a call, although
+// z still holds f(a) + 2 and z − 4 would do.
+func TestSimplifyIntOffsetChain(t *testing.T) {
+	s, ctx := simpCtx()
+	ctx.AssumeAssign("y", assignE("y := f(a) + 1;"))
+	ctx.AssumeAssign("z", assignE("z := y + 1;"))
+	if got := s.SimplifyInt(ctx, assignE("w := f(a);")); got.String() != "(y - 1)" {
+		t.Errorf("f(a) should become y-1, got %v", got)
+	}
+	ctx.AssumeAssign("y", assignE("y := 0;"))
+	q0 := ctx.Solver().Stats.Queries
+	if got := s.SimplifyInt(ctx, assignE("w := f(a) - 2;")); got.String() != "(f(a) - 2)" {
+		t.Errorf("the chain through z is not indexed, want f(a)-2 kept, got %v", got)
+	}
+	if q := ctx.Solver().Stats.Queries - q0; q != 0 {
+		t.Errorf("%d solver queries: no current definition calls f, so none should be asked", q)
+	}
+}
+
 func TestSimplifyIntInsideCallArgs(t *testing.T) {
 	s, ctx := simpCtx()
 	ctx.AssumeAssign("m", assignE("m := 3;"))

@@ -50,6 +50,12 @@ type Stats struct {
 	// Pivots counts simplex check iterations over all theory checks: the
 	// pivots performed plus one closing iteration per simplex check.
 	Pivots int
+	// Probes counts the Nelson–Oppen candidate pairs charged to the probe
+	// budget, and ProbesAnswered those of them settled without probing
+	// both halves: by an earlier probe's feasible point or by a feasible
+	// first half.
+	Probes         int
+	ProbesAnswered int
 	// Unknowns counts verdicts the budgets failed to decide.
 	Unknowns int
 }
@@ -62,18 +68,22 @@ func (s *Stats) Add(o Stats) {
 	s.SatIters += o.SatIters
 	s.TheoryChecks += o.TheoryChecks
 	s.Pivots += o.Pivots
+	s.Probes += o.Probes
+	s.ProbesAnswered += o.ProbesAnswered
 	s.Unknowns += o.Unknowns
 }
 
 // Diff returns s - o, field-wise: the activity since snapshot o was taken.
 func (s Stats) Diff(o Stats) Stats {
 	return Stats{
-		Queries:      s.Queries - o.Queries,
-		CacheHits:    s.CacheHits - o.CacheHits,
-		SatIters:     s.SatIters - o.SatIters,
-		TheoryChecks: s.TheoryChecks - o.TheoryChecks,
-		Pivots:       s.Pivots - o.Pivots,
-		Unknowns:     s.Unknowns - o.Unknowns,
+		Queries:        s.Queries - o.Queries,
+		CacheHits:      s.CacheHits - o.CacheHits,
+		SatIters:       s.SatIters - o.SatIters,
+		TheoryChecks:   s.TheoryChecks - o.TheoryChecks,
+		Pivots:         s.Pivots - o.Pivots,
+		Probes:         s.Probes - o.Probes,
+		ProbesAnswered: s.ProbesAnswered - o.ProbesAnswered,
+		Unknowns:       s.Unknowns - o.Unknowns,
 	}
 }
 
@@ -287,15 +297,18 @@ func (s *Solver) lazy(in *logic.Interner, enc *incCNF, assumps, atomVars []int) 
 }
 
 // checkTheory decides one conjunction of literals on the solver's theory
-// workspace and counts the check and its pivots.
+// workspace and counts the check, its pivots and its probes.
 func (s *Solver) checkTheory(src *logic.Interner, lits []theoryLit) theoryStatus {
 	if s.ws == nil {
 		s.ws = newTheoryWorkspace()
 	}
+	ws := s.ws
 	s.Stats.TheoryChecks++
-	before := s.ws.pivots
-	st := s.ws.check(src, lits, s.Theory)
-	s.Stats.Pivots += s.ws.pivots - before
+	pivots, probes, answered := ws.pivots, ws.probes, ws.answered
+	st := ws.check(src, lits, s.Theory)
+	s.Stats.Pivots += ws.pivots - pivots
+	s.Stats.Probes += ws.probes - probes
+	s.Stats.ProbesAnswered += ws.answered - answered
 	return st
 }
 

@@ -1,7 +1,9 @@
 package smt
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"consolidation/internal/logic"
@@ -88,6 +90,28 @@ type theoryWorkspace struct {
 	// slack diseqSlacks[i] must avoid the value -diseqConsts[i].
 	diseqSlacks []int
 	diseqConsts []int64
+
+	// Nelson–Oppen candidate pairs of the check (candidatePairs) and the
+	// buffers that build them: every argument occurrence with its bucket
+	// key in argKeys, a per-node stamp deduping one bucket, and the pairs'
+	// sort order.
+	argRefs   []argRef
+	argKeys   []byte
+	argStamp  []int32
+	uniq      []int
+	candPairs []nodePair
+	pairOrder []int32
+
+	// witnesses holds, back to back, the structural values of every probe
+	// frame of the current round that checked feasible within its budget
+	// (probeRound).
+	witnesses []qnum
+	// probes counts the pairs charged to the probe budget, and answered
+	// those of them a witness or a feasible first half settled, over the
+	// workspace's life (like pivots).
+	probes, answered int
+	// probeRef, set only by tests, stands in for probeRound.
+	probeRef func(ws *theoryWorkspace, cc *congruence, budget *int) (progress, exhausted bool)
 
 	// ended marks that the last check ended on an integral assignment in
 	// frames[0]: on theorySat, and on a theoryUnknown that ran out of
@@ -255,56 +279,7 @@ func (ws *theoryWorkspace) check(src *logic.Interner, lits []theoryLit, cfg theo
 		return theoryUnsat
 	}
 
-	// Candidate pairs for Nelson–Oppen equality propagation: an equality
-	// between two nodes only matters to congruence closure when they occur
-	// as the same argument position of two applications of the same
-	// function, so we bucket argument nodes by (function, position) and
-	// probe within buckets only.
-	argBuckets := map[string][]int{}
-	for id := 0; id < len(in.nodes); id++ {
-		nd := in.nodes[id]
-		if nd.fn == "" {
-			continue
-		}
-		for pos, ch := range nd.children {
-			key := nd.fn + "#" + strconv.Itoa(pos)
-			argBuckets[key] = append(argBuckets[key], ch)
-		}
-	}
-	// Iterate buckets in sorted key order and dedupe pairs globally: the
-	// probe budget below is consumed in candPairs order, so this order must
-	// be a function of the formula alone, never of map iteration.
-	bucketKeys := make([]string, 0, len(argBuckets))
-	for k := range argBuckets {
-		bucketKeys = append(bucketKeys, k)
-	}
-	sort.Strings(bucketKeys)
-	var candPairs [][2]int
-	seenPair := map[[2]int]bool{}
-	for _, k := range bucketKeys {
-		bucket := argBuckets[k]
-		seen := map[int]bool{}
-		var uniq []int
-		for _, id := range bucket {
-			if !seen[id] {
-				seen[id] = true
-				uniq = append(uniq, id)
-			}
-		}
-		for i := 0; i < len(uniq); i++ {
-			for j := i + 1; j < len(uniq); j++ {
-				a, b := uniq[i], uniq[j]
-				if b < a {
-					a, b = b, a
-				}
-				p := [2]int{a, b}
-				if !seenPair[p] {
-					seenPair[p] = true
-					candPairs = append(candPairs, p)
-				}
-			}
-		}
-	}
+	ws.candidatePairs()
 
 	probeBudget := cfg.noEqProbes
 	for round := 0; ; round++ {
@@ -349,50 +324,19 @@ func (ws *theoryWorkspace) check(src *logic.Interner, lits []theoryLit, cfg theo
 		if st != theorySat {
 			return st
 		}
-		// solveInt hands the integral model back by swapping frames.
-		sx = ws.frames[0]
 		// Nelson–Oppen: probe for LIA-implied equalities between candidate
-		// argument nodes whose proxies coincide in the current model but
-		// whose CC classes differ; assert them into CC and retry. Sat may
-		// only be answered once a full scan found nothing left to
-		// propagate: an exhausted probe or round budget means unprobed
-		// pairs may hide a forced equality, so the sound answer is Unknown,
-		// never Sat.
-		progress := false
-		exhausted := false
-		for _, pair := range candPairs {
-			a, b := pair[0], pair[1]
-			if cc.find(a) == cc.find(b) {
-				continue
-			}
-			if qCmp(sx.val(a), sx.val(b)) != 0 {
-				continue
-			}
-			if probeBudget <= 0 {
-				exhausted = true
-				break
-			}
-			probeBudget--
-			// a = b is implied when neither a - b ≤ -1 nor a - b ≥ 1 is
-			// feasible on top of the model's tableau.
-			diff := []sterm{{x: a, c: qOne}, {x: b, c: qInt(-1)}}
-			lo := ws.child(0)
-			okLo := lo.assertUpper(lo.addSlack(diff), qInt(-1))
-			if okLo {
-				okLo, _ = lo.check()
-			}
-			hi := ws.child(0)
-			okHi := hi.assertLower(hi.addSlack(diff), qInt(1))
-			if okHi {
-				okHi, _ = hi.check()
-			}
-			if !okLo && !okHi {
-				cc.assertEq(a, b)
-				if cc.conflict {
-					return theoryUnsat
-				}
-				progress = true
-			}
+		// argument nodes whose proxies coincide in the model; assert them
+		// into CC and retry. Sat may only be answered once a full scan
+		// found nothing left to propagate: an exhausted probe or round
+		// budget means unprobed pairs may hide a forced equality, so the
+		// sound answer is Unknown, never Sat.
+		probe := (*theoryWorkspace).probeRound
+		if ws.probeRef != nil {
+			probe = ws.probeRef
+		}
+		progress, exhausted := probe(ws, cc, &probeBudget)
+		if cc.conflict {
+			return theoryUnsat
 		}
 		if !progress {
 			ws.ended = true
@@ -406,6 +350,186 @@ func (ws *theoryWorkspace) check(src *logic.Interner, lits []theoryLit, cfg theo
 			return theoryUnknown
 		}
 	}
+}
+
+// argRef is the seq-th argument occurrence: node ch at some position of an
+// application, whose bucket key "fn#pos" is argKeys[off:off+n].
+type argRef struct {
+	off, n, seq int32
+	ch          int
+}
+
+// candidatePairs fills candPairs with the Nelson–Oppen candidates of the
+// interned nodes. An equality between two nodes only matters to congruence
+// closure when they occur at the same argument position of two applications
+// of the same function, so argument nodes are bucketed by the key "fn#pos"
+// and paired within buckets only. The probe budget is spent in candPairs
+// order, so the order is a function of the formula alone: buckets in byte
+// order of their keys (f#10 before f#2), a bucket's distinct nodes in order
+// of first occurrence, and each pair where it first occurs.
+func (ws *theoryWorkspace) candidatePairs() {
+	in := ws.in
+	refs, keys := ws.argRefs[:0], ws.argKeys[:0]
+	for id := range in.nodes {
+		nd := &in.nodes[id]
+		if nd.fn == "" {
+			continue
+		}
+		for pos, ch := range nd.children {
+			off := len(keys)
+			keys = append(keys, nd.fn...)
+			keys = append(keys, '#')
+			keys = strconv.AppendInt(keys, int64(pos), 10)
+			refs = append(refs, argRef{off: int32(off), n: int32(len(keys) - off), seq: int32(len(refs)), ch: ch})
+		}
+	}
+	ws.argRefs, ws.argKeys = refs, keys
+	key := func(r argRef) []byte { return keys[r.off : r.off+r.n] }
+	slices.SortFunc(refs, func(x, y argRef) int {
+		if c := bytes.Compare(key(x), key(y)); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.seq, y.seq)
+	})
+
+	stamp := slices.Grow(ws.argStamp[:0], len(in.nodes))[:len(in.nodes)]
+	clear(stamp)
+	ws.argStamp = stamp
+	pairs := ws.candPairs[:0]
+	for i := 0; i < len(refs); {
+		j := i + 1
+		for j < len(refs) && bytes.Equal(key(refs[j]), key(refs[i])) {
+			j++
+		}
+		uniq := ws.uniq[:0]
+		for _, r := range refs[i:j] {
+			if stamp[r.ch] != int32(j) {
+				stamp[r.ch] = int32(j)
+				uniq = append(uniq, r.ch)
+			}
+		}
+		ws.uniq = uniq
+		for x := range uniq {
+			for _, b := range uniq[x+1:] {
+				a := uniq[x]
+				if b < a {
+					a, b = b, a
+				}
+				pairs = append(pairs, nodePair{a, b})
+			}
+		}
+		i = j
+	}
+
+	// Keep each pair where it first occurs: sort the positions by pair,
+	// then by position, and blank every position but a run's first.
+	order := ws.pairOrder[:0]
+	for k := range pairs {
+		order = append(order, int32(k))
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		p, q := pairs[x], pairs[y]
+		if c := cmp.Compare(p.a, q.a); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(p.b, q.b); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	for k := len(order) - 1; k > 0; k-- {
+		if pairs[order[k]] == pairs[order[k-1]] {
+			pairs[order[k]] = nodePair{-1, -1}
+		}
+	}
+	kept := pairs[:0]
+	for _, p := range pairs {
+		if p.a >= 0 {
+			kept = append(kept, p)
+		}
+	}
+	ws.candPairs, ws.pairOrder = kept, order
+}
+
+// probeRound is one round of Nelson–Oppen probes on the model in frames[0].
+// A candidate pair (a, b) is probed when cc keeps a and b apart but the
+// model gives them one value: a = b is implied when neither a − b ≤ −1 nor
+// a − b ≥ 1 is feasible on top of frames[0], and is then asserted into cc
+// (progress; the caller checks cc.conflict). Each probed pair is charged to
+// *budget; exhausted reports a pair left unprobed because it was spent.
+//
+// Every probe half that checks feasible within its budget leaves its point
+// as a witness: a rational point of frames[0]'s polyhedron. A pair that a
+// witness of the round puts at least 1 apart has a feasible half, so it is
+// settled without a probe, and so is a pair whose first half is feasible.
+// The threshold is 1, not "different": a rational a − b strictly between −1
+// and 1 is exactly what integrality may still force to 0. A settled pair is
+// charged all the same, so the budget runs out where probing every pair
+// would run it out. Witnesses die with the round: the next round's
+// frames[0] holds more equalities and may exclude them.
+func (ws *theoryWorkspace) probeRound(cc *congruence, budget *int) (progress, exhausted bool) {
+	sx := ws.frames[0]
+	ws.witnesses = ws.witnesses[:0]
+	for _, p := range ws.candPairs {
+		a, b := p.a, p.b
+		if cc.find(a) == cc.find(b) || qCmp(sx.val(a), sx.val(b)) != 0 {
+			continue
+		}
+		if *budget <= 0 {
+			return progress, true
+		}
+		*budget--
+		ws.probes++
+		if ws.witnessApart(a, b) || ws.probeHalf(a, b, true) {
+			ws.answered++
+			continue
+		}
+		if !ws.probeHalf(a, b, false) {
+			cc.assertEq(a, b)
+			if cc.conflict {
+				return true, false
+			}
+			progress = true
+		}
+	}
+	return progress, false
+}
+
+// witnessApart reports whether a witness of the round puts a and b at
+// least 1 apart.
+func (ws *theoryWorkspace) witnessApart(a, b int) bool {
+	n := ws.frames[0].structural
+	for w := 0; w < len(ws.witnesses); w += n {
+		d := qSub(ws.witnesses[w+a], ws.witnesses[w+b])
+		if qCmp(d, qOne) >= 0 || qCmp(d, qInt(-1)) <= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// probeHalf reports whether a − b ≤ −1 (below) or a − b ≥ 1 (!below) may
+// hold on top of frames[0], checked on a copy of it. A check that runs out
+// of pivots answers feasible, the conservative "not implied"; one that
+// finishes feasible adds its point to the round's witnesses.
+func (ws *theoryWorkspace) probeHalf(a, b int, below bool) bool {
+	c := ws.child(0)
+	diff := [2]sterm{{x: a, c: qOne}, {x: b, c: qInt(-1)}}
+	sl := c.addSlack(diff[:])
+	var ok bool
+	if below {
+		ok = c.assertUpper(sl, qInt(-1))
+	} else {
+		ok = c.assertLower(sl, qOne)
+	}
+	if !ok {
+		return false
+	}
+	feasible, over := c.check()
+	if feasible && !over {
+		ws.witnesses = append(ws.witnesses, c.beta[:c.structural]...)
+	}
+	return feasible
 }
 
 // assignment returns the integral assignment the last check ended on, or

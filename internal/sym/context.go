@@ -9,6 +9,7 @@
 package sym
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -60,6 +61,15 @@ type Context struct {
 	funcDefs map[string][]DefEntry
 	// varDefs indexes the most recent definition per variable.
 	varDefs map[string]DefEntry
+	// offsets indexes definitions v := g ± c, g an application and c a
+	// constant, under g's interned node: while v is current, g ≡ v ∓ c.
+	offsets map[logic.NodeID]offsetDef
+}
+
+// offsetDef is a definition entry whose right-hand side is g + c.
+type offsetDef struct {
+	DefEntry
+	c int64
 }
 
 // conjunct is one context fact plus cached structure for the relevance
@@ -119,6 +129,7 @@ func NewContext(solver *smt.Solver) *Context {
 		defs:         map[logic.NodeID]DefEntry{},
 		funcDefs:     map[string][]DefEntry{},
 		varDefs:      map[string]DefEntry{},
+		offsets:      map[logic.NodeID]offsetDef{},
 	}
 }
 
@@ -155,6 +166,7 @@ func (c *Context) Clone() *Context {
 		defs:         make(map[logic.NodeID]DefEntry, len(c.defs)),
 		funcDefs:     make(map[string][]DefEntry, len(c.funcDefs)),
 		varDefs:      make(map[string]DefEntry, len(c.varDefs)),
+		offsets:      make(map[logic.NodeID]offsetDef, len(c.offsets)),
 	}
 	for k, v := range c.version {
 		out.version[k] = v
@@ -167,6 +179,9 @@ func (c *Context) Clone() *Context {
 	}
 	for k, v := range c.varDefs {
 		out.varDefs[k] = v
+	}
+	for k, v := range c.offsets {
+		out.offsets[k] = v
 	}
 	return out
 }
@@ -300,6 +315,31 @@ func (c *Context) AssumeAssign(x string, e lang.IntExpr) {
 	for fn := range termFuncs(rhs) {
 		c.funcDefs[fn] = append(c.funcDefs[fn], entry)
 	}
+	if g, k, ok := appOffset(rhs); ok {
+		c.offsets[c.in.InternTerm(g)] = offsetDef{entry, k}
+	}
+}
+
+// appOffset splits t into g and c with t ≡ g + c when t is an application
+// plus or minus a constant.
+func appOffset(t logic.Term) (logic.Term, int64, bool) {
+	b, ok := t.(logic.TBin)
+	if !ok {
+		return nil, 0, false
+	}
+	_, lApp := b.L.(logic.TApp)
+	lc, lConst := b.L.(logic.TConst)
+	_, rApp := b.R.(logic.TApp)
+	rc, rConst := b.R.(logic.TConst)
+	switch {
+	case b.Op == logic.Add && lApp && rConst:
+		return b.L, rc.Value, true
+	case b.Op == logic.Add && lConst && rApp:
+		return b.R, lc.Value, true
+	case b.Op == logic.Sub && lApp && rConst && rc.Value != math.MinInt64:
+		return b.L, -rc.Value, true
+	}
+	return nil, 0, false
 }
 
 // LookupDef returns a variable currently holding exactly the value of t, if
@@ -316,6 +356,17 @@ func (c *Context) LookupDefID(id logic.NodeID) (string, bool) {
 		return "", false
 	}
 	return e.Var, true
+}
+
+// LookupOffsetID returns a variable v currently holding the value of the
+// interned application id plus c, if an assignment v := id ± c was recorded
+// and v has not been overwritten since.
+func (c *Context) LookupOffsetID(id logic.NodeID) (v string, off int64, ok bool) {
+	e, ok := c.offsets[id]
+	if !ok || c.version[e.Var] != e.Version {
+		return "", 0, false
+	}
+	return e.Var, e.c, true
 }
 
 // CurDef returns the recorded right-hand side of variable v's most recent

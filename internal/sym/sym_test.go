@@ -171,6 +171,41 @@ func TestDefinitionIndex(t *testing.T) {
 	}
 }
 
+// TestOffsetIndex: a definition v := g ± c with g an application is
+// indexed under g with its offset, in every written form, and dies with v.
+func TestOffsetIndex(t *testing.T) {
+	c := NewContext(smt.New())
+	expr := func(src string) lang.IntExpr { return lang.MustParseStmt("w := " + src + ";").(lang.Assign).E }
+	price := c.Interner().InternTerm(c.TranslateInt(expr("price(r)")))
+	for _, tc := range []struct {
+		rhs string
+		off int64
+		ok  bool
+	}{
+		{"price(r) + 2", 2, true},
+		{"price(r) - 1", -1, true},
+		{"3 + price(r)", 3, true},
+		{"1 - price(r)", 0, false},
+		{"price(r) + r", 0, false},
+		{"price(r)", 0, false}, // the exact index holds it
+	} {
+		c.AssumeAssign("v", expr(tc.rhs))
+		v, off, ok := c.LookupOffsetID(price)
+		if tc.ok != ok || ok && (v != "v" || off != tc.off) {
+			t.Errorf("v := %s: LookupOffsetID = %q, %d, %v; want v, %d, %v", tc.rhs, v, off, ok, tc.off, tc.ok)
+		}
+	}
+	c.AssumeAssign("v", expr("price(r) + 1"))
+	clone := c.Clone()
+	c.Havoc([]string{"v"})
+	if _, _, ok := c.LookupOffsetID(price); ok {
+		t.Error("havoc should invalidate the offset definition")
+	}
+	if _, off, ok := clone.LookupOffsetID(price); !ok || off != 1 {
+		t.Errorf("clone lost the offset definition: %d, %v", off, ok)
+	}
+}
+
 func TestHavocInvalidatesDefs(t *testing.T) {
 	c := NewContext(smt.New())
 	c.AssumeAssign("v", lang.MustParseStmt("v := price(r);").(lang.Assign).E)
