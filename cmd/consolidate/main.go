@@ -119,8 +119,8 @@ func main() {
 			ms.SMTQueries, ms.CacheHitRate()*100, ms.OutputSize)
 		fmt.Fprintf(os.Stderr, "solver: %d theory checks, %d pivots, %d/%d probes answered, %d unknowns\n",
 			ms.Solver.TheoryChecks, ms.Solver.Pivots, ms.Solver.ProbesAnswered, ms.Solver.Probes, ms.Solver.Unknowns)
-		fmt.Fprintf(os.Stderr, "SMT cache: %d entries, %d lookups, %d hits, %d stores, %d evictions, %d contended locks\n",
-			ms.Cache.Entries, ms.Cache.Lookups, ms.Cache.Hits, ms.Cache.Stores, ms.Cache.Evictions, ms.Cache.Contended)
+		fmt.Fprintf(os.Stderr, "SMT cache: %d entries, %d lookups, %d hits (%d renamed), %d stores, %d evictions, %d contended locks\n",
+			ms.Cache.Entries, ms.Cache.Lookups, ms.Cache.Hits, ms.Cache.Renamed, ms.Cache.Stores, ms.Cache.Evictions, ms.Cache.Contended)
 		seq := cost.Sequential(progs, nil, nil)
 		one := cost.Program(merged, nil, nil)
 		fmt.Fprintf(os.Stderr, "static cost: sequential %s, consolidated %s\n",

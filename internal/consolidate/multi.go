@@ -76,9 +76,9 @@ type MergeTree struct {
 // Memo keys the prepared leaf and every merge node above it by; All passes
 // ids 0…N−1, the live registry its query ids. A leaf's content is
 // positional: the leaf at position i has its locals renamed apart under
-// the q<i>_ prefix and, with renumbering, notifies i. Positional names are
-// what let the shared SMT cache answer alpha-identical entailments of
-// different leaves at the same tree position.
+// the q<i>_ prefix and, with renumbering, notifies i. The shared SMT cache
+// keys queries modulo α-renaming, so it answers the same entailment for
+// leaves at any positions.
 type Leaf struct {
 	ID   int
 	Prog *lang.Program

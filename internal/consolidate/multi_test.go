@@ -219,6 +219,30 @@ func TestSharedCacheCrossPairHits(t *testing.T) {
 	}
 }
 
+// TestCacheCountsRenamedHits pins CacheStats.Renamed on a two-slot program
+// set: two stock Q1 UDFs from one template are renamed apart (q0_, q1_),
+// so every hit their pair gets is an entailment solved for the other slot
+// and answered under the asker's names. The threshold chain's hits repeat
+// queries under the names they were solved under, so none is renamed.
+func TestCacheCountsRenamedHits(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		progs         []*lang.Program
+		hits, renamed uint64
+	}{
+		{"stock_Q1_x2", queries.MustGen("stock", "Q1", 2, 7), 3, 3},
+		{"threshold_chain", loadCorpus(t)["threshold_chain.udf"], 4, 0},
+	} {
+		_, ms, err := All(tc.progs, DefaultOptions(), true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms.Cache.Hits != tc.hits || ms.Cache.Renamed != tc.renamed {
+			t.Errorf("%s: %d hits, %d renamed; want %d and %d", tc.name, ms.Cache.Hits, ms.Cache.Renamed, tc.hits, tc.renamed)
+		}
+	}
+}
+
 // TestAllCancelsSiblingsOnError injects a failing pair and asserts the
 // remaining pairs are not consolidated at all: before the fix they kept
 // burning solver budget after firstErr was set. The failing pair is the

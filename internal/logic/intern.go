@@ -1,6 +1,9 @@
 package logic
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // This file implements the hash-consing arena for terms and formulas: an
 // Interner canonicalises structurally equal trees into a single node and
@@ -19,8 +22,8 @@ import "encoding/binary"
 //   - A node's 64-bit structural hash is computed from its kind, payload
 //     and the hashes (not the IDs) of its children, so hashes agree across
 //     interner instances: two workers interning the same formula into
-//     private interners produce the same hash, which is what lets the
-//     shared smt.Cache shard and probe by hash without text keys.
+//     private interners produce the same hash. The shared smt.Cache keys
+//     on AlphaHash, which has the same property modulo variable names.
 //   - Hash collisions are resolved with full structural verification:
 //     hash-equal but structurally distinct nodes always get distinct IDs.
 //
@@ -151,6 +154,9 @@ type Interner struct {
 	varBuf2  []VarID
 	callBuf  []CallKey
 	callBuf2 []CallKey
+
+	// alpha buffers the key AlphaHash computed last.
+	alpha alphaKey
 }
 
 const initialTab = 1 << 10
@@ -163,6 +169,7 @@ func NewInterner() *Interner {
 		varID:      map[string]VarID{},
 		funcID:     map[string]int32{},
 		keyBuckets: map[uint64][]CallKey{},
+		alpha:      alphaKey{id: NoNode},
 	}
 	for i := range in.tab {
 		in.tab[i] = -1
@@ -835,29 +842,144 @@ func (in *Interner) AppCallKey(id NodeID) (CallKey, bool) {
 	return k, k != NoCallKey
 }
 
-// ---- canonical byte encoding ----
+// ---- α-canonical keys ----
 //
-// The shared smt.Cache keys entries by structural hash and verifies
-// collisions against a canonical encoding of the formula rather than a
-// retained tree: thousands of cached ASTs of small boxed nodes made the
-// collector trace the whole cache on every cycle. The encoding is a flat
-// preorder byte string — interner-independent, pointer-free — and
-// verification streams the probing interner's DAG against it without
-// materialising anything.
+// The shared smt.Cache keys entries modulo α-renaming: two queries share
+// an entry exactly when one is the other with its free variables renamed
+// bijectively. Ω asks the same entailment once per UDF built from one
+// template, and leaves are renamed apart (q<slot>_), so a key that spelled
+// variable names would miss every renamed copy.
+//
+// The key is the canonical encoding: a flat preorder byte string of the
+// node's tree that writes each variable as the number of its first
+// occurrence in the walk, and constants and function names as they are.
+// Equal encodings mean equal trees up to a renaming, and the renaming is a
+// bijection: both walks number a variable when they first meet it, so
+// x < y (0 < 1) never matches x < x (0 < 0). The encoding is
+// interner-independent and pointer-free, so a full cache is nearly free for
+// the collector to trace.
+//
+// AlphaHash encodes the node once into the interner's key buffer and
+// hashes the bytes; AlphaMatches and AppendAlphaEncoding then compare and
+// copy that buffer for the same node instead of walking it again. For any
+// other node they walk it, reading the interner only: the cache verifies
+// and stores nodes of interners it does not own.
 
-// AppendEncoding appends the canonical encoding of the node's tree to dst
-// and returns the extended slice. Two nodes (in any interners) have equal
-// encodings exactly when they are structurally equal.
-func (in *Interner) AppendEncoding(dst []byte, id NodeID) []byte {
+// AlphaScratch is the working memory of an α-canonical walk: the number
+// each variable met so far got, and the variables in first-occurrence
+// order. The zero value is ready to use. A scratch serves one walk at a
+// time and any number of interners; reusing one keeps the walks
+// allocation-free.
+type AlphaScratch struct {
+	// num maps a VarID to its first-occurrence number + 1, 0 for a
+	// variable the walk has not met; all zero between walks.
+	num  []int32
+	vars []VarID
+}
+
+// Vars returns the node's variables in first-occurrence order after a
+// successful AlphaMatches or an AppendAlphaEncoding (read-only, valid
+// until the next use of the scratch): position i is the variable numbered
+// i.
+func (sc *AlphaScratch) Vars() []VarID { return sc.vars }
+
+func (sc *AlphaScratch) begin(in *Interner) {
+	if n := len(in.varName); len(sc.num) < n {
+		sc.num = append(sc.num, make([]int32, n-len(sc.num))...)
+	}
+	sc.vars = sc.vars[:0]
+}
+
+func (sc *AlphaScratch) end() {
+	for _, v := range sc.vars {
+		sc.num[v] = 0
+	}
+}
+
+// number returns v's first-occurrence number, numbering it now if the walk
+// has not met it.
+func (sc *AlphaScratch) number(v VarID) uint64 {
+	if n := sc.num[v]; n > 0 {
+		return uint64(n - 1)
+	}
+	sc.vars = append(sc.vars, v)
+	sc.num[v] = int32(len(sc.vars))
+	return uint64(len(sc.vars) - 1)
+}
+
+// alphaKey is the key AlphaHash computed last: the node, its encoding and
+// its hash, and in sc the node's variables.
+type alphaKey struct {
+	id   NodeID
+	hash uint64
+	enc  []byte
+	sc   AlphaScratch
+}
+
+// AlphaHash returns the hash of the node's α-canonical encoding: nodes in
+// any interners whose encodings are equal hash equally, whatever their
+// variables are called. Like interning, it writes to the interner: the
+// encoding stays buffered for the node until the next AlphaHash of
+// another one.
+func (in *Interner) AlphaHash(id NodeID) uint64 {
+	k := &in.alpha
+	if k.id != id {
+		k.sc.begin(in)
+		k.enc = in.appendAlpha(&k.sc, k.enc[:0], id)
+		k.sc.end()
+		k.hash = hashBytes(k.enc)
+		k.id = id
+	}
+	return k.hash
+}
+
+// hashBytes is a word-at-a-time multiplicative hash with the splitmix
+// finalizer, deterministic across processes.
+func hashBytes(b []byte) uint64 {
+	h := uint64(len(b))
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	var tail uint64
+	for i, c := range b {
+		tail |= uint64(c) << (8 * i)
+	}
+	return mix64(h ^ tail)
+}
+
+// buffered reports whether AlphaHash holds the node's key, and then
+// copies its variables to sc.
+func (in *Interner) buffered(sc *AlphaScratch, id NodeID) bool {
+	if in.alpha.id != id {
+		return false
+	}
+	sc.vars = append(sc.vars[:0], in.alpha.sc.vars...)
+	return true
+}
+
+// AppendAlphaEncoding appends the node's α-canonical encoding to dst and
+// returns the extended slice. Two nodes (in any interners) have equal
+// encodings exactly when one is the other with its variables renamed
+// bijectively.
+func (in *Interner) AppendAlphaEncoding(sc *AlphaScratch, dst []byte, id NodeID) []byte {
+	if in.buffered(sc, id) {
+		return append(dst, in.alpha.enc...)
+	}
+	sc.begin(in)
+	dst = in.appendAlpha(sc, dst, id)
+	sc.end()
+	return dst
+}
+
+func (in *Interner) appendAlpha(sc *AlphaScratch, dst []byte, id NodeID) []byte {
 	nd := &in.nodes[id]
 	dst = append(dst, byte(nd.kind), nd.op)
 	switch nd.kind {
 	case KConst:
 		dst = binary.AppendVarint(dst, nd.val)
 	case KVar:
-		name := in.varName[nd.nameID]
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
+		dst = binary.AppendUvarint(dst, sc.number(VarID(nd.nameID)))
 	case KApp:
 		name := in.funcName[nd.nameID]
 		dst = binary.AppendUvarint(dst, uint64(len(name)))
@@ -866,20 +988,27 @@ func (in *Interner) AppendEncoding(dst []byte, id NodeID) []byte {
 	kids := in.kidsView(nd.kids)
 	dst = binary.AppendUvarint(dst, uint64(len(kids)))
 	for _, k := range kids {
-		dst = in.AppendEncoding(dst, k)
+		dst = in.appendAlpha(sc, dst, k)
 	}
 	return dst
 }
 
-// EncodingMatches reports whether enc is exactly the canonical encoding
-// of the node's tree. It allocates nothing: the comparison walks the DAG
-// and the bytes in lockstep and bails at the first divergence.
-func (in *Interner) EncodingMatches(id NodeID, enc []byte) bool {
-	pos, ok := in.matchNode(id, enc, 0)
+// AlphaMatches reports whether enc is exactly the node's α-canonical
+// encoding. It allocates nothing once the scratch has grown: a buffered
+// key is compared as bytes, and otherwise the node and the bytes are
+// walked in lockstep, numbering the node's variables as the walk meets
+// them, bailing at the first divergence.
+func (in *Interner) AlphaMatches(sc *AlphaScratch, id NodeID, enc []byte) bool {
+	if in.buffered(sc, id) {
+		return bytes.Equal(in.alpha.enc, enc)
+	}
+	sc.begin(in)
+	pos, ok := in.matchAlpha(sc, id, enc, 0)
+	sc.end()
 	return ok && pos == len(enc)
 }
 
-func (in *Interner) matchNode(id NodeID, enc []byte, pos int) (int, bool) {
+func (in *Interner) matchAlpha(sc *AlphaScratch, id NodeID, enc []byte, pos int) (int, bool) {
 	nd := &in.nodes[id]
 	if pos+2 > len(enc) || enc[pos] != byte(nd.kind) || enc[pos+1] != nd.op {
 		return 0, false
@@ -892,12 +1021,14 @@ func (in *Interner) matchNode(id NodeID, enc []byte, pos int) (int, bool) {
 			return 0, false
 		}
 		pos += n
-	case KVar, KApp:
-		name := in.varName
-		if nd.kind == KApp {
-			name = in.funcName
+	case KVar:
+		v, n := binary.Uvarint(enc[pos:])
+		if n <= 0 || v != sc.number(VarID(nd.nameID)) {
+			return 0, false
 		}
-		s := name[nd.nameID]
+		pos += n
+	case KApp:
+		s := in.funcName[nd.nameID]
 		l, n := binary.Uvarint(enc[pos:])
 		if n <= 0 || l != uint64(len(s)) {
 			return 0, false
@@ -916,7 +1047,7 @@ func (in *Interner) matchNode(id NodeID, enc []byte, pos int) (int, bool) {
 	pos += n
 	for _, k := range kids {
 		var ok bool
-		pos, ok = in.matchNode(k, enc, pos)
+		pos, ok = in.matchAlpha(sc, k, enc, pos)
 		if !ok {
 			return 0, false
 		}

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -8,19 +9,26 @@ import (
 )
 
 // Cache is a concurrency-safe query cache shared between Solver instances.
-// Entries are keyed by the formula's precomputed 64-bit structural hash
-// (computed once at interning time by the hash-consing arena in
-// internal/logic) and striped over a fixed number of shards, each guarded
-// by its own mutex, so parallel consolidation workers rarely contend on the
-// same lock. Structural hashes are interner-independent — two workers
-// interning the same formula into private arenas compute the same hash —
-// so verdicts flow between workers exactly as the old text keys allowed,
-// without rendering a single byte. Hash collisions are resolved by bucket
-// lists verified against a canonical byte encoding of the formula
-// (logic.AppendEncoding), so a collision can cost a comparison but never
-// a wrong verdict. Entries keep only that flat encoding — not the
-// formula tree — so a full cache is nearly free for the garbage
+// Entries are keyed modulo α-renaming: by the hash of the formula's
+// α-canonical encoding (logic.AlphaHash), which writes each variable as the
+// number of its first occurrence, and striped over a fixed number of
+// shards, each guarded by its own mutex, so parallel consolidation workers
+// rarely contend on the same lock. The key is interner-independent and
+// name-blind: a verdict one worker solved for q1_x < q1_y answers another
+// worker's q3_x < q3_y. Hash collisions are resolved by bucket lists
+// verified against the stored encoding (logic.AlphaMatches), so a
+// collision can cost a comparison but never a wrong verdict. Entries keep
+// only flat bytes — the encoding and the storing check's variable names —
+// not the formula tree, so a full cache is nearly free for the garbage
 // collector to trace.
+//
+// Sharing across renamings is exact because the solver is α-invariant: its
+// theory interner numbers variables by first occurrence, linear forms are
+// sorted by entity id, Nelson–Oppen candidates are ordered by function
+// name and argument position, congruence signatures use function names
+// and class ids, and the stateless boolean path allocates Tseitin
+// variables in walk order. A renamed query gets the same verdict from the
+// same work, and the renamed assignment.
 //
 // The divide-and-conquer driver in internal/consolidate injects one Cache
 // into every pair worker: later pairs and later levels re-issue many
@@ -37,8 +45,11 @@ import (
 // A check that asks for its assignment (Solver.CheckModel,
 // Context.CheckAssumingModel) stores it with the verdict, and every hit
 // of such a check returns it, so a warm run prunes exactly what the cold
-// run pruned. Verdicts stored by checks that did not ask carry none and
-// do not answer one that does.
+// run pruned. The assignment is in the storing check's variable names; a
+// hit from a check whose names differ gets a copy renamed position by
+// position in first-occurrence order (function tables name no variables
+// and are shared). Verdicts stored by checks that did not ask carry none
+// and do not answer one that does.
 //
 // The zero Cache is not usable; construct with NewCache.
 type Cache struct {
@@ -51,6 +62,7 @@ type Cache struct {
 
 	lookups   atomic.Uint64
 	hits      atomic.Uint64
+	renamed   atomic.Uint64
 	stores    atomic.Uint64
 	evictions atomic.Uint64
 	contended atomic.Uint64
@@ -62,17 +74,23 @@ const cacheShards = 64
 
 type cacheShard struct {
 	mu sync.Mutex
-	// m buckets entries by structural hash; each bucket holds the formulas
-	// (almost always exactly one) sharing that hash, oldest first.
+	// m buckets entries by α-hash; each bucket holds the α-classes (almost
+	// always exactly one) sharing that hash, oldest first.
 	m     map[uint64][]hashEntry
 	order []uint64 // insertion order of entry hashes, for FIFO eviction
+	// alpha is the verify and encode walks' working memory, used under mu:
+	// the askers' interners are theirs, so the cache writes nothing there.
+	alpha logic.AlphaScratch
 }
 
-// hashEntry is one cached verdict together with the canonical encoding
-// of the formula that keys it, kept for collision verification.
+// hashEntry is one cached verdict together with the α-canonical encoding
+// of the formula that keys it, kept for collision verification, and the
+// variable names of the check whose verdict it holds, in first-occurrence
+// order, each prefixed by its length.
 type hashEntry struct {
-	enc []byte
-	e   cacheEntry
+	enc   []byte
+	names []byte
+	e     cacheEntry
 }
 
 // cacheEntry records a verdict, with the assignment that came with it when
@@ -88,8 +106,11 @@ type cacheEntry struct {
 // accumulate over the cache's lifetime, so callers comparing runs should
 // use a fresh Cache per run or diff snapshots.
 type CacheStats struct {
-	Lookups   uint64
-	Hits      uint64
+	Lookups uint64
+	Hits    uint64
+	// Renamed counts the hits answered by an entry stored under other
+	// variable names than the asker's: the sharing α-keys add.
+	Renamed   uint64
 	Stores    uint64
 	Evictions uint64
 	// Contended counts lock acquisitions that found the shard mutex held
@@ -124,11 +145,10 @@ func NewCache(maxEntries int) *Cache {
 	return c
 }
 
-// shardOf stripes by the structural hash. The hash is already well mixed
-// (splitmix finalizer), so masking low bits is uniform, and it is
-// deterministic across processes, which keeps shard assignment (and
-// therefore eviction behaviour) reproducible run to run. O(1): no bytes
-// are hashed per call.
+// shardOf stripes by the α-hash. The hash is already well mixed (splitmix
+// finalizer), so masking low bits is uniform, and it is deterministic
+// across processes, which keeps shard assignment (and therefore eviction
+// behaviour) reproducible run to run.
 func shardOf(h uint64) uint32 {
 	return uint32(h) & (cacheShards - 1)
 }
@@ -142,48 +162,101 @@ func (c *Cache) lock(sh *cacheShard) {
 	sh.mu.Lock()
 }
 
-// find locates the node's entry in a bucket; callers hold the shard lock.
-func bucketFind(bucket []hashEntry, in *logic.Interner, id logic.NodeID) int {
+// find locates the node's α-class in the shard's bucket for h; callers
+// hold the shard lock. On success sh.alpha.Vars() are the node's
+// variables in first-occurrence order.
+func (sh *cacheShard) find(h uint64, in *logic.Interner, id logic.NodeID) int {
+	bucket := sh.m[h]
 	for i := range bucket {
-		if in.EncodingMatches(id, bucket[i].enc) {
+		if in.AlphaMatches(&sh.alpha, id, bucket[i].enc) {
 			return i
 		}
 	}
 	return -1
 }
 
-// get looks up a verdict for the interned formula id (whose precomputed
-// structural hash is h) under the given solver budget. Decided entries
-// always hit; an Unknown entry hits only when the query's budget is no
-// larger than the budget that produced it. A lookup that wants the
-// assignment hits only an entry computed for a check that asked for one,
-// or an Unsat, which never has one. get allocates nothing.
+// appendNames appends the variables' names, each prefixed by its length.
+func appendNames(dst []byte, in *logic.Interner, vars []logic.VarID) []byte {
+	for _, v := range vars {
+		name := in.VarName(v)
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+	}
+	return dst
+}
+
+// nextName splits the first length-prefixed name off names.
+func nextName(names []byte) (name, rest []byte) {
+	l, n := binary.Uvarint(names)
+	return names[n : n+int(l)], names[n+int(l):]
+}
+
+// sameNames reports whether names spells the variables' names.
+func sameNames(names []byte, in *logic.Interner, vars []logic.VarID) bool {
+	for _, v := range vars {
+		var name []byte
+		name, names = nextName(names)
+		if string(name) != in.VarName(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// renameModel returns m with its variables renamed position by position
+// from the stored names to the asker's variables. The function table names
+// no variables, so the copy shares it.
+func renameModel(m *logic.Model, names []byte, in *logic.Interner, vars []logic.VarID) *logic.Model {
+	out := &logic.Model{Vars: make(map[string]int64, len(m.Vars)), Table: m.Table}
+	for _, v := range vars {
+		var name []byte
+		name, names = nextName(names)
+		if val, ok := m.Vars[string(name)]; ok {
+			out.Vars[in.VarName(v)] = val
+		}
+	}
+	return out
+}
+
+// get looks up a verdict for the interned formula id, whose α-hash is h,
+// under the given solver budget. Decided entries always hit; an Unknown
+// entry hits only when the query's budget is no larger than the budget
+// that produced it. A lookup that wants the assignment hits only an entry
+// computed for a check that asked for one, or an Unsat, which never has
+// one. get allocates nothing, except the renamed copy of an assignment
+// stored under other names.
 func (c *Cache) get(h uint64, in *logic.Interner, id logic.NodeID, conflicts, lazyIters int, want bool) (verdict, bool) {
 	c.lookups.Add(1)
 	sh := &c.shards[shardOf(h)]
 	c.lock(sh)
-	var e cacheEntry
-	ok := false
-	if bucket := sh.m[h]; bucket != nil {
-		if i := bucketFind(bucket, in, id); i >= 0 {
-			e, ok = bucket[i].e, true
-		}
-	}
-	sh.mu.Unlock()
-	if !ok {
+	i := sh.find(h, in, id)
+	if i < 0 {
+		sh.mu.Unlock()
 		return verdict{}, false
 	}
+	entry := &sh.m[h][i]
+	e := entry.e
 	if e.v.r == Unknown && (conflicts > e.conflicts || lazyIters > e.lazyIters) {
 		// The caller has more budget than the run that gave up; the query
 		// may well be decidable now. Miss, so it is re-solved.
+		sh.mu.Unlock()
 		return verdict{}, false
 	}
 	if !e.v.answers(want) {
 		// Stored by a check that did not ask; solving again yields the
 		// assignment, and the verdict is the same.
+		sh.mu.Unlock()
 		return verdict{}, false
 	}
+	renamed := !sameNames(entry.names, in, sh.alpha.Vars())
+	if renamed && e.v.m != nil {
+		e.v.m = renameModel(e.v.m, entry.names, in, sh.alpha.Vars())
+	}
+	sh.mu.Unlock()
 	c.hits.Add(1)
+	if renamed {
+		c.renamed.Add(1)
+	}
 	return e.v, true
 }
 
@@ -192,14 +265,16 @@ func (c *Cache) get(h uint64, in *logic.Interner, id logic.NodeID, conflicts, la
 // Unknown, but keep the assignment an equal verdict already carries. An
 // Unknown is stored together with its budget — it can answer only queries
 // with no more budget than that — and never overwrites a decided entry.
+// The entry takes the asker's variable names with the asker's verdict.
 func (c *Cache) put(h uint64, in *logic.Interner, id logic.NodeID, v verdict, conflicts, lazyIters int) bool {
 	sh := &c.shards[shardOf(h)]
 	c.lock(sh)
 	defer sh.mu.Unlock()
 	bucket := sh.m[h]
-	idx := bucketFind(bucket, in, id)
+	idx := sh.find(h, in, id)
 	e := cacheEntry{v: v}
-	if idx >= 0 && !v.asked && bucket[idx].e.v.r == v.r {
+	kept := idx >= 0 && !v.asked && bucket[idx].e.v.r == v.r
+	if kept {
 		e.v = bucket[idx].e.v
 	}
 	if v.r == Unknown {
@@ -233,9 +308,16 @@ func (c *Cache) put(h uint64, in *logic.Interner, id logic.NodeID, v verdict, co
 			c.evictions.Add(1)
 		}
 		sh.order = append(sh.order, h)
-		sh.m[h] = append(sh.m[h], hashEntry{enc: in.AppendEncoding(nil, id), e: e})
+		key := in.AppendAlphaEncoding(&sh.alpha, nil, id)
+		n := len(key)
+		key = appendNames(key, in, sh.alpha.Vars())
+		sh.m[h] = append(sh.m[h], hashEntry{enc: key[:n:n], names: key[n:], e: e})
 	} else {
-		bucket[idx].e = e
+		entry := &bucket[idx]
+		if !kept && !sameNames(entry.names, in, sh.alpha.Vars()) {
+			entry.names = appendNames(nil, in, sh.alpha.Vars())
+		}
+		entry.e = e
 	}
 	c.stores.Add(1)
 	return true
@@ -260,6 +342,7 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Lookups:   c.lookups.Load(),
 		Hits:      c.hits.Load(),
+		Renamed:   c.renamed.Load(),
 		Stores:    c.stores.Load(),
 		Evictions: c.evictions.Load(),
 		Contended: c.contended.Load(),

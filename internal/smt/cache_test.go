@@ -9,14 +9,13 @@ import (
 )
 
 // fh interns f into a fresh arena and returns the arena, the node, and
-// its structural hash — the cache key exactly as Solver.Check computes
-// it. A fresh arena per call doubles as a check that hashes (and the
-// canonical encodings the cache verifies against) are
-// interner-independent.
+// its α-hash — the cache key exactly as Solver.Check computes it. A fresh
+// arena per call doubles as a check that hashes (and the canonical
+// encodings the cache verifies against) are interner-independent.
 func fh(f logic.Formula) (*logic.Interner, logic.NodeID, uint64) {
 	in := logic.NewInterner()
 	id := in.InternFormula(f)
-	return in, id, in.Hash(id)
+	return in, id, in.AlphaHash(id)
 }
 
 func TestCacheBasics(t *testing.T) {

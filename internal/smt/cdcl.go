@@ -2,10 +2,11 @@ package smt
 
 // cdcl is a conflict-driven clause-learning SAT solver: two-watched-literal
 // propagation, first-UIP conflict analysis with clause learning, VSIDS-style
-// decaying activities, phase saving, and Luby restarts. It is incremental:
-// solveAssume is its one entry point, the lazy SMT loop adds the boolean
-// abstraction and theory blocking clauses between calls, and the clause
-// database, learned clauses included, carries from one call to the next.
+// decaying activities kept in an order heap, phase saving, and Luby
+// restarts. It is incremental: solveAssume is its one entry point, the lazy
+// SMT loop adds the boolean abstraction and theory blocking clauses between
+// calls, and the clause database, learned clauses included, carries from
+// one call to the next.
 //
 // Literal encoding: variable v ∈ [1, nvars]; literal +v / -v as in DIMACS.
 // Internally literals are indexed 2v (positive) and 2v+1 (negative).
@@ -22,6 +23,14 @@ type cdcl struct {
 
 	activity []float64
 	varInc   float64
+
+	// order is MiniSat's order heap (Eén & Sörensson, SAT 2003): a binary
+	// heap of variables, highest activity first, ties to the lower index,
+	// so its top is the variable a linear scan would pick. Every unassigned
+	// variable is in it; assigned ones leave when pickBranch pops them.
+	// heapPos is a variable's position in order, -1 when absent.
+	order   []int
+	heapPos []int
 
 	phase []int8 // saved phase per variable
 
@@ -40,15 +49,16 @@ const noReason = -1
 
 func newCDCL(nvars int, clauses [][]int) *cdcl {
 	s := &cdcl{
-		nvars:    nvars,
-		watches:  make([][]int, 2*(nvars+1)),
-		assign:   make([]int8, nvars+1),
-		level:    make([]int, nvars+1),
-		reason:   make([]int, nvars+1),
-		activity: make([]float64, nvars+1),
-		phase:    make([]int8, nvars+1),
+		watches:  make([][]int, 2),
+		assign:   make([]int8, 1),
+		level:    make([]int, 1),
+		reason:   make([]int, 1),
+		activity: make([]float64, 1),
+		phase:    make([]int8, 1),
+		heapPos:  make([]int, 1),
 		varInc:   1,
 	}
+	s.ensureVars(nvars)
 	for _, cl := range clauses {
 		s.addClause(cl)
 	}
@@ -184,7 +194,80 @@ func (s *cdcl) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Scaling can round distinct activities together, and equal ones
+		// order by index, so the heap is rebuilt rather than trusted.
+		for i := len(s.order)/2 - 1; i >= 0; i-- {
+			s.heapDown(i)
+		}
+		return
 	}
+	if p := s.heapPos[v]; p >= 0 {
+		s.heapUp(p)
+	}
+}
+
+// heapBefore is the order heap's priority: higher activity, then lower
+// index.
+func (s *cdcl) heapBefore(a, b int) bool {
+	return s.activity[a] > s.activity[b] || (s.activity[a] == s.activity[b] && a < b)
+}
+
+func (s *cdcl) heapUp(i int) {
+	v := s.order[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.heapBefore(v, s.order[p]) {
+			break
+		}
+		s.order[i] = s.order[p]
+		s.heapPos[s.order[i]] = i
+		i = p
+	}
+	s.order[i] = v
+	s.heapPos[v] = i
+}
+
+func (s *cdcl) heapDown(i int) {
+	v := s.order[i]
+	for {
+		c := 2*i + 1
+		if c >= len(s.order) {
+			break
+		}
+		if c+1 < len(s.order) && s.heapBefore(s.order[c+1], s.order[c]) {
+			c++
+		}
+		if !s.heapBefore(s.order[c], v) {
+			break
+		}
+		s.order[i] = s.order[c]
+		s.heapPos[s.order[i]] = i
+		i = c
+	}
+	s.order[i] = v
+	s.heapPos[v] = i
+}
+
+// heapInsert puts v in the order heap unless it is there already.
+func (s *cdcl) heapInsert(v int) {
+	if s.heapPos[v] >= 0 {
+		return
+	}
+	s.order = append(s.order, v)
+	s.heapUp(len(s.order) - 1)
+}
+
+// heapPop removes and returns the heap's top.
+func (s *cdcl) heapPop() int {
+	v := s.order[0]
+	last := s.order[len(s.order)-1]
+	s.order = s.order[:len(s.order)-1]
+	s.heapPos[v] = -1
+	if len(s.order) > 0 {
+		s.order[0] = last
+		s.heapDown(0)
+	}
+	return v
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
@@ -271,20 +354,22 @@ func (s *cdcl) cancelUntil(lvl int) {
 		}
 		s.assign[v] = 0
 		s.reason[v] = noReason
+		s.heapInsert(v)
 	}
 	s.trail = s.trail[:limit]
 	s.limits = s.limits[:lvl]
 }
 
-// pickBranch selects the unassigned variable with the highest activity.
+// pickBranch selects the unassigned variable with the highest activity,
+// the lowest-numbered among equals, or 0 when every variable is assigned.
+// It pops the order heap until the top is unassigned.
 func (s *cdcl) pickBranch() int {
-	best, bestAct := 0, -1.0
-	for v := 1; v <= s.nvars; v++ {
-		if s.assign[v] == 0 && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	for len(s.order) > 0 {
+		if v := s.heapPop(); s.assign[v] == 0 {
+			return v
 		}
 	}
-	return best
+	return 0
 }
 
 // luby computes the Luby restart sequence value for index i (1-based).
@@ -313,9 +398,14 @@ func (s *cdcl) ensureVars(n int) {
 		s.reason = append(s.reason, make([]int, grow)...)
 		s.activity = append(s.activity, make([]float64, grow)...)
 		s.phase = append(s.phase, make([]int8, grow)...)
+		s.heapPos = append(s.heapPos, make([]int, grow)...)
 	}
 	for gw := 2*(n+1) - len(s.watches); gw > 0; gw-- {
 		s.watches = append(s.watches, nil)
+	}
+	for v := s.nvars + 1; v <= n; v++ {
+		s.heapPos[v] = -1
+		s.heapInsert(v)
 	}
 	s.nvars = n
 }

@@ -233,3 +233,65 @@ func TestCDCLIncrementalAssumptions(t *testing.T) {
 		t.Fatal("no instance learned a clause; nothing carried between calls")
 	}
 }
+
+// scanBranch is the linear branching scan the order heap replaced, kept as
+// its reference: the unassigned variable with the highest activity, the
+// lowest-numbered among equals.
+func scanBranch(s *cdcl) int {
+	best, bestAct := 0, -1.0
+	for v := 1; v <= s.nvars; v++ {
+		if s.assign[v] == 0 && s.activity[v] > bestAct {
+			best, bestAct = v, s.activity[v]
+		}
+	}
+	return best
+}
+
+// TestOrderHeapMatchesLinearScan drives seeded scripts of bumps (decaying,
+// tied, and large enough to rescale), decisions, backtracks and new
+// variables, and holds every pickBranch to the linear scan on the same
+// state.
+func TestOrderHeapMatchesLinearScan(t *testing.T) {
+	rescales := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := newCDCL(1+rng.Intn(12), nil)
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				v := 1 + rng.Intn(s.nvars)
+				if rng.Intn(20) == 0 {
+					s.varInc = 1e99 * (1 + rng.Float64()*10)
+				}
+				inc := s.varInc
+				s.bumpVar(v)
+				if s.varInc != inc {
+					rescales++
+				}
+				if rng.Intn(2) == 0 {
+					s.varInc /= 0.95
+				}
+			case op < 7:
+				want := scanBranch(s)
+				if got := s.pickBranch(); got != want {
+					t.Fatalf("seed %d step %d: heap picks %d, scan %d", seed, step, got, want)
+				}
+				if want != 0 {
+					s.limits = append(s.limits, len(s.trail))
+					lit := want
+					if rng.Intn(2) == 0 {
+						lit = -want
+					}
+					s.enqueue(lit, noReason)
+				}
+			case op < 9:
+				s.cancelUntil(rng.Intn(s.decisionLevel() + 1))
+			default:
+				s.ensureVars(s.nvars + 1 + rng.Intn(3))
+			}
+		}
+	}
+	if rescales == 0 {
+		t.Fatal("no script rescaled the activities")
+	}
+}

@@ -22,11 +22,11 @@ import (
 //   - On a memo miss the composed query node is built from the memoized
 //     per-assertion piece NodeIDs (one MkAnd over interned ids, not a
 //     formula walk) and the shared Cache is consulted by the node's
-//     structural hash, so verdicts still flow between parallel pair workers
-//     exactly as before. The composed node is structurally identical to
-//     the formula the stateless pipeline builds for the same query, and
-//     structural hashes agree across arenas, so cache entries published by
-//     either side hit the other.
+//     α-hash, so verdicts flow between parallel pair workers and between
+//     renamed copies of one query. The composed node is structurally
+//     identical to the formula the stateless pipeline builds for the same
+//     query, and α-hashes agree across arenas, so cache entries published
+//     by either side hit the other.
 //   - Literal-conjunction queries — the overwhelming majority — reuse the
 //     per-assertion theoryLit slices and run one stateless theory check,
 //     identical to the fresh solver's fast path; a budget-keyed Unknown in
@@ -369,12 +369,12 @@ func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want 
 
 	s.Stats.Queries++
 	// The composed conjunction node: structurally equal to the formula
-	// logic.And would build from the same pieces, so its hash keys the
+	// logic.And would build from the same pieces, so its α-hash keys the
 	// shared cache exactly where a stateless solver's query lands.
 	qid := c.in.MkAnd(ids)
 	c.idsBuf = ids[:0]
 	nPieces := len(ids)
-	h := c.in.Hash(qid)
+	h := c.in.AlphaHash(qid)
 	// Shared-cache layering: decided entries are facts and always reusable.
 	// A budget-keyed Unknown is reusable on the literal path, where the
 	// context's answer is the stateless theory check's answer — a function

@@ -88,12 +88,12 @@ func (s Stats) Diff(o Stats) Stats {
 }
 
 // Solver answers satisfiability and entailment queries in QF_UFLIA. It
-// caches results in a Cache keyed by the formula's structural hash:
-// consolidation issues many identical queries while walking similar UDFs,
-// and a Cache shared between solvers (NewWithCache) lets parallel
-// consolidation workers reuse each other's verdicts — structural hashes
-// agree across workers' private interners. A Solver itself is not safe for
-// concurrent use; create one per goroutine and share the Cache.
+// caches results in a Cache keyed by the formula modulo α-renaming:
+// consolidation issues the same queries, up to variable names, while
+// walking similar UDFs, and a Cache shared between solvers (NewWithCache)
+// lets parallel consolidation workers reuse each other's verdicts — the
+// keys agree across workers' private interners. A Solver itself is not
+// safe for concurrent use; create one per goroutine and share the Cache.
 type Solver struct {
 	// MaxConflicts bounds CDCL search; exceeded means Unknown.
 	MaxConflicts int
@@ -123,7 +123,7 @@ type Solver struct {
 
 // solverInternCap bounds the private arena; past it the arena is replaced
 // at the next Check, which is safe because nothing keyed by NodeIDs
-// outlives a single Check (the cache stores hashes and formulas, not IDs).
+// outlives a single Check (the cache stores hashes and encodings, not IDs).
 const solverInternCap = 1 << 18
 
 // interner returns the private arena, creating it on first use so that
@@ -172,7 +172,7 @@ func (s *Solver) checkCached(f logic.Formula, want bool) verdict {
 	}
 	in := s.interner()
 	id := in.InternFormula(f)
-	h := in.Hash(id)
+	h := in.AlphaHash(id)
 	if v, ok := s.cache.get(h, in, id, s.MaxConflicts, s.MaxLazyIters, want); ok {
 		s.Stats.CacheHits++
 		if s.Trace != nil {
