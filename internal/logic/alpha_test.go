@@ -75,38 +75,21 @@ func alphaEquivalent(a, b Formula) bool {
 	return try(0)
 }
 
-// checkAlphaKey holds the α-key of a pair of formulas to the brute-force
-// reference: equal encodings exactly when α-equivalent, equal hashes when
-// the encodings are, and AlphaMatches agreeing with encoding equality in
-// both directions, walking the node (fresh arenas) and comparing the key
-// AlphaHash buffered.
+// checkAlphaKey holds the α-keys of a pair of formulas (fresh arenas) to
+// the brute-force reference: equal encodings exactly when α-equivalent,
+// and equal hashes when the encodings are.
 func checkAlphaKey(t *testing.T, a, b Formula) {
 	t.Helper()
-	var sc AlphaScratch
+	var sca, scb AlphaScratch
 	ina, inb := NewInterner(), NewInterner()
-	ida, idb := ina.InternFormula(a), inb.InternFormula(b)
-	ea := ina.AppendAlphaEncoding(&sc, nil, ida)
-	eb := inb.AppendAlphaEncoding(&sc, nil, idb)
+	ka := ina.AlphaKey(&sca, ina.InternFormula(a))
+	kb := inb.AlphaKey(&scb, inb.InternFormula(b))
 	want := alphaEquivalent(a, b)
-	if got := bytes.Equal(ea, eb); got != want {
+	if got := bytes.Equal(ka.Enc, kb.Enc); got != want {
 		t.Fatalf("encodings equal = %v, α-equivalent = %v\na: %s\nb: %s", got, want, a, b)
 	}
-	for _, buffered := range []bool{false, true} {
-		if buffered {
-			ha, hb := ina.AlphaHash(ida), inb.AlphaHash(idb)
-			if want && ha != hb {
-				t.Fatalf("α-equivalent formulas hash apart: %#x vs %#x\na: %s\nb: %s", ha, hb, a, b)
-			}
-		}
-		if got := inb.AlphaMatches(&sc, idb, ea); got != want {
-			t.Fatalf("AlphaMatches(b, enc a) = %v, α-equivalent = %v (buffered %v)\na: %s\nb: %s", got, want, buffered, a, b)
-		}
-		if got := ina.AlphaMatches(&sc, ida, eb); got != want {
-			t.Fatalf("AlphaMatches(a, enc b) = %v, α-equivalent = %v (buffered %v)\na: %s\nb: %s", got, want, buffered, a, b)
-		}
-		if got := ina.AppendAlphaEncoding(&sc, nil, ida); !bytes.Equal(got, ea) {
-			t.Fatalf("encoding changed (buffered %v): %x vs %x", buffered, got, ea)
-		}
+	if want && ka.Hash != kb.Hash {
+		t.Fatalf("α-equivalent formulas hash apart: %#x vs %#x\na: %s\nb: %s", ka.Hash, kb.Hash, a, b)
 	}
 }
 
@@ -129,6 +112,7 @@ func TestAlphaKey(t *testing.T) {
 		{lt(x, x), lt(y, y), true},
 		{FAnd{Fs: []Formula{lt(x, y), lt(y, z)}}, FAnd{Fs: []Formula{lt(z, x), lt(x, y)}}, true},
 		{FAnd{Fs: []Formula{lt(x, y), lt(y, z)}}, FAnd{Fs: []Formula{lt(x, y), lt(z, x)}}, false},
+		{FAnd{Fs: []Formula{lt(x, y), lt(y, z)}}, FAnd{Fs: []Formula{lt(x, y), lt(y, x)}}, false},
 		{EqT(x, Num(1)), EqT(y, Num(2)), false},
 		{EqT(f(x), y), EqT(g(x), y), false},
 		{EqT(f(x), y), EqT(f(y), x), true},
@@ -142,10 +126,9 @@ func TestAlphaKey(t *testing.T) {
 
 	var sc AlphaScratch
 	in := NewInterner()
-	id := in.InternFormula(FAnd{Fs: []Formula{lt(z, x), lt(x, y)}})
-	in.AppendAlphaEncoding(&sc, nil, id)
+	k := in.AlphaKey(&sc, in.InternFormula(FAnd{Fs: []Formula{lt(z, x), lt(x, y)}}))
 	var names []string
-	for _, v := range sc.Vars() {
+	for _, v := range k.Vars {
 		names = append(names, in.VarName(v))
 	}
 	if got := names; len(got) != 3 || got[0] != "z" || got[1] != "x" || got[2] != "y" {
@@ -153,25 +136,26 @@ func TestAlphaKey(t *testing.T) {
 	}
 }
 
-// TestAlphaMatchesAllocation pins the key walks allocation-free once the
-// buffers have grown: AlphaHash re-encoding one node after another into
-// the interner's buffer, and AlphaMatches walking the node AlphaHash does
-// not hold.
-func TestAlphaMatchesAllocation(t *testing.T) {
+// TestAlphaKeyAllocation pins the key walk allocation-free once the
+// scratch has grown, alternating nodes so each key is built afresh, and
+// the scratch reset between walks: a node keys alike every time.
+func TestAlphaKeyAllocation(t *testing.T) {
 	var sc AlphaScratch
 	in := NewInterner()
 	ids := [2]NodeID{in.InternFormula(internBenchFormula(3)), in.InternFormula(internBenchFormula(4))}
-	encs := [2][]byte{in.AppendAlphaEncoding(&sc, nil, ids[0]), in.AppendAlphaEncoding(&sc, nil, ids[1])}
+	var encs [2][]byte
+	for i, id := range ids {
+		encs[i] = append([]byte(nil), in.AlphaKey(&sc, id).Enc...)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		for i := range ids {
-			in.AlphaHash(ids[i])
-			if !in.AlphaMatches(&sc, ids[1-i], encs[1-i]) || !in.AlphaMatches(&sc, ids[i], encs[i]) {
-				t.Fatal("node does not match its own encoding")
+		for i, id := range ids {
+			if !bytes.Equal(in.AlphaKey(&sc, id).Enc, encs[i]) {
+				t.Fatal("node keyed differently on a reused scratch")
 			}
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("AlphaHash and AlphaMatches allocated %.1f times", allocs)
+		t.Fatalf("AlphaKey allocated %.1f times", allocs)
 	}
 }
 

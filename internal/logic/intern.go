@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"bytes"
-	"encoding/binary"
-)
+import "encoding/binary"
 
 // This file implements the hash-consing arena for terms and formulas: an
 // Interner canonicalises structurally equal trees into a single node and
@@ -23,7 +20,7 @@ import (
 //     and the hashes (not the IDs) of its children, so hashes agree across
 //     interner instances: two workers interning the same formula into
 //     private interners produce the same hash. The shared smt.Cache keys
-//     on AlphaHash, which has the same property modulo variable names.
+//     on AlphaKey, which has the same property modulo variable names.
 //   - Hash collisions are resolved with full structural verification:
 //     hash-equal but structurally distinct nodes always get distinct IDs.
 //
@@ -154,9 +151,6 @@ type Interner struct {
 	varBuf2  []VarID
 	callBuf  []CallKey
 	callBuf2 []CallKey
-
-	// alpha buffers the key AlphaHash computed last.
-	alpha alphaKey
 }
 
 const initialTab = 1 << 10
@@ -169,7 +163,6 @@ func NewInterner() *Interner {
 		varID:      map[string]VarID{},
 		funcID:     map[string]int32{},
 		keyBuckets: map[uint64][]CallKey{},
-		alpha:      alphaKey{id: NoNode},
 	}
 	for i := range in.tab {
 		in.tab[i] = -1
@@ -857,43 +850,44 @@ func (in *Interner) AppCallKey(id NodeID) (CallKey, bool) {
 // bijection: both walks number a variable when they first meet it, so
 // x < y (0 < 1) never matches x < x (0 < 0). The encoding is
 // interner-independent and pointer-free, so a full cache is nearly free for
-// the collector to trace.
-//
-// AlphaHash encodes the node once into the interner's key buffer and
-// hashes the bytes; AlphaMatches and AppendAlphaEncoding then compare and
-// copy that buffer for the same node instead of walking it again. For any
-// other node they walk it, reading the interner only: the cache verifies
-// and stores nodes of interners it does not own.
+// the collector to trace, and the cache verifies a hit by comparing bytes.
 
-// AlphaScratch is the working memory of an α-canonical walk: the number
-// each variable met so far got, and the variables in first-occurrence
-// order. The zero value is ready to use. A scratch serves one walk at a
-// time and any number of interners; reusing one keeps the walks
-// allocation-free.
+// AlphaKey is a node's α-canonical key.
+type AlphaKey struct {
+	// Enc is the α-canonical encoding.
+	Enc []byte
+	// Vars are the node's variables in first-occurrence order: Enc writes
+	// Vars[i] as i.
+	Vars []VarID
+	// Hash is the hash of Enc, deterministic across processes.
+	Hash uint64
+}
+
+// AlphaScratch is the working memory of AlphaKey. The zero value is ready
+// to use; reusing one keeps the walks allocation-free. A scratch serves
+// any number of interners, one key at a time.
 type AlphaScratch struct {
 	// num maps a VarID to its first-occurrence number + 1, 0 for a
 	// variable the walk has not met; all zero between walks.
 	num  []int32
 	vars []VarID
+	enc  []byte
 }
 
-// Vars returns the node's variables in first-occurrence order after a
-// successful AlphaMatches or an AppendAlphaEncoding (read-only, valid
-// until the next use of the scratch): position i is the variable numbered
-// i.
-func (sc *AlphaScratch) Vars() []VarID { return sc.vars }
-
-func (sc *AlphaScratch) begin(in *Interner) {
+// AlphaKey returns the node's α-canonical key: nodes in any interners have
+// equal encodings (and so equal hashes) exactly when one is the other with
+// its variables renamed bijectively. The key is built in sc and valid
+// until sc's next use. AlphaKey only reads the interner.
+func (in *Interner) AlphaKey(sc *AlphaScratch, id NodeID) AlphaKey {
 	if n := len(in.varName); len(sc.num) < n {
 		sc.num = append(sc.num, make([]int32, n-len(sc.num))...)
 	}
 	sc.vars = sc.vars[:0]
-}
-
-func (sc *AlphaScratch) end() {
+	sc.enc = in.appendAlpha(sc, sc.enc[:0], id)
 	for _, v := range sc.vars {
 		sc.num[v] = 0
 	}
+	return AlphaKey{Enc: sc.enc, Vars: sc.vars, Hash: hashBytes(sc.enc)}
 }
 
 // number returns v's first-occurrence number, numbering it now if the walk
@@ -905,71 +899,6 @@ func (sc *AlphaScratch) number(v VarID) uint64 {
 	sc.vars = append(sc.vars, v)
 	sc.num[v] = int32(len(sc.vars))
 	return uint64(len(sc.vars) - 1)
-}
-
-// alphaKey is the key AlphaHash computed last: the node, its encoding and
-// its hash, and in sc the node's variables.
-type alphaKey struct {
-	id   NodeID
-	hash uint64
-	enc  []byte
-	sc   AlphaScratch
-}
-
-// AlphaHash returns the hash of the node's α-canonical encoding: nodes in
-// any interners whose encodings are equal hash equally, whatever their
-// variables are called. Like interning, it writes to the interner: the
-// encoding stays buffered for the node until the next AlphaHash of
-// another one.
-func (in *Interner) AlphaHash(id NodeID) uint64 {
-	k := &in.alpha
-	if k.id != id {
-		k.sc.begin(in)
-		k.enc = in.appendAlpha(&k.sc, k.enc[:0], id)
-		k.sc.end()
-		k.hash = hashBytes(k.enc)
-		k.id = id
-	}
-	return k.hash
-}
-
-// hashBytes is a word-at-a-time multiplicative hash with the splitmix
-// finalizer, deterministic across processes.
-func hashBytes(b []byte) uint64 {
-	h := uint64(len(b))
-	for ; len(b) >= 8; b = b[8:] {
-		h = (h ^ binary.LittleEndian.Uint64(b)) * 0x9e3779b97f4a7c15
-		h ^= h >> 32
-	}
-	var tail uint64
-	for i, c := range b {
-		tail |= uint64(c) << (8 * i)
-	}
-	return mix64(h ^ tail)
-}
-
-// buffered reports whether AlphaHash holds the node's key, and then
-// copies its variables to sc.
-func (in *Interner) buffered(sc *AlphaScratch, id NodeID) bool {
-	if in.alpha.id != id {
-		return false
-	}
-	sc.vars = append(sc.vars[:0], in.alpha.sc.vars...)
-	return true
-}
-
-// AppendAlphaEncoding appends the node's α-canonical encoding to dst and
-// returns the extended slice. Two nodes (in any interners) have equal
-// encodings exactly when one is the other with its variables renamed
-// bijectively.
-func (in *Interner) AppendAlphaEncoding(sc *AlphaScratch, dst []byte, id NodeID) []byte {
-	if in.buffered(sc, id) {
-		return append(dst, in.alpha.enc...)
-	}
-	sc.begin(in)
-	dst = in.appendAlpha(sc, dst, id)
-	sc.end()
-	return dst
 }
 
 func (in *Interner) appendAlpha(sc *AlphaScratch, dst []byte, id NodeID) []byte {
@@ -993,66 +922,19 @@ func (in *Interner) appendAlpha(sc *AlphaScratch, dst []byte, id NodeID) []byte 
 	return dst
 }
 
-// AlphaMatches reports whether enc is exactly the node's α-canonical
-// encoding. It allocates nothing once the scratch has grown: a buffered
-// key is compared as bytes, and otherwise the node and the bytes are
-// walked in lockstep, numbering the node's variables as the walk meets
-// them, bailing at the first divergence.
-func (in *Interner) AlphaMatches(sc *AlphaScratch, id NodeID, enc []byte) bool {
-	if in.buffered(sc, id) {
-		return bytes.Equal(in.alpha.enc, enc)
+// hashBytes is a word-at-a-time multiplicative hash with the splitmix
+// finalizer, deterministic across processes.
+func hashBytes(b []byte) uint64 {
+	h := uint64(len(b))
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
 	}
-	sc.begin(in)
-	pos, ok := in.matchAlpha(sc, id, enc, 0)
-	sc.end()
-	return ok && pos == len(enc)
-}
-
-func (in *Interner) matchAlpha(sc *AlphaScratch, id NodeID, enc []byte, pos int) (int, bool) {
-	nd := &in.nodes[id]
-	if pos+2 > len(enc) || enc[pos] != byte(nd.kind) || enc[pos+1] != nd.op {
-		return 0, false
+	var tail uint64
+	for i, c := range b {
+		tail |= uint64(c) << (8 * i)
 	}
-	pos += 2
-	switch nd.kind {
-	case KConst:
-		v, n := binary.Varint(enc[pos:])
-		if n <= 0 || v != nd.val {
-			return 0, false
-		}
-		pos += n
-	case KVar:
-		v, n := binary.Uvarint(enc[pos:])
-		if n <= 0 || v != sc.number(VarID(nd.nameID)) {
-			return 0, false
-		}
-		pos += n
-	case KApp:
-		s := in.funcName[nd.nameID]
-		l, n := binary.Uvarint(enc[pos:])
-		if n <= 0 || l != uint64(len(s)) {
-			return 0, false
-		}
-		pos += n
-		if pos+len(s) > len(enc) || string(enc[pos:pos+len(s)]) != s {
-			return 0, false
-		}
-		pos += len(s)
-	}
-	kids := in.kidsView(nd.kids)
-	cnt, n := binary.Uvarint(enc[pos:])
-	if n <= 0 || cnt != uint64(len(kids)) {
-		return 0, false
-	}
-	pos += n
-	for _, k := range kids {
-		var ok bool
-		pos, ok = in.matchAlpha(sc, k, enc, pos)
-		if !ok {
-			return 0, false
-		}
-	}
-	return pos, true
+	return mix64(h ^ tail)
 }
 
 // Equal reports structural equality of formulas (the formula counterpart

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
@@ -10,17 +11,18 @@ import (
 
 // Cache is a concurrency-safe query cache shared between Solver instances.
 // Entries are keyed modulo α-renaming: by the hash of the formula's
-// α-canonical encoding (logic.AlphaHash), which writes each variable as the
+// α-canonical encoding (logic.AlphaKey), which writes each variable as the
 // number of its first occurrence, and striped over a fixed number of
 // shards, each guarded by its own mutex, so parallel consolidation workers
 // rarely contend on the same lock. The key is interner-independent and
 // name-blind: a verdict one worker solved for q1_x < q1_y answers another
-// worker's q3_x < q3_y. Hash collisions are resolved by bucket lists
-// verified against the stored encoding (logic.AlphaMatches), so a
-// collision can cost a comparison but never a wrong verdict. Entries keep
-// only flat bytes — the encoding and the storing check's variable names —
-// not the formula tree, so a full cache is nearly free for the garbage
-// collector to trace.
+// worker's q3_x < q3_y. The asker builds the key once and passes it to
+// both lookup and store. Hash collisions are resolved by bucket lists
+// verified by comparing the stored encoding's bytes, so a collision can
+// cost a comparison but never a wrong verdict. Entries keep only flat
+// bytes — the encoding and the storing check's variable names — not the
+// formula tree, so a full cache is nearly free for the garbage collector
+// to trace.
 //
 // Sharing across renamings is exact because the solver is α-invariant: its
 // theory interner numbers variables by first occurrence, linear forms are
@@ -78,9 +80,6 @@ type cacheShard struct {
 	// always exactly one) sharing that hash, oldest first.
 	m     map[uint64][]hashEntry
 	order []uint64 // insertion order of entry hashes, for FIFO eviction
-	// alpha is the verify and encode walks' working memory, used under mu:
-	// the askers' interners are theirs, so the cache writes nothing there.
-	alpha logic.AlphaScratch
 }
 
 // hashEntry is one cached verdict together with the α-canonical encoding
@@ -162,13 +161,12 @@ func (c *Cache) lock(sh *cacheShard) {
 	sh.mu.Lock()
 }
 
-// find locates the node's α-class in the shard's bucket for h; callers
-// hold the shard lock. On success sh.alpha.Vars() are the node's
-// variables in first-occurrence order.
-func (sh *cacheShard) find(h uint64, in *logic.Interner, id logic.NodeID) int {
-	bucket := sh.m[h]
+// find locates the key's α-class in the shard's bucket; callers hold the
+// shard lock.
+func (sh *cacheShard) find(k logic.AlphaKey) int {
+	bucket := sh.m[k.Hash]
 	for i := range bucket {
-		if in.AlphaMatches(&sh.alpha, id, bucket[i].enc) {
+		if bytes.Equal(bucket[i].enc, k.Enc) {
 			return i
 		}
 	}
@@ -218,44 +216,46 @@ func renameModel(m *logic.Model, names []byte, in *logic.Interner, vars []logic.
 	return out
 }
 
-// get looks up a verdict for the interned formula id, whose α-hash is h,
-// under the given solver budget. Decided entries always hit; an Unknown
-// entry hits only when the query's budget is no larger than the budget
-// that produced it. A lookup that wants the assignment hits only an entry
-// computed for a check that asked for one, or an Unsat, which never has
-// one. get allocates nothing, except the renamed copy of an assignment
-// stored under other names.
-func (c *Cache) get(h uint64, in *logic.Interner, id logic.NodeID, conflicts, lazyIters int, want bool) (verdict, bool) {
+// get looks up a verdict for the query whose α-key k was built in the
+// interner in, under the given solver budget. Decided entries always hit;
+// an Unknown entry hits only when the query's budget is no larger than the
+// budget that produced it. A lookup that wants the assignment hits only an
+// entry computed for a check that asked for one, or an Unsat, which never
+// has one. get allocates nothing, except the renamed copy of an
+// assignment stored under other names.
+func (c *Cache) get(k logic.AlphaKey, in *logic.Interner, conflicts, lazyIters int, want bool) (verdict, bool) {
 	c.lookups.Add(1)
-	sh := &c.shards[shardOf(h)]
+	sh := &c.shards[shardOf(k.Hash)]
 	c.lock(sh)
-	i := sh.find(h, in, id)
+	var e cacheEntry
+	var names []byte
+	i := sh.find(k)
+	if i >= 0 {
+		// put replaces an entry's names and never writes into them, so
+		// the slice stays valid after the unlock.
+		entry := &sh.m[k.Hash][i]
+		e, names = entry.e, entry.names
+	}
+	sh.mu.Unlock()
 	if i < 0 {
-		sh.mu.Unlock()
 		return verdict{}, false
 	}
-	entry := &sh.m[h][i]
-	e := entry.e
 	if e.v.r == Unknown && (conflicts > e.conflicts || lazyIters > e.lazyIters) {
 		// The caller has more budget than the run that gave up; the query
 		// may well be decidable now. Miss, so it is re-solved.
-		sh.mu.Unlock()
 		return verdict{}, false
 	}
 	if !e.v.answers(want) {
 		// Stored by a check that did not ask; solving again yields the
 		// assignment, and the verdict is the same.
-		sh.mu.Unlock()
 		return verdict{}, false
 	}
-	renamed := !sameNames(entry.names, in, sh.alpha.Vars())
-	if renamed && e.v.m != nil {
-		e.v.m = renameModel(e.v.m, entry.names, in, sh.alpha.Vars())
-	}
-	sh.mu.Unlock()
 	c.hits.Add(1)
-	if renamed {
+	if !sameNames(names, in, k.Vars) {
 		c.renamed.Add(1)
+		if e.v.m != nil {
+			e.v.m = renameModel(e.v.m, names, in, k.Vars)
+		}
 	}
 	return e.v, true
 }
@@ -266,12 +266,13 @@ func (c *Cache) get(h uint64, in *logic.Interner, id logic.NodeID, conflicts, la
 // Unknown is stored together with its budget — it can answer only queries
 // with no more budget than that — and never overwrites a decided entry.
 // The entry takes the asker's variable names with the asker's verdict.
-func (c *Cache) put(h uint64, in *logic.Interner, id logic.NodeID, v verdict, conflicts, lazyIters int) bool {
+func (c *Cache) put(k logic.AlphaKey, in *logic.Interner, v verdict, conflicts, lazyIters int) bool {
+	h := k.Hash
 	sh := &c.shards[shardOf(h)]
 	c.lock(sh)
 	defer sh.mu.Unlock()
 	bucket := sh.m[h]
-	idx := sh.find(h, in, id)
+	idx := sh.find(k)
 	e := cacheEntry{v: v}
 	kept := idx >= 0 && !v.asked && bucket[idx].e.v.r == v.r
 	if kept {
@@ -308,14 +309,14 @@ func (c *Cache) put(h uint64, in *logic.Interner, id logic.NodeID, v verdict, co
 			c.evictions.Add(1)
 		}
 		sh.order = append(sh.order, h)
-		key := in.AppendAlphaEncoding(&sh.alpha, nil, id)
+		key := append([]byte(nil), k.Enc...)
 		n := len(key)
-		key = appendNames(key, in, sh.alpha.Vars())
+		key = appendNames(key, in, k.Vars)
 		sh.m[h] = append(sh.m[h], hashEntry{enc: key[:n:n], names: key[n:], e: e})
 	} else {
 		entry := &bucket[idx]
-		if !kept && !sameNames(entry.names, in, sh.alpha.Vars()) {
-			entry.names = appendNames(nil, in, sh.alpha.Vars())
+		if !kept && !sameNames(entry.names, in, k.Vars) {
+			entry.names = appendNames(nil, in, k.Vars)
 		}
 		entry.e = e
 	}

@@ -8,16 +8,14 @@ import (
 )
 
 // benchFormulas builds n distinct interned conjunctions with their
-// structural hashes, the way consolidation workers key the shared cache.
-func benchFormulas(n int) (*logic.Interner, []logic.NodeID, []uint64) {
+// α-keys, the way consolidation workers key the shared cache.
+func benchFormulas(n int) (*logic.Interner, []logic.AlphaKey) {
 	in := logic.NewInterner()
-	ids := make([]logic.NodeID, n)
-	hs := make([]uint64, n)
+	ks := make([]logic.AlphaKey, n)
 	for i := 0; i < n; i++ {
-		ids[i] = in.InternFormula(benchFormula(int64(i)))
-		hs[i] = in.Hash(ids[i])
+		ks[i] = alphaKey(in, in.InternFormula(benchFormula(int64(i))))
 	}
-	return in, ids, hs
+	return in, ks
 }
 
 // benchFormula is the i-th of a family of distinct small conjunctions.
@@ -36,10 +34,10 @@ func n_(v int64) logic.Term { return logic.Num(v) }
 // path. The reported contended-lock count (Stats().Contended) is the
 // stripe-pressure signal; ns/op the end-to-end cost of a hit.
 func BenchmarkCacheContention(b *testing.B) {
-	in, ids, hs := benchFormulas(256)
+	in, ks := benchFormulas(256)
 	c := NewCache(0)
-	for i := range ids {
-		c.put(hs[i], in, ids[i], verdict{r: Unsat}, 0, 0)
+	for i := range ks {
+		c.put(ks[i], in, verdict{r: Unsat}, 0, 0)
 	}
 	var i64 atomic.Int64
 	b.ResetTimer()
@@ -48,7 +46,7 @@ func BenchmarkCacheContention(b *testing.B) {
 		for pb.Next() {
 			j++
 			k := j & 255
-			if v, ok := c.get(hs[k], in, ids[k], 0, 0, false); !ok || v.r != Unsat {
+			if v, ok := c.get(ks[k], in, 0, 0, false); !ok || v.r != Unsat {
 				b.Fatal("miss on warmed cache")
 			}
 		}
@@ -59,12 +57,12 @@ func BenchmarkCacheContention(b *testing.B) {
 // BenchmarkCachePut measures the store path, including FIFO eviction once
 // the per-shard bound is hit.
 func BenchmarkCachePut(b *testing.B) {
-	in, ids, hs := benchFormulas(256)
+	in, ks := benchFormulas(256)
 	c := NewCache(4 * cacheShards)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i & 255
-		c.put(hs[k], in, ids[k], verdict{r: Unsat}, 0, 0)
+		c.put(ks[k], in, verdict{r: Unsat}, 0, 0)
 	}
 }
 
@@ -85,17 +83,17 @@ func BenchmarkCheckCached(b *testing.B) {
 }
 
 // TestCacheGetHitAllocation pins the lookup hot path allocation-free: with
-// the hash precomputed at interning time, a Get is a mask, a mutex, and a
+// the key precomputed by the asker, a Get is a mask, a mutex, and a
 // bucket scan — no rendering, no hashing, no garbage.
 func TestCacheGetHitAllocation(t *testing.T) {
-	in, ids, hs := benchFormulas(8)
+	in, ks := benchFormulas(8)
 	c := NewCache(0)
-	for i := range ids {
-		c.put(hs[i], in, ids[i], verdict{r: Unsat}, 0, 0)
+	for i := range ks {
+		c.put(ks[i], in, verdict{r: Unsat}, 0, 0)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		for i := range ids {
-			if v, ok := c.get(hs[i], in, ids[i], 0, 0, false); !ok || v.r != Unsat {
+		for i := range ks {
+			if v, ok := c.get(ks[i], in, 0, 0, false); !ok || v.r != Unsat {
 				t.Fatal("miss on warmed cache")
 			}
 		}

@@ -8,30 +8,34 @@ import (
 	"consolidation/internal/logic"
 )
 
-// fh interns f into a fresh arena and returns the arena, the node, and
-// its α-hash — the cache key exactly as Solver.Check computes it. A fresh
-// arena per call doubles as a check that hashes (and the canonical
-// encodings the cache verifies against) are interner-independent.
-func fh(f logic.Formula) (*logic.Interner, logic.NodeID, uint64) {
+// fh interns f into a fresh arena and returns the arena and the node's
+// α-key — the cache key exactly as Solver.Check computes it. A fresh
+// arena per call doubles as a check that keys are interner-independent.
+func fh(f logic.Formula) (*logic.Interner, logic.AlphaKey) {
 	in := logic.NewInterner()
-	id := in.InternFormula(f)
-	return in, id, in.AlphaHash(id)
+	return in, alphaKey(in, in.InternFormula(f))
+}
+
+// alphaKey is the node's α-key on a scratch of its own, so the key stays
+// valid for as long as the test keeps it.
+func alphaKey(in *logic.Interner, id logic.NodeID) logic.AlphaKey {
+	return in.AlphaKey(new(logic.AlphaScratch), id)
 }
 
 func TestCacheBasics(t *testing.T) {
 	c := NewCache(0)
-	in, k, h := fh(eq(x(), n(1)))
-	if _, ok := c.get(h, in, k, 100, 100, false); ok {
+	in, k := fh(eq(x(), n(1)))
+	if _, ok := c.get(k, in, 100, 100, false); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if !c.put(h, in, k, verdict{r: Unsat}, 100, 100) {
+	if !c.put(k, in, verdict{r: Unsat}, 100, 100) {
 		t.Fatal("decided verdict refused")
 	}
-	if v, ok := c.get(h, in, k, 100, 100, false); !ok || v.r != Unsat {
+	if v, ok := c.get(k, in, 100, 100, false); !ok || v.r != Unsat {
 		t.Fatalf("Get = %v,%v want Unsat,true", v.r, ok)
 	}
 	// Decided entries hit regardless of the querying budget.
-	if v, ok := c.get(h, in, k, 1000000, 1000000, false); !ok || v.r != Unsat {
+	if v, ok := c.get(k, in, 1000000, 1000000, false); !ok || v.r != Unsat {
 		t.Fatalf("decided entry missed under larger budget: %v,%v", v.r, ok)
 	}
 	st := c.Stats()
@@ -45,36 +49,36 @@ func TestCacheBasics(t *testing.T) {
 
 func TestCacheUnknownIsBudgetKeyed(t *testing.T) {
 	c := NewCache(0)
-	in, k, h := fh(lt(x(), y()))
-	if !c.put(h, in, k, verdict{r: Unknown}, 10, 10) {
+	in, k := fh(lt(x(), y()))
+	if !c.put(k, in, verdict{r: Unknown}, 10, 10) {
 		t.Fatal("budget-tagged Unknown refused")
 	}
 	// Same or smaller budget cannot do better: hit.
-	if v, ok := c.get(h, in, k, 10, 10, false); !ok || v.r != Unknown {
+	if v, ok := c.get(k, in, 10, 10, false); !ok || v.r != Unknown {
 		t.Fatalf("equal-budget Unknown missed: %v,%v", v.r, ok)
 	}
-	if v, ok := c.get(h, in, k, 5, 10, false); !ok || v.r != Unknown {
+	if v, ok := c.get(k, in, 5, 10, false); !ok || v.r != Unknown {
 		t.Fatalf("smaller-budget Unknown missed: %v,%v", v.r, ok)
 	}
 	// A larger budget must re-solve.
-	if _, ok := c.get(h, in, k, 11, 10, false); ok {
+	if _, ok := c.get(k, in, 11, 10, false); ok {
 		t.Fatal("stale Unknown served to a larger conflict budget")
 	}
-	if _, ok := c.get(h, in, k, 10, 11, false); ok {
+	if _, ok := c.get(k, in, 10, 11, false); ok {
 		t.Fatal("stale Unknown served to a larger lazy-iter budget")
 	}
 	// The re-solve decides; the verdict replaces the Unknown.
-	if !c.put(h, in, k, verdict{r: Sat}, 11, 10) {
+	if !c.put(k, in, verdict{r: Sat}, 11, 10) {
 		t.Fatal("decided verdict refused over Unknown")
 	}
-	if v, ok := c.get(h, in, k, 1, 1, false); !ok || v.r != Sat {
+	if v, ok := c.get(k, in, 1, 1, false); !ok || v.r != Sat {
 		t.Fatalf("decided verdict not served: %v,%v", v.r, ok)
 	}
 	// And a later, lower-budget Unknown must never shadow it back.
-	if c.put(h, in, k, verdict{r: Unknown}, 1, 1) {
+	if c.put(k, in, verdict{r: Unknown}, 1, 1) {
 		t.Fatal("Unknown overwrote a decided verdict")
 	}
-	if v, ok := c.get(h, in, k, 1, 1, false); !ok || v.r != Sat {
+	if v, ok := c.get(k, in, 1, 1, false); !ok || v.r != Sat {
 		t.Fatalf("decided verdict lost: %v,%v", v.r, ok)
 	}
 }
@@ -83,14 +87,15 @@ func TestCacheUnknownIsBudgetKeyed(t *testing.T) {
 // bucket and checks structural verification keeps their verdicts apart.
 func TestCacheHashCollision(t *testing.T) {
 	c := NewCache(0)
-	in1, f1, h := fh(eq(x(), n(1))) // deliberately reuse f1's hash for f2
-	in2, f2, _ := fh(eq(y(), n(2)))
-	c.put(h, in1, f1, verdict{r: Unsat}, 0, 0)
-	c.put(h, in2, f2, verdict{r: Sat}, 0, 0)
-	if v, ok := c.get(h, in1, f1, 0, 0, false); !ok || v.r != Unsat {
+	in1, f1 := fh(eq(x(), n(1)))
+	in2, f2 := fh(eq(y(), n(2)))
+	f2.Hash = f1.Hash // deliberately reuse f1's hash for f2
+	c.put(f1, in1, verdict{r: Unsat}, 0, 0)
+	c.put(f2, in2, verdict{r: Sat}, 0, 0)
+	if v, ok := c.get(f1, in1, 0, 0, false); !ok || v.r != Unsat {
 		t.Fatalf("f1 under colliding hash: %v,%v want Unsat,true", v.r, ok)
 	}
-	if v, ok := c.get(h, in2, f2, 0, 0, false); !ok || v.r != Sat {
+	if v, ok := c.get(f2, in2, 0, 0, false); !ok || v.r != Sat {
 		t.Fatalf("f2 under colliding hash: %v,%v want Sat,true", v.r, ok)
 	}
 	if c.Len() != 2 {
@@ -104,13 +109,11 @@ func TestCacheEviction(t *testing.T) {
 	// predecessor (FIFO within the shard).
 	c := NewCache(cacheShards)
 	in := logic.NewInterner()
-	keys := make([]logic.NodeID, 0, 4*cacheShards)
-	hashes := make([]uint64, 0, 4*cacheShards)
+	keys := make([]logic.AlphaKey, 0, 4*cacheShards)
 	for i := 0; i < 4*cacheShards; i++ {
-		k := in.InternFormula(eq(x(), n(int64(i))))
+		k := alphaKey(in, in.InternFormula(eq(x(), n(int64(i)))))
 		keys = append(keys, k)
-		hashes = append(hashes, in.Hash(k))
-		c.put(hashes[i], in, k, verdict{r: Sat}, 0, 0)
+		c.put(k, in, verdict{r: Sat}, 0, 0)
 	}
 	st := c.Stats()
 	if st.Entries > cacheShards {
@@ -125,10 +128,10 @@ func TestCacheEviction(t *testing.T) {
 	// Evicted or not, a present entry must still be correct.
 	hits := 0
 	for i, k := range keys {
-		if v, ok := c.get(hashes[i], in, k, 0, 0, false); ok {
+		if v, ok := c.get(k, in, 0, 0, false); ok {
 			hits++
 			if v.r != Sat {
-				t.Fatalf("entry %v corrupted: %v", k, v.r)
+				t.Fatalf("entry %d corrupted: %v", i, v.r)
 			}
 		}
 	}
@@ -253,11 +256,9 @@ func TestCacheAssignmentsConcurrent(t *testing.T) {
 	const keys = 32
 	c := NewCache(0)
 	in := logic.NewInterner()
-	ids := make([]logic.NodeID, keys)
-	hs := make([]uint64, keys)
-	for i := range ids {
-		ids[i] = in.InternFormula(benchFormula(int64(i)))
-		hs[i] = in.Hash(ids[i])
+	ks := make([]logic.AlphaKey, keys)
+	for i := range ks {
+		ks[i] = alphaKey(in, in.InternFormula(benchFormula(int64(i))))
 	}
 	result := func(k int) Result {
 		if k%4 == 0 {
@@ -282,11 +283,11 @@ func TestCacheAssignmentsConcurrent(t *testing.T) {
 				for i := 0; i < keys; i++ {
 					k := (i + w*5) % keys
 					if (rep+w)%3 == 0 {
-						c.put(hs[k], in, ids[k], verdict{r: result(k)}, 0, 0)
+						c.put(ks[k], in, verdict{r: result(k)}, 0, 0)
 					} else {
-						c.put(hs[k], in, ids[k], asked(k), 0, 0)
+						c.put(ks[k], in, asked(k), 0, 0)
 					}
-					v, ok := c.get(hs[k], in, ids[k], 0, 0, true)
+					v, ok := c.get(ks[k], in, 0, 0, true)
 					if !ok {
 						continue
 					}
@@ -304,7 +305,7 @@ func TestCacheAssignmentsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for k := 0; k < keys; k++ {
-		v, ok := c.get(hs[k], in, ids[k], 0, 0, true)
+		v, ok := c.get(ks[k], in, 0, 0, true)
 		if !ok || (v.r != Unsat && v.m == nil) {
 			t.Errorf("key %d: after the stores, (%+v, %v); a store that did not ask erased the assignment", k, v, ok)
 		}

@@ -90,6 +90,8 @@ type Context struct {
 	key2Buf []byte
 	litBuf  []theoryLit
 	idsBuf  []logic.NodeID
+	// alpha builds each composed query's cache key (logic.AlphaKey).
+	alpha logic.AlphaScratch
 
 	stats ContextStats
 }
@@ -369,12 +371,12 @@ func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want 
 
 	s.Stats.Queries++
 	// The composed conjunction node: structurally equal to the formula
-	// logic.And would build from the same pieces, so its α-hash keys the
+	// logic.And would build from the same pieces, so its α-key lands in the
 	// shared cache exactly where a stateless solver's query lands.
 	qid := c.in.MkAnd(ids)
 	c.idsBuf = ids[:0]
 	nPieces := len(ids)
-	h := c.in.AlphaHash(qid)
+	k := c.in.AlphaKey(&c.alpha, qid)
 	// Shared-cache layering: decided entries are facts and always reusable.
 	// A budget-keyed Unknown is reusable on the literal path, where the
 	// context's answer is the stateless theory check's answer — a function
@@ -384,7 +386,7 @@ func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want 
 	// recorded as Unknown, and trusting the entry would make the verdict
 	// depend on which worker published first. The assignment follows the
 	// same rule: only the literal path takes one.
-	if v, ok := s.cache.get(h, c.in, qid, s.MaxConflicts, s.MaxLazyIters, want); ok && (v.r != Unknown || allLit) {
+	if v, ok := s.cache.get(k, c.in, s.MaxConflicts, s.MaxLazyIters, want); ok && (v.r != Unknown || allLit) {
 		s.Stats.CacheHits++
 		c.memo[mkey] = v
 		c.coneMemo[mkey2] = v
@@ -423,7 +425,7 @@ func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want 
 		s.Stats.Unknowns++
 	}
 	if fromStateless {
-		s.cache.put(h, c.in, qid, v, s.MaxConflicts, s.MaxLazyIters)
+		s.cache.put(k, c.in, v, s.MaxConflicts, s.MaxLazyIters)
 	}
 	c.memo[mkey] = v
 	c.coneMemo[mkey2] = v

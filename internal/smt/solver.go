@@ -115,6 +115,9 @@ type Solver struct {
 	// runs on (theory.go), created on first use.
 	ws *theoryWorkspace
 
+	// alpha builds each query's cache key (logic.AlphaKey).
+	alpha logic.AlphaScratch
+
 	// Trace, when set, observes every Check with its verdict and whether
 	// the cache answered it. Diagnostic hook for the oracle and for
 	// determinism debugging; leave nil in production paths.
@@ -172,8 +175,8 @@ func (s *Solver) checkCached(f logic.Formula, want bool) verdict {
 	}
 	in := s.interner()
 	id := in.InternFormula(f)
-	h := in.AlphaHash(id)
-	if v, ok := s.cache.get(h, in, id, s.MaxConflicts, s.MaxLazyIters, want); ok {
+	k := in.AlphaKey(&s.alpha, id)
+	if v, ok := s.cache.get(k, in, s.MaxConflicts, s.MaxLazyIters, want); ok {
 		s.Stats.CacheHits++
 		if s.Trace != nil {
 			s.Trace(f, v.r, true)
@@ -184,7 +187,7 @@ func (s *Solver) checkCached(f logic.Formula, want bool) verdict {
 	if v.r == Unknown {
 		s.Stats.Unknowns++
 	}
-	s.cache.put(h, in, id, v, s.MaxConflicts, s.MaxLazyIters)
+	s.cache.put(k, in, v, s.MaxConflicts, s.MaxLazyIters)
 	if s.Trace != nil {
 		s.Trace(f, v.r, false)
 	}
