@@ -66,9 +66,6 @@ func FeatureSignature(p *lang.Program) Signature {
 	return Signature{Hashes: append([]uint64(nil), hs...)}
 }
 
-// Empty reports whether the program exposed no features at all.
-func (s Signature) Empty() bool { return len(s.Hashes) == 0 }
-
 // Similarity estimates the Jaccard similarity of the two underlying
 // feature sets from their sketches, in [0, 1]: the fraction of shared
 // hashes among the (at most SignatureK) smallest hashes of the union.

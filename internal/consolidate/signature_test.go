@@ -123,8 +123,8 @@ func TestFeatureSignatureMerge(t *testing.T) {
 	if !reflect.DeepEqual(empty.Merge(a).Hashes, a.Hashes) {
 		t.Fatal("merging into empty loses hashes")
 	}
-	if !empty.Empty() || a.Empty() {
-		t.Fatal("Empty() misreports")
+	if len(empty.Hashes) != 0 || len(a.Hashes) == 0 {
+		t.Fatal("empty signature misreported")
 	}
 }
 
@@ -135,7 +135,7 @@ func TestFeatureSignatureCallFree(t *testing.T) {
 	q := mustParseSig(t, `func g(a, b) { x := a + b; notify 1 (x > 5); }`)
 	r := mustParseSig(t, `func h(c, d) { y := c - d; notify 1 (y < 0); }`)
 	sp, sq, sr := FeatureSignature(p), FeatureSignature(q), FeatureSignature(r)
-	if sp.Empty() {
+	if len(sp.Hashes) == 0 {
 		t.Fatal("call-free program signed empty")
 	}
 	if sim := sp.Similarity(sq); sim != 1 {

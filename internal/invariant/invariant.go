@@ -102,9 +102,15 @@ func entryCandidates(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, chec
 	guardVars := lang.UsedVars(guard)
 	vars := relevantVars(ctx, guardVars, body, maxVars)
 	cands := candidates(ctx, vars, guardVars, mineConsts(guard))
-	entry := make(map[string]logic.Term, len(vars))
+	entryTerms := make(map[string]logic.Term, len(vars))
 	for _, v := range vars {
-		entry[v], _ = entryVar(ctx, v)
+		entryTerms[v], _ = entryVar(ctx, v)
+	}
+	entry := func(x string) logic.Term {
+		if t, ok := entryTerms[x]; ok {
+			return t
+		}
+		return logic.V(x)
 	}
 
 	// Keep candidates valid at entry. Most candidates are decided without
@@ -374,7 +380,7 @@ func candidates(ctx *sym.Context, vars []string, guardVars map[string]bool, cons
 
 // entryEval decides a candidate at loop entry symbolically when possible:
 // both comparison operands, with each variable replaced by its entry term
-// (entry maps every variable cand reads to its entryVar), must reduce to
+// (entry renames every variable cand reads to its entryVar), must reduce to
 // linear forms whose difference is constant. Definitions are equalities in
 // Ψ, so a symbolic verdict coincides with entailment.
 type entryVerdict int
@@ -385,7 +391,7 @@ const (
 	evalFalse
 )
 
-func entryEval(entry map[string]logic.Term, cand lang.BoolExpr) entryVerdict {
+func entryEval(entry func(string) logic.Term, cand lang.BoolExpr) entryVerdict {
 	cmp, ok := cand.(lang.Cmp)
 	if !ok {
 		return evalUnknown

@@ -192,14 +192,6 @@ func (c *Compiled) SlotIndex(name string) (int, bool) {
 	return s, ok
 }
 
-// SlotName returns the variable name bound to a frame slot (diagnostics).
-func (c *Compiled) SlotName(slot int) string {
-	if slot >= 0 && slot < len(c.nameOf) {
-		return c.nameOf[slot]
-	}
-	return fmt.Sprintf("slot%d", slot)
-}
-
 func (c *Compiled) slot(name string) int {
 	if s, ok := c.slotOf[name]; ok {
 		return s

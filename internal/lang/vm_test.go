@@ -333,19 +333,6 @@ func TestVMNoteIndexAndDenseAccessors(t *testing.T) {
 	}
 }
 
-func TestVMSlotName(t *testing.T) {
-	p := MustParse(`func s(alpha, beta) { gamma := alpha + beta; notify 1 (gamma > 0); }`)
-	c := MustCompile(p)
-	for slot, want := range []string{"alpha", "beta", "gamma"} {
-		if got := c.SlotName(slot); got != want {
-			t.Fatalf("SlotName(%d) = %q, want %q", slot, got, want)
-		}
-	}
-	if got := c.SlotName(99); got != "slot99" {
-		t.Fatalf("out-of-range SlotName = %q", got)
-	}
-}
-
 // TestRunDense1MatchesRunDense pins the batch entry point: for every VM
 // program, BeginBatch1 + RunDense1(a) must produce the same cost, notes,
 // per-notification stamps, and errors as RunDense([]int64{a}).

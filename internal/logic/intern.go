@@ -746,18 +746,6 @@ func (in *Interner) Name(id NodeID) string {
 	return ""
 }
 
-// TermOf rebuilds the tree of a term node (nil for formula nodes). Nodes
-// do not retain the trees they were constructed from — keeping every
-// source AST alive for the arena's lifetime made the GC scan the whole
-// construction history on every cycle — so this allocates a fresh,
-// structurally equal tree per call. Cold paths only.
-func (in *Interner) TermOf(id NodeID) Term {
-	if !in.nodes[id].kind.IsTerm() {
-		return nil
-	}
-	return in.buildTerm(id)
-}
-
 func (in *Interner) buildTerm(id NodeID) Term {
 	nd := &in.nodes[id]
 	switch nd.kind {
@@ -779,8 +767,11 @@ func (in *Interner) buildTerm(id NodeID) Term {
 	panic("logic: buildTerm on formula node")
 }
 
-// FormulaOf rebuilds the tree of a formula node (nil for term nodes).
-// Like TermOf, it allocates per call; cold paths only.
+// FormulaOf rebuilds the tree of a formula node (nil for term nodes). Nodes
+// do not retain the trees they were constructed from — keeping every
+// source AST alive for the arena's lifetime made the GC scan the whole
+// construction history on every cycle — so this allocates a fresh,
+// structurally equal tree per call. Cold paths only.
 func (in *Interner) FormulaOf(id NodeID) Formula {
 	if in.nodes[id].kind.IsTerm() {
 		return nil

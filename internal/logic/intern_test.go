@@ -192,10 +192,8 @@ func TestInternHashCollisionsResolved(t *testing.T) {
 		for _, id := range ids {
 			nd := NodeID(id)
 			if in.Kind(nd).IsTerm() {
-				if tm := in.TermOf(nd); tm != nil {
-					if got := in.InternTerm(tm); got != nd {
-						t.Fatalf("re-intern of term %s: id %d, want %d", tm, got, nd)
-					}
+				if tm := in.buildTerm(nd); in.InternTerm(tm) != nd {
+					t.Fatalf("re-intern of term %s: id %d, want %d", tm, in.InternTerm(tm), nd)
 				}
 			} else if f := in.FormulaOf(nd); f != nil {
 				if got := in.InternFormula(f); got != nd {

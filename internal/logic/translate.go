@@ -8,16 +8,15 @@ import (
 )
 
 // FromIntExpr translates a source-language integer expression to a term.
-// rename maps each program variable to its current logical term (for
-// SSA-versioned contexts); variables absent from rename translate to a
-// same-named TVar.
-func FromIntExpr(e lang.IntExpr, rename map[string]Term) Term {
+// rename maps each program variable to its logical term (an SSA version in
+// symbolic contexts); nil translates every variable to a same-named TVar.
+func FromIntExpr(e lang.IntExpr, rename func(string) Term) Term {
 	switch t := e.(type) {
 	case lang.IntConst:
 		return TConst{Value: t.Value}
 	case lang.Var:
-		if r, ok := rename[t.Name]; ok {
-			return r
+		if rename != nil {
+			return rename(t.Name)
 		}
 		return TVar{Name: t.Name}
 	case lang.Call:
@@ -43,7 +42,7 @@ func FromIntExpr(e lang.IntExpr, rename map[string]Term) Term {
 
 // FromBoolExpr translates a source-language boolean expression to a formula
 // under the same variable renaming as FromIntExpr.
-func FromBoolExpr(e lang.BoolExpr, rename map[string]Term) Formula {
+func FromBoolExpr(e lang.BoolExpr, rename func(string) Term) Formula {
 	switch t := e.(type) {
 	case lang.BoolConst:
 		if t.Value {

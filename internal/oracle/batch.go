@@ -174,6 +174,20 @@ func batchSizesFor(n int, rng *rand.Rand) []int {
 	return []int{7, div, n + 1 + rng.Intn(16)}
 }
 
+// parityMatrix calls run at each adversarial Workers × BatchSize
+// combination for an n-record stream: batchSizesFor's sizes, drawn from
+// rng, paired with workers 2, 3 and 4, labelled "workers=W batch=B".
+func parityMatrix(n int, rng *rand.Rand, run func(opts engine.Options, label string) *Failure) *Failure {
+	workers := []int{2, 3, 4}
+	for si, bs := range batchSizesFor(n, rng) {
+		w := workers[si%len(workers)]
+		if f := run(engine.Options{Workers: w, BatchSize: bs}, fmt.Sprintf("workers=%d batch=%d", w, bs)); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // engineUDFs wraps each of the batch's queries for the engine and keeps
 // those that notify on every probe input: engine filter UDFs must, and the
 // generator's partial-notify shapes (legal for consolidation) are screened
@@ -233,11 +247,8 @@ func CheckBatchParity(b *Batch) *Failure {
 	}
 
 	rng := rand.New(rand.NewSource(b.Seed ^ 0x6B57C4ED))
-	workers := []int{2, 3, 4}
-	for si, bs := range batchSizesFor(len(b.Inputs), rng) {
-		w := workers[si%len(workers)]
-		label := fmt.Sprintf("workers=%d batch=%d", w, bs)
-		opts := engine.Options{Workers: w, BatchSize: bs, PrefilterCache: pcache}
+	return parityMatrix(len(b.Inputs), rng, func(opts engine.Options, label string) *Failure {
+		opts.PrefilterCache = pcache
 		many, err := engine.WhereMany(d, udfs, opts)
 		if err != nil {
 			return failf(CheckErr, b, "whereMany %s: %v", label, err)
@@ -252,6 +263,6 @@ func CheckBatchParity(b *Batch) *Failure {
 		if msg := diffResults("whereConsolidated "+label, &consRef.Result, &cons.Result); msg != "" {
 			return failf(CheckBatch, b, "%s", msg)
 		}
-	}
-	return nil
+		return nil
+	})
 }

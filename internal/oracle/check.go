@@ -387,12 +387,10 @@ func CheckRegistry(b *Batch, events int) *Failure {
 	return nil
 }
 
-// CheckSMT generates one random QF_UFLIA formula from the seed and
-// cross-checks the solver against the brute-force reference search plus
-// the cache-consistency invariants (the same properties FuzzSMTSoundness
-// asserts, reported as a Failure instead of a test abort).
-func CheckSMT(seed int64) *Failure {
-	rng := rand.New(rand.NewSource(seed))
+// seedGenConfig rotates the formula generator's biases by seed: UF-heavy
+// at seed%3 == 1, LIA-heavy at 2, balanced otherwise. Every seeded SMT and
+// interner check derives its formulas this way.
+func seedGenConfig(seed int64) smt.FormulaGenConfig {
 	cfg := smt.DefaultFormulaGenConfig()
 	switch seed % 3 {
 	case 1:
@@ -400,22 +398,47 @@ func CheckSMT(seed int64) *Failure {
 	case 2:
 		cfg.LIABias = true
 	}
-	f := smt.RandomFormula(rng, cfg)
+	return cfg
+}
+
+// CheckSMT generates one random QF_UFLIA formula from the seed and
+// cross-checks the solver against the brute-force reference search, the
+// negation, and the cache-consistency invariants: a re-check, CheckModel on
+// a new and on the warm solver (same verdict, no assignment with an Unsat),
+// and a budget-capped solver sharing the cache.
+func CheckSMT(seed int64) *Failure {
+	f := smt.RandomFormula(rand.New(rand.NewSource(seed)), seedGenConfig(seed))
 	fail := func(format string, args ...any) *Failure {
 		return &Failure{Check: CheckSMTSound, Seed: seed, Formula: f.String(), Msg: fmt.Sprintf(format, args...)}
 	}
 
 	full := smt.New()
 	got := full.Check(f)
-	if m, ok := smt.RefSearch(f, smt.DefaultRefConfig()); ok && got == smt.Unsat {
-		return fail("solver says unsat but brute-force search found a verified model %v", m.Vars)
-	}
-	if got == smt.Unsat && full.Check(logic.Not(f)) == smt.Unsat {
-		return fail("both f and ¬f reported unsat")
+	if got == smt.Unsat {
+		if m, ok := smt.RefSearch(f, smt.DefaultRefConfig()); ok {
+			return fail("solver says unsat but brute-force search found a verified model %v", m.Vars)
+		}
+		if full.Check(logic.Not(f)) == smt.Unsat {
+			return fail("both f and ¬f reported unsat")
+		}
 	}
 	if again := full.Check(f); again != got {
 		return fail("verdict changed on cache-served re-check: %v then %v", got, again)
 	}
+	// Asking for the assignment changes no verdict, and no assignment
+	// accompanies an Unsat: on a new solver, and on the warm one, whose
+	// cached verdict did not ask and is solved again.
+	for _, s := range []*smt.Solver{smt.New(), full} {
+		r, m := s.CheckModel(f)
+		if r != got {
+			return fail("CheckModel verdict %v, Check %v", r, got)
+		}
+		if r == smt.Unsat && m != nil {
+			return fail("an assignment %v accompanies an Unsat verdict", m.Vars)
+		}
+	}
+	// A budget-capped solver writing Unknown into a shared cache must not
+	// shadow a full-budget solver's later decided verdict.
 	cache := smt.NewCache(0)
 	tiny := smt.NewWithCache(cache)
 	tiny.MaxConflicts, tiny.MaxLazyIters = 1, 1
@@ -438,13 +461,7 @@ func CheckSMT(seed int64) *Failure {
 // rests on these properties.
 func CheckInterner(seed int64) *Failure {
 	rng := rand.New(rand.NewSource(seed))
-	cfg := smt.DefaultFormulaGenConfig()
-	switch seed % 3 {
-	case 1:
-		cfg.UFBias = true
-	case 2:
-		cfg.LIABias = true
-	}
+	cfg := seedGenConfig(seed)
 	fs := make([]logic.Formula, 6)
 	for i := range fs {
 		fs[i] = smt.RandomFormula(rng, cfg)
@@ -487,22 +504,18 @@ func CheckInterner(seed int64) *Failure {
 	return nil
 }
 
-// CheckSMTContext generates an assumption set Ψ₁…Ψₙ and goal φ from the
-// seed and holds a persistent smt.Context to the stateless pipeline on
-// (⋀Ψ ∧ ¬φ): byte-identical wherever the stateless solver decides, only
-// soundly stronger where it exhausts (Unsat cross-checked against the
-// brute-force search), with retraction, memo-stability, and starved-
-// budget conservativeness variants — the properties
-// TestContextAgreementCampaign asserts, reported as a Failure.
+// CheckSMTContext generates an assumption set Ψ₁…Ψₙ (2–4 hypotheses) and a
+// goal φ from the seed and holds a persistent smt.Context to the stateless
+// pipeline on (⋀Ψ ∧ ¬φ): byte-identical wherever the stateless solver
+// decides, only soundly stronger where it exhausts. Every cold Unsat, and
+// every Unsat the stateless solver left open, must survive the brute-force
+// search. The verdict is asserted cold, after a memo hit (also through
+// CheckAssumingModel, which brings no assignment with an Unsat), after
+// retraction and re-expansion, under a starved budget (against a stateless
+// solver at the same budget), and after a rebind back to full budgets.
 func CheckSMTContext(seed int64) *Failure {
 	rng := rand.New(rand.NewSource(seed))
-	cfg := smt.DefaultFormulaGenConfig()
-	switch seed % 3 {
-	case 1:
-		cfg.UFBias = true
-	case 2:
-		cfg.LIABias = true
-	}
+	cfg := seedGenConfig(seed)
 	hyps := make([]logic.Formula, 2+rng.Intn(3))
 	for i := range hyps {
 		hyps[i] = smt.RandomFormula(rng, cfg)
@@ -512,22 +525,33 @@ func CheckSMTContext(seed int64) *Failure {
 	fail := func(format string, args ...any) *Failure {
 		return &Failure{Check: CheckCtxAgree, Seed: seed, Formula: composed.String(), Msg: fmt.Sprintf(format, args...)}
 	}
-	// agree: byte-identity wherever the stateless pipeline decides; a warm
-	// instance may decide a stateless Unknown, but an extra Unsat must
-	// survive the brute-force model search.
-	agree := func(label string, got, want smt.Result, query logic.Formula) *Failure {
-		if want != smt.Unknown {
-			if got != want {
-				return fail("%s: context verdict %v, fresh solver %v (query %s)", label, got, want, query)
-			}
-			return nil
-		}
+	refute := func(label string, got smt.Result, query logic.Formula) *Failure {
 		if got == smt.Unsat {
 			if m, ok := smt.RefSearch(query, smt.DefaultRefConfig()); ok {
-				return fail("%s: context says unsat (fresh solver unknown) but a model exists: %v (query %s)", label, m.Vars, query)
+				return fail("%s: context says unsat but a model exists: %v (query %s)", label, m.Vars, query)
 			}
 		}
 		return nil
+	}
+	// agree: byte-identity wherever the stateless pipeline decides —
+	// Unknown included, which the context republishes through its stateless
+	// fallback. A warm instance may decide a stateless Unknown, but an
+	// extra Unsat must survive the brute-force search.
+	agree := func(label string, got, want smt.Result, query logic.Formula) *Failure {
+		if want == smt.Unknown {
+			return refute(label, got, query)
+		}
+		if got != want {
+			return fail("%s: context verdict %v, fresh solver %v (query %s)", label, got, want, query)
+		}
+		return nil
+	}
+	assertAll := func(c *smt.Context) []int {
+		aids := make([]int, len(hyps))
+		for i, h := range hyps {
+			aids[i] = c.Assert(h)
+		}
+		return aids
 	}
 
 	fresh := smt.New()
@@ -535,44 +559,57 @@ func CheckSMTContext(seed int64) *Failure {
 
 	ctx := smt.NewSolvingContext()
 	ctx.BeginRun(smt.New())
-	aids := make([]int, len(hyps))
-	for i, h := range hyps {
-		aids[i] = ctx.Assert(h)
-	}
+	aids := assertAll(ctx)
 	cone := func() []int { return aids }
 	got := ctx.CheckAssuming(aids, goal, cone)
 	if f := agree("cold check", got, want, composed); f != nil {
 		return f
 	}
+	if want != smt.Unknown {
+		if f := refute("cold check", got, composed); f != nil {
+			return f
+		}
+	}
 	if again := ctx.CheckAssuming(aids, goal, cone); again != got {
 		return fail("memoized re-check changed verdict: %v then %v", got, again)
 	}
+	// The memo answered without an assignment; asking re-solves.
+	if again, m := ctx.CheckAssumingModel(aids, goal, cone); again != got || (again == smt.Unsat && m != nil) {
+		return fail("CheckAssumingModel = (%v, %v) after %v", again, m, got)
+	}
+	// Retraction: learned clauses from the full set must not leak into the
+	// narrower query, and re-expansion reproduces the first verdict.
 	sub := aids[:len(aids)-1]
 	subComposed := logic.And(logic.And(hyps[:len(hyps)-1]...), logic.Not(goal))
-	subWant := fresh.Check(subComposed)
 	subGot := ctx.CheckAssuming(sub, goal, func() []int { return sub })
-	if f := agree("after retraction", subGot, subWant, subComposed); f != nil {
+	if f := agree("after retraction", subGot, fresh.Check(subComposed), subComposed); f != nil {
 		return f
 	}
 	if again := ctx.CheckAssuming(aids, goal, cone); again != got {
 		return fail("verdict changed after retract/re-expand: %v then %v", got, again)
 	}
-	tinyCtx := smt.NewSolvingContext()
+
+	// A starved context never contradicts the full budget, and never
+	// publishes Unknown where the stateless pipeline decides at its budget.
 	tinySolver := smt.New()
 	tinySolver.MaxConflicts, tinySolver.MaxLazyIters = 1, 1
+	tinyCtx := smt.NewSolvingContext()
 	tinyCtx.BeginRun(tinySolver)
-	tinyAids := make([]int, len(hyps))
-	for i, h := range hyps {
-		tinyAids[i] = tinyCtx.Assert(h)
-	}
+	tinyAids := assertAll(tinyCtx)
 	tinyGot := tinyCtx.CheckAssuming(tinyAids, goal, func() []int { return tinyAids })
 	if tinyGot != smt.Unknown && want != smt.Unknown && tinyGot != want {
 		return fail("budget-capped context decided %v, full budget %v", tinyGot, want)
 	}
 	tinyFresh := smt.New()
 	tinyFresh.MaxConflicts, tinyFresh.MaxLazyIters = 1, 1
-	if tinyWant := tinyFresh.Check(composed); tinyGot == smt.Unknown && tinyWant != smt.Unknown {
-		return fail("budget-capped context lost verdict %v the stateless pipeline decides", tinyWant)
+	if f := agree("budget-capped", tinyGot, tinyFresh.Check(composed), composed); f != nil {
+		return f
 	}
-	return nil
+
+	// Rebinding at different budgets resets the context: its budget-keyed
+	// memos are stale, and the recycled context agrees with fresh again.
+	tinyCtx.BeginRun(smt.New())
+	reAids := assertAll(tinyCtx)
+	reGot := tinyCtx.CheckAssuming(reAids, goal, func() []int { return reAids })
+	return agree("after budget rebind", reGot, want, composed)
 }

@@ -9,7 +9,7 @@ import "testing"
 // Definition 1 and the §2 cost theorem. Failures print the generating
 // seed; `go run ./cmd/oracle -seed <seed> -n 1` shrinks them offline.
 func FuzzConsolidateEquivalence(f *testing.F) {
-	for _, seed := range corpusSeeds(f) {
+	for _, seed := range batchSeeds(f) {
 		f.Add(seed, byte(seed%3))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, mix byte) {
@@ -42,11 +42,27 @@ func FuzzConsolidateEquivalence(f *testing.F) {
 // ⟺ ID equality — over random QF_UFLIA formulas derived from the seed.
 // The cache, definition-index and merge-node keys all rest on them.
 func FuzzInternerDeterminism(f *testing.F) {
-	for _, seed := range corpusSeeds(f) {
+	for _, seed := range batchSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		if fail := CheckInterner(seed); fail != nil {
+			t.Fatal(fail)
+		}
+	})
+}
+
+// FuzzSMTChecks fuzzes the solver's two seeded properties, CheckSMT and
+// CheckSMTContext, from the smt package's seed corpus.
+func FuzzSMTChecks(f *testing.F) {
+	for _, seed := range smtSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if fail := CheckSMT(seed); fail != nil {
+			t.Fatal(fail)
+		}
+		if fail := CheckSMTContext(seed); fail != nil {
 			t.Fatal(fail)
 		}
 	})

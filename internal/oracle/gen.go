@@ -17,9 +17,8 @@
 //
 // Every failure carries the generating seed and can be shrunk (Shrink) to
 // a minimal reproducer. cmd/oracle drives campaigns from the command
-// line; go test -fuzz targets (FuzzConsolidateEquivalence here,
-// FuzzSMTSoundness in internal/smt, FuzzParserRoundTrip in internal/lang)
-// feed the same checks from the fuzzing engine.
+// line; go test -fuzz targets (FuzzConsolidateEquivalence and FuzzSMTChecks
+// here) feed the same checks from the fuzzing engine.
 package oracle
 
 import (

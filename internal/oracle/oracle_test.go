@@ -12,12 +12,13 @@ import (
 	"consolidation/internal/lang"
 )
 
-// corpusSeeds loads the checked-in seed corpus: decimal seeds, one per
-// line, from every .txt file under testdata/corpus.
-func corpusSeeds(tb testing.TB) []int64 {
-	files, err := filepath.Glob("testdata/corpus/*.txt")
+// corpusSeeds loads a checked-in seed corpus: decimal seeds, one per line,
+// from every .txt file under dir. A seed past MaxInt64 is read as the int64
+// with the same bits, which rand.NewSource draws from alike.
+func corpusSeeds(tb testing.TB, dir string) []int64 {
+	files, err := filepath.Glob(filepath.Join(dir, "*.txt"))
 	if err != nil || len(files) == 0 {
-		tb.Fatalf("no oracle seed corpus under testdata/corpus: %v", err)
+		tb.Fatalf("no seed corpus under %s: %v", dir, err)
 	}
 	var out []int64
 	for _, f := range files {
@@ -33,6 +34,10 @@ func corpusSeeds(tb testing.TB) []int64 {
 			}
 			v, err := strconv.ParseInt(line, 10, 64)
 			if err != nil {
+				u, uerr := strconv.ParseUint(line, 10, 64)
+				v, err = int64(u), uerr
+			}
+			if err != nil {
 				tb.Fatalf("%s: bad seed %q: %v", f, line, err)
 			}
 			out = append(out, v)
@@ -44,6 +49,11 @@ func corpusSeeds(tb testing.TB) []int64 {
 	}
 	return out
 }
+
+// batchSeeds is the corpus of the batch and interner checks; smtSeeds is the
+// solver's own corpus, shared with the smt package's fuzz targets.
+func batchSeeds(tb testing.TB) []int64 { return corpusSeeds(tb, "testdata/corpus") }
+func smtSeeds(tb testing.TB) []int64   { return corpusSeeds(tb, "../smt/testdata/corpus") }
 
 func TestGenerateDeterministic(t *testing.T) {
 	opts := DefaultGenOptions()
@@ -107,52 +117,49 @@ func TestGeneratedProgramsWellFormed(t *testing.T) {
 	}
 }
 
-// TestOracleCorpus is the deterministic mini-campaign: every corpus seed
-// through the consolidation check (mix rotating by seed), a subset
-// through the registry churn check, all through the SMT check.
+// TestOracleCorpus runs the churn checks, which no fuzz target drives, on
+// the batch corpus: registry churn on every fourth seed, sharded churn on
+// the seeds two apart. FuzzConsolidateEquivalence's and
+// FuzzInternerDeterminism's seed corpora run the other batch checks on the
+// same seeds, FuzzSMTChecks the solver checks.
 func TestOracleCorpus(t *testing.T) {
-	seeds := corpusSeeds(t)
+	seeds := batchSeeds(t)
 	if testing.Short() {
 		seeds = seeds[:len(seeds)/2]
 	}
 	for i, seed := range seeds {
-		opts := DefaultGenOptions()
+		opts := registryGenOptions(DefaultGenOptions())
 		opts.Mix = Mix(seed % 3)
-		b := Generate(seed, opts)
-		if f := CheckConsolidation(b); f != nil {
-			t.Fatal(f)
-		}
-		if f := CheckExecutor(b); f != nil {
-			t.Fatal(f)
-		}
-		if f := CheckPrefilter(b); f != nil {
-			t.Fatal(f)
-		}
-		if f := CheckBatchParity(b); f != nil {
-			t.Fatal(f)
-		}
-		if f := CheckAggregate(GenAggCase(seed)); f != nil {
-			t.Fatal(f)
-		}
-		if i%4 == 0 {
-			rb := Generate(seed, registryGenOptions(opts))
-			if f := CheckRegistry(rb, 5); f != nil {
+		switch i % 4 {
+		case 0:
+			if f := CheckRegistry(Generate(seed, opts), 5); f != nil {
+				t.Fatal(f)
+			}
+		case 2:
+			if f := CheckSharded(Generate(seed, opts), 4); f != nil {
 				t.Fatal(f)
 			}
 		}
-		if i%4 == 2 {
-			sb := Generate(seed, registryGenOptions(opts))
-			if f := CheckSharded(sb, 4); f != nil {
-				t.Fatal(f)
-			}
-		}
-		if f := CheckSMT(seed); f != nil {
-			t.Fatal(f)
+	}
+}
+
+// TestContextAgreementCampaign is the seeded context campaign: CheckSMTContext
+// on seeds 0–511 (0–127 under -short). The seeds in FuzzSMTChecks's corpus
+// are skipped; its seed corpus runs them.
+func TestContextAgreementCampaign(t *testing.T) {
+	n := int64(512)
+	if testing.Short() {
+		n = 128
+	}
+	fuzzed := map[int64]bool{}
+	for _, s := range smtSeeds(t) {
+		fuzzed[s] = true
+	}
+	for seed := int64(0); seed < n; seed++ {
+		if fuzzed[seed] {
+			continue
 		}
 		if f := CheckSMTContext(seed); f != nil {
-			t.Fatal(f)
-		}
-		if f := CheckInterner(seed); f != nil {
 			t.Fatal(f)
 		}
 	}

@@ -157,13 +157,11 @@ func CheckSharded(b *Batch, events int) *Failure {
 	// matrix re-runs both configurations at adversarial Workers/BatchSize
 	// combinations against their record-at-a-time references.
 	rng := rand.New(rand.NewSource(b.Seed ^ 0x51A2DB01))
-	workers := []int{2, 3, 4}
 	matrix := func(event string, refs [2]*engine.ShardedResult) *Failure {
-		for si, bs := range batchSizesFor(len(b.Inputs), rng) {
-			w := workers[si%len(workers)]
+		return parityMatrix(len(b.Inputs), rng, func(opts engine.Options, wb string) *Failure {
 			for i, r := range regs {
-				label := fmt.Sprintf("%s after %s, workers=%d batch=%d", names[i], event, w, bs)
-				got, err := engine.WhereSharded(d, r, engine.Options{Workers: w, BatchSize: bs})
+				label := fmt.Sprintf("%s after %s, %s", names[i], event, wb)
+				got, err := engine.WhereSharded(d, r, opts)
 				if err != nil {
 					return failf(CheckErr, b, "WhereSharded %s: %v", label, err)
 				}
@@ -171,8 +169,8 @@ func CheckSharded(b *Batch, events int) *Failure {
 					return shardFail(msg)
 				}
 			}
-		}
-		return nil
+			return nil
+		})
 	}
 	flush := func(event string) *Failure {
 		for i, r := range regs {

@@ -365,44 +365,3 @@ while (@i < @n) {
 func withPrefix(tmpl, p string) string {
 	return strings.ReplaceAll(tmpl, "@", p)
 }
-
-// Describe returns a human-readable summary of a family, for reports.
-func Describe(domain, family string) string {
-	key := domain + "/" + family
-	desc := map[string]string{
-		"weather/Q1":  "monthly average temperature filter (month, threshold)",
-		"weather/Q2":  "monthly average rainfall filter (month, threshold)",
-		"weather/Q3":  "yearly average temperature filter (year, threshold; loop)",
-		"weather/Q4":  "yearly average rainfall filter (year, threshold; loop)",
-		"weather/Mix": "mix of Q1..Q4 with weights {15,15,10,10}",
-		"flight/Q1":   "direct flight between two cities under a price",
-		"flight/Q2":   "connecting flight between two cities under a price (loop)",
-		"flight/Q3":   "average price between two cities over the period (loop)",
-		"flight/Mix":  "mix of Q1..Q3 with weights {15,20,15}",
-		"news/Q1":     "word containment from a fixed word list",
-		"news/Q2":     "average word length threshold",
-		"news/Q3":     "maximum word length threshold (loop)",
-		"news/BC":     "boolean combinations of Q1..Q3 predicates",
-		"twitter/Q1":  "smiley count threshold",
-		"twitter/Q2":  "sentiment score threshold",
-		"twitter/Q3":  "topic score threshold",
-		"twitter/BC":  "boolean combinations of Q1..Q3 predicates",
-		"stock/Q1":    "average volume threshold (loop)",
-		"stock/Q2":    "maximum stock value threshold (loop)",
-		"stock/Q3":    "standard deviation threshold (loop)",
-		"stock/BC":    "boolean combinations of Q1..Q3 predicates",
-	}
-	if d, ok := desc[key]; ok {
-		return d
-	}
-	return key
-}
-
-// FamiliesString renders the family list for CLI help.
-func FamiliesString() string {
-	var b strings.Builder
-	for _, d := range Domains() {
-		fmt.Fprintf(&b, "  %-8s %s\n", d, strings.Join(Families(d), " "))
-	}
-	return b.String()
-}

@@ -234,13 +234,6 @@ func (s *ShardedRegistry) Size() int {
 	return len(s.members)
 }
 
-// NumClusters reports the current cluster count.
-func (s *ShardedRegistry) NumClusters() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.clusters)
-}
-
 // Stats snapshots shard counters.
 func (s *ShardedRegistry) Stats() Stats {
 	s.mu.Lock()

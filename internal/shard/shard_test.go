@@ -47,7 +47,7 @@ func TestShardedClustering(t *testing.T) {
 		temps = append(temps, mustAdd(t, s, tempQuery(i)))
 		vols = append(vols, mustAdd(t, s, volQuery(i)))
 	}
-	if got := s.NumClusters(); got != 2 {
+	if got := s.Stats().Clusters; got != 2 {
 		t.Fatalf("expected 2 clusters for 2 disjoint families, got %d", got)
 	}
 	if got := s.Size(); got != 6 {
@@ -118,7 +118,7 @@ func TestShardedSplit(t *testing.T) {
 		mustAdd(t, s, tempQuery(i))
 		mustAdd(t, s, volQuery(i))
 	}
-	if got := s.NumClusters(); got != 1 {
+	if got := s.Stats().Clusters; got != 1 {
 		t.Fatalf("MinSimilarity<0 must keep one cluster, got %d", got)
 	}
 	mustAdd(t, s, tempQuery(2)) // 5th member: over the threshold
@@ -126,7 +126,7 @@ func TestShardedSplit(t *testing.T) {
 	if st.Splits != 1 {
 		t.Fatalf("Splits = %d, want 1", st.Splits)
 	}
-	if got := s.NumClusters(); got != 2 {
+	if got := s.Stats().Clusters; got != 2 {
 		t.Fatalf("expected 2 clusters after split, got %d", got)
 	}
 	if st.Moves == 0 || st.Moves >= 5 {
@@ -203,7 +203,7 @@ func TestShardedRemove(t *testing.T) {
 	if err := s.Remove(temps[1]); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NumClusters(); got != 1 {
+	if got := s.Stats().Clusters; got != 1 {
 		t.Fatalf("drained cluster not dropped: %d clusters", got)
 	}
 	if _, err := s.Flush(); err != nil {
@@ -230,7 +230,7 @@ func TestShardedAddValidation(t *testing.T) {
 	defer s.Close()
 
 	mustAdd(t, s, tempQuery(0))
-	before := s.NumClusters()
+	before := s.Stats().Clusters
 	// Two notify ids: the cluster registry rejects it. The rejected query
 	// belongs to a different family, so its routing opened a fresh cluster
 	// that must be torn down again on failure.
@@ -238,7 +238,7 @@ func TestShardedAddValidation(t *testing.T) {
 	if _, err := s.Add(bad); err == nil {
 		t.Fatal("expected Add to reject a two-notify query")
 	}
-	if got := s.NumClusters(); got != before {
+	if got := s.Stats().Clusters; got != before {
 		t.Fatalf("failed Add leaked a cluster: %d -> %d", before, got)
 	}
 	if _, err := s.Add(lang.MustParse(`func wrong(a, b) { notify 1 (a > b); }`)); err == nil {
@@ -419,7 +419,7 @@ func TestShardedCloseNoWorkerLeak(t *testing.T) {
 			mustAdd(t, s, tempQuery(i))
 			mustAdd(t, s, volQuery(i))
 		}
-		if got := s.NumClusters(); got < 3 {
+		if got := s.Stats().Clusters; got < 3 {
 			t.Fatalf("expected splits to multiply clusters, got %d", got)
 		}
 		// Close mid-debounce: workers must exit promptly either way.

@@ -119,14 +119,6 @@ type CacheStats struct {
 	Shards    int
 }
 
-// HitRate is Hits/Lookups in [0,1]; 0 when nothing was looked up.
-func (cs CacheStats) HitRate() float64 {
-	if cs.Lookups == 0 {
-		return 0
-	}
-	return float64(cs.Hits) / float64(cs.Lookups)
-}
-
 // NewCache returns a cache bounded to roughly maxEntries entries
 // (0 = unbounded). The bound is approximate: it is split evenly across
 // shards and enforced per shard.

@@ -53,3 +53,36 @@ func TestContextFallback(t *testing.T) {
 		})
 	}
 }
+
+// TestContextFallsBackAfterWarmUnknown: when the warm instance runs out of
+// conflicts on a query the stateless pipeline decides at the same budget,
+// the context publishes the stateless verdict. Two satisfiable gadgets over
+// variables the instance holds before the query's, each refuted by one
+// conflict (a → b, a → ¬b, and a is decided true first), spend a budget of
+// one conflict that a fresh instance never needs.
+func TestContextFallsBackAfterWarmUnknown(t *testing.T) {
+	hyps := []logic.Formula{logic.Or(lt(x(), n(0)), lt(y(), n(0)))}
+	goal := lt(x(), n(5))
+	s := New()
+	s.MaxConflicts = 1
+	want := New()
+	want.MaxConflicts = 1
+	if w := want.Check(composeQuery(hyps, goal)); w != Sat {
+		t.Fatalf("stateless verdict %v at one conflict, want sat", w)
+	}
+	ctx := NewSolvingContext()
+	ctx.BeginRun(s)
+	ctx.enc = newIncCNF()
+	for range 2 {
+		a, b := ctx.enc.fresh(), ctx.enc.fresh()
+		ctx.enc.clause(-a, b)
+		ctx.enc.clause(-a, -b)
+	}
+	aids := []int{ctx.Assert(hyps[0])}
+	if got := ctx.CheckAssuming(aids, goal, func() []int { return aids }); got != Sat {
+		t.Fatalf("context verdict %v, stateless sat", got)
+	}
+	if st := ctx.Stats(); st.Fallbacks != 1 {
+		t.Fatalf("stats %+v: want the warm instance's Unknown taken by the fallback", st)
+	}
+}

@@ -45,8 +45,8 @@ func corpusSeeds(tb testing.TB) []uint64 {
 	return out
 }
 
-// seedGenConfig rotates the generator biases by seed, the same way for
-// every seeded property in this package.
+// seedGenConfig rotates the generator biases by seed, the same way as the
+// oracle's seeded SMT checks.
 func seedGenConfig(seed uint64) FormulaGenConfig {
 	cfg := DefaultFormulaGenConfig()
 	switch seed % 3 {
@@ -58,78 +58,36 @@ func seedGenConfig(seed uint64) FormulaGenConfig {
 	return cfg
 }
 
-// checkSoundnessSeed is the body shared by the fuzz target and the
-// deterministic corpus test: generate a formula from the seed, then
-// assert every soundness property the rest of the system relies on.
-func checkSoundnessSeed(t *testing.T, seed uint64) {
+// contextSeedInputs derives the assumption set and goal a context seed
+// exercises: 2–4 random hypotheses Ψᵢ plus one goal φ, drawn from a source
+// seeded with seed exactly as oracle.CheckSMTContext draws them.
+func contextSeedInputs(seed uint64) ([]logic.Formula, logic.Formula) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	cfg := seedGenConfig(seed)
-	f := RandomFormula(rng, cfg)
-
-	full := New()
-	got := full.Check(f)
-
-	// Soundness against the brute-force reference: a verified model
-	// refutes Unsat, a verified countermodel of f refutes... nothing —
-	// RefSearch is one-sided, so only the Unsat direction is checked.
-	if m, ok := RefSearch(f, DefaultRefConfig()); ok && got == Unsat {
-		t.Fatalf("solver says unsat but a model exists\nformula: %s\nmodel vars: %v", f, m.Vars)
+	hyps := make([]logic.Formula, 2+rng.Intn(3))
+	for i := range hyps {
+		hyps[i] = RandomFormula(rng, cfg)
 	}
-	// Negation consistency: f and ¬f cannot both be unsatisfiable.
-	if got == Unsat && full.Check(logic.Not(f)) == Unsat {
-		t.Fatalf("both f and ¬f reported unsat\nformula: %s", f)
-	}
-	// Verdict stability: re-checking (now cache-served) must agree.
-	if again := full.Check(f); again != got {
-		t.Fatalf("verdict changed on re-check: %v then %v\nformula: %s", got, again, f)
-	}
-	// Asking for the assignment changes no verdict, and no assignment
-	// accompanies an Unsat: on a new solver, and on this one, where the
-	// cached verdict did not ask and the check is solved again.
-	for _, s := range []*Solver{New(), full} {
-		r, m := s.CheckModel(f)
-		if r != got {
-			t.Fatalf("CheckModel verdict %v, Check %v\nformula: %s", r, got, f)
-		}
-		if r == Unsat && m != nil {
-			t.Fatalf("an assignment %v accompanies an Unsat verdict\nformula: %s", m.Vars, f)
-		}
-	}
-	// Cross-budget cache sharing (the PR 1 poisoning bug): a budget-capped
-	// solver writing Unknown into a shared cache must not shadow a
-	// full-budget solver's later decidable verdict.
-	cache := NewCache(0)
-	tiny := NewWithCache(cache)
-	tiny.MaxConflicts, tiny.MaxLazyIters = 1, 1
-	tinyGot := tiny.Check(f)
-	if tinyGot != Unknown && tinyGot != got {
-		t.Fatalf("budget-capped solver decided differently: %v vs %v\nformula: %s", tinyGot, got, f)
-	}
-	shared := NewWithCache(cache)
-	if sharedGot := shared.Check(f); sharedGot != got {
-		t.Fatalf("shared-cache verdict %v differs from fresh verdict %v (cache poisoning)\nformula: %s", sharedGot, got, f)
-	}
+	return hyps, RandomFormula(rng, cfg)
 }
 
-// FuzzSMTSoundness drives the solver with random QF_UFLIA formulas and
-// cross-checks every verdict against the brute-force reference model
-// search, the cache-consistency invariants, the incremental-context
-// agreement property, and the used-workspace-equals-new-solver property.
+// composeQuery builds ⋀ hyps ∧ ¬goal exactly as the stateless pipeline
+// (and Context.composeFormula) composes validity queries.
+func composeQuery(hyps []logic.Formula, goal logic.Formula) logic.Formula {
+	return logic.And(logic.And(hyps...), logic.Not(goal))
+}
+
+// FuzzSMTSoundness fuzzes the one seeded property only this package can
+// see: a used theory workspace answers a seed's queries (see
+// workspaceSeedQueries) exactly as a new solver does. The solver's verdict
+// properties — the brute-force reference, the cache, CheckModel, and the
+// incremental contexts — are oracle.CheckSMT and oracle.CheckSMTContext,
+// fuzzed by the oracle's FuzzSMTChecks over this corpus.
 func FuzzSMTSoundness(f *testing.F) {
 	for _, s := range corpusSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		checkSoundnessSeed(t, seed)
-		checkContextSeed(t, seed)
 		checkWorkspaceSequence(t, New(), workspaceSeedQueries(seed))
 	})
-}
-
-// TestSMTSoundnessCorpus replays the seed corpus deterministically under
-// plain `go test`.
-func TestSMTSoundnessCorpus(t *testing.T) {
-	for _, s := range corpusSeeds(t) {
-		checkSoundnessSeed(t, s)
-	}
 }

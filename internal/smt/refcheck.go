@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the solver's adversary: a brute-force reference model
-// search plus a random formula generator, used by FuzzSMTSoundness and
-// the oracle (internal/oracle) to cross-check verdicts. The search is
+// search plus a random formula generator, used by the oracle
+// (internal/oracle) and this package's tests to cross-check verdicts. The search is
 // authoritative in one direction only — every model it returns is
 // verified by evaluation, so a RefSearch hit against an Unsat verdict is
 // always a solver soundness bug, while an empty search proves nothing (a

@@ -13,9 +13,9 @@ import (
 )
 
 // workspaceSeedQueries are the formulas one seed contributes to the
-// workspace differential test: the soundness fuzzer's formula and its
-// negation, and the context campaign's composed validity query with and
-// without its last hypothesis.
+// workspace differential test: oracle.CheckSMT's formula and its negation,
+// and oracle.CheckSMTContext's composed validity query with and without its
+// last hypothesis.
 func workspaceSeedQueries(seed uint64) []logic.Formula {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	cfg := seedGenConfig(seed)
@@ -92,7 +92,7 @@ func checkWorkspaceSequence(t *testing.T, used *Solver, qs []logic.Formula) {
 
 // TestTheoryWorkspaceMatchesFresh is the reuse differential: one long-lived
 // Solver against a new Solver per query over the seeded generators of the
-// soundness fuzzer and the context campaign, the seed corpus, and a query
+// oracle's SMT and context checks, the seed corpus, and a query
 // that promotes cells to big.Rat followed by one of the same shape that does
 // not (a stale den == 0 cell would index past the truncated bigTab).
 func TestTheoryWorkspaceMatchesFresh(t *testing.T) {

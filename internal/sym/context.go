@@ -211,68 +211,12 @@ func (c *Context) CurTerm(x string) logic.Term { return logic.TVar{Name: c.CurNa
 
 // TranslateInt maps a source integer expression to a term over the current
 // versions.
-func (c *Context) TranslateInt(e lang.IntExpr) logic.Term {
-	return c.translateInt(e)
-}
-
-func (c *Context) translateInt(e lang.IntExpr) logic.Term {
-	switch t := e.(type) {
-	case lang.IntConst:
-		return logic.TConst{Value: t.Value}
-	case lang.Var:
-		return c.CurTerm(t.Name)
-	case lang.Call:
-		args := make([]logic.Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = c.translateInt(a)
-		}
-		return logic.TApp{Func: t.Func, Args: args}
-	case lang.BinInt:
-		var op logic.TermOp
-		switch t.Op {
-		case lang.Add:
-			op = logic.Add
-		case lang.Sub:
-			op = logic.Sub
-		case lang.Mul:
-			op = logic.Mul
-		}
-		return logic.TBin{Op: op, L: c.translateInt(t.L), R: c.translateInt(t.R)}
-	}
-	panic("sym: unknown int expression")
-}
+func (c *Context) TranslateInt(e lang.IntExpr) logic.Term { return logic.FromIntExpr(e, c.CurTerm) }
 
 // TranslateBool maps a source boolean expression to a formula over the
 // current versions.
 func (c *Context) TranslateBool(e lang.BoolExpr) logic.Formula {
-	switch t := e.(type) {
-	case lang.BoolConst:
-		if t.Value {
-			return logic.FTrue{}
-		}
-		return logic.FFalse{}
-	case lang.Cmp:
-		var p logic.Pred
-		switch t.Op {
-		case lang.Lt:
-			p = logic.Lt
-		case lang.Eq:
-			p = logic.Eq
-		case lang.Le:
-			p = logic.Le
-		}
-		return logic.FAtom{Pred: p, L: c.translateInt(t.L), R: c.translateInt(t.R)}
-	case lang.Not:
-		return logic.Not(c.TranslateBool(t.E))
-	case lang.BinBool:
-		l := c.TranslateBool(t.L)
-		r := c.TranslateBool(t.R)
-		if t.Op == lang.And {
-			return logic.And(l, r)
-		}
-		return logic.Or(l, r)
-	}
-	panic("sym: unknown bool expression")
+	return logic.FromBoolExpr(e, c.CurTerm)
 }
 
 // Assume adds an already-translated formula to the context.
@@ -304,7 +248,7 @@ func (c *Context) AssumeBool(e lang.BoolExpr) {
 // the pre-state versions, x's version is bumped, and the defining equality
 // is recorded.
 func (c *Context) AssumeAssign(x string, e lang.IntExpr) {
-	rhs := c.translateInt(e)
+	rhs := c.TranslateInt(e)
 	c.version[x]++
 	c.Assume(logic.EqT(c.CurTerm(x), rhs))
 	// Index the definition for the cross-simplifier.
@@ -342,14 +286,9 @@ func appOffset(t logic.Term) (logic.Term, int64, bool) {
 	return nil, 0, false
 }
 
-// LookupDef returns a variable currently holding exactly the value of t, if
-// one was recorded by an assignment and has not been overwritten since.
-func (c *Context) LookupDef(t logic.Term) (string, bool) {
-	return c.LookupDefID(c.in.InternTerm(t))
-}
-
-// LookupDefID is LookupDef for a term already interned into the context's
-// arena, skipping the re-walk.
+// LookupDefID returns a variable currently holding exactly the value of the
+// term id, interned into the context's arena, if one was recorded by an
+// assignment and has not been overwritten since.
 func (c *Context) LookupDefID(id logic.NodeID) (string, bool) {
 	e, ok := c.defs[id]
 	if !ok || c.version[e.Var] != e.Version {
@@ -404,15 +343,8 @@ func termFuncs(t logic.Term) map[string]bool {
 	return out
 }
 
-// Havoc forgets everything about the given variables by bumping their
+// HavocSet forgets everything about the given variables by bumping their
 // versions without constraints.
-func (c *Context) Havoc(vars []string) {
-	for _, v := range vars {
-		c.version[v]++
-	}
-}
-
-// HavocSet is Havoc over a set.
 func (c *Context) HavocSet(vars map[string]bool) {
 	for v := range vars {
 		c.version[v]++

@@ -50,7 +50,7 @@ func TestHavocForgets(t *testing.T) {
 	if !c.Entails(logic.EqT(c.CurTerm("x"), logic.Num(3))) {
 		t.Fatal("should know x = 3")
 	}
-	c.Havoc([]string{"x"})
+	c.HavocSet(map[string]bool{"x": true})
 	if c.Entails(logic.EqT(c.CurTerm("x"), logic.Num(3))) {
 		t.Fatal("havoc must forget x = 3")
 	}
@@ -147,8 +147,8 @@ func TestDefinitionIndex(t *testing.T) {
 
 	// Exact lookup through the index.
 	term := c.TranslateInt(lang.MustParseStmt("w := price(r);").(lang.Assign).E)
-	if name, ok := c.LookupDef(term); !ok || name != "v" {
-		t.Fatalf("LookupDef = %q, %v", name, ok)
+	if name, ok := c.LookupDefID(c.Interner().InternTerm(term)); !ok || name != "v" {
+		t.Fatalf("LookupDefID = %q, %v", name, ok)
 	}
 	// CurDef returns the recorded right-hand side.
 	if rhs, ok := c.CurDef("v"); !ok || rhs.String() != "price(r)" {
@@ -160,8 +160,8 @@ func TestDefinitionIndex(t *testing.T) {
 	}
 	// Overwriting v invalidates all of it.
 	c.AssumeAssign("v", lang.IntConst{Value: 0})
-	if _, ok := c.LookupDef(term); ok {
-		t.Fatal("stale LookupDef after overwrite")
+	if _, ok := c.LookupDefID(c.Interner().InternTerm(term)); ok {
+		t.Fatal("stale LookupDefID after overwrite")
 	}
 	if rhs, ok := c.CurDef("v"); !ok || rhs.String() != "0" {
 		t.Fatalf("CurDef after overwrite = %v, %v", rhs, ok)
@@ -197,7 +197,7 @@ func TestOffsetIndex(t *testing.T) {
 	}
 	c.AssumeAssign("v", expr("price(r) + 1"))
 	clone := c.Clone()
-	c.Havoc([]string{"v"})
+	c.HavocSet(map[string]bool{"v": true})
 	if _, _, ok := c.LookupOffsetID(price); ok {
 		t.Error("havoc should invalidate the offset definition")
 	}
@@ -209,9 +209,9 @@ func TestOffsetIndex(t *testing.T) {
 func TestHavocInvalidatesDefs(t *testing.T) {
 	c := NewContext(smt.New())
 	c.AssumeAssign("v", lang.MustParseStmt("v := price(r);").(lang.Assign).E)
-	c.Havoc([]string{"v"})
+	c.HavocSet(map[string]bool{"v": true})
 	term := c.TranslateInt(lang.MustParseStmt("w := price(r);").(lang.Assign).E)
-	if _, ok := c.LookupDef(term); ok {
+	if _, ok := c.LookupDefID(c.Interner().InternTerm(term)); ok {
 		t.Fatal("havoc should invalidate the definition")
 	}
 }
