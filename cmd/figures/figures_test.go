@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,12 +13,35 @@ import (
 	"consolidation/internal/queries"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt from this run")
+
+// goldenPath pins what Ω produces on every Figure 9 family at the smoke
+// configuration (12 UDFs, scale 0.01, seed 1): both operators' abstract UDF
+// cost, the merged program's size and the rule counts. Costs are abstract
+// and the build is deterministic, so any change to a row is a change to Ω's
+// output, and a reviewed diff of this file shows it.
+const goldenPath = "testdata/golden.txt"
+
+const goldenHeader = "# family many_cost cons_cost size If1 If2 If3 If4 If5 Loop2 Loop3 fuel"
+
+// goldenRow renders one experiment's pinned figures.
+func goldenRow(o *outcome) string {
+	r := o.multi.Rules
+	return fmt.Sprintf("%s/%s %d %d %d %d %d %d %d %d %d %d %d",
+		o.domain, o.family, o.many.UDFCost, o.cons.UDFCost, o.multi.OutputSize,
+		r.If1, r.If2, r.If3, r.If4, r.If5, r.Loop2, r.Loop3, r.FuelExhausted)
+}
+
 // TestAllExperimentsSmoke runs every Figure 9 experiment at reduced scale
-// and UDF count, checking that whereConsolidated agrees with whereMany and
-// never does more UDF work.
+// and UDF count, checking that whereConsolidated agrees with whereMany,
+// never does more UDF work, and produces exactly the golden table's rows
+// (go test ./cmd/figures -run AllExperimentsSmoke -update rewrites it).
 func TestAllExperimentsSmoke(t *testing.T) {
+	var rows []string
+	families := 0
 	for _, d := range queries.Domains() {
 		for _, f := range queries.Families(d) {
+			families++
 			t.Run(d+"/"+f, func(t *testing.T) {
 				o, err := run(d, f, 12, 0.01, 1, 0)
 				if err != nil {
@@ -28,9 +54,66 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				if o.cons.UDFCost > o.many.UDFCost {
 					t.Errorf("consolidated UDF cost %d exceeds sequential %d", o.cons.UDFCost, o.many.UDFCost)
 				}
+				rows = append(rows, goldenRow(o))
 			})
 		}
 	}
+	got := goldenHeader + "\n" + strings.Join(rows, "\n") + "\n"
+	partial := len(rows) < families // a -run filter or a failed family
+	if *update {
+		if partial {
+			t.Fatalf("-update needs all %d families, ran %d", families, len(rows))
+		}
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := goldenDiff(string(want), got, partial); diff != "" {
+		t.Errorf("%s differs (- golden, + this run; -update rewrites it):\n%s", goldenPath, diff)
+	}
+}
+
+// goldenDiff lists every row that differs between two golden tables, keyed
+// by family, the golden row prefixed "-" and this run's "+". A partial run
+// is compared only on the families it ran.
+func goldenDiff(want, got string, partial bool) string {
+	keyed := func(s string) (map[string]string, []string) {
+		m := map[string]string{}
+		var order []string
+		for _, l := range strings.Split(strings.TrimSpace(s), "\n") {
+			k, _, _ := strings.Cut(l, " ")
+			if _, dup := m[k]; !dup {
+				order = append(order, k)
+			}
+			m[k] = l
+		}
+		return m, order
+	}
+	w, wOrder := keyed(want)
+	g, gOrder := keyed(got)
+	var b strings.Builder
+	for _, k := range wOrder {
+		if _, ran := g[k]; !ran && partial {
+			continue
+		}
+		if g[k] != w[k] {
+			fmt.Fprintf(&b, "- %s\n", w[k])
+			if gl, ok := g[k]; ok {
+				fmt.Fprintf(&b, "+ %s\n", gl)
+			}
+		}
+	}
+	for _, k := range gOrder {
+		if _, ok := w[k]; !ok {
+			fmt.Fprintf(&b, "+ %s\n", g[k])
+		}
+	}
+	return b.String()
 }
 
 // TestFigure9Shape asserts the qualitative claims of Figure 9 at reduced

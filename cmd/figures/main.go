@@ -48,6 +48,8 @@ type outcome struct {
 	// the whole job with consolidation time included.
 	udf, cost, total float64
 	agree            bool // both operators selected identical records
+	// multi is the consolidation's rule counts and merged program size.
+	multi consolidate.MultiStats
 }
 
 // dataset generates a domain's dataset at a scale of the paper's full size.
@@ -117,6 +119,7 @@ func run(domain, family string, n int, scale float64, seed int64, workers int) (
 		cost:  ratio(float64(many.UDFCost), float64(cons.UDFCost)),
 		total: ratio(float64(many.TotalTime), float64(cons.TotalTime+cons.ConsolidateTime)),
 		agree: engine.SameResults(many, &cons.Result),
+		multi: *cons.Multi,
 	}, nil
 }
 
