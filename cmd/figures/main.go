@@ -140,7 +140,7 @@ func meanLatency(m *engine.Metrics) float64 {
 }
 
 func (o *outcome) row() string {
-	return fmt.Sprintf("%-8s %-4s  n=%-3d rec=%-6d  udf×%5.1f cost×%5.1f total×%5.1f  cons=%8s hit=%4.0f%%  ok=%v",
+	return fmt.Sprintf("%-8s %-4s  n=%-3d rec=%-6d  udf×%5.1f cost×%7.3f total×%5.1f  cons=%8s hit=%4.0f%%  ok=%v",
 		o.domain, o.family, o.many.UDFs, o.many.Records,
 		o.udf, o.cost, o.total,
 		o.consolidate.Round(time.Millisecond), o.hit*100, o.agree)
@@ -262,7 +262,7 @@ func figures(args []string, out, errw io.Writer) int {
 	case "9":
 		fmt.Fprintln(out, "Figure 9 — speedup of whereConsolidated over whereMany")
 		fmt.Fprintf(out, "(%d UDFs per family, dataset scale %.2f, seed %d)\n\n", n, scale, *seed)
-		fmt.Fprintln(out, "domain   fam   UDFs  records  speedups(udf-time, udf-cost, total)  consolidation  cache-hit  agree")
+		fmt.Fprintln(out, "domain   fam   UDFs  records  speedups(udf-time, udf-cost, total)    consolidation  cache-hit  agree")
 	case "10":
 		fmt.Fprintln(out, "Figure 10 — scalability with the number of UDFs (News Mix workload)")
 		fmt.Fprintf(out, "(dataset scale %.2f, seed %d)\n\n", scale, *seed)

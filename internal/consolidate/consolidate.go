@@ -22,11 +22,14 @@ type Options struct {
 	// to embed exceeds this many AST nodes, falling back to If 5. This is
 	// the paper's cross-simplification vs code-size trade-off knob.
 	// 0 means DefaultMaxEmbedSize. Besides cmd/consolidate's -max-embed
-	// flag, only the ablation tests set it.
+	// flag, only the never-embed leg of TestAblations (cmd/figures) sets
+	// it.
 	MaxEmbedSize int
 	// NoDCE disables the dead-store elimination post-pass (an extension
-	// over the paper's calculus; see EliminateDeadCode). Only the ablation
-	// tests set it.
+	// over the paper's calculus; see EliminateDeadCode). The build sets it
+	// on every pair it merges and runs the pass once on the final program
+	// instead (build in multi.go); TestAblations (cmd/figures) sets it as
+	// an ablation, and TestChainedPairRenamesFresh as a differential leg.
 	NoDCE bool
 	// MaxFuel overrides the Ω work bound of one Pair call; 0 keeps the
 	// size-proportional default. When the fuel runs out the remaining
@@ -414,46 +417,44 @@ func (co *Consolidator) conditional(ctx *sym.Context, h lang.Cond, s1, s2 *[]lan
 				// in the branches; everything is consumed.
 				co.stats.If3++
 				co.embedBudget -= dup
-				thenCtx := ctx.Clone()
-				thenCtx.AssumeBool(h.Test)
-				thenB := co.omega(thenCtx, append(lang.Flatten(h.Then), cont...), rest)
-				elseCtx := ctx.Clone()
-				elseCtx.AssumeBool(lang.Not{E: h.Test})
-				elseB := co.omega(elseCtx, append(lang.Flatten(h.Else), cont...), rest)
 				*s1, *s2 = nil, nil
-				return []lang.Stmt{condOrCollapse(eb, thenB, elseB)}
+				return []lang.Stmt{co.branches(ctx, h, eb, cont, rest)}
 			}
 		}
 		if restSize <= co.embedBudget {
 			// If 4: embed only P; C follows the conditional.
 			co.stats.If4++
 			co.embedBudget -= restSize
-			thenCtx := ctx.Clone()
-			thenCtx.AssumeBool(h.Test)
-			thenB := co.omega(thenCtx, lang.Flatten(h.Then), rest)
-			elseCtx := ctx.Clone()
-			elseCtx.AssumeBool(lang.Not{E: h.Test})
-			elseB := co.omega(elseCtx, lang.Flatten(h.Else), rest)
-			cond := condOrCollapse(eb, thenB, elseB)
-			ctx.HavocSet(lang.AssignedVars(cond))
 			*s1 = cont
 			*s2 = nil
-			return []lang.Stmt{cond}
+			return []lang.Stmt{co.branches(ctx, h, eb, nil, rest)}
 		}
 	}
 	// If 5: simplify the branches in isolation and keep consolidating the
 	// remainder against the second program.
 	co.stats.If5++
+	*s1 = cont
+	return []lang.Stmt{co.branches(ctx, h, eb, nil, nil)}
+}
+
+// branches emits the consolidated conditional of h with test eb: each arm
+// runs Ω on h's branch followed by tail, against p2, under the test or its
+// negation. ctx is then joined across the two arms (sym.Context.JoinDefs),
+// so a definition both arms end on survives the conditional. Every rule
+// that consumes statements leaves its context at the end of what it
+// emitted, this join included, so each arm's context describes the end of
+// its arm; the one exception, a suffix emitted verbatim when the fuel runs
+// out, ends all simplification of the pair.
+func (co *Consolidator) branches(ctx *sym.Context, h lang.Cond, eb lang.BoolExpr, tail, p2 []lang.Stmt) lang.Stmt {
 	thenCtx := ctx.Clone()
 	thenCtx.AssumeBool(h.Test)
-	thenB := co.omega(thenCtx, lang.Flatten(h.Then), nil)
+	thenB := co.omega(thenCtx, append(lang.Flatten(h.Then), tail...), p2)
 	elseCtx := ctx.Clone()
 	elseCtx.AssumeBool(lang.Not{E: h.Test})
-	elseB := co.omega(elseCtx, lang.Flatten(h.Else), nil)
+	elseB := co.omega(elseCtx, append(lang.Flatten(h.Else), tail...), p2)
 	cond := condOrCollapse(eb, thenB, elseB)
-	ctx.HavocSet(lang.AssignedVars(cond))
-	*s1 = cont
-	return []lang.Stmt{cond}
+	ctx.JoinDefs(lang.AssignedVars(cond), thenCtx, elseCtx)
+	return cond
 }
 
 // condOrCollapse builds the consolidated conditional; when both branches

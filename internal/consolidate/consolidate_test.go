@@ -399,3 +399,75 @@ func c(a) {
 		t.Fatal("Verify accepted a cost-increasing consolidation")
 	}
 }
+
+// TestJoinKeepsBranchDefinitions: both arms of p1's conditional end on
+// v := f(a), so after the If 5 join p2 reads v instead of calling f again.
+func TestJoinKeepsBranchDefinitions(t *testing.T) {
+	p1 := lang.MustParse(`
+func p1(a, b) {
+  if (price(b) > 100) { v := f(a); notify 1 (v > 50); } else { v := f(a); notify 1 (v > 90); }
+}`)
+	p2 := lang.MustParse(`func p2(a, b) { notify 2 (f(a) > 20); }`)
+	merged, co := mustPair(t, p1, p2)
+	if s := co.Stats(); s.If3+s.If4 != 0 {
+		t.Fatalf("p2 was embedded: %+v", s)
+	}
+	if n := strings.Count(lang.Format(merged), "f(a)"); n != 2 {
+		t.Errorf("f(a) should be called once per arm and not again after the join, found %d sites:\n%s",
+			n, lang.Format(merged))
+	}
+	var in [][]int64
+	for a := int64(0); a < 12; a++ {
+		for b := int64(0); b < 12; b++ {
+			in = append(in, []int64{a, b})
+		}
+	}
+	if err := Verify([]*lang.Program{p1, p2}, merged, paperLib(), nil, in, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJoinAfterNestedIf3: the then-arm of p1's If 4 ends in a nested If 3
+// that reassigns v, which both arms first set to f(s). The nested
+// conditional's own join must move the arm's context past it, or the outer
+// join would keep v = f(s) and w := f(s) would read a v the nested arms
+// overwrote.
+func TestJoinAfterNestedIf3(t *testing.T) {
+	lib := &lang.MapLibrary{}
+	for i, fn := range []string{"a", "h", "f", "g", "k"} {
+		mul := int64(i + 2)
+		lib.Define(fn, 30, func(x []int64) (int64, error) { return (x[0]*mul+int64(i))%17 - 8, nil })
+	}
+	p1 := lang.MustParse(`
+func p1(r, s) {
+  if (a(r) > 0) {
+    v := f(s);
+    if (h(r) > 0) { v := g(s); } else { v := k(s); }
+    notify 1 (h(r) > 5);
+  } else {
+    v := f(s);
+  }
+  w := f(s);
+  notify 2 (w > v);
+}`)
+	p2 := lang.MustParse(`func p2(r, s) { notify 3 (a(r) + h(r) > 2); }`)
+	opts := DefaultOptions()
+	opts.FuncCoster = lib
+	co := New(opts)
+	merged, err := co.Pair(p1, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := co.Stats(); s.If3 == 0 || s.If4 == 0 {
+		t.Fatalf("want an If 4 with an If 3 inside, got %+v:\n%s", s, lang.Format(merged))
+	}
+	var in [][]int64
+	for r := int64(0); r < 17; r++ {
+		for s := int64(0); s < 17; s++ {
+			in = append(in, []int64{r, s})
+		}
+	}
+	if err := Verify([]*lang.Program{p1, p2}, merged, lib, nil, in, false); err != nil {
+		t.Fatalf("%v\n%s", err, lang.Format(merged))
+	}
+}

@@ -2,14 +2,20 @@
 // calculus: strongest postconditions of straight-line code, tracked in
 // SSA-versioned form so that assignments never invalidate earlier facts
 // (sp(Ψ, x := e) introduces a fresh version of x rather than rewriting Ψ).
-// Control flow the calculus steps over (the Step rule) is over-approximated
-// by havocking the assigned variables, which is always sound: a weaker
-// context can only hide cross-simplification opportunities, never create
-// unsound ones.
+// After a conditional Ω consolidated, JoinDefs keeps what both arms
+// establish: a variable keeps its definition when both arms end on the same
+// interned right-hand side, other than a copy of another variable, and
+// every variable that term reads has the same version before the
+// conditional and at the end of each arm. Everything
+// else, and all control flow the calculus steps over (the Step rule, in
+// ApplyStmt), is over-approximated by havocking the assigned variables,
+// which is always sound: a weaker context can only hide
+// cross-simplification opportunities, never create unsound ones.
 package sym
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -117,6 +123,8 @@ type DefEntry struct {
 	// Keys are the call-instance keys of Rhs (in the context's arena), used
 	// to filter hopeless equality probes in the cross-simplifier.
 	Keys []logic.CallKey
+	// id is Rhs interned in the context's arena.
+	id logic.NodeID
 }
 
 // NewContext returns the empty context ⊤ backed by the given solver.
@@ -248,12 +256,17 @@ func (c *Context) AssumeBool(e lang.BoolExpr) {
 // the pre-state versions, x's version is bumped, and the defining equality
 // is recorded.
 func (c *Context) AssumeAssign(x string, e lang.IntExpr) {
-	rhs := c.TranslateInt(e)
+	c.define(x, c.TranslateInt(e))
+}
+
+// define gives x a fresh version equal to rhs, a term over current
+// versions: it assumes the defining equality and indexes the definition for
+// the cross-simplifier.
+func (c *Context) define(x string, rhs logic.Term) {
 	c.version[x]++
 	c.Assume(logic.EqT(c.CurTerm(x), rhs))
-	// Index the definition for the cross-simplifier.
 	rid := c.in.InternTerm(rhs)
-	entry := DefEntry{Var: x, Version: c.version[x], Rhs: rhs, Keys: c.in.CallKeysOf(rid)}
+	entry := DefEntry{Var: x, Version: c.version[x], Rhs: rhs, Keys: c.in.CallKeysOf(rid), id: rid}
 	c.defs[rid] = entry
 	c.varDefs[x] = entry
 	for fn := range termFuncs(rhs) {
@@ -312,8 +325,8 @@ func (c *Context) LookupOffsetID(id logic.NodeID) (v string, off int64, ok bool)
 // assignment, provided v still holds that value (its version has not
 // advanced).
 func (c *Context) CurDef(v string) (logic.Term, bool) {
-	e, ok := c.varDefs[v]
-	if !ok || c.version[v] != e.Version {
+	e, ok := c.curEntry(v)
+	if !ok {
 		return nil, false
 	}
 	return e.Rhs, true
@@ -349,6 +362,70 @@ func (c *Context) HavocSet(vars map[string]bool) {
 	for v := range vars {
 		c.version[v]++
 	}
+}
+
+// JoinDefs advances c across a conditional whose branches ended in thenCtx
+// and elseCtx, clones of c taken at the branch point: each variable in vars
+// (those the conditional assigns) gets a fresh version, and keeps its
+// definition when both branches end on it. That is when v's current
+// definition is the same interned term in both branch contexts and every
+// variable the term reads has the same version in c and in both branch
+// contexts: the term then reads pre-branch values, which both branches
+// leave alone, so v holds it after the join whichever branch ran. A version
+// moved in a branch fails the test even when the emitted code no longer
+// assigns the variable, and so does a branch version that only looks equal
+// because both branches numbered it independently.
+//
+// A copy v := w is not kept: w's value is already known under w's name,
+// and the equality v = w links every fact about w into each query that
+// reaches v, so Ω's queries grow while the merged programs barely improve.
+// Every variable not kept is havocked, which is always sound.
+func (c *Context) JoinDefs(vars map[string]bool, thenCtx, elseCtx *Context) {
+	names := make([]string, 0, len(vars))
+	for v := range vars {
+		names = append(names, v)
+	}
+	slices.Sort(names)
+	// Decide every variable against c's pre-branch versions before any
+	// of them moves.
+	joined := make([]logic.Term, len(names))
+	for i, v := range names {
+		te, ok := thenCtx.curEntry(v)
+		if _, isCopy := te.Rhs.(logic.TVar); !ok || isCopy {
+			continue
+		}
+		ee, ok := elseCtx.curEntry(v)
+		if !ok || te.id != ee.id || !c.sameVersions(te.id, thenCtx, elseCtx) {
+			continue
+		}
+		joined[i] = te.Rhs
+	}
+	for i, v := range names {
+		if joined[i] == nil {
+			c.version[v]++
+			continue
+		}
+		c.define(v, joined[i])
+	}
+}
+
+// curEntry returns v's most recent definition while v still holds it.
+func (c *Context) curEntry(v string) (DefEntry, bool) {
+	e, ok := c.varDefs[v]
+	return e, ok && c.version[v] == e.Version
+}
+
+// sameVersions reports whether every variable the interned term id reads
+// has the same version in c, a and b.
+func (c *Context) sameVersions(id logic.NodeID, a, b *Context) bool {
+	for _, x := range c.in.VarsOf(id) {
+		v := Unversioned(c.in.VarName(x))
+		n := c.version[v]
+		if a.version[v] != n || b.version[v] != n {
+			return false
+		}
+	}
+	return true
 }
 
 // ApplyStmt advances the context across an arbitrary statement, as the Step

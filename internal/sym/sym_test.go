@@ -309,3 +309,105 @@ func TestEntailsModelNeverWithEntailment(t *testing.T) {
 		}
 	}
 }
+
+// branchCtx returns a clone of c that has run the assignments src.
+func branchCtx(c *Context, src string) *Context {
+	b := c.Clone()
+	b.ApplyStmt(lang.MustParseStmt(src))
+	return b
+}
+
+// TestJoinDefsKeepsSharedDefinitions: a definition both branches end on,
+// reading only values neither branch touched, survives the join and is
+// visible through every index; one the branches disagree on does not, nor
+// does a copy of another variable, and the joined one dies when its
+// variable moves again.
+func TestJoinDefsKeepsSharedDefinitions(t *testing.T) {
+	c := NewContext(smt.New())
+	c.AssumeAssign("u", lang.MustParseStmt("u := base(r);").(lang.Assign).E)
+	then := branchCtx(c, "x := 1; v := price(r); w := score(r) + 3; y := tax(u); z := u;")
+	els := branchCtx(c, "v := price(r); w := score(r) + 3; x := 2; y := tax(u); z := u;")
+	c.JoinDefs(map[string]bool{"v": true, "w": true, "x": true, "y": true, "z": true}, then, els)
+
+	term := func(src string) logic.Term {
+		return c.TranslateInt(lang.MustParseStmt("z := " + src + ";").(lang.Assign).E)
+	}
+	price := c.Interner().InternTerm(term("price(r)"))
+	if v, ok := c.LookupDefID(price); !ok || v != "v" {
+		t.Errorf("LookupDefID(price(r)) = %q, %v; want v", v, ok)
+	}
+	if rhs, ok := c.CurDef("v"); !ok || rhs.String() != "price(r)" {
+		t.Errorf("CurDef(v) = %v, %v", rhs, ok)
+	}
+	if defs := c.DefsByFunc("price"); len(defs) != 1 || defs[0].Var != "v" {
+		t.Errorf("DefsByFunc(price) = %v", defs)
+	}
+	score := c.Interner().InternTerm(term("score(r)"))
+	if w, off, ok := c.LookupOffsetID(score); !ok || w != "w" || off != 3 {
+		t.Errorf("LookupOffsetID(score(r)) = %q, %d, %v; want w, 3", w, off, ok)
+	}
+	if rhs, ok := c.CurDef("y"); !ok || rhs.String() != "tax(u%1)" {
+		t.Errorf("CurDef(y) = %v, %v; want tax(u%%1), which reads the pre-branch u", rhs, ok)
+	}
+	if !c.Entails(logic.EqT(c.CurTerm("v"), term("price(r)"))) {
+		t.Error("the joined definition is not a fact of Ψ")
+	}
+	if _, ok := c.CurDef("x"); ok {
+		t.Error("x := 1 and x := 2 joined")
+	}
+	if c.Entails(logic.EqT(c.CurTerm("x"), logic.Num(1))) {
+		t.Error("x = 1 after the join")
+	}
+	if rhs, ok := c.CurDef("z"); ok {
+		t.Errorf("the copy z := %v was joined", rhs)
+	}
+
+	c.AssumeAssign("v", lang.IntConst{Value: 0})
+	c.HavocSet(map[string]bool{"w": true})
+	if _, ok := c.LookupDefID(price); ok {
+		t.Error("LookupDefID still answers v after v moved")
+	}
+	if defs := c.DefsByFunc("price"); len(defs) != 0 {
+		t.Errorf("DefsByFunc(price) after v moved = %v", defs)
+	}
+	if _, _, ok := c.LookupOffsetID(score); ok {
+		t.Error("LookupOffsetID still answers w after w moved")
+	}
+}
+
+// TestJoinDefsDropsBumpedVersion: both branches define v := g(u) over a u
+// each branch assigned, but the emitted conditional no longer assigns u
+// (vars holds only v). The branches' u%1 is not the u after the join, and
+// a later assignment in the joined context makes u%1 name something else.
+func TestJoinDefsDropsBumpedVersion(t *testing.T) {
+	c := NewContext(smt.New())
+	then := branchCtx(c, "u := a(r); v := g(u);")
+	els := branchCtx(c, "u := b(r); v := g(u);")
+	c.JoinDefs(map[string]bool{"v": true}, then, els)
+	if rhs, ok := c.CurDef("v"); ok {
+		t.Fatalf("joined v := %v over a u both branches moved", rhs)
+	}
+	c.AssumeAssign("u", lang.IntConst{Value: 7})
+	gu := logic.TApp{Func: "g", Args: []logic.Term{c.CurTerm("u")}}
+	if c.Entails(logic.EqT(c.CurTerm("v"), gu)) {
+		t.Errorf("Ψ ⊨ v = g(%s) though v = g(a(r)) or g(b(r))", c.CurName("u"))
+	}
+}
+
+// TestJoinDefsDropsIndependentVersions: each branch numbers u's versions on
+// its own, so g(u%1) is one interned term in both while u%1 is a(r) in one
+// and b(r) in the other; after the join u%1 is the havocked u, which holds
+// 5 or 6.
+func TestJoinDefsDropsIndependentVersions(t *testing.T) {
+	c := NewContext(smt.New())
+	then := branchCtx(c, "u := a(r); v := g(u); u := 5;")
+	els := branchCtx(c, "u := b(r); v := g(u); u := 6;")
+	c.JoinDefs(map[string]bool{"u": true, "v": true}, then, els)
+	if rhs, ok := c.CurDef("v"); ok {
+		t.Fatalf("joined v := %v over branch-numbered versions of u", rhs)
+	}
+	gu := logic.TApp{Func: "g", Args: []logic.Term{logic.V("u%1")}}
+	if c.CurName("u") != "u%1" || c.Entails(logic.EqT(c.CurTerm("v"), gu)) {
+		t.Errorf("Ψ ⊨ v = g(u%%1) with u at %s", c.CurName("u"))
+	}
+}
