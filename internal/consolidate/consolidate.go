@@ -439,21 +439,26 @@ func (co *Consolidator) conditional(ctx *sym.Context, h lang.Cond, s1, s2 *[]lan
 
 // branches emits the consolidated conditional of h with test eb: each arm
 // runs Ω on h's branch followed by tail, against p2, under the test or its
-// negation. ctx is then joined across the two arms (sym.Context.JoinDefs),
-// so a definition both arms end on survives the conditional. Every rule
-// that consumes statements leaves its context at the end of what it
-// emitted, this join included, so each arm's context describes the end of
-// its arm; the one exception, a suffix emitted verbatim when the fuel runs
-// out, ends all simplification of the pair.
+// negation, in a scope of ctx that is undone once the arm's end state is
+// taken. ctx is then joined across the two arms (sym.Context.JoinDefs), so
+// a definition both arms end on survives the conditional. Every rule that
+// consumes statements leaves its context at the end of what it emitted,
+// this join included, so each arm's end state describes the end of its
+// arm; the one exception, a suffix emitted verbatim when the fuel runs out,
+// ends all simplification of the pair.
 func (co *Consolidator) branches(ctx *sym.Context, h lang.Cond, eb lang.BoolExpr, tail, p2 []lang.Stmt) lang.Stmt {
-	thenCtx := ctx.Clone()
-	thenCtx.AssumeBool(h.Test)
-	thenB := co.omega(thenCtx, append(lang.Flatten(h.Then), tail...), p2)
-	elseCtx := ctx.Clone()
-	elseCtx.AssumeBool(lang.Not{E: h.Test})
-	elseB := co.omega(elseCtx, append(lang.Flatten(h.Else), tail...), p2)
+	arm := func(test lang.BoolExpr, body lang.Stmt) ([]lang.Stmt, sym.ArmEnd) {
+		m := ctx.Mark()
+		ctx.AssumeBool(test)
+		out := co.omega(ctx, append(lang.Flatten(body), tail...), p2)
+		end := ctx.ArmEnd(m)
+		ctx.Undo(m)
+		return out, end
+	}
+	thenB, thenEnd := arm(h.Test, h.Then)
+	elseB, elseEnd := arm(lang.Not{E: h.Test}, h.Else)
 	cond := condOrCollapse(eb, thenB, elseB)
-	ctx.JoinDefs(lang.AssignedVars(cond), thenCtx, elseCtx)
+	ctx.JoinDefs(lang.AssignedVars(cond), thenEnd, elseEnd)
 	return cond
 }
 
@@ -481,67 +486,76 @@ func (co *Consolidator) loops(ctx *sym.Context, s1, s2 *[]lang.Stmt) []lang.Stmt
 	inv := invariant.Infer(ctx, fusedGuard, fusedBody)
 
 	// Ψ1: the loop-head context — modified variables havocked, invariant
-	// assumed; facts about untouched variables survive from Ψ.
-	invCtx := ctx.Clone()
-	invCtx.HavocSet(lang.AssignedVars(fusedBody))
+	// assumed; facts about untouched variables survive from Ψ. ctx stays
+	// at Ψ1 unless no rule applies.
+	head := ctx.Mark()
+	ctx.HavocSet(lang.AssignedVars(fusedBody))
 	for _, f := range inv {
-		invCtx.AssumeBool(f)
+		ctx.AssumeBool(f)
 	}
 
-	exitCtx := invCtx.Clone()
-	exitCtx.AssumeBool(lang.Not{E: fusedGuard})
+	// Decide the rule at the fused loop's exit, Ψ1 ∧ ¬(e1 ∧ e2), before any
+	// body runs, so the queries go out in the order the rules are tried.
+	exit := ctx.Mark()
+	ctx.AssumeBool(lang.Not{E: fusedGuard})
+	loop2 := ctx.EntailsBool(lang.Not{E: w1.Test}) && ctx.EntailsBool(lang.Not{E: w2.Test})
+	loop3 := !loop2 && ctx.EntailsBool(w1.Test)
+	loop3Com := !loop2 && !loop3 && ctx.EntailsBool(w2.Test)
+	ctx.Undo(exit)
 
+	if !loop2 && !loop3 && !loop3Com {
+		// No provable relationship: execute the first loop, then continue
+		// (Step/Seq, lines 29-31).
+		ctx.Undo(head)
+		co.stats.LoopsSequential++
+		loop := co.finalizeLoop(ctx, w1)
+		*s1 = (*s1)[1:]
+		return []lang.Stmt{loop}
+	}
+	ctx.Commit(head)
 	switch {
-	case exitCtx.EntailsBool(lang.Not{E: w1.Test}) && exitCtx.EntailsBool(lang.Not{E: w2.Test}):
+	case loop2:
 		// Loop 2: both loops exit together; run one fused loop guarded by e1.
 		co.stats.Loop2++
-		bodyCtx := invCtx.Clone()
-		bodyCtx.AssumeBool(w1.Test)
-		bodyCtx.AssumeBool(w2.Test) // entailed by e1 under Ψ1; sound to assume
-		body := co.omega(bodyCtx, lang.Flatten(w1.Body), lang.Flatten(w2.Body))
-		*ctx = *invCtx
+		// e2 is entailed by e1 under Ψ1; sound to assume.
+		body := co.loopBody(ctx, w1.Test, w2.Test, w1.Body, w2.Body)
 		ctx.AssumeBool(lang.Not{E: w1.Test})
 		*s1 = (*s1)[1:]
 		*s2 = (*s2)[1:]
 		return []lang.Stmt{lang.While{Test: w1.Test, Body: lang.SeqOf(body...)}}
 
-	case exitCtx.EntailsBool(w1.Test):
+	case loop3:
 		// Loop 3: the first loop outlives the second; fuse while e2 holds,
 		// then resume the first program with S1; while e1 do S1; C1.
 		co.stats.Loop3++
-		bodyCtx := invCtx.Clone()
-		bodyCtx.AssumeBool(w2.Test)
-		bodyCtx.AssumeBool(w1.Test)
-		body := co.omega(bodyCtx, lang.Flatten(w1.Body), lang.Flatten(w2.Body))
-		*ctx = *invCtx
+		body := co.loopBody(ctx, w2.Test, w1.Test, w1.Body, w2.Body)
 		ctx.AssumeBool(lang.Not{E: w2.Test})
 		ctx.AssumeBool(w1.Test)
 		*s1 = append(append(lang.Flatten(w1.Body), lang.Stmt(w1)), (*s1)[1:]...)
 		*s2 = (*s2)[1:]
 		return []lang.Stmt{lang.While{Test: w2.Test, Body: lang.SeqOf(body...)}}
 
-	case exitCtx.EntailsBool(w2.Test):
+	default:
 		// Loop 3 with the arguments swapped (implicit Com, line 27).
 		co.stats.Loop3++
-		bodyCtx := invCtx.Clone()
-		bodyCtx.AssumeBool(w1.Test)
-		bodyCtx.AssumeBool(w2.Test)
-		body := co.omega(bodyCtx, lang.Flatten(w2.Body), lang.Flatten(w1.Body))
-		*ctx = *invCtx
+		body := co.loopBody(ctx, w1.Test, w2.Test, w2.Body, w1.Body)
 		ctx.AssumeBool(lang.Not{E: w1.Test})
 		ctx.AssumeBool(w2.Test)
 		*s2 = append(append(lang.Flatten(w2.Body), lang.Stmt(w2)), (*s2)[1:]...)
 		*s1 = (*s1)[1:]
 		return []lang.Stmt{lang.While{Test: w1.Test, Body: lang.SeqOf(body...)}}
-
-	default:
-		// No provable relationship: execute the first loop, then continue
-		// (Step/Seq, lines 29-31).
-		co.stats.LoopsSequential++
-		loop := co.finalizeLoop(ctx, w1)
-		*s1 = (*s1)[1:]
-		return []lang.Stmt{loop}
 	}
+}
+
+// loopBody runs Ω over a fused loop body, b1 against b2, in a scope of the
+// loop-head context ctx that assumes the guards g1 and g2, in that order.
+func (co *Consolidator) loopBody(ctx *sym.Context, g1, g2 lang.BoolExpr, b1, b2 lang.Stmt) []lang.Stmt {
+	m := ctx.Mark()
+	ctx.AssumeBool(g1)
+	ctx.AssumeBool(g2)
+	body := co.omega(ctx, lang.Flatten(b1), lang.Flatten(b2))
+	ctx.Undo(m)
+	return body
 }
 
 // finalizeLoop emits a loop whose partner program is exhausted: the guard
@@ -549,24 +563,23 @@ func (co *Consolidator) loops(ctx *sym.Context, s1, s2 *[]lang.Stmt) []lang.Stmt
 // is advanced to the post-loop state.
 func (co *Consolidator) finalizeLoop(ctx *sym.Context, w lang.While) lang.Stmt {
 	inv := invariant.Infer(ctx, w.Test, w.Body)
-	invCtx := ctx.Clone()
-	invCtx.HavocSet(lang.AssignedVars(w.Body))
+	ctx.HavocSet(lang.AssignedVars(w.Body))
 	for _, f := range inv {
-		invCtx.AssumeBool(f)
+		ctx.AssumeBool(f)
 	}
 	// The guard is evaluated at every loop head state, all of which satisfy
 	// the invariant context, so simplifying under it is sound. A constant
 	// result is kept only when it is `false` (never-entered loop); `true`
 	// would change nothing semantically (the original diverges too) but we
 	// keep the original test to preserve cost accounting transparency.
-	guard := co.simp.SimplifyBool(invCtx, w.Test)
+	guard := co.simp.SimplifyBool(ctx, w.Test)
 	if c, ok := guard.(lang.BoolConst); ok && c.Value {
 		guard = w.Test
 	}
-	bodyCtx := invCtx.Clone()
-	bodyCtx.AssumeBool(w.Test)
-	body := co.omega(bodyCtx, lang.Flatten(w.Body), nil)
-	*ctx = *invCtx
+	m := ctx.Mark()
+	ctx.AssumeBool(w.Test)
+	body := co.omega(ctx, lang.Flatten(w.Body), nil)
+	ctx.Undo(m)
 	ctx.AssumeBool(lang.Not{E: w.Test})
 	return lang.While{Test: guard, Body: lang.SeqOf(body...)}
 }

@@ -122,9 +122,8 @@ func TestInferDoesNotMutateContext(t *testing.T) {
 // any state satisfying all members and the guard. The check runs on a
 // fresh solver, so nothing Infer cached answers it.
 func inductive(ctx *sym.Context, guard lang.BoolExpr, body lang.Stmt, inv []lang.BoolExpr) string {
-	entry := ctx.Clone()
 	for _, f := range inv {
-		if !entry.EntailsBool(f) {
+		if !ctx.EntailsBool(f) {
 			return fmt.Sprintf("%v does not hold at entry", f)
 		}
 	}

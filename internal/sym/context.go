@@ -38,9 +38,8 @@ type Context struct {
 	// in is the context's hash-consing arena: every assumed formula and
 	// recorded definition is interned once, and the relevance filter and
 	// definition index work on dense VarIDs/CallKeys/NodeIDs instead of
-	// rendered strings. Clones share the arena (append-only, single
-	// consolidation worker per solver, so sharing is safe and keeps IDs
-	// comparable across clones).
+	// rendered strings. It is append-only, so undoing a scope (trail.go)
+	// leaves its nodes interned and IDs stay comparable across scopes.
 	in *logic.Interner
 	// version maps a program variable to its current SSA version.
 	version map[string]int
@@ -70,6 +69,11 @@ type Context struct {
 	// offsets indexes definitions v := g ± c, g an application and c a
 	// constant, under g's interned node: while v is current, g ≡ v ∓ c.
 	offsets map[logic.NodeID]offsetDef
+
+	// trail logs the writes made to version and the definition indexes
+	// while marks scopes are open, so that Undo can revert them (trail.go).
+	trail []undo
+	marks int
 }
 
 // offsetDef is a definition entry whose right-hand side is g + c.
@@ -154,44 +158,13 @@ func (c *Context) SolvingContext() *smt.Context { return c.sctx }
 
 // UseSolvingContext attaches a persistent incremental solving context;
 // conjuncts already present are registered with it. Like the solver it is
-// shared by clones and not concurrency-safe.
+// not concurrency-safe. Attach it before opening any scope: registering
+// rewrites the conjuncts a mark would restore.
 func (c *Context) UseSolvingContext(sc *smt.Context) {
 	c.sctx = sc
 	for i := range c.conj {
 		c.conj[i].aid = sc.Assert(c.conj[i].f)
 	}
-}
-
-// Clone returns an independent copy sharing the solver.
-func (c *Context) Clone() *Context {
-	out := &Context{
-		solver:       c.solver,
-		sctx:         c.sctx,
-		in:           c.in,
-		conj:         append([]conjunct(nil), c.conj...),
-		version:      make(map[string]int, len(c.version)),
-		MaxConjuncts: c.MaxConjuncts,
-		defs:         make(map[logic.NodeID]DefEntry, len(c.defs)),
-		funcDefs:     make(map[string][]DefEntry, len(c.funcDefs)),
-		varDefs:      make(map[string]DefEntry, len(c.varDefs)),
-		offsets:      make(map[logic.NodeID]offsetDef, len(c.offsets)),
-	}
-	for k, v := range c.version {
-		out.version[k] = v
-	}
-	for k, v := range c.defs {
-		out.defs[k] = v
-	}
-	for k, v := range c.funcDefs {
-		out.funcDefs[k] = append([]DefEntry(nil), v...)
-	}
-	for k, v := range c.varDefs {
-		out.varDefs[k] = v
-	}
-	for k, v := range c.offsets {
-		out.offsets[k] = v
-	}
-	return out
 }
 
 // versioned returns the logical name of variable x at version n.
@@ -263,17 +236,17 @@ func (c *Context) AssumeAssign(x string, e lang.IntExpr) {
 // versions: it assumes the defining equality and indexes the definition for
 // the cross-simplifier.
 func (c *Context) define(x string, rhs logic.Term) {
-	c.version[x]++
+	c.bump(x)
 	c.Assume(logic.EqT(c.CurTerm(x), rhs))
 	rid := c.in.InternTerm(rhs)
 	entry := DefEntry{Var: x, Version: c.version[x], Rhs: rhs, Keys: c.in.CallKeysOf(rid), id: rid}
-	c.defs[rid] = entry
-	c.varDefs[x] = entry
+	c.setDef(rid, entry)
+	c.setVarDef(x, entry)
 	for fn := range termFuncs(rhs) {
-		c.funcDefs[fn] = append(c.funcDefs[fn], entry)
+		c.appendFuncDef(fn, entry)
 	}
 	if g, k, ok := appOffset(rhs); ok {
-		c.offsets[c.in.InternTerm(g)] = offsetDef{entry, k}
+		c.setOffset(c.in.InternTerm(g), offsetDef{entry, k})
 	}
 }
 
@@ -360,27 +333,27 @@ func termFuncs(t logic.Term) map[string]bool {
 // versions without constraints.
 func (c *Context) HavocSet(vars map[string]bool) {
 	for v := range vars {
-		c.version[v]++
+		c.bump(v)
 	}
 }
 
-// JoinDefs advances c across a conditional whose branches ended in thenCtx
-// and elseCtx, clones of c taken at the branch point: each variable in vars
-// (those the conditional assigns) gets a fresh version, and keeps its
-// definition when both branches end on it. That is when v's current
-// definition is the same interned term in both branch contexts and every
-// variable the term reads has the same version in c and in both branch
-// contexts: the term then reads pre-branch values, which both branches
-// leave alone, so v holds it after the join whichever branch ran. A version
-// moved in a branch fails the test even when the emitted code no longer
-// assigns the variable, and so does a branch version that only looks equal
-// because both branches numbered it independently.
+// JoinDefs advances c across a conditional whose arms ended in then and
+// els (Context.ArmEnd, taken in scopes opened on c at the branch point and
+// undone since): each variable in vars (those the conditional assigns) gets
+// a fresh version, and keeps its definition when both arms end on it. That
+// is when v's current definition is the same interned term at the end of
+// both arms and every variable the term reads has the same version in c and
+// at the end of both arms: the term then reads pre-branch values, which
+// both arms leave alone, so v holds it after the join whichever arm ran. A
+// version moved in an arm fails the test even when the emitted code no
+// longer assigns the variable, and so does an arm version that only looks
+// equal because both arms numbered it independently.
 //
 // A copy v := w is not kept: w's value is already known under w's name,
 // and the equality v = w links every fact about w into each query that
 // reaches v, so Ω's queries grow while the merged programs barely improve.
 // Every variable not kept is havocked, which is always sound.
-func (c *Context) JoinDefs(vars map[string]bool, thenCtx, elseCtx *Context) {
+func (c *Context) JoinDefs(vars map[string]bool, then, els ArmEnd) {
 	names := make([]string, 0, len(vars))
 	for v := range vars {
 		names = append(names, v)
@@ -390,19 +363,19 @@ func (c *Context) JoinDefs(vars map[string]bool, thenCtx, elseCtx *Context) {
 	// of them moves.
 	joined := make([]logic.Term, len(names))
 	for i, v := range names {
-		te, ok := thenCtx.curEntry(v)
+		te, ok := then.entry(c, v)
 		if _, isCopy := te.Rhs.(logic.TVar); !ok || isCopy {
 			continue
 		}
-		ee, ok := elseCtx.curEntry(v)
-		if !ok || te.id != ee.id || !c.sameVersions(te.id, thenCtx, elseCtx) {
+		ee, ok := els.entry(c, v)
+		if !ok || te.id != ee.id || !c.sameVersions(te.id, then, els) {
 			continue
 		}
 		joined[i] = te.Rhs
 	}
 	for i, v := range names {
 		if joined[i] == nil {
-			c.version[v]++
+			c.bump(v)
 			continue
 		}
 		c.define(v, joined[i])
@@ -416,12 +389,12 @@ func (c *Context) curEntry(v string) (DefEntry, bool) {
 }
 
 // sameVersions reports whether every variable the interned term id reads
-// has the same version in c, a and b.
-func (c *Context) sameVersions(id logic.NodeID, a, b *Context) bool {
+// has the same version in c and at the end of arms a and b.
+func (c *Context) sameVersions(id logic.NodeID, a, b ArmEnd) bool {
 	for _, x := range c.in.VarsOf(id) {
 		v := Unversioned(c.in.VarName(x))
 		n := c.version[v]
-		if a.version[v] != n || b.version[v] != n {
+		if a.version(c, v) != n || b.version(c, v) != n {
 			return false
 		}
 	}
@@ -644,9 +617,11 @@ func (c *Context) Conjuncts() []logic.Formula {
 	return fs
 }
 
+// trim drops the oldest conjuncts beyond MaxConjuncts by advancing the
+// slice's start, writing nothing: a mark's saved header stays exact, and
+// append reclaims the dropped prefix when it next reallocates.
 func (c *Context) trim() {
 	if c.MaxConjuncts > 0 && len(c.conj) > c.MaxConjuncts {
-		drop := len(c.conj) - c.MaxConjuncts
-		c.conj = append([]conjunct(nil), c.conj[drop:]...)
+		c.conj = c.conj[len(c.conj)-c.MaxConjuncts:]
 	}
 }

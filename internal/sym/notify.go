@@ -24,12 +24,13 @@ type NotifyCond struct {
 }
 
 // CollectNotifyTrue walks p and returns the path condition of every
-// `notify id true` site. The walk forks a fresh context per branch (linear
-// in program size: branch contexts are local to the branch, the
-// continuation resumes on the havoc-joined parent), and bounds total
-// context count by maxCtxs. complete is false when the bound was hit, in
-// which case the returned conditions may omit sites and MUST NOT be used
-// as a necessary condition for notification.
+// `notify id true` site. The walk runs each branch and loop body in a
+// scope of one context, undone when the branch ends (linear in program
+// size: the continuation resumes on the havoc-joined parent), and bounds
+// the number of scopes it opens, plus the root, by maxCtxs. complete is
+// false when the bound was hit, in which case the returned conditions may
+// omit sites and MUST NOT be used as a necessary condition for
+// notification.
 func CollectNotifyTrue(p *lang.Program, maxCtxs int) (conds []NotifyCond, complete bool) {
 	c := &collector{max: maxCtxs, ctxs: 1}
 	c.walk(p.Body, NewContext(nil))
@@ -43,12 +44,16 @@ type collector struct {
 	overflow bool
 }
 
-func (c *collector) clone(ctx *Context) *Context {
+// scope walks s in a scope of ctx opened by prep, then undoes it.
+func (c *collector) scope(ctx *Context, s lang.Stmt, prep func()) {
 	c.ctxs++
 	if c.max > 0 && c.ctxs > c.max {
 		c.overflow = true
 	}
-	return ctx.Clone()
+	m := ctx.Mark()
+	prep()
+	c.walk(s, ctx)
+	ctx.Undo(m)
 }
 
 func (c *collector) walk(s lang.Stmt, ctx *Context) {
@@ -67,21 +72,17 @@ func (c *collector) walk(s lang.Stmt, ctx *Context) {
 			c.conds = append(c.conds, NotifyCond{ID: t.ID, Conjuncts: ctx.Conjuncts()})
 		}
 	case lang.Cond:
-		then := c.clone(ctx)
-		then.AssumeBool(t.Test)
-		c.walk(t.Then, then)
-		els := c.clone(ctx)
-		els.AssumeBool(lang.Not{E: t.Test})
-		c.walk(t.Else, els)
+		c.scope(ctx, t.Then, func() { ctx.AssumeBool(t.Test) })
+		c.scope(ctx, t.Else, func() { ctx.AssumeBool(lang.Not{E: t.Test}) })
 		// The continuation joins over both branches: havoc what they assign.
 		ctx.ApplyStmt(s)
 	case lang.While:
 		// Notifies inside the body run in some iteration: at that point the
 		// loop-carried variables hold unknown values and the guard held.
-		body := c.clone(ctx)
-		body.HavocSet(lang.AssignedVars(t.Body))
-		body.AssumeBool(t.Test)
-		c.walk(t.Body, body)
+		c.scope(ctx, t.Body, func() {
+			ctx.HavocSet(lang.AssignedVars(t.Body))
+			ctx.AssumeBool(t.Test)
+		})
 		// The continuation sees havocked loop variables and the negated
 		// guard (big-step: code after a diverging loop never runs).
 		ctx.ApplyStmt(s)

@@ -113,16 +113,21 @@ func TestSPSoundness(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+func TestScopeIndependence(t *testing.T) {
 	c := NewContext(smt.New())
 	c.AssumeAssign("x", lang.IntConst{Value: 1})
-	d := c.Clone()
-	d.AssumeAssign("x", lang.IntConst{Value: 2})
-	if c.CurName("x") == d.CurName("x") {
-		t.Fatal("clone shares version state")
+	m := c.Mark()
+	c.AssumeAssign("x", lang.IntConst{Value: 2})
+	inner := c.CurName("x")
+	c.Undo(m)
+	if c.CurName("x") == inner {
+		t.Fatal("undo kept the scope's version")
 	}
 	if !c.Entails(logic.EqT(c.CurTerm("x"), logic.Num(1))) {
-		t.Fatal("original context changed by clone mutation")
+		t.Fatal("context changed by an undone scope")
+	}
+	if c.Entails(logic.EqT(logic.V(inner), logic.Num(2))) {
+		t.Fatal("undo kept the scope's fact")
 	}
 }
 
@@ -196,13 +201,14 @@ func TestOffsetIndex(t *testing.T) {
 		}
 	}
 	c.AssumeAssign("v", expr("price(r) + 1"))
-	clone := c.Clone()
+	m := c.Mark()
 	c.HavocSet(map[string]bool{"v": true})
 	if _, _, ok := c.LookupOffsetID(price); ok {
 		t.Error("havoc should invalidate the offset definition")
 	}
-	if _, off, ok := clone.LookupOffsetID(price); !ok || off != 1 {
-		t.Errorf("clone lost the offset definition: %d, %v", off, ok)
+	c.Undo(m)
+	if _, off, ok := c.LookupOffsetID(price); !ok || off != 1 {
+		t.Errorf("undoing the havoc lost the offset definition: %d, %v", off, ok)
 	}
 }
 
@@ -310,11 +316,14 @@ func TestEntailsModelNeverWithEntailment(t *testing.T) {
 	}
 }
 
-// branchCtx returns a clone of c that has run the assignments src.
-func branchCtx(c *Context, src string) *Context {
-	b := c.Clone()
-	b.ApplyStmt(lang.MustParseStmt(src))
-	return b
+// branchEnd runs the assignments src in a scope of c and returns the
+// scope's end state, the scope undone.
+func branchEnd(c *Context, src string) ArmEnd {
+	m := c.Mark()
+	c.ApplyStmt(lang.MustParseStmt(src))
+	end := c.ArmEnd(m)
+	c.Undo(m)
+	return end
 }
 
 // TestJoinDefsKeepsSharedDefinitions: a definition both branches end on,
@@ -325,8 +334,8 @@ func branchCtx(c *Context, src string) *Context {
 func TestJoinDefsKeepsSharedDefinitions(t *testing.T) {
 	c := NewContext(smt.New())
 	c.AssumeAssign("u", lang.MustParseStmt("u := base(r);").(lang.Assign).E)
-	then := branchCtx(c, "x := 1; v := price(r); w := score(r) + 3; y := tax(u); z := u;")
-	els := branchCtx(c, "v := price(r); w := score(r) + 3; x := 2; y := tax(u); z := u;")
+	then := branchEnd(c, "x := 1; v := price(r); w := score(r) + 3; y := tax(u); z := u;")
+	els := branchEnd(c, "v := price(r); w := score(r) + 3; x := 2; y := tax(u); z := u;")
 	c.JoinDefs(map[string]bool{"v": true, "w": true, "x": true, "y": true, "z": true}, then, els)
 
 	term := func(src string) logic.Term {
@@ -381,8 +390,8 @@ func TestJoinDefsKeepsSharedDefinitions(t *testing.T) {
 // a later assignment in the joined context makes u%1 name something else.
 func TestJoinDefsDropsBumpedVersion(t *testing.T) {
 	c := NewContext(smt.New())
-	then := branchCtx(c, "u := a(r); v := g(u);")
-	els := branchCtx(c, "u := b(r); v := g(u);")
+	then := branchEnd(c, "u := a(r); v := g(u);")
+	els := branchEnd(c, "u := b(r); v := g(u);")
 	c.JoinDefs(map[string]bool{"v": true}, then, els)
 	if rhs, ok := c.CurDef("v"); ok {
 		t.Fatalf("joined v := %v over a u both branches moved", rhs)
@@ -400,8 +409,8 @@ func TestJoinDefsDropsBumpedVersion(t *testing.T) {
 // 5 or 6.
 func TestJoinDefsDropsIndependentVersions(t *testing.T) {
 	c := NewContext(smt.New())
-	then := branchCtx(c, "u := a(r); v := g(u); u := 5;")
-	els := branchCtx(c, "u := b(r); v := g(u); u := 6;")
+	then := branchEnd(c, "u := a(r); v := g(u); u := 5;")
+	els := branchEnd(c, "u := b(r); v := g(u); u := 6;")
 	c.JoinDefs(map[string]bool{"u": true, "v": true}, then, els)
 	if rhs, ok := c.CurDef("v"); ok {
 		t.Fatalf("joined v := %v over branch-numbered versions of u", rhs)
