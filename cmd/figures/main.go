@@ -40,7 +40,7 @@ import (
 // both operators.
 type outcome struct {
 	domain, family string
-	many, cons     engine.Metrics
+	many, cons     engine.Result // verdict rows dropped once compared (agree)
 	consolidate    time.Duration // compile time of the merged program
 	hit            float64       // share of its SMT queries the cache answered
 	// udf is the paper's dark bar, the ratio of UDF execution times; cost the
@@ -112,15 +112,17 @@ func run(domain, family string, n int, scale float64, seed int64, workers int) (
 	if err != nil {
 		return nil, fmt.Errorf("whereConsolidated: %w", err)
 	}
-	return &outcome{
-		domain: domain, family: family, many: many.Metrics, cons: cons.Metrics,
+	o := &outcome{
+		domain: domain, family: family, many: *many, cons: cons.Result,
 		consolidate: cons.ConsolidateTime, hit: cons.Multi.CacheHitRate(),
 		udf:   ratio(float64(many.UDFTime), float64(cons.UDFTime)),
 		cost:  ratio(float64(many.UDFCost), float64(cons.UDFCost)),
 		total: ratio(float64(many.TotalTime), float64(cons.TotalTime+cons.ConsolidateTime)),
 		agree: engine.SameResults(many, &cons.Result),
 		multi: *cons.Multi,
-	}, nil
+	}
+	o.many.Bools, o.cons.Bools = nil, nil
+	return o, nil
 }
 
 func ratio(num, den float64) float64 {
@@ -131,7 +133,7 @@ func ratio(num, den float64) float64 {
 }
 
 // meanLatency averages the per-query mean notification latencies of a pass.
-func meanLatency(m *engine.Metrics) float64 {
+func meanLatency(m *engine.Result) float64 {
 	var sum float64
 	for q := 0; q < m.UDFs; q++ {
 		sum += m.MeanLatency(q)

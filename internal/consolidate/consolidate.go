@@ -585,16 +585,15 @@ func (co *Consolidator) finalizeLoop(ctx *sym.Context, w lang.While) lang.Stmt {
 }
 
 // feature is an interned fragment feature for the related() heuristic. The
-// low two bits hold the kind — variable read, variable definition, or call
-// instance / bare function — and the high bits a per-Consolidator table id
-// dense in first-use order, so feature sets are small-integer maps and
-// relating two fragments compares ints, never strings.
+// low bit holds the kind — variable read, or call instance / bare function
+// — and the high bits a per-Consolidator table id dense in first-use order,
+// so feature sets are small-integer maps and relating two fragments
+// compares ints, never strings.
 type feature uint32
 
 const (
 	featVar  feature = 0 // variable read; id indexes featTab.nameList
-	featDef  feature = 1 // variable definition; id indexes featTab.nameList
-	featCall feature = 2 // call instance or bare function; id indexes featTab.keys
+	featCall feature = 1 // call instance or bare function; id indexes featTab.keys
 )
 
 // featureSet abstracts a code fragment for the related() heuristic.
@@ -632,8 +631,7 @@ func (t *featTab) nameID(name string) uint32 {
 	return id
 }
 
-func (t *featTab) varFeat(name string) feature { return feature(t.nameID(name))<<2 | featVar }
-func (t *featTab) defFeat(name string) feature { return feature(t.nameID(name))<<2 | featDef }
+func (t *featTab) varFeat(name string) feature { return feature(t.nameID(name))<<1 | featVar }
 
 // keyFeat interns the call key currently rendered in t.buf.
 func (t *featTab) keyFeat() feature {
@@ -642,7 +640,7 @@ func (t *featTab) keyFeat() feature {
 		id = uint32(len(t.keys))
 		t.keys[string(t.buf)] = id
 	}
-	return feature(id)<<2 | featCall
+	return feature(id)<<1 | featCall
 }
 
 // callFeature renders and interns the feature of one source-level call: the
@@ -671,8 +669,11 @@ func (t *featTab) callFeature(c lang.Call) feature {
 	return t.keyFeat()
 }
 
-// addFeatures adds n's features to fs: a var feature per variable read, a
-// def feature per variable assigned, and a call feature per call.
+// addFeatures adds n's features to fs: a var feature per variable read and
+// a call feature per call. Assignments add none: related() only ever
+// compares a fragment of one program with a fragment of the other, whose
+// locals are renamed apart and which never assign a shared parameter, so
+// no variable one defines is read or defined by the other.
 func (t *featTab) addFeatures(n lang.Node, fs featureSet) {
 	lang.Inspect(n, func(x lang.Node) bool {
 		switch x := x.(type) {
@@ -680,8 +681,6 @@ func (t *featTab) addFeatures(n lang.Node, fs featureSet) {
 			fs[t.varFeat(x.Name)] = true
 		case lang.Call:
 			fs[t.callFeature(x)] = true
-		case lang.Assign:
-			fs[t.defFeat(x.Var)] = true
 		}
 		return true
 	})
@@ -703,8 +702,8 @@ func (t *featTab) featuresOfBoolCtx(ctx *sym.Context, e lang.BoolExpr) featureSe
 	fs := t.featuresOfBool(e)
 	var vars []string
 	for k := range fs {
-		if k&3 == featVar {
-			vars = append(vars, t.nameList[k>>2])
+		if k&1 == featVar {
+			vars = append(vars, t.nameList[k>>1])
 		}
 	}
 	for _, v := range vars {
@@ -761,18 +760,12 @@ func (t *featTab) featuresOfStmts(ss []lang.Stmt) featureSet {
 }
 
 // related decides whether two fragments plausibly share computation: they
-// contain the same call instance, read a shared variable, or one reads a
-// variable the other defines. This is the paper's related() heuristic
-// (Section 5); its precision controls the cross-simplification vs code-size
-// trade-off of If 3/4/5.
+// contain the same call instance or read a shared variable. This is the
+// paper's related() heuristic (Section 5); its precision controls the
+// cross-simplification vs code-size trade-off of If 3/4/5.
 func related(a, b featureSet) bool {
 	for k := range a {
 		if b[k] {
-			return true
-		}
-		// var:X in one and def:X in the other: the kinds differ only in
-		// the low bit over the same name id.
-		if k&2 == 0 && b[k^1] {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package consolidate
 
 import (
+	"fmt"
 	"testing"
 
 	"consolidation/internal/lang"
@@ -8,18 +9,21 @@ import (
 
 // benchStmts builds a fragment shaped like the If-rule probes that hit the
 // related() heuristic: assignments whose right-hand sides call library
-// functions with constant and variable arguments.
-func benchStmts() []lang.Stmt {
+// functions with constant and variable arguments. The locals t and u carry
+// suffix, as renameApart leaves them in the second program of a pair, and
+// shift moves the call constants.
+func benchStmts(suffix string, shift int64) []lang.Stmt {
+	t, u := "t"+suffix, "u"+suffix
 	var ss []lang.Stmt
 	for i := 0; i < 16; i++ {
-		c := int64(i % 5)
+		c := int64(i%5) + shift
 		ss = append(ss,
-			lang.Assign{Var: "t", E: lang.Call{Func: "tempOfMonth", Args: []lang.IntExpr{
+			lang.Assign{Var: t, E: lang.Call{Func: "tempOfMonth", Args: []lang.IntExpr{
 				lang.Var{Name: "r"}, lang.IntConst{Value: c},
 			}}},
 			lang.Cond{
-				Test: lang.Cmp{Op: lang.Lt, L: lang.Var{Name: "t"}, R: lang.IntConst{Value: 30}},
-				Then: lang.Assign{Var: "u", E: lang.BinInt{Op: lang.Add, L: lang.Var{Name: "t"}, R: lang.IntConst{Value: 1}}},
+				Test: lang.Cmp{Op: lang.Lt, L: lang.Var{Name: t}, R: lang.IntConst{Value: 30}},
+				Then: lang.Assign{Var: u, E: lang.BinInt{Op: lang.Add, L: lang.Var{Name: t}, R: lang.IntConst{Value: 1}}},
 				Else: lang.Skip{},
 			},
 		)
@@ -27,8 +31,8 @@ func benchStmts() []lang.Stmt {
 	return ss
 }
 
-// legacyCallFeature is the pre-interning key builder, kept here verbatim as
-// the benchmark baseline: per-argument `key += part` string concatenation,
+// legacyCallFeature is the pre-interning key builder, kept here as the
+// benchmark baseline: per-argument `key += part` string concatenation,
 // quadratic in the rendered key length.
 func legacyCallFeature(c lang.Call) string {
 	key := "call:" + c.Func + "("
@@ -80,7 +84,6 @@ func legacyAddStmtFeatures(s lang.Stmt, fs map[string]bool) {
 	switch t := s.(type) {
 	case lang.Assign:
 		addInt(t.E)
-		fs["def:"+t.Var] = true
 	case lang.Seq:
 		legacyAddStmtFeatures(t.L, fs)
 		legacyAddStmtFeatures(t.R, fs)
@@ -98,7 +101,7 @@ func legacyAddStmtFeatures(s lang.Stmt, fs map[string]bool) {
 // related() heuristic used before interning against the featTab path that
 // replaced it.
 func BenchmarkFeatureKeys(b *testing.B) {
-	ss := benchStmts()
+	ss := benchStmts("", 0)
 	b.Run("text", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -125,40 +128,44 @@ func BenchmarkFeatureKeys(b *testing.B) {
 }
 
 // TestFeatureKeysMatchLegacy cross-checks the interned extraction against
-// the legacy text keys on the benchmark fragment: same feature count, and
-// related() agrees with the text implementation on every sub-span pair.
+// the legacy text keys the way Ω uses related(): on pairs of one fragment
+// from each of two programs whose locals are renamed apart, every span of
+// one or two statements of the first against every such span of the
+// second. Both extractions must give the same feature counts, and related()
+// must agree with text-key intersection; both verdicts must occur.
 func TestFeatureKeysMatchLegacy(t *testing.T) {
-	ss := benchStmts()
+	p1, p2 := benchStmts("", 0), benchStmts("$2", 2)
 	tab := newFeatTab()
-	for lo := 0; lo < len(ss); lo += 4 {
-		a, b := ss[lo:lo+2], ss[lo+2:lo+4]
-		textA, textB := map[string]bool{}, map[string]bool{}
-		for _, s := range a {
-			legacyAddStmtFeatures(s, textA)
+	text := func(ss []lang.Stmt) map[string]bool {
+		fs := map[string]bool{}
+		for _, s := range ss {
+			legacyAddStmtFeatures(s, fs)
 		}
-		for _, s := range b {
-			legacyAddStmtFeatures(s, textB)
-		}
-		legacyRelated := func(x, y map[string]bool) bool {
-			for k := range x {
-				if y[k] {
-					return true
+		return fs
+	}
+	seen := map[bool]int{}
+	for _, w := range []int{1, 2} {
+		for lo1 := 0; lo1+w <= len(p1); lo1++ {
+			for lo2 := 0; lo2+w <= len(p2); lo2++ {
+				a, b := p1[lo1:lo1+w], p2[lo2:lo2+w]
+				textA, textB := text(a), text(b)
+				want := false
+				for k := range textA {
+					want = want || textB[k]
 				}
-				if len(k) > 4 && k[:4] == "var:" && y["def:"+k[4:]] {
-					return true
+				fa, fb := tab.featuresOfStmts(a), tab.featuresOfStmts(b)
+				span := fmt.Sprintf("spans [%d,%d) x [%d,%d)", lo1, lo1+w, lo2, lo2+w)
+				if len(fa) != len(textA) || len(fb) != len(textB) {
+					t.Fatalf("%s: feature counts diverge: %d/%d vs %d/%d", span, len(fa), len(textA), len(fb), len(textB))
 				}
-				if len(k) > 4 && k[:4] == "def:" && y["var:"+k[4:]] {
-					return true
+				if got := related(fa, fb); got != want {
+					t.Fatalf("%s: related() = %v, text keys %v", span, got, want)
 				}
+				seen[want]++
 			}
-			return false
 		}
-		fa, fb := tab.featuresOfStmts(a), tab.featuresOfStmts(b)
-		if len(fa) != len(textA) || len(fb) != len(textB) {
-			t.Fatalf("feature counts diverge: %d/%d vs %d/%d", len(fa), len(textA), len(fb), len(textB))
-		}
-		if got, want := related(fa, fb), legacyRelated(textA, textB); got != want {
-			t.Fatalf("related() diverges from text implementation at span %d: %v vs %v", lo, got, want)
-		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("related verdicts %v: both outcomes must occur", seen)
 	}
 }

@@ -3,6 +3,7 @@ package consolidate
 import (
 	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"consolidation/internal/lang"
 )
@@ -174,7 +175,7 @@ func (c *sigCollector) call(x lang.Call) {
 		}
 		switch y := a.(type) {
 		case lang.IntConst:
-			c.buf = appendInt(c.buf, y.Value)
+			c.buf = strconv.AppendInt(c.buf, y.Value, 10)
 		case lang.Var:
 			c.buf = append(c.buf, y.Name...)
 		default:
@@ -185,22 +186,4 @@ func (c *sigCollector) call(x lang.Call) {
 	}
 	c.buf = append(c.buf, ')')
 	c.add(c.hashBuf())
-}
-
-func appendInt(buf []byte, v int64) []byte {
-	if v < 0 {
-		buf = append(buf, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(buf, tmp[i:]...)
 }

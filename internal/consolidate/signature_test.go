@@ -1,7 +1,10 @@
 package consolidate
 
 import (
+	"hash/fnv"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"consolidation/internal/lang"
@@ -143,5 +146,24 @@ func TestFeatureSignatureCallFree(t *testing.T) {
 	}
 	if sim := sp.Similarity(sr); sim != 0 {
 		t.Fatalf("disjoint call-free feature sets relate: %v", sim)
+	}
+}
+
+// TestFeatureSignatureMinInt64 holds a call instance's constant arguments
+// to featTab.callFeature's rendering at math.MinInt64, the one value whose
+// negation overflows: the signature must carry the hash of exactly the key
+// the related() heuristic interns.
+func TestFeatureSignatureMinInt64(t *testing.T) {
+	call := lang.Call{Func: "f", Args: []lang.IntExpr{lang.Var{Name: "r"}, lang.IntConst{Value: math.MinInt64}}}
+	tab := newFeatTab()
+	tab.callFeature(call)
+	if key := string(tab.buf); key != "call:f(r,-9223372036854775808)" {
+		t.Fatalf("featTab renders %q", key)
+	}
+	h := fnv.New64a()
+	h.Write(tab.buf)
+	sig := FeatureSignature(&lang.Program{Name: "q", Params: []string{"r"}, Body: lang.Assign{Var: "t", E: call}})
+	if !slices.Contains(sig.Hashes, h.Sum64()) {
+		t.Fatalf("signature %v lacks the hash of %q", sig.Hashes, tab.buf)
 	}
 }

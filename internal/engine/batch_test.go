@@ -109,19 +109,15 @@ func gatedToyUDFs(n int, keyThr int64) []*lang.Program {
 	return out
 }
 
-// sameMetrics asserts the batched run's verdicts and every deterministic
-// metric are byte-identical to the reference run.
+// sameMetrics asserts the batched run's verdicts, its Metrics.Invariant
+// totals and its per-UDF counts are byte-identical to the reference run.
 func sameMetrics(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
 	if !SameResults(ref, got) {
 		t.Fatalf("%s: verdicts diverge from the record-at-a-time reference", label)
 	}
-	if ref.UDFCost != got.UDFCost || ref.GuardCost != got.GuardCost {
-		t.Fatalf("%s: cost %d/%d, reference %d/%d", label, got.UDFCost, got.GuardCost, ref.UDFCost, ref.GuardCost)
-	}
-	if ref.Admitted != got.Admitted || ref.Rejected != got.Rejected {
-		t.Fatalf("%s: admitted/rejected %d/%d, reference %d/%d",
-			label, got.Admitted, got.Rejected, ref.Admitted, ref.Rejected)
+	if r, g := ref.Invariant(), got.Invariant(); r != g {
+		t.Fatalf("%s: totals %+v, reference %+v", label, g, r)
 	}
 	for q := range ref.LatencySum {
 		if ref.LatencySum[q] != got.LatencySum[q] {

@@ -23,7 +23,10 @@
 // sharded snapshot are two configurations of it. Verdicts, costs, and
 // per-notification stamps are byte-identical at every Workers/BatchSize
 // combination: every accumulation a pass performs is a commutative sum, and
-// each verdict row is written by exactly one worker.
+// each verdict row is written by exactly one worker. Every filter pass
+// reports its scalar totals in one record, Metrics, which Result and
+// ShardedResult embed; Metrics.Invariant is the part that must repeat at
+// every Workers × BatchSize.
 package engine
 
 import (
@@ -79,28 +82,86 @@ type LiteSpanLibrary interface {
 	SetRecordLiteSpan(lo, hi int)
 }
 
-// Metrics summarises one operator execution.
+// Metrics is the one record of a filter pass's scalar totals: WhereMany,
+// WherePlan and WhereSharded fill the same fields, and the evaluator's
+// workers add into it directly. Every total but Batches, Swaps and the two
+// wall times is a commutative per-record sum, so it is byte-identical at
+// every Workers × BatchSize over the same input (see Invariant).
 type Metrics struct {
 	Records int
-	UDFs    int
 	// Batches counts batch dispatches (ceil(Records / batch size) on a
-	// completed pass).
+	// completed pass). Swaps counts generation changes a worker picked up at
+	// a batch boundary of a live pass, so with several workers it depends
+	// on scheduling. Each swap took effect atomically at a batch boundary,
+	// so Swaps <= Batches and every record of a batch was evaluated against
+	// the same generation; a static pass never swaps.
 	Batches int
+	Swaps   int
+	// PendingRuns counts verbatim executions of not-yet-consolidated
+	// queries; SuppressedNotifies counts notifications dropped because the
+	// query unsubscribed after the running program was built. Both are
+	// summed across clusters and zero on a static pass and while the served
+	// snapshots are clean.
+	PendingRuns        int
+	SuppressedNotifies int
 	// UDFCost is the summed abstract cost (Figure 2 semantics) of all UDF
-	// evaluations — the engine-independent measure of computation.
+	// evaluations — the engine-independent measure of computation: every
+	// cluster's guard, merged program and pending queries, or whereMany's
+	// UDFs one by one.
 	UDFCost int64
+	// GuardCost is the summed abstract cost of guard evaluations; it is also
+	// included in UDFCost (the guard is part of the work the pass performs).
+	GuardCost int64
+	// Admitted and Rejected count the admission pre-filter's
+	// per-(record, cluster) verdicts: each record receives one verdict from
+	// every cluster of its batch's generation (clusters without a usable
+	// guard admit unconditionally), so Admitted+Rejected = Records ×
+	// Clusters on a quiescent pass. Unfiltered passes admit every record.
+	Admitted int
+	Rejected int
 	// UDFTime is wall time spent inside UDF evaluation, full decode
 	// excluded — the quantity Figures 9 and 10 compare. The guard stage is
 	// measured, per batch, and includes the lite decode. Merged-program,
 	// pending-query and whereMany evaluation are a sampled estimate: the
 	// runs on every eighth record (by record index) are timed and the sum is
 	// scaled by runs ÷ timed runs, per worker, so the pass does not read the
-	// clock twice per record. Both operators use the same estimator, so
+	// clock twice per record. All operators use the same estimator, so
 	// their ratio stays like for like.
 	UDFTime time.Duration
 	// TotalTime is wall time for the whole pass, including record decode
 	// and result collection.
 	TotalTime time.Duration
+}
+
+// Invariant returns m without the totals that depend on the dispatch shape
+// (Batches, Swaps, UDFTime, TotalTime): what is left is equal at every
+// Workers × BatchSize over the same input, so parity checks compare the
+// two results' Invariant with ==.
+func (m Metrics) Invariant() Metrics {
+	m.Batches, m.Swaps, m.UDFTime, m.TotalTime = 0, 0, 0, 0
+	return m
+}
+
+// add folds one worker's totals into m.
+func (m *Metrics) add(w Metrics) {
+	m.Records += w.Records
+	m.Batches += w.Batches
+	m.Swaps += w.Swaps
+	m.PendingRuns += w.PendingRuns
+	m.SuppressedNotifies += w.SuppressedNotifies
+	m.UDFCost += w.UDFCost
+	m.GuardCost += w.GuardCost
+	m.Admitted += w.Admitted
+	m.Rejected += w.Rejected
+	m.UDFTime += w.UDFTime
+	m.TotalTime += w.TotalTime
+}
+
+// Result of a filter operator: Bools[i][q] reports whether record i passed
+// UDF q, the per-UDF counts, and the pass's totals.
+type Result struct {
+	Bools [][]bool
+	UDFs  int
 	// Selected counts records each UDF accepted.
 	Selected []int
 	// LatencySum[q] accumulates, over all records, the abstract cost at
@@ -110,29 +171,16 @@ type Metrics struct {
 	// discusses: consolidation optimises completion time and may trade
 	// individual-query latency for it.
 	LatencySum []int64
-	// Admitted and Rejected count the admission pre-filter's verdicts.
-	// Unfiltered passes admit every record.
-	Admitted int
-	Rejected int
-	// GuardCost is the summed abstract cost of guard evaluations; it is also
-	// included in UDFCost (the guard is part of the work the pass performs).
-	GuardCost int64
+	Metrics
 }
 
 // MeanLatency returns the average notification latency of UDF q in cost
 // units, or 0 when nothing ran.
-func (m *Metrics) MeanLatency(q int) float64 {
-	if m.Records == 0 || q < 0 || q >= len(m.LatencySum) {
+func (r *Result) MeanLatency(q int) float64 {
+	if r.Records == 0 || q < 0 || q >= len(r.LatencySum) {
 		return 0
 	}
-	return float64(m.LatencySum[q]) / float64(m.Records)
-}
-
-// Result of a filter operator: Bools[i][q] reports whether record i passed
-// UDF q, plus metrics.
-type Result struct {
-	Bools [][]bool
-	Metrics
+	return float64(r.LatencySum[q]) / float64(r.Records)
 }
 
 // DefaultBatchSize is the records-per-batch used when Options.BatchSize is
@@ -212,9 +260,8 @@ func newResult(n, nUDFs int, opts Options) (*Result, []bool) {
 		off := i * nUDFs
 		rows[i] = backing[off : off+nUDFs : off+nUDFs]
 	}
-	return &Result{Bools: rows, Metrics: Metrics{
-		Records: n, UDFs: nUDFs, Batches: opts.batches(n), LatencySum: make([]int64, nUDFs),
-	}}, backing
+	return &Result{Bools: rows, UDFs: nUDFs, LatencySum: make([]int64, nUDFs),
+		Metrics: Metrics{Records: n, Batches: opts.batches(n)}}, backing
 }
 
 // WhereMany evaluates every UDF on every record in one pass, sequentially
@@ -384,11 +431,7 @@ func WherePlan(data RecordLibrary, plan *consolidate.Plan, opts Options) (*Conso
 			return e.evalBatch(lo, hi)
 		}
 		fold = func() {
-			res.UDFCost += e.m.UDFCost
-			res.GuardCost += e.m.GuardCost
-			res.UDFTime += e.udfTime()
-			res.Admitted += e.m.Admitted
-			res.Rejected += e.m.Rejected
+			res.add(e.totals())
 			for q, v := range e.cls[0].latSlot {
 				res.LatencySum[q] += v
 			}

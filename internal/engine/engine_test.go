@@ -59,7 +59,7 @@ func thresholdUDFs(ks ...int64) []*lang.Program {
 // TestMeanLatencyBounds pins the out-of-range guards: a negative or
 // too-large query index returns 0 instead of panicking.
 func TestMeanLatencyBounds(t *testing.T) {
-	m := &Metrics{Records: 10, LatencySum: []int64{150}}
+	m := &Result{Metrics: Metrics{Records: 10}, LatencySum: []int64{150}}
 	if got := m.MeanLatency(0); got != 15 {
 		t.Fatalf("MeanLatency(0) = %v, want 15", got)
 	}
@@ -68,7 +68,7 @@ func TestMeanLatencyBounds(t *testing.T) {
 			t.Fatalf("MeanLatency(%d) = %v, want 0", q, got)
 		}
 	}
-	var zero Metrics
+	var zero Result
 	if got := zero.MeanLatency(0); got != 0 {
 		t.Fatalf("zero-record MeanLatency = %v, want 0", got)
 	}
@@ -257,7 +257,7 @@ func TestNotificationLatency(t *testing.T) {
 			cons.MeanLatency(last), many.MeanLatency(last))
 	}
 	// Completion (max latency over queries) must improve too.
-	maxOf := func(m *Metrics) float64 {
+	maxOf := func(m *Result) float64 {
 		best := 0.0
 		for q := 0; q < m.UDFs; q++ {
 			if l := m.MeanLatency(q); l > best {
@@ -266,7 +266,7 @@ func TestNotificationLatency(t *testing.T) {
 		}
 		return best
 	}
-	if maxOf(&cons.Metrics) >= maxOf(&many.Metrics) {
+	if maxOf(&cons.Result) >= maxOf(many) {
 		t.Errorf("consolidated completion latency did not improve")
 	}
 }

@@ -14,14 +14,14 @@ type liveIDs struct {
 }
 
 // liveWorker is one worker's share of a WhereSharded pass: the evaluator,
-// the id tables of its current generation, and worker-local totals.
+// whose totals it adds its swaps and suppressions to, the id tables of its
+// current generation, and its banked latency.
 type liveWorker struct {
 	ev  *evaluator
 	cls []liveIDs // non-nil once a generation is installed
 	// lat holds latency banked from superseded generations: slot indices
 	// mean something only within one generation.
-	lat               map[shard.QueryID]int64
-	swaps, suppressed int
+	lat map[shard.QueryID]int64
 }
 
 // swap installs a cross-cluster generation: the evaluator resolves each
@@ -29,7 +29,7 @@ type liveWorker struct {
 // flattened here, once.
 func (w *liveWorker) swap(s *shard.Snapshot) error {
 	if w.cls != nil {
-		w.swaps++
+		w.ev.m.Swaps++
 		w.bankLatency()
 	}
 	snaps := make([]*registry.Snapshot, len(s.Clusters))
@@ -84,7 +84,7 @@ func (w *liveWorker) publish(lo, hi int, out *ShardedResult) {
 			row := c.slotVals[k*ns : (k+1)*ns]
 			for slot, id := range ids.slots {
 				if ids.removed[slot] {
-					w.suppressed++
+					w.ev.m.SuppressedNotifies++
 					continue
 				}
 				verdicts[id] = row[slot]

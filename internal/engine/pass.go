@@ -135,18 +135,6 @@ func (c *udfClock) total() time.Duration {
 	return time.Duration(float64(c.sum) * float64(c.runs) / float64(c.timed))
 }
 
-// passMetrics are the evaluator's worker-local totals. Each is a per-record
-// sum, so folding the workers' copies in any order gives the same pass
-// totals at every Workers × BatchSize.
-type passMetrics struct {
-	UDFCost     int64         // guards + merged programs + pending queries
-	GuardCost   int64         // the guards' share of UDFCost
-	GuardTime   time.Duration // stage A, timed per batch
-	Admitted    int           // per-(record, cluster) admission verdicts
-	Rejected    int
-	PendingRuns int
-}
-
 // evalCluster is one cluster's resolved state within the evaluator's
 // current generation: runners, dense note slots, and flat per-batch
 // scratch. Latency accumulates into per-slot buckets so the stages stay
@@ -191,8 +179,10 @@ type evaluator struct {
 	// liteGuards: stage A has work. always: stage B decodes every record —
 	// some query is pending, or a guard has to run after the full decode.
 	liteGuards, always bool
-	m                  passMetrics
-	clock              udfClock // stage B's UDF runs
+	// m is the worker's share of the pass totals; its UDFTime holds stage
+	// A's measured time until totals adds clock's estimate.
+	m     Metrics
+	clock udfClock // stage B's UDF runs
 }
 
 func newEvaluator(lib RecordLibrary, opts Options) *evaluator {
@@ -283,9 +273,14 @@ func (e *evaluator) swap(gen uint64, snaps []*registry.Snapshot) error {
 	return nil
 }
 
-// udfTime is the worker's UDF evaluation time: the guard stage's measured
-// time plus the sampled clock's estimate for the runs after the full decode.
-func (e *evaluator) udfTime() time.Duration { return e.m.GuardTime + e.clock.total() }
+// totals is the worker's share of the pass totals, with UDFTime the guard
+// stage's measured time plus the sampled clock's estimate for the runs
+// after the full decode.
+func (e *evaluator) totals() Metrics {
+	m := e.m
+	m.UDFTime += e.clock.total()
+	return m
+}
 
 // evalBatch runs records [lo, hi) against the current generation, into the
 // clusters' scratch rows. Steady state performs no allocations.
@@ -312,7 +307,7 @@ func (e *evaluator) evalBatch(lo, hi int) error {
 				}
 			}
 		}
-		e.m.GuardTime += time.Since(t0)
+		e.m.UDFTime += time.Since(t0)
 		if !e.always && e.m.Rejected-rej0 == verdicts {
 			return nil // nothing admitted, nothing pending: no full decode at all
 		}

@@ -14,40 +14,6 @@ type LiveSource interface {
 	Snapshot() *shard.Snapshot
 }
 
-// ShardedMetrics summarises one WhereSharded pass.
-type ShardedMetrics struct {
-	Records int
-	// Batches counts batch dispatches across all workers; Swaps counts
-	// generation changes a worker picked up at a batch boundary, so with
-	// several workers it depends on scheduling — parity checks must not
-	// diff it. Each swap took effect atomically at a batch boundary, so
-	// Swaps <= Batches and every record of a batch was evaluated against
-	// the same generation.
-	Batches int
-	Swaps   int
-	// PendingRuns counts verbatim executions of not-yet-consolidated
-	// queries; SuppressedNotifies counts notifications dropped because the
-	// query unsubscribed after the running program was built. Both are
-	// summed across clusters and zero while the served snapshots are clean.
-	PendingRuns        int
-	SuppressedNotifies int
-	// UDFCost sums the abstract cost of every cluster's guard, merged
-	// program, and pending queries; GuardCost is the guards' share of it.
-	UDFCost int64
-	// UDFTime is the Metrics.UDFTime estimate: stage A measured per batch,
-	// stage B's merged-program and pending runs sampled on every eighth
-	// record and scaled.
-	UDFTime   time.Duration
-	TotalTime time.Duration
-	// Admitted and Rejected count per-(record, cluster) admission verdicts:
-	// each record receives one verdict from every cluster of its batch's
-	// generation (clusters without a usable guard admit unconditionally),
-	// so Admitted+Rejected = Records × Clusters on a quiescent pass.
-	Admitted  int
-	Rejected  int
-	GuardCost int64
-}
-
 // ShardedResult is the outcome of streaming a dataset through a live
 // registry. Verdicts are keyed by the stable shard-level QueryID — slot
 // positions are unstable across generations; Gens records the
@@ -62,7 +28,7 @@ type ShardedResult struct {
 	Verdicts   []map[shard.QueryID]bool
 	Gens       []uint64
 	LatencySum map[shard.QueryID]int64
-	ShardedMetrics
+	Metrics
 }
 
 // WhereSharded is the live pass: it streams every record through a sharded
@@ -116,15 +82,7 @@ func WhereSharded(data RecordLibrary, src LiveSource, opts Options) (*ShardedRes
 			for id, v := range w.lat {
 				out.LatencySum[id] += v
 			}
-			m, em := &out.ShardedMetrics, &w.ev.m
-			m.Swaps += w.swaps
-			m.SuppressedNotifies += w.suppressed
-			m.PendingRuns += em.PendingRuns
-			m.UDFCost += em.UDFCost
-			m.UDFTime += w.ev.udfTime()
-			m.Admitted += em.Admitted
-			m.Rejected += em.Rejected
-			m.GuardCost += em.GuardCost
+			out.add(w.ev.totals())
 		}
 		return run, fold, nil
 	})

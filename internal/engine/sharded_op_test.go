@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"consolidation/internal/consolidate"
 	"consolidation/internal/lang"
 	"consolidation/internal/prefilter"
 	"consolidation/internal/registry"
@@ -47,9 +48,8 @@ func sameVerdicts(t *testing.T, label string, ref, got *ShardedResult) {
 }
 
 // sameSharded asserts every deterministic field of a live pass matches the
-// reference: verdict maps, generation stamps, costs, guard shares, admission
-// counts, pending/suppression counts and per-query latency stamps.
-// Batches/Swaps/wall times depend on dispatch shape and are excluded.
+// reference: verdict maps, generation stamps, the Metrics.Invariant totals
+// and per-query latency stamps.
 func sameSharded(t *testing.T, label string, ref, got *ShardedResult) {
 	t.Helper()
 	sameVerdicts(t, label, ref, got)
@@ -58,16 +58,8 @@ func sameSharded(t *testing.T, label string, ref, got *ShardedResult) {
 			t.Fatalf("%s: record %d gen %d, reference %d", label, i, got.Gens[i], ref.Gens[i])
 		}
 	}
-	if ref.UDFCost != got.UDFCost || ref.GuardCost != got.GuardCost {
-		t.Fatalf("%s: cost %d/%d, reference %d/%d", label, got.UDFCost, got.GuardCost, ref.UDFCost, ref.GuardCost)
-	}
-	if ref.Admitted != got.Admitted || ref.Rejected != got.Rejected {
-		t.Fatalf("%s: admitted/rejected %d/%d, reference %d/%d",
-			label, got.Admitted, got.Rejected, ref.Admitted, ref.Rejected)
-	}
-	if ref.PendingRuns != got.PendingRuns || ref.SuppressedNotifies != got.SuppressedNotifies {
-		t.Fatalf("%s: pending/suppressed %d/%d, reference %d/%d",
-			label, got.PendingRuns, got.SuppressedNotifies, ref.PendingRuns, ref.SuppressedNotifies)
+	if r, g := ref.Invariant(), got.Invariant(); r != g {
+		t.Fatalf("%s: totals %+v, reference %+v", label, g, r)
 	}
 	if len(ref.LatencySum) != len(got.LatencySum) {
 		t.Fatalf("%s: %d latency entries, reference %d", label, len(got.LatencySum), len(ref.LatencySum))
@@ -146,9 +138,68 @@ func TestWhereShardedQuiet(t *testing.T) {
 				}
 			}
 			if res.Swaps != 0 || res.PendingRuns != 0 || res.SuppressedNotifies != 0 {
-				t.Fatalf("quiet registry produced swap activity: %+v", res.ShardedMetrics)
+				t.Fatalf("quiet registry produced swap activity: %+v", res.Metrics)
 			}
 		})
+	}
+}
+
+// TestStaticPassIsOneClusterLivePass holds WherePlan's claim that the
+// static pass is the live pass's degenerate case: the same gated queries
+// under the same consolidation and prefilter options, once through
+// WhereConsolidated and once through WhereSharded over a flushed
+// one-cluster registry, give the same verdicts, the same latency stamps and
+// equal Metrics.Invariant totals, at record-at-a-time and batched dispatch.
+func TestStaticPassIsOneClusterLivePass(t *testing.T) {
+	const n = 271
+	d := newLiteToy(n)
+	udfs := gatedToyUDFs(3, 60)
+	copts := consolidate.Options{FuncCoster: d}
+	sh, err := shard.New(shard.Options{
+		Registry:       registry.Options{Consolidate: copts, Prefilter: &prefilter.Options{Coster: d, MaxCallCost: d.LiteCostBound()}},
+		MaxClusterSize: math.MaxInt,
+		MinSimilarity:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]shard.QueryID, len(udfs))
+	for i, p := range udfs {
+		if ids[i], err = sh.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sh.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{Workers: 1, BatchSize: 1}, {Workers: 2, BatchSize: 64}} {
+		label := fmt.Sprintf("workers=%d/batch=%d", opts.Workers, opts.BatchSize)
+		static, err := WhereConsolidated(d, udfs, copts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if static.Guard == nil || static.Guard.Trivial || static.Rejected == 0 {
+			t.Fatalf("%s: the guard must reject records for the comparison to cover stage A", label)
+		}
+		live, err := WhereSharded(d, sh, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range static.Bools {
+			for q, id := range ids {
+				if v, ok := live.Verdicts[i][id]; !ok || v != row[q] {
+					t.Fatalf("%s: record %d query %d: live %v/%v, static %v", label, i, q, v, ok, row[q])
+				}
+			}
+		}
+		for q, id := range ids {
+			if live.LatencySum[id] != static.LatencySum[q] {
+				t.Fatalf("%s: query %d latency stamp sum: live %d, static %d", label, q, live.LatencySum[id], static.LatencySum[q])
+			}
+		}
+		if s, l := static.Invariant(), live.Invariant(); s != l {
+			t.Fatalf("%s: live totals %+v, static %+v", label, l, s)
+		}
 	}
 }
 

@@ -120,10 +120,8 @@ func wrapForEngine(p *lang.Program) *lang.Program {
 }
 
 // diffResults reports the first divergence between a batched run and the
-// record-at-a-time reference: verdict bits, abstract costs (total and
-// guard share), admission counts, per-query latency stamp sums, or
-// selectivity counters. Wall-clock fields are exempt — they are the only
-// fields allowed to differ.
+// record-at-a-time reference: verdict bits, the engine.Metrics.Invariant
+// totals, per-query latency stamp sums, or selectivity counters.
 func diffResults(label string, ref, got *engine.Result) string {
 	if len(ref.Bools) != len(got.Bools) {
 		return fmt.Sprintf("%s: %d verdict rows, reference has %d", label, len(got.Bools), len(ref.Bools))
@@ -136,15 +134,8 @@ func diffResults(label string, ref, got *engine.Result) string {
 			}
 		}
 	}
-	if ref.UDFCost != got.UDFCost {
-		return fmt.Sprintf("%s: UDF cost %d, reference %d", label, got.UDFCost, ref.UDFCost)
-	}
-	if ref.GuardCost != got.GuardCost {
-		return fmt.Sprintf("%s: guard cost %d, reference %d", label, got.GuardCost, ref.GuardCost)
-	}
-	if ref.Admitted != got.Admitted || ref.Rejected != got.Rejected {
-		return fmt.Sprintf("%s: admitted/rejected %d/%d, reference %d/%d",
-			label, got.Admitted, got.Rejected, ref.Admitted, ref.Rejected)
+	if r, g := ref.Invariant(), got.Invariant(); r != g {
+		return fmt.Sprintf("%s: totals %+v, reference %+v", label, g, r)
 	}
 	for q := range ref.LatencySum {
 		if ref.LatencySum[q] != got.LatencySum[q] {

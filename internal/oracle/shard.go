@@ -35,10 +35,8 @@ func diffVerdicts(label string, ref, got *engine.ShardedResult) string {
 }
 
 // diffSharded reports the first divergence between two passes over one
-// registry: verdict maps, generation stamps, abstract costs (total and guard
-// share), admission counts, pending/suppression counts, or per-query latency
-// stamp sums. Batches, Swaps, and wall-clock fields are dispatch-shaped and
-// exempt.
+// registry: verdict maps, generation stamps, the engine.Metrics.Invariant
+// totals, or per-query latency stamp sums.
 func diffSharded(label string, ref, got *engine.ShardedResult) string {
 	if msg := diffVerdicts(label, ref, got); msg != "" {
 		return msg
@@ -48,19 +46,8 @@ func diffSharded(label string, ref, got *engine.ShardedResult) string {
 			return fmt.Sprintf("%s: record %d admitted at gen %d, reference gen %d", label, i, got.Gens[i], ref.Gens[i])
 		}
 	}
-	if ref.UDFCost != got.UDFCost {
-		return fmt.Sprintf("%s: UDF cost %d, reference %d", label, got.UDFCost, ref.UDFCost)
-	}
-	if ref.GuardCost != got.GuardCost {
-		return fmt.Sprintf("%s: guard cost %d, reference %d", label, got.GuardCost, ref.GuardCost)
-	}
-	if ref.Admitted != got.Admitted || ref.Rejected != got.Rejected {
-		return fmt.Sprintf("%s: admitted/rejected %d/%d, reference %d/%d",
-			label, got.Admitted, got.Rejected, ref.Admitted, ref.Rejected)
-	}
-	if ref.PendingRuns != got.PendingRuns || ref.SuppressedNotifies != got.SuppressedNotifies {
-		return fmt.Sprintf("%s: pending/suppressed %d/%d, reference %d/%d",
-			label, got.PendingRuns, got.SuppressedNotifies, ref.PendingRuns, ref.SuppressedNotifies)
+	if r, g := ref.Invariant(), got.Invariant(); r != g {
+		return fmt.Sprintf("%s: totals %+v, reference %+v", label, g, r)
 	}
 	if len(ref.LatencySum) != len(got.LatencySum) {
 		return fmt.Sprintf("%s: %d latency entries, reference %d", label, len(got.LatencySum), len(ref.LatencySum))

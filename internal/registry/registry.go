@@ -84,31 +84,20 @@ type PendingQuery struct {
 	NotifyID int
 }
 
-// BuildStats describes one incremental rebuild.
+// BuildStats describes one incremental rebuild: the merge tree's
+// consolidate.MultiStats — Programs is the number of live queries
+// consolidated, and a clean incremental rebuild after one change
+// recomputes O(log N) Pairs and serves every other node from the memo
+// (NodesReused) — plus what the rebuild adds.
 type BuildStats struct {
-	Duration time.Duration
-	// Leaves is the number of live queries consolidated.
-	Leaves int
-	// PairsMerged counts pairwise merges actually recomputed;
-	// NodesReused counts merge nodes served from the memo. A clean
-	// incremental rebuild after one change recomputes O(log N) pairs.
-	PairsMerged int
-	NodesReused int
-	// LeavesPrepared counts queries renamed apart for this build: new ones
-	// and the one a swap-remove moved. Every other leaf comes from the memo.
-	LeavesPrepared int
-	SMTQueries     int
-	// CacheHitRate is the shared SMT cache's hit rate during this build.
+	consolidate.MultiStats
+	// BuildTime is the whole rebuild, guard synthesis included; the
+	// embedded Duration is the merge tree's alone.
+	BuildTime time.Duration
+	// CacheHitRate is the shared SMT cache's hit rate during this build's
+	// merges, read off the cache's counters; it shadows the embedded
+	// MultiStats.CacheHitRate method.
 	CacheHitRate float64
-	// VerbatimFallbacks counts Ω fuel exhaustions (degraded plan; see
-	// consolidate.MultiStats.VerbatimFallbacks).
-	VerbatimFallbacks int
-	Rules             consolidate.Stats
-	// Context aggregates the per-merge-node incremental solving contexts
-	// over the pairs this build recomputed. Contexts persist across
-	// rebuilds keyed by tree position, so a node re-merged after a nearby
-	// change reuses its Tseitin encodings and learned clauses.
-	Context smt.ContextStats
 	// PrefilterTime is the time guard synthesis took (zero when disabled);
 	// GuardTrivial reports whether it degraded to the admit-all guard and
 	// GuardCost the static per-record cost of the synthesized guard.
@@ -386,7 +375,7 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 
 	start := time.Now()
 	snap := &Snapshot{Slots: make([]QueryID, len(ents))}
-	bs := BuildStats{Leaves: len(ents)}
+	var bs BuildStats
 	if len(ents) == 0 {
 		// Registry drained: the memo holds nothing reusable.
 		r.memo = consolidate.NewMemo()
@@ -402,18 +391,11 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 			return nil, err
 		}
 		snap.Plan = *plan
-		ms := plan.Multi
-		bs.PairsMerged = ms.Pairs
-		bs.NodesReused = ms.NodesReused
-		bs.LeavesPrepared = ms.LeavesPrepared
-		bs.SMTQueries = ms.SMTQueries
-		bs.VerbatimFallbacks = ms.VerbatimFallbacks()
-		bs.Rules = ms.Rules
-		bs.Context = ms.Context
-		// ms.Cache is the shared cache as the merge left it, before guard
+		bs.MultiStats = *plan.Multi
+		// Cache is the shared cache as the merge left it, before guard
 		// synthesis queried it.
-		if lk := ms.Cache.Lookups - pre.Lookups; lk > 0 {
-			bs.CacheHitRate = float64(ms.Cache.Hits-pre.Hits) / float64(lk)
+		if lk := bs.Cache.Lookups - pre.Lookups; lk > 0 {
+			bs.CacheHitRate = float64(bs.Cache.Hits-pre.Hits) / float64(lk)
 		}
 		if plan.Guard != nil {
 			bs.PrefilterTime = plan.PrefilterTime
@@ -421,7 +403,7 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 			bs.GuardCost = plan.Guard.Cost
 		}
 	}
-	bs.Duration = time.Since(start)
+	bs.BuildTime = time.Since(start)
 	snap.Build = bs
 
 	r.mu.Lock()
@@ -451,9 +433,9 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 	r.builtVersion = v
 	r.lastErr = nil
 	r.stats.Builds++
-	r.stats.PairsMerged += uint64(bs.PairsMerged)
+	r.stats.PairsMerged += uint64(bs.Pairs)
 	r.stats.NodesReused += uint64(bs.NodesReused)
-	r.stats.TotalBuildTime += bs.Duration
+	r.stats.TotalBuildTime += bs.BuildTime
 	r.stats.LastBuild = bs
 	return snap, nil
 }

@@ -127,8 +127,8 @@ func TestIncrementalReusesSubtrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Build.PairsMerged != n-1 {
-		t.Fatalf("cold build merged %d pairs, want %d", snap.Build.PairsMerged, n-1)
+	if snap.Build.Pairs != n-1 {
+		t.Fatalf("cold build merged %d pairs, want %d", snap.Build.Pairs, n-1)
 	}
 
 	if err := r.Add(n+1, pool[n]); err != nil {
@@ -140,8 +140,8 @@ func TestIncrementalReusesSubtrees(t *testing.T) {
 	}
 	// 33 leaves: the new leaf is carried up to the root merge — one new
 	// pair; the 32-leaf subtree is fully reused.
-	if snap.Build.PairsMerged > 6 {
-		t.Fatalf("incremental add recomputed %d pairs, want O(log n)", snap.Build.PairsMerged)
+	if snap.Build.Pairs > 6 {
+		t.Fatalf("incremental add recomputed %d pairs, want O(log n)", snap.Build.Pairs)
 	}
 	if snap.Build.NodesReused == 0 {
 		t.Fatal("incremental add reused no subtrees")
@@ -155,8 +155,8 @@ func TestIncrementalReusesSubtrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Build.PairsMerged > 2*6 {
-		t.Fatalf("incremental remove recomputed %d pairs, want O(log n)", snap.Build.PairsMerged)
+	if snap.Build.Pairs > 2*6 {
+		t.Fatalf("incremental remove recomputed %d pairs, want O(log n)", snap.Build.Pairs)
 	}
 	if got := r.Stats(); got.CachedNodes == 0 || got.Builds != 3 {
 		t.Fatalf("registry stats: %+v", got)
@@ -204,8 +204,8 @@ func TestSwapRemoveReusesLeaves(t *testing.T) {
 	for 1<<logN < n {
 		logN++
 	}
-	if snap.Build.PairsMerged > 2*logN {
-		t.Fatalf("swap-remove recomputed %d pairs, want at most 2·⌈log₂%d⌉ = %d", snap.Build.PairsMerged, n, 2*logN)
+	if snap.Build.Pairs > 2*logN {
+		t.Fatalf("swap-remove recomputed %d pairs, want at most 2·⌈log₂%d⌉ = %d", snap.Build.Pairs, n, 2*logN)
 	}
 }
 
