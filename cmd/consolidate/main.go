@@ -29,7 +29,7 @@ var (
 	flagStats   = flag.Bool("stats", false, "print rule and solver statistics")
 	flagVerify  = flag.Bool("verify", false, "validate soundness and cost on sampled inputs")
 	flagDemo    = flag.Bool("demo", false, "run on the paper's Section 2 example instead of files")
-	flagEmbed   = flag.Int("max-embed", consolidate.DefaultMaxEmbedSize, "If3/If4 embedding budget in AST nodes")
+	flagEmbed   = flag.Int("max-embed", consolidate.DefaultMaxEmbedSize, "If3/If4 embedding budget in AST nodes (loop-free code only; code holding a loop is never embedded)")
 	flagCPUProf = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 	flagMemProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 )

@@ -20,7 +20,9 @@ type Options struct {
 	FuncCoster lang.FuncCoster
 	// MaxEmbedSize disables the duplicating If 3/If 4 rules when the code
 	// to embed exceeds this many AST nodes, falling back to If 5. This is
-	// the paper's cross-simplification vs code-size trade-off knob.
+	// the paper's cross-simplification vs code-size trade-off knob. It
+	// applies to loop-free code only: code holding a loop is never
+	// embedded, whatever the budget.
 	// 0 means DefaultMaxEmbedSize. Besides cmd/consolidate's -max-embed
 	// flag, only the never-embed leg of TestAblations (cmd/figures) sets
 	// it.
@@ -391,28 +393,29 @@ func (co *Consolidator) conditional(ctx *sym.Context, h lang.Cond, s1, s2 *[]lan
 	cont := (*s1)[1:]
 	rest := *s2
 
-	size := func(ss []lang.Stmt) int {
-		n := 0
-		for _, s := range ss {
-			n += lang.Size(s)
-		}
-		return n
-	}
-
 	// A test over fold accumulator state (a max/min update guard) relates
 	// to nothing: the accumulators are renamed apart and enter as free
 	// parameters, so the test tells the rest nothing about what it reads,
 	// and embedding the rest under it would only duplicate code.
-	var restFeats featureSet
+	//
+	// Neither rule copies a loop. Loop 2/Loop 3 fuse two loops only when
+	// both statement lists start with one, so a loop copied into both arms
+	// can never fuse with a loop after the conditional, in this pair or at
+	// any later tree level, and each copy pays its own invariant inference.
+	var (
+		restFeats featureSet
+		restSize  int
+		restLoops bool
+	)
 	if len(rest) > 0 && (co.accs == nil || !readsAcc(h.Test, co.accs)) {
-		restFeats = co.feats.featuresOfStmts(rest)
+		restFeats, restSize, restLoops = co.feats.featuresOfStmts(rest)
 	}
-	if restFeats != nil && related(co.feats.featuresOfBoolCtx(ctx, h.Test), restFeats) {
+	if restFeats != nil && !restLoops && related(co.feats.featuresOfBoolCtx(ctx, h.Test), restFeats) {
 		// An embedding duplicates the second copy of rest and, for If 3,
 		// the second copy of cont; the sum must fit the budget.
-		restSize := size(rest)
-		if related(co.feats.featuresOfStmts(cont), restFeats) {
-			if dup := restSize + size(cont); dup <= co.embedBudget {
+		contFeats, contSize, contLoops := co.feats.featuresOfStmts(cont)
+		if !contLoops && related(contFeats, restFeats) {
+			if dup := restSize + contSize; dup <= co.embedBudget {
 				// If 3: embed both the remainder C and the second program P
 				// in the branches; everything is consumed.
 				co.stats.If3++
@@ -673,17 +676,24 @@ func (t *featTab) callFeature(c lang.Call) feature {
 // a call feature per call. Assignments add none: related() only ever
 // compares a fragment of one program with a fragment of the other, whose
 // locals are renamed apart and which never assign a shared parameter, so
-// no variable one defines is read or defined by the other.
-func (t *featTab) addFeatures(n lang.Node, fs featureSet) {
+// no variable one defines is read or defined by the other. The same walk
+// returns n's node count (lang.Size) and whether a While occurs in it.
+func (t *featTab) addFeatures(n lang.Node, fs featureSet) (size int, loops bool) {
 	lang.Inspect(n, func(x lang.Node) bool {
 		switch x := x.(type) {
+		case lang.Seq:
+			return true
+		case lang.While:
+			loops = true
 		case lang.Var:
 			fs[t.varFeat(x.Name)] = true
 		case lang.Call:
 			fs[t.callFeature(x)] = true
 		}
+		size++
 		return true
 	})
+	return size, loops
 }
 
 func (t *featTab) featuresOfBool(e lang.BoolExpr) featureSet {
@@ -751,12 +761,17 @@ func (t *featTab) addTermFeatures(tm logic.Term, fs featureSet) {
 	})
 }
 
-func (t *featTab) featuresOfStmts(ss []lang.Stmt) featureSet {
-	fs := featureSet{}
+// featuresOfStmts returns, from one walk of ss, its features, its node
+// count (lang.Size summed over ss) and whether a While occurs at any depth:
+// everything conditional needs to choose among If 3, If 4 and If 5.
+func (t *featTab) featuresOfStmts(ss []lang.Stmt) (fs featureSet, size int, loops bool) {
+	fs = featureSet{}
 	for _, s := range ss {
-		t.addFeatures(s, fs)
+		n, l := t.addFeatures(s, fs)
+		size += n
+		loops = loops || l
 	}
-	return fs
+	return fs, size, loops
 }
 
 // related decides whether two fragments plausibly share computation: they

@@ -416,13 +416,7 @@ func p1(a, b) {
 		t.Errorf("f(a) should be called once per arm and not again after the join, found %d sites:\n%s",
 			n, lang.Format(merged))
 	}
-	var in [][]int64
-	for a := int64(0); a < 12; a++ {
-		for b := int64(0); b < 12; b++ {
-			in = append(in, []int64{a, b})
-		}
-	}
-	if err := Verify([]*lang.Program{p1, p2}, merged, paperLib(), nil, in, false); err != nil {
+	if err := Verify([]*lang.Program{p1, p2}, merged, paperLib(), nil, pairInputs(12), false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -461,13 +455,104 @@ func p1(r, s) {
 	if s := co.Stats(); s.If3 == 0 || s.If4 == 0 {
 		t.Fatalf("want an If 4 with an If 3 inside, got %+v:\n%s", s, lang.Format(merged))
 	}
+	if err := Verify([]*lang.Program{p1, p2}, merged, lib, nil, pairInputs(17), false); err != nil {
+		t.Fatalf("%v\n%s", err, lang.Format(merged))
+	}
+}
+
+// pairInputs is every pair over [0, n)², the sample inputs of the
+// two-parameter tests.
+func pairInputs(n int64) [][]int64 {
 	var in [][]int64
-	for r := int64(0); r < 17; r++ {
-		for s := int64(0); s < 17; s++ {
-			in = append(in, []int64{r, s})
+	for a := int64(0); a < n; a++ {
+		for b := int64(0); b < n; b++ {
+			in = append(in, []int64{a, b})
 		}
 	}
-	if err := Verify([]*lang.Program{p1, p2}, merged, lib, nil, in, false); err != nil {
+	return in
+}
+
+// TestNoEmbedOfLoopRest: p1 ends in a conditional related to p2, but p2
+// holds a loop, so If 4 would copy the loop into both arms, where it could
+// never fuse with a later loop. If 5 fires instead and the output keeps
+// exactly one loop.
+func TestNoEmbedOfLoopRest(t *testing.T) {
+	p1 := lang.MustParse(`
+func p1(a, b) {
+  if (f(a) > 10) { notify 1 (b > 3); } else { notify 1 (b > 7); }
+}`)
+	p2 := lang.MustParse(`
+func p2(a, b) {
+  i := 0; x := 0;
+  while (i < 3) { x := x + f(a) + i; i := i + 1; }
+  notify 2 (x > b);
+}`)
+	merged, co := mustPair(t, p1, p2)
+	s := co.Stats()
+	if s.If4 != 0 || s.If5 == 0 {
+		t.Errorf("want If 5 and no If 4 over a loop, got %+v:\n%s", s, lang.Format(merged))
+	}
+	if n := lang.CountNodes[lang.While](merged.Body); n != 1 {
+		t.Errorf("want exactly one loop in the output, found %d:\n%s", n, lang.Format(merged))
+	}
+	if err := Verify([]*lang.Program{p1, p2}, merged, paperLib(), nil, pairInputs(12), false); err != nil {
+		t.Fatalf("%v\n%s", err, lang.Format(merged))
+	}
+}
+
+// TestNoEmbedOfLoopCont: the code after p1's conditional (C) holds a loop
+// and relates to p2, so If 3 would copy the loop into both arms. Only the
+// loop-free p2 is embedded (If 4), and the loop stays after the
+// conditional.
+func TestNoEmbedOfLoopCont(t *testing.T) {
+	p1 := lang.MustParse(`
+func p1(a, b) {
+  if (f(a) > 10) { y := 1; } else { y := 2; }
+  i := 0; x := 0;
+  while (i < 3) { x := x + f(a) + y; i := i + 1; }
+  notify 1 (x > b);
+}`)
+	p2 := lang.MustParse(`func p2(a, b) { notify 2 (f(a) > b + 20); }`)
+	merged, co := mustPair(t, p1, p2)
+	s := co.Stats()
+	if s.If3 != 0 || s.If4 == 0 {
+		t.Errorf("want If 4 and no If 3 over a loop, got %+v:\n%s", s, lang.Format(merged))
+	}
+	top := 0
+	for _, st := range lang.Flatten(merged.Body) {
+		switch st := st.(type) {
+		case lang.While:
+			top++
+		case lang.Cond:
+			if lang.CountNodes[lang.While](st) > 0 {
+				t.Errorf("a loop was embedded in a conditional:\n%s", lang.Format(merged))
+			}
+		}
+	}
+	if top != 1 {
+		t.Errorf("want the loop once after the conditional, found %d top-level loops:\n%s", top, lang.Format(merged))
+	}
+	if err := Verify([]*lang.Program{p1, p2}, merged, paperLib(), nil, pairInputs(12), false); err != nil {
+		t.Fatalf("%v\n%s", err, lang.Format(merged))
+	}
+}
+
+// TestEmbedLoopFreeRest: a loop-free p2 related to p1's final conditional
+// is still embedded in both arms (If 4).
+func TestEmbedLoopFreeRest(t *testing.T) {
+	p1 := lang.MustParse(`
+func p1(a, b) {
+  if (f(a) > 10) { notify 1 (b > 3); } else { notify 1 (b > 7); }
+}`)
+	p2 := lang.MustParse(`func p2(a, b) { notify 2 (f(a) > b + 20); }`)
+	merged, co := mustPair(t, p1, p2)
+	if s := co.Stats(); s.If4 == 0 {
+		t.Errorf("want If 4, got %+v:\n%s", s, lang.Format(merged))
+	}
+	if top := lang.Flatten(merged.Body); len(top) != 1 {
+		t.Errorf("want p2 inside the conditional's arms, found %d top-level statements:\n%s", len(top), lang.Format(merged))
+	}
+	if err := Verify([]*lang.Program{p1, p2}, merged, paperLib(), nil, pairInputs(12), false); err != nil {
 		t.Fatalf("%v\n%s", err, lang.Format(merged))
 	}
 }

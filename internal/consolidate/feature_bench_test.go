@@ -119,7 +119,7 @@ func BenchmarkFeatureKeys(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fs := t.featuresOfStmts(ss)
+			fs, _, _ := t.featuresOfStmts(ss)
 			if len(fs) == 0 {
 				b.Fatal("no features")
 			}
@@ -131,8 +131,9 @@ func BenchmarkFeatureKeys(b *testing.B) {
 // the legacy text keys the way Ω uses related(): on pairs of one fragment
 // from each of two programs whose locals are renamed apart, every span of
 // one or two statements of the first against every such span of the
-// second. Both extractions must give the same feature counts, and related()
-// must agree with text-key intersection; both verdicts must occur.
+// second. Both extractions must give the same feature counts, the walk's
+// node count and loop flag must match lang.Size and lang.CountNodes, and
+// related() must agree with text-key intersection; both verdicts must occur.
 func TestFeatureKeysMatchLegacy(t *testing.T) {
 	p1, p2 := benchStmts("", 0), benchStmts("$2", 2)
 	tab := newFeatTab()
@@ -153,8 +154,17 @@ func TestFeatureKeysMatchLegacy(t *testing.T) {
 				for k := range textA {
 					want = want || textB[k]
 				}
-				fa, fb := tab.featuresOfStmts(a), tab.featuresOfStmts(b)
+				fa, sizeA, loopsA := tab.featuresOfStmts(a)
+				fb, _, _ := tab.featuresOfStmts(b)
 				span := fmt.Sprintf("spans [%d,%d) x [%d,%d)", lo1, lo1+w, lo2, lo2+w)
+				wantSize, wantLoops := 0, false
+				for _, s := range a {
+					wantSize += lang.Size(s)
+					wantLoops = wantLoops || lang.CountNodes[lang.While](s) > 0
+				}
+				if sizeA != wantSize || loopsA != wantLoops {
+					t.Fatalf("%s: size/loops %d/%v, want %d/%v", span, sizeA, loopsA, wantSize, wantLoops)
+				}
 				if len(fa) != len(textA) || len(fb) != len(textB) {
 					t.Fatalf("%s: feature counts diverge: %d/%d vs %d/%d", span, len(fa), len(textA), len(fb), len(textB))
 				}
