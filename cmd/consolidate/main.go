@@ -116,7 +116,7 @@ func main() {
 			ms.Rules.If1, ms.Rules.If2, ms.Rules.If3, ms.Rules.If4, ms.Rules.If5,
 			ms.Rules.Loop2, ms.Rules.Loop3, ms.Rules.LoopsSequential, ms.Rules.AssignsSimplified)
 		fmt.Fprintf(os.Stderr, "SMT queries: %d   cache hit-rate: %.1f%%   output size: %d AST nodes\n",
-			ms.SMTQueries, ms.CacheHitRate()*100, ms.OutputSize)
+			ms.SMTQueries, ms.CacheHitRate*100, ms.OutputSize)
 		fmt.Fprintf(os.Stderr, "solver: %d theory checks, %d pivots, %d/%d probes answered, %d unknowns\n",
 			ms.Solver.TheoryChecks, ms.Solver.Pivots, ms.Solver.ProbesAnswered, ms.Solver.Probes, ms.Solver.Unknowns)
 		fmt.Fprintf(os.Stderr, "SMT cache: %d entries, %d lookups, %d hits (%d renamed), %d stores, %d evictions, %d contended locks\n",

@@ -42,7 +42,7 @@ type outcome struct {
 	domain, family string
 	many, cons     engine.Result // verdict rows dropped once compared (agree)
 	consolidate    time.Duration // compile time of the merged program
-	hit            float64       // share of its SMT queries the cache answered
+	hit            float64       // share of its SMT cache lookups that hit
 	// udf is the paper's dark bar, the ratio of UDF execution times; cost the
 	// same ratio in the abstract cost units of Figure 2; total the light bar,
 	// the whole job with consolidation time included.
@@ -114,7 +114,7 @@ func run(domain, family string, n int, scale float64, seed int64, workers int) (
 	}
 	o := &outcome{
 		domain: domain, family: family, many: *many, cons: cons.Result,
-		consolidate: cons.ConsolidateTime, hit: cons.Multi.CacheHitRate(),
+		consolidate: cons.ConsolidateTime, hit: cons.Multi.CacheHitRate,
 		udf:   ratio(float64(many.UDFTime), float64(cons.UDFTime)),
 		cost:  ratio(float64(many.UDFCost), float64(cons.UDFCost)),
 		total: ratio(float64(many.TotalTime), float64(cons.TotalTime+cons.ConsolidateTime)),

@@ -38,15 +38,11 @@ type MultiStats struct {
 	// caller supplied the cache (or a solver), counters are cumulative
 	// over that cache's lifetime, not just this run.
 	Cache smt.CacheStats
-}
-
-// CacheHitRate is the fraction of this run's SMT queries answered by the
-// shared cache, in [0,1].
-func (ms *MultiStats) CacheHitRate() float64 {
-	if ms.Solver.Queries == 0 {
-		return 0
-	}
-	return float64(ms.Solver.CacheHits) / float64(ms.Solver.Queries)
+	// CacheHitRate is the share of this run's lookups in the shared SMT
+	// cache that hit, in [0,1]: the difference of the cache's counters at
+	// the run's end and start, so a cache shared across runs still reports
+	// this run alone.
+	CacheHitRate float64
 }
 
 // VerbatimFallbacks counts Ω fuel exhaustions across all pairs: each one
@@ -382,6 +378,11 @@ func build(leaves []Leaf, opts Options, mode leafMode, workers int, memo *Memo, 
 	if opts.Solver == nil && opts.Cache == nil {
 		opts.Cache = smt.NewCache(0)
 	}
+	cache := opts.Cache
+	if opts.Solver != nil {
+		cache = opts.Solver.Cache()
+	}
+	pre := cache.Stats()
 	b := &builder{leaves: leaves, opts: opts, mode: mode, memo: memo, tree: tree,
 		ms: &MultiStats{Programs: len(leaves)}}
 	if workers > 1 {
@@ -415,10 +416,9 @@ func build(leaves []Leaf, opts Options, mode leafMode, workers int, memo *Memo, 
 	ms := b.ms
 	ms.Duration = time.Since(start)
 	ms.OutputSize = lang.Size(out.Body)
-	if opts.Solver != nil {
-		ms.Cache = opts.Solver.Cache().Stats()
-	} else {
-		ms.Cache = opts.Cache.Stats()
+	ms.Cache = cache.Stats()
+	if lk := ms.Cache.Lookups - pre.Lookups; lk > 0 {
+		ms.CacheHitRate = float64(ms.Cache.Hits-pre.Hits) / float64(lk)
 	}
 	return out, ms, nil
 }

@@ -211,7 +211,7 @@ func TestSharedCacheCrossPairHits(t *testing.T) {
 	if ms.Solver.CacheHits == 0 {
 		t.Fatalf("no cross-pair cache hits: %+v", ms.Solver)
 	}
-	if hr := ms.CacheHitRate(); hr <= 0 || hr > 1 {
+	if hr := ms.CacheHitRate; hr <= 0 || hr > 1 {
 		t.Fatalf("cache hit-rate %v out of range", hr)
 	}
 	if ms.Cache.Lookups == 0 || ms.Cache.Stores == 0 {

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"consolidation/internal/consolidate"
 	"consolidation/internal/lang"
+	"consolidation/internal/shard"
 )
 
 // toyData is a minimal RecordLibrary: records are integers; val(r) returns
@@ -183,6 +185,44 @@ func TestRuntimeErrorPropagates(t *testing.T) {
 	if _, err := WhereMany(d, udfs, Options{}); err == nil {
 		t.Error("runtime library error must propagate")
 	}
+}
+
+// TestMaxStepsStopsLongLoops runs UDFs whose loop takes 10⁵ iterations
+// under MaxSteps = 1000 through every operator: each must fail with the
+// VM's loop error. The loop is finite, so an operator that dropped the
+// bound would finish and fail the test rather than hang it.
+func TestMaxStepsStopsLongLoops(t *testing.T) {
+	var udfs []*lang.Program
+	for i, k := range []int64{10, 30} {
+		udfs = append(udfs, lang.MustParse(fmt.Sprintf(
+			"func s%d(r) { i := 0; while (i < 100000) { i := i + 1; } v := val(r); notify 1 (v + i < %d); }", i, 100000+k)))
+	}
+	opts := Options{Workers: 1, MaxSteps: 1000}
+	const want = "lang: loop exceeded 1000 iterations"
+	check := func(op string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", op, err, want)
+		}
+	}
+	_, err := WhereMany(toy(20), udfs, opts)
+	check("WhereMany", err)
+	_, err = WhereConsolidated(toy(20), udfs, consolidate.Options{}, opts)
+	check("WhereConsolidated", err)
+	sh, err := shard.New(shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range udfs {
+		if _, err := sh.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sh.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = WhereSharded(toy(20), sh, opts)
+	check("WhereSharded", err)
 }
 
 // multiSiteUDFs build programs that each broadcast the SAME id from two

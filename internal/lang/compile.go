@@ -89,55 +89,38 @@ const (
 	vAddSI   // frame slot a = slot c + imm; `x := y + k` and `x := y - k` (imm = -k)
 	// Guarded-move chain: a maximal run of `if (d OP s) { d := s; }` (max
 	// form) or `if (s OP d) { d := s; }` (min form) sharing the source slot
-	// a, with the destinations at chain[b : b+c]. The tests are folded into
-	// the segment weight; each taken arm charges Var + Assign as it runs.
-	vMaxLt // d := s when d < s, for each destination d
-	vMaxLe // d := s when d <= s
-	vMinLt // d := s when s < d
-	vMinLe // d := s when s <= d
+	// a, with the destinations at chain[b : b+c]; imm = 1 makes OP ≤, 0
+	// makes it <. The tests are folded into the segment weight; each taken
+	// arm charges Var + Assign as it runs.
+	vMaxLt // d := s when d < s (d <= s), for each destination d
+	vMinLt // d := s when s < d (s <= d)
 	// Fused cond-notify: `if (test) { notify q v } else { notify q !v }`
-	// is branchless — note slot a = (slot c OP imm), with polarity folded
-	// into the comparison (both arms cost the same, so the merged
-	// straight-line charge is exact).
-	vNtLtVI // note a = (slot c < imm)
-	vNtLtIV // note a = (imm < slot c)
-	vNtLeVI // note a = (slot c <= imm)
-	vNtLeIV // note a = (imm <= slot c)
-	vNtEqVI // note a = (slot c == imm)
-	vNtNeVI // note a = (slot c != imm)
+	// with test comparing slot c against imm is branchless — note slot a
+	// takes bit 0, 1 or 2 of the truth table b as slot c is <, = or > imm
+	// (both arms cost the same, so the merged straight-line charge is
+	// exact).
+	vNtCmp
 	// Fused test-and-branch: evaluate the comparison, jump by b when it is
 	// false. V?I forms compare frame slot a against imm (IV is the constant
-	// on the left); VV forms compare frame slots a and c.
-	vJFLtVI // if !(slot a < imm)     { pc += b }
-	vJFLtIV // if !(imm < slot a)     { pc += b }
-	vJFLtVV // if !(slot a < slot c)  { pc += b }
-	vJFLeVI // if !(slot a <= imm)    { pc += b }
-	vJFLeIV // if !(imm <= slot a)    { pc += b }
-	vJFLeVV // if !(slot a <= slot c) { pc += b }
-	vJFEqVI // if !(slot a == imm)    { pc += b }
-	vJFEqVV // if !(slot a == slot c) { pc += b }
+	// on the left); vJFLtVV compares frame slots a and c. They close the
+	// list: isJump tests op >= vJFLtVI.
+	vJFLtVI // if !(slot a < imm)    { pc += b }
+	vJFLtIV // if !(imm < slot a)    { pc += b }
+	vJFLtVV // if !(slot a < slot c) { pc += b }
+	vJFLeVI // if !(slot a <= imm)   { pc += b }
+	vJFLeIV // if !(imm <= slot a)   { pc += b }
+	vJFEqVI // if !(slot a == imm)   { pc += b }
 )
 
 // isJump reports whether op transfers control by a relative offset in b;
 // foldCosts uses it to find basic-block leaders.
 func isJump(op vmOp) bool {
-	switch op {
-	case vJmp, vJmpIfFalse,
-		vJFLtVI, vJFLtIV, vJFLtVV, vJFLeVI, vJFLeIV, vJFLeVV, vJFEqVI, vJFEqVV:
-		return true
-	}
-	return false
+	return op == vJmp || op == vJmpIfFalse || op >= vJFLtVI
 }
 
 // isNotify reports whether op stamps a notification cost; foldCosts breaks
 // cost segments after each one so the stamps stay exact.
-func isNotify(op vmOp) bool {
-	switch op {
-	case vNotify, vNtLtVI, vNtLtIV, vNtLeVI, vNtLeIV, vNtEqVI, vNtNeVI:
-		return true
-	}
-	return false
-}
+func isNotify(op vmOp) bool { return op == vNotify || op == vNtCmp }
 
 // Compile lowers p to flat bytecode, resolving variables to frame slots,
 // library calls to function indices, and notification ids to dense note
@@ -338,9 +321,10 @@ func (c *Compiled) lowerStmt(s Stmt) error {
 
 // lowerTestJmp lowers a cond/while test followed by a jump-if-false with an
 // unpatched offset, returning the jump's index for patching. Comparisons of
-// variables against constants or other variables — the dominant test shape
-// in merged programs — fuse into a single test-and-branch instruction;
-// anything else takes the generic register path.
+// a variable against a constant, and `u < v` over two variables — the
+// dominant test shapes in merged programs — fuse into a single
+// test-and-branch instruction; anything else takes the generic register
+// path.
 func (c *Compiled) lowerTestJmp(test BoolExpr) (int, error) {
 	if t, ok := test.(Cmp); ok {
 		if j, fused := c.tryFuseCmpJmp(t); fused {
@@ -353,12 +337,15 @@ func (c *Compiled) lowerTestJmp(test BoolExpr) (int, error) {
 	return c.emit(instr{op: vJmpIfFalse, a: 0}), nil
 }
 
-// tryFuseNotifyPair lowers `if (v OP const) { notify q x } else
-// { notify q !x }` — the dominant leaf shape of merged programs — to a
-// single branchless cond-notify instruction. Valid because both arms charge
-// identical cost (test + branch + notify), so the straight-line fold is
-// byte-identical; a then-arm notifying false folds the negation into the
-// comparison (¬(a<b) ⇔ b≤a).
+// tryFuseNotifyPair lowers `if (v OP k) { notify q x } else
+// { notify q !x }` and `if (k OP v) ...`, with v a variable and k a
+// constant — the dominant leaf shape of merged programs — to a single
+// branchless vNtCmp. Valid because both arms charge identical cost (test +
+// branch + notify), so the straight-line fold is byte-identical. The
+// operand b is the note's value as a truth table over v < k, v = k and
+// v > k (bits 0, 1 and 2): the operator gives the table of v OP k, a
+// constant on the left swaps the < and > bits, and a then-arm notifying
+// false inverts every bit.
 func (c *Compiled) tryFuseNotifyPair(t Cond) bool {
 	thenS := Flatten(t.Then)
 	elseS := Flatten(t.Else)
@@ -374,56 +361,22 @@ func (c *Compiled) tryFuseNotifyPair(t Cond) bool {
 	if !ok {
 		return false
 	}
-	var slot int32
-	var imm int64
-	var shapeVI bool
-	if v, okV := cmp.L.(Var); okV {
-		k, okC := cmp.R.(IntConst)
-		if !okC {
+	table := [...]int32{Lt: 0b001, Eq: 0b010, Le: 0b011}[cmp.Op]
+	v, okV := cmp.L.(Var)
+	k, okC := cmp.R.(IntConst)
+	if !okV || !okC {
+		if v, okV = cmp.R.(Var); !okV {
 			return false
 		}
-		slot, imm, shapeVI = int32(c.slot(v.Name)), k.Value, true
-	} else if k, okC := cmp.L.(IntConst); okC {
-		v, okV := cmp.R.(Var)
-		if !okV {
+		if k, okC = cmp.L.(IntConst); !okC {
 			return false
 		}
-		slot, imm, shapeVI = int32(c.slot(v.Name)), k.Value, false
-	} else {
-		return false
+		table = table&0b010 | table>>2 | table&0b001<<2
 	}
-	negate := !tn.Value // note value is ¬test when the then-arm notifies false
-	var op vmOp
-	switch {
-	case cmp.Op == Lt && shapeVI:
-		op = vNtLtVI // v < k
-		if negate {
-			op = vNtLeIV // ¬(v<k) ⇔ k≤v
-		}
-	case cmp.Op == Lt && !shapeVI:
-		op = vNtLtIV // k < v
-		if negate {
-			op = vNtLeVI // ¬(k<v) ⇔ v≤k
-		}
-	case cmp.Op == Le && shapeVI:
-		op = vNtLeVI // v ≤ k
-		if negate {
-			op = vNtLtIV // ¬(v≤k) ⇔ k<v
-		}
-	case cmp.Op == Le && !shapeVI:
-		op = vNtLeIV // k ≤ v
-		if negate {
-			op = vNtLtVI // ¬(k≤v) ⇔ v<k
-		}
-	case cmp.Op == Eq:
-		op = vNtEqVI
-		if negate {
-			op = vNtNeVI
-		}
-	default:
-		return false
+	if !tn.Value {
+		table ^= 0b111
 	}
-	c.emit(instr{op: op, a: int32(c.noteSlot(tn.ID)), c: slot, imm: imm})
+	c.emit(instr{op: vNtCmp, a: int32(c.noteSlot(tn.ID)), b: table, c: int32(c.slot(v.Name)), imm: k.Value})
 	return true
 }
 
@@ -515,22 +468,21 @@ func (c *Compiled) tryFuseMoveChain(stmts []Stmt) int {
 		}
 		c.chain = append(c.chain, int32(c.slot(g.dst)))
 	}
-	op := vMaxLt
-	switch {
-	case first.min && first.op == Le:
-		op = vMinLe
-	case first.min:
+	op, le := vMaxLt, int64(0)
+	if first.min {
 		op = vMinLt
-	case first.op == Le:
-		op = vMaxLe
 	}
-	c.emit(instr{op: op, a: int32(c.slot(first.src)), b: int32(off), c: int32(n)})
+	if first.op == Le {
+		le = 1
+	}
+	c.emit(instr{op: op, a: int32(c.slot(first.src)), b: int32(off), c: int32(n), imm: le})
 	return n
 }
 
-// tryFuseCmpJmp emits a fused test-and-branch for Var/IntConst comparison
-// shapes. Operand evaluation order (left before right) is preserved so
-// unbound-variable errors surface in the interpreter's order.
+// tryFuseCmpJmp emits a fused test-and-branch for a comparison of a
+// variable against a constant, or for `u < v` over two variables. Operand
+// evaluation order (left before right) is preserved so unbound-variable
+// errors surface in the interpreter's order.
 func (c *Compiled) tryFuseCmpJmp(t Cmp) (int, bool) {
 	lv, lVar := t.L.(Var)
 	lc, lConst := t.L.(IntConst)
@@ -555,15 +507,8 @@ func (c *Compiled) tryFuseCmpJmp(t Cmp) (int, bool) {
 			op = vJFLeIV
 		}
 		return c.emit(instr{op: op, a: int32(c.slot(rv.Name)), imm: lc.Value}), true
-	case lVar && rVar:
-		op := vJFLtVV
-		switch t.Op {
-		case Eq:
-			op = vJFEqVV
-		case Le:
-			op = vJFLeVV
-		}
-		return c.emit(instr{op: op, a: int32(c.slot(lv.Name)), c: int32(c.slot(rv.Name))}), true
+	case lVar && rVar && t.Op == Lt:
+		return c.emit(instr{op: vJFLtVV, a: int32(c.slot(lv.Name)), c: int32(c.slot(rv.Name))}), true
 	}
 	return 0, false
 }

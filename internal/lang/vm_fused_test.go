@@ -92,11 +92,30 @@ func (s *byteSource) stmt(depth int) Stmt {
 	case 5:
 		return Assign{Var: s.local(), E: IntConst{int64(s.pick(13)) - 4}}
 	case 6:
-		id := s.pick(3)
+		// One byte picks the note id, the constant's side and the
+		// then-arm's polarity; its value mod 3 is the id alone.
+		shape := s.pick(12)
+		id := shape % 3
 		test := Cmp{Op: CmpOp(s.pick(3)), L: Var{s.variable()}, R: IntConst{int64(s.pick(9)) - 2}}
-		return Cond{Test: test, Then: Notify{ID: id, Value: true}, Else: Notify{ID: id, Value: false}}
+		if shape/3%2 == 1 {
+			test.L, test.R = test.R, test.L
+		}
+		v := shape < 6
+		return Cond{Test: test, Then: Notify{ID: id, Value: v}, Else: Notify{ID: id, Value: !v}}
 	default:
-		test := Cmp{Op: CmpOp(s.pick(3)), L: Var{s.variable()}, R: Var{s.variable()}}
+		// One byte picks the operator (its value mod 3) and whether the
+		// test compares two variables, a variable and a constant, or a
+		// constant and a variable; a constant takes a variable's byte.
+		shape := s.pick(9)
+		test := Cmp{Op: CmpOp(shape % 3), L: Var{s.variable()}}
+		if shape < 3 {
+			test.R = Var{s.variable()}
+		} else {
+			test.R = IntConst{int64(s.pick(len(fusedVars))) - 2}
+		}
+		if shape >= 6 {
+			test.L, test.R = test.R, test.L
+		}
 		if depth == 0 {
 			return Cond{Test: test, Then: s.stmt(0), Else: Skip{}}
 		}
@@ -122,6 +141,26 @@ func decodeFused(data []byte) *Program {
 func FuzzVMMatchesInterp(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x05\x04\x01\x02\x03\x04\x05\x00\x00"))
+	// One seed per orientation of the tests: byte 6 opens a cond-notify
+	// (shape, operator, variable, constant), byte 7 a conditional (shape,
+	// variable, variable or constant, then each arm) and byte 5 a constant
+	// assignment (variable, constant). Operators are 0 <, 1 =, 2 ≤.
+	for _, seed := range [][]byte{
+		// if (2 OP r) { notify j true } else { notify j false }
+		{6, 3, 0, 0, 4, 6, 4, 1, 0, 4, 6, 5, 2, 0, 4},
+		// if (r OP 2) { notify j false } else { notify j true }
+		{6, 6, 0, 0, 4, 6, 7, 1, 0, 4, 6, 8, 2, 0, 4},
+		// if (2 OP r) { notify j false } else { notify j true }
+		{6, 9, 0, 0, 4, 6, 10, 1, 0, 4, 6, 11, 2, 0, 4},
+		// if (r OP 3) { a := 5 } else { b := -2 }, then a test of a
+		{7, 3, 0, 5, 5, 0, 9, 5, 1, 2, 7, 4, 0, 5, 5, 0, 9, 5, 1, 2, 7, 5, 0, 5, 5, 0, 9, 5, 1, 2, 6, 0, 0, 1, 4},
+		// if (3 OP r) { a := 5 } else { b := -2 }, then a test of a
+		{7, 6, 0, 5, 5, 0, 9, 5, 1, 2, 7, 7, 0, 5, 5, 0, 9, 5, 1, 2, 7, 8, 0, 5, 5, 0, 9, 5, 1, 2, 6, 0, 0, 1, 4},
+		// if (r OP a) over two variables, for each operator
+		{5, 0, 6, 7, 0, 0, 1, 5, 1, 9, 5, 2, 2, 7, 1, 0, 1, 5, 1, 9, 5, 2, 2, 7, 2, 0, 1, 5, 1, 9, 5, 2, 2},
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			return

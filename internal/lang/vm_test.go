@@ -192,10 +192,12 @@ func TestFusedShapesLower(t *testing.T) {
 		{`func k2(r) { if (a < l) { a := l; } if (a < k) { a := k; } if (a <= k) { a := k; } if (k < a) { a := k; } }`, 4},
 		{`func k3(r) { if (a < l) { a := l; } i := i + 1; if (b < l) { b := l; } }`, 3},
 		// Not chains: a non-empty else-arm, a source that is also a
-		// destination, an equality test, a constant source.
+		// destination, an equality test, a constant source. A test of two
+		// variables fuses only for <; == takes two loads, vEq and
+		// vJmpIfFalse.
 		{`func k4(r) { if (a < l) { a := l; } else { a := 0; } }`, 6},
 		{`func k5(r) { if (a < a) { a := a; } }`, 4},
-		{`func k6(r) { if (a == l) { a := l; } }`, 4},
+		{`func k6(r) { if (a == l) { a := l; } }`, 7},
 		{`func k7(r) { if (a < 3) { a := 3; } }`, 4},
 		// x := y ± k and f(u, v) are one instruction each; k + y and y * k
 		// are not fused.

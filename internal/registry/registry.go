@@ -94,10 +94,6 @@ type BuildStats struct {
 	// BuildTime is the whole rebuild, guard synthesis included; the
 	// embedded Duration is the merge tree's alone.
 	BuildTime time.Duration
-	// CacheHitRate is the shared SMT cache's hit rate during this build's
-	// merges, read off the cache's counters; it shadows the embedded
-	// MultiStats.CacheHitRate method.
-	CacheHitRate float64
 	// PrefilterTime is the time guard synthesis took (zero when disabled);
 	// GuardTrivial reports whether it degraded to the admit-all guard and
 	// GuardCost the static per-record cost of the synthesized guard.
@@ -168,8 +164,7 @@ type Stats struct {
 // safe for concurrent use. Programs handed to Add must not be mutated
 // afterwards.
 type Registry struct {
-	opts  Options
-	cache *smt.Cache
+	opts Options
 
 	mu           sync.Mutex     // guards the fields below
 	entries      []PendingQuery // slot order; the surviving set
@@ -206,7 +201,6 @@ func New(opts Options) (*Registry, error) {
 	}
 	r := &Registry{
 		opts:   opts,
-		cache:  opts.Consolidate.Cache,
 		slotOf: map[QueryID]int{},
 		memo:   consolidate.NewMemo(),
 	}
@@ -382,7 +376,6 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 	} else {
 		// The guard is re-synthesized on every rebuild: it is only
 		// meaningful for the exact Merged it was derived from.
-		pre := r.cache.Stats()
 		plan, err := consolidate.Prepare(leavesOf(ents), r.opts.Consolidate, r.opts.Workers, r.memo, r.opts.Prefilter)
 		if err != nil {
 			r.mu.Lock()
@@ -392,11 +385,6 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 		}
 		snap.Plan = *plan
 		bs.MultiStats = *plan.Multi
-		// Cache is the shared cache as the merge left it, before guard
-		// synthesis queried it.
-		if lk := bs.Cache.Lookups - pre.Lookups; lk > 0 {
-			bs.CacheHitRate = float64(bs.Cache.Hits-pre.Hits) / float64(lk)
-		}
 		if plan.Guard != nil {
 			bs.PrefilterTime = plan.PrefilterTime
 			bs.GuardTrivial = plan.Guard.Trivial
