@@ -599,14 +599,14 @@ const (
 	featCall feature = 1 // call instance or bare function; id indexes featTab.keys
 )
 
-// featureSet abstracts a code fragment for the related() heuristic.
-// Precision matters: a feature is a specific call instance — the function
-// name plus those arguments that are constants or parameters (variable
-// arguments are wildcarded) — so that tempOfMonth(r, 3) relates to
-// tempOfMonth(r, 3) but not to tempOfMonth(r, 7). Calls with non-constant
-// arguments (loop indices) fall back to the bare function name, which is
-// what lets loop bodies relate for fusion. Call-free fragments use the
-// variables they read.
+// featureSet abstracts a code fragment for the related() heuristic: one
+// feature per variable the fragment reads and one per call instance.
+// Precision matters: a call instance is the function name plus every
+// argument, a constant by its value and a variable by its name, so that
+// tempOfMonth(r, 3) relates to tempOfMonth(r, 3) but not to
+// tempOfMonth(r, 7). Only a call with a compound argument, such as
+// tempOfMonth(r, m + 12), falls back to the bare function name (key
+// fn:tempOfMonth).
 type featureSet map[feature]bool
 
 // featTab interns feature identities for one Consolidator. Variable names

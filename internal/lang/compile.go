@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Compiled is a program lowered to a flat bytecode form: one dense []instr
@@ -44,6 +45,12 @@ type Compiled struct {
 	// chain is the flat destination-slot table of the guarded-move chain
 	// instructions; each one holds an offset (b) and a length (c) into it.
 	chain []int32
+	// assigned is lowering state, the must-be-bound set: assigned[s] holds
+	// when every path from entry to the statement being lowered binds slot
+	// s. Fused ops read only such slots, with no unbound check; an operand
+	// outside it sends the statement down the generic path, whose vLoad is
+	// the one checking read. Compile drops it when lowering ends.
+	assigned []bool
 }
 
 // instr is one bytecode instruction. Operand meaning depends on op:
@@ -60,7 +67,7 @@ type vmOp uint8
 const (
 	vIntConst   vmOp = iota // regs[a] = imm
 	vBoolConst              // regs[a] = imm (0/1); separate cost class
-	vLoad                   // regs[a] = frame slot b (unbound check)
+	vLoad                   // regs[a] = frame slot b; the one read that checks it is bound
 	vStore                  // frame slot a = regs[b]
 	vAdd                    // regs[a] = regs[b] + regs[c]
 	vSub                    // regs[a] = regs[b] - regs[c]
@@ -82,11 +89,14 @@ const (
 	// compare a variable against a constant or another variable). Each
 	// carries the summed Figure 2 cost of the instructions it replaces, so
 	// folding yields byte-identical cost accounting with fewer dispatches.
+	// Each reads only slots Compile proves bound, and checks nothing.
 	vCallS   // frame slot a = funcs[b](regs[c:c+imm]); carries the Assign cost
 	vCallSV  // frame slot a = funcs[b](slot c); one-variable argument list
 	vCallSVI // frame slot a = funcs[b](slot c, imm); the dominant call shape
 	vCallSVV // frame slot a = funcs[b](slot c, slot imm)
-	vAddSI   // frame slot a = slot c + imm; `x := y + k` and `x := y - k` (imm = -k)
+	vAddSI   // frame slot a = slot b + imm; `x := y + k` and `x := y - k` (imm = -k)
+	vAddSS   // frame slot a = slot b + slot c; `x := y + z`
+	vMAddSS  // frame slot a = slot b + slot c * slot imm; `x := y + z*w`
 	// Guarded-move chain: a maximal run of `if (d OP s) { d := s; }` (max
 	// form) or `if (s OP d) { d := s; }` (min form) sharing the source slot
 	// a, with the destinations at chain[b : b+c]; imm = 1 makes OP ≤, 0
@@ -133,11 +143,12 @@ func Compile(p *Program) (*Compiled, error) {
 		noteOf: map[int]int{},
 	}
 	for _, prm := range p.Params {
-		c.slot(prm)
+		c.bind(c.slot(prm))
 	}
 	if err := c.lowerStmt(p.Body); err != nil {
 		return nil, err
 	}
+	c.assigned = nil
 	return c, nil
 }
 
@@ -186,6 +197,26 @@ func (c *Compiled) slot(name string) int {
 	return s
 }
 
+// bind records that every path to the current lowering point binds slot s.
+func (c *Compiled) bind(s int) {
+	for len(c.assigned) <= s {
+		c.assigned = append(c.assigned, false)
+	}
+	c.assigned[s] = true
+}
+
+// bound reports whether every path to the current lowering point binds
+// each named variable, so a fused op may read it unchecked.
+func (c *Compiled) bound(names ...string) bool {
+	for _, n := range names {
+		s, ok := c.slotOf[n]
+		if !ok || s >= len(c.assigned) || !c.assigned[s] {
+			return false
+		}
+	}
+	return true
+}
+
 func (c *Compiled) funcIndex(name string) int {
 	if i, ok := c.funcOf[name]; ok {
 		return i
@@ -228,50 +259,10 @@ func (c *Compiled) lowerStmt(s Stmt) error {
 	for i := 0; i < len(stmts); i++ {
 		switch t := stmts[i].(type) {
 		case Assign:
-			if c.tryFuseAddImm(t) {
-				continue
-			}
-			if call, ok := t.E.(Call); ok {
-				// Fuse the dominant assignment form: bind the call result
-				// straight to the frame slot, skipping the register round
-				// trip. f(v), f(v, const) and f(u, v) argument lists — the
-				// shapes query UDFs overwhelmingly use — fuse the argument
-				// evaluation in as well.
-				fi := int32(c.funcIndex(call.Func))
-				dst := int32(c.slot(t.Var))
-				if len(call.Args) == 1 {
-					if av, ok := call.Args[0].(Var); ok {
-						c.emit(instr{op: vCallSV, a: dst, b: fi, c: int32(c.slot(av.Name))})
-						continue
-					}
-				}
-				if len(call.Args) == 2 {
-					av, okV := call.Args[0].(Var)
-					ac, okC := call.Args[1].(IntConst)
-					if okV && okC {
-						c.emit(instr{op: vCallSVI, a: dst, b: fi, c: int32(c.slot(av.Name)), imm: ac.Value})
-						continue
-					}
-					bv, okW := call.Args[1].(Var)
-					if okV && okW {
-						u := int32(c.slot(av.Name))
-						c.emit(instr{op: vCallSVV, a: dst, b: fi, c: u, imm: int64(c.slot(bv.Name))})
-						continue
-					}
-				}
-				for i, a := range call.Args {
-					if err := c.lowerInt(a, i); err != nil {
-						return err
-					}
-				}
-				c.useRegs(len(call.Args))
-				c.emit(instr{op: vCallS, a: dst, b: fi, c: 0, imm: int64(len(call.Args))})
-				continue
-			}
-			if err := c.lowerInt(t.E, 0); err != nil {
+			if err := c.lowerAssign(t); err != nil {
 				return err
 			}
-			c.emit(instr{op: vStore, a: int32(c.slot(t.Var)), b: 0})
+			c.bind(c.slot(t.Var))
 		case Notify:
 			val := int32(0)
 			if t.Value {
@@ -290,16 +281,27 @@ func (c *Compiled) lowerStmt(s Stmt) error {
 			if err != nil {
 				return err
 			}
+			before := slices.Clone(c.assigned)
 			if err := c.lowerStmt(t.Then); err != nil {
 				return err
 			}
+			then := c.assigned
+			c.assigned = before
 			j := c.emit(instr{op: vJmp})
 			c.patch(jf) // else starts here
 			if err := c.lowerStmt(t.Else); err != nil {
 				return err
 			}
 			c.patch(j)
+			// What both arms bind stays bound.
+			for s := range c.assigned {
+				c.assigned[s] = c.assigned[s] && s < len(then) && then[s]
+			}
 		case While:
+			// The test and the body start from what is bound before the
+			// loop, and so does everything after it: the body may run
+			// zero times.
+			before := slices.Clone(c.assigned)
 			head := len(c.code)
 			c.emit(instr{op: vStep})
 			jf, err := c.lowerTestJmp(t.Test)
@@ -312,11 +314,71 @@ func (c *Compiled) lowerStmt(s Stmt) error {
 			back := c.emit(instr{op: vJmp})
 			c.code[back].b = int32(head - back)
 			c.patch(jf)
+			c.assigned = before
 		default:
 			return fmt.Errorf("lang: cannot compile %T", t)
 		}
 	}
 	return nil
+}
+
+// lowerAssign lowers `x := e`. A call result goes straight to the frame
+// slot, skipping the register round trip, and f(v), f(v, const) and
+// f(u, v) over bound variables — the argument lists query UDFs
+// overwhelmingly use — fuse the argument reads in as well.
+func (c *Compiled) lowerAssign(t Assign) error {
+	if c.tryFuseAdd(t) {
+		return nil
+	}
+	dst := int32(c.slot(t.Var))
+	call, ok := t.E.(Call)
+	if !ok {
+		if err := c.lowerInt(t.E, 0); err != nil {
+			return err
+		}
+		c.emit(instr{op: vStore, a: dst, b: 0})
+		return nil
+	}
+	fi := int32(c.funcIndex(call.Func))
+	if in, ok := c.fuseCallArgs(call.Args); ok {
+		in.a, in.b = dst, fi
+		c.emit(in)
+		return nil
+	}
+	for i, a := range call.Args {
+		if err := c.lowerInt(a, i); err != nil {
+			return err
+		}
+	}
+	c.useRegs(len(call.Args))
+	c.emit(instr{op: vCallS, a: dst, b: fi, c: 0, imm: int64(len(call.Args))})
+	return nil
+}
+
+// fuseCallArgs picks the fused call op for an argument list of a bound
+// variable u alone, then a constant or a bound variable, and fills in its
+// argument operands.
+func (c *Compiled) fuseCallArgs(args []IntExpr) (instr, bool) {
+	if len(args) == 0 || len(args) > 2 {
+		return instr{}, false
+	}
+	u, ok := args[0].(Var)
+	if !ok || !c.bound(u.Name) {
+		return instr{}, false
+	}
+	in := instr{op: vCallSV, c: int32(c.slot(u.Name))}
+	if len(args) == 1 {
+		return in, true
+	}
+	switch w := args[1].(type) {
+	case IntConst:
+		in.op, in.imm = vCallSVI, w.Value
+		return in, true
+	case Var:
+		in.op, in.imm = vCallSVV, int64(c.slot(w.Name))
+		return in, c.bound(w.Name)
+	}
+	return instr{}, false
 }
 
 // lowerTestJmp lowers a cond/while test followed by a jump-if-false with an
@@ -373,6 +435,9 @@ func (c *Compiled) tryFuseNotifyPair(t Cond) bool {
 		}
 		table = table&0b010 | table>>2 | table&0b001<<2
 	}
+	if !c.bound(v.Name) {
+		return false
+	}
 	if !tn.Value {
 		table ^= 0b111
 	}
@@ -380,25 +445,43 @@ func (c *Compiled) tryFuseNotifyPair(t Cond) bool {
 	return true
 }
 
-// tryFuseAddImm lowers `x := y + k` and `x := y - k` — loop counters and
-// offsets — to one slot-to-slot add; subtraction adds -k, which wraps
-// exactly as y - k does.
-func (c *Compiled) tryFuseAddImm(t Assign) bool {
-	b, ok := t.E.(BinInt)
-	if !ok || b.Op == Mul {
+// tryFuseAdd lowers three add shapes over bound variables to one
+// slot-to-slot instruction each: `x := y + k` and `x := y - k` (loop
+// counters and offsets; subtraction adds -k, which wraps exactly as y - k
+// does), and the sum-chain updates `x := y + z` and `x := y + z*w`.
+func (c *Compiled) tryFuseAdd(t Assign) bool {
+	e, ok := t.E.(BinInt)
+	if !ok || e.Op == Mul {
 		return false
 	}
-	y, okV := b.L.(Var)
-	k, okC := b.R.(IntConst)
-	if !okV || !okC {
+	y, ok := e.L.(Var)
+	if !ok || !c.bound(y.Name) {
 		return false
 	}
-	imm := k.Value
-	if b.Op == Sub {
-		imm = -imm
+	in := instr{b: int32(c.slot(y.Name))}
+	switch r := e.R.(type) {
+	case IntConst:
+		in.op, in.imm = vAddSI, r.Value
+		if e.Op == Sub {
+			in.imm = -r.Value
+		}
+	case Var:
+		if e.Op == Sub || !c.bound(r.Name) {
+			return false
+		}
+		in.op, in.c = vAddSS, int32(c.slot(r.Name))
+	case BinInt:
+		z, okZ := r.L.(Var)
+		w, okW := r.R.(Var)
+		if e.Op == Sub || r.Op != Mul || !okZ || !okW || !c.bound(z.Name, w.Name) {
+			return false
+		}
+		in.op, in.c, in.imm = vMAddSS, int32(c.slot(z.Name)), int64(c.slot(w.Name))
+	default:
+		return false
 	}
-	src := int32(c.slot(y.Name))
-	c.emit(instr{op: vAddSI, a: int32(c.slot(t.Var)), c: src, imm: imm})
+	in.a = int32(c.slot(t.Var))
+	c.emit(in)
 	return true
 }
 
@@ -452,18 +535,18 @@ func asGuardedMove(st Stmt) (guardedMove, bool) {
 // tryFuseMoveChain lowers the maximal run of guarded moves at the head of
 // stmts that share one source, one operator and one orientation to a
 // single chain instruction, and reports how many statements it consumed
-// (0 when stmts does not start with a guarded move). The source is never a
-// destination, so it stays bound and unchanged across the run.
+// (0 when stmts does not start with a guarded move over bound variables).
+// The source is never a destination, so it stays unchanged across the run.
 func (c *Compiled) tryFuseMoveChain(stmts []Stmt) int {
 	first, ok := asGuardedMove(stmts[0])
-	if !ok {
+	if !ok || !c.bound(first.src, first.dst) {
 		return 0
 	}
 	off := len(c.chain)
 	n := 0
 	for ; n < len(stmts); n++ {
 		g, ok := asGuardedMove(stmts[n])
-		if !ok || g.src != first.src || g.op != first.op || g.min != first.min {
+		if !ok || g.src != first.src || g.op != first.op || g.min != first.min || !c.bound(g.dst) {
 			break
 		}
 		c.chain = append(c.chain, int32(c.slot(g.dst)))
@@ -479,17 +562,15 @@ func (c *Compiled) tryFuseMoveChain(stmts []Stmt) int {
 	return n
 }
 
-// tryFuseCmpJmp emits a fused test-and-branch for a comparison of a
-// variable against a constant, or for `u < v` over two variables. Operand
-// evaluation order (left before right) is preserved so unbound-variable
-// errors surface in the interpreter's order.
+// tryFuseCmpJmp emits a fused test-and-branch for a comparison of a bound
+// variable against a constant, or for `u < v` over two bound variables.
 func (c *Compiled) tryFuseCmpJmp(t Cmp) (int, bool) {
 	lv, lVar := t.L.(Var)
 	lc, lConst := t.L.(IntConst)
 	rv, rVar := t.R.(Var)
 	rc, rConst := t.R.(IntConst)
 	switch {
-	case lVar && rConst:
+	case lVar && rConst && c.bound(lv.Name):
 		op := vJFLtVI
 		switch t.Op {
 		case Eq:
@@ -498,7 +579,7 @@ func (c *Compiled) tryFuseCmpJmp(t Cmp) (int, bool) {
 			op = vJFLeVI
 		}
 		return c.emit(instr{op: op, a: int32(c.slot(lv.Name)), imm: rc.Value}), true
-	case lConst && rVar:
+	case lConst && rVar && c.bound(rv.Name):
 		op := vJFLtIV
 		switch t.Op {
 		case Eq:
@@ -507,7 +588,7 @@ func (c *Compiled) tryFuseCmpJmp(t Cmp) (int, bool) {
 			op = vJFLeIV
 		}
 		return c.emit(instr{op: op, a: int32(c.slot(rv.Name)), imm: lc.Value}), true
-	case lVar && rVar && t.Op == Lt:
+	case lVar && rVar && t.Op == Lt && c.bound(lv.Name, rv.Name):
 		return c.emit(instr{op: vJFLtVV, a: int32(c.slot(lv.Name)), c: int32(c.slot(rv.Name))}), true
 	}
 	return 0, false

@@ -68,9 +68,9 @@ func TestCompiledMaxSteps(t *testing.T) {
 func TestCompiledReuseAcrossRuns(t *testing.T) {
 	// Frames are reset between runs: a variable defined in run 1 must not
 	// leak into run 2. x and y are bound by the fused slot-writing ops
-	// (x := r + 4, y := g(r, x)) and read after the branch by a
-	// guarded-move chain, so run 2 must fail on x exactly as the
-	// interpreter does.
+	// (x := r + 4, y := g(r, x)) in one arm only, so the guarded move
+	// after the branch takes the generic, checking path, and run 2 must
+	// fail on x exactly as the interpreter does.
 	p := MustParse(`
 func l(r) {
   m := 0;

@@ -160,6 +160,10 @@ func (r *Runner) instrCost(in *instr) int64 {
 		return 2*r.cm.Var + r.callCost[in.b] + r.cm.Assign
 	case vAddSI:
 		return r.cm.Var + r.cm.IntConst + r.cm.Arith + r.cm.Assign
+	case vAddSS:
+		return 2*r.cm.Var + r.cm.Arith + r.cm.Assign
+	case vMAddSS:
+		return 3*r.cm.Var + 2*r.cm.Arith + r.cm.Assign
 	case vMaxLt, vMinLt:
 		// Every element's test and branch; taken arms charge as they run.
 		return int64(in.c) * (2*r.cm.Var + r.cm.Cmp + r.cm.Branch)
@@ -329,6 +333,8 @@ func (r *Runner) Note(id int) (value, notified bool) {
 // frame, cost and step count stay in Runner fields rather than locals: Go's
 // calling convention saves no registers across the library calls, and
 // locals that live across them measured slower than the field accesses.
+// Only vLoad checks that the slot it reads is bound this run: every fused
+// op reads slots Compile proved bound on every path (Compiled.assigned).
 func (r *Runner) exec() error {
 	c := r.c
 	code := r.code
@@ -343,7 +349,7 @@ func (r *Runner) exec() error {
 			regs[in.a] = in.imm
 		case vLoad:
 			if r.slotGen[in.b] != gen {
-				return r.unboundErr(in.b)
+				return fmt.Errorf("lang: unbound variable %q", c.nameOf[in.b])
 			}
 			regs[in.a] = r.slots[in.b]
 		case vStore:
@@ -383,9 +389,6 @@ func (r *Runner) exec() error {
 			r.slots[in.a] = v
 			r.slotGen[in.a] = gen
 		case vCallSV:
-			if r.slotGen[in.c] != gen {
-				return r.unboundErr(in.c)
-			}
 			r.argBuf[0] = r.slots[in.c]
 			v, err := r.callFn[in.b](r.argBuf[:1])
 			if err != nil {
@@ -394,9 +397,6 @@ func (r *Runner) exec() error {
 			r.slots[in.a] = v
 			r.slotGen[in.a] = gen
 		case vCallSVI:
-			if r.slotGen[in.c] != gen {
-				return r.unboundErr(in.c)
-			}
 			r.argBuf[0] = r.slots[in.c]
 			r.argBuf[1] = in.imm
 			v, err := r.callFn[in.b](r.argBuf[:2])
@@ -406,15 +406,8 @@ func (r *Runner) exec() error {
 			r.slots[in.a] = v
 			r.slotGen[in.a] = gen
 		case vCallSVV:
-			u, w := in.c, int32(in.imm)
-			if r.slotGen[u] != gen {
-				return r.unboundErr(u)
-			}
-			if r.slotGen[w] != gen {
-				return r.unboundErr(w)
-			}
-			r.argBuf[0] = r.slots[u]
-			r.argBuf[1] = r.slots[w]
+			r.argBuf[0] = r.slots[in.c]
+			r.argBuf[1] = r.slots[in.imm]
 			v, err := r.callFn[in.b](r.argBuf[:2])
 			if err != nil {
 				return err
@@ -422,29 +415,20 @@ func (r *Runner) exec() error {
 			r.slots[in.a] = v
 			r.slotGen[in.a] = gen
 		case vAddSI:
-			if r.slotGen[in.c] != gen {
-				return r.unboundErr(in.c)
-			}
-			r.slots[in.a] = r.slots[in.c] + in.imm
+			r.slots[in.a] = r.slots[in.b] + in.imm
+			r.slotGen[in.a] = gen
+		case vAddSS:
+			r.slots[in.a] = r.slots[in.b] + r.slots[in.c]
+			r.slotGen[in.a] = gen
+		case vMAddSS:
+			r.slots[in.a] = r.slots[in.b] + r.slots[in.c]*r.slots[in.imm]
 			r.slotGen[in.a] = gen
 		case vMaxLt:
-			// The first test reads its destination, then the source; later
-			// tests read only their destination (the source is bound and
-			// never a destination). A repeated destination reads the value
-			// an earlier element moved into it.
-			dsts := chain[in.b : in.b+in.c]
-			if r.slotGen[dsts[0]] != gen {
-				return r.unboundErr(dsts[0])
-			}
-			if r.slotGen[in.a] != gen {
-				return r.unboundErr(in.a)
-			}
+			// The source is never a destination; a repeated destination
+			// reads the value an earlier element moved into it.
 			s, le := r.slots[in.a], in.imm != 0
 			var moved int64
-			for _, d := range dsts {
-				if r.slotGen[d] != gen {
-					return r.unboundErr(d)
-				}
+			for _, d := range chain[in.b : in.b+in.c] {
 				if v := r.slots[d]; v < s || (v == s && le) {
 					r.slots[d] = s
 					moved++
@@ -452,16 +436,9 @@ func (r *Runner) exec() error {
 			}
 			r.cost += moved * r.moveCost
 		case vMinLt:
-			// As above, except the first test reads the source first.
-			if r.slotGen[in.a] != gen {
-				return r.unboundErr(in.a)
-			}
 			s, le := r.slots[in.a], in.imm != 0
 			var moved int64
 			for _, d := range chain[in.b : in.b+in.c] {
-				if r.slotGen[d] != gen {
-					return r.unboundErr(d)
-				}
 				if v := r.slots[d]; s < v || (s == v && le) {
 					r.slots[d] = s
 					moved++
@@ -475,47 +452,26 @@ func (r *Runner) exec() error {
 				pc += int(in.b) - 1
 			}
 		case vJFLtVI:
-			if r.slotGen[in.a] != gen {
-				return r.unboundErr(in.a)
-			}
 			if r.slots[in.a] >= in.imm {
 				pc += int(in.b) - 1
 			}
 		case vJFLtIV:
-			if r.slotGen[in.a] != gen {
-				return r.unboundErr(in.a)
-			}
 			if in.imm >= r.slots[in.a] {
 				pc += int(in.b) - 1
 			}
 		case vJFLtVV:
-			if r.slotGen[in.a] != gen {
-				return r.unboundErr(in.a)
-			}
-			if r.slotGen[in.c] != gen {
-				return r.unboundErr(in.c)
-			}
 			if r.slots[in.a] >= r.slots[in.c] {
 				pc += int(in.b) - 1
 			}
 		case vJFLeVI:
-			if r.slotGen[in.a] != gen {
-				return r.unboundErr(in.a)
-			}
 			if r.slots[in.a] > in.imm {
 				pc += int(in.b) - 1
 			}
 		case vJFLeIV:
-			if r.slotGen[in.a] != gen {
-				return r.unboundErr(in.a)
-			}
 			if in.imm > r.slots[in.a] {
 				pc += int(in.b) - 1
 			}
 		case vJFEqVI:
-			if r.slotGen[in.a] != gen {
-				return r.unboundErr(in.a)
-			}
 			if r.slots[in.a] != in.imm {
 				pc += int(in.b) - 1
 			}
@@ -528,9 +484,6 @@ func (r *Runner) exec() error {
 			r.noteVal[k] = in.b != 0
 			r.noteCost[k] = r.cost
 		case vNtCmp:
-			if r.slotGen[in.c] != gen {
-				return r.unboundErr(in.c)
-			}
 			// b is the note's truth table over v < imm, v = imm and
 			// v > imm; a switch on it measured faster than extracting the
 			// bit with a variable shift.
@@ -565,10 +518,6 @@ func (r *Runner) exec() error {
 		}
 	}
 	return nil
-}
-
-func (r *Runner) unboundErr(slot int32) error {
-	return fmt.Errorf("lang: unbound variable %q", r.c.nameOf[slot])
 }
 
 func b2i(b bool) int64 {

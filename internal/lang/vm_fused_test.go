@@ -43,12 +43,34 @@ func guardedMoves(src string, dsts []string, op CmpOp, min bool) []Stmt {
 	return out
 }
 
+// read decodes one fused shape that reads x: f(x), y + x*z, a
+// cond-notify on x, or a guarded move with x as its source or its
+// destination.
+func (s *byteSource) read(x string) Stmt {
+	switch s.pick(5) {
+	case 0:
+		return Assign{Var: s.local(), E: Call{Func: "f", Args: []IntExpr{Var{x}}}}
+	case 1:
+		return Assign{Var: s.local(), E: BinInt{Op: Add, L: Var{s.variable()}, R: BinInt{Op: Mul, L: Var{x}, R: Var{s.variable()}}}}
+	case 2:
+		return Cond{Test: Cmp{Op: Lt, L: Var{x}, R: IntConst{2}}, Then: Notify{ID: 3, Value: true}, Else: Notify{ID: 3, Value: false}}
+	case 3:
+		return SeqOf(guardedMoves(x, []string{s.local()}, Lt, false)...)
+	default:
+		return SeqOf(guardedMoves(s.variable(), []string{x}, Le, true)...)
+	}
+}
+
 // stmt decodes one statement from the fused shapes: guarded-move runs of
-// either form and operator, x := y ± k, one- and two-variable calls,
-// constants, counted loops (nested up to depth), notifications and plain
-// conditionals.
+// either form and operator, x := y ± k, x := y + z and x := y + z*w,
+// one- and two-variable calls, constants, counted loops (nested up to
+// depth), notifications and plain conditionals. Cases 8 to 10 aim at the
+// must-be-bound analysis: operands read before they are bound, a variable
+// bound in one arm only and then read, and a loop body that reads a
+// variable before it binds it. A wrong "bound" verdict there reads a stale
+// slot of the previous run, which diffProgram's reused runner exposes.
 func (s *byteSource) stmt(depth int) Stmt {
-	switch s.pick(8) {
+	switch s.pick(11) {
 	case 0, 1:
 		src := s.variable()
 		dsts := make([]string, 1+s.pick(5))
@@ -102,7 +124,7 @@ func (s *byteSource) stmt(depth int) Stmt {
 		}
 		v := shape < 6
 		return Cond{Test: test, Then: Notify{ID: id, Value: v}, Else: Notify{ID: id, Value: !v}}
-	default:
+	case 7:
 		// One byte picks the operator (its value mod 3) and whether the
 		// test compares two variables, a variable and a constant, or a
 		// constant and a variable; a constant takes a variable's byte.
@@ -120,6 +142,27 @@ func (s *byteSource) stmt(depth int) Stmt {
 			return Cond{Test: test, Then: s.stmt(0), Else: Skip{}}
 		}
 		return Cond{Test: test, Then: s.stmt(depth - 1), Else: s.stmt(depth - 1)}
+	case 8:
+		var sum IntExpr = Var{s.variable()}
+		if s.pick(2) == 1 {
+			sum = BinInt{Op: Mul, L: sum, R: Var{s.variable()}}
+		}
+		return Assign{Var: s.local(), E: BinInt{Op: Add, L: Var{s.variable()}, R: sum}}
+	case 9:
+		x := s.local()
+		test := Cmp{Op: Lt, L: Var{"r"}, R: IntConst{int64(s.pick(9)) - 4}}
+		return SeqOf(Cond{Test: test, Then: Assign{Var: x, E: Var{"r"}}, Else: s.stmt(0)}, s.read(x))
+	default:
+		x, ctr := s.local(), s.local()
+		body := SeqOf(
+			s.read(x),
+			Assign{Var: x, E: BinInt{Op: Add, L: Var{ctr}, R: IntConst{1}}},
+			Assign{Var: ctr, E: BinInt{Op: Add, L: Var{ctr}, R: IntConst{1}}},
+		)
+		return SeqOf(
+			Assign{Var: ctr, E: IntConst{0}},
+			While{Test: Cmp{Op: Lt, L: Var{ctr}, R: IntConst{int64(s.pick(4))}}, Body: body},
+		)
 	}
 }
 
@@ -158,6 +201,20 @@ func FuzzVMMatchesInterp(f *testing.F) {
 		{7, 6, 0, 5, 5, 0, 9, 5, 1, 2, 7, 7, 0, 5, 5, 0, 9, 5, 1, 2, 7, 8, 0, 5, 5, 0, 9, 5, 1, 2, 6, 0, 0, 1, 4},
 		// if (r OP a) over two variables, for each operator
 		{5, 0, 6, 7, 0, 0, 1, 5, 1, 9, 5, 2, 2, 7, 1, 0, 1, 5, 1, 9, 5, 2, 2, 7, 2, 0, 1, 5, 1, 9, 5, 2, 2},
+		// Byte 8 opens x := y + z or y + z*w (z, a multiply byte, w, x, y):
+		// after b := 5, a := b + r*r and c := a + b read bound operands,
+		// and after a cond-notify on c, d := a + l reads an unbound l.
+		{5, 1, 9, 8, 0, 1, 0, 0, 2, 8, 2, 0, 2, 1, 6, 0, 0, 3, 4, 8, 5, 0, 3, 1},
+		// Byte 9 opens if (r < k) { x := r } else { S }, then a read of x
+		// (x, k, S, the read): f(a) after an else that binds b; b*r after
+		// one that binds a; a cond-notify on c, bound in both arms; a move
+		// from d; a move into l.
+		{9, 0, 6, 5, 1, 9, 0, 2, 9, 1, 6, 5, 0, 9, 1, 3, 0, 0, 9, 2, 6, 5, 2, 9, 2,
+			9, 3, 6, 5, 0, 9, 3, 0, 9, 4, 6, 5, 0, 9, 4, 0},
+		// Byte 10 opens i := 0; while (i < k) { read x; x := i + 1; i := i + 1 }
+		// (x, i, the read, k): a loop that runs zero times, a := 5, a loop
+		// reading a bound before it, then one reading b bound only in its body.
+		{10, 0, 5, 0, 1, 0, 5, 0, 9, 10, 0, 5, 0, 1, 3, 10, 1, 5, 0, 2, 2},
 	} {
 		f.Add(seed)
 	}
@@ -242,13 +299,33 @@ func accumulatorLoop(k int) string {
 	return b.String()
 }
 
-// BenchmarkRunnerAccumulatorLoop times one run of the fused accumulator
-// loop (64 iterations) for k = 1, 8 and 32 accumulators; steady state
-// allocates nothing.
-func BenchmarkRunnerAccumulatorLoop(b *testing.B) {
+// sumLoop is Ω's fused sum loop over k queries, stock Q3's shape: one
+// shared call per iteration, the first query's updates s0 := s0 + c and
+// q0 := q0 + c*c, the increment, then the other k-1 queries' updates.
+func sumLoop(k int) string {
+	var b strings.Builder
+	b.WriteString("func sum(r) {\n  n := f(r); i := 0;\n")
+	for j := 0; j < k; j++ {
+		fmt.Fprintf(&b, "  s%d := 0; q%d := %d;\n", j, j, j)
+	}
+	b.WriteString("  while (i < n) {\n    c := g(r, i);\n    s0 := s0 + c;\n    q0 := q0 + c * c;\n    i := i + 1;\n")
+	for j := 1; j < k; j++ {
+		fmt.Fprintf(&b, "    s%d := s%d + c;\n    q%d := q%d + c * c;\n", j, j, j, j)
+	}
+	b.WriteString("  }\n")
+	for j := 0; j < k; j++ {
+		fmt.Fprintf(&b, "  notify %d (s%d < q%d);\n", j, j, j)
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// benchmarkLoop times one run of a generated loop program (64 iterations)
+// for k = 1, 8 and 32 queries; steady state allocates nothing.
+func benchmarkLoop(b *testing.B, loop func(k int) string) {
 	for _, k := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			rn := NewRunner(MustCompile(MustParse(accumulatorLoop(k))), testLib())
+			rn := NewRunner(MustCompile(MustParse(loop(k))), testLib())
 			if err := rn.BeginBatch1(); err != nil {
 				b.Fatal(err)
 			}
@@ -262,3 +339,9 @@ func BenchmarkRunnerAccumulatorLoop(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunnerAccumulatorLoop times the fused max-accumulator loop.
+func BenchmarkRunnerAccumulatorLoop(b *testing.B) { benchmarkLoop(b, accumulatorLoop) }
+
+// BenchmarkRunnerSumLoop times the fused sum loop.
+func BenchmarkRunnerSumLoop(b *testing.B) { benchmarkLoop(b, sumLoop) }

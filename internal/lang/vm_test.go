@@ -1,12 +1,14 @@
 package lang
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 // vmPrograms exercise every lowering path: plain expressions, the fused
-// call shapes f(v) / f(v, const) / f(u, v), `x := y ± k`, fused
+// call shapes f(v) / f(v, const) / f(u, v), `x := y ± k`, the sum-chain
+// updates `x := y + z` and `x := y + z*w`, fused
 // var-vs-const tests in cond and while, fused cond-notify pairs (both
 // polarities), var-vs-var tests, notify runs inside branches, and
 // guarded-move chains of both forms and operators.
@@ -98,6 +100,18 @@ var vmPrograms = []string{
 	   }
 	   notify 1 (a == b); notify 2 (c > 6);
 	 }`,
+	// The fused sum loop: one shared call, then s := s + c and
+	// q := q + c*c per query on either side of the increment.
+	`func c11(r) {
+	   n := r + 4; i := 0; s := 0; q := 0; t := 1; u := 0;
+	   while (i < n) {
+	     c := g(r, i);
+	     s := s + c; q := q + c * c;
+	     i := i + 1;
+	     t := t + c; u := u + c * c;
+	   }
+	   notify 1 (q - s * s > 10); notify 2 (u < t);
+	 }`,
 }
 
 // diffOne runs p under both executors across a range of inputs and fails on
@@ -178,31 +192,44 @@ func primeCostModel() *CostModel {
 
 // TestFusedShapesLower pins how far the fused shapes lower, as instruction
 // counts: a regression to the unfused forms shows up here before it shows
-// up as time.
+// up as time. Operands are parameters, so every read is proven bound and
+// the count measures the fusion alone.
 func TestFusedShapesLower(t *testing.T) {
 	cases := []struct {
 		src  string
 		want int
 	}{
 		// A run of five guarded moves is one instruction.
-		{`func k0(r) { if (a < l) { a := l; } if (b < l) { b := l; } if (a < l) { a := l; } if (c < l) { c := l; } if (d < l) { d := l; } }`, 1},
-		{`func k1(r) { if (l <= a) { a := l; } if (l <= b) { b := l; } }`, 1},
+		{`func k0(a, b, c, d, l) { if (a < l) { a := l; } if (b < l) { b := l; } if (a < l) { a := l; } if (c < l) { c := l; } if (d < l) { d := l; } }`, 1},
+		{`func k1(a, b, l) { if (l <= a) { a := l; } if (l <= b) { b := l; } }`, 1},
 		// Each change of source, operator or orientation starts a new run;
 		// so does any other statement.
-		{`func k2(r) { if (a < l) { a := l; } if (a < k) { a := k; } if (a <= k) { a := k; } if (k < a) { a := k; } }`, 4},
-		{`func k3(r) { if (a < l) { a := l; } i := i + 1; if (b < l) { b := l; } }`, 3},
+		{`func k2(a, k, l) { if (a < l) { a := l; } if (a < k) { a := k; } if (a <= k) { a := k; } if (k < a) { a := k; } }`, 4},
+		{`func k3(a, b, i, l) { if (a < l) { a := l; } i := i + 1; if (b < l) { b := l; } }`, 3},
 		// Not chains: a non-empty else-arm, a source that is also a
 		// destination, an equality test, a constant source. A test of two
 		// variables fuses only for <; == takes two loads, vEq and
 		// vJmpIfFalse.
-		{`func k4(r) { if (a < l) { a := l; } else { a := 0; } }`, 6},
-		{`func k5(r) { if (a < a) { a := a; } }`, 4},
-		{`func k6(r) { if (a == l) { a := l; } }`, 7},
-		{`func k7(r) { if (a < 3) { a := 3; } }`, 4},
+		{`func k4(a, l) { if (a < l) { a := l; } else { a := 0; } }`, 6},
+		{`func k5(a) { if (a < a) { a := a; } }`, 4},
+		{`func k6(a, l) { if (a == l) { a := l; } }`, 7},
+		{`func k7(a) { if (a < 3) { a := 3; } }`, 4},
 		// x := y ± k and f(u, v) are one instruction each; k + y and y * k
 		// are not fused.
 		{`func k8(r) { x := r + 1; y := x - 2; z := g(x, y); }`, 3},
 		{`func k9(r) { x := 1 + r; y := r * 2; }`, 8},
+		// The sum-chain updates are one instruction each; y - z and
+		// y + z*k are not fused.
+		{`func k10(s, t, q, c) { s := s + t; q := q + c * c; }`, 2},
+		{`func k11(s, t, c) { s := s - t; s := s + c * 2; }`, 10},
+		// An operand that may be unbound takes the generic path, whose
+		// vLoad checks it: a chain destination or source (7 each, as k6),
+		// y in y + k and in r + y (4 each), the second argument of f(u, v)
+		// (3), and a conditional on two variables and a cond-notify (7
+		// each).
+		{`func k12(a) { if (a < l) { a := l; } if (m < a) { m := a; } }`, 14},
+		{`func k13(r) { x := y + 1; x := r + y; x := g(r, y); }`, 11},
+		{`func k14(r) { if (r < y) { x := r; } if (y < 0) { notify 1 true; } else { notify 1 false; } }`, 14},
 	}
 	for _, tc := range cases {
 		c := MustCompile(MustParse(tc.src))
@@ -212,13 +239,63 @@ func TestFusedShapesLower(t *testing.T) {
 	}
 }
 
+// TestBoundAnalysisPicksLowering pins, case by case, whether the
+// must-be-bound analysis lets a shape fuse, and diffs each program against
+// the interpreter under both cost models. The runner is reused across
+// inputs, so a fused read of a slot some path leaves unbound would see the
+// previous run's value and diverge.
+func TestBoundAnalysisPicksLowering(t *testing.T) {
+	cases := []struct {
+		src   string
+		op    vmOp
+		fused bool
+	}{
+		{`func b0(r) { x := f(r); }`, vCallSV, true},
+		{`func b1(r) { x := f(y); y := r; }`, vCallSV, false},
+		// A variable bound in one arm only, then in both.
+		{`func b2(r) { if (r < 2) { x := r; } y := x + 1; notify 1 (y > 0); }`, vAddSI, false},
+		{`func b2e(r) { if (r < 2) { notify 2 true; } else { x := r; } y := x + 1; notify 1 (y > 0); }`, vAddSI, false},
+		{`func b3(r) { if (r < 2) { x := r; } else { x := 0 - r; } y := x + 1; notify 1 (y > 0); }`, vAddSI, true},
+		{`func b4(r) { if (r < 2) { x := r; } else { notify 2 true; } notify 1 (x < 1); }`, vNtCmp, false},
+		// A loop body that reads x before it binds it, with x unbound and
+		// bound before the loop; x read after a loop that alone binds it.
+		{`func b5(r) { i := 0; while (i < r) { y := f(x); x := i; i := i + 1; } }`, vCallSV, false},
+		{`func b6(r) { x := r; i := 0; while (i < 3) { y := f(x); x := i; i := i + 1; } }`, vCallSV, true},
+		{`func b7(r) { i := 0; while (i < r) { x := i; i := i + 1; } notify 1 (x < 3); }`, vNtCmp, false},
+		{`func b8(r) { i := 0; while (j < r) { j := i; i := i + 1; } }`, vJFLtVV, false},
+		{`func b9(r) { i := 0; while (i < r) { j := i; i := i + 1; } }`, vJFLtVV, true},
+		// The sum chains, with z read before and after it is bound.
+		{`func b10(r) { s := r; if (r < 0) { t := 1; } s := s + t; notify 1 (s > 0); }`, vAddSS, false},
+		{`func b11(r) { s := r; t := f(r); s := s + t; notify 1 (s > 0); }`, vAddSS, true},
+		{`func b12(r) { q := r; if (0 < r) { c := r; } q := q + c * c; notify 1 (q > 9); }`, vMAddSS, false},
+		{`func b13(r) { q := r; c := g(r, 1); q := q + c * c; notify 1 (q > 9); }`, vMAddSS, true},
+		// A chain whose source, then whose destination, one arm binds.
+		{`func b14(r) { m := 0; if (r < 3) { l := r; } if (m < l) { m := l; } notify 1 (m < 2); }`, vMaxLt, false},
+		{`func b15(r) { l := r; if (r < 3) { m := 0; } if (l < m) { m := l; } notify 1 (m < 2); }`, vMinLt, false},
+		{`func b16(r) { l := r; if (r < 3) { m := 0; } else { m := 5; } if (l < m) { m := l; } notify 1 (m < 2); }`, vMinLt, true},
+		{`func b17(r) { if (r < 3) { u := r; } x := g(r, u); }`, vCallSVV, false},
+		{`func b18(r) { if (u < 3) { x := 1; } }`, vJFLtVI, false},
+	}
+	for _, tc := range cases {
+		p := MustParse(tc.src)
+		c := MustCompile(p)
+		if got := slices.ContainsFunc(c.code, func(in instr) bool { return in.op == tc.op }); got != tc.fused {
+			t.Errorf("%s: emits op %d: %v, want %v", p.Name, tc.op, got, tc.fused)
+		}
+		diffProgram(t, p, nil)
+		diffProgram(t, p, primeCostModel())
+	}
+}
+
 func TestVMUnboundVariableNamesVariable(t *testing.T) {
 	lib := testLib()
-	// Shapes that read an unbound variable: a plain load, a fused test, a
-	// fused cond-notify, y in x := y ± k, either argument of f(u, v), and
-	// every read of a guarded-move chain. All must name the variable
-	// exactly as the interpreter does, and the first unbound read in the
-	// interpreter's order is the one named (ghost is unbound too).
+	// Shapes that read an unbound variable: a plain load, and the shapes
+	// that fuse over bound operands — a test, a cond-notify, y in
+	// x := y ± k, either argument of f(u, v), and every read of a
+	// guarded-move chain. Fused ops read only proven-bound slots, so each
+	// of these takes the generic path, and its vLoad must name the
+	// variable exactly as the interpreter does: the first unbound read in
+	// the interpreter's order (ghost is unbound too).
 	srcs := []string{
 		`func u0(r) { x := mystery + 1; notify 1 (x > 0); }`,
 		`func u1(r) { if (mystery < 5) { notify 1 true; } else { notify 1 false; notify 2 true; } }`,
@@ -421,7 +498,7 @@ func TestRunDense1ZeroAlloc(t *testing.T) {
 // RunDense performs no per-run allocations, guarded-move chains included.
 func TestVMZeroAllocSteadyState(t *testing.T) {
 	lib := testLib()
-	for _, src := range append(vmPrograms[:len(vmPrograms):len(vmPrograms)], accumulatorLoop(8)) {
+	for _, src := range append(vmPrograms[:len(vmPrograms):len(vmPrograms)], accumulatorLoop(8), sumLoop(8)) {
 		p := MustParse(src)
 		rn := NewRunner(MustCompile(p), lib)
 		rn.MaxSteps = 1000
