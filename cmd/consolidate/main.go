@@ -117,8 +117,9 @@ func main() {
 			ms.Rules.Loop2, ms.Rules.Loop3, ms.Rules.LoopsSequential, ms.Rules.AssignsSimplified)
 		fmt.Fprintf(os.Stderr, "SMT queries: %d   cache hit-rate: %.1f%%   output size: %d AST nodes\n",
 			ms.SMTQueries, ms.CacheHitRate*100, ms.OutputSize)
-		fmt.Fprintf(os.Stderr, "solver: %d theory checks, %d pivots, %d/%d probes answered, %d unknowns\n",
-			ms.Solver.TheoryChecks, ms.Solver.Pivots, ms.Solver.ProbesAnswered, ms.Solver.Probes, ms.Solver.Unknowns)
+		fmt.Fprintf(os.Stderr, "solver: %d theory checks, %d pivots, %d/%d probes answered, %d unknowns, %d lemma hits, %d capped cores\n",
+			ms.Solver.TheoryChecks, ms.Solver.Pivots, ms.Solver.ProbesAnswered, ms.Solver.Probes, ms.Solver.Unknowns,
+			ms.Solver.LemmaHits, ms.Solver.CoreCapped)
 		fmt.Fprintf(os.Stderr, "SMT cache: %d entries, %d lookups, %d hits (%d renamed), %d stores, %d evictions, %d contended locks\n",
 			ms.Cache.Entries, ms.Cache.Lookups, ms.Cache.Hits, ms.Cache.Renamed, ms.Cache.Stores, ms.Cache.Evictions, ms.Cache.Contended)
 		seq := cost.Sequential(progs, nil, nil)

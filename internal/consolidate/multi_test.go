@@ -124,6 +124,43 @@ func TestWarmRunPaysUnknownsOnce(t *testing.T) {
 	}
 }
 
+// TestWarmCacheServesLemmas: the DPLL(T) loop's theory checks and their
+// minimized cores are lemmas in the shared cache. News Mix consolidated
+// twice on one cache must merge byte for byte as on a fresh cache; the
+// second run re-runs its boolean queries' lazy loops (their verdicts stay
+// private to the solving contexts) but takes their theory checks from the
+// cache.
+func TestWarmCacheServesLemmas(t *testing.T) {
+	progs, err := queries.Gen("news", "Mix", 12, 20140609)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _, err := All(progs, DefaultOptions(), true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Cache = smt.NewCache(0)
+	cold, cms, err := All(progs, opts, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, wms, err := All(progs, opts, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lang.Format(fresh)
+	if lang.Format(cold) != want || lang.Format(warm) != want {
+		t.Error("a build on a shared cache merged differently from a build on a fresh one")
+	}
+	if wms.Solver.LemmaHits == 0 || wms.Solver.TheoryChecks >= cms.Solver.TheoryChecks {
+		t.Errorf("warm build: %d theory checks and %d lemma hits, cold build %d theory checks; want fewer checks, answered by lemmas",
+			wms.Solver.TheoryChecks, wms.Solver.LemmaHits, cms.Solver.TheoryChecks)
+	}
+	t.Logf("theory checks: cold %d, warm %d (%d lemma hits, %d capped cores)",
+		cms.Solver.TheoryChecks, wms.Solver.TheoryChecks, wms.Solver.LemmaHits, wms.Solver.CoreCapped)
+}
+
 // TestPrunedChecksAreCachedAndDeterministic covers Infer's
 // counterexample pruning — in the loop-entry filter and in Houdini's
 // rounds — on the merge-loops program set (weather Q3 × 6, stock Q3 × 4)

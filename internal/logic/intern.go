@@ -713,6 +713,15 @@ func (in *Interner) MkAnd(kids []NodeID) NodeID {
 	return in.internComposite(KAnd, 0, kids)
 }
 
+// MkNot interns the negation node over an already-interned formula kid.
+func (in *Interner) MkNot(kid NodeID) NodeID {
+	base := len(in.kidsBuf)
+	in.kidsBuf = append(in.kidsBuf, kid)
+	id := in.internComposite(KNot, 0, in.kidsBuf[base:])
+	in.kidsBuf = in.kidsBuf[:base]
+	return id
+}
+
 // ---- accessors ----
 
 // Hash returns the node's structural hash (stable across interners and

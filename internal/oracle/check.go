@@ -511,8 +511,9 @@ func CheckInterner(seed int64) *Failure {
 // every Unsat the stateless solver left open, must survive the brute-force
 // search. The verdict is asserted cold, after a memo hit (also through
 // CheckAssumingModel, which brings no assignment with an Unsat), after
-// retraction and re-expansion, under a starved budget (against a stateless
-// solver at the same budget), and after a rebind back to full budgets.
+// retraction and re-expansion, on a second context over the first one's
+// warm cache, under a starved budget (against a stateless solver at the
+// same budget), and after a rebind back to full budgets.
 func CheckSMTContext(seed int64) *Failure {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := seedGenConfig(seed)
@@ -558,12 +559,28 @@ func CheckSMTContext(seed int64) *Failure {
 	want := fresh.Check(composed)
 
 	ctx := smt.NewSolvingContext()
-	ctx.BeginRun(smt.New())
+	cold := smt.New()
+	ctx.BeginRun(cold)
 	aids := assertAll(ctx)
 	cone := func() []int { return aids }
 	got := ctx.CheckAssuming(aids, goal, cone)
 	if f := agree("cold check", got, want, composed); f != nil {
 		return f
+	}
+	// Warm cache: the cold check left its lazy loop's theory checks in the
+	// cache as lemmas, with their minimized cores. A new context over that
+	// cache reaches the same verdict and, unless the cache answers the query
+	// itself, the same SAT iterations with no theory check of its own.
+	warm := smt.NewWithCache(cold.Cache())
+	warmCtx := smt.NewSolvingContext()
+	warmCtx.BeginRun(warm)
+	warmAids := assertAll(warmCtx)
+	if again := warmCtx.CheckAssuming(warmAids, goal, func() []int { return warmAids }); again != got {
+		return fail("warm cache: verdict %v, cold %v", again, got)
+	}
+	if st := warm.Stats; st.CacheHits == 0 && (st.SatIters != cold.Stats.SatIters || st.TheoryChecks != 0) {
+		return fail("warm cache: %d SAT iterations and %d theory checks, cold %d iterations with every lemma cached",
+			st.SatIters, st.TheoryChecks, cold.Stats.SatIters)
 	}
 	if want != smt.Unknown {
 		if f := refute("cold check", got, composed); f != nil {

@@ -53,6 +53,14 @@ import (
 // and are shared). Verdicts stored by checks that did not ask carry none
 // and do not answer one that does.
 //
+// The DPLL(T) loop's theory checks are entries too (Solver.lazy): keyed by
+// the conjunction of the literals a boolean model assigns, in atom
+// variable order, they hold the check's verdict and, for an Unsat, its
+// minimized conflict core as positions in that list. Such a lemma is true
+// of its list whatever search proposed it, so unlike a warm instance's
+// verdict it is published. Lemma lookups are not counted as lookups or
+// hits: those count queries.
+//
 // The zero Cache is not usable; construct with NewCache.
 type Cache struct {
 	shards [cacheShards]cacheShard
@@ -94,9 +102,12 @@ type hashEntry struct {
 
 // cacheEntry records a verdict, with the assignment that came with it when
 // the check that computed it asked for one; for Unknown it also records the
-// budget that failed to decide the query.
+// budget that failed to decide the query. An Unsat conjunction of literals
+// may carry its minimized conflict core: the positions, ascending, of the
+// literals that stay inconsistent (Solver.lazy).
 type cacheEntry struct {
 	v         verdict
+	core      []int32
 	conflicts int
 	lazyIters int
 }
@@ -208,38 +219,48 @@ func renameModel(m *logic.Model, names []byte, in *logic.Interner, vars []logic.
 	return out
 }
 
-// get looks up a verdict for the query whose α-key k was built in the
-// interner in, under the given solver budget. Decided entries always hit;
-// an Unknown entry hits only when the query's budget is no larger than the
-// budget that produced it. A lookup that wants the assignment hits only an
-// entry computed for a check that asked for one, or an Unsat, which never
-// has one. get allocates nothing, except the renamed copy of an
-// assignment stored under other names.
-func (c *Cache) get(k logic.AlphaKey, in *logic.Interner, conflicts, lazyIters int, want bool) (verdict, bool) {
-	c.lookups.Add(1)
+// lookup returns the entry stored for k and the storing check's names, if
+// it answers a query under the given budget: decided entries always do; an
+// Unknown entry only when the query's budget is no larger than the budget
+// that produced it. A lookup that wants the assignment hits only an entry
+// computed for a check that asked for one, or an Unsat, which never has
+// one. lookup counts nothing.
+func (c *Cache) lookup(k logic.AlphaKey, conflicts, lazyIters int, want bool) (cacheEntry, []byte, bool) {
 	sh := &c.shards[shardOf(k.Hash)]
 	c.lock(sh)
 	var e cacheEntry
 	var names []byte
 	i := sh.find(k)
 	if i >= 0 {
-		// put replaces an entry's names and never writes into them, so
-		// the slice stays valid after the unlock.
+		// put replaces an entry's names and core and never writes into
+		// them, so the slices stay valid after the unlock.
 		entry := &sh.m[k.Hash][i]
 		e, names = entry.e, entry.names
 	}
 	sh.mu.Unlock()
 	if i < 0 {
-		return verdict{}, false
+		return cacheEntry{}, nil, false
 	}
 	if e.v.r == Unknown && (conflicts > e.conflicts || lazyIters > e.lazyIters) {
 		// The caller has more budget than the run that gave up; the query
 		// may well be decidable now. Miss, so it is re-solved.
-		return verdict{}, false
+		return cacheEntry{}, nil, false
 	}
 	if !e.v.answers(want) {
 		// Stored by a check that did not ask; solving again yields the
 		// assignment, and the verdict is the same.
+		return cacheEntry{}, nil, false
+	}
+	return e, names, true
+}
+
+// get looks up a query's verdict by the α-key k built in the interner in,
+// under lookup's rules, and counts the lookup. get allocates nothing,
+// except the renamed copy of an assignment stored under other names.
+func (c *Cache) get(k logic.AlphaKey, in *logic.Interner, conflicts, lazyIters int, want bool) (verdict, bool) {
+	c.lookups.Add(1)
+	e, names, ok := c.lookup(k, conflicts, lazyIters, want)
+	if !ok {
 		return verdict{}, false
 	}
 	c.hits.Add(1)
@@ -252,23 +273,30 @@ func (c *Cache) get(k logic.AlphaKey, in *logic.Interner, conflicts, lazyIters i
 	return e.v, true
 }
 
-// put stores a verdict computed under the given budget and reports whether
-// it was stored. Decided verdicts replace anything, including a stale
-// Unknown, but keep the assignment an equal verdict already carries. An
-// Unknown is stored together with its budget — it can answer only queries
-// with no more budget than that — and never overwrites a decided entry.
-// The entry takes the asker's variable names with the asker's verdict.
-func (c *Cache) put(k logic.AlphaKey, in *logic.Interner, v verdict, conflicts, lazyIters int) bool {
+// put stores a verdict computed under the given budget, and with an Unsat
+// the conflict core (nil for none), and reports whether it was stored.
+// Decided verdicts replace anything, including a stale Unknown, but keep
+// the assignment an equal verdict already carries, and an Unsat keeps the
+// core already stored. An Unknown is stored together with its budget — it
+// can answer only queries with no more budget than that — and never
+// overwrites a decided entry. The entry takes the asker's variable names
+// with the asker's verdict.
+func (c *Cache) put(k logic.AlphaKey, in *logic.Interner, v verdict, core []int32, conflicts, lazyIters int) bool {
 	h := k.Hash
 	sh := &c.shards[shardOf(h)]
 	c.lock(sh)
 	defer sh.mu.Unlock()
 	bucket := sh.m[h]
 	idx := sh.find(k)
-	e := cacheEntry{v: v}
+	e := cacheEntry{v: v, core: core}
 	kept := idx >= 0 && !v.asked && bucket[idx].e.v.r == v.r
 	if kept {
 		e.v = bucket[idx].e.v
+	}
+	if idx >= 0 && core == nil {
+		// Only an Unsat carries a core, and a decided entry is replaced
+		// only by an equal verdict.
+		e.core = bucket[idx].e.core
 	}
 	if v.r == Unknown {
 		if idx >= 0 && bucket[idx].e.v.r != Unknown {

@@ -37,7 +37,7 @@ func BenchmarkCacheContention(b *testing.B) {
 	in, ks := benchFormulas(256)
 	c := NewCache(0)
 	for i := range ks {
-		c.put(ks[i], in, verdict{r: Unsat}, 0, 0)
+		c.put(ks[i], in, verdict{r: Unsat}, nil, 0, 0)
 	}
 	var i64 atomic.Int64
 	b.ResetTimer()
@@ -62,7 +62,7 @@ func BenchmarkCachePut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i & 255
-		c.put(ks[k], in, verdict{r: Unsat}, 0, 0)
+		c.put(ks[k], in, verdict{r: Unsat}, nil, 0, 0)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestCacheGetHitAllocation(t *testing.T) {
 	in, ks := benchFormulas(8)
 	c := NewCache(0)
 	for i := range ks {
-		c.put(ks[i], in, verdict{r: Unsat}, 0, 0)
+		c.put(ks[i], in, verdict{r: Unsat}, nil, 0, 0)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := range ks {

@@ -28,7 +28,7 @@ func TestCacheBasics(t *testing.T) {
 	if _, ok := c.get(k, in, 100, 100, false); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if !c.put(k, in, verdict{r: Unsat}, 100, 100) {
+	if !c.put(k, in, verdict{r: Unsat}, nil, 100, 100) {
 		t.Fatal("decided verdict refused")
 	}
 	if v, ok := c.get(k, in, 100, 100, false); !ok || v.r != Unsat {
@@ -47,7 +47,7 @@ func TestCacheBasics(t *testing.T) {
 func TestCacheUnknownIsBudgetKeyed(t *testing.T) {
 	c := NewCache(0)
 	in, k := fh(lt(x(), y()))
-	if !c.put(k, in, verdict{r: Unknown}, 10, 10) {
+	if !c.put(k, in, verdict{r: Unknown}, nil, 10, 10) {
 		t.Fatal("budget-tagged Unknown refused")
 	}
 	// Same or smaller budget cannot do better: hit.
@@ -65,14 +65,14 @@ func TestCacheUnknownIsBudgetKeyed(t *testing.T) {
 		t.Fatal("stale Unknown served to a larger lazy-iter budget")
 	}
 	// The re-solve decides; the verdict replaces the Unknown.
-	if !c.put(k, in, verdict{r: Sat}, 11, 10) {
+	if !c.put(k, in, verdict{r: Sat}, nil, 11, 10) {
 		t.Fatal("decided verdict refused over Unknown")
 	}
 	if v, ok := c.get(k, in, 1, 1, false); !ok || v.r != Sat {
 		t.Fatalf("decided verdict not served: %v,%v", v.r, ok)
 	}
 	// And a later, lower-budget Unknown must never shadow it back.
-	if c.put(k, in, verdict{r: Unknown}, 1, 1) {
+	if c.put(k, in, verdict{r: Unknown}, nil, 1, 1) {
 		t.Fatal("Unknown overwrote a decided verdict")
 	}
 	if v, ok := c.get(k, in, 1, 1, false); !ok || v.r != Sat {
@@ -87,8 +87,8 @@ func TestCacheHashCollision(t *testing.T) {
 	in1, f1 := fh(eq(x(), n(1)))
 	in2, f2 := fh(eq(y(), n(2)))
 	f2.Hash = f1.Hash // deliberately reuse f1's hash for f2
-	c.put(f1, in1, verdict{r: Unsat}, 0, 0)
-	c.put(f2, in2, verdict{r: Sat}, 0, 0)
+	c.put(f1, in1, verdict{r: Unsat}, nil, 0, 0)
+	c.put(f2, in2, verdict{r: Sat}, nil, 0, 0)
 	if v, ok := c.get(f1, in1, 0, 0, false); !ok || v.r != Unsat {
 		t.Fatalf("f1 under colliding hash: %v,%v want Unsat,true", v.r, ok)
 	}
@@ -110,7 +110,7 @@ func TestCacheEviction(t *testing.T) {
 	for i := 0; i < 4*cacheShards; i++ {
 		k := alphaKey(in, in.InternFormula(eq(x(), n(int64(i)))))
 		keys = append(keys, k)
-		c.put(k, in, verdict{r: Sat}, 0, 0)
+		c.put(k, in, verdict{r: Sat}, nil, 0, 0)
 	}
 	st := c.Stats()
 	if st.Entries > cacheShards {
@@ -280,9 +280,9 @@ func TestCacheAssignmentsConcurrent(t *testing.T) {
 				for i := 0; i < keys; i++ {
 					k := (i + w*5) % keys
 					if (rep+w)%3 == 0 {
-						c.put(ks[k], in, verdict{r: result(k)}, 0, 0)
+						c.put(ks[k], in, verdict{r: result(k)}, nil, 0, 0)
 					} else {
-						c.put(ks[k], in, asked(k), 0, 0)
+						c.put(ks[k], in, asked(k), nil, 0, 0)
 					}
 					v, ok := c.get(ks[k], in, 0, 0, true)
 					if !ok {

@@ -39,7 +39,8 @@ import (
 //     later checks. Clauses that depended on retracted assumptions are
 //     never unsoundly reused: assumptions are decisions, so learned clauses
 //     are implied by the clause database alone, and blocking clauses are
-//     theory facts.
+//     theory facts. The loop's theory checks and minimized conflict cores
+//     come from, and go to, the shared Cache as lemmas.
 //
 // Soundness vs the stateless pipeline: decided verdicts (Sat/Unsat) can
 // never disagree between the two — both are sound in both directions — so
@@ -47,7 +48,8 @@ import (
 // shared Cache schedule-independent (the determinism oracle compares serial
 // and parallel runs byte for byte), the boolean path publishes a verdict to
 // the shared Cache only when it came from the stateless pipeline; verdicts
-// decided by the warm incremental instance stay in the private memo. When
+// decided by the warm incremental instance stay in the private memo, while
+// its theory lemmas, true whatever the instance learned, are shared. When
 // the incremental instance exhausts its budget the query falls back to the
 // stateless pipeline, so a Context is never *less* decisive than a fresh
 // solver on the paths the cache observes.
@@ -425,7 +427,7 @@ func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want 
 		s.Stats.Unknowns++
 	}
 	if fromStateless {
-		s.cache.put(k, c.in, v, s.MaxConflicts, s.MaxLazyIters)
+		s.cache.put(k, c.in, v, nil, s.MaxConflicts, s.MaxLazyIters)
 	}
 	c.memo[mkey] = v
 	c.coneMemo[mkey2] = v

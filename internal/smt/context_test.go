@@ -1,6 +1,8 @@
 package smt
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"consolidation/internal/logic"
@@ -85,4 +87,69 @@ func TestContextFallsBackAfterWarmUnknown(t *testing.T) {
 	if st := ctx.Stats(); st.Fallbacks != 1 {
 		t.Fatalf("stats %+v: want the warm instance's Unknown taken by the fallback", st)
 	}
+}
+
+// TestContextsShareLemmas: the lazy loop's theory checks are lemmas in the
+// shared cache. Three Contexts on one cache ask each seed's entailment and
+// then its retraction: the first solves, the second asks the same queries,
+// the third their α-renamed twins. The later two must reach the first's
+// verdicts in the same number of SAT iterations, so every cached core
+// blocked what the fresh solve blocked, and must issue no theory check at
+// all: every lazy-loop check is a lemma hit and minimizeCore never runs.
+func TestContextsShareLemmas(t *testing.T) {
+	type step struct {
+		r        Result
+		satIters int
+	}
+	conflicted, hits := 0, 0
+	for seed := uint64(0); seed < 128; seed++ {
+		hyps, goal := contextSeedInputs(seed)
+		ren := alphaRenaming(rand.New(rand.NewSource(int64(seed))), logic.Vars(composeQuery(hyps, goal)))
+		twinHyps := make([]logic.Formula, len(hyps))
+		for i, h := range hyps {
+			twinHyps[i] = renameVars(h, ren)
+		}
+		cache := NewCache(0)
+		run := func(hyps []logic.Formula, goal logic.Formula) ([]step, Stats) {
+			s := NewWithCache(cache)
+			c := NewSolvingContext()
+			c.BeginRun(s)
+			aids := make([]int, len(hyps))
+			for i, h := range hyps {
+				aids[i] = c.Assert(h)
+			}
+			var steps []step
+			for _, sel := range [][]int{aids, aids[:len(aids)-1]} {
+				pre := s.Stats.SatIters
+				r := c.CheckAssuming(sel, goal, func() []int { return sel })
+				steps = append(steps, step{r, s.Stats.SatIters - pre})
+			}
+			return steps, s.Stats
+		}
+		first, _ := run(hyps, goal)
+		for _, st := range first {
+			if st.satIters > 1 {
+				conflicted++
+				break
+			}
+		}
+		for _, ask := range []struct {
+			label string
+			hyps  []logic.Formula
+			goal  logic.Formula
+		}{{"same queries", hyps, goal}, {"renamed twins", twinHyps, renameVars(goal, ren)}} {
+			got, st := run(ask.hyps, ask.goal)
+			if !slices.Equal(got, first) {
+				t.Fatalf("seed %d, %s: (verdict, SAT iterations) %v, fresh solve %v", seed, ask.label, got, first)
+			}
+			if st.TheoryChecks != 0 {
+				t.Fatalf("seed %d, %s: %d theory checks on a cache that holds every lemma (%+v)", seed, ask.label, st.TheoryChecks, st)
+			}
+			hits += st.LemmaHits
+		}
+	}
+	if conflicted < 10 || hits == 0 {
+		t.Fatalf("%d seeds met a theory conflict and %d lemma hits; the stream no longer tests the lemmas", conflicted, hits)
+	}
+	t.Logf("%d of 128 seeds met a theory conflict; %d lemma hits", conflicted, hits)
 }

@@ -58,6 +58,12 @@ type Stats struct {
 	ProbesAnswered int
 	// Unknowns counts verdicts the budgets failed to decide.
 	Unknowns int
+	// LemmaHits counts the DPLL(T) loop's theory checks a cached entry
+	// answered (counted apart from CacheHits, which counts queries), and
+	// CoreCapped its theory conflicts too long for minimizeCore, which
+	// block on every literal.
+	LemmaHits  int
+	CoreCapped int
 }
 
 // Add accumulates o into s; the consolidation driver merges per-pair
@@ -71,6 +77,8 @@ func (s *Stats) Add(o Stats) {
 	s.Probes += o.Probes
 	s.ProbesAnswered += o.ProbesAnswered
 	s.Unknowns += o.Unknowns
+	s.LemmaHits += o.LemmaHits
+	s.CoreCapped += o.CoreCapped
 }
 
 // Diff returns s - o, field-wise: the activity since snapshot o was taken.
@@ -84,6 +92,8 @@ func (s Stats) Diff(o Stats) Stats {
 		Probes:         s.Probes - o.Probes,
 		ProbesAnswered: s.ProbesAnswered - o.ProbesAnswered,
 		Unknowns:       s.Unknowns - o.Unknowns,
+		LemmaHits:      s.LemmaHits - o.LemmaHits,
+		CoreCapped:     s.CoreCapped - o.CoreCapped,
 	}
 }
 
@@ -115,8 +125,10 @@ type Solver struct {
 	// runs on (theory.go), created on first use.
 	ws *theoryWorkspace
 
-	// alpha builds each query's cache key (logic.AlphaKey).
-	alpha logic.AlphaScratch
+	// alpha builds each query's cache key (logic.AlphaKey), and lemma the
+	// keys of the lazy loop's theory checks, built while a query's key is
+	// still in use.
+	alpha, lemma logic.AlphaScratch
 
 	// Trace, when set, observes every Check with its verdict and whether
 	// the cache answered it. Diagnostic hook for the oracle and for
@@ -187,7 +199,7 @@ func (s *Solver) checkCached(f logic.Formula, want bool) verdict {
 	if v.r == Unknown {
 		s.Stats.Unknowns++
 	}
-	s.cache.put(k, in, v, s.MaxConflicts, s.MaxLazyIters)
+	s.cache.put(k, in, v, nil, s.MaxConflicts, s.MaxLazyIters)
 	if s.Trace != nil {
 		s.Trace(f, v.r, false)
 	}
@@ -254,7 +266,17 @@ func (s *Solver) theoryVerdict(src *logic.Interner, lits []theoryLit, want bool)
 // literals of atomVars (sorted) the model assigns, and a theory conflict
 // comes back as a minimised blocking clause. Blocking clauses are theory
 // facts, so they stay in enc for later calls, as do learned clauses.
+//
+// Each theory check is a lemma, true of its literal list whatever proposed
+// it, so it goes through the Cache under the literal path's rules: keyed
+// by the α-key of the list's conjunction (atom, or ¬atom where the model
+// says false, in variable order), with an Unsat's minimized core kept as
+// positions in that list. The check and minimizeCore are α-invariant, so a
+// hit blocks with the clause a miss would have added.
 func (s *Solver) lazy(in *logic.Interner, enc *incCNF, assumps, atomVars []int) Result {
+	var lits []theoryLit
+	var vars []int
+	var ids []logic.NodeID
 	for iter := 0; iter < s.MaxLazyIters; iter++ {
 		s.Stats.SatIters++
 		st, model := enc.sat.solveAssume(assumps, s.MaxConflicts)
@@ -267,31 +289,49 @@ func (s *Solver) lazy(in *logic.Interner, enc *incCNF, assumps, atomVars []int) 
 		// Extract the theory literals in variable order so that
 		// theory-solver behaviour (interning, probe order) is deterministic
 		// across runs.
-		var lits []theoryLit
-		var vars []int
+		lits, vars, ids = lits[:0], vars[:0], ids[:0]
 		for _, v := range atomVars {
 			if model[v] == 0 {
 				continue
 			}
-			lits = append(lits, litOfAtomNode(in, enc.varAtom[v], model[v] == 1))
+			atom := enc.varAtom[v]
+			lits = append(lits, litOfAtomNode(in, atom, model[v] == 1))
 			vars = append(vars, v)
+			if model[v] != 1 {
+				atom = in.MkNot(atom)
+			}
+			ids = append(ids, atom)
 		}
-		switch s.checkTheory(in, lits) {
-		case theorySat:
-			return Sat
-		case theoryUnknown:
-			// Cannot certify the model nor refute it; answering Sat keeps
-			// entailment conservative, but Unknown is more honest.
-			return Unknown
+		k := in.AlphaKey(&s.lemma, in.MkAnd(ids))
+		e, _, hit := s.cache.lookup(k, s.MaxConflicts, s.MaxLazyIters, false)
+		if hit {
+			s.Stats.LemmaHits++
+		} else {
+			e = cacheEntry{v: s.theoryVerdict(in, lits, false)}
 		}
-		// Theory conflict: minimise it and add a blocking clause.
-		core, coreVars := s.minimizeCore(in, lits, vars)
-		clause := make([]int, len(core))
-		for i := range core {
-			if core[i].pos {
-				clause[i] = -coreVars[i]
+		if e.v.r != Unsat {
+			// Sat: the model is consistent. Unknown: it can be neither
+			// certified nor refuted; answering Sat would keep entailment
+			// conservative, but Unknown is more honest.
+			if !hit {
+				s.cache.put(k, in, e.v, nil, s.MaxConflicts, s.MaxLazyIters)
+			}
+			return e.v.r
+		}
+		// Theory conflict: block its minimized core.
+		if len(lits) > maxMinimize {
+			s.Stats.CoreCapped++
+		}
+		if e.core == nil {
+			e.core = s.minimizeCore(in, lits)
+			s.cache.put(k, in, e.v, e.core, s.MaxConflicts, s.MaxLazyIters)
+		}
+		clause := make([]int, len(e.core))
+		for i, p := range e.core {
+			if lits[p].pos {
+				clause[i] = -vars[p]
 			} else {
-				clause[i] = coreVars[i]
+				clause[i] = vars[p]
 			}
 		}
 		enc.sat.addClause(clause)
@@ -350,28 +390,36 @@ func literalConjunction(in *logic.Interner, f logic.Formula) ([]theoryLit, bool)
 	return lits, true
 }
 
-// minimizeCore shrinks an inconsistent literal set by deletion: drop a
-// literal, re-check, keep the drop if still inconsistent. Bounded so that
-// large conjunctions do not trigger quadratic re-checking. src is the
-// arena the literals' NodeIDs live in (the solver's own for stateless
-// checks, the Context's for incremental ones).
-func (s *Solver) minimizeCore(src *logic.Interner, lits []theoryLit, vars []int) ([]theoryLit, []int) {
-	const maxMinimize = 48
-	if len(lits) > maxMinimize {
-		return lits, vars
+// maxMinimize bounds the conflicts minimizeCore shrinks, so that large
+// conjunctions do not trigger quadratic re-checking.
+const maxMinimize = 48
+
+// minimizeCore shrinks an inconsistent literal list by deletion: drop a
+// literal, re-check, keep the drop if still inconsistent. It returns the
+// positions, ascending, of the literals kept: all of them past maxMinimize.
+// src is the arena the literals' NodeIDs live in (the solver's own for
+// stateless checks, the Context's for incremental ones).
+func (s *Solver) minimizeCore(src *logic.Interner, lits []theoryLit) []int32 {
+	core := make([]int32, len(lits))
+	for i := range core {
+		core[i] = int32(i)
 	}
-	core := append([]theoryLit(nil), lits...)
-	cvars := append([]int(nil), vars...)
+	if len(lits) > maxMinimize {
+		return core
+	}
+	trial := make([]theoryLit, 0, len(lits))
 	for i := 0; i < len(core); {
-		trial := make([]theoryLit, 0, len(core)-1)
-		trial = append(trial, core[:i]...)
-		trial = append(trial, core[i+1:]...)
+		trial = trial[:0]
+		for j, p := range core {
+			if j != i {
+				trial = append(trial, lits[p])
+			}
+		}
 		if s.checkTheory(src, trial) == theoryUnsat {
-			core = trial
-			cvars = append(cvars[:i], cvars[i+1:]...)
+			core = append(core[:i], core[i+1:]...)
 		} else {
 			i++
 		}
 	}
-	return core, cvars
+	return core
 }
