@@ -15,18 +15,18 @@ import (
 // traversal feeds every member, then dispatches the merged fold over the
 // batched worker pool:
 //
-//   - homomorphic groups split windows across batches: each worker folds
-//     its batch's records into per-(batch, window) partial accumulators
-//     starting from the combine operators' identities, and a serial pass
-//     combines the partials in record order at window close — outputs are
-//     byte-identical to the serial fold at every Workers × BatchSize;
-//   - non-homomorphic groups never split a window: workers claim whole
-//     windows and fold them serially.
+//   - workers claim whole windows and fold each serially from the declared
+//     inits, as the serial fold does;
+//   - a homomorphic group whose longest window holds more than a worker's
+//     share of the stream, ⌈n / workers⌉ records, is split instead (never at
+//     Workers: 1): each worker folds its batch's records into per-(batch,
+//     window) partials starting from the combine identities, and a serial
+//     pass combines them in record order. Outputs are byte-identical to the
+//     serial fold at every Workers × BatchSize either way.
 //
-// Output bits are grid-invariant; abstract fold COST is not, for groups
-// whose folds branch on accumulator state (a max guard fires a different
-// number of times when partials start from the identity), so only outputs
-// are compared across configurations.
+// Abstract fold COST of a split is not grid-invariant when the fold branches
+// on accumulator state (a max guard fires a different number of times when
+// partials start from the identity), so only outputs are compared.
 
 // AggOutput is one aggregation's emitted verdicts over the stream.
 type AggOutput struct {
@@ -62,13 +62,15 @@ type AggMetrics struct {
 	// Windows is the total number of window instances emitted, summed over
 	// traversals.
 	Windows int
-	// Batches counts parallel dispatches (batches on the split path, whole
-	// windows on the unsplit path); 0 for the serial baseline.
+	// Batches counts fold dispatches: batches for a split group, windows
+	// for a group folded whole (every group at Workers: 1); 0 for the
+	// serial baseline.
 	Batches int
 	// FoldCost, EmitCost, and KeyCost are abstract costs (Figure 2
 	// semantics) of the fold, emit, and key-extraction stages. UDFCost is
-	// their sum. Fold cost on the split path is not grid-invariant when the
-	// fold branches on accumulator state; outputs always are.
+	// their sum. Fold cost equals the serial fold's unless a group splits;
+	// a split's is not grid-invariant when the fold branches on
+	// accumulator state. Outputs always are.
 	FoldCost int64
 	EmitCost int64
 	KeyCost  int64
@@ -436,78 +438,109 @@ func AggregatePlan(data RecordLibrary, aggs []*lang.AggProgram, groups []*consol
 	return res, nil
 }
 
-// aggPlanWindow is one window instance in a group's execution plan.
-type aggPlanWindow struct {
-	key    int64
-	lo, hi int32   // count mode: the contiguous record range
-	recs   []int32 // keyed mode: the record indices, in stream order
-	segs   []int32 // split path: per-(batch, window) segment ids, in stream order
-	cnt    int
-	closed bool
+// aggWin is one window instance of a group's plan: its key (keyed mode) and
+// its records, at plan positions off .. off+cnt-1.
+type aggWin struct {
+	key      int64
+	off, cnt int32
 }
 
-// aggPlan is the serial window/segment assignment of one group pass. It is
-// pure integer work over the record count, the window spec, and (for keyed
-// windows) the extracted keys; the expensive per-record evaluation then
-// runs off it in parallel.
+// aggPlan is the serial window assignment of one group pass, in flat
+// pointer-free slices. It is pure integer work over the record count, the
+// window size and (keyed) the extracted keys; the per-record evaluation then
+// runs off it in parallel. A count window's plan positions are its records;
+// a keyed window's index recs, which lists the records grouped by window,
+// each window's in stream order.
 type aggPlan struct {
-	keyed       bool
-	nSegs       int
-	segOfRecord []int32
-	wins        []*aggPlanWindow // emit order: close order, then trailing partials in open order
+	recs    []int32
+	wins    []aggWin // open order
+	order   []int32  // emit order: close order, then trailing partials in open order
+	longest int      // records in the longest window
 }
 
-func buildAggPlan(n, size, bsize int, keys []int64) *aggPlan {
-	p := &aggPlan{keyed: keys != nil, segOfRecord: make([]int32, n)}
-	var closedWins, openWins []*aggPlanWindow
-	cur := map[int64]*aggPlanWindow{}
-	var cw *aggPlanWindow
-	lastSegBatch := map[*aggPlanWindow]int{}
-	for i := 0; i < n; i++ {
-		b := i / bsize
-		var w *aggPlanWindow
-		if p.keyed {
-			w = cur[keys[i]]
-			if w == nil {
-				w = &aggPlanWindow{key: keys[i]}
-				cur[keys[i]] = w
-				openWins = append(openWins, w)
-				lastSegBatch[w] = -1
-			}
-			w.recs = append(w.recs, int32(i))
-		} else {
-			if cw == nil {
-				cw = &aggPlanWindow{lo: int32(i)}
-				openWins = append(openWins, cw)
-				lastSegBatch[cw] = -1
-			}
-			w = cw
-			w.hi = int32(i + 1)
+func (p *aggPlan) record(pos int32) int {
+	if p.recs == nil {
+		return int(pos)
+	}
+	return int(p.recs[pos])
+}
+
+func buildAggPlan(n, size int, keys []int64) *aggPlan {
+	p := &aggPlan{}
+	if keys == nil {
+		p.longest = min(n, size)
+		nw := (n + size - 1) / size
+		p.wins, p.order = make([]aggWin, nw), make([]int32, nw)
+		for w := range p.wins {
+			p.wins[w] = aggWin{off: int32(w * size), cnt: int32(min(size, n-w*size))}
+			p.order[w] = int32(w)
 		}
-		if lastSegBatch[w] != b {
-			w.segs = append(w.segs, int32(p.nSegs))
-			p.nSegs++
-			lastSegBatch[w] = b
+		return p
+	}
+	// Each record's window: a key's window opens at its first record and
+	// again at the record after each close.
+	type open struct{ win, cnt int32 }
+	cur := map[int64]open{}
+	winOf := make([]int32, n)
+	var nw int32
+	for i, k := range keys {
+		o, ok := cur[k]
+		if !ok || int(o.cnt) == size {
+			o, nw = open{win: nw}, nw+1
 		}
-		p.segOfRecord[i] = w.segs[len(w.segs)-1]
-		w.cnt++
-		if w.cnt == size {
-			w.closed = true
-			closedWins = append(closedWins, w)
-			if p.keyed {
-				delete(cur, w.key)
-			} else {
-				cw = nil
-			}
+		o.cnt++
+		cur[k] = o
+		winOf[i] = o.win
+	}
+	// Counts and close order, then offsets and the trailing partials.
+	p.wins, p.order = make([]aggWin, nw), make([]int32, 0, nw)
+	for i, w := range winOf {
+		win := &p.wins[w]
+		win.key = keys[i]
+		if win.cnt++; int(win.cnt) == size {
+			p.order = append(p.order, w)
 		}
 	}
-	p.wins = closedWins
-	for _, w := range openWins {
-		if !w.closed && w.cnt > 0 {
-			p.wins = append(p.wins, w)
+	var off int32
+	for w := range p.wins {
+		win := &p.wins[w]
+		if int(win.cnt) < size {
+			p.order = append(p.order, int32(w))
 		}
+		p.longest = max(p.longest, int(win.cnt))
+		win.off, off = off, off+win.cnt
+	}
+	// Scatter the records by window; off is the fill cursor meanwhile.
+	p.recs = make([]int32, n)
+	for i, w := range winOf {
+		p.recs[p.wins[w].off] = int32(i)
+		p.wins[w].off++
+	}
+	for w := range p.wins {
+		p.wins[w].off -= p.wins[w].cnt
 	}
 	return p
+}
+
+// segments numbers the split path's (batch, window) segments window by
+// window: segOf maps each record to its segment, and window w's segments, in
+// stream order, are segStart[w] .. segStart[w+1]-1.
+func (p *aggPlan) segments(n, bsize int) (segOf, segStart []int32) {
+	segOf, segStart = make([]int32, n), make([]int32, len(p.wins)+1)
+	var s int32
+	for w, win := range p.wins {
+		segStart[w] = s
+		lastB := -1
+		for pos := win.off; pos < win.off+win.cnt; pos++ {
+			i := p.record(pos)
+			if b := i / bsize; b != lastB {
+				s, lastB = s+1, b
+			}
+			segOf[i] = s - 1
+		}
+	}
+	segStart[len(p.wins)] = s
+	return segOf, segStart
 }
 
 // runAggGroup evaluates one merged group over the stream and appends its
@@ -526,25 +559,28 @@ func runAggGroup(data RecordLibrary, g *consolidate.AggGroup, opts Options, outs
 			return err
 		}
 	}
-	plan := buildAggPlan(n, g.Window.Size, opts.batchSize(), keys)
+	plan := buildAggPlan(n, g.Window.Size, keys)
 
-	// Final accumulator values per window, in plan order.
+	// Final accumulator values per window, in open order.
 	winAccs := make([]int64, len(plan.wins)*nAccs)
-	if g.Homomorphic && !opts.NoHomAgg {
-		// The homomorphic partial/combine path: workers claim batches and
-		// fold each record into its (batch, window) segment's partial
-		// accumulators, which start from the combine identities; segments are
-		// disjoint per batch, so no two workers touch the same partial.
-		parts := make([]int64, plan.nSegs*nAccs)
-		for s := 0; s < plan.nSegs; s++ {
+	if k := opts.workers(); g.Homomorphic && !opts.NoHomAgg && plan.longest > (n+k-1)/k {
+		// The split: only a homomorphic group can, and only one whose longest
+		// window exceeds a worker's share of the stream needs to, for
+		// whole-window claims balance the workers otherwise. Workers claim
+		// batches and fold each record into its (batch, window) segment's
+		// partial accumulators, which start from the combine identities;
+		// segments are disjoint per batch, so no two workers share a partial.
+		segOf, segStart := plan.segments(n, opts.batchSize())
+		parts := make([]int64, int(segStart[len(plan.wins)])*nAccs)
+		for s := 0; s < len(parts); s += nAccs {
 			for a, op := range g.Hom {
-				parts[s*nAccs+a] = op.Identity()
+				parts[s+a] = op.Identity()
 			}
 		}
 		err = r.foldClaims(data, opts, opts.batches(n), m, func(f *folder, b int) error {
 			lo, hi := opts.span(b, n)
 			for i := lo; i < hi; i++ {
-				base := int(plan.segOfRecord[i]) * nAccs
+				base := int(segOf[i]) * nAccs
 				if err := f.step(i, parts[base:base+nAccs]); err != nil {
 					return err
 				}
@@ -553,32 +589,26 @@ func runAggGroup(data RecordLibrary, g *consolidate.AggGroup, opts Options, outs
 		})
 		// Serial combine: inits ⊕ the window's segment partials in stream
 		// order — exactly the serial fold's finals.
-		for wi, w := range plan.wins {
-			dst := winAccs[wi*nAccs : (wi+1)*nAccs]
+		for w := range plan.wins {
+			dst := winAccs[w*nAccs : (w+1)*nAccs]
 			copy(dst, inits)
-			for _, seg := range w.segs {
-				base := int(seg) * nAccs
+			for s := segStart[w]; s < segStart[w+1]; s++ {
+				base := int(s) * nAccs
 				for a, op := range g.Hom {
 					dst[a] = op.Combine(dst[a], parts[base+a])
 				}
 			}
 		}
 	} else {
-		// The unsplit path: workers claim whole windows off the plan and fold
-		// each serially from the declared inits — a window is never split, so
-		// no homomorphism is needed. A keyed window lists its records, a
-		// count window spans a range; the other form is empty.
-		err = r.foldClaims(data, opts, len(plan.wins), m, func(f *folder, wi int) error {
-			win := plan.wins[wi]
-			dst := winAccs[wi*nAccs : (wi+1)*nAccs]
+		// Workers claim whole windows and fold each serially from the
+		// declared inits — a window is never split, so no homomorphism is
+		// needed.
+		err = r.foldClaims(data, opts, len(plan.wins), m, func(f *folder, w int) error {
+			win := plan.wins[w]
+			dst := winAccs[w*nAccs : (w+1)*nAccs]
 			copy(dst, inits)
-			for _, ri := range win.recs {
-				if err := f.step(int(ri), dst); err != nil {
-					return err
-				}
-			}
-			for i := win.lo; i < win.hi; i++ {
-				if err := f.step(int(i), dst); err != nil {
+			for pos := win.off; pos < win.off+win.cnt; pos++ {
+				if err := f.step(plan.record(pos), dst); err != nil {
 					return err
 				}
 			}
@@ -593,9 +623,9 @@ func runAggGroup(data RecordLibrary, g *consolidate.AggGroup, opts Options, outs
 	ern := opts.runner(r.emitC, data)
 	row := make([]int8, 0, len(g.Outputs))
 	t0 := time.Now()
-	for wi, w := range plan.wins {
+	for _, w := range plan.order {
 		var c int64
-		row, c, err = r.emitWindow(ern, winAccs[wi*nAccs:(wi+1)*nAccs], row[:0])
+		row, c, err = r.emitWindow(ern, winAccs[int(w)*nAccs:int(w+1)*nAccs], row[:0])
 		if err != nil {
 			return err
 		}
@@ -605,8 +635,8 @@ func runAggGroup(data RecordLibrary, g *consolidate.AggGroup, opts Options, outs
 		}
 		for _, gi := range g.Members {
 			outs[gi].Windows++
-			if plan.keyed {
-				outs[gi].Keys = append(outs[gi].Keys, w.key)
+			if keys != nil {
+				outs[gi].Keys = append(outs[gi].Keys, plan.wins[w].key)
 			}
 		}
 		m.Windows++

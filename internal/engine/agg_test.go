@@ -25,7 +25,7 @@ func (d *aggToy) FuncCost(name string) (int64, bool) {
 	switch name {
 	case "temp", "rain":
 		return 25, true
-	case "city":
+	case "city", "zone":
 		return 4, true
 	}
 	return 0, false
@@ -38,6 +38,8 @@ func (d *aggToy) Call(name string, args []int64) (int64, error) {
 		return (d.cur * 3) % 11, nil
 	case "city":
 		return d.cur % 3, nil
+	case "zone": // skewed: four records in five are zone 0
+		return d.cur % 5 / 4, nil
 	}
 	return 0, fmt.Errorf("aggToy: no function %q", name)
 }
@@ -134,11 +136,79 @@ func checkAggParity(t *testing.T, data RecordLibrary, aggs []*lang.AggProgram) {
 // TestAggConsolidatedParity is the core acceptance check: merged windowed
 // outputs byte-identical to the per-aggregation serial replay at every
 // Workers × BatchSize × NoHomAgg configuration, for count-partitioned and
-// key-partitioned windows. The name matches the race-matrix leg.
+// key-partitioned windows. The long windows (over n/3 records, and one
+// spanning the whole stream) are the ones the grid's multi-worker points
+// split. The name matches the race-matrix leg.
 func TestAggConsolidatedParity(t *testing.T) {
 	d := &aggToy{n: 137} // not a multiple of window or batch: trailing partials
-	checkAggParity(t, d, weatherAggs(t, "window 4"))
-	checkAggParity(t, d, weatherAggs(t, "window 4 by city"))
+	for _, window := range []string{"window 4", "window 4 by city",
+		"window 50", "window 200", "window 60 by zone", "window 200 by zone"} {
+		checkAggParity(t, d, weatherAggs(t, window))
+	}
+}
+
+// TestAggSplitRule pins which path each configuration takes, read off
+// Batches: a group folded by whole windows dispatches one claim per window,
+// a split one claim per batch. Only a homomorphic group whose longest window
+// exceeds ⌈n / workers⌉ records splits, so Workers: 1 never does.
+func TestAggSplitRule(t *testing.T) {
+	const n, bs = 137, 7 // ⌈137 / 3⌉ = 46; zone 0 holds 110 records
+	cases := []struct {
+		window  string
+		workers int
+		noHom   bool
+		split   bool
+	}{
+		{"window 4", 1, false, false},
+		{"window 200", 1, false, false},
+		{"window 200 by zone", 1, false, false},
+		{"window 4", 3, false, false},
+		{"window 4 by city", 3, false, false},
+		{"window 46", 3, false, false},
+		{"window 47", 3, false, true},
+		{"window 200", 3, false, true},
+		{"window 60 by zone", 3, false, true},
+		{"window 200 by zone", 2, false, true},
+		{"window 200", 3, true, false},
+		{"window 60 by zone", 3, true, false},
+	}
+	for _, c := range cases {
+		o := Options{Workers: c.workers, BatchSize: bs, NoHomAgg: c.noHom}
+		res, err := AggregateConsolidated(&aggToy{n: n}, weatherAggs(t, c.window), consolidate.Options{}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.Windows
+		if c.split {
+			want = (n + bs - 1) / bs
+		}
+		if len(res.Groups) != 1 || !res.Groups[0].Homomorphic || res.Batches != want {
+			t.Errorf("%s at %+v: %d groups, %d batches over %d windows; want split=%v (%d batches)",
+				c.window, o, len(res.Groups), res.Batches, res.Windows, c.split, want)
+		}
+	}
+}
+
+// TestAggPlanAllocs pins the plan to a fixed number of allocations whatever
+// the stream length: flat slices sized once, no object per window. The keyed
+// stream interleaves 97 keys, so the key map is the same size at both lengths.
+func TestAggPlanAllocs(t *testing.T) {
+	allocs := func(n int, keyed bool) float64 {
+		var keys []int64
+		if keyed {
+			keys = make([]int64, n)
+			for i := range keys {
+				keys[i] = int64(i*31) % 97
+			}
+		}
+		return testing.AllocsPerRun(10, func() { buildAggPlan(n, 12, keys) })
+	}
+	for _, keyed := range []bool{false, true} {
+		small, large := allocs(97*12*3+50, keyed), allocs(97*12*24+50, keyed)
+		if small != large {
+			t.Errorf("keyed=%v: building the plan allocates %.0f objects at 3,542 records and %.0f at 27,986", keyed, small, large)
+		}
+	}
 }
 
 // TestAggConsolidatedParityNonHom pins the unsplit fallback: the coupled

@@ -204,10 +204,10 @@ type Options struct {
 	// set it: it is the unguarded reference of the prefilter and UDF-time
 	// tests.
 	NoPrefilter bool
-	// NoHomAgg disables the homomorphic partial/combine path of windowed
-	// aggregation passes: groups then run window-at-a-time, never splitting a
-	// window across workers. Outputs are byte-identical either way; only the
-	// differential tests and the oracle set it.
+	// NoHomAgg disables the partial/combine split of homomorphic windowed
+	// aggregation groups whose longest window exceeds a worker's share of the
+	// stream: every group then runs window-at-a-time. Outputs are identical
+	// either way; only the differential tests and the oracle set it.
 	NoHomAgg bool
 	// PrefilterCache, when set, backs the SMT queries of guard synthesis so
 	// repeated consolidations share validity verdicts.

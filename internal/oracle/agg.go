@@ -49,8 +49,9 @@ const (
 )
 
 // GenAggCase derives one windowed-aggregation case from the seed: 2–4
-// aggregations over 1–2 window specs (sizes 1–5, half of them partitioned
-// by the first record column via p0), each folding 1–2 accumulators whose
+// aggregations over 1–2 window specs (sizes 1–5, or one time in four a long
+// window of 12–51 so the engine's split runs; half of them partitioned by
+// the first record column via p0), each folding 1–2 accumulators whose
 // shapes mix the homomorphic fold forms with rejectable near-misses, over
 // shared scan bindings so Ω has a traversal to recover.
 func GenAggCase(seed int64) *AggCase {
@@ -77,11 +78,12 @@ func GenAggCase(seed int64) *AggCase {
 	}
 
 	// Records: small two-column rows. Column 0 doubles as the partition
-	// key, drawn from a tiny range so keyed windows interleave and collide.
-	records := 12 + rng.Intn(40)
+	// key, drawn from a tiny range (2–7 values) so keyed windows interleave
+	// and collide, and a long keyed window can exceed a worker's share.
+	records, keys := 12+rng.Intn(40), 2+rng.Intn(6)
 	for i := 0; i < records; i++ {
 		c.Inputs = append(c.Inputs, []int64{
-			int64(rng.Intn(7) - 3),
+			int64(rng.Intn(keys) - 3),
 			int64(rng.Intn(17) - 8),
 		})
 	}
@@ -89,7 +91,11 @@ func GenAggCase(seed int64) *AggCase {
 }
 
 func genAggSpec(rng *rand.Rand) string {
-	spec := fmt.Sprintf("window %d", 1+rng.Intn(5))
+	size := 1 + rng.Intn(5)
+	if rng.Intn(4) == 0 {
+		size = 12 + rng.Intn(40) // long: past a worker's share, up to the whole stream
+	}
+	spec := fmt.Sprintf("window %d", size)
 	if rng.Intn(2) == 0 {
 		spec += " by p0"
 	}
