@@ -67,10 +67,10 @@ type AggMetrics struct {
 	// serial baseline.
 	Batches int
 	// FoldCost, EmitCost, and KeyCost are abstract costs (Figure 2
-	// semantics) of the fold, emit, and key-extraction stages. UDFCost is
-	// their sum. Fold cost equals the serial fold's unless a group splits;
-	// a split's is not grid-invariant when the fold branches on
-	// accumulator state. Outputs always are.
+	// semantics) of the fold, emit, and key-extraction stages; UDFCost is
+	// their sum. Fold cost is the serial fold's unless a group splits (a
+	// worker-count choice, GOMAXPROCS at Workers: 0: compare costs at a
+	// pinned Workers); a split's can vary with the grid; outputs cannot.
 	FoldCost int64
 	EmitCost int64
 	KeyCost  int64
