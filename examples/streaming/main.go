@@ -63,9 +63,8 @@ func main() {
 	// aggregateConsolidated merges them into a single traversal that pays
 	// each record's decode and accessor calls once; the merged fold's
 	// accumulators are all sums/maxes/mins, so it verifies homomorphic, but
-	// the batched engine folds whole windows: no 10-tick window exceeds a
-	// worker's share of the 600 ticks (⌈600 / workers⌉ ≥ 10 up to 66
-	// workers), so none is split into partials.
+	// the batched engine folds whole windows: no 10-tick window is longer
+	// than a batch (256 records by default), so none is cut into partials.
 	ticks := data.GenStockTicks(data.StockTicksConfig{Tickers: 10, Ticks: 60, Seed: 7})
 	aggs, err := queries.GenAgg("stock", 6, 10, true, 11)
 	if err != nil {

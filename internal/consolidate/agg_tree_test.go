@@ -72,7 +72,7 @@ func TestAggregatePlanReusesGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []engine.Options{{Workers: 1}, {Workers: 3, BatchSize: 7}, {Workers: 2, BatchSize: 4, NoHomAgg: true}} {
+	for _, o := range []engine.Options{{Workers: 1}, {Workers: 3, BatchSize: 7}, {Workers: 2, BatchSize: 4}} {
 		got, err := engine.AggregatePlan(ws, aggs, groups, o)
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)

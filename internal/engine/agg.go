@@ -13,20 +13,19 @@ import (
 // its own record decodes and accessor calls). AggregateConsolidated merges
 // window-aligned aggregations first (consolidate.MergeAggs) so one
 // traversal feeds every member, then dispatches the merged fold over the
-// batched worker pool:
+// batched worker pool. Workers claim runs of whole windows of at least
+// BatchSize records and fold each window serially from the declared inits,
+// as the serial fold does. A homomorphic group's window longer than
+// BatchSize is also cut every BatchSize records: its first piece folds from
+// the inits, each later piece from the combine identities into its claim's
+// partial row, and a serial pass combines the partials in stream order.
+// Outputs are byte-identical to the serial fold at every Workers ×
+// BatchSize; the cuts, and so the fold cost, depend on BatchSize alone.
 //
-//   - workers claim whole windows and fold each serially from the declared
-//     inits, as the serial fold does;
-//   - a homomorphic group whose longest window holds more than a worker's
-//     share of the stream, ⌈n / workers⌉ records, is split instead (never at
-//     Workers: 1): each worker folds its batch's records into per-(batch,
-//     window) partials starting from the combine identities, and a serial
-//     pass combines them in record order. Outputs are byte-identical to the
-//     serial fold at every Workers × BatchSize either way.
-//
-// Abstract fold COST of a split is not grid-invariant when the fold branches
-// on accumulator state (a max guard fires a different number of times when
-// partials start from the identity), so only outputs are compared.
+// Abstract fold COST of a cut window differs from the serial fold's when
+// the fold branches on accumulator state (a max guard fires a different
+// number of times when a piece starts from the identity), so costs are
+// compared across Workers at one BatchSize, never across BatchSizes.
 
 // AggOutput is one aggregation's emitted verdicts over the stream.
 type AggOutput struct {
@@ -62,15 +61,14 @@ type AggMetrics struct {
 	// Windows is the total number of window instances emitted, summed over
 	// traversals.
 	Windows int
-	// Batches counts fold dispatches: batches for a split group, windows
-	// for a group folded whole (every group at Workers: 1); 0 for the
-	// serial baseline.
+	// Batches counts fold claims, each a run of whole windows or a piece of
+	// a cut one; 0 for the serial baseline.
 	Batches int
 	// FoldCost, EmitCost, and KeyCost are abstract costs (Figure 2
 	// semantics) of the fold, emit, and key-extraction stages; UDFCost is
-	// their sum. Fold cost is the serial fold's unless a group splits (a
-	// worker-count choice, GOMAXPROCS at Workers: 0: compare costs at a
-	// pinned Workers); a split's can vary with the grid; outputs cannot.
+	// their sum. Fold cost is the serial fold's unless a window is cut; a
+	// cut depends on BatchSize alone, so every cost repeats at every
+	// Workers.
 	FoldCost int64
 	EmitCost int64
 	KeyCost  int64
@@ -391,8 +389,7 @@ func aggregateOne(data RecordLibrary, a *lang.AggProgram, opts Options, m *AggMe
 // AggregateConsolidated merges window-aligned aggregations into shared
 // traversals and evaluates each group over the batched worker pool. The
 // emitted windows are byte-identical to AggregateMany's at every
-// Workers × BatchSize × NoHomAgg configuration. It is MergeAggs then
-// AggregatePlan.
+// Workers × BatchSize. It is MergeAggs then AggregatePlan.
 func AggregateConsolidated(data RecordLibrary, aggs []*lang.AggProgram, copts consolidate.Options, opts Options) (*ConsolidatedAggResult, error) {
 	if copts.FuncCoster == nil {
 		copts.FuncCoster = data
@@ -450,12 +447,11 @@ type aggWin struct {
 // window size and (keyed) the extracted keys; the per-record evaluation then
 // runs off it in parallel. A count window's plan positions are its records;
 // a keyed window's index recs, which lists the records grouped by window,
-// each window's in stream order.
+// each window's in stream order. Windows occupy the positions in open order.
 type aggPlan struct {
-	recs    []int32
-	wins    []aggWin // open order
-	order   []int32  // emit order: close order, then trailing partials in open order
-	longest int      // records in the longest window
+	recs  []int32
+	wins  []aggWin // open order
+	order []int32  // emit order: close order, then trailing partials in open order
 }
 
 func (p *aggPlan) record(pos int32) int {
@@ -468,7 +464,6 @@ func (p *aggPlan) record(pos int32) int {
 func buildAggPlan(n, size int, keys []int64) *aggPlan {
 	p := &aggPlan{}
 	if keys == nil {
-		p.longest = min(n, size)
 		nw := (n + size - 1) / size
 		p.wins, p.order = make([]aggWin, nw), make([]int32, nw)
 		for w := range p.wins {
@@ -507,7 +502,6 @@ func buildAggPlan(n, size int, keys []int64) *aggPlan {
 		if int(win.cnt) < size {
 			p.order = append(p.order, int32(w))
 		}
-		p.longest = max(p.longest, int(win.cnt))
 		win.off, off = off, off+win.cnt
 	}
 	// Scatter the records by window; off is the fill cursor meanwhile.
@@ -522,25 +516,34 @@ func buildAggPlan(n, size int, keys []int64) *aggPlan {
 	return p
 }
 
-// segments numbers the split path's (batch, window) segments window by
-// window: segOf maps each record to its segment, and window w's segments, in
-// stream order, are segStart[w] .. segStart[w+1]-1.
-func (p *aggPlan) segments(n, bsize int) (segOf, segStart []int32) {
-	segOf, segStart = make([]int32, n), make([]int32, len(p.wins)+1)
-	var s int32
+// aggClaim is one fold claim: plan positions lo up to the next claim's lo,
+// starting inside window win. part numbers the claim's partial row when lo
+// cuts win after its first position; it is -1 when lo opens win.
+type aggClaim struct{ lo, win, part int32 }
+
+// claims cuts the plan's n positions into fold claims; a claim ends at the
+// first window end or cut after bsize of its positions, so every claim but
+// the last holds at least bsize. With cut, a window longer than bsize is
+// cut every bsize of its records: each later piece opens a claim, and
+// parts counts them.
+func (p *aggPlan) claims(n, bsize int, cut bool) (cs []aggClaim, parts int32) {
+	b := int32(max(1, min(bsize, n))) // a batch past the stream is the stream
+	cs = make([]aggClaim, 0, (n+int(b)-1)/int(b))
+	next := int32(0) // where the next claim opens
 	for w, win := range p.wins {
-		segStart[w] = s
-		lastB := -1
-		for pos := win.off; pos < win.off+win.cnt; pos++ {
-			i := p.record(pos)
-			if b := i / bsize; b != lastB {
-				s, lastB = s+1, b
-			}
-			segOf[i] = s - 1
+		end := win.off + win.cnt
+		if win.off == next {
+			cs = append(cs, aggClaim{lo: next, win: int32(w), part: -1})
+		}
+		for c := win.off + b; cut && c < end; c += b {
+			cs = append(cs, aggClaim{lo: c, win: int32(w), part: parts})
+			parts++
+		}
+		if end-cs[len(cs)-1].lo >= b {
+			next = end
 		}
 	}
-	segStart[len(p.wins)] = s
-	return segOf, segStart
+	return cs, parts
 }
 
 // runAggGroup evaluates one merged group over the stream and appends its
@@ -560,63 +563,51 @@ func runAggGroup(data RecordLibrary, g *consolidate.AggGroup, opts Options, outs
 		}
 	}
 	plan := buildAggPlan(n, g.Window.Size, keys)
+	claims, nParts := plan.claims(n, opts.batchSize(), g.Homomorphic)
 
-	// Final accumulator values per window, in open order.
+	// Final accumulator values per window, in open order, and one partial
+	// row per later piece of a cut window. A window's first piece folds from
+	// the inits straight into its finals; a later piece, which opens its
+	// claim, folds from the combine identities into its own row, so no two
+	// workers share a row.
 	winAccs := make([]int64, len(plan.wins)*nAccs)
-	if k := opts.workers(); g.Homomorphic && !opts.NoHomAgg && plan.longest > (n+k-1)/k {
-		// The split: only a homomorphic group can, and only one whose longest
-		// window exceeds a worker's share of the stream needs to, for
-		// whole-window claims balance the workers otherwise. Workers claim
-		// batches and fold each record into its (batch, window) segment's
-		// partial accumulators, which start from the combine identities;
-		// segments are disjoint per batch, so no two workers share a partial.
-		segOf, segStart := plan.segments(n, opts.batchSize())
-		parts := make([]int64, int(segStart[len(plan.wins)])*nAccs)
-		for s := 0; s < len(parts); s += nAccs {
-			for a, op := range g.Hom {
-				parts[s+a] = op.Identity()
-			}
+	parts := make([]int64, int(nParts)*nAccs)
+	err = r.foldClaims(data, opts, len(claims), m, func(f *folder, k int) error {
+		c, hi := claims[k], int32(n)
+		if k+1 < len(claims) {
+			hi = claims[k+1].lo
 		}
-		err = r.foldClaims(data, opts, opts.batches(n), m, func(f *folder, b int) error {
-			lo, hi := opts.span(b, n)
-			for i := lo; i < hi; i++ {
-				base := int(segOf[i]) * nAccs
-				if err := f.step(i, parts[base:base+nAccs]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		// Serial combine: inits ⊕ the window's segment partials in stream
-		// order — exactly the serial fold's finals.
-		for w := range plan.wins {
-			dst := winAccs[w*nAccs : (w+1)*nAccs]
-			copy(dst, inits)
-			for s := segStart[w]; s < segStart[w+1]; s++ {
-				base := int(s) * nAccs
-				for a, op := range g.Hom {
-					dst[a] = op.Combine(dst[a], parts[base+a])
-				}
-			}
-		}
-	} else {
-		// Workers claim whole windows and fold each serially from the
-		// declared inits — a window is never split, so no homomorphism is
-		// needed.
-		err = r.foldClaims(data, opts, len(plan.wins), m, func(f *folder, w int) error {
+		for pos, w := c.lo, c.win; pos < hi; w++ {
 			win := plan.wins[w]
-			dst := winAccs[w*nAccs : (w+1)*nAccs]
-			copy(dst, inits)
-			for pos := win.off; pos < win.off+win.cnt; pos++ {
+			dst := winAccs[int(w)*nAccs : int(w+1)*nAccs]
+			if pos == win.off {
+				copy(dst, inits)
+			} else {
+				dst = parts[int(c.part)*nAccs : int(c.part+1)*nAccs]
+				for a, op := range g.Hom {
+					dst[a] = op.Identity()
+				}
+			}
+			for end := min(hi, win.off+win.cnt); pos < end; pos++ {
 				if err := f.step(plan.record(pos), dst); err != nil {
 					return err
 				}
 			}
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
+	}
+	// Serial combine: a cut window's finals ⊕ its later pieces' partials in
+	// claim order, which is stream order — exactly the serial fold's finals.
+	for _, c := range claims {
+		if c.part >= 0 {
+			dst, src := winAccs[int(c.win)*nAccs:int(c.win+1)*nAccs], parts[int(c.part)*nAccs:int(c.part+1)*nAccs]
+			for a, op := range g.Hom {
+				dst[a] = op.Combine(dst[a], src[a])
+			}
+		}
 	}
 
 	// Serial emit in plan order; scatter the dense columns to the members.
@@ -645,9 +636,9 @@ func runAggGroup(data RecordLibrary, g *consolidate.AggGroup, opts Options, outs
 	return nil
 }
 
-// foldClaims runs a fold body over the claim loop — batches on the split
-// path, whole windows on the unsplit one. Each worker owns a folder; fold
-// cost, wall time inside the bodies, and the dispatch count fold into m.
+// foldClaims runs a fold body over the claim loop, once per claim. Each
+// worker owns a folder; fold cost, wall time inside the bodies, and the
+// claim count fold into m.
 func (r *aggRunner) foldClaims(data RecordLibrary, opts Options, claims int, m *AggMetrics,
 	body func(f *folder, claim int) error) error {
 

@@ -17,14 +17,14 @@ import (
 // (9,600 records). One op is one pass; run it with -benchmem.
 //
 // keyed and count use window 12 at Workers: 1, partitioned by station and by
-// count. The w2 cases run count windows at Workers: 2 on either side of the
-// split rule's ⌈n / workers⌉ = 4,800 records: 4,320 (below: whole windows
-// either way), 5,280 (just above) and 9,600 (one window spanning the stream).
-// "rule" is the default, which splits the two long cases; "whole" sets
-// NoHomAgg, which folds whole windows. claims/op reads the path: windows when
-// whole, batches when split.
+// count. The w1 and w2 cases run long count windows at Workers: 1 and 2:
+// 4,320 (w2 only), 5,280 and 9,600 records (one window spanning the stream).
+// "cut" is the default BatchSize, 256, which cuts every window into pieces;
+// "whole" sets BatchSize to the window, so no window is cut. claims/op reads
+// the path, and a leg whose claims show the other path fails.
 func BenchmarkAggregatePlan(b *testing.B) {
 	ws := data.GenWeatherStream(data.WeatherStreamConfig{Cities: 200, Hours: 48, Seed: 7})
+	n := ws.NumRecords()
 	merge := func(window int, keyed bool) ([]*lang.AggProgram, []*consolidate.AggGroup) {
 		aggs := queries.MustGenAgg("weather", 20, window, keyed, 1)
 		copts := consolidate.DefaultOptions()
@@ -35,7 +35,8 @@ func BenchmarkAggregatePlan(b *testing.B) {
 		}
 		return aggs, groups
 	}
-	run := func(name string, aggs []*lang.AggProgram, groups []*consolidate.AggGroup, opts engine.Options) {
+	// run times one leg; pathOK checks its claim count.
+	run := func(name string, aggs []*lang.AggProgram, groups []*consolidate.AggGroup, opts engine.Options, pathOK func(claims int) bool) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var claims int
@@ -46,7 +47,10 @@ func BenchmarkAggregatePlan(b *testing.B) {
 				}
 				claims = res.Batches
 			}
-			b.ReportMetric(float64(ws.NumRecords())*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
+			if !pathOK(claims) {
+				b.Fatalf("%d claims at %+v: the pass took the other path", claims, opts)
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
 			b.ReportMetric(float64(claims), "claims/op")
 		})
 	}
@@ -55,11 +59,20 @@ func BenchmarkAggregatePlan(b *testing.B) {
 		keyed bool
 	}{{"keyed", true}, {"count", false}} {
 		aggs, groups := merge(12, c.keyed)
-		run(c.name, aggs, groups, engine.Options{Workers: 1})
+		run(c.name, aggs, groups, engine.Options{Workers: 1}, func(int) bool { return true })
 	}
-	for _, window := range []int{4320, 5280, 9600} {
-		aggs, groups := merge(window, false)
-		run(fmt.Sprintf("w2-count-%d/rule", window), aggs, groups, engine.Options{Workers: 2})
-		run(fmt.Sprintf("w2-count-%d/whole", window), aggs, groups, engine.Options{Workers: 2, NoHomAgg: true})
+	for _, c := range []struct{ workers, window int }{
+		{2, 4320}, {1, 5280}, {2, 5280}, {1, 9600}, {2, 9600},
+	} {
+		aggs, groups := merge(c.window, false)
+		if !groups[0].Homomorphic {
+			b.Fatalf("window %d: the group is not homomorphic, so nothing is cut", c.window)
+		}
+		windows := (n + c.window - 1) / c.window
+		name := fmt.Sprintf("w%d-count-%d/", c.workers, c.window)
+		run(name+"cut", aggs, groups, engine.Options{Workers: c.workers},
+			func(claims int) bool { return claims > windows })
+		run(name+"whole", aggs, groups, engine.Options{Workers: c.workers, BatchSize: c.window},
+			func(claims int) bool { return claims == windows })
 	}
 }

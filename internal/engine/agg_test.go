@@ -44,6 +44,9 @@ func (d *aggToy) Call(name string, args []int64) (int64, error) {
 	return 0, fmt.Errorf("aggToy: no function %q", name)
 }
 
+// weatherAggs are three homomorphic aggregations over one window spec.
+// mild's count starts at 3, not at the sum identity, so a cut piece that
+// folded from the inits would count it twice.
 func weatherAggs(t *testing.T, window string) []*lang.AggProgram {
 	t.Helper()
 	aggs, err := lang.ParseAggs(fmt.Sprintf(`
@@ -69,11 +72,11 @@ agg swing(r) %[1]s {
   }
 }
 agg mild(r) %[1]s {
-  acc mn = 0;
+  acc mn = 3;
   fold {
     if (temp(r) > 18) { mn := mn + 1; }
   }
-  emit { notify 0 (mn >= 2); }
+  emit { notify 0 (mn >= 5); }
 }
 `, window))
 	if err != nil {
@@ -82,8 +85,8 @@ agg mild(r) %[1]s {
 	return aggs
 }
 
-// nonHomAggs has an accumulator-coupled fold (prefix sum of sums) that must
-// fall back to the unsplit window path.
+// nonHomAggs has an accumulator-coupled fold (prefix sum of sums) whose
+// windows are never cut.
 func nonHomAggs(t *testing.T) []*lang.AggProgram {
 	t.Helper()
 	aggs, err := lang.ParseAggs(`
@@ -106,22 +109,25 @@ agg tricky(r) window 5 {
 
 func aggGrid() []Options {
 	var grid []Options
-	for _, w := range []int{1, 2, 3, 4} {
-		for _, bs := range []int{1, 3, 7, 64} {
-			for _, noHom := range []bool{false, true} {
-				grid = append(grid, Options{Workers: w, BatchSize: bs, NoHomAgg: noHom})
-			}
+	for _, bs := range []int{1, 3, 7, 64} {
+		for _, w := range []int{1, 2, 3, 4} {
+			grid = append(grid, Options{Workers: w, BatchSize: bs})
 		}
 	}
 	return grid
 }
 
+// checkAggParity holds AggregateConsolidated to the serial replay's outputs
+// at every grid point, and to one FoldCost, UDFCost and Batches across the
+// Workers of each BatchSize: the claims and cuts depend on the plan and
+// BatchSize alone.
 func checkAggParity(t *testing.T, data RecordLibrary, aggs []*lang.AggProgram) {
 	t.Helper()
 	ref, err := AggregateMany(data, aggs, Options{})
 	if err != nil {
 		t.Fatalf("AggregateMany: %v", err)
 	}
+	var first AggMetrics // the grid's Workers: 1 point at this BatchSize
 	for _, o := range aggGrid() {
 		got, err := AggregateConsolidated(data, aggs, consolidate.Options{}, o)
 		if err != nil {
@@ -130,15 +136,22 @@ func checkAggParity(t *testing.T, data RecordLibrary, aggs []*lang.AggProgram) {
 		if !SameAggResults(ref, &got.AggResult) {
 			t.Fatalf("outputs differ from serial replay at %+v", o)
 		}
+		m := got.AggMetrics
+		if o.Workers == 1 {
+			first = m
+		} else if m.FoldCost != first.FoldCost || m.UDFCost != first.UDFCost || m.Batches != first.Batches {
+			t.Fatalf("at %+v: fold cost %d, UDF cost %d, %d batches; Workers: 1 had %d, %d, %d",
+				o, m.FoldCost, m.UDFCost, m.Batches, first.FoldCost, first.UDFCost, first.Batches)
+		}
 	}
 }
 
 // TestAggConsolidatedParity is the core acceptance check: merged windowed
 // outputs byte-identical to the per-aggregation serial replay at every
-// Workers × BatchSize × NoHomAgg configuration, for count-partitioned and
-// key-partitioned windows. The long windows (over n/3 records, and one
-// spanning the whole stream) are the ones the grid's multi-worker points
-// split. The name matches the race-matrix leg.
+// Workers × BatchSize configuration, for count-partitioned and
+// key-partitioned windows, with costs equal across Workers. The long
+// windows (over n/3 records, and one spanning the whole stream) are the
+// ones the grid's batch sizes cut. The name matches the race-matrix leg.
 func TestAggConsolidatedParity(t *testing.T) {
 	d := &aggToy{n: 137} // not a multiple of window or batch: trailing partials
 	for _, window := range []string{"window 4", "window 4 by city",
@@ -147,45 +160,77 @@ func TestAggConsolidatedParity(t *testing.T) {
 	}
 }
 
-// TestAggSplitRule pins which path each configuration takes, read off
-// Batches: a group folded by whole windows dispatches one claim per window,
-// a split one claim per batch. Only a homomorphic group whose longest window
-// exceeds ⌈n / workers⌉ records splits, so Workers: 1 never does.
-func TestAggSplitRule(t *testing.T) {
-	const n, bs = 137, 7 // ⌈137 / 3⌉ = 46; zone 0 holds 110 records
+// TestAggClaimBounds pins the fold claims: runs of whole windows of at
+// least BatchSize records, with a window longer than BatchSize cut every
+// BatchSize records only when the group is homomorphic. Short windows are
+// never cut, a long uncut window lies in one claim, and an empty stream
+// has no claims. The counts are worked out by hand at BatchSize 7 over
+// n = 137 (zone 0 holds 110 records).
+func TestAggClaimBounds(t *testing.T) {
+	const bs = 7
+	city := func(i int) int64 { return int64(i % 3) }
+	zone := func(i int) int64 { return int64(i % 5 / 4) }
 	cases := []struct {
-		window  string
-		workers int
-		noHom   bool
-		split   bool
+		name          string
+		n, size       int
+		key           func(int) int64 // nil: count windows
+		cut           bool
+		claims, parts int
 	}{
-		{"window 4", 1, false, false},
-		{"window 200", 1, false, false},
-		{"window 200 by zone", 1, false, false},
-		{"window 4", 3, false, false},
-		{"window 4 by city", 3, false, false},
-		{"window 46", 3, false, false},
-		{"window 47", 3, false, true},
-		{"window 200", 3, false, true},
-		{"window 60 by zone", 3, false, true},
-		{"window 200 by zone", 2, false, true},
-		{"window 200", 3, true, false},
-		{"window 60 by zone", 3, true, false},
+		// 35 windows, two to a claim.
+		{"short count", 137, 4, nil, true, 18, 0},
+		{"short keyed", 137, 4, city, true, 18, 0},
+		// Windows of 50, 50, 37 records, each cut every 7: 7 + 7 + 5 cuts.
+		{"long count", 137, 50, nil, true, 20, 19},
+		{"long count uncut", 137, 50, nil, false, 3, 0},
+		{"stream-long count", 137, 200, nil, true, 20, 19},
+		{"stream-long count uncut", 137, 200, nil, false, 1, 0},
+		// Zone 0's 60, zone 1's 27, zone 0's 50: 8 + 3 + 7 cuts.
+		{"long keyed", 137, 60, zone, true, 19, 18},
+		{"long keyed uncut", 137, 60, zone, false, 3, 0},
+		{"empty", 0, 50, nil, true, 0, 0},
+		{"empty keyed", 0, 4, city, true, 0, 0},
 	}
 	for _, c := range cases {
-		o := Options{Workers: c.workers, BatchSize: bs, NoHomAgg: c.noHom}
-		res, err := AggregateConsolidated(&aggToy{n: n}, weatherAggs(t, c.window), consolidate.Options{}, o)
-		if err != nil {
-			t.Fatal(err)
+		var keys []int64
+		if c.key != nil {
+			keys = make([]int64, c.n)
+			for i := range keys {
+				keys[i] = c.key(i)
+			}
 		}
-		want := res.Windows
-		if c.split {
-			want = (n + bs - 1) / bs
+		p := buildAggPlan(c.n, c.size, keys)
+		claims, parts := p.claims(c.n, bs, c.cut)
+		if len(claims) != c.claims || int(parts) != c.parts {
+			t.Errorf("%s: %d claims, %d cut pieces; want %d, %d", c.name, len(claims), parts, c.claims, c.parts)
+			continue
 		}
-		if len(res.Groups) != 1 || !res.Groups[0].Homomorphic || res.Batches != want {
-			t.Errorf("%s at %+v: %d groups, %d batches over %d windows; want split=%v (%d batches)",
-				c.window, o, len(res.Groups), res.Batches, res.Windows, c.split, want)
+		var nextPart int32
+		for k, cl := range claims {
+			win, hi := p.wins[cl.win], int32(c.n)
+			if k+1 < len(claims) {
+				hi = claims[k+1].lo
+			}
+			switch into := cl.lo - win.off; {
+			case k+1 < len(claims) && hi-cl.lo < bs:
+				t.Errorf("%s: claim %d holds %d records, fewer than a batch", c.name, k, hi-cl.lo)
+			case into == 0 && cl.part != -1, into != 0 && cl.part != nextPart:
+				t.Errorf("%s: claim %d opens %d records into its window with part %d", c.name, k, into, cl.part)
+			case into != 0 && (!c.cut || into%bs != 0 || into >= win.cnt):
+				t.Errorf("%s: claim %d cuts a window of %d records %d records in", c.name, k, win.cnt, into)
+			}
+			if cl.part >= 0 {
+				nextPart++
+			}
 		}
+	}
+	// The pass takes its cuts from the group's homomorphism and BatchSize.
+	res, err := AggregateConsolidated(&aggToy{n: 137}, weatherAggs(t, "window 50"), consolidate.Options{}, Options{Workers: 3, BatchSize: bs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Groups[0].Homomorphic || res.Batches != 20 {
+		t.Errorf("window 50: homomorphic %v, %d claims; want true, 20", res.Groups[0].Homomorphic, res.Batches)
 	}
 }
 
@@ -211,8 +256,9 @@ func TestAggPlanAllocs(t *testing.T) {
 	}
 }
 
-// TestAggConsolidatedParityNonHom pins the unsplit fallback: the coupled
-// fold cannot split, and outputs still agree on every grid point.
+// TestAggConsolidatedParityNonHom pins the uncut fallback: the coupled
+// fold's windows, longer than BatchSize 1 and 3, are never cut, and
+// outputs still agree on every grid point.
 func TestAggConsolidatedParityNonHom(t *testing.T) {
 	d := &aggToy{n: 61}
 	aggs := nonHomAggs(t)
@@ -301,9 +347,9 @@ func TestAggSharedTraversalCost(t *testing.T) {
 	}
 }
 
-// TestAggPartialCombineZeroAlloc pins the split path's steady state at
-// zero allocations per record: fold step into a partial segment plus the
-// combine of a closed window allocate nothing.
+// TestAggPartialCombineZeroAlloc pins a cut window's steady state at zero
+// allocations per record: fold step into a partial row plus the combine of
+// a piece allocate nothing.
 func TestAggPartialCombineZeroAlloc(t *testing.T) {
 	d := &aggToy{n: 64}
 	aggs := weatherAggs(t, "window 8")

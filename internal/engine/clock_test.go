@@ -47,7 +47,7 @@ func TestUDFClockSampling(t *testing.T) {
 		if !reflect.DeepEqual(timed, want) {
 			t.Errorf("BatchSize %d: timed records %v, want every multiple of %d below %d", bsize, timed, udfClockStride, n)
 		}
-		if got := c.total(); got != n*step {
+		if got := c.total(0); got != n*step {
 			t.Errorf("BatchSize %d: total %v over %d uniform runs of %v, want %v", bsize, got, n, step, n*step)
 		}
 	}
@@ -58,14 +58,29 @@ func TestUDFClockSampling(t *testing.T) {
 func TestUDFClockNothingTimed(t *testing.T) {
 	stub := &stubClock{step: time.Microsecond}
 	c := udfClock{now: stub.now}
-	if got := c.total(); got != 0 {
+	if got := c.total(0); got != 0 {
 		t.Errorf("total with no runs = %v", got)
 	}
 	for i := 1; i < udfClockStride; i++ {
 		c.start(i)
 		c.stop()
 	}
-	if got := c.total(); c.timed != 0 || got != 0 {
+	if got := c.total(0); c.timed != 0 || got != 0 {
 		t.Errorf("%d runs on unsampled records: %d timed, total %v", c.runs, c.timed, got)
+	}
+}
+
+// TestUDFClockClampsToWallTime: a stall inside a timed run is scaled with
+// the sample, but the total never exceeds the worker's wall time since the
+// clock was made, measured time included.
+func TestUDFClockClampsToWallTime(t *testing.T) {
+	stub := &stubClock{step: time.Hour}
+	c := udfClock{now: stub.now, born: time.Now()}
+	for i := 0; i < 4*udfClockStride; i++ {
+		c.start(i)
+		c.stop()
+	}
+	if got, wall := c.total(time.Hour), time.Since(c.born); got > wall {
+		t.Errorf("total %v after %v of wall time", got, wall)
 	}
 }

@@ -196,6 +196,9 @@ type Options struct {
 	// BatchSize is the number of records a worker claims per dispatch; 0
 	// means DefaultBatchSize. 1 reproduces record-at-a-time dispatch
 	// (verdicts are byte-identical either way; only amortization changes).
+	// An aggregation fold claims runs of whole windows of at least
+	// BatchSize records, and cuts a longer homomorphic window every
+	// BatchSize records.
 	BatchSize int
 	// MaxSteps guards against diverging UDFs; 0 disables the guard.
 	MaxSteps int64
@@ -204,11 +207,6 @@ type Options struct {
 	// set it: it is the unguarded reference of the prefilter and UDF-time
 	// tests.
 	NoPrefilter bool
-	// NoHomAgg disables the partial/combine split of homomorphic windowed
-	// aggregation groups whose longest window exceeds a worker's share of the
-	// stream: every group then runs window-at-a-time. Outputs are identical
-	// either way; only the differential tests and the oracle set it.
-	NoHomAgg bool
 	// PrefilterCache, when set, backs the SMT queries of guard synthesis so
 	// repeated consolidations share validity verdicts.
 	PrefilterCache *smt.Cache
@@ -291,7 +289,7 @@ func WhereMany(data RecordLibrary, udfs []*lang.Program, opts Options) (*Result,
 		}
 		fold = func() {
 			res.UDFCost += w.cost
-			res.UDFTime += w.clock.total()
+			res.UDFTime += w.clock.total(0)
 			for q, v := range w.lat {
 				res.LatencySum[q] += v
 			}

@@ -100,7 +100,9 @@ const udfClockStride = 8
 // batch position, so the same records are timed at every BatchSize. A timed
 // run includes about one clock read, as every run did when all were timed;
 // scaled, that read is no longer time the pass spent, so for UDFs much
-// cheaper than a clock read the estimate overstates.
+// cheaper than a clock read the estimate overstates. A stall inside a timed
+// run is scaled too, so total clamps the estimate to the worker's wall time
+// since the clock was made: a worker makes it when it joins the claim loop.
 type udfClock struct {
 	now    func() time.Time
 	t0     time.Time
@@ -108,9 +110,10 @@ type udfClock struct {
 	sum    time.Duration // over the timed runs
 	runs   int64
 	timed  int64
+	born   time.Time // on the real clock; zero (stub-clock tests) never clamps
 }
 
-func newUDFClock() udfClock { return udfClock{now: time.Now} }
+func newUDFClock() udfClock { return udfClock{now: time.Now, born: time.Now()} }
 
 // start opens a run on record i; stop closes it.
 func (c *udfClock) start(i int) {
@@ -127,12 +130,14 @@ func (c *udfClock) stop() {
 	}
 }
 
-// total is the estimated wall time of all runs; zero when none was timed.
-func (c *udfClock) total() time.Duration {
-	if c.timed == 0 {
-		return 0
+// total adds the estimated wall time of all runs (none when no run was
+// timed) to measured, the UDF time the worker timed outright, and caps the
+// sum at the worker's wall time since the clock was made.
+func (c *udfClock) total(measured time.Duration) time.Duration {
+	if c.timed > 0 {
+		measured += time.Duration(float64(c.sum) * float64(c.runs) / float64(c.timed))
 	}
-	return time.Duration(float64(c.sum) * float64(c.runs) / float64(c.timed))
+	return min(measured, time.Since(c.born))
 }
 
 // evalCluster is one cluster's resolved state within the evaluator's
@@ -278,7 +283,7 @@ func (e *evaluator) swap(gen uint64, snaps []*registry.Snapshot) error {
 // after the full decode.
 func (e *evaluator) totals() Metrics {
 	m := e.m
-	m.UDFTime += e.clock.total()
+	m.UDFTime = e.clock.total(m.UDFTime)
 	return m
 }
 

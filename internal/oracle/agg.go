@@ -33,10 +33,10 @@ func (c *AggCase) Sources() string {
 
 // aggAccShapes are the accumulator fold shapes the generator draws from.
 // The first four are the homomorphic shapes (sum, max, min, guarded
-// count) the classifier must split; the rest are deliberate near-misses —
+// count) the classifier must admit; the rest are deliberate near-misses —
 // a non-comparand guarded write and a chained double-sum — that exercise
-// the classifier's reject paths and the unsplit window-parallel fallback
-// without ever changing outputs.
+// the classifier's reject paths and the uncut whole-window fold without
+// ever changing outputs.
 const (
 	aggShapeSum = iota
 	aggShapeMax
@@ -50,7 +50,7 @@ const (
 
 // GenAggCase derives one windowed-aggregation case from the seed: 2–4
 // aggregations over 1–2 window specs (sizes 1–5, or one time in four a long
-// window of 12–51 so the engine's split runs; half of them partitioned by
+// window of 12–51 so the engine cuts windows; half of them partitioned by
 // the first record column via p0), each folding 1–2 accumulators whose
 // shapes mix the homomorphic fold forms with rejectable near-misses, over
 // shared scan bindings so Ω has a traversal to recover.
@@ -79,7 +79,7 @@ func GenAggCase(seed int64) *AggCase {
 
 	// Records: small two-column rows. Column 0 doubles as the partition
 	// key, drawn from a tiny range (2–7 values) so keyed windows interleave
-	// and collide, and a long keyed window can exceed a worker's share.
+	// and collide, and a long keyed window can exceed a batch.
 	records, keys := 12+rng.Intn(40), 2+rng.Intn(6)
 	for i := 0; i < records; i++ {
 		c.Inputs = append(c.Inputs, []int64{
@@ -93,7 +93,7 @@ func GenAggCase(seed int64) *AggCase {
 func genAggSpec(rng *rand.Rand) string {
 	size := 1 + rng.Intn(5)
 	if rng.Intn(4) == 0 {
-		size = 12 + rng.Intn(40) // long: past a worker's share, up to the whole stream
+		size = 12 + rng.Intn(40) // long: past the batch of 7, up to the whole stream
 	}
 	spec := fmt.Sprintf("window %d", size)
 	if rng.Intn(2) == 0 {
@@ -155,8 +155,8 @@ func aggFailf(check string, c *AggCase, format string, args ...any) *Failure {
 }
 
 // CheckAggregate holds windowed aggregation to its replay-equivalence
-// contract: the merged shared-traversal execution — homomorphic
-// partial/combine split and unsplit window-parallel alike — must
+// contract: the merged shared-traversal execution — windows cut into
+// partials and combined, and windows folded whole, alike — must
 // reproduce the per-aggregation serial replay byte-identically (emitted
 // verdicts, window counts, partition keys) at every Workers/BatchSize
 // combination. Every combination merges again over the shared query
@@ -174,36 +174,25 @@ func CheckAggregate(c *AggCase) *Failure {
 	copts := consolidate.Options{Cache: smt.NewCache(0)}
 	var folds string
 	rng := rand.New(rand.NewSource(c.Seed ^ 0x51D37A91))
-	workers := []int{1, 2, 3, 4}
-	for si, bs := range batchSizesFor(len(c.Inputs), rng) {
-		for wi, w := range workers {
-			// Rotate which dispatch shape runs both hom modes: the split and
-			// unsplit paths share everything downstream of the fold loop, so
-			// one double-run per batch size keeps the campaign affordable.
-			noHoms := []bool{si%2 == 0}
-			if wi == si%len(workers) {
-				noHoms = []bool{false, true}
+	for _, bs := range batchSizesFor(len(c.Inputs), rng) {
+		for _, w := range []int{1, 2, 3, 4} {
+			label := fmt.Sprintf("workers=%d batch=%d", w, bs)
+			got, err := engine.AggregateConsolidated(d, c.Aggs, copts, engine.Options{Workers: w, BatchSize: bs})
+			if err != nil {
+				return aggFailf(CheckErr, c, "consolidated %s: %v", label, err)
 			}
-			for _, noHom := range noHoms {
-				label := fmt.Sprintf("workers=%d batch=%d noHom=%v", w, bs, noHom)
-				got, err := engine.AggregateConsolidated(d, c.Aggs, copts,
-					engine.Options{Workers: w, BatchSize: bs, NoHomAgg: noHom})
-				if err != nil {
-					return aggFailf(CheckErr, c, "consolidated %s: %v", label, err)
-				}
-				if !engine.SameAggResults(ref, &got.AggResult) {
-					return aggFailf(CheckAggParity, c,
-						"%s: merged windowed outputs diverge from the per-aggregation replay", label)
-				}
-				var b strings.Builder
-				for _, g := range got.Groups {
-					fmt.Fprintf(&b, "%v %s\n", g.Homomorphic, lang.Format(g.Fold))
-				}
-				if folds == "" {
-					folds = b.String()
-				} else if b.String() != folds {
-					return aggFailf(CheckAggParity, c, "%s: re-merge over the warm cache built different folds", label)
-				}
+			if !engine.SameAggResults(ref, &got.AggResult) {
+				return aggFailf(CheckAggParity, c,
+					"%s: merged windowed outputs diverge from the per-aggregation replay", label)
+			}
+			var b strings.Builder
+			for _, g := range got.Groups {
+				fmt.Fprintf(&b, "%v %s\n", g.Homomorphic, lang.Format(g.Fold))
+			}
+			if folds == "" {
+				folds = b.String()
+			} else if b.String() != folds {
+				return aggFailf(CheckAggParity, c, "%s: re-merge over the warm cache built different folds", label)
 			}
 		}
 	}

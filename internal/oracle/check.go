@@ -105,6 +105,12 @@ func failf(check string, b *Batch, format string, args ...any) *Failure {
 	return &Failure{Check: check, Seed: seed, Batch: b, Msg: fmt.Sprintf(format, args...)}
 }
 
+// on records in as the offending input and returns f.
+func (f *Failure) on(in []int64) *Failure {
+	f.Input = in
+	return f
+}
+
 func run(lib lang.Library, p *lang.Program, in []int64) (*lang.Result, error) {
 	interp := lang.NewInterp(lib)
 	interp.MaxSteps = maxInterpSteps
@@ -145,9 +151,7 @@ func diffExecutors(b *Batch, lib lang.Library, p *lang.Program, cm *lang.CostMod
 	notes, stamps, cost, errV := rn.Run(in)
 
 	fail := func(format string, args ...any) *Failure {
-		f := failf(CheckExec, b, "%s: %s on %v: %s", label, p.Name, in, fmt.Sprintf(format, args...))
-		f.Input = in
-		return f
+		return failf(CheckExec, b, "%s: %s on %v: %s", label, p.Name, in, fmt.Sprintf(format, args...)).on(in)
 	}
 	if (errI == nil) != (errV == nil) {
 		return fail("error divergence: interp %v, vm %v", errI, errV)
@@ -257,8 +261,7 @@ func CheckConsolidation(b *Batch) *Failure {
 		return failf(CheckErr, b, "parallel consolidation: %v", err)
 	}
 	if s, p := lang.Format(serial), lang.Format(parallel); s != p {
-		f := failf(CheckDeterminism, b, "serial and parallel consolidation disagree:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
-		return f
+		return failf(CheckDeterminism, b, "serial and parallel consolidation disagree:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
 	}
 	for _, in := range b.Inputs {
 		var sumCost int64
@@ -266,9 +269,7 @@ func CheckConsolidation(b *Batch) *Failure {
 		for i, p := range b.Progs {
 			res, err := run(lib, p, in)
 			if err != nil {
-				f := failf(CheckErr, b, "original %s on %v: %v", p.Name, in, err)
-				f.Input = in
-				return f
+				return failf(CheckErr, b, "original %s on %v: %v", p.Name, in, err).on(in)
 			}
 			sumCost += res.Cost
 			// Notification ids were renumbered to program indices; each
@@ -279,19 +280,13 @@ func CheckConsolidation(b *Batch) *Failure {
 		}
 		res, err := run(lib, serial, in)
 		if err != nil {
-			f := failf(CheckErr, b, "consolidated program on %v: %v", in, err)
-			f.Input = in
-			return f
+			return failf(CheckErr, b, "consolidated program on %v: %v", in, err).on(in)
 		}
 		if !res.Notes.Equal(want) {
-			f := failf(CheckDef1, b, "input %v: consolidated notifies %v, originals notify %v", in, res.Notes, want)
-			f.Input = in
-			return f
+			return failf(CheckDef1, b, "input %v: consolidated notifies %v, originals notify %v", in, res.Notes, want).on(in)
 		}
 		if res.Cost > sumCost {
-			f := failf(CheckCost, b, "input %v: consolidated cost %d exceeds sequential cost %d", in, res.Cost, sumCost)
-			f.Input = in
-			return f
+			return failf(CheckCost, b, "input %v: consolidated cost %d exceeds sequential cost %d", in, res.Cost, sumCost).on(in)
 		}
 	}
 	return nil

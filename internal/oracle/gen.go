@@ -40,18 +40,6 @@ const (
 	MixLIAHeavy
 )
 
-func (m Mix) String() string {
-	switch m {
-	case MixBalanced:
-		return "balanced"
-	case MixUFHeavy:
-		return "uf-heavy"
-	case MixLIAHeavy:
-		return "lia-heavy"
-	}
-	return fmt.Sprintf("Mix(%d)", int(m))
-}
-
 // GenOptions tunes the program generator.
 type GenOptions struct {
 	// Programs is the batch size (queries consolidated together).

@@ -10,6 +10,7 @@ import (
 
 	"consolidation/internal/engine"
 	"consolidation/internal/lang"
+	"consolidation/internal/logic"
 )
 
 // corpusSeeds loads a checked-in seed corpus: decimal seeds, one per line,
@@ -297,6 +298,36 @@ func TestGeneratedAggCasesWellFormed(t *testing.T) {
 		}
 		if _, err := engine.AggregateMany(newInputLibrary(a.Inputs), a.Aggs, engine.Options{}); err != nil {
 			t.Fatalf("seed %d: serial replay: %v", seed, err)
+		}
+	}
+}
+
+// TestTrustedSat pins which Sat verdicts the prefilter check's SMT leg
+// fails on: any on a query without a product of two non-constant terms,
+// and on one with such a product only when the solver's assignment
+// satisfies the query exactly.
+func TestTrustedSat(t *testing.T) {
+	x, y := logic.V("x"), logic.V("y")
+	mul := func(l, r logic.Term) logic.Term { return logic.TBin{Op: logic.Mul, L: l, R: r} }
+	product := logic.EqT(mul(x, y), logic.Num(6))
+	// A constant factor built from constants is still linear.
+	scaled := logic.Atom(logic.Lt, mul(logic.TBin{Op: logic.Sub, L: mul(logic.Num(0), logic.Num(-2)), R: logic.Num(10)}, y), x)
+	cases := []struct {
+		name string
+		q    logic.Formula
+		m    *logic.Model
+		want bool
+	}{
+		{"linear", logic.Atom(logic.Lt, x, logic.Num(3)), nil, true},
+		{"constant factor", scaled, nil, true},
+		{"product, no assignment", product, nil, false},
+		{"product, refuted", product, &logic.Model{Vars: map[string]int64{"x": 1, "y": 1}}, false},
+		{"product, confirmed", product, &logic.Model{Vars: map[string]int64{"x": 2, "y": 3}}, true},
+		{"product, undecided", product, &logic.Model{Vars: map[string]int64{"x": 2}}, false},
+	}
+	for _, c := range cases {
+		if got := trustedSat(c.q, c.m); got != c.want {
+			t.Errorf("%s: trustedSat(%s) = %v, want %v", c.name, c.q, got, c.want)
 		}
 	}
 }

@@ -28,9 +28,10 @@ func prefilterGuardOptions() prefilter.Options {
 //
 //   - SMT necessity: for every collected notify-path condition Ψ, the
 //     query Ψ ∧ ¬G must not be satisfiable — the guard is implied whenever
-//     any notify-true site is reached. A Sat verdict is a synthesis bug;
-//     Unknown is tolerated (the engine-side weakening was verified through
-//     Entails, which treats Unknown as a refusal, not a proof).
+//     any notify-true site is reached. A trusted Sat verdict (trustedSat)
+//     is a synthesis bug; Unknown, and a Sat resting on an uninterpreted
+//     product, are tolerated (the engine-side weakening was verified
+//     through Entails, which treats Unknown as a refusal, not a proof).
 //   - Differential replay (the brute-force small-domain search): every
 //     probe input runs through both the compiled guard and the merged
 //     program; a rejected input on which the merged program notifies true
@@ -60,9 +61,8 @@ func CheckPrefilter(b *Batch) *Failure {
 	// SMT necessity, condition by condition.
 	solver := smt.New()
 	for i, nc := range guard.Conds {
-		conj := append(append([]logic.Formula{}, nc.Conjuncts...), logic.Not(guard.Formula))
-		q := logic.And(conj...)
-		if solver.Check(q) == smt.Sat {
+		q := logic.And(append(append([]logic.Formula{}, nc.Conjuncts...), logic.Not(guard.Formula))...)
+		if r, m := solver.CheckModel(q); r == smt.Sat && trustedSat(q, m) {
 			f := failf(CheckPrefilterSound, b,
 				"notify-path condition %d (id %d) does not imply the guard %s", i, nc.ID, guard.Test)
 			f.Formula = q.String()
@@ -89,12 +89,36 @@ func CheckPrefilter(b *Batch) *Failure {
 		}
 		for _, id := range plan.Compiled.NoteIDs() {
 			if v, ok := mrn.Note(id); ok && v {
-				f := failf(CheckPrefilterSound, b,
-					"guard %s rejects input %v but the consolidated program notifies %d true", guard.Test, in, id)
-				f.Input = in
-				return f
+				return failf(CheckPrefilterSound, b,
+					"guard %s rejects input %v but the consolidated program notifies %d true", guard.Test, in, id).on(in)
 			}
 		}
 	}
 	return nil
+}
+
+// trustedSat reports whether the solver's Sat on q, ending on assignment m
+// (nil for none), shows q satisfiable. The solver abstracts a product of two
+// non-constant terms as an uninterpreted function, so with one in q only an
+// m that satisfies q exactly counts.
+func trustedSat(q logic.Formula, m *logic.Model) bool {
+	if m != nil {
+		if v, ok := m.Decide(q); ok && v {
+			return true
+		}
+	}
+	linear := true
+	logic.Inspect(q, func(n logic.Node) bool {
+		x, ok := n.(logic.TBin)
+		linear = linear && (!ok || x.Op != logic.Mul || ground(x.L) || ground(x.R))
+		return linear
+	})
+	return linear
+}
+
+// ground reports whether t reads no variable and applies no function: the
+// empty model decides it.
+func ground(t logic.Term) bool {
+	_, ok := new(logic.Model).Decide(logic.EqT(t, t))
+	return ok
 }

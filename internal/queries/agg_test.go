@@ -77,7 +77,7 @@ func TestAggWorkloadEndToEnd(t *testing.T) {
 			}
 			for _, o := range []engine.Options{
 				{Workers: 3, BatchSize: 5},
-				{Workers: 4, BatchSize: 16, NoHomAgg: true},
+				{Workers: 4, BatchSize: 16},
 			} {
 				got, err := engine.AggregateConsolidated(c.lib, aggs, consolidate.Options{}, o)
 				if err != nil {
