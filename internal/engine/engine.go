@@ -202,11 +202,6 @@ type Options struct {
 	BatchSize int
 	// MaxSteps guards against diverging UDFs; 0 disables the guard.
 	MaxSteps int64
-	// NoPrefilter disables admission pre-filter synthesis for consolidated
-	// passes; records then always run the full merged program. Only tests
-	// set it: it is the unguarded reference of the prefilter and UDF-time
-	// tests.
-	NoPrefilter bool
 	// PrefilterCache, when set, backs the SMT queries of guard synthesis so
 	// repeated consolidations share validity verdicts.
 	PrefilterCache *smt.Cache
@@ -364,8 +359,9 @@ func (w *manyWorker) evalBatch(lo, hi int, rows []bool) error {
 }
 
 // ConsolidatedResult extends Result with the plan the pass ran: the
-// merged program, its guard (nil with NoPrefilter; trivial guards are
-// synthesized but not executed) and what preparing them cost.
+// merged program, its guard (nil when the plan was prepared without one;
+// trivial guards are synthesized but not executed) and what preparing them
+// cost.
 type ConsolidatedResult struct {
 	Result
 	consolidate.Plan
@@ -393,12 +389,9 @@ func WhereConsolidated(data RecordLibrary, udfs []*lang.Program, copts consolida
 	// pass). A non-trivial guard's calls are within LiteCostBound by
 	// construction (it was the synthesis fragment bound), so the guard can
 	// run after SetRecordLite.
-	var guard *prefilter.Options
-	if !opts.NoPrefilter {
-		guard = &prefilter.Options{Coster: data, Cache: opts.PrefilterCache, CostModel: copts.CostModel}
-		if lite, ok := data.(LiteRecordLibrary); ok {
-			guard.MaxCallCost = lite.LiteCostBound()
-		}
+	guard := &prefilter.Options{Coster: data, Cache: opts.PrefilterCache, CostModel: copts.CostModel}
+	if lite, ok := data.(LiteRecordLibrary); ok {
+		guard.MaxCallCost = lite.LiteCostBound()
 	}
 	plan, err := consolidate.Prepare(leaves, copts, runtime.GOMAXPROCS(0), nil, guard)
 	if err != nil {

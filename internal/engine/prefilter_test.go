@@ -33,6 +33,22 @@ func q%d(r) {
 	return udfs
 }
 
+// unguardedPass consolidates udfs with no admission guard and runs the
+// plan, so every record runs the full merged program: the unguarded
+// reference the guarded passes are held to.
+func unguardedPass(tw *data.Twitter, udfs []*lang.Program, copts consolidate.Options, opts engine.Options) (*engine.ConsolidatedResult, error) {
+	leaves := make([]consolidate.Leaf, len(udfs))
+	for i, p := range udfs {
+		leaves[i] = consolidate.Leaf{ID: i, Prog: p}
+	}
+	copts.FuncCoster = tw
+	plan, err := consolidate.Prepare(leaves, copts, 1, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return engine.WherePlan(tw, plan, opts)
+}
+
 func gatedTwitter(t *testing.T) (*data.Twitter, []*lang.Program) {
 	t.Helper()
 	tw := data.GenTwitter(data.TwitterConfig{Tweets: 600, Seed: 11})
@@ -50,7 +66,7 @@ func TestWhereConsolidatedPrefilterEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := engine.WhereConsolidated(tw, udfs, consolidate.Options{}, engine.Options{Workers: 1, NoPrefilter: true})
+	plain, err := unguardedPass(tw, udfs, consolidate.Options{}, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +93,7 @@ func TestWhereConsolidatedPrefilterEquivalence(t *testing.T) {
 		t.Fatalf("filtered pass accumulated no guard cost")
 	}
 	if plain.Guard != nil {
-		t.Fatalf("NoPrefilter pass must not synthesize a guard")
+		t.Fatalf("unguarded pass must not synthesize a guard")
 	}
 	if plain.Rejected != 0 || plain.Admitted != plain.Records {
 		t.Fatalf("unfiltered pass should admit everything")
@@ -125,7 +141,7 @@ func TestWhereConsolidatedTrivialGuardLegacy(t *testing.T) {
 	if filt.Rejected != 0 || filt.GuardCost != 0 {
 		t.Fatalf("trivial guard must not filter or cost anything")
 	}
-	plain, err := engine.WhereConsolidated(tw, udfs, consolidate.Options{}, engine.Options{Workers: 1, NoPrefilter: true})
+	plain, err := unguardedPass(tw, udfs, consolidate.Options{}, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

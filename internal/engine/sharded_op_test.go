@@ -283,11 +283,13 @@ func TestWhereShardedParityMatrix(t *testing.T) {
 
 // recordingSource wraps a registry and remembers, for every generation it
 // actually served, the live query set at serve time — the ground truth for
-// "which queries were subscribed when this record was admitted".
+// "which queries were subscribed when this record was admitted" — and
+// whether that snapshot was clean.
 type recordingSource struct {
-	sh     *shard.ShardedRegistry
-	mu     sync.Mutex
-	liveAt map[uint64][]shard.QueryID
+	sh      *shard.ShardedRegistry
+	mu      sync.Mutex
+	liveAt  map[uint64][]shard.QueryID
+	cleanAt map[uint64]bool
 }
 
 func (s *recordingSource) Snapshot() *shard.Snapshot {
@@ -295,6 +297,7 @@ func (s *recordingSource) Snapshot() *shard.Snapshot {
 	s.mu.Lock()
 	if _, ok := s.liveAt[snap.Gen]; !ok {
 		s.liveAt[snap.Gen] = snap.LiveIDs()
+		s.cleanAt[snap.Gen] = snap.Clean()
 	}
 	s.mu.Unlock()
 	return snap
@@ -317,7 +320,8 @@ func (s *slowToy) Clone() RecordLibrary {
 
 // TestWhereShardedHotSwapChurn is the hot-swap safety criterion: while
 // records stream through the operator, queries subscribe and unsubscribe
-// concurrently and the cluster workers re-consolidate in the background.
+// concurrently and every event is followed by a Rebuild, as live-churn
+// drives the registry.
 // Every record must be notified by exactly the queries that were live in
 // the generation that admitted it — no drops, no double notifications — and
 // every verdict must equal the original UDF run alone on that record.
@@ -341,19 +345,18 @@ func TestWhereShardedHotSwapChurn(t *testing.T) {
 
 func testWhereShardedHotSwapChurn(t *testing.T, maxCluster, workers, bsize int) {
 	data := &slowToy{toy(800), 40 * time.Microsecond}
-	// Registry.Workers > 1: background re-consolidation runs its
-	// divide-and-conquer merges in parallel while the storm lands, so swaps
-	// arrive from a concurrent rebuild, not just the Add/Remove deltas.
+	// Registry.Workers > 1: the churn goroutine's rebuilds run their
+	// divide-and-conquer merges in parallel while the stream is in flight,
+	// so swaps arrive from a concurrent rebuild, not just the Add/Remove
+	// deltas.
 	sh, err := shard.New(shard.Options{
 		Registry:       registry.Options{Workers: 2},
 		MaxClusterSize: maxCluster,
 		MinSimilarity:  -1,
-		Debounce:       2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
 
 	var pm sync.Mutex
 	progs := map[shard.QueryID]*lang.Program{}
@@ -384,7 +387,11 @@ func testWhereShardedHotSwapChurn(t *testing.T, maxCluster, workers, bsize int) 
 
 	// Churn while the stream below is in flight. Added queries use a notify
 	// id ≠ their eventual slot, so the verbatim pending path is exercised
-	// with non-trivial renumbering.
+	// with non-trivial renumbering. The churn goroutine is the only writer,
+	// so the generation current right after a Rebuild that rebuilt a
+	// cluster is the one that Rebuild published (never the initial flushed
+	// one).
+	rebuiltGens := map[uint64]bool{}
 	stopChurn := make(chan struct{})
 	var churn sync.WaitGroup
 	churn.Add(1)
@@ -418,11 +425,21 @@ func testWhereShardedHotSwapChurn(t *testing.T, maxCluster, workers, bsize int) 
 			} else {
 				add(extra[i%len(extra)])
 			}
+			n, err := sh.Rebuild()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if n > 0 {
+				pm.Lock()
+				rebuiltGens[sh.Snapshot().Gen] = true
+				pm.Unlock()
+			}
 			time.Sleep(time.Millisecond)
 		}
 	}()
 
-	src := &recordingSource{sh: sh, liveAt: map[uint64][]shard.QueryID{}}
+	src := &recordingSource{sh: sh, liveAt: map[uint64][]shard.QueryID{}, cleanAt: map[uint64]bool{}}
 	res, err := WhereSharded(data, src, Options{Workers: workers, BatchSize: bsize})
 	close(stopChurn)
 	churn.Wait()
@@ -432,6 +449,19 @@ func testWhereShardedHotSwapChurn(t *testing.T, maxCluster, workers, bsize int) 
 
 	if res.Swaps == 0 {
 		t.Fatal("no generation swap landed mid-stream; churn did not overlap the pass")
+	}
+	// Add/Remove publish dirty deltas (save a Remove that drains a whole
+	// cluster), so the swaps that matter here are to clean generations a
+	// concurrent Rebuild published. At least one must have admitted records.
+	fromRebuild := false
+	for _, g := range res.Gens {
+		if rebuiltGens[g] && src.cleanAt[g] {
+			fromRebuild = true
+			break
+		}
+	}
+	if !fromRebuild {
+		t.Fatal("no clean generation published by a concurrent rebuild admitted a record")
 	}
 	if res.Batches != (800+bsize-1)/bsize {
 		t.Fatalf("got %d batches for 800 records at batch size %d", res.Batches, bsize)

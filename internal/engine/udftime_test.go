@@ -19,8 +19,8 @@ import (
 // more than the pass took. The estimate scales a sample, so a stall inside
 // a timed run is multiplied; the worker's clamp to its own wall time keeps
 // it within the pass. Half the tweets pass the guard, so both the
-// batch-timed guard stage and the sampled stage contribute; the NoPrefilter
-// and unguarded rows rest on the sampled clock alone.
+// batch-timed guard stage and the sampled stage contribute; the two
+// unguarded rows rest on the sampled clock alone.
 func TestUDFTimeWithinTotal(t *testing.T) {
 	tw := data.GenTwitter(data.TwitterConfig{Tweets: 20000, Seed: 23})
 	udfs := gatedTwitterUDFs(4, tw.FollowerQuantile(0.5))
@@ -82,8 +82,8 @@ func TestUDFTimeWithinTotal(t *testing.T) {
 			}
 			return r.UDFTime, r.TotalTime, nil
 		}},
-		{"WhereConsolidated/NoPrefilter", func() (time.Duration, time.Duration, error) {
-			r, err := engine.WhereConsolidated(tw, udfs, copts, engine.Options{Workers: 1, NoPrefilter: true})
+		{"WherePlan/unguarded", func() (time.Duration, time.Duration, error) {
+			r, err := unguardedPass(tw, udfs, copts, opts)
 			if err != nil {
 				return 0, 0, err
 			}

@@ -53,7 +53,10 @@ const (
 // window of 12–51 so the engine cuts windows; half of them partitioned by
 // the first record column via p0), each folding 1–2 accumulators whose
 // shapes mix the homomorphic fold forms with rejectable near-misses, over
-// shared scan bindings so Ω has a traversal to recover.
+// shared scan bindings so Ω has a traversal to recover. Accumulators start
+// at small non-identity values (sums −3..3, maxima and minima −4..4,
+// counts 0..2), so a cut window's later piece that folds from the inits
+// instead of the combine identities changes the output.
 func GenAggCase(seed int64) *AggCase {
 	rng := rand.New(rand.NewSource(seed ^ 0x3A66D0C2))
 
@@ -115,22 +118,22 @@ func genAggSrc(rng *rand.Rand, name, spec string, fields []string) string {
 		}
 		switch shape {
 		case aggShapeSum:
-			fmt.Fprintf(&accs, "  acc %s = 0;\n", acc)
+			fmt.Fprintf(&accs, "  acc %s = %d;\n", acc, rng.Intn(7)-3)
 			fmt.Fprintf(&folds, "    %s := %s + x;\n", acc, acc)
 		case aggShapeMax:
-			fmt.Fprintf(&accs, "  acc %s = -100000;\n", acc)
+			fmt.Fprintf(&accs, "  acc %s = %d;\n", acc, rng.Intn(9)-4)
 			fmt.Fprintf(&folds, "    if (%s < x) { %s := x; }\n", acc, acc)
 		case aggShapeMin:
-			fmt.Fprintf(&accs, "  acc %s = 100000;\n", acc)
+			fmt.Fprintf(&accs, "  acc %s = %d;\n", acc, rng.Intn(9)-4)
 			fmt.Fprintf(&folds, "    if (x < %s) { %s := x; }\n", acc, acc)
 		case aggShapeCount:
-			fmt.Fprintf(&accs, "  acc %s = 0;\n", acc)
+			fmt.Fprintf(&accs, "  acc %s = %d;\n", acc, rng.Intn(3))
 			fmt.Fprintf(&folds, "    if (x > %d) { %s := %s + 1; }\n", thr, acc, acc)
 		case aggShapeGuardShift:
 			fmt.Fprintf(&accs, "  acc %s = 100000;\n", acc)
 			fmt.Fprintf(&folds, "    if (x < %s) { %s := x + 1; }\n", acc, acc)
 		case aggShapeDoubleSum:
-			fmt.Fprintf(&accs, "  acc %s = 0;\n", acc)
+			fmt.Fprintf(&accs, "  acc %s = %d;\n", acc, rng.Intn(7)-3)
 			fmt.Fprintf(&folds, "    %s := %s + x;\n    %s := %s + 1;\n", acc, acc, acc, acc)
 		default: // aggShapeCrossAcc
 			fmt.Fprintf(&accs, "  acc %s = 0;\n", acc)

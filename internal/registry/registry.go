@@ -14,8 +14,9 @@
 //
 // A Registry is passive: it starts no goroutine and rebuilds only when its
 // owner calls Rebuild or Flush. The owner is internal/shard, which assigns
-// the query ids, decides when to rebuild (one debounce worker per cluster)
-// and publishes every cluster's snapshot under the one generation number.
+// the query ids, rebuilds the dirty clusters when its own caller calls
+// Rebuild or Flush, and publishes every cluster's snapshot under the one
+// generation number.
 //
 // Between a change and the next completed rebuild the query set stays
 // *live* through delta snapshots: the stale consolidated
@@ -171,7 +172,6 @@ type Registry struct {
 	slotOf       map[QueryID]int
 	version      uint64 // bumped on every Add/Remove
 	builtVersion uint64 // version the published Merged reflects
-	lastErr      error
 	stats        Stats
 
 	snap atomic.Pointer[Snapshot]
@@ -235,13 +235,6 @@ func leavesOf(ents []PendingQuery) []consolidate.Leaf {
 		out[i] = consolidate.Leaf{ID: int(e.ID), Prog: e.Program}
 	}
 	return out
-}
-
-// LastErr returns the most recent rebuild error, if any.
-func (r *Registry) LastErr() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastErr
 }
 
 // Stats snapshots registry counters.
@@ -378,9 +371,6 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 		// meaningful for the exact Merged it was derived from.
 		plan, err := consolidate.Prepare(leavesOf(ents), r.opts.Consolidate, r.opts.Workers, r.memo, r.opts.Prefilter)
 		if err != nil {
-			r.mu.Lock()
-			r.lastErr = err
-			r.mu.Unlock()
 			return nil, err
 		}
 		snap.Plan = *plan
@@ -419,7 +409,6 @@ func (r *Registry) Rebuild() (*Snapshot, error) {
 	}
 	r.snap.Store(snap)
 	r.builtVersion = v
-	r.lastErr = nil
 	r.stats.Builds++
 	r.stats.PairsMerged += uint64(bs.Pairs)
 	r.stats.NodesReused += uint64(bs.NodesReused)

@@ -22,9 +22,13 @@
 // configuration Options{MaxClusterSize: math.MaxInt, MinSimilarity: -1}:
 // every query joins the first cluster and it never splits.
 //
-// Snapshots are atomic across clusters: every mutation (and every completed
-// background rebuild) publishes one Snapshot holding each cluster's current
-// registry snapshot under a single monotone generation. A query has one id
+// Rebuilds are caller-driven: the registry starts no goroutine, and a
+// cluster is re-consolidated only on Rebuild or Flush. Until then every
+// change is served by its cluster's delta snapshot.
+//
+// Snapshots are atomic across clusters: every mutation and every Rebuild
+// publishes one Snapshot holding each cluster's current registry snapshot
+// under a single monotone generation. A query has one id
 // everywhere: the cluster registries are handed the shard's QueryID. The
 // engine's WhereSharded operator loads the snapshot once per batch and
 // swaps generations only at batch boundaries, so no record is dropped or
@@ -35,7 +39,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"consolidation/internal/consolidate"
 	"consolidation/internal/lang"
@@ -69,19 +72,7 @@ type Options struct {
 	// negative means always join the most similar cluster (size splits
 	// still apply).
 	MinSimilarity float64
-	// Debounce is the quiet window a cluster's rebuild worker waits after a
-	// change before re-consolidating, so a burst coalesces into one
-	// rebuild; a change waits at most maxLagFactor×Debounce while further
-	// changes keep resetting the window. Zero (or negative) starts no
-	// workers: every change still publishes a delta snapshot, but rebuilds
-	// happen only on Rebuild or Flush — the mode the benchmark uses to time
-	// each one.
-	Debounce time.Duration
 }
-
-// maxLagFactor bounds how long a change may wait for its rebuild, in
-// debounce windows.
-const maxLagFactor = 8
 
 func (o Options) maxClusterSize() int {
 	if o.MaxClusterSize > 0 {
@@ -171,8 +162,6 @@ type cluster struct {
 	reg      *registry.Registry
 	order    []*member // insertion order; deterministic iteration
 	centroid consolidate.Signature
-	kick     chan struct{}
-	stop     chan struct{}
 }
 
 // ShardedRegistry is the similarity-sharded query-lifecycle subsystem.
@@ -191,14 +180,10 @@ type ShardedRegistry struct {
 	stats    Stats
 
 	snap atomic.Pointer[Snapshot]
-
-	wg        sync.WaitGroup
-	done      chan struct{}
-	closeOnce sync.Once
 }
 
-// New creates a sharded registry. Close must be called to stop the
-// per-cluster rebuild workers when Debounce is positive.
+// New creates a sharded registry. It starts no goroutine: clusters are
+// re-consolidated only when the caller calls Rebuild or Flush.
 func New(opts Options) (*ShardedRegistry, error) {
 	if opts.Registry.Consolidate.Solver != nil {
 		return nil, fmt.Errorf("shard: Options.Registry.Consolidate.Solver is not supported; share a Cache instead")
@@ -210,18 +195,14 @@ func New(opts Options) (*ShardedRegistry, error) {
 		opts:    opts,
 		members: map[QueryID]*member{},
 		nextID:  1,
-		done:    make(chan struct{}),
 	}
 	s.snap.Store(&Snapshot{})
 	return s, nil
 }
 
-// Close stops every cluster's rebuild worker. The last published snapshot
-// remains readable.
-func (s *ShardedRegistry) Close() {
-	s.closeOnce.Do(func() { close(s.done) })
-	s.wg.Wait()
-}
+// Close does nothing: the registry starts no goroutine and holds nothing
+// to release. The last published snapshot remains readable.
+func (s *ShardedRegistry) Close() {}
 
 // Snapshot returns the current cross-cluster generation; the returned
 // value is immutable.
@@ -268,23 +249,10 @@ func (s *ShardedRegistry) ClusterStats() []ClusterStat {
 	return out
 }
 
-// LastErr returns the most recent rebuild error of any cluster, if any.
-func (s *ShardedRegistry) LastErr() error {
-	s.mu.Lock()
-	cls := append([]*cluster(nil), s.clusters...)
-	s.mu.Unlock()
-	for _, c := range cls {
-		if err := c.reg.LastErr(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Add subscribes a query: its similarity signature routes it to the most
-// affine cluster (or opens a new one), the cluster's delta snapshot makes
-// it live immediately, and a cluster-local re-consolidation is scheduled.
-// Only the target cluster is touched — every other cluster's merge tree,
+// affine cluster (or opens a new one), and the cluster's delta snapshot
+// makes it live immediately; the next Rebuild re-consolidates that cluster
+// (and the one a split opens) alone. Only the target cluster is touched — every other cluster's merge tree,
 // solving contexts, and guard are untouched by construction. The program
 // must take exactly the record parameter a live pass runs it with.
 func (s *ShardedRegistry) Add(p *lang.Program) (QueryID, error) {
@@ -320,25 +288,18 @@ func (s *ShardedRegistry) Add(p *lang.Program) (QueryID, error) {
 	c.centroid = c.centroid.Merge(sig)
 	s.stats.Adds++
 
-	kicks := []*cluster{c}
-	if other, serr := s.maybeSplitLocked(c); serr != nil {
+	if err := s.maybeSplitLocked(c); err != nil {
 		s.mu.Unlock()
-		return 0, serr
-	} else if other != nil {
-		kicks = append(kicks, other)
+		return 0, err
 	}
 	s.publishLocked()
 	s.mu.Unlock()
-
-	for _, k := range kicks {
-		s.kickCluster(k)
-	}
 	return id, nil
 }
 
 // Remove unsubscribes a query: its cluster's delta snapshot suppresses it
-// from the next admitted record on, and a cluster-local re-consolidation
-// is scheduled. A drained cluster is dropped entirely.
+// from the next admitted record on, and the next Rebuild re-consolidates
+// that cluster. A drained cluster is dropped entirely.
 func (s *ShardedRegistry) Remove(id QueryID) error {
 	s.mu.Lock()
 	m, ok := s.members[id]
@@ -359,18 +320,13 @@ func (s *ShardedRegistry) Remove(id QueryID) error {
 		}
 	}
 	s.stats.Removes++
-	var kick *cluster
 	if len(c.order) == 0 {
 		s.dropClusterLocked(c)
 	} else {
 		s.recentroidLocked(c)
-		kick = c
 	}
 	s.publishLocked()
 	s.mu.Unlock()
-	if kick != nil {
-		s.kickCluster(kick)
-	}
 	return nil
 }
 
@@ -436,18 +392,9 @@ func (s *ShardedRegistry) newClusterLocked() *cluster {
 		// fail after that.
 		panic(fmt.Sprintf("shard: cluster registry: %v", err))
 	}
-	c := &cluster{
-		id:   s.nextCID,
-		reg:  reg,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-	}
+	c := &cluster{id: s.nextCID, reg: reg}
 	s.nextCID++
 	s.clusters = append(s.clusters, c)
-	if s.opts.Debounce > 0 {
-		s.wg.Add(1)
-		go s.worker(c)
-	}
 	return c
 }
 
@@ -458,7 +405,6 @@ func (s *ShardedRegistry) dropClusterLocked(c *cluster) {
 			break
 		}
 	}
-	close(c.stop)
 }
 
 func (s *ShardedRegistry) recentroidLocked(c *cluster) {
@@ -470,11 +416,10 @@ func (s *ShardedRegistry) recentroidLocked(c *cluster) {
 }
 
 // maybeSplitLocked applies the rebalance policy to a cluster that just
-// grew: split when it is past the size threshold. Returns the new cluster,
-// if any.
-func (s *ShardedRegistry) maybeSplitLocked(c *cluster) (*cluster, error) {
+// grew: split when it is past the size threshold.
+func (s *ShardedRegistry) maybeSplitLocked(c *cluster) error {
 	if len(c.order) <= s.opts.maxClusterSize() || len(c.order) < 2 {
-		return nil, nil
+		return nil
 	}
 	return s.splitLocked(c)
 }
@@ -484,7 +429,7 @@ func (s *ShardedRegistry) maybeSplitLocked(c *cluster) (*cluster, error) {
 // alternate, so identical-signature clusters still split evenly), and the
 // second side moves into a fresh cluster through ordinary Remove/Add under
 // its own id — delta snapshots keep every moved query live throughout.
-func (s *ShardedRegistry) splitLocked(c *cluster) (*cluster, error) {
+func (s *ShardedRegistry) splitLocked(c *cluster) error {
 	n := len(c.order)
 	ai, bi := 0, n-1
 	bestSim := 2.0
@@ -513,15 +458,15 @@ func (s *ShardedRegistry) splitLocked(c *cluster) (*cluster, error) {
 		}
 	}
 	if len(move) == 0 || len(stay) == 0 {
-		return nil, nil
+		return nil
 	}
 	nc := s.newClusterLocked()
 	for _, m := range move {
 		if err := c.reg.Remove(registry.QueryID(m.id)); err != nil {
-			return nil, fmt.Errorf("shard: split remove: %w", err)
+			return fmt.Errorf("shard: split remove: %w", err)
 		}
 		if err := nc.reg.Add(registry.QueryID(m.id), m.prog); err != nil {
-			return nil, fmt.Errorf("shard: split re-add: %w", err)
+			return fmt.Errorf("shard: split re-add: %w", err)
 		}
 		m.c = nc
 	}
@@ -531,7 +476,7 @@ func (s *ShardedRegistry) splitLocked(c *cluster) (*cluster, error) {
 	s.recentroidLocked(nc)
 	s.stats.Splits++
 	s.stats.Moves += uint64(len(move))
-	return nc, nil
+	return nil
 }
 
 // publishLocked assembles and stores the cross-cluster snapshot under one
@@ -543,68 +488,4 @@ func (s *ShardedRegistry) publishLocked() {
 		cs = append(cs, ClusterSnapshot{ID: c.id, Snap: c.reg.Snapshot()})
 	}
 	s.snap.Store(&Snapshot{Gen: s.gen, Clusters: cs})
-}
-
-// kickCluster schedules a cluster's background rebuild; with no debounce
-// configured, rebuilds happen only on explicit Rebuild/Flush.
-func (s *ShardedRegistry) kickCluster(c *cluster) {
-	if s.opts.Debounce <= 0 {
-		return
-	}
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-}
-
-// worker is one cluster's rebuild goroutine, the one debounce loop of the
-// live tier: after a kick it waits for a Debounce-long quiet window —
-// restarting it on further kicks, but never past maxLagFactor×Debounce from
-// the first — then rebuilds once and publishes the result through the shard
-// snapshot, so the engine sees one atomic cross-cluster generation. Changes
-// that raced the build kicked the cluster again and get the next round.
-func (s *ShardedRegistry) worker(c *cluster) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-c.stop:
-			return
-		case <-c.kick:
-		}
-		first := time.Now()
-		quiet := time.NewTimer(s.opts.Debounce)
-	debounce:
-		for {
-			select {
-			case <-s.done:
-				quiet.Stop()
-				return
-			case <-c.stop:
-				quiet.Stop()
-				return
-			case <-c.kick:
-				if time.Since(first) >= maxLagFactor*s.opts.Debounce {
-					break debounce
-				}
-				if !quiet.Stop() {
-					select {
-					case <-quiet.C:
-					default:
-					}
-				}
-				quiet.Reset(s.opts.Debounce)
-			case <-quiet.C:
-				break debounce
-			}
-		}
-		quiet.Stop()
-		if _, err := c.reg.Rebuild(); err != nil {
-			continue // recorded in the cluster registry's lastErr
-		}
-		s.mu.Lock()
-		s.publishLocked()
-		s.mu.Unlock()
-	}
 }

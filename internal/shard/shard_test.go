@@ -2,12 +2,9 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"consolidation/internal/lang"
-	"consolidation/internal/queries"
 )
 
 // tempQuery and volQuery are two query families with disjoint call sets:
@@ -40,7 +37,6 @@ func TestShardedClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	var temps, vols []QueryID
 	for i := 0; i < 3; i++ {
@@ -85,7 +81,16 @@ func TestShardedClustering(t *testing.T) {
 		}
 	}
 
-	// Flushing consolidates each cluster independently.
+	// Adds only publish delta snapshots; nothing is rebuilt until the
+	// caller asks.
+	for _, cs := range s.ClusterStats() {
+		if cs.Registry.Builds != 0 || cs.Clean {
+			t.Fatalf("cluster %d rebuilt before Flush: %d builds, clean=%v", cs.ID, cs.Registry.Builds, cs.Clean)
+		}
+	}
+
+	// Flushing consolidates each cluster independently, once for the whole
+	// burst of adds.
 	fs, err := s.Flush()
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +101,11 @@ func TestShardedClustering(t *testing.T) {
 	for _, cs := range fs.Clusters {
 		if cs.Snap.Merged == nil {
 			t.Fatalf("cluster %d has no merged program after Flush", cs.ID)
+		}
+	}
+	for _, cs := range s.ClusterStats() {
+		if cs.Registry.Builds != 1 {
+			t.Fatalf("cluster %d: %d rebuilds for one Flush, want 1", cs.ID, cs.Registry.Builds)
 		}
 	}
 	if got := len(fs.LiveIDs()); got != 6 {
@@ -112,7 +122,6 @@ func TestShardedSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	for i := 0; i < 2; i++ {
 		mustAdd(t, s, tempQuery(i))
@@ -176,7 +185,6 @@ func TestShardedRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	var temps, vols []QueryID
 	for i := 0; i < 2; i++ {
@@ -227,7 +235,6 @@ func TestShardedAddValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	mustAdd(t, s, tempQuery(0))
 	before := s.Stats().Clusters
@@ -261,7 +268,6 @@ func TestShardedAddValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
 	if _, err := fresh.Add(lang.MustParse(`func two(a, b) { notify 1 (a < b); }`)); err == nil {
 		t.Fatal("expected Add to reject a two-parameter first query")
 	}
@@ -287,7 +293,7 @@ func TestShardedAddValidation(t *testing.T) {
 // sequence produces the same clustering and byte-identical per-cluster
 // merged programs in two independent instances.
 func TestShardedDeterministic(t *testing.T) {
-	build := func() (*ShardedRegistry, *Snapshot) {
+	build := func() *Snapshot {
 		s, err := New(Options{MaxClusterSize: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -304,12 +310,9 @@ func TestShardedDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, snap
+		return snap
 	}
-	s1, a := build()
-	defer s1.Close()
-	s2, b := build()
-	defer s2.Close()
+	a, b := build(), build()
 	if len(a.Clusters) != len(b.Clusters) {
 		t.Fatalf("cluster counts differ: %d vs %d", len(a.Clusters), len(b.Clusters))
 	}
@@ -331,106 +334,5 @@ func TestShardedDeterministic(t *testing.T) {
 		if ia[i] != ib[i] {
 			t.Fatalf("live id order differs at %d: %d vs %d", i, ia[i], ib[i])
 		}
-	}
-}
-
-// TestShardedBackgroundRebuild pins the per-cluster rebuild workers: with
-// a debounce configured, churn settles into a clean published snapshot
-// without any explicit Rebuild/Flush call.
-func TestShardedBackgroundRebuild(t *testing.T) {
-	s, err := New(Options{Debounce: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 3; i++ {
-		mustAdd(t, s, tempQuery(i))
-		mustAdd(t, s, volQuery(i))
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap := s.Snapshot()
-		if snap.Clean() && len(snap.Clusters) == 2 {
-			for _, cs := range snap.Clusters {
-				if cs.Snap.Merged == nil {
-					t.Fatalf("cluster %d settled without a merged program", cs.ID)
-				}
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background rebuilds never settled: gen %d, %d clusters, clean=%v",
-				snap.Gen, len(snap.Clusters), snap.Clean())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestShardedDebounceCoalescesBursts asserts a cluster's worker coalesces a
-// storm of subscriptions: many adds inside the debounce window end in a
-// clean snapshot after far fewer rebuilds than changes.
-func TestShardedDebounceCoalescesBursts(t *testing.T) {
-	pool := queries.MustGen("flight", "Q1", 40, 9)
-	s, err := New(Options{Debounce: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	const burst = 20
-	for i := 0; i < burst; i++ {
-		mustAdd(t, s, pool[i])
-	}
-	builds := func() (n uint64) {
-		for _, cs := range s.ClusterStats() {
-			n += cs.Registry.Builds
-		}
-		return n
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if snap := s.Snapshot(); snap.Clean() && len(snap.LiveIDs()) == burst {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("workers never produced a clean snapshot: %+v after %d builds", s.Stats(), builds())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := builds(); n >= burst/2 {
-		t.Fatalf("burst of %d adds triggered %d rebuilds; debouncing failed", burst, n)
-	}
-}
-
-// TestShardedCloseNoWorkerLeak pins worker lifecycle: every per-cluster
-// rebuild goroutine must be joined by Close, including workers of clusters
-// created by splits and workers mid-debounce, across repeated instances.
-func TestShardedCloseNoWorkerLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	for round := 0; round < 4; round++ {
-		s, err := New(Options{
-			Debounce:       time.Millisecond,
-			MaxClusterSize: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 6; i++ {
-			mustAdd(t, s, tempQuery(i))
-			mustAdd(t, s, volQuery(i))
-		}
-		if got := s.Stats().Clusters; got < 3 {
-			t.Fatalf("expected splits to multiply clusters, got %d", got)
-		}
-		// Close mid-debounce: workers must exit promptly either way.
-		s.Close()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster rebuild workers leaked: %d at baseline, %d after Close",
-				baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
