@@ -14,8 +14,6 @@ import (
 
 // Options tunes the consolidation algorithm.
 type Options struct {
-	// CostModel prices operations; nil means lang.DefaultCostModel.
-	CostModel *lang.CostModel
 	// FuncCoster prices library calls for the ⊢ cost comparisons.
 	FuncCoster lang.FuncCoster
 	// MaxEmbedSize disables the duplicating If 3/If 4 rules when the code
@@ -63,7 +61,6 @@ const DefaultMaxEmbedSize = 6000
 // DefaultOptions mirror the paper's implementation choices.
 func DefaultOptions() Options {
 	return Options{
-		CostModel:    lang.DefaultCostModel(),
 		MaxEmbedSize: DefaultMaxEmbedSize,
 	}
 }
@@ -93,7 +90,6 @@ type Stats struct {
 type Consolidator struct {
 	opts   Options
 	solver *smt.Solver
-	sctx   *smt.Context
 	simp   *Simplifier
 	feats  *featTab
 	stats  Stats
@@ -116,27 +112,14 @@ type Consolidator struct {
 }
 
 // New returns a consolidator with the given options.
-func New(opts Options) *Consolidator { return newConsolidator(opts, nil) }
-
-// newConsolidator is New with sctx as its incremental solving context —
-// a Memo's persistent per-node context; nil creates a private one.
-func newConsolidator(opts Options, sctx *smt.Context) *Consolidator {
-	if opts.CostModel == nil {
-		opts.CostModel = lang.DefaultCostModel()
-	}
+func New(opts Options) *Consolidator {
 	if opts.MaxEmbedSize == 0 {
 		opts.MaxEmbedSize = DefaultMaxEmbedSize
-	}
-	if opts.NoSolvingContext {
-		sctx = nil
-	} else if sctx == nil {
-		sctx = smt.NewSolvingContext()
 	}
 	return &Consolidator{
 		opts:   opts,
 		solver: newSolver(opts),
-		sctx:   sctx,
-		simp:   NewSimplifier(opts.CostModel, opts.FuncCoster),
+		simp:   NewSimplifier(lang.DefaultCostModel(), opts.FuncCoster),
 		feats:  newFeatTab(),
 	}
 }
@@ -220,19 +203,19 @@ func (co *Consolidator) pairFolds(p1, p2 *lang.Program) (*lang.Program, error) {
 }
 
 // merge is the core both Pair contracts share: it renames p2's locals that
-// clash with p1's apart (renameApart), runs Ω over the two bodies in one
-// solving-context run under size-scaled fuel and embedding budgets, and
-// returns the merged body under outParams. params are the names exempt
-// from clash renaming.
+// clash with p1's apart (renameApart), runs Ω over the two bodies under
+// size-scaled fuel and embedding budgets, and returns the merged body
+// under outParams. params are the names exempt from clash renaming. Unless
+// NoSolvingContext is set, Ω's entailment checks go through one solving
+// context bound to the pair's solver, which nothing keeps after the run.
 func (co *Consolidator) merge(p1, p2 *lang.Program, params map[string]bool, outParams []string) *lang.Program {
 	body2 := renameApart(p1.Body, p2.Body, params)
 
 	ctx := sym.NewContext(co.solver)
-	var cs0 smt.ContextStats
-	if co.sctx != nil {
-		co.sctx.BeginRun(co.solver)
-		cs0 = co.sctx.Stats()
-		ctx.UseSolvingContext(co.sctx)
+	var sctx *smt.Context
+	if !co.opts.NoSolvingContext {
+		sctx = smt.NewSolvingContext(co.solver)
+		ctx.UseSolvingContext(sctx)
 	}
 	q0 := co.solver.Stats.Queries
 	co.fuel = 200 * (lang.Size(p1.Body) + lang.Size(body2))
@@ -251,9 +234,8 @@ func (co *Consolidator) merge(p1, p2 *lang.Program, params map[string]bool, outP
 	}
 	out := co.omega(ctx, lang.Flatten(p1.Body), lang.Flatten(body2))
 	co.stats.SMTQueries = co.solver.Stats.Queries - q0
-	if co.sctx != nil {
-		co.stats.Context = co.sctx.Stats().Diff(cs0)
-		co.sctx.EndRun()
+	if sctx != nil {
+		co.stats.Context = sctx.Stats()
 	}
 	return &lang.Program{
 		Name:   p1.Name + "⊗" + p2.Name,

@@ -32,7 +32,7 @@ type MultiStats struct {
 	// its own solver; only the query cache is shared).
 	Solver smt.Stats
 	// Context merges the per-pair incremental solving context statistics
-	// (each pair worker owns a context, layered under the shared cache).
+	// (each pair runs one context, layered under the shared cache).
 	Context smt.ContextStats
 	// Cache snapshots the shared SMT query cache after the run. When the
 	// caller supplied the cache (or a solver), counters are cumulative
@@ -208,10 +208,8 @@ func allWorkers(parallel bool) int {
 }
 
 // Memo persists a merge tree across builds: merge nodes keyed by their
-// position and the sequence of leaf ids they cover, prepared leaves keyed
-// by id, and one incremental solving context per tree position, so that a
-// node re-merged after a nearby change starts from warm Tseitin encodings
-// and learned clauses. Any change under a node changes its key, so every
+// position and the sequence of leaf ids they cover, and prepared leaves
+// keyed by id. Any change under a node changes its key, so every
 // unchanged subtree hits by construction. A Memo requires that an id
 // always names the same program and that every build uses the same
 // Options; it must not be used by concurrent builds.
@@ -219,7 +217,6 @@ type Memo struct {
 	nodes map[nodeKey]memoNode
 	seqs  *seqTable
 	prep  map[int]preparedLeaf
-	sctxs map[Span]*smt.Context
 }
 
 // nodeKey identifies a merge node by its first leaf position and the
@@ -229,12 +226,11 @@ type nodeKey struct{ lo, seq int32 }
 
 var noKey = nodeKey{-1, -1}
 
-// memoNode is one cached merge: the pre-cleanup program, its span (where
-// its solving context lives) and its children's keys, which is what lets
-// prune find every node under a reused one.
+// memoNode is one cached merge: the pre-cleanup program and its
+// children's keys, which is what lets prune find every node under a
+// reused one.
 type memoNode struct {
 	prog        *lang.Program
-	span        Span
 	left, right nodeKey
 }
 
@@ -249,7 +245,6 @@ func NewMemo() *Memo {
 		nodes: map[nodeKey]memoNode{},
 		seqs:  newSeqTable(),
 		prep:  map[int]preparedLeaf{},
-		sctxs: map[Span]*smt.Context{},
 	}
 }
 
@@ -257,12 +252,10 @@ func NewMemo() *Memo {
 // leaves).
 func (m *Memo) Nodes() int { return len(m.nodes) }
 
-// prune drops merge nodes unreachable from root, solving contexts at
-// positions the tree no longer has, and prepared leaves of departed ids,
-// keeping the memo O(N).
+// prune drops merge nodes unreachable from root and prepared leaves of
+// departed ids, keeping the memo O(N).
 func (m *Memo) prune(root nodeKey, leaves []Leaf) {
 	keep := make(map[nodeKey]bool, len(leaves))
-	keepSpan := make(map[Span]bool, len(leaves))
 	var mark func(nodeKey)
 	mark = func(k nodeKey) {
 		n, ok := m.nodes[k]
@@ -270,7 +263,6 @@ func (m *Memo) prune(root nodeKey, leaves []Leaf) {
 			return
 		}
 		keep[k] = true
-		keepSpan[n.span] = true
 		mark(n.left)
 		mark(n.right)
 	}
@@ -278,11 +270,6 @@ func (m *Memo) prune(root nodeKey, leaves []Leaf) {
 	for k := range m.nodes {
 		if !keep[k] {
 			delete(m.nodes, k)
-		}
-	}
-	for sp := range m.sctxs {
-		if !keepSpan[sp] {
-			delete(m.sctxs, sp)
 		}
 	}
 	live := make(map[int]bool, len(leaves))
@@ -471,18 +458,17 @@ func (b *builder) node(lo, hi, size int) (*lang.Program, nodeKey) {
 	if left == nil || right == nil {
 		return nil, noKey
 	}
-	sp := Span{lo, hi}
-	merged := b.pair(sp, left, right)
+	merged := b.pair(left, right)
 	if merged == nil {
 		return nil, noKey
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.memo != nil {
-		b.memo.nodes[key] = memoNode{prog: merged, span: sp, left: lk, right: rk}
+		b.memo.nodes[key] = memoNode{prog: merged, left: lk, right: rk}
 	}
 	if b.tree != nil {
-		b.tree.Nodes[sp] = merged
+		b.tree.Nodes[Span{lo, hi}] = merged
 	}
 	return merged, key
 }
@@ -509,10 +495,10 @@ func (b *builder) leaf(pos int) *lang.Program {
 	return p
 }
 
-// pair merges left ⊗ right for the node at sp and folds its statistics
-// into the build's. The first error cancels every pair not yet started:
-// its output would be discarded, so it would only delay the error.
-func (b *builder) pair(sp Span, left, right *lang.Program) *lang.Program {
+// pair merges left ⊗ right and folds its statistics into the build's. The
+// first error cancels every pair not yet started: its output would be
+// discarded, so it would only delay the error.
+func (b *builder) pair(left, right *lang.Program) *lang.Program {
 	if b.sem != nil {
 		b.sem <- struct{}{}
 		defer func() { <-b.sem }()
@@ -520,18 +506,7 @@ func (b *builder) pair(sp Span, left, right *lang.Program) *lang.Program {
 	if b.failed.Load() {
 		return nil
 	}
-	var sctx *smt.Context
-	if b.memo != nil && !b.opts.NoSolvingContext {
-		// Only this node's pair touches its context during a build, and
-		// builds over one memo are sequential.
-		b.mu.Lock()
-		if sctx = b.memo.sctxs[sp]; sctx == nil {
-			sctx = smt.NewSolvingContext()
-			b.memo.sctxs[sp] = sctx
-		}
-		b.mu.Unlock()
-	}
-	co := newConsolidator(b.opts, sctx)
+	co := New(b.opts)
 	pre := co.solver.Stats
 	pair := co.Pair
 	if b.mode == foldLeaves {
@@ -600,7 +575,6 @@ func Verify(origs []*lang.Program, merged *lang.Program, lib lang.Library, cm *l
 	runner := lang.NewRunner(mergedC, lib, ropts...)
 	guard := prefilter.Synthesize(merged, prefilter.Options{
 		Coster:      lib,
-		CostModel:   cm,
 		MaxCallCost: 1 << 30, // admit every call into the fragment: strongest guard, strongest check
 	})
 	var guardRunner *lang.Runner

@@ -389,7 +389,7 @@ func WhereConsolidated(data RecordLibrary, udfs []*lang.Program, copts consolida
 	// pass). A non-trivial guard's calls are within LiteCostBound by
 	// construction (it was the synthesis fragment bound), so the guard can
 	// run after SetRecordLite.
-	guard := &prefilter.Options{Coster: data, Cache: opts.PrefilterCache, CostModel: copts.CostModel}
+	guard := &prefilter.Options{Coster: data, Cache: opts.PrefilterCache}
 	if lite, ok := data.(LiteRecordLibrary); ok {
 		guard.MaxCallCost = lite.LiteCostBound()
 	}

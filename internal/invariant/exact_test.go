@@ -103,9 +103,7 @@ func fuseMix(name string, progs []*lang.Program) (fusedLoop, bool) {
 // solving context attached, as a consolidation pair has.
 func (l fusedLoop) headContext() *sym.Context {
 	ctx := sym.NewContext(smt.New())
-	sc := smt.NewSolvingContext()
-	sc.BeginRun(ctx.Solver())
-	ctx.UseSolvingContext(sc)
+	ctx.UseSolvingContext(smt.NewSolvingContext(ctx.Solver()))
 	for _, s := range l.pre {
 		ctx.ApplyStmt(s)
 	}

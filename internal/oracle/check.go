@@ -30,7 +30,7 @@ const (
 	// CheckSMTSound: an smt verdict contradicted by a verified
 	// brute-force model.
 	CheckSMTSound = "smt-soundness"
-	// CheckCtxAgree: a persistent solving context's verdict diverged from
+	// CheckCtxAgree: an incremental solving context's verdict diverged from
 	// the stateless pipeline (or went unsound) — cold, memoized, after
 	// retraction, or under a starved budget.
 	CheckCtxAgree = "context-agreement"
@@ -500,15 +500,15 @@ func CheckInterner(seed int64) *Failure {
 }
 
 // CheckSMTContext generates an assumption set Ψ₁…Ψₙ (2–4 hypotheses) and a
-// goal φ from the seed and holds a persistent smt.Context to the stateless
+// goal φ from the seed and holds an incremental smt.Context to the stateless
 // pipeline on (⋀Ψ ∧ ¬φ): byte-identical wherever the stateless solver
 // decides, only soundly stronger where it exhausts. Every cold Unsat, and
 // every Unsat the stateless solver left open, must survive the brute-force
 // search. The verdict is asserted cold, after a memo hit (also through
 // CheckAssumingModel, which brings no assignment with an Unsat), after
 // retraction and re-expansion, on a second context over the first one's
-// warm cache, under a starved budget (against a stateless solver at the
-// same budget), and after a rebind back to full budgets.
+// warm cache, and under a starved budget (against a stateless solver at
+// the same budget).
 func CheckSMTContext(seed int64) *Failure {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := seedGenConfig(seed)
@@ -553,12 +553,10 @@ func CheckSMTContext(seed int64) *Failure {
 	fresh := smt.New()
 	want := fresh.Check(composed)
 
-	ctx := smt.NewSolvingContext()
 	cold := smt.New()
-	ctx.BeginRun(cold)
+	ctx := smt.NewSolvingContext(cold)
 	aids := assertAll(ctx)
-	cone := func() []int { return aids }
-	got := ctx.CheckAssuming(aids, goal, cone)
+	got := ctx.CheckAssuming(aids, goal)
 	if f := agree("cold check", got, want, composed); f != nil {
 		return f
 	}
@@ -567,10 +565,8 @@ func CheckSMTContext(seed int64) *Failure {
 	// cache reaches the same verdict and, unless the cache answers the query
 	// itself, the same SAT iterations with no theory check of its own.
 	warm := smt.NewWithCache(cold.Cache())
-	warmCtx := smt.NewSolvingContext()
-	warmCtx.BeginRun(warm)
-	warmAids := assertAll(warmCtx)
-	if again := warmCtx.CheckAssuming(warmAids, goal, func() []int { return warmAids }); again != got {
+	warmCtx := smt.NewSolvingContext(warm)
+	if again := warmCtx.CheckAssuming(assertAll(warmCtx), goal); again != got {
 		return fail("warm cache: verdict %v, cold %v", again, got)
 	}
 	if st := warm.Stats; st.CacheHits == 0 && (st.SatIters != cold.Stats.SatIters || st.TheoryChecks != 0) {
@@ -582,22 +578,22 @@ func CheckSMTContext(seed int64) *Failure {
 			return f
 		}
 	}
-	if again := ctx.CheckAssuming(aids, goal, cone); again != got {
+	if again := ctx.CheckAssuming(aids, goal); again != got {
 		return fail("memoized re-check changed verdict: %v then %v", got, again)
 	}
 	// The memo answered without an assignment; asking re-solves.
-	if again, m := ctx.CheckAssumingModel(aids, goal, cone); again != got || (again == smt.Unsat && m != nil) {
+	if again, m := ctx.CheckAssumingModel(aids, goal); again != got || (again == smt.Unsat && m != nil) {
 		return fail("CheckAssumingModel = (%v, %v) after %v", again, m, got)
 	}
 	// Retraction: learned clauses from the full set must not leak into the
 	// narrower query, and re-expansion reproduces the first verdict.
 	sub := aids[:len(aids)-1]
 	subComposed := logic.And(logic.And(hyps[:len(hyps)-1]...), logic.Not(goal))
-	subGot := ctx.CheckAssuming(sub, goal, func() []int { return sub })
+	subGot := ctx.CheckAssuming(sub, goal)
 	if f := agree("after retraction", subGot, fresh.Check(subComposed), subComposed); f != nil {
 		return f
 	}
-	if again := ctx.CheckAssuming(aids, goal, cone); again != got {
+	if again := ctx.CheckAssuming(aids, goal); again != got {
 		return fail("verdict changed after retract/re-expand: %v then %v", got, again)
 	}
 
@@ -605,23 +601,12 @@ func CheckSMTContext(seed int64) *Failure {
 	// publishes Unknown where the stateless pipeline decides at its budget.
 	tinySolver := smt.New()
 	tinySolver.MaxConflicts, tinySolver.MaxLazyIters = 1, 1
-	tinyCtx := smt.NewSolvingContext()
-	tinyCtx.BeginRun(tinySolver)
-	tinyAids := assertAll(tinyCtx)
-	tinyGot := tinyCtx.CheckAssuming(tinyAids, goal, func() []int { return tinyAids })
+	tinyCtx := smt.NewSolvingContext(tinySolver)
+	tinyGot := tinyCtx.CheckAssuming(assertAll(tinyCtx), goal)
 	if tinyGot != smt.Unknown && want != smt.Unknown && tinyGot != want {
 		return fail("budget-capped context decided %v, full budget %v", tinyGot, want)
 	}
 	tinyFresh := smt.New()
 	tinyFresh.MaxConflicts, tinyFresh.MaxLazyIters = 1, 1
-	if f := agree("budget-capped", tinyGot, tinyFresh.Check(composed), composed); f != nil {
-		return f
-	}
-
-	// Rebinding at different budgets resets the context: its budget-keyed
-	// memos are stale, and the recycled context agrees with fresh again.
-	tinyCtx.BeginRun(smt.New())
-	reAids := assertAll(tinyCtx)
-	reGot := tinyCtx.CheckAssuming(reAids, goal, func() []int { return reAids })
-	return agree("after budget rebind", reGot, want, composed)
+	return agree("budget-capped", tinyGot, tinyFresh.Check(composed), composed)
 }

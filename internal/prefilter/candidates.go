@@ -49,7 +49,7 @@ func formulaCost(f logic.Formula, opts *Options) int64 {
 	if !ok {
 		return math.MaxInt64
 	}
-	return opts.CostModel.StaticBoolCost(e, opts.Coster)
+	return costModel.StaticBoolCost(e, opts.Coster)
 }
 
 func disjunctsOf(f logic.Formula) []logic.Formula {

@@ -51,6 +51,10 @@ const (
 	DefaultMaxContexts = 256
 )
 
+// costModel prices candidate guards (Figure 2), as Ω's cost comparisons
+// do: the default model.
+var costModel = lang.DefaultCostModel()
+
 // Options configures guard synthesis.
 type Options struct {
 	// Solver verifies candidate weakenings; nil creates one over Cache.
@@ -58,10 +62,9 @@ type Options struct {
 	// Cache backs the created solver when Solver is nil; nil means a
 	// private cache.
 	Cache *smt.Cache
-	// CostModel prices candidate guards (Figure 2); nil uses the default.
-	CostModel *lang.CostModel
 	// Coster prices library calls, both for the fragment bound and for
-	// candidate selection. Calls it does not price cost CostModel.CallBase.
+	// candidate selection. Calls it does not price cost the default cost
+	// model's CallBase.
 	Coster lang.FuncCoster
 	// MaxCallCost excludes calls priced above it from the guard fragment
 	// (their atoms are weakened to ⊤). 0 means DefaultMaxCallCost; the
@@ -115,9 +118,6 @@ func trivial(conds []sym.NotifyCond) *Guard {
 // Synthesize derives the admission guard of a merged program. It never
 // fails: every degenerate case returns the trivial guard.
 func Synthesize(merged *lang.Program, opts Options) *Guard {
-	if opts.CostModel == nil {
-		opts.CostModel = lang.DefaultCostModel()
-	}
 	if opts.MaxCallCost == 0 {
 		opts.MaxCallCost = DefaultMaxCallCost
 	}
@@ -189,7 +189,6 @@ func Synthesize(merged *lang.Program, opts Options) *Guard {
 	}
 	g.Compiled = compiled
 	g.NoteIdx, _ = compiled.NoteIndex(0)
-	cm := opts.CostModel
-	g.Cost = cm.StaticBoolCost(test, opts.Coster) + cm.Branch + cm.Notify
+	g.Cost = costModel.StaticBoolCost(test, opts.Coster) + costModel.Branch + costModel.Notify
 	return g
 }

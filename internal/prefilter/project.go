@@ -120,5 +120,5 @@ func (p *projector) callCost(fn string) int64 {
 			return c
 		}
 	}
-	return p.opts.CostModel.CallBase
+	return costModel.CallBase
 }

@@ -2,8 +2,8 @@
 // (engine.WhereSharded) is served from. A ShardedRegistry buckets incoming
 // UDFs by the similarity signature consolidate.FeatureSignature derives
 // from their feature sets, and each cluster owns a registry.Registry of its
-// own — merge tree, content-keyed node cache, persistent smt.Context
-// family, and synthesized admission guard. Add/Remove touch exactly one
+// own — merge tree, content-keyed node cache, and synthesized admission
+// guard. Add/Remove touch exactly one
 // cluster, so the incremental rebuild a change triggers re-merges
 // O(log cluster-size) small programs instead of O(log N) programs whose
 // roots span every live query, and unrelated queries never bloat each
@@ -252,8 +252,9 @@ func (s *ShardedRegistry) ClusterStats() []ClusterStat {
 // Add subscribes a query: its similarity signature routes it to the most
 // affine cluster (or opens a new one), and the cluster's delta snapshot
 // makes it live immediately; the next Rebuild re-consolidates that cluster
-// (and the one a split opens) alone. Only the target cluster is touched — every other cluster's merge tree,
-// solving contexts, and guard are untouched by construction. The program
+// (and the one a split opens) alone. Only the target cluster is touched —
+// every other cluster's merge tree and guard are untouched by
+// construction. The program
 // must take exactly the record parameter a live pass runs it with.
 func (s *ShardedRegistry) Add(p *lang.Program) (QueryID, error) {
 	if p == nil {

@@ -167,13 +167,12 @@ func TestContextSharesRenamedVerdicts(t *testing.T) {
 		cache := NewCache(0)
 		ask := func(hyps []logic.Formula, goal logic.Formula) (Result, *logic.Model, Stats) {
 			s := NewWithCache(cache)
-			c := NewSolvingContext()
-			c.BeginRun(s)
+			c := NewSolvingContext(s)
 			aids := make([]int, len(hyps))
 			for i, h := range hyps {
 				aids[i] = c.Assert(h)
 			}
-			res, m := c.CheckAssumingModel(aids, goal, func() []int { return aids })
+			res, m := c.CheckAssumingModel(aids, goal)
 			return res, m, s.Stats
 		}
 		r1, m1, st1 := ask(hyps, goal)

@@ -7,18 +7,19 @@ import (
 	"consolidation/internal/logic"
 )
 
-// Context is a persistent, assumption-based solving context that amortizes
-// Ω's validity queries across a consolidation run. A Consolidator asserts
-// each context conjunct Ψᵢ once — Assert interns the formula into the
-// context's hash-consing arena and memoizes its conjunction pieces, its
-// literal compilation, and (lazily) its CNF encoding — and every
-// entailment check Ψ' ⊨ φ then selects a subset of assertion ids instead
-// of rebuilding the conjunction from scratch:
+// Context is an assumption-based solving context that amortizes Ω's
+// validity queries across one consolidation run: Consolidator.merge
+// creates one per pair, bound to the pair's solver, and drops it when the
+// pair returns. Ω asserts each context conjunct Ψᵢ once — Assert interns
+// the formula into the context's hash-consing arena and memoizes its
+// conjunction pieces, its literal compilation, and (lazily) its CNF
+// encoding — and every entailment check Ψ' ⊨ φ then selects the assertion
+// ids of the goal's cone of influence instead of rebuilding the
+// conjunction from scratch:
 //
-//   - A verdict memo keyed by (assertion-id list, goal id) answers repeated
-//     queries without composing the query at all. The consolidation
-//     workloads re-prove the same entailments for every record pair, so this
-//     is the common case.
+//   - A verdict memo keyed by (selected assertion ids, goal id) answers a
+//     repeated query without composing it. Ψ grows between checks, but the
+//     cone of a goal often does not.
 //   - On a memo miss the composed query node is built from the memoized
 //     per-assertion piece NodeIDs (one MkAnd over interned ids, not a
 //     formula walk) and the shared Cache is consulted by the node's
@@ -48,48 +49,32 @@ import (
 // shared Cache schedule-independent (the determinism oracle compares serial
 // and parallel runs byte for byte), the boolean path publishes a verdict to
 // the shared Cache only when it came from the stateless pipeline; verdicts
-// decided by the warm incremental instance stay in the private memo, while
+// decided by the warm incremental instance stay in the context's memo, while
 // its theory lemmas, true whatever the instance learned, are shared. When
 // the incremental instance exhausts its budget the query falls back to the
 // stateless pipeline, so a Context is never *less* decisive than a fresh
 // solver on the paths the cache observes.
 //
-// A Context is bound to one Solver at a time (Bind) and is not safe for
-// concurrent use; create one per pair worker or per merge-tree node and
-// share only the Cache.
+// A Context is not safe for concurrent use; parallel pair workers each
+// create their own and share only the Cache.
 type Context struct {
-	// solver is the bound solver, nil between runs (EndRun).
 	solver *Solver
-	// budgets the memo and encodings were built under, once bound; a Bind
-	// with different budgets resets the context (verdicts are budget-keyed).
-	bound     bool
-	conflicts int
-	lazyIters int
 
 	// in is the context's private hash-consing arena; every asserted
-	// formula, goal, and composed query lives in it as a NodeID. It resets
-	// together with the context, so NodeIDs held by forms and the encoder
-	// never dangle.
+	// formula, goal, and composed query lives in it as a NodeID.
 	in     *logic.Interner
 	byNode map[logic.NodeID]int
 	forms  []cform
 
-	// memo caches verdicts by (full assertion-id list, goal id); coneMemo
-	// caches them by the cone actually sent to the solver. Ψ grows between
-	// checks, so the full list rarely repeats within a run — but the cone
-	// does, and equal cones compose the same query node, so a coneMemo
-	// hit is exactly a shared-cache hit without the composition. The
-	// two maps are kept separate: a full-list key resolves through the cone
-	// computation, a cone key does not, so equal byte strings would not
-	// mean equal queries. Both keep the assignment with the verdict, as
-	// the shared Cache does.
-	memo     map[string]verdict
-	coneMemo map[string]verdict
+	// memo caches verdicts by the selected assertion ids and the goal id.
+	// Equal selections compose the same query node, so a hit is exactly a
+	// shared-cache hit without the composition. It keeps the assignment
+	// with the verdict, as the shared Cache does.
+	memo map[string]verdict
 
 	enc *incCNF
 
-	keyBuf  []byte
-	key2Buf []byte
+	coneBuf []byte
 	litBuf  []theoryLit
 	idsBuf  []logic.NodeID
 	// alpha builds each composed query's cache key (logic.AlphaKey).
@@ -134,11 +119,10 @@ type cform struct {
 	atomVars []int
 }
 
-// ContextStats counts the amortization a Context achieved. All counters
-// accumulate over the context's lifetime; Diff snapshots one run.
+// ContextStats counts the amortization a Context achieved over its run.
 type ContextStats struct {
 	// Checks counts entailment checks; MemoHits the ones answered by the
-	// private verdict memo.
+	// context's verdict memo.
 	Checks   int
 	MemoHits int
 	// TheoryChecks counts literal-path theory checks issued by the context.
@@ -156,69 +140,16 @@ func (s *ContextStats) Add(o ContextStats) {
 	s.Fallbacks += o.Fallbacks
 }
 
-// Diff returns s - o field-wise.
-func (s ContextStats) Diff(o ContextStats) ContextStats {
-	return ContextStats{
-		Checks:       s.Checks - o.Checks,
-		MemoHits:     s.MemoHits - o.MemoHits,
-		TheoryChecks: s.TheoryChecks - o.TheoryChecks,
-		Fallbacks:    s.Fallbacks - o.Fallbacks,
+// NewSolvingContext returns an empty context bound to s: every check runs
+// on s, under its budgets and over its Cache.
+func NewSolvingContext(s *Solver) *Context {
+	return &Context{
+		solver: s,
+		in:     logic.NewInterner(),
+		byNode: map[logic.NodeID]int{},
+		memo:   map[string]verdict{},
 	}
 }
-
-// Size caps: past these the context resets at the next safe point
-// (BeginRun), bounding memory when one context lives across many rebuilds.
-const (
-	maxContextForms = 1 << 13
-	maxContextMemo  = 1 << 17
-	maxContextNodes = 1 << 18
-)
-
-// NewSolvingContext returns an empty context; it becomes usable after the
-// first Bind/BeginRun.
-func NewSolvingContext() *Context {
-	c := &Context{}
-	c.reset()
-	return c
-}
-
-func (c *Context) reset() {
-	c.in = logic.NewInterner()
-	c.byNode = map[logic.NodeID]int{}
-	c.forms = c.forms[:0]
-	c.memo = map[string]verdict{}
-	c.coneMemo = map[string]verdict{}
-	c.enc = nil
-}
-
-// Bind attaches the context to a solver. Budgets differing from the ones
-// the memo was built under reset the context: cached verdicts are
-// budget-keyed artefacts.
-func (c *Context) Bind(s *Solver) {
-	if c.bound && (c.conflicts != s.MaxConflicts || c.lazyIters != s.MaxLazyIters) {
-		c.reset()
-	}
-	c.solver, c.bound = s, true
-	c.conflicts = s.MaxConflicts
-	c.lazyIters = s.MaxLazyIters
-}
-
-// BeginRun is Bind plus housekeeping at a safe point — no assertion ids are
-// outstanding between Pair calls, so an oversized context may reset.
-func (c *Context) BeginRun(s *Solver) {
-	c.Bind(s)
-	if len(c.forms) > maxContextForms || len(c.memo)+len(c.coneMemo) > maxContextMemo ||
-		c.in.Len() > maxContextNodes {
-		c.reset()
-	}
-}
-
-// EndRun detaches the solver when a run is over. The context keeps its
-// memos and the budgets they were built under, but no longer keeps the
-// solver — its arena and its theory workspace — alive: a registry holds a
-// context per merge-tree span for as long as the span exists, and a solver
-// only for the length of one Pair.
-func (c *Context) EndRun() { c.solver = nil }
 
 // Stats snapshots the context's counters.
 func (c *Context) Stats() ContextStats { return c.stats }
@@ -294,59 +225,43 @@ func (c *Context) ensureNeg(id int) {
 	}
 }
 
-// EntailsAssuming reports whether the asserted formulas selected by cone
-// entail goal, i.e. whether ⋀ cone ∧ ¬goal is unsatisfiable. Conservative:
-// false when undecided. aids is the caller's full assertion list (the memo
-// key — equal lists imply an equal query); cone lazily selects the
-// assertion ids actually sent to the solver and is invoked only on a memo
-// miss.
-func (c *Context) EntailsAssuming(aids []int, goal logic.Formula, cone func() []int) bool {
-	return c.CheckAssuming(aids, goal, cone) == Unsat
+// EntailsAssuming reports whether the asserted formulas selected by sel
+// entail goal, i.e. whether ⋀ sel ∧ ¬goal is unsatisfiable. Conservative:
+// false when undecided.
+func (c *Context) EntailsAssuming(sel []int, goal logic.Formula) bool {
+	return c.CheckAssuming(sel, goal) == Unsat
 }
 
-// CheckAssuming decides satisfiability of ⋀ cone() ∧ ¬goal, memoized on
-// (aids, goal).
-func (c *Context) CheckAssuming(aids []int, goal logic.Formula, cone func() []int) Result {
-	return c.check(aids, goal, cone, false).r
+// CheckAssuming decides satisfiability of ⋀ sel ∧ ¬goal, memoized on
+// (sel, goal).
+func (c *Context) CheckAssuming(sel []int, goal logic.Formula) Result {
+	return c.check(sel, goal, false).r
 }
 
 // CheckAssumingModel is CheckAssuming that also returns, when the query is
 // a conjunction of literals and the verdict is not Unsat, the assignment
-// the theory check ended on (Solver.CheckModel's rule). The memos and the
+// the theory check ended on (Solver.CheckModel's rule). The memo and the
 // shared Cache keep it with the verdict, so every hit returns it too.
-func (c *Context) CheckAssumingModel(aids []int, goal logic.Formula, cone func() []int) (Result, *logic.Model) {
-	v := c.check(aids, goal, cone, true)
+func (c *Context) CheckAssumingModel(sel []int, goal logic.Formula) (Result, *logic.Model) {
+	v := c.check(sel, goal, true)
 	return v.r, v.m
 }
 
-func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want bool) verdict {
+func (c *Context) check(sel []int, goal logic.Formula, want bool) verdict {
 	c.stats.Checks++
 	s := c.solver
 	gid := c.internGoal(goal)
-	key := c.memoKey(aids, gid)
+	key := c.coneKey(sel, gid)
 	if v, ok := c.memo[string(key)]; ok && v.answers(want) {
 		c.stats.MemoHits++
 		s.Stats.Queries++
 		s.Stats.CacheHits++
 		if s.Trace != nil {
-			s.Trace(c.composeFormula(cone(), gid), v.r, true)
-		}
-		return v
-	}
-	mkey := string(key)
-	sel := cone()
-	key2 := c.coneKey(sel, gid)
-	if v, ok := c.coneMemo[string(key2)]; ok && v.answers(want) {
-		c.stats.MemoHits++
-		s.Stats.Queries++
-		s.Stats.CacheHits++
-		c.memo[mkey] = v
-		if s.Trace != nil {
 			s.Trace(c.composeFormula(sel, gid), v.r, true)
 		}
 		return v
 	}
-	mkey2 := string(key2)
+	mkey := string(key)
 	c.ensureNeg(gid)
 	g := &c.forms[gid]
 
@@ -354,14 +269,14 @@ func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want 
 	// literal fast path applies. Degenerate shapes defer to the stateless
 	// pipeline wholesale.
 	if g.negFallback {
-		return c.fallback(mkey, mkey2, sel, gid, want)
+		return c.fallback(mkey, sel, gid, want)
 	}
 	ids := c.idsBuf[:0]
 	allLit := true
 	for _, id := range sel {
 		cf := &c.forms[id]
 		if cf.degenerate || cf.isFalse {
-			return c.fallback(mkey, mkey2, sel, gid, want)
+			return c.fallback(mkey, sel, gid, want)
 		}
 		// And() splices FAnd children into the enclosing conjunction, so a
 		// form always contributes its flattened pieces (none for ⊤).
@@ -391,7 +306,6 @@ func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want 
 	if v, ok := s.cache.get(k, c.in, s.MaxConflicts, s.MaxLazyIters, want); ok && (v.r != Unknown || allLit) {
 		s.Stats.CacheHits++
 		c.memo[mkey] = v
-		c.coneMemo[mkey2] = v
 		if s.Trace != nil {
 			s.Trace(c.composeFormula(sel, gid), v.r, true)
 		}
@@ -430,7 +344,6 @@ func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want 
 		s.cache.put(k, c.in, v, nil, s.MaxConflicts, s.MaxLazyIters)
 	}
 	c.memo[mkey] = v
-	c.coneMemo[mkey2] = v
 	if s.Trace != nil {
 		s.Trace(c.composeFormula(sel, gid), v.r, false)
 	}
@@ -439,11 +352,10 @@ func (c *Context) check(aids []int, goal logic.Formula, cone func() []int, want 
 
 // fallback delegates one query to the stateless pipeline (Solver.Check
 // counts, caches, and traces it exactly as before contexts existed).
-func (c *Context) fallback(mkey, mkey2 string, sel []int, gid int, want bool) verdict {
+func (c *Context) fallback(mkey string, sel []int, gid int, want bool) verdict {
 	c.stats.Fallbacks++
 	v := c.solver.checkCached(c.composeFormula(sel, gid), want)
 	c.memo[mkey] = v
-	c.coneMemo[mkey2] = v
 	return v
 }
 
@@ -455,25 +367,14 @@ func (c *Context) internGoal(goal logic.Formula) int {
 	return c.intern(goal, nid)
 }
 
-func (c *Context) memoKey(aids []int, gid int) []byte {
-	buf := c.keyBuf[:0]
-	for _, id := range aids {
-		buf = binary.AppendUvarint(buf, uint64(id))
-	}
-	buf = append(buf, 0xff)
-	buf = binary.AppendUvarint(buf, uint64(gid))
-	c.keyBuf = buf
-	return buf
-}
-
 func (c *Context) coneKey(sel []int, gid int) []byte {
-	buf := c.key2Buf[:0]
+	buf := c.coneBuf[:0]
 	for _, id := range sel {
 		buf = binary.AppendUvarint(buf, uint64(id))
 	}
 	buf = append(buf, 0xff)
 	buf = binary.AppendUvarint(buf, uint64(gid))
-	c.key2Buf = buf
+	c.coneBuf = buf
 	return buf
 }
 

@@ -32,13 +32,12 @@ func TestContextFallback(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			composed := composeQuery(tc.hyps, tc.goal)
 			want := New().Check(composed)
-			ctx := NewSolvingContext()
-			ctx.BeginRun(New())
+			ctx := NewSolvingContext(New())
 			aids := make([]int, len(tc.hyps))
 			for i, h := range tc.hyps {
 				aids[i] = ctx.Assert(h)
 			}
-			got := ctx.CheckAssuming(aids, tc.goal, func() []int { return aids })
+			got := ctx.CheckAssuming(aids, tc.goal)
 			if got != want {
 				t.Fatalf("context verdict %v, Solver.Check %v\nquery: %s", got, want, composed)
 			}
@@ -46,7 +45,7 @@ func TestContextFallback(t *testing.T) {
 				t.Fatalf("stats %+v: want one check, taken by the fallback", st)
 			}
 			// The fallback memoizes its verdict: asking again is a memo hit.
-			if again := ctx.CheckAssuming(aids, tc.goal, func() []int { return aids }); again != got {
+			if again := ctx.CheckAssuming(aids, tc.goal); again != got {
 				t.Fatalf("re-check changed the verdict: %v then %v", got, again)
 			}
 			if st := ctx.Stats(); st.Fallbacks != 1 || st.MemoHits != 1 {
@@ -72,8 +71,7 @@ func TestContextFallsBackAfterWarmUnknown(t *testing.T) {
 	if w := want.Check(composeQuery(hyps, goal)); w != Sat {
 		t.Fatalf("stateless verdict %v at one conflict, want sat", w)
 	}
-	ctx := NewSolvingContext()
-	ctx.BeginRun(s)
+	ctx := NewSolvingContext(s)
 	ctx.enc = newIncCNF()
 	for range 2 {
 		a, b := ctx.enc.fresh(), ctx.enc.fresh()
@@ -81,7 +79,7 @@ func TestContextFallsBackAfterWarmUnknown(t *testing.T) {
 		ctx.enc.clause(-a, -b)
 	}
 	aids := []int{ctx.Assert(hyps[0])}
-	if got := ctx.CheckAssuming(aids, goal, func() []int { return aids }); got != Sat {
+	if got := ctx.CheckAssuming(aids, goal); got != Sat {
 		t.Fatalf("context verdict %v, stateless sat", got)
 	}
 	if st := ctx.Stats(); st.Fallbacks != 1 {
@@ -112,8 +110,7 @@ func TestContextsShareLemmas(t *testing.T) {
 		cache := NewCache(0)
 		run := func(hyps []logic.Formula, goal logic.Formula) ([]step, Stats) {
 			s := NewWithCache(cache)
-			c := NewSolvingContext()
-			c.BeginRun(s)
+			c := NewSolvingContext(s)
 			aids := make([]int, len(hyps))
 			for i, h := range hyps {
 				aids[i] = c.Assert(h)
@@ -121,7 +118,7 @@ func TestContextsShareLemmas(t *testing.T) {
 			var steps []step
 			for _, sel := range [][]int{aids, aids[:len(aids)-1]} {
 				pre := s.Stats.SatIters
-				r := c.CheckAssuming(sel, goal, func() []int { return sel })
+				r := c.CheckAssuming(sel, goal)
 				steps = append(steps, step{r, s.Stats.SatIters - pre})
 			}
 			return steps, s.Stats

@@ -177,10 +177,8 @@ func TestBooleanStructure(t *testing.T) {
 		if iters := s.Stats.SatIters - before; iters < 2 {
 			t.Errorf("lazy case %d: %d SAT iterations, want at least 2", i, iters)
 		}
-		ctx := NewSolvingContext()
-		ctx.BeginRun(New())
-		a := []int{ctx.Assert(c.f)}
-		if got := ctx.CheckAssuming(a, logic.FFalse{}, func() []int { return a }); got != c.want {
+		ctx := NewSolvingContext(New())
+		if got := ctx.CheckAssuming([]int{ctx.Assert(c.f)}, logic.FFalse{}); got != c.want {
 			t.Errorf("lazy case %d: Context verdict %v, want %v", i, got, c.want)
 		}
 	}

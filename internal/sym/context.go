@@ -29,12 +29,11 @@ import (
 // version 0 is the variable's original (parameter or first-read) name.
 type Context struct {
 	solver *smt.Solver
-	// sctx, when set, amortizes entailment queries through a persistent
-	// incremental solving context: conjuncts are asserted once and checks
-	// select them by assertion id instead of recomposing Ψ.
-	sctx   *smt.Context
-	aidBuf []int
-	conj   []conjunct
+	// sctx, when set, amortizes entailment queries through an incremental
+	// solving context: conjuncts are asserted once and checks select them
+	// by assertion id instead of recomposing Ψ.
+	sctx *smt.Context
+	conj []conjunct
 	// in is the context's hash-consing arena: every assumed formula and
 	// recorded definition is interned once, and the relevance filter and
 	// definition index work on dense VarIDs/CallKeys/NodeIDs instead of
@@ -156,7 +155,7 @@ func (c *Context) Solver() *smt.Solver { return c.solver }
 // when none), so derived contexts over the same solver can share it.
 func (c *Context) SolvingContext() *smt.Context { return c.sctx }
 
-// UseSolvingContext attaches a persistent incremental solving context;
+// UseSolvingContext attaches an incremental solving context;
 // conjuncts already present are registered with it. Like the solver it is
 // not concurrency-safe. Attach it before opening any scope: registering
 // rewrites the conjuncts a mark would restore.
@@ -454,26 +453,16 @@ func (c *Context) entails(goal logic.Formula, want bool) (bool, *logic.Model) {
 		r, m := c.solver.CheckModel(q)
 		return r == smt.Unsat, m
 	}
-	// Incremental path: the check is memoized on the full assertion-id
-	// list (interning makes equal lists imply an equal Ψ), and the cone
-	// computation runs only on a memo miss.
-	aids := c.aidBuf[:0]
-	for i := range c.conj {
-		aids = append(aids, c.conj[i].aid)
-	}
-	c.aidBuf = aids
-	cone := func() []int {
-		idx := c.relevantIndices(goal)
-		sel := make([]int, len(idx))
-		for i, j := range idx {
-			sel[i] = c.conj[j].aid
-		}
-		return sel
+	// Incremental path: the cone's conjunct indices become their assertion
+	// ids, which the solving context memoizes the check on.
+	sel := c.relevantIndices(goal)
+	for i, j := range sel {
+		sel[i] = c.conj[j].aid
 	}
 	if !want {
-		return c.sctx.EntailsAssuming(aids, goal, cone), nil
+		return c.sctx.EntailsAssuming(sel, goal), nil
 	}
-	r, m := c.sctx.CheckAssumingModel(aids, goal, cone)
+	r, m := c.sctx.CheckAssumingModel(sel, goal)
 	return r == smt.Unsat, m
 }
 

@@ -296,9 +296,7 @@ func TestEntailsModelNeverWithEntailment(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		c := NewContext(smt.New())
 		if incremental {
-			sc := smt.NewSolvingContext()
-			sc.BeginRun(c.Solver())
-			c.UseSolvingContext(sc)
+			c.UseSolvingContext(smt.NewSolvingContext(c.Solver()))
 		}
 		c.AssumeBool(lang.MustParse(`func t(x) { notify 1 (x > 5); }`).Body.(lang.Cond).Test)
 		ok, m := c.EntailsModel(lang.MustParse(`func t(x) { notify 1 (x > 3); }`).Body.(lang.Cond).Test)
@@ -313,6 +311,49 @@ func TestEntailsModelNeverWithEntailment(t *testing.T) {
 		if !c.Refutes(notGoal, []*logic.Model{m}) {
 			t.Errorf("incremental=%v: the solver's own counterexample %v does not refute the goal", incremental, m.Vars)
 		}
+	}
+}
+
+// TestConeMemoAnswersOutsideTheCone: the solving context memoizes a check
+// on the assertion ids of the goal's cone, not on the whole of Ψ. The same
+// goal asked again after Ψ gained a fact outside its cone is answered once:
+// the second check is a memo hit with the first verdict and issues no
+// theory check. A new fact inside the cone makes a new query.
+func TestConeMemoAnswersOutsideTheCone(t *testing.T) {
+	cond := func(e string) lang.BoolExpr {
+		return lang.MustParse(`func t(x, y) { notify 1 (` + e + `); }`).Body.(lang.Cond).Test
+	}
+	solver := smt.New()
+	c := NewContext(solver)
+	sc := smt.NewSolvingContext(solver)
+	c.UseSolvingContext(sc)
+	goal := cond("x > 3")
+
+	c.AssumeBool(cond("x > 5"))
+	if !c.EntailsBool(goal) {
+		t.Fatal("x > 5 should entail x > 3")
+	}
+	first, theory := sc.Stats(), solver.Stats.TheoryChecks
+	if first.Checks != 1 || first.MemoHits != 0 || first.TheoryChecks != 1 {
+		t.Fatalf("first check: stats %+v, want one check answered by one theory check", first)
+	}
+
+	c.AssumeBool(cond("y > 7"))
+	if !c.EntailsBool(goal) {
+		t.Fatal("a fact outside the cone changed the verdict")
+	}
+	st := sc.Stats()
+	if st.Checks != 2 || st.MemoHits != 1 || st.TheoryChecks != first.TheoryChecks || solver.Stats.TheoryChecks != theory {
+		t.Fatalf("second check: stats %+v, %d solver theory checks (%d before): want a memo hit and no theory check",
+			st, solver.Stats.TheoryChecks, theory)
+	}
+
+	c.AssumeBool(cond("x < 9"))
+	if !c.EntailsBool(goal) {
+		t.Fatal("x > 5 ∧ x < 9 should entail x > 3")
+	}
+	if st := sc.Stats(); st.MemoHits != 1 || st.TheoryChecks != first.TheoryChecks+1 {
+		t.Fatalf("third check: stats %+v, want a new theory check for the grown cone", st)
 	}
 }
 
